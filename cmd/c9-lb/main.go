@@ -4,8 +4,10 @@
 // directly between workers. Membership is elastic: workers may join
 // mid-run, leave gracefully, or crash — a silent worker is evicted when
 // its lease lapses and its last-reported jobs are re-seated onto
-// survivors. The LB exits when the cluster is quiescent and prints the
-// aggregate results, including departed workers' final contributions.
+// survivors. The LB exits when the cluster is quiescent (or -max-duration
+// cuts the run off) and prints the aggregate results, including departed
+// workers' final contributions; exhausted=true|false on the cluster
+// total line says which of the two ended the run.
 //
 // The LB is no longer a single point of failure: a second c9-lb started
 // with -standby -peer=<primary> tails the primary's replication log and,
@@ -45,8 +47,7 @@ func main() {
 		lease      = flag.Duration("lease", cluster.DefaultLease, "membership lease; silent workers are evicted past this")
 		maxDur     = flag.Duration("max-duration", 10*time.Minute, "run bound")
 		portfolio  = flag.String("portfolio", "", "comma-separated strategy specs assigned to workers at join (e.g. \"dfs,random-path,cupa(site,dfs)\"); empty = engine default everywhere")
-		reweight   = flag.String("reweight", cluster.ReweightBandit, "portfolio reweighting mode: bandit (UCB1 over per-window coverage yield) or proportional (legacy 1+cumulative-yield)")
-		banditC    = flag.Float64("bandit-c", cluster.DefaultBanditC, "UCB1 exploration constant for -reweight bandit")
+		banditC    = flag.Float64("bandit-c", cluster.DefaultBanditC, "UCB1 exploration constant of the portfolio reweighting bandit")
 		learn      = flag.Bool("learn", false, "run the online learner: perturb dist-opt weight vectors and race challengers in spare portfolio slots (needs ≥2 dist-opt slots in -portfolio)")
 		learnEvery = flag.Int("learn-every", cluster.DefaultLearnEvery, "learner adopt/keep decision cadence, in reweight passes")
 		learnSeed  = flag.Int64("learn-seed", 1, "seed for the learner's deterministic perturbation stream")
@@ -59,9 +60,6 @@ func main() {
 		peer       = flag.String("peer", "", "primary LB address to replicate from (required with -standby)")
 		grace      = flag.Duration("promote-grace", 2*time.Second, "how long the primary may stay unreachable before the standby promotes itself")
 	)
-	// Back-compat alias for the old flag name.
-	flag.IntVar(minWorkers, "workers", *minWorkers, "alias for -min-workers")
-	flag.StringVar(dataPlane, "partition", *dataPlane, "alias for -data-plane")
 	flag.Parse()
 
 	tgt, ok := targets.ByName(*targetName)
@@ -75,11 +73,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *reweight != cluster.ReweightBandit && *reweight != cluster.ReweightProportional {
-		fmt.Fprintf(os.Stderr, "c9-lb: -reweight must be %q or %q, got %q\n",
-			cluster.ReweightBandit, cluster.ReweightProportional, *reweight)
-		os.Exit(1)
-	}
 	switch *dataPlane {
 	case "", cluster.DataPlaneP2P, cluster.DataPlaneRelay, cluster.DataPlaneDepth:
 	default:
@@ -92,7 +85,6 @@ func main() {
 	cfg.DataPlane = *dataPlane
 	cfg.PartitionDepth = *partDepth
 	cfg.PartitionUnits = *partUnits
-	cfg.Reweight = *reweight
 	cfg.BanditC = *banditC
 	cfg.Learn = *learn
 	cfg.LearnEvery = *learnEvery
@@ -104,7 +96,7 @@ func main() {
 			os.Exit(1)
 		}
 		cfg.Portfolio = specs
-		fmt.Printf("c9-lb: portfolio %v (reweight=%s)\n", specs, *reweight)
+		fmt.Printf("c9-lb: portfolio %v\n", specs)
 	} else if *learn {
 		fmt.Fprintf(os.Stderr, "c9-lb: -learn needs a -portfolio with at least two dist-opt slots\n")
 		os.Exit(1)
@@ -196,8 +188,8 @@ func main() {
 	fmt.Printf("membership: evictions=%d leaves=%d transfers=%d states-transferred=%d\n",
 		evictions, leaves, transfers, transferred)
 	fmt.Printf("replication: term=%d promotions=%d\n", srv.Term(), srv.Promotions())
-	fmt.Printf("cluster total: paths=%d errors=%d hangs=%d useful=%d replay=%d\n",
-		paths, errors, hangs, useful, replay)
+	fmt.Printf("cluster total: paths=%d errors=%d hangs=%d useful=%d replay=%d exhausted=%v\n",
+		paths, errors, hangs, useful, replay, srv.Exhausted())
 	fleet := srv.ObsSnapshot()
 	fmt.Print(obs.Render(fleet))
 	if *obsDump != "" {

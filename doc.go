@@ -22,10 +22,11 @@
 // design: each worker owns a private interpreter, solver, and execution
 // tree; the load balancer only sees queue lengths, cumulative counters,
 // and coverage bit vectors, and instructs workers to ship path-encoded
-// job trees directly to each other (§3.1–3.3). Three transports speak
-// the same protocol: an in-process channel fabric (cluster.Run), a
-// deterministic lock-step simulation (cluster.RunSim) used by the
-// benchmarks, and gob over TCP for real multi-process clusters.
+// job trees directly to each other (§3.1–3.3). Two fabrics speak the
+// same protocol: a deterministic lock-step simulation (cluster.RunSim)
+// behind every experiment and paper figure, and gob over TCP — real
+// multi-process clusters (cmd/c9-lb, cmd/c9-worker), or the same stack
+// in one process over loopback (cluster.Run).
 //
 // Membership is elastic and crash-tolerant. Workers join at any time
 // and are assigned an id plus a monotonically increasing epoch; their

@@ -1,7 +1,8 @@
 // Parallel symbolic testing of a network server (the paper's memcached
-// case study): a 4-worker in-process Cloud9 cluster exhaustively
-// explores every behavior of the server under two fully symbolic
-// protocol packets, then a single-node run finds the UDP-reassembly
+// case study): a 4-worker Cloud9 cluster — cluster.Run: the production
+// load balancer and workers in this one process, over loopback TCP —
+// exhaustively explores every behavior of the server under two fully
+// symbolic protocol packets, then a single-node run finds the UDP-reassembly
 // hang with a concrete triggering datagram.
 //
 // Run: go run ./examples/memcached

@@ -385,24 +385,31 @@ func TestStatesTransferredCountsActualReceipts(t *testing.T) {
 
 func runCluster(t *testing.T, workers int, src string) *Result {
 	t.Helper()
-	// Tight cadence: the incremental solver (PR 4) explores these
-	// miniatures in a few milliseconds, so balance rounds and statuses
-	// must be frequent enough that load balancing demonstrably happens
-	// before the tree is exhausted. Totals are cadence-invariant
-	// (custody exactness), only the activity assertions depend on it.
 	res, err := Run(Config{
-		Workers:      workers,
-		Entry:        "main",
-		NewInterp:    mkInterp(t, src),
-		Engine:       engine.Config{MaxStateSteps: 1_000_000},
-		MaxDuration:  30 * time.Second,
-		BalanceEvery: 500 * time.Microsecond,
-		WorkerBatch:  4,
+		Workers:     workers,
+		Entry:       "main",
+		NewInterp:   mkInterp(t, src),
+		Engine:      engine.Config{MaxStateSteps: 1_000_000},
+		MaxDuration: 60 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// testMailbox is a hand-fed mailbox for worker unit tests: a sim
+// endpoint on a bare sim that is never stepped. push appends to the
+// worker's inbox; the worker's statuses reach a balancer that has never
+// heard of it and are discarded.
+func testMailbox(id int) (push func(Message), ep simEndpoint) {
+	s := &sim{
+		lb:      NewLoadBalancer(DefaultBalancerConfig(), 64),
+		gen:     1,
+		inbox:   map[int][]Message{},
+		pending: map[int][]Message{},
+	}
+	return func(m Message) { s.inbox[id] = append(s.inbox[id], m) }, simEndpoint{s, id}
 }
 
 func TestSingleWorkerExhaustive(t *testing.T) {
@@ -432,14 +439,16 @@ int main() {
 }`
 
 func TestFourWorkersExploreDisjointComplete(t *testing.T) {
-	res := runCluster(t, 4, bigClusterTarget)
+	// The 4096-path target: the run must outlast several of the LB's
+	// 20ms balance rounds for balancing to demonstrably happen.
+	res := runCluster(t, 4, hugeClusterTarget)
 	if !res.Exhausted {
 		t.Fatal("run did not exhaust the tree")
 	}
-	// Disjointness and completeness (§3.2): exactly 1024 paths in total,
+	// Disjointness and completeness (§3.2): exactly 4096 paths in total,
 	// regardless of how they were distributed.
-	if res.Final.Paths != 1024 {
-		t.Fatalf("paths = %d, want exactly 1024 (no dup/lost work)", res.Final.Paths)
+	if res.Final.Paths != 4096 {
+		t.Fatalf("paths = %d, want exactly 4096 (no dup/lost work)", res.Final.Paths)
 	}
 	if res.Final.Errors != 1 {
 		t.Fatalf("errors = %d, want 1", res.Final.Errors)
@@ -470,24 +479,6 @@ func TestGlobalCoverageMergesWorkerViews(t *testing.T) {
 	}
 	if res.Final.Coverage == 0 {
 		t.Fatal("no coverage recorded")
-	}
-}
-
-func TestStopWhenCondition(t *testing.T) {
-	res, err := Run(Config{
-		Workers:      2,
-		Entry:        "main",
-		NewInterp:    mkInterp(t, clusterTarget),
-		Engine:       engine.Config{MaxStateSteps: 1_000_000},
-		MaxDuration:  30 * time.Second,
-		BalanceEvery: time.Millisecond,
-		StopWhen:     func(s Snapshot) bool { return s.Paths >= 10 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Final.Paths < 10 {
-		t.Fatalf("stopped too early: %d paths", res.Final.Paths)
 	}
 }
 
@@ -524,9 +515,7 @@ func TestDFSClusterStillComplete(t *testing.T) {
 			MaxStateSteps: 1_000_000,
 			Strategy:      func(*tree.Tree, *cfg.Distance) engine.Strategy { return engine.NewDFS() },
 		},
-		MaxDuration:  30 * time.Second,
-		BalanceEvery: 2 * time.Millisecond,
-		WorkerBatch:  4,
+		MaxDuration: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

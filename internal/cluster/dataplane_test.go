@@ -202,75 +202,3 @@ func TestSimDepthDeterministic(t *testing.T) {
 		t.Fatalf("depth journals differ across identically-seeded runs:\n--- a ---\n%s\n--- b ---\n%s", da, db)
 	}
 }
-
-// TestClusterPeerDownFallbackExactPaths is the in-process version of the
-// blackholed-peer fault: every SendJobs fails from the first balance
-// round on, so all shipping rides the LB relay — totals exact, custody
-// intact (no duplicate exploration).
-func TestClusterPeerDownFallbackExactPaths(t *testing.T) {
-	res, err := Run(faultConfig(t, 3, FaultPlan{
-		PeerDown: &FaultEvent{AfterPaths: 0},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Exhausted {
-		t.Fatal("peer-down run did not exhaust")
-	}
-	if res.Final.Paths != 1024 || res.Final.Errors != 1 {
-		t.Fatalf("paths=%d errors=%d, want 1024/1", res.Final.Paths, res.Final.Errors)
-	}
-	if res.Evictions != 0 {
-		t.Fatalf("evictions = %d, want 0", res.Evictions)
-	}
-	// Gate on batches actually sent (a directive can find the sender's
-	// queue already drained): every one of them must have failed its
-	// peer send and ridden the relay.
-	if res.Obs.Counter(obs.MClusterJobsSent) > 0 {
-		if res.Obs.Counter(obs.MClusterPeerFallbacks) == 0 {
-			t.Fatal("jobs shipped but no peer fallbacks recorded")
-		}
-		if res.Obs.Counter(obs.MLBPayloadBytes) == 0 {
-			t.Fatal("jobs shipped but no payload bytes crossed the LB")
-		}
-		if at := journalIdx(res.Journal, obs.EvPeerFallback); at[0] < 0 {
-			t.Fatal("journal missing peer-fallback event")
-		}
-	}
-}
-
-// TestClusterDepthWorkerCrashExactPaths: in-process depth partitioning
-// with a mid-run worker kill — reclaimed units re-derived exactly. The
-// in-process fabric is real-concurrent, so the kill can land after the
-// victim already drained its units and reported idle; such a run ends
-// with zero evictions (and must still be exact). Retry until the crash
-// lands mid-work — exactness is asserted on every attempt either way.
-// The deterministic reclaim sequence itself is pinned by the sim test
-// above.
-func TestClusterDepthWorkerCrashExactPaths(t *testing.T) {
-	for attempt := 0; attempt < 5; attempt++ {
-		cfg := faultConfig(t, 3, FaultPlan{
-			Kill: &FaultEvent{Worker: 1, AfterPaths: 50},
-		})
-		cfg.Balancer.DataPlane = DataPlaneDepth
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Exhausted {
-			t.Fatal("depth crash run did not exhaust")
-		}
-		if res.Final.Paths != 1024 || res.Final.Errors != 1 {
-			t.Fatalf("paths=%d errors=%d, want 1024/1 after a worker crash under depth partitioning",
-				res.Final.Paths, res.Final.Errors)
-		}
-		if got := res.Obs.Counter(obs.MLBPayloadBytes); got != 0 {
-			t.Fatalf("depth: %d payload bytes crossed the LB, want 0", got)
-		}
-		if res.Evictions == 1 {
-			return
-		}
-		t.Logf("attempt %d: victim finished before the kill landed (evictions=%d), retrying", attempt, res.Evictions)
-	}
-	t.Fatal("kill never landed mid-work in 5 attempts")
-}

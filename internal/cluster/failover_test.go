@@ -16,63 +16,6 @@ import (
 	"cloud9/internal/obs"
 )
 
-// TestClusterLBFailoverExactPaths kills the in-process LB mid-run and
-// requires the promoted standby to finish with the undisturbed totals —
-// and the fleet metrics fold to agree with the engines' own accounting
-// even though every worker re-sent a cumulative baseline across the
-// promotion (the double-count hazard).
-func TestClusterLBFailoverExactPaths(t *testing.T) {
-	res, err := Run(faultConfig(t, 3, FaultPlan{
-		CrashLB: &FaultEvent{AfterPaths: 50},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Exhausted {
-		t.Fatal("failover run did not exhaust")
-	}
-	if res.Final.Paths != 1024 || res.Final.Errors != 1 {
-		t.Fatalf("paths=%d errors=%d, want 1024/1 (undisturbed totals)", res.Final.Paths, res.Final.Errors)
-	}
-	if res.Promotions != 1 {
-		t.Fatalf("promotions = %d, want 1", res.Promotions)
-	}
-	if res.Evictions != 0 {
-		t.Fatalf("evictions = %d, want 0 (no worker died)", res.Evictions)
-	}
-	// Registry fold vs per-engine Stats, through the failover: every
-	// worker survived, so the fold must equal the plain sum.
-	var paths, errs, useful uint64
-	for _, w := range res.Workers {
-		paths += w.Exp.Stats.PathsExplored
-		errs += w.Exp.Stats.Errors
-		useful += w.Exp.Stats.UsefulSteps
-	}
-	if got := res.Obs.Counter(obs.MEnginePaths); got != paths {
-		t.Fatalf("fleet paths counter = %d, stats sum = %d (re-handshake double-count?)", got, paths)
-	}
-	if got := res.Obs.Counter(obs.MEngineErrors); got != errs {
-		t.Fatalf("fleet errors counter = %d, stats sum = %d", got, errs)
-	}
-	if got := res.Obs.Counter(obs.MEngineUsefulSteps); got != useful {
-		t.Fatalf("fleet useful counter = %d, stats sum = %d", got, useful)
-	}
-	if res.Obs.Counter(obs.MLBPromotions) != 1 || res.Obs.Gauge(obs.MLBTerm) != 2 {
-		t.Fatalf("promotion metrics wrong: promotions=%d term=%d",
-			res.Obs.Counter(obs.MLBPromotions), res.Obs.Gauge(obs.MLBTerm))
-	}
-	idx := journalIdx(res.Journal,
-		obs.EvPrimaryLost, obs.EvStandbyPromote, obs.EvEpochBump, obs.EvResync)
-	for i, at := range idx {
-		if at < 0 {
-			t.Fatalf("journal missing promotion event #%d", i)
-		}
-		if i > 0 && idx[i-1] >= at {
-			t.Fatalf("promotion events out of order: %v", idx)
-		}
-	}
-}
-
 func simFailoverRun(t *testing.T, crashLB *SimCrashLB, crashes []SimEvent) *SimResult {
 	t.Helper()
 	res, err := RunSim(SimConfig{

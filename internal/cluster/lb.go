@@ -32,11 +32,6 @@ type BalancerConfig struct {
 	// negative disables the periodic pass — membership changes still
 	// rebalance).
 	ReweightEvery int
-	// Reweight selects how slot allocation weights are derived from the
-	// per-slot yield attribution: ReweightBandit (the default) scores
-	// slots with a deterministic UCB1 bandit; ReweightProportional keeps
-	// PR 3's 1+Σyield largest-remainder scheme.
-	Reweight string
 	// BanditC is the UCB1 exploration constant (0 = DefaultBanditC).
 	BanditC float64
 	// Learn enables the online sample-evaluate-refine loop over the
@@ -90,15 +85,6 @@ const (
 	DefaultPartitionUnits = 16
 )
 
-// Reweight modes for BalancerConfig.Reweight.
-const (
-	// ReweightBandit (the default) draws slot allocation weights from a
-	// deterministic UCB1 bandit over per-slot normalized coverage yield.
-	ReweightBandit = "bandit"
-	// ReweightProportional is the legacy 1+Σyield proportional scheme.
-	ReweightProportional = "proportional"
-)
-
 // DefaultBanditC is the UCB1 exploration constant when
 // BalancerConfig.BanditC is zero. Rewards live in [0,1); ½ keeps the
 // exploration bonus comparable to a mid-range mean without letting it
@@ -133,7 +119,7 @@ type TransferOrder struct {
 const Broadcast = -1
 
 // Outbound is a message the load balancer wants delivered; the owning
-// transport (in-process fabric, sim, or TCP server) dispatches it.
+// fabric (sim or TCP server) dispatches it.
 // Dispatch order must be preserved per destination: acknowledgment
 // relays must arrive before a subsequent eviction notice.
 type Outbound struct {
@@ -163,7 +149,7 @@ type Member struct {
 	// frontier snapshot; it becomes the member's accounting record if the
 	// member departs — workers send a full status whenever their transfer
 	// counters move AND re-send one after any LB stream interruption (a
-	// failed send or a reconnect, see lbStreamTransport), so a lost full
+	// failed send or a reconnect, see Transport.LBGen), so a lost full
 	// snapshot is replaced as soon as the stream resumes and only
 	// discardable exploration progress can sit between LastFull and Last.
 	Last     Status
@@ -245,14 +231,13 @@ type LoadBalancer struct {
 	// the next periodic reweighting pass (see portfolio.go).
 	specYield     []uint64
 	reweightTicks int
-	// bandit scores the slots under ReweightBandit (nil under
-	// proportional mode or without a portfolio); windowYield accumulates
-	// per-slot new-coverage lines between reweight passes — one bandit
-	// pull per slot per window, so a slot's reward is its coverage rate
-	// per quantum, not per status (per-status rewards punish multi-worker
-	// slots: the second worker's status re-reports lines the first
-	// already merged and pays zero). learner runs the sample-evaluate-
-	// refine loop when cfg.Learn is set.
+	// bandit scores the portfolio slots (nil without a portfolio);
+	// windowYield accumulates per-slot new-coverage lines between
+	// reweight passes — one bandit pull per slot per window, so a slot's
+	// reward is its coverage rate per quantum, not per status (per-status
+	// rewards punish multi-worker slots: the second worker's status
+	// re-reports lines the first already merged and pays zero). learner
+	// runs the sample-evaluate-refine loop when cfg.Learn is set.
 	bandit      *slotBandit
 	windowYield []uint64
 	learner     *specLearner
@@ -360,9 +345,6 @@ func NewLoadBalancer(cfg BalancerConfig, covLen int) *LoadBalancer {
 	if cfg.ReweightEvery == 0 {
 		cfg.ReweightEvery = DefaultReweightEvery
 	}
-	if cfg.Reweight == "" {
-		cfg.Reweight = ReweightBandit
-	}
 	if cfg.BanditC == 0 {
 		cfg.BanditC = DefaultBanditC
 	}
@@ -400,7 +382,7 @@ func NewLoadBalancer(cfg BalancerConfig, covLen int) *LoadBalancer {
 		}
 		lb.unitSentAt = map[int]time.Time{}
 	}
-	if len(cfg.Portfolio) > 0 && cfg.Reweight == ReweightBandit {
+	if len(cfg.Portfolio) > 0 {
 		lb.bandit = newSlotBandit(len(cfg.Portfolio))
 		lb.windowYield = make([]uint64, len(cfg.Portfolio))
 	}
@@ -546,9 +528,7 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 	if added > 0 {
 		if idx := lb.yieldSlot(st.Spec, m); idx >= 0 && idx < len(lb.specYield) {
 			lb.specYield[idx] += uint64(added)
-			if lb.windowYield != nil {
-				lb.windowYield[idx] += uint64(added)
-			}
+			lb.windowYield[idx] += uint64(added)
 		}
 	}
 	// Assignment reconciliation: the member record is the intent, the
@@ -873,14 +853,12 @@ func (lb *LoadBalancer) Tick(now time.Time) []Outbound {
 			// Close the bandit's observation window: one pull per manned
 			// slot, rewarded with the window's accumulated yield. Unmanned
 			// slots produce no evidence and are not pulled.
-			if lb.bandit != nil {
-				counts := lb.specCounts()
-				for i := range lb.windowYield {
-					if counts[i] > 0 {
-						lb.bandit.observe(i, lb.windowYield[i])
-					}
-					lb.windowYield[i] = 0
+			counts := lb.specCounts()
+			for i := range lb.windowYield {
+				if counts[i] > 0 {
+					lb.bandit.observe(i, lb.windowYield[i])
 				}
+				lb.windowYield[i] = 0
 			}
 			if lb.learner != nil {
 				outs = append(outs, lb.learner.step()...)
@@ -910,6 +888,48 @@ func (lb *LoadBalancer) Ship(m Message) []Outbound {
 	fwd := m
 	fwd.Kind = MsgJobs
 	return []Outbound{{To: m.Dst, Msg: fwd}}
+}
+
+// Control applies one worker→LB control message — a status (lease
+// renewal), a graceful goodbye, or a batch to relay — and returns what
+// the fabric must deliver in response. A goodbye from a (worker, epoch)
+// that is no longer the current member is ignored, like a stale status.
+func (lb *LoadBalancer) Control(m Message, now time.Time) []Outbound {
+	switch m.Kind {
+	case MsgStatus:
+		if m.Status != nil {
+			outs, _ := lb.Update(*m.Status, now)
+			return outs
+		}
+	case MsgGoodbye:
+		if lb.IsMember(m.From, m.Epoch) {
+			return lb.Goodbye(m.From, now)
+		}
+	case MsgShip:
+		return lb.Ship(m)
+	}
+	return nil
+}
+
+// Round is one balance round: evict members whose lease lapsed, run
+// custody and portfolio maintenance, turn the balancing decision into
+// MsgTransferReq orders addressed to their sources, and broadcast the
+// global coverage vector if it changed. Fabrics call it on their own
+// period and deliver the result in order.
+func (lb *LoadBalancer) Round(now time.Time) []Outbound {
+	outs := lb.ExpireLeases(now)
+	outs = append(outs, lb.Tick(now)...)
+	for _, ord := range lb.Balance() {
+		outs = append(outs, Outbound{To: ord.Src, Msg: Message{
+			Kind: MsgTransferReq, Dst: ord.Dst, NJobs: ord.NJobs,
+		}})
+	}
+	if cov, dirty := lb.GlobalCoverage(); dirty {
+		outs = append(outs, Outbound{To: Broadcast, Msg: Message{
+			Kind: MsgCoverage, CovWords: cov.Words(),
+		}})
+	}
+	return outs
 }
 
 // grantUnits hands unclaimed depth-partition units to idle members and

@@ -158,10 +158,8 @@ func (l *specLearner) setSlot(i int, spec string) []Outbound {
 		return nil
 	}
 	lb.cfg.Portfolio[i] = spec
-	if lb.bandit != nil {
-		lb.bandit.reset(i)
-		lb.windowYield[i] = 0
-	}
+	lb.bandit.reset(i)
+	lb.windowYield[i] = 0
 	ids := make([]int, 0, len(lb.members))
 	for id, m := range lb.members {
 		if !m.Pinned && m.SpecIdx == i {
@@ -204,9 +202,6 @@ func (l *specLearner) step() []Outbound {
 	}
 	l.calls = 0
 	b := l.lb.bandit
-	if b == nil {
-		return nil // proportional mode: no per-slot means to compare
-	}
 	inc := l.slots[0]
 	if b.pulls[inc] < learnMinPulls {
 		return nil

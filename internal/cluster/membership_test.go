@@ -1,117 +1,18 @@
 package cluster
 
 // Membership fault-injection tests: the acceptance bar for dynamic
-// membership is that killing a worker mid-run — in-process, in the
-// deterministic sim, and over TCP — yields exactly the same explored
-// path count as an undisturbed run (the evicted worker's last-reported
-// jobs are re-seated and everything past its last report is re-explored
+// membership is that killing a worker mid-run — in the deterministic sim
+// here, over TCP in tcp_test.go — yields exactly the same explored path
+// count as an undisturbed run (the evicted worker's last-reported jobs
+// are re-seated and everything past its last report is re-explored
 // exactly once), and that a late joiner receives jobs within a balance
 // round.
 
 import (
 	"testing"
-	"time"
 
 	"cloud9/internal/engine"
 )
-
-func faultConfig(t *testing.T, workers int, faults FaultPlan) Config {
-	t.Helper()
-	// Tight cadence (see runCluster): fault windows — arming the kill,
-	// catching a fat victim queue — must fit inside runs the
-	// incremental solver finishes in a few milliseconds. WorkerBatch 4
-	// halves the kill trigger's queue threshold (2×batch) and doubles
-	// status frequency.
-	return Config{
-		Workers:      workers,
-		Entry:        "main",
-		NewInterp:    mkInterp(t, bigClusterTarget),
-		Engine:       engine.Config{MaxStateSteps: 1_000_000},
-		MaxDuration:  60 * time.Second,
-		BalanceEvery: 500 * time.Microsecond,
-		WorkerBatch:  4,
-		Balancer:     BalancerConfig{Lease: 250 * time.Millisecond},
-		Faults:       faults,
-	}
-}
-
-func TestClusterWorkerCrashRecoveryExactPaths(t *testing.T) {
-	res, err := Run(faultConfig(t, 3, FaultPlan{
-		Kill: &FaultEvent{Worker: 1, AfterPaths: 50},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Exhausted {
-		t.Fatal("crashed-worker run did not exhaust the tree")
-	}
-	// Same totals as an undisturbed run: 1024 paths, 1 error — the
-	// evicted worker's frontier was re-seated, nothing lost, nothing
-	// explored twice.
-	if res.Final.Paths != 1024 {
-		t.Fatalf("paths = %d, want exactly 1024 after a worker crash", res.Final.Paths)
-	}
-	if res.Final.Errors != 1 {
-		t.Fatalf("errors = %d, want 1", res.Final.Errors)
-	}
-	if res.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", res.Evictions)
-	}
-	var crashed *Worker
-	for _, w := range res.Workers {
-		if w.ID == 1 {
-			crashed = w
-		}
-	}
-	if crashed == nil || !crashed.Departed() {
-		t.Fatal("worker 1 should have departed")
-	}
-}
-
-func TestClusterLateJoinReceivesJobs(t *testing.T) {
-	res, err := Run(faultConfig(t, 2, FaultPlan{
-		Join: &FaultEvent{AfterPaths: 30},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Exhausted || res.Final.Paths != 1024 || res.Final.Errors != 1 {
-		t.Fatalf("exhausted=%v paths=%d errors=%d", res.Exhausted, res.Final.Paths, res.Final.Errors)
-	}
-	if len(res.Workers) != 3 {
-		t.Fatalf("workers = %d, want 3 after late join", len(res.Workers))
-	}
-	var joiner *Worker
-	for _, w := range res.Workers {
-		if w.ID == 2 {
-			joiner = w
-		}
-	}
-	if joiner == nil {
-		t.Fatal("late joiner missing")
-	}
-	if joiner.Exp.Stats.UsefulSteps == 0 {
-		t.Fatal("late joiner never received work")
-	}
-}
-
-func TestClusterGracefulRetire(t *testing.T) {
-	res, err := Run(faultConfig(t, 3, FaultPlan{
-		Retire: &FaultEvent{Worker: 2, AfterPaths: 50},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Exhausted || res.Final.Paths != 1024 || res.Final.Errors != 1 {
-		t.Fatalf("exhausted=%v paths=%d errors=%d", res.Exhausted, res.Final.Paths, res.Final.Errors)
-	}
-	if res.Leaves != 1 {
-		t.Fatalf("leaves = %d, want 1 graceful goodbye", res.Leaves)
-	}
-	if res.Evictions != 0 {
-		t.Fatalf("evictions = %d, want 0 (goodbye, not crash)", res.Evictions)
-	}
-}
 
 func TestSimCrashRecoveryDeterministic(t *testing.T) {
 	factory := mkInterp(t, clusterTarget)
@@ -194,16 +95,15 @@ func TestSimLateJoinAndRetire(t *testing.T) {
 // that learns of its own eviction halts instead of continuing to
 // explore work that has been re-seated elsewhere.
 func TestWorkerSelfEvictionHalts(t *testing.T) {
-	f := &fabric{mailboxes: map[int]chan Message{}, toLB: make(chan Message, 1024)}
-	f.register(0)
+	push, ep := testMailbox(0)
 	w, err := NewWorker(WorkerConfig{
 		ID: 0, Epoch: 7, Seed: true,
 		NewInterp: mkInterp(t, clusterTarget), Entry: "main",
-	}, endpoint{f, 0})
+	}, ep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.mailboxes[0] <- Message{Kind: MsgEvict, From: 0, Epoch: 7, Members: map[int]uint64{}}
+	push(Message{Kind: MsgEvict, From: 0, Epoch: 7, Members: map[int]uint64{}})
 	w.drainMailbox()
 	if !w.Stopped() || !w.Departed() {
 		t.Fatalf("self-evicted worker kept running: stopped=%v departed=%v",
@@ -215,21 +115,20 @@ func TestWorkerSelfEvictionHalts(t *testing.T) {
 // peer's epoch is discarded: its frontier was already re-seated, so
 // importing the batch would duplicate work.
 func TestStaleSenderJobsDropped(t *testing.T) {
-	f := &fabric{mailboxes: map[int]chan Message{}, toLB: make(chan Message, 1024)}
-	f.register(0)
+	push, ep := testMailbox(0)
 	w, err := NewWorker(WorkerConfig{
 		ID: 0, Epoch: 1, Seed: false,
 		NewInterp: mkInterp(t, clusterTarget), Entry: "main",
-	}, endpoint{f, 0})
+	}, ep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Learn that peer 1 (epoch 2) was evicted.
-	f.mailboxes[0] <- Message{Kind: MsgEvict, From: 1, Epoch: 2, Members: map[int]uint64{0: 1}}
+	push(Message{Kind: MsgEvict, From: 1, Epoch: 2, Members: map[int]uint64{0: 1}})
 	// A late batch from the evicted incarnation must be dropped without
 	// touching the frontier or the receive counters.
 	jobs := BuildJobTree([][]uint8{{0}, {1}})
-	f.mailboxes[0] <- Message{Kind: MsgJobs, From: 1, Epoch: 2, Seq: 1, Jobs: jobs}
+	push(Message{Kind: MsgJobs, From: 1, Epoch: 2, Seq: 1, Jobs: jobs})
 	w.drainMailbox()
 	if w.jobsRecv.Load() != 0 || w.transfersIn.Load() != 0 {
 		t.Fatalf("stale batch counted: recv=%d in=%d", w.jobsRecv.Load(), w.transfersIn.Load())
@@ -239,13 +138,13 @@ func TestStaleSenderJobsDropped(t *testing.T) {
 	}
 	// The same batch from a live (rejoined, higher-epoch) incarnation is
 	// accepted.
-	f.mailboxes[0] <- Message{Kind: MsgJobs, From: 1, Epoch: 3, Seq: 1, Jobs: jobs}
+	push(Message{Kind: MsgJobs, From: 1, Epoch: 3, Seq: 1, Jobs: jobs})
 	w.drainMailbox()
 	if w.jobsRecv.Load() != 2 || w.Exp.Tree.NumCandidates() != 2 {
 		t.Fatalf("live batch not imported: recv=%d cands=%d", w.jobsRecv.Load(), w.Exp.Tree.NumCandidates())
 	}
 	// A duplicate resend of the same sequence is suppressed exactly once.
-	f.mailboxes[0] <- Message{Kind: MsgJobs, From: 1, Epoch: 3, Seq: 1, Jobs: jobs}
+	push(Message{Kind: MsgJobs, From: 1, Epoch: 3, Seq: 1, Jobs: jobs})
 	w.drainMailbox()
 	if w.jobsRecv.Load() != 2 {
 		t.Fatalf("duplicate resend double counted: recv=%d", w.jobsRecv.Load())
@@ -260,26 +159,25 @@ func TestStaleSenderJobsDropped(t *testing.T) {
 // receiver drops out-of-order batches uncounted and processes the
 // sender's in-order re-sends instead.
 func TestGapBatchesDroppedUntilResent(t *testing.T) {
-	f := &fabric{mailboxes: map[int]chan Message{}, toLB: make(chan Message, 1024)}
-	f.register(0)
+	push, ep := testMailbox(0)
 	w, err := NewWorker(WorkerConfig{
 		ID: 0, Epoch: 1, Seed: false,
 		NewInterp: mkInterp(t, clusterTarget), Entry: "main",
-	}, endpoint{f, 0})
+	}, ep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b1 := BuildJobTree([][]uint8{{0}})
 	b2 := BuildJobTree([][]uint8{{1}})
 	// Batch 2 arrives first (batch 1 was lost on a dead connection).
-	f.mailboxes[0] <- Message{Kind: MsgJobs, From: 1, Epoch: 2, Seq: 2, Jobs: b2}
+	push(Message{Kind: MsgJobs, From: 1, Epoch: 2, Seq: 2, Jobs: b2})
 	w.drainMailbox()
 	if w.jobsRecv.Load() != 0 || w.ackHW[1] != 0 {
 		t.Fatalf("gap batch processed: recv=%d hw=%d", w.jobsRecv.Load(), w.ackHW[1])
 	}
 	// The sender re-sends in order: 1 then 2. Both must now land.
-	f.mailboxes[0] <- Message{Kind: MsgJobs, From: 1, Epoch: 2, Seq: 1, Jobs: b1}
-	f.mailboxes[0] <- Message{Kind: MsgJobs, From: 1, Epoch: 2, Seq: 2, Jobs: b2}
+	push(Message{Kind: MsgJobs, From: 1, Epoch: 2, Seq: 1, Jobs: b1})
+	push(Message{Kind: MsgJobs, From: 1, Epoch: 2, Seq: 2, Jobs: b2})
 	w.drainMailbox()
 	if w.jobsRecv.Load() != 2 || w.ackHW[1] != 2 {
 		t.Fatalf("in-order resends not processed: recv=%d hw=%d", w.jobsRecv.Load(), w.ackHW[1])
@@ -294,13 +192,11 @@ func TestGapBatchesDroppedUntilResent(t *testing.T) {
 // back home and is re-imported, keeping the send/receive reconciliation
 // balanced.
 func TestReimportOnDestinationEviction(t *testing.T) {
-	f := &fabric{mailboxes: map[int]chan Message{}, toLB: make(chan Message, 1024)}
-	f.register(0)
-	f.register(1)
+	push, ep := testMailbox(0)
 	w, err := NewWorker(WorkerConfig{
 		ID: 0, Epoch: 1, Seed: true,
 		NewInterp: mkInterp(t, clusterTarget), Entry: "main",
-	}, endpoint{f, 0})
+	}, ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +210,7 @@ func TestReimportOnDestinationEviction(t *testing.T) {
 	if before < 2 {
 		t.Fatalf("frontier too small: %d", before)
 	}
-	f.mailboxes[0] <- Message{Kind: MsgTransferReq, Dst: 1, NJobs: 1}
+	push(Message{Kind: MsgTransferReq, Dst: 1, NJobs: 1})
 	w.drainMailbox()
 	if w.jobsSent.Load() == 0 {
 		t.Fatal("export did not happen")
@@ -323,7 +219,7 @@ func TestReimportOnDestinationEviction(t *testing.T) {
 		t.Fatalf("candidates after export = %d, want %d", got, before-1)
 	}
 	// Destination dies before acking: the batch must come back.
-	f.mailboxes[0] <- Message{Kind: MsgEvict, From: 1, Epoch: 2, Members: map[int]uint64{0: 1}}
+	push(Message{Kind: MsgEvict, From: 1, Epoch: 2, Members: map[int]uint64{0: 1}})
 	w.drainMailbox()
 	if got := w.Exp.Tree.NumCandidates(); got != before {
 		t.Fatalf("candidates after re-import = %d, want %d", got, before)

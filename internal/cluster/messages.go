@@ -1,14 +1,19 @@
 // Package cluster implements Cloud9's parallelization fabric (§3): a
 // load balancer plus shared-nothing workers exchanging path-encoded jobs
-// directly with each other. Works both in-process (goroutines and
-// channels; used by the benchmarks), in a deterministic lock-step
-// simulation (sim.go), and across real processes (gob over TCP; see
-// cmd/c9-lb and cmd/c9-worker).
+// directly with each other. The protocol runs on two fabrics: a
+// deterministic lock-step simulation (RunSim, sim.go — the experiments
+// and paper figures) and gob over TCP (tcp.go — cmd/c9-lb and
+// cmd/c9-worker across real processes, or Run, which seats the same
+// LBServer and DialLB workers in one process over loopback). Both drive
+// the balancer through the same two calls — LoadBalancer.Control for
+// each worker→LB message, LoadBalancer.Round for each balance round —
+// and differ only in when they call them and how they deliver the
+// results.
 //
 // # Membership protocol
 //
 // Cluster membership is dynamic and crash-tolerant. Workers join at any
-// time (MsgHello over TCP, LoadBalancer.Join in-process), each receiving
+// time (a Hello over TCP, LoadBalancer.Join in the sim), each receiving
 // a cluster id and a monotonically increasing epoch. Statuses double as
 // lease renewals: a member that stays silent longer than the balancer's
 // Lease is presumed crashed and evicted. Workers may also leave
@@ -37,9 +42,9 @@
 //
 // Job payload movement is decoupled from custody metadata. In the
 // default p2p mode a Balance directive only names (src, dst, count);
-// the batch itself flows worker→worker over a peer session (direct
-// channel in-process, dial/accept with an epoch-fenced handshake over
-// TCP). When a peer link cannot be established the sender falls back to
+// the batch itself flows worker→worker over a peer session (dial/accept
+// with an epoch-fenced handshake over TCP; next-tick delivery in the
+// sim). When a peer link cannot be established the sender falls back to
 // LB-relayed shipping (MsgShip → LoadBalancer.Ship → MsgJobs), which is
 // also the forced path in relay mode; either way the receiver sees an
 // ordinary MsgJobs with the original (From, Epoch, Seq), so the gap
@@ -53,7 +58,7 @@
 //
 // When the balancer is configured with a portfolio (internal/search
 // spec strings), each joining worker is handed a spec (in the TCP
-// HelloAck / the Member record in-process), statuses report the spec a
+// HelloAck / the Member record in the sim), statuses report the spec a
 // worker currently runs, and the LB rebalances assignments on
 // join/leave/evict and on a periodic reweighting tick driven by the
 // coverage yield each slot earns in the global overlay (MsgStrategy →

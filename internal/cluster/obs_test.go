@@ -137,16 +137,15 @@ func TestSimFleetObsMatchesEngineStats(t *testing.T) {
 	}
 }
 
-// TestRunResultObsMatchesStats runs the in-process cluster undisturbed
-// (every worker survives, so the fleet fold is exactly the sum of the
-// live registries) and cross-checks Result.Obs against both the Final
-// snapshot and the per-worker engine Stats fields.
+// TestRunResultObsMatchesStats runs cluster.Run undisturbed (every
+// worker survives, so the fleet fold is exactly the sum of the live
+// registries) and cross-checks Result.Obs against both the Final
+// snapshot and the per-worker engine Stats fields. The 4096-path target
+// keeps the run going long enough for the LB's 20ms balance rounds to
+// move jobs.
 func TestRunResultObsMatchesStats(t *testing.T) {
-	res, err := Run(faultConfig(t, 2, FaultPlan{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Exhausted || res.Final.Paths != 1024 {
+	res := runCluster(t, 2, hugeClusterTarget)
+	if !res.Exhausted || res.Final.Paths != 4096 {
 		t.Fatalf("exhausted=%v paths=%d", res.Exhausted, res.Final.Paths)
 	}
 	var paths, errs, useful, replay uint64

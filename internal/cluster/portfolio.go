@@ -18,27 +18,15 @@ import (
 // tie-breaks) so the lock-step simulation reproduces assignments
 // bit-for-bit.
 
-// specWeights returns the hand-out weight of each portfolio slot.
-//
-// Under ReweightBandit (the default) the weights are UCB1 scores over
-// normalized per-status yield (bandit.go): a slot's share tracks its
-// *recent rate* of producing new coverage, with an exploration bonus
-// that regrows for under-sampled slots. Under ReweightProportional the
-// weight is the legacy 1 + cumulative yield — kept for comparison (the
-// `-exp learn` experiment races the two) and for back-compat.
-//
-// Either way the diversity floor in desiredAllocation guarantees one
-// worker per slot before any weighting applies, and both weight sources
-// are strictly positive, so no slot can starve.
+// specWeights returns the hand-out weight of each portfolio slot: UCB1
+// scores over normalized per-window yield (bandit.go), so a slot's
+// share tracks its *recent rate* of producing new coverage, with an
+// exploration bonus that regrows for under-sampled slots. The diversity
+// floor in desiredAllocation guarantees one worker per slot before any
+// weighting applies, and the scores are strictly positive, so no slot
+// can starve.
 func (lb *LoadBalancer) specWeights() []float64 {
-	if lb.bandit != nil {
-		return lb.bandit.weights(lb.cfg.BanditC)
-	}
-	w := make([]float64, len(lb.cfg.Portfolio))
-	for i := range w {
-		w[i] = 1 + float64(lb.specYield[i])
-	}
-	return w
+	return lb.bandit.weights(lb.cfg.BanditC)
 }
 
 // desiredAllocation distributes n workers over the portfolio slots:

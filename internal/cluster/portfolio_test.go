@@ -76,54 +76,12 @@ func TestPortfolioRebalanceOnDepart(t *testing.T) {
 	}
 }
 
-func TestPortfolioReweightShiftsAllocation(t *testing.T) {
-	cfg := DefaultBalancerConfig()
-	cfg.Portfolio = []string{"dfs", "random"}
-	cfg.ReweightEvery = 1
-	// The legacy proportional mode weights slots by 1+Σyield directly;
-	// the bandit default is covered by TestBanditReweightShiftsAllocation.
-	cfg.Reweight = ReweightProportional
-	lb := NewLoadBalancer(cfg, 100)
-	ms := joinN(t, lb, 4)
-	for _, m := range ms {
-		report(t, lb, m, Status{Queue: 1, Frontier: BuildJobTree(nil)})
-	}
-	// Equal weights: 2+2. Now attribute overwhelming coverage yield to
-	// the random slot; the weighted remainder should shift to 1+3 and
-	// the periodic reweight pass must move one dfs runner over.
-	lb.specYield[1] = 1000
-	outs := lb.Tick(time.Unix(3, 0))
-	var moved []int
-	for _, o := range outs {
-		if o.Msg.Kind == MsgStrategy {
-			if o.Msg.Spec != "random" {
-				t.Fatalf("moved to %q, want random", o.Msg.Spec)
-			}
-			moved = append(moved, o.To)
-		}
-	}
-	if len(moved) != 1 {
-		t.Fatalf("reweight moved %d workers, want 1 (outs: %+v)", len(moved), outs)
-	}
-	counts := lb.specCounts()
-	if counts[0] != 1 || counts[1] != 3 {
-		t.Fatalf("allocation after reweight = %v, want [1 3]", counts)
-	}
-	// Stable yields → no churn on the next pass.
-	for _, o := range lb.Tick(time.Unix(4, 0)) {
-		if o.Msg.Kind == MsgStrategy {
-			t.Fatal("reweight churned with unchanged yields")
-		}
-	}
-}
-
 func TestWorkerAppliesAssignedSpecAndHotSwaps(t *testing.T) {
-	f := &fabric{mailboxes: map[int]chan Message{}, peeked: map[int][]Message{}, toLB: make(chan Message, 64)}
-	f.register(0)
+	_, ep := testMailbox(0)
 	w, err := NewWorker(WorkerConfig{
 		ID: 0, Seed: true, StrategySpec: "cupa(depth:4,dfs)",
 		NewInterp: mkInterp(t, clusterTarget), Entry: "main",
-	}, endpoint{f, 0})
+	}, ep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ package cluster
 // lease restarts, and a resync window opens during which evictions and
 // orphan placement are suspended until each member has re-reported a
 // full frontier snapshot (workers do this unprompted: the LB stream
-// generation bump forces a full status via the lbStreamTransport path).
+// generation bump — Transport.LBGen — forces a full status).
 // The window closes early when everyone has re-reported, or at twice the
 // lease, after which stragglers are evicted normally.
 //
@@ -322,11 +322,7 @@ func (lb *LoadBalancer) StateFingerprint() string {
 
 	fmt.Fprintf(&b, "portfolio %q ticks=%d\n", strings.Join(lb.cfg.Portfolio, ","), lb.reweightTicks)
 	for i, y := range lb.specYield {
-		fmt.Fprintf(&b, "yield %d=%d", i, y)
-		if lb.windowYield != nil {
-			fmt.Fprintf(&b, " window=%d", lb.windowYield[i])
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "yield %d=%d window=%d\n", i, y, lb.windowYield[i])
 	}
 	if lb.bandit != nil {
 		for i := range lb.bandit.pulls {

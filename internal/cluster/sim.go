@@ -129,26 +129,13 @@ func (e simEndpoint) SendToLB(m Message) bool {
 	if e.sim.down {
 		return false
 	}
-	switch m.Kind {
-	case MsgStatus:
-		if m.Status != nil {
-			outs, _ := e.sim.lb.Update(*m.Status, e.sim.now)
-			e.sim.dispatch(outs)
-		}
-	case MsgGoodbye:
-		e.sim.dispatch(e.sim.lb.Goodbye(m.From, e.sim.now))
-	case MsgShip:
-		// Relay fallback: the sender could not reach its peer (or runs in
-		// relay mode), so the payload crosses the LB, which forwards it.
-		e.sim.dispatch(e.sim.lb.Ship(m))
-	}
+	e.sim.dispatch(e.sim.lb.Control(m, e.sim.now))
 	return true
 }
 
-// LBGen / SendToLBAt make the sim an lbStreamTransport: the promotion
-// bumps the generation exactly as a TCP stream reconnect does, forcing
-// every worker's next status to be a full frontier snapshot with a
-// cumulative metrics baseline.
+// LBGen / SendToLBAt: the promotion bumps the generation exactly as a
+// TCP stream reconnect does, forcing every worker's next status to be a
+// full frontier snapshot with a cumulative metrics baseline.
 func (e simEndpoint) LBGen() uint64 { return e.sim.gen }
 
 func (e simEndpoint) SendToLBAt(m Message, gen uint64) bool {
@@ -166,6 +153,10 @@ func (e simEndpoint) SendJobs(dst int, m Message) bool {
 	e.sim.pending[dst] = append(e.sim.pending[dst], m)
 	return true
 }
+
+// WaitForMail is a no-op: the sim steps workers itself and never enters
+// RunLoop's idle wait.
+func (e simEndpoint) WaitForMail() {}
 
 func (e simEndpoint) Recv() (Message, bool) {
 	q := e.sim.inbox[e.id]
@@ -517,16 +508,19 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 				}
 			}
 			if !s.down {
-				s.dispatch(s.lb.ExpireLeases(s.now))
-				s.dispatch(s.lb.Tick(s.now))
-				for _, ord := range s.lb.Balance() {
-					s.inbox[ord.Src] = append(s.inbox[ord.Src],
-						Message{Kind: MsgTransferReq, Dst: ord.Dst, NJobs: ord.NJobs})
-				}
-				if cov, dirty := s.lb.GlobalCoverage(); dirty {
-					words := cov.Words()
-					for _, id := range aliveIDs {
-						s.inbox[id] = append(s.inbox[id], Message{Kind: MsgCoverage, CovWords: words})
+				// Balance orders and the coverage broadcast go straight
+				// into inboxes — ahead of the replies this tick's statuses
+				// queued — and everything else waits for the tick boundary.
+				for _, out := range s.lb.Round(s.now) {
+					switch out.Msg.Kind {
+					case MsgTransferReq:
+						s.inbox[out.To] = append(s.inbox[out.To], out.Msg)
+					case MsgCoverage:
+						for _, id := range aliveIDs {
+							s.inbox[id] = append(s.inbox[id], out.Msg)
+						}
+					default:
+						s.dispatch([]Outbound{out})
 					}
 				}
 			}

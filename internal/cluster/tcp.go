@@ -211,9 +211,9 @@ func (t *TCPWorkerTransport) dialHello(addr string, id int, epoch uint64) (*Hell
 	return wm.Ack, dec, nil
 }
 
-// LBGen implements lbStreamTransport: statuses sent under an older
-// generation may have died with the previous connection, so the worker
-// re-sends a full snapshot after each bump.
+// LBGen implements Transport: statuses sent under an older generation
+// may have died with the previous connection, so the worker re-sends a
+// full snapshot after each bump.
 func (t *TCPWorkerTransport) LBGen() uint64 {
 	t.encMu.Lock()
 	defer t.encMu.Unlock()
@@ -337,12 +337,11 @@ func (t *TCPWorkerTransport) acceptPeers() {
 func (t *TCPWorkerTransport) servePeer(c net.Conn) {
 	d := gob.NewDecoder(c)
 	e := gob.NewEncoder(c)
-	var hello WireMsg
-	if err := d.Decode(&hello); err != nil || hello.Hello == nil {
+	h := readHello(c, d)
+	if h == nil {
 		c.Close()
 		return
 	}
-	h := hello.Hello
 	t.mu.Lock()
 	if seen, ok := t.peerEpochs[h.ID]; ok && h.Epoch < seen {
 		t.mu.Unlock()
@@ -384,8 +383,8 @@ func (t *TCPWorkerTransport) SendToLB(m Message) bool {
 	return t.sendToLBLocked(m)
 }
 
-// SendToLBAt implements lbStreamTransport: the message goes out only if
-// the stream generation still equals gen, so a caller's stream-freshness
+// SendToLBAt implements Transport: the message goes out only if the
+// stream generation still equals gen, so a caller's stream-freshness
 // decision and the encode are atomic.
 func (t *TCPWorkerTransport) SendToLBAt(m Message, gen uint64) bool {
 	t.encMu.Lock()
@@ -411,10 +410,25 @@ func (t *TCPWorkerTransport) sendToLBLocked(m Message) bool {
 	return true
 }
 
-// peerDialTimeout bounds the peer-session dial and handshake: a
-// blackholed peer must fail fast enough for the sender to fall back to
-// LB relay instead of stalling the worker loop.
-const peerDialTimeout = time.Second
+// handshakeTimeout bounds every connection handshake. Dialing a peer, a
+// blackholed destination must fail fast enough for the sender to fall
+// back to LB relay instead of stalling the worker loop; accepting, a
+// connection that never sends its Hello must not pin a goroutine and a
+// socket forever.
+const handshakeTimeout = time.Second
+
+// readHello reads the Hello that must open every accepted connection,
+// under handshakeTimeout. It returns nil — the caller closes the
+// connection — if the frame is late, malformed, or not a Hello.
+func readHello(conn net.Conn, dec *gob.Decoder) *Hello {
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	var wm WireMsg
+	if err := dec.Decode(&wm); err != nil {
+		return nil
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	return wm.Hello
+}
 
 // SendJobs implements Transport (direct worker-to-worker transfer). A
 // false return means the batch was not handed to a peer session; the
@@ -461,7 +475,7 @@ func (t *TCPWorkerTransport) SendJobs(dst int, m Message) bool {
 // refusal means the acceptor already accepted a newer epoch for this id
 // — we are a stale incarnation and must not ship.
 func (t *TCPWorkerTransport) dialPeer(addr string) (*peerConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, peerDialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -470,7 +484,7 @@ func (t *TCPWorkerTransport) dialPeer(addr string) (*peerConn, error) {
 		conn.Close()
 		return nil, err
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(peerDialTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	var wm WireMsg
 	if err := gob.NewDecoder(conn).Decode(&wm); err != nil || wm.Ack == nil || wm.Ack.ID < 0 {
 		conn.Close()
@@ -496,7 +510,8 @@ func (t *TCPWorkerTransport) Recv() (Message, bool) {
 	return m, true
 }
 
-// WaitForMail blocks briefly until a message arrives.
+// WaitForMail implements Transport: it blocks until a message arrives,
+// or 10ms pass.
 func (t *TCPWorkerTransport) WaitForMail() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -545,6 +560,9 @@ type LBServer struct {
 	repOn    bool
 	stopped  bool
 	shutdown bool // graceful termination requested (SIGTERM / Shutdown)
+	// exhausted records that Serve ended on quiescence — the frontier
+	// ran dry — rather than on its time bound or a Shutdown.
+	exhausted bool
 	// MinWorkers, when > 0, delays quiescence-based shutdown until that
 	// many workers have been members at some point (prevents the LB from
 	// declaring a tiny exploration finished before peers ever join). It
@@ -733,6 +751,10 @@ func (s *LBServer) Shutdown() {
 // replication entries are dropped, no shutdown marker and no MsgStop
 // are sent. Standbys see exactly what a crashed primary leaves behind.
 func (s *LBServer) Abort() {
+	// The listener goes first: a standby re-dials the instant its stream
+	// is cut, and one that still got through would be refused by a live
+	// handler — which reads as "primary alive, exiting on purpose".
+	s.listener.Close()
 	s.mu.Lock()
 	s.stopped = true
 	s.shutdown = true
@@ -748,7 +770,6 @@ func (s *LBServer) Abort() {
 	}
 	s.standbys = nil
 	s.mu.Unlock()
-	s.listener.Close()
 }
 
 // Addr returns the listening address.
@@ -816,7 +837,7 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 	start := time.Now()
 	tick := time.NewTicker(20 * time.Millisecond)
 	defer tick.Stop()
-	quiet := 0
+	quiet, exhausted := 0, false
 	for range tick.C {
 		now := time.Now()
 		s.mu.Lock()
@@ -827,23 +848,7 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 		if n := s.lb.NumMembers(); n > s.peakMembers {
 			s.peakMembers = n
 		}
-		s.dispatchLocked(s.lb.ExpireLeases(now))
-		s.dispatchLocked(s.lb.Tick(now))
-		addrs := s.addrsLocked()
-		for _, ord := range s.lb.Balance() {
-			if wc := s.conns[ord.Src]; wc != nil {
-				wc.send(WireMsg{
-					Msg:       &Message{Kind: MsgTransferReq, Dst: ord.Dst, NJobs: ord.NJobs},
-					PeerAddrs: addrs,
-				})
-			}
-		}
-		if cov, dirty := s.lb.GlobalCoverage(); dirty {
-			words := cov.Words()
-			for _, wc := range s.conns {
-				wc.send(WireMsg{Msg: &Message{Kind: MsgCoverage, CovWords: words}})
-			}
-		}
+		s.dispatchLocked(s.lb.Round(now))
 		// A freshly promoted server must not trust replicated quiescence:
 		// the resync window has to close (everyone re-reported, or the
 		// deadline passed) before the replicated counters mean anything.
@@ -852,6 +857,7 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 		if done {
 			quiet++
 			if quiet >= 5 {
+				exhausted = true
 				break
 			}
 		} else {
@@ -866,6 +872,7 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 	// check stopped and won't apply further updates, so post-Serve reads
 	// of the LB (totals, membership counters) are race-free.
 	s.stopped = true
+	s.exhausted = exhausted
 	for _, wc := range s.conns {
 		wc.send(WireMsg{Msg: &Message{Kind: MsgStop}})
 	}
@@ -885,6 +892,15 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 	}
 	s.listener.Close()
 	return statuses, nil
+}
+
+// Exhausted reports whether Serve ended because the cluster went
+// quiescent (every member idle, nothing in flight), as opposed to being
+// cut off by maxDuration or Shutdown. False until Serve returns.
+func (s *LBServer) Exhausted() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.exhausted
 }
 
 // Stats returns the membership and transfer counters (safe after — or
@@ -1027,12 +1043,11 @@ func (s *LBServer) acceptLoop() {
 func (s *LBServer) handle(conn net.Conn) {
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
-	var hello WireMsg
-	if err := dec.Decode(&hello); err != nil || hello.Hello == nil {
+	h := readHello(conn, dec)
+	if h == nil {
 		conn.Close()
 		return
 	}
-	h := hello.Hello
 	now := time.Now()
 	if h.Standby {
 		s.handleStandby(conn, dec, enc, h)
@@ -1113,33 +1128,11 @@ func (s *LBServer) handle(conn net.Conn) {
 		if wm.Msg == nil {
 			continue
 		}
-		switch wm.Msg.Kind {
-		case MsgStatus:
-			if wm.Msg.Status != nil {
-				s.mu.Lock()
-				if !s.stopped {
-					outs, _ := s.lb.Update(*wm.Msg.Status, time.Now())
-					s.dispatchLocked(outs)
-				}
-				s.mu.Unlock()
-			}
-		case MsgShip:
-			// Peer-link fallback (or relay mode): re-emit the batch to its
-			// destination as an ordinary MsgJobs. Custody stays with the
-			// sender, so a relay lost with a dying primary is simply
-			// re-sent later.
-			s.mu.Lock()
-			if !s.stopped {
-				s.dispatchLocked(s.lb.Ship(*wm.Msg))
-			}
-			s.mu.Unlock()
-		case MsgGoodbye:
-			s.mu.Lock()
-			if !s.stopped && s.lb.IsMember(wm.Msg.From, wm.Msg.Epoch) {
-				s.dispatchLocked(s.lb.Goodbye(wm.Msg.From, time.Now()))
-			}
-			s.mu.Unlock()
+		s.mu.Lock()
+		if !s.stopped {
+			s.dispatchLocked(s.lb.Control(*wm.Msg, time.Now()))
 		}
+		s.mu.Unlock()
 	}
 }
 
@@ -1214,11 +1207,8 @@ func (sb *Standby) acceptLoop() {
 			continue
 		}
 		go func(conn net.Conn) {
-			dec := gob.NewDecoder(conn)
-			enc := gob.NewEncoder(conn)
-			var wm WireMsg
-			if err := dec.Decode(&wm); err == nil && wm.Hello != nil {
-				_ = enc.Encode(WireMsg{Ack: &HelloAck{ID: helloNotPrimary}})
+			if readHello(conn, gob.NewDecoder(conn)) != nil {
+				_ = gob.NewEncoder(conn).Encode(WireMsg{Ack: &HelloAck{ID: helloNotPrimary}})
 			}
 			conn.Close()
 		}(conn)

@@ -3,7 +3,9 @@ package cluster
 // TCP data-plane tests: over real sockets, the p2p mode must move every
 // job payload worker→worker (zero payload bytes through the LB), relay
 // mode must move them all through the LB, and depth mode must move none
-// at all — with the explored totals identical in each.
+// at all — with the explored totals identical in each, and still
+// identical with every peer link blackholed (p2p falls back to relay per
+// batch) or a worker killed under depth partitioning.
 
 import (
 	"sync"
@@ -119,6 +121,86 @@ func TestTCPDepthModeExactPaths(t *testing.T) {
 	}
 	if fleet.Counter(obs.MLBUnitGrants) == 0 {
 		t.Fatal("no unit grants recorded")
+	}
+}
+
+// blackholedPeers is a worker transport whose peer links are all down:
+// SendJobs fails as if every destination's listener were unreachable,
+// while the LB stream (embedded) works normally.
+type blackholedPeers struct{ *TCPWorkerTransport }
+
+func (blackholedPeers) SendJobs(int, Message) bool { return false }
+
+// TestTCPPeerDownFallbackExactPaths blackholes every peer link of a p2p
+// cluster: each batch must fall back to LB relay with custody intact —
+// exact totals, no evictions, every fallback counted and journaled, and
+// the payload visibly crossing the LB instead of the peer sessions.
+func TestTCPPeerDownFallbackExactPaths(t *testing.T) {
+	f := newTCPFleet(t, hugeClusterTarget, DefaultBalancerConfig(), 3)
+	for i := 0; i < 3; i++ {
+		f.start(t, nil, func(tr *TCPWorkerTransport) Transport { return blackholedPeers{tr} })
+	}
+	paths, errors, departed := f.serve(t)
+	if paths != 4096 || errors != 1 {
+		t.Fatalf("paths=%d errors=%d, want 4096/1 (exactness across the fallback)", paths, errors)
+	}
+	if evictions, _, _, _ := f.lbs.Stats(); evictions != 0 || departed != 0 {
+		t.Fatalf("evictions=%d departed=%d, want 0/0", evictions, departed)
+	}
+	fleet := f.lbs.ObsSnapshot()
+	if fleet.Counter(obs.MClusterJobsSent) == 0 {
+		t.Fatal("no jobs shipped in a 3-worker run of 4096 paths")
+	}
+	if fleet.Counter(obs.MClusterPeerFallbacks) == 0 {
+		t.Fatal("jobs shipped but no peer fallbacks recorded")
+	}
+	if fleet.Counter(obs.MLBPayloadBytes) == 0 {
+		t.Fatal("jobs shipped but no payload bytes crossed the LB")
+	}
+	if got := fleet.Counter(obs.MClusterPeerBytes); got != 0 {
+		t.Fatalf("%d payload bytes moved over blackholed peer links", got)
+	}
+	if at := journalIdx(f.lbs.Journal().All(), obs.EvPeerFallback); at[0] < 0 {
+		t.Fatal("journal missing peer-fallback event")
+	}
+}
+
+// TestTCPDepthWorkerCrashExactPaths kills a worker under depth
+// partitioning while it owns units with work outstanding: the LB must
+// evict it, reclaim its units and re-grant them, and the new owners
+// re-derive them to exactly the undisturbed totals — still with no
+// payload through the LB.
+func TestTCPDepthWorkerCrashExactPaths(t *testing.T) {
+	cfg := DefaultBalancerConfig()
+	cfg.DataPlane = DataPlaneDepth
+	cfg.Lease = 400 * time.Millisecond
+	f := newTCPFleet(t, hugeClusterTarget, cfg, 3)
+	f.start(t, nil, nil)
+	f.start(t, nil, nil)
+	f.start(t, func(w *Worker, queue int) bool {
+		return queue > 0 && len(w.Exp.OwnedUnits()) > 0 && f.lbs.TotalPaths() >= 50
+	}, nil)
+	paths, errors, departed := f.serve(t)
+	if paths != 4096 || errors != 1 {
+		t.Fatalf("paths=%d errors=%d, want 4096/1 after a worker crash under depth partitioning", paths, errors)
+	}
+	if evictions, _, _, _ := f.lbs.Stats(); evictions != 1 || departed != 1 {
+		t.Fatalf("evictions=%d departed=%d, want 1/1", evictions, departed)
+	}
+	if got := f.lbs.ObsSnapshot().Counter(obs.MLBPayloadBytes); got != 0 {
+		t.Fatalf("depth: %d payload bytes crossed the LB, want 0", got)
+	}
+	journal := f.lbs.Journal().All()
+	idx := journalIdx(journal, obs.EvWorkerEvict, obs.EvUnitReclaim)
+	if idx[0] < 0 || idx[1] < 0 || idx[0] >= idx[1] {
+		t.Fatalf("evict/unit-reclaim missing or out of order: %v", idx)
+	}
+	regrant := false
+	for _, ev := range journal[idx[1]:] {
+		regrant = regrant || ev.Type == obs.EvUnitGrant
+	}
+	if !regrant {
+		t.Fatal("reclaimed units never re-granted")
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 
 // startTCPWorker dials the LB and runs a full worker. The interpreter
 // is compiled before dialing so join latency is milliseconds, and
-// crashWhen (optional, evaluated on the worker's thread with its
-// current queue length) triggers an abrupt crash — no goodbye, the
-// connection just goes silent mid-run.
+// crashWhen (optional, evaluated on the worker's own thread — so it may
+// read the worker's explorer — with its current queue length) triggers
+// an abrupt crash: no goodbye, the connection just goes silent mid-run.
 func startTCPWorker(t *testing.T, lbs *LBServer, src string, wg *sync.WaitGroup, errCh chan error,
-	register func(*Worker), crashWhen func(queue int) bool) {
+	register func(*Worker), crashWhen func(w *Worker, queue int) bool) {
 	t.Helper()
 	startTCPWorkerAddrs(t, []string{lbs.Addr()}, src, wg, errCh, register, crashWhen)
 }
@@ -24,7 +24,17 @@ func startTCPWorker(t *testing.T, lbs *LBServer, src string, wg *sync.WaitGroup,
 // startTCPWorkerAddrs is startTCPWorker with an explicit LB address list
 // (primary first, standbys after — the failover tests hand workers both).
 func startTCPWorkerAddrs(t *testing.T, lbAddrs []string, src string, wg *sync.WaitGroup, errCh chan error,
-	register func(*Worker), crashWhen func(queue int) bool) {
+	register func(*Worker), crashWhen func(w *Worker, queue int) bool) {
+	t.Helper()
+	startTCPWorkerWith(t, lbAddrs, src, wg, errCh, register, crashWhen, nil)
+}
+
+// startTCPWorkerWith additionally takes wrap, a test-side fault that
+// decorates the transport the worker runs on (e.g. one whose peer links
+// are blackholed).
+func startTCPWorkerWith(t *testing.T, lbAddrs []string, src string, wg *sync.WaitGroup, errCh chan error,
+	register func(*Worker), crashWhen func(w *Worker, queue int) bool,
+	wrap func(*TCPWorkerTransport) Transport) {
 	t.Helper()
 	factory := mkInterp(t, src)
 	wg.Add(1)
@@ -51,7 +61,12 @@ func startTCPWorkerAddrs(t *testing.T, lbAddrs []string, src string, wg *sync.Wa
 				Units: ack.PartitionUnits,
 			}
 		}
-		w, err := NewWorker(WorkerConfig{
+		var transport Transport = tr
+		if wrap != nil {
+			transport = wrap(tr)
+		}
+		var w *Worker
+		wc := WorkerConfig{
 			ID:        ack.ID,
 			Epoch:     ack.Epoch,
 			Seed:      ack.Seed,
@@ -64,8 +79,11 @@ func startTCPWorkerAddrs(t *testing.T, lbAddrs []string, src string, wg *sync.Wa
 			FrontierEvery: 1,
 			NewInterp:     func() (*interp.Interp, error) { return in, nil },
 			Entry:         "main",
-			CrashWhen:     crashWhen,
-		}, tr)
+		}
+		if crashWhen != nil {
+			wc.CrashWhen = func(queue int) bool { return crashWhen(w, queue) }
+		}
+		w, err = NewWorker(wc, transport)
 		if err != nil {
 			errCh <- err
 			return
@@ -187,7 +205,7 @@ func TestTCPWorkerCrashRecovery(t *testing.T) {
 	// those jobs.
 	startTCPWorker(t, lbs, hugeClusterTarget, &wg, errCh, register, nil)
 	startTCPWorker(t, lbs, hugeClusterTarget, &wg, errCh, register, nil)
-	startTCPWorker(t, lbs, hugeClusterTarget, &wg, errCh, register, func(queue int) bool {
+	startTCPWorker(t, lbs, hugeClusterTarget, &wg, errCh, register, func(_ *Worker, queue int) bool {
 		return queue >= 16 && lbs.TotalPaths() >= 50
 	})
 
@@ -450,12 +468,29 @@ func TestTCPLBFailoverExactPaths(t *testing.T) {
 	if evictions, _, _, _ := srv.Stats(); evictions != 0 {
 		t.Fatalf("evictions = %d, want 0 (no worker died)", evictions)
 	}
+	// Fleet fold across the promotion: every worker re-sent a cumulative
+	// metrics baseline when the stream generation bumped, and nothing may
+	// be double-counted. Every worker survived, so the fold must equal
+	// the plain sum of the engines' own accounting.
+	fleet := srv.ObsSnapshot()
 	mu.Lock()
 	defer mu.Unlock()
+	var useful uint64
 	for id, w := range workers {
 		if w.Departed() {
 			t.Fatalf("worker %d departed across the failover", id)
 		}
+		useful += w.Exp.Stats.UsefulSteps
+	}
+	if got := fleet.Counter(obs.MEnginePaths); got != 4096 {
+		t.Fatalf("fleet paths counter = %d, want 4096 (re-handshake double-count?)", got)
+	}
+	if got := fleet.Counter(obs.MEngineUsefulSteps); got != useful {
+		t.Fatalf("fleet useful counter = %d, stats sum = %d", got, useful)
+	}
+	if fleet.Counter(obs.MLBPromotions) != 1 || fleet.Gauge(obs.MLBTerm) != 2 {
+		t.Fatalf("promotion metrics wrong: promotions=%d term=%d",
+			fleet.Counter(obs.MLBPromotions), fleet.Gauge(obs.MLBTerm))
 	}
 	// The promoted journal tells the takeover story in protocol order.
 	idx := journalIdx(srv.Journal().All(),

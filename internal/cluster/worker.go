@@ -69,24 +69,39 @@ type WorkerConfig struct {
 	Entry     string
 }
 
-// Transport delivers messages between cluster members. Implementations:
-// the in-process channel fabric (this package), the lock-step sim, and
-// gob/TCP (tcp.go). Per-destination delivery must be FIFO — the custody
-// protocol de-duplicates on sequence high-water marks.
+// Transport delivers messages between cluster members. Two fabrics
+// implement it: the lock-step sim (sim.go) and gob over TCP (tcp.go).
+// Per-destination delivery must be FIFO — the custody protocol
+// de-duplicates on sequence high-water marks.
 type Transport interface {
-	// SendToLB delivers a control message (status, goodbye) to the load
-	// balancer, in order. A false return means the message definitely did
-	// not reach the LB stream (the sender re-establishes what the lost
-	// message carried — e.g. a full status snapshot — once the stream is
-	// back); true means it was handed to the transport.
+	// SendToLB delivers a control message (status, goodbye, relayed
+	// batch) to the load balancer, in order. A false return means the
+	// message definitely did not reach the LB stream (the sender
+	// re-establishes what the lost message carried — e.g. a full status
+	// snapshot — once the stream is back); true means it was handed to
+	// the transport.
 	SendToLB(m Message) bool
+	// LBGen returns a counter incremented each time the LB stream is
+	// (re)established — a TCP reconnect, a standby's promotion. A status
+	// sent under an older generation may have been lost even if the send
+	// was accepted, so the worker follows every bump with a full one.
+	LBGen() uint64
+	// SendToLBAt is SendToLB only while the stream generation still
+	// equals gen — decision and send are atomic — so the first message a
+	// new stream carries is always one built with that stream's
+	// generation in hand (for statuses: a full snapshot).
+	SendToLBAt(m Message, gen uint64) bool
 	// SendJobs delivers a job batch to another worker. A false return
-	// means the batch was definitely not delivered (the caller re-imports
-	// it); true means it was handed to the transport.
+	// means the batch was definitely not delivered (the caller falls
+	// back to LB relay, or re-imports it); true means it was handed to
+	// the transport.
 	SendJobs(dst int, m Message) bool
 	// Recv returns the next pending message, or ok=false when the
 	// mailbox is empty.
 	Recv() (Message, bool)
+	// WaitForMail blocks an idle worker until a message arrives or a
+	// short timeout passes.
+	WaitForMail()
 }
 
 // unackedBatch is an exported job batch awaiting the receiver's
@@ -687,18 +702,14 @@ func (w *Worker) sendStatus() {
 }
 
 func (w *Worker) sendStatusOpt(full bool) {
-	stream, isStream := w.transport.(lbStreamTransport)
-	var gen uint64
-	if isStream {
-		gen = stream.LBGen()
-		if gen != w.lastLBGen {
-			// The LB stream was (re)established since the last status went
-			// out; anything sent on the old stream — including the last full
-			// snapshot whose counters released sender custody — may have been
-			// lost. Re-establish the LB's custody view with a full status.
-			w.fullPending = true
-			w.lastLBGen = gen
-		}
+	gen := w.transport.LBGen()
+	if gen != w.lastLBGen {
+		// The LB stream was (re)established since the last status went
+		// out; anything sent on the old stream — including the last full
+		// snapshot whose counters released sender custody — may have been
+		// lost. Re-establish the LB's custody view with a full status.
+		w.fullPending = true
+		w.lastLBGen = gen
 	}
 	full = full || w.fullPending
 	acks := make([]JobAck, 0, len(w.ackHW))
@@ -756,17 +767,12 @@ func (w *Worker) sendStatusOpt(full bool) {
 		}
 	}
 	msg := Message{Kind: MsgStatus, From: w.ID, Epoch: w.Epoch, Status: &st}
-	var ok bool
-	if isStream {
-		// Gate the send on the generation the full/light decision was made
-		// under: if the stream was replaced in between, a light status must
-		// not become the first message accepted on the new stream (it would
-		// advance Last — releasing sender custody via its acks — while
-		// LastFull stays stale).
-		ok = stream.SendToLBAt(msg, gen)
-	} else {
-		ok = w.transport.SendToLB(msg)
-	}
+	// Gate the send on the generation the full/light decision was made
+	// under: if the stream was replaced in between, a light status must
+	// not become the first message accepted on the new stream (it would
+	// advance Last — releasing sender custody via its acks — while
+	// LastFull stays stale).
+	ok := w.transport.SendToLBAt(msg, gen)
 	switch {
 	case full && ok:
 		w.fullPending = false
@@ -820,11 +826,10 @@ func (w *Worker) RunLoop() error {
 		}
 		w.resendOverdue()
 		if w.Exp.Done() {
-			// Idle: report and wait for jobs (blocking receive happens
-			// in the transport's Recv via polling in drainMailbox; a
-			// status update tells the LB we need work).
+			// Idle: the status tells the LB we need work; then wait for
+			// the jobs (or anything else) to arrive.
 			w.sendStatus()
-			w.waitForMail()
+			w.transport.WaitForMail()
 			continue
 		}
 		for i := 0; i < w.cfg.Batch && !w.Exp.Done(); i++ {
@@ -848,30 +853,4 @@ func (w *Worker) RunLoop() error {
 		w.sendStatus()
 	}
 	return nil
-}
-
-// waitForMail blocks until a message arrives (transport-specific).
-func (w *Worker) waitForMail() {
-	if bw, ok := w.transport.(blockingTransport); ok {
-		bw.WaitForMail()
-		return
-	}
-}
-
-// blockingTransport lets a transport provide efficient idle waiting.
-type blockingTransport interface {
-	WaitForMail()
-}
-
-// lbStreamTransport is implemented by transports whose LB control stream
-// can drop in-flight messages (TCP). LBGen returns a counter incremented
-// each time the stream is (re)established; a status sent under an older
-// generation may have been lost even if the send was accepted.
-// SendToLBAt encodes the message only while the stream generation still
-// equals gen — decision and encode are atomic under the stream lock — so
-// the first message a new stream carries is always one built with that
-// stream's generation in hand (for statuses: a full snapshot).
-type lbStreamTransport interface {
-	LBGen() uint64
-	SendToLBAt(m Message, gen uint64) bool
 }

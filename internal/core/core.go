@@ -182,8 +182,10 @@ type ClusterOptions struct {
 	MaxDuration time.Duration
 }
 
-// TestCluster symbolically executes a program on an in-process cluster
-// of shared-nothing workers with dynamic load balancing.
+// TestCluster symbolically executes a program on a cluster of
+// shared-nothing workers with dynamic load balancing: cluster.Run's
+// load balancer and workers, in this process, talking over loopback TCP
+// — the stack cmd/c9-lb and cmd/c9-worker run, leases and all.
 func TestCluster(name, source string, opts ClusterOptions) (*Report, error) {
 	opts.fill()
 	if opts.Workers <= 0 {

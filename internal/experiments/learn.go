@@ -22,7 +22,7 @@ var LearnPortfolios = []struct {
 }
 
 // learnWorkers is the fleet size: slots plus enough spare workers that
-// the reweighting modes have real allocation to fight over.
+// reweighting has real allocation to move.
 const learnWorkers = 6
 
 // learnBanditC is the UCB1 exploration constant the experiment runs.
@@ -34,21 +34,19 @@ const learnWorkers = 6
 // exploration is affordable.)
 const learnBanditC = 0.05
 
-// LearnedPortfolio races the three portfolio-reweighting modes to a
-// target's exhaustive final coverage under identical conditions: the
-// legacy proportional yield-sharing (PR 3), the UCB1 bandit over
-// per-window normalized yield, and the bandit plus the online
+// LearnedPortfolio races the LB's two portfolio modes to a target's
+// exhaustive final coverage under identical conditions: the UCB1 bandit
+// over per-window normalized yield, and the bandit plus the online
 // sample-evaluate-refine learner perturbing the dist-opt weight vector.
 //
-// The proportional scheme weights slots by cumulative yield, so a
-// slot's early lucky streak keeps drawing allocation long after it
-// stops producing; the bandit tracks the per-window yield *rate*,
-// pulling the spare workers off a slot the moment its mean decays —
-// on memcached with dist-opt+dfs that is the difference between the
-// dfs slot keeping half the fleet and losing it. The lock-step sim is
-// deterministic (the learner included, under LearnSeed), so the tick
-// counts are stable regression bars, asserted by the experiments tests
-// and the nightly gauntlet.
+// The bandit tracks each slot's per-window yield *rate*, pulling the
+// spare workers off a slot the moment its mean decays. (The scheme it
+// replaced weighted slots by cumulative yield, so an early lucky streak
+// kept drawing allocation; it lost this race — 13 vs 9 ticks on
+// memcached dist-opt+dfs, see ARCHITECTURE.md — and was removed.) The
+// lock-step sim is deterministic (the learner included, under
+// LearnSeed), so the tick counts are stable regression bars, asserted
+// by the experiments tests and the nightly gauntlet.
 func LearnedPortfolio(workers int) (*Table, error) {
 	if workers == 0 {
 		workers = learnWorkers
@@ -56,12 +54,12 @@ func LearnedPortfolio(workers int) (*Table, error) {
 	t := &Table{
 		ID:    "Learn",
 		Title: fmt.Sprintf("ticks to reach final coverage, %d workers, reweight every tick", workers),
-		Header: []string{"target", "portfolio", "final cov", "proportional",
+		Header: []string{"target", "portfolio", "final cov",
 			"bandit", "bandit+learn", "adoptions", "winner"},
 		Notes: []string{
 			"same portfolio, same quantum (1000), same seeds per row — only the",
-			"reweighting mode differs (BanditC 0.05: exploration must be near-free",
-			"on runs this short; the optimistic first pull still samples every slot)",
+			"learner differs (BanditC 0.05: exploration must be near-free on runs",
+			"this short; the optimistic first pull still samples every slot)",
 			"bandit+learn also perturbs/races dist-opt weight vectors when the",
 			"portfolio has ≥2 dist-opt slots (it needs incumbent + challenger);",
 			"adoptions counts incumbent replacements in that mode",
@@ -81,12 +79,11 @@ func LearnedPortfolio(workers int) (*Table, error) {
 }
 
 // learnSim builds one mode's simulation config.
-func learnSim(tgt targets.Target, workers int, specs []string, mode string, learn bool) cluster.SimConfig {
+func learnSim(tgt targets.Target, workers int, specs []string, learn bool) cluster.SimConfig {
 	cfg := simFor(tgt, workers)
 	cfg.Quantum = 1000
 	cfg.Balancer.Portfolio = append([]string(nil), specs...)
 	cfg.Balancer.ReweightEvery = 1
-	cfg.Balancer.Reweight = mode
 	cfg.Balancer.BanditC = learnBanditC
 	cfg.Balancer.Learn = learn
 	cfg.Balancer.LearnEvery = 1
@@ -94,7 +91,7 @@ func learnSim(tgt targets.Target, workers int, specs []string, mode string, lear
 	return cfg
 }
 
-// learnRows races the three modes over both portfolios on one target.
+// learnRows races the two modes over both portfolios on one target.
 func learnRows(tgt targets.Target, workers int) ([][]string, error) {
 	// Final coverage from an exhaustive run (strategy-independent).
 	ref, err := cluster.RunSim(distSim(tgt, workers, "dfs"))
@@ -108,19 +105,17 @@ func learnRows(tgt targets.Target, workers int) ([][]string, error) {
 
 	modes := []struct {
 		label string
-		mode  string
 		learn bool
 	}{
-		{"proportional", cluster.ReweightProportional, false},
-		{"bandit", cluster.ReweightBandit, false},
-		{"bandit+learn", cluster.ReweightBandit, true},
+		{"bandit", false},
+		{"bandit+learn", true},
 	}
 	var rows [][]string
 	for _, pf := range LearnPortfolios {
 		row := []string{tgt.Name, pf.Label, fmt.Sprint(goal)}
 		best, bestTicks, adoptions := "", 0, 0
 		for _, m := range modes {
-			cfg := learnSim(tgt, workers, pf.Specs, m.mode, m.learn)
+			cfg := learnSim(tgt, workers, pf.Specs, m.learn)
 			cfg.StopWhen = func(s cluster.Snapshot) bool { return s.Coverage >= goal }
 			res, err := cluster.RunSim(cfg)
 			if err != nil {
