@@ -73,18 +73,17 @@ func Run(cfg Config) (*Result, error) {
 		}
 		interps[i] = in
 	}
-	// In one process a worker cannot die silently — a worker's error ends
-	// the run (Shutdown below) — so silence only ever means a slow solver
-	// step, and evicting on it would throw live work away (or, with every
-	// worker in a long step at once, the whole fleet). Unless the caller
-	// asks for a lease, members are never presumed dead.
-	if cfg.Balancer.Lease <= 0 {
-		cfg.Balancer.Lease = 24 * time.Hour
-	}
 	lbs, err := NewLBServer("127.0.0.1:0", cfg.Balancer, interps[0].Prog.MaxLine, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
+	// In one process a worker cannot die silently — a worker's error ends
+	// the run (Shutdown below) — so silence only ever means a slow solver
+	// step, and evicting on it would throw live work away (or, with every
+	// worker in a long step at once, the whole fleet). Unless the caller
+	// asks for a lease, members are never presumed dead; the lease's other
+	// job, pacing re-delivery, stays at the default.
+	lbs.lb.neverEvict = cfg.Balancer.Lease <= 0
 
 	start := time.Now()
 	workers := make([]*Worker, cfg.Workers)

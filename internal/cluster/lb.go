@@ -329,6 +329,11 @@ type LoadBalancer struct {
 	// Enabled gates balancing (Fig. 13 disables it mid-run).
 	Enabled bool
 
+	// neverEvict suspends lease eviction — and nothing else the lease
+	// times: re-seat and unit-grant re-delivery keep their pace. Set by
+	// cluster.Run, where a silent member is never a dead one.
+	neverEvict bool
+
 	// TransfersIssued counts ⟨src,dst,n⟩ orders. Evictions counts
 	// lease-expiry departures; Leaves counts graceful goodbyes.
 	TransfersIssued int
@@ -615,6 +620,9 @@ func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
 		// closes: leases were restarted at promotion, and acting on
 		// replicated state before members re-report would re-seat stale
 		// cuts whose repairs (ReseatAcks) are still in flight.
+		return nil
+	}
+	if lb.neverEvict {
 		return nil
 	}
 	var expired []int

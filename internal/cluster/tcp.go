@@ -662,6 +662,20 @@ func (wc *lbWorkerConn) send(wm WireMsg) {
 	_ = wc.enc.Encode(wm)
 }
 
+// hangUp ends the connection without losing what was just sent: the
+// write side closes now, and the handler keeps draining the worker's
+// statuses until the worker hangs up too (or handshakeTimeout passes)
+// and only then closes the socket. Closing outright with statuses still
+// unread makes the kernel answer with a reset, which discards whatever
+// the worker had not read yet — the MsgStop — and leaves it re-dialing a
+// server that is gone until reconnectDeadline.
+func (wc *lbWorkerConn) hangUp() {
+	if tc, ok := wc.conn.(*net.TCPConn); ok {
+		_ = tc.CloseWrite()
+	}
+	_ = wc.conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+}
+
 // NewLBServer listens on addr. minWorkers gates quiescence-based
 // shutdown only (see LBServer.MinWorkers); pass 0 for a fully elastic
 // cluster.
@@ -802,16 +816,21 @@ func (s *LBServer) addrsLocked() map[int]string {
 }
 
 // dispatchLocked routes LB outbounds to worker connections, attaching
-// the current peer-address map. Eviction notices also go to the evicted
-// member itself (if still connected) so a falsely evicted straggler
-// halts, then its connection is dropped.
+// the current peer-address map (except to coverage broadcasts, which go
+// out every dirty round and name no peer). Eviction notices also go to
+// the evicted member itself (if still connected) so a falsely evicted
+// straggler halts, then its connection is dropped.
 func (s *LBServer) dispatchLocked(outs []Outbound) {
 	addrs := s.addrsLocked()
 	for _, out := range outs {
 		msg := out.Msg
 		if out.To == Broadcast {
+			wm := WireMsg{Msg: &msg, PeerAddrs: addrs}
+			if msg.Kind == MsgCoverage {
+				wm.PeerAddrs = nil
+			}
 			for _, wc := range s.conns {
-				wc.send(WireMsg{Msg: &msg, PeerAddrs: addrs})
+				wc.send(wm)
 			}
 			if msg.Kind == MsgEvict {
 				if wc := s.conns[msg.From]; wc != nil {
@@ -875,11 +894,9 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 	s.exhausted = exhausted
 	for _, wc := range s.conns {
 		wc.send(WireMsg{Msg: &Message{Kind: MsgStop}})
+		wc.hangUp()
 	}
 	statuses := s.lb.Statuses()
-	for _, wc := range s.conns {
-		wc.conn.Close()
-	}
 	s.conns = map[int]*lbWorkerConn{}
 	standbys := s.standbys
 	s.standbys = nil

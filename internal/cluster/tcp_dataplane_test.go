@@ -8,7 +8,6 @@ package cluster
 // batch) or a worker killed under depth partitioning.
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -16,43 +15,16 @@ import (
 )
 
 // runTCPDataPlane runs an LB (with the given balancer config) and three
-// workers to exhaustion, returning the final statuses and the server.
-func runTCPDataPlane(t *testing.T, cfg BalancerConfig) ([]Status, *LBServer) {
+// workers to exhaustion, returning the summed path and error counts of
+// the final statuses and the server.
+func runTCPDataPlane(t *testing.T, cfg BalancerConfig) (paths, errors uint64, lbs *LBServer) {
 	t.Helper()
-	factory := mkInterp(t, bigClusterTarget)
-	in, err := factory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lbs, err := NewLBServer("127.0.0.1:0", cfg, in.Prog.MaxLine, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, 3)
-	register := func(*Worker) {}
+	f := newTCPFleet(t, bigClusterTarget, cfg, 3)
 	for i := 0; i < 3; i++ {
-		startTCPWorker(t, lbs, bigClusterTarget, &wg, errCh, register, nil)
+		f.start(t, tcpWorkerOpts{})
 	}
-	statuses, err := lbs.Serve(60 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-	return statuses, lbs
-}
-
-func sumTCPStatuses(statuses []Status) (paths, errors uint64) {
-	for _, st := range statuses {
-		paths += st.Paths
-		errors += st.Errors
-	}
-	return
+	paths, errors, _ = f.serve(t)
+	return paths, errors, f.lbs
 }
 
 // TestTCPP2PZeroRelayBytes: in the default p2p mode, job payloads dial
@@ -60,8 +32,7 @@ func sumTCPStatuses(statuses []Status) (paths, errors uint64) {
 // payload byte counter must be exactly zero while the totals stay
 // exact.
 func TestTCPP2PZeroRelayBytes(t *testing.T) {
-	statuses, lbs := runTCPDataPlane(t, DefaultBalancerConfig())
-	paths, errors := sumTCPStatuses(statuses)
+	paths, errors, lbs := runTCPDataPlane(t, DefaultBalancerConfig())
 	if paths != 1024 || errors != 1 {
 		t.Fatalf("paths=%d errors=%d, want 1024/1", paths, errors)
 	}
@@ -88,8 +59,7 @@ func TestTCPP2PZeroRelayBytes(t *testing.T) {
 func TestTCPRelayModePayloadThroughLB(t *testing.T) {
 	cfg := DefaultBalancerConfig()
 	cfg.DataPlane = DataPlaneRelay
-	statuses, lbs := runTCPDataPlane(t, cfg)
-	paths, errors := sumTCPStatuses(statuses)
+	paths, errors, lbs := runTCPDataPlane(t, cfg)
 	if paths != 1024 || errors != 1 {
 		t.Fatalf("paths=%d errors=%d, want 1024/1", paths, errors)
 	}
@@ -107,8 +77,7 @@ func TestTCPRelayModePayloadThroughLB(t *testing.T) {
 func TestTCPDepthModeExactPaths(t *testing.T) {
 	cfg := DefaultBalancerConfig()
 	cfg.DataPlane = DataPlaneDepth
-	statuses, lbs := runTCPDataPlane(t, cfg)
-	paths, errors := sumTCPStatuses(statuses)
+	paths, errors, lbs := runTCPDataPlane(t, cfg)
 	if paths != 1024 || errors != 1 {
 		t.Fatalf("paths=%d errors=%d, want 1024/1 under depth partitioning", paths, errors)
 	}
@@ -138,7 +107,7 @@ func (blackholedPeers) SendJobs(int, Message) bool { return false }
 func TestTCPPeerDownFallbackExactPaths(t *testing.T) {
 	f := newTCPFleet(t, hugeClusterTarget, DefaultBalancerConfig(), 3)
 	for i := 0; i < 3; i++ {
-		f.start(t, nil, func(tr *TCPWorkerTransport) Transport { return blackholedPeers{tr} })
+		f.start(t, tcpWorkerOpts{wrap: func(tr *TCPWorkerTransport) Transport { return blackholedPeers{tr} }})
 	}
 	paths, errors, departed := f.serve(t)
 	if paths != 4096 || errors != 1 {
@@ -175,11 +144,11 @@ func TestTCPDepthWorkerCrashExactPaths(t *testing.T) {
 	cfg.DataPlane = DataPlaneDepth
 	cfg.Lease = 400 * time.Millisecond
 	f := newTCPFleet(t, hugeClusterTarget, cfg, 3)
-	f.start(t, nil, nil)
-	f.start(t, nil, nil)
-	f.start(t, func(w *Worker, queue int) bool {
+	f.start(t, tcpWorkerOpts{})
+	f.start(t, tcpWorkerOpts{})
+	f.start(t, tcpWorkerOpts{crashWhen: func(w *Worker, queue int) bool {
 		return queue > 0 && len(w.Exp.OwnedUnits()) > 0 && f.lbs.TotalPaths() >= 50
-	}, nil)
+	}})
 	paths, errors, departed := f.serve(t)
 	if paths != 4096 || errors != 1 {
 		t.Fatalf("paths=%d errors=%d, want 4096/1 after a worker crash under depth partitioning", paths, errors)

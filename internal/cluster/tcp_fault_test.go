@@ -1,9 +1,8 @@
 package cluster
 
 // TCP membership-fault tests that have no in-process twin any more:
-// graceful retire over real sockets, and the handshake deadline on the
-// three accept loops. tcpFleet is the harness they (and the data-plane
-// fault tests) share.
+// graceful retire over real sockets, the maxDuration cut-off, and the
+// handshake deadline on the three accept loops.
 
 import (
 	"net"
@@ -12,91 +11,13 @@ import (
 	"time"
 )
 
-// tcpFleet starts TCP workers against one LB and collects them.
-type tcpFleet struct {
-	src   string
-	lbs   *LBServer
-	wg    sync.WaitGroup
-	errCh chan error
-
-	mu      sync.Mutex
-	workers map[int]*Worker
-}
-
-// newTCPFleet builds an LB for src with the given balancer config;
-// quiescence waits for minWorkers members.
-func newTCPFleet(t *testing.T, src string, cfg BalancerConfig, minWorkers int) *tcpFleet {
-	t.Helper()
-	in, err := mkInterp(t, src)()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lbs, err := NewLBServer("127.0.0.1:0", cfg, in.Prog.MaxLine, minWorkers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &tcpFleet{src: src, lbs: lbs, errCh: make(chan error, 8), workers: map[int]*Worker{}}
-}
-
-// start adds one worker (see startTCPWorker for crashWhen,
-// startTCPWorkerWith for wrap).
-func (f *tcpFleet) start(t *testing.T, crashWhen func(w *Worker, queue int) bool,
-	wrap func(*TCPWorkerTransport) Transport) {
-	t.Helper()
-	startTCPWorkerWith(t, []string{f.lbs.Addr()}, f.src, &f.wg, f.errCh, func(w *Worker) {
-		f.mu.Lock()
-		f.workers[w.ID] = w
-		f.mu.Unlock()
-	}, crashWhen, wrap)
-}
-
-// await polls until worker id has been built; nil if it never is. Safe
-// from helper goroutines (it does not fail the test itself).
-func (f *tcpFleet) await(id int) *Worker {
-	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		f.mu.Lock()
-		w := f.workers[id]
-		f.mu.Unlock()
-		if w != nil {
-			return w
-		}
-	}
-	return nil
-}
-
-// serve runs the LB to the end of the run, waits for every worker to
-// exit, and returns the summed path and error counts of the final
-// statuses plus how many workers departed (crashed, retired, evicted).
-func (f *tcpFleet) serve(t *testing.T) (paths, errors uint64, departed int) {
-	t.Helper()
-	statuses, err := f.lbs.Serve(120 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.wg.Wait()
-	select {
-	case err := <-f.errCh:
-		t.Fatal(err)
-	default:
-	}
-	paths, errors = sumTCPStatuses(statuses)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, w := range f.workers {
-		if w.Departed() {
-			departed++
-		}
-	}
-	return paths, errors, departed
-}
-
 // TestTCPGracefulRetire retires one of three TCP workers mid-run: its
 // final status and goodbye hand the frontier back, the LB re-seats it
 // without waiting out a lease, and the totals stay exact.
 func TestTCPGracefulRetire(t *testing.T) {
 	f := newTCPFleet(t, hugeClusterTarget, DefaultBalancerConfig(), 3)
 	for i := 0; i < 3; i++ {
-		f.start(t, nil, nil)
+		f.start(t, tcpWorkerOpts{})
 	}
 	go func() {
 		w := f.await(2)
@@ -126,6 +47,39 @@ func TestTCPGracefulRetire(t *testing.T) {
 	}
 }
 
+// TestTCPTimeBoundStopsWorkers cuts a run off by maxDuration while the
+// workers are busy reporting: every one must see the MsgStop and exit at
+// once. (Closing the connections outright used to reset them with
+// statuses unread, which could discard the MsgStop and leave the worker
+// re-dialing the dead server until reconnectDeadline.)
+func TestTCPTimeBoundStopsWorkers(t *testing.T) {
+	f := newTCPFleet(t, hugeClusterTarget, DefaultBalancerConfig(), 3)
+	for i := 0; i < 3; i++ {
+		f.start(t, tcpWorkerOpts{})
+	}
+	if _, err := f.lbs.Serve(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if f.lbs.Exhausted() {
+		t.Fatal("4096 paths exhausted inside 200ms: the run was not cut off")
+	}
+	stopped := make(chan struct{})
+	go func() {
+		f.wg.Wait()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(reconnectDeadline / 5):
+		t.Fatal("workers still running long after Serve returned: MsgStop lost")
+	}
+	select {
+	case err := <-f.errCh:
+		t.Fatal(err)
+	default:
+	}
+}
+
 // TestTCPHandshakeDeadline dials each of the three listeners — the LB,
 // a standby, a worker's peer listener — and sends nothing: the acceptor
 // must give up and close the connection within the handshake bound
@@ -139,7 +93,7 @@ func TestTCPHandshakeDeadline(t *testing.T) {
 	}
 	defer sb.Close()
 	for i := 0; i < 2; i++ {
-		f.start(t, nil, nil)
+		f.start(t, tcpWorkerOpts{})
 	}
 	var silent sync.WaitGroup
 	silent.Add(1)

@@ -10,45 +10,68 @@ import (
 	"cloud9/internal/obs"
 )
 
-// startTCPWorker dials the LB and runs a full worker. The interpreter
-// is compiled before dialing so join latency is milliseconds, and
-// crashWhen (optional, evaluated on the worker's own thread — so it may
-// read the worker's explorer — with its current queue length) triggers
-// an abrupt crash: no goodbye, the connection just goes silent mid-run.
-func startTCPWorker(t *testing.T, lbs *LBServer, src string, wg *sync.WaitGroup, errCh chan error,
-	register func(*Worker), crashWhen func(w *Worker, queue int) bool) {
-	t.Helper()
-	startTCPWorkerAddrs(t, []string{lbs.Addr()}, src, wg, errCh, register, crashWhen)
+// tcpFleet is the one harness of the TCP tests: an LB for one target
+// program plus the workers started against it, each a full worker on its
+// own goroutine doing what cmd/c9-worker does.
+type tcpFleet struct {
+	src   string
+	lbs   *LBServer
+	wg    sync.WaitGroup
+	errCh chan error
+
+	mu       sync.Mutex
+	workers  map[int]*Worker
+	statuses []Status // the final statuses, once serve returned
 }
 
-// startTCPWorkerAddrs is startTCPWorker with an explicit LB address list
-// (primary first, standbys after — the failover tests hand workers both).
-func startTCPWorkerAddrs(t *testing.T, lbAddrs []string, src string, wg *sync.WaitGroup, errCh chan error,
-	register func(*Worker), crashWhen func(w *Worker, queue int) bool) {
-	t.Helper()
-	startTCPWorkerWith(t, lbAddrs, src, wg, errCh, register, crashWhen, nil)
+// tcpWorkerOpts are the per-worker deviations a test may ask for.
+type tcpWorkerOpts struct {
+	// lbAddrs replaces the fleet LB's address (primary first, standbys
+	// after — the failover test hands workers both).
+	lbAddrs []string
+	// crashWhen, evaluated on the worker's own thread — so it may read the
+	// worker's explorer — with its current queue length, triggers an
+	// abrupt crash: no goodbye, the connection just goes silent mid-run.
+	crashWhen func(w *Worker, queue int) bool
+	// wrap is a test-side fault that decorates the transport the worker
+	// runs on (e.g. one whose peer links are blackholed).
+	wrap func(*TCPWorkerTransport) Transport
 }
 
-// startTCPWorkerWith additionally takes wrap, a test-side fault that
-// decorates the transport the worker runs on (e.g. one whose peer links
-// are blackholed).
-func startTCPWorkerWith(t *testing.T, lbAddrs []string, src string, wg *sync.WaitGroup, errCh chan error,
-	register func(*Worker), crashWhen func(w *Worker, queue int) bool,
-	wrap func(*TCPWorkerTransport) Transport) {
+// newTCPFleet builds an LB for src with the given balancer config;
+// quiescence waits for minWorkers members.
+func newTCPFleet(t *testing.T, src string, cfg BalancerConfig, minWorkers int) *tcpFleet {
 	t.Helper()
-	factory := mkInterp(t, src)
-	wg.Add(1)
+	in, err := mkInterp(t, src)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbs, err := NewLBServer("127.0.0.1:0", cfg, in.Prog.MaxLine, minWorkers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &tcpFleet{src: src, lbs: lbs, errCh: make(chan error, 8), workers: map[int]*Worker{}}
+}
+
+// start adds one worker.
+func (f *tcpFleet) start(t *testing.T, o tcpWorkerOpts) {
+	t.Helper()
+	factory := mkInterp(t, f.src)
+	if o.lbAddrs == nil {
+		o.lbAddrs = []string{f.lbs.Addr()}
+	}
+	f.wg.Add(1)
 	go func() {
-		defer wg.Done()
+		defer f.wg.Done()
 		// Compile before dialing so join latency is milliseconds.
 		in, err := factory()
 		if err != nil {
-			errCh <- err
+			f.errCh <- err
 			return
 		}
-		tr, ack, err := DialLB(lbAddrs[0], lbAddrs[1:]...)
+		tr, ack, err := DialLB(o.lbAddrs[0], o.lbAddrs[1:]...)
 		if err != nil {
-			errCh <- err
+			f.errCh <- err
 			return
 		}
 		defer tr.Close()
@@ -62,8 +85,8 @@ func startTCPWorkerWith(t *testing.T, lbAddrs []string, src string, wg *sync.Wai
 			}
 		}
 		var transport Transport = tr
-		if wrap != nil {
-			transport = wrap(tr)
+		if o.wrap != nil {
+			transport = o.wrap(tr)
 		}
 		var w *Worker
 		wc := WorkerConfig{
@@ -80,69 +103,84 @@ func startTCPWorkerWith(t *testing.T, lbAddrs []string, src string, wg *sync.Wai
 			NewInterp:     func() (*interp.Interp, error) { return in, nil },
 			Entry:         "main",
 		}
-		if crashWhen != nil {
-			wc.CrashWhen = func(queue int) bool { return crashWhen(w, queue) }
+		if o.crashWhen != nil {
+			wc.CrashWhen = func(queue int) bool { return o.crashWhen(w, queue) }
 		}
 		w, err = NewWorker(wc, transport)
 		if err != nil {
-			errCh <- err
+			f.errCh <- err
 			return
 		}
-		register(w)
+		f.mu.Lock()
+		f.workers[w.ID] = w
+		f.mu.Unlock()
 		if err := w.RunLoop(); err != nil {
-			errCh <- err
+			f.errCh <- err
 		}
 	}()
+}
+
+// await polls until worker id has been built; nil if it never is. Safe
+// from helper goroutines (it does not fail the test itself).
+func (f *tcpFleet) await(id int) *Worker {
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		f.mu.Lock()
+		w := f.workers[id]
+		f.mu.Unlock()
+		if w != nil {
+			return w
+		}
+	}
+	return nil
+}
+
+// serve runs the LB (f.lbs — a failover test points it at the promoted
+// server first) to the end of the run, waits for every worker to exit,
+// and returns the summed path and error counts of the final statuses
+// plus how many workers departed (crashed, retired, evicted). After it
+// returns, f.workers and f.statuses are the test's to read.
+func (f *tcpFleet) serve(t *testing.T) (paths, errors uint64, departed int) {
+	t.Helper()
+	statuses, err := f.lbs.Serve(120 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.wg.Wait()
+	select {
+	case err := <-f.errCh:
+		t.Fatal(err)
+	default:
+	}
+	f.statuses = statuses
+	for _, st := range statuses {
+		paths += st.Paths
+		errors += st.Errors
+	}
+	for _, w := range f.workers {
+		if w.Departed() {
+			departed++
+		}
+	}
+	return paths, errors, departed
 }
 
 // TestTCPClusterEndToEnd runs an LB and three workers over real TCP
 // sockets (in one process, but speaking the cross-process protocol) and
 // checks disjoint-and-complete exploration.
 func TestTCPClusterEndToEnd(t *testing.T) {
-	factory := mkInterp(t, bigClusterTarget)
-
-	// Coverage vector length must match what workers report.
-	in, err := factory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	covLen := in.Prog.MaxLine
-
-	lbs, err := NewLBServer("127.0.0.1:0", DefaultBalancerConfig(), covLen, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	const numWorkers = 3
-	var wg sync.WaitGroup
-	errCh := make(chan error, numWorkers)
-	var mu sync.Mutex
-	workers := map[int]*Worker{}
-	register := func(w *Worker) {
-		mu.Lock()
-		workers[w.ID] = w
-		mu.Unlock()
-	}
+	f := newTCPFleet(t, bigClusterTarget, DefaultBalancerConfig(), numWorkers)
 	for i := 0; i < numWorkers; i++ {
-		startTCPWorker(t, lbs, bigClusterTarget, &wg, errCh, register, nil)
+		f.start(t, tcpWorkerOpts{})
 	}
+	f.serve(t)
 
-	statuses, err := lbs.Serve(60 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-
+	// The workers' own accounting, not the LB's view of it.
 	var paths, errors uint64
-	if len(workers) != numWorkers {
-		t.Fatalf("registered %d workers", len(workers))
+	if len(f.workers) != numWorkers {
+		t.Fatalf("registered %d workers", len(f.workers))
 	}
-	for _, w := range workers {
+	for _, w := range f.workers {
 		paths += w.Exp.Stats.PathsExplored
 		errors += w.Exp.Stats.Errors
 	}
@@ -152,8 +190,8 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	if errors != 1 {
 		t.Fatalf("errors = %d, want 1", errors)
 	}
-	if len(statuses) != numWorkers {
-		t.Fatalf("statuses = %d", len(statuses))
+	if len(f.statuses) != numWorkers {
+		t.Fatalf("statuses = %d", len(f.statuses))
 	}
 }
 
@@ -177,75 +215,34 @@ int main() {
 // the lease lapses, re-seat its last-reported frontier, and the final
 // path count must match the undisturbed total exactly.
 func TestTCPWorkerCrashRecovery(t *testing.T) {
-	factory := mkInterp(t, hugeClusterTarget)
-	in, err := factory()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := DefaultBalancerConfig()
 	cfg.Lease = 400 * time.Millisecond
-	lbs, err := NewLBServer("127.0.0.1:0", cfg, in.Prog.MaxLine, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, 4)
-	var mu sync.Mutex
-	workers := map[int]*Worker{}
-	register := func(w *Worker) {
-		mu.Lock()
-		workers[w.ID] = w
-		mu.Unlock()
-	}
+	f := newTCPFleet(t, hugeClusterTarget, cfg, 3)
 	// Workers A and B run normally; worker C crashes once the cluster
 	// has explored 50 paths (well before the 4096 total) AND it holds a
 	// healthy queue — its last report then shows outstanding work, so
 	// the LB cannot reach quiescence without evicting it and re-seating
 	// those jobs.
-	startTCPWorker(t, lbs, hugeClusterTarget, &wg, errCh, register, nil)
-	startTCPWorker(t, lbs, hugeClusterTarget, &wg, errCh, register, nil)
-	startTCPWorker(t, lbs, hugeClusterTarget, &wg, errCh, register, func(_ *Worker, queue int) bool {
-		return queue >= 16 && lbs.TotalPaths() >= 50
-	})
-
-	statuses, err := lbs.Serve(120 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
+	f.start(t, tcpWorkerOpts{})
+	f.start(t, tcpWorkerOpts{})
+	f.start(t, tcpWorkerOpts{crashWhen: func(_ *Worker, queue int) bool {
+		return queue >= 16 && f.lbs.TotalPaths() >= 50
+	}})
 
 	// Total paths = live workers' last reports + the evicted worker's
 	// final record, exactly the undisturbed count.
-	var paths, errors uint64
-	for _, st := range statuses {
-		paths += st.Paths
-		errors += st.Errors
-	}
+	paths, errors, departed := f.serve(t)
 	if paths != 4096 {
 		t.Fatalf("paths = %d, want exactly 4096 after mid-run crash", paths)
 	}
 	if errors != 1 {
 		t.Fatalf("errors = %d, want 1", errors)
 	}
-	if evictions, _, _, _ := lbs.Stats(); evictions != 1 {
+	if evictions, _, _, _ := f.lbs.Stats(); evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", evictions)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	crashed := 0
-	for _, w := range workers {
-		if w.Departed() {
-			crashed++
-		}
-	}
-	if crashed != 1 {
-		t.Fatalf("departed workers = %d, want 1", crashed)
+	if departed != 1 {
+		t.Fatalf("departed workers = %d, want 1", departed)
 	}
 }
 
@@ -253,59 +250,27 @@ func TestTCPWorkerCrashRecovery(t *testing.T) {
 // exploration is underway; the joiner must receive jobs and the total
 // must stay exact.
 func TestTCPLateJoin(t *testing.T) {
-	factory := mkInterp(t, hugeClusterTarget)
-	in, err := factory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lbs, err := NewLBServer("127.0.0.1:0", DefaultBalancerConfig(), in.Prog.MaxLine, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, 4)
-	var mu sync.Mutex
-	workers := map[int]*Worker{}
-	register := func(w *Worker) {
-		mu.Lock()
-		workers[w.ID] = w
-		mu.Unlock()
-	}
-	startTCPWorker(t, lbs, hugeClusterTarget, &wg, errCh, register, nil)
-	startTCPWorker(t, lbs, hugeClusterTarget, &wg, errCh, register, nil)
+	f := newTCPFleet(t, hugeClusterTarget, DefaultBalancerConfig(), 2)
+	f.start(t, tcpWorkerOpts{})
+	f.start(t, tcpWorkerOpts{})
 	go func() {
-		for lbs.TotalPaths() < 20 {
+		for f.lbs.TotalPaths() < 20 {
 			time.Sleep(2 * time.Millisecond)
 		}
-		startTCPWorker(t, lbs, hugeClusterTarget, &wg, errCh, register, nil)
+		f.start(t, tcpWorkerOpts{})
 	}()
 
-	statuses, err := lbs.Serve(120 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-	var paths uint64
-	for _, st := range statuses {
-		paths += st.Paths
-	}
+	paths, _, _ := f.serve(t)
 	if paths != 4096 {
 		t.Fatalf("paths = %d, want exactly 4096 with a late joiner", paths)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(workers) != 3 {
-		t.Fatalf("workers = %d", len(workers))
+	if len(f.workers) != 3 {
+		t.Fatalf("workers = %d", len(f.workers))
 	}
 	// The joiner must have been shipped jobs (it may still be mid-replay
 	// when the cluster quiesces, so received jobs — not useful steps — is
 	// the right signal).
-	if w := workers[2]; w == nil || w.jobsRecv.Load() == 0 {
+	if w := f.workers[2]; w == nil || w.jobsRecv.Load() == 0 {
 		t.Fatal("late joiner never received work")
 	}
 }
@@ -381,17 +346,10 @@ func TestTCPTransportJobDelivery(t *testing.T) {
 // its grace, the workers must rotate onto it, and the run must finish
 // with exactly the undisturbed totals and no false evictions.
 func TestTCPLBFailoverExactPaths(t *testing.T) {
-	factory := mkInterp(t, hugeClusterTarget)
-	in, err := factory()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := DefaultBalancerConfig()
 	cfg.Lease = 500 * time.Millisecond
-	lbs, err := NewLBServer("127.0.0.1:0", cfg, in.Prog.MaxLine, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newTCPFleet(t, hugeClusterTarget, cfg, 3)
+	lbs := f.lbs
 	lbs.EnableReplication()
 	sb, err := NewStandby("127.0.0.1:0", lbs.Addr(), 300*time.Millisecond, 3)
 	if err != nil {
@@ -406,18 +364,8 @@ func TestTCPLBFailoverExactPaths(t *testing.T) {
 		promoted <- srv
 	}()
 
-	var wg sync.WaitGroup
-	errCh := make(chan error, 4)
-	var mu sync.Mutex
-	workers := map[int]*Worker{}
-	register := func(w *Worker) {
-		mu.Lock()
-		workers[w.ID] = w
-		mu.Unlock()
-	}
-	addrs := []string{lbs.Addr(), sb.Addr()}
 	for i := 0; i < 3; i++ {
-		startTCPWorkerAddrs(t, addrs, hugeClusterTarget, &wg, errCh, register, nil)
+		f.start(t, tcpWorkerOpts{lbAddrs: []string{lbs.Addr(), sb.Addr()}})
 	}
 	go lbs.Serve(120 * time.Second) //nolint:errcheck // aborted below
 
@@ -443,22 +391,8 @@ func TestTCPLBFailoverExactPaths(t *testing.T) {
 	if srv == nil {
 		t.Fatal("standby treated the crash as a clean shutdown")
 	}
-	statuses, err := srv.Serve(120 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-
-	var paths, errors uint64
-	for _, st := range statuses {
-		paths += st.Paths
-		errors += st.Errors
-	}
+	f.lbs = srv
+	paths, errors, departed := f.serve(t)
 	if paths != 4096 || errors != 1 {
 		t.Fatalf("paths=%d errors=%d, want 4096/1 (undisturbed totals) across LB failover", paths, errors)
 	}
@@ -473,13 +407,11 @@ func TestTCPLBFailoverExactPaths(t *testing.T) {
 	// be double-counted. Every worker survived, so the fold must equal
 	// the plain sum of the engines' own accounting.
 	fleet := srv.ObsSnapshot()
-	mu.Lock()
-	defer mu.Unlock()
+	if departed != 0 {
+		t.Fatalf("%d workers departed across the failover", departed)
+	}
 	var useful uint64
-	for id, w := range workers {
-		if w.Departed() {
-			t.Fatalf("worker %d departed across the failover", id)
-		}
+	for _, w := range f.workers {
 		useful += w.Exp.Stats.UsefulSteps
 	}
 	if got := fleet.Counter(obs.MEnginePaths); got != 4096 {

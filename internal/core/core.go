@@ -185,7 +185,8 @@ type ClusterOptions struct {
 // TestCluster symbolically executes a program on a cluster of
 // shared-nothing workers with dynamic load balancing: cluster.Run's
 // load balancer and workers, in this process, talking over loopback TCP
-// — the stack cmd/c9-lb and cmd/c9-worker run, leases and all.
+// — the stack cmd/c9-lb and cmd/c9-worker run, except that no worker is
+// evicted for silence (in one process a silent worker is a busy one).
 func TestCluster(name, source string, opts ClusterOptions) (*Report, error) {
 	opts.fill()
 	if opts.Workers <= 0 {
