@@ -2,10 +2,16 @@ package search
 
 import (
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
+	"cloud9/internal/cfg"
 	"cloud9/internal/engine"
+	"cloud9/internal/targets"
 	"cloud9/internal/tree"
 )
 
@@ -434,5 +440,83 @@ func TestCUPARebandsCoverageSensitive(t *testing.T) {
 	tr2.MarkDead(s2.Select())
 	if s2.NumClasses() != 2 {
 		t.Fatalf("local-coverage reband classes = %d, want 2", s2.NumClasses())
+	}
+}
+
+// recorder hashes (FNV-1a) the root path of every node the wrapped
+// strategy selects, so a run's whole selection sequence is one number.
+type recorder struct {
+	engine.Strategy
+	h     hash.Hash64
+	picks int
+}
+
+func (r *recorder) Select() *tree.Node {
+	n := r.Strategy.Select()
+	if n != nil {
+		r.h.Write(n.PathFromRoot())
+		r.h.Write([]byte{0xff}) // path separator (choices are far below 255)
+		r.picks++
+	}
+	return n
+}
+
+// pinnedSpecs is every registered strategy that builds without
+// arguments plus the composites that reach yield inheritance, the fault
+// lookup, the weighted dist-opt family and interleave's bookkeeping.
+func pinnedSpecs() []string {
+	var specs []string
+	for _, name := range StrategyNames() {
+		if Validate(name) == nil {
+			specs = append(specs, name)
+		}
+	}
+	return append(specs, "dist-opt(w=1:0.5:0:0.25)", "cupa(yield,cov-opt)",
+		"cupa(faults,dist-opt)", "interleave(random,cov-opt)")
+}
+
+// TestSelectionSequencePinned explores printf to exhaustion under every
+// pinned spec (seed 1) and compares the hash of the selected-path
+// sequence with testdata/selection.golden: a refactoring of the search
+// layer must keep every float operation and RNG draw, not only the
+// strategy-invariant totals.
+func TestSelectionSequencePinned(t *testing.T) {
+	tgt, ok := targets.ByName("printf")
+	if !ok {
+		t.Fatal("no printf target")
+	}
+	var got strings.Builder
+	for _, spec := range pinnedSpecs() {
+		in, err := targets.Factory(tgt)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recorder{h: fnv.New64a()}
+		e, err := engine.New(in, "main", engine.Config{
+			MaxStateSteps: 1_000_000,
+			Strategy: func(tr *tree.Tree, d *cfg.Distance) engine.Strategy {
+				s, err := Build(spec, tr, d, 1)
+				if err != nil {
+					t.Fatalf("%s: %v", spec, err)
+				}
+				rec.Strategy = s
+				return rec
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RunToCompletion(0); err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		fmt.Fprintf(&got, "%s\tpaths=%d\tselects=%d\tfnv1a=%016x\n",
+			spec, e.Stats.PathsExplored, rec.picks, rec.h.Sum64())
+	}
+	want, err := os.ReadFile("testdata/selection.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("selection sequences moved.\n--- got\n%s--- want\n%s", got.String(), want)
 	}
 }
