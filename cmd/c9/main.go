@@ -19,7 +19,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"cloud9/internal/cfg"
 	"cloud9/internal/engine"
 	"cloud9/internal/interp"
 	"cloud9/internal/obs"
@@ -27,15 +26,14 @@ import (
 	"cloud9/internal/search"
 	"cloud9/internal/state"
 	"cloud9/internal/targets"
-	"cloud9/internal/tree"
 )
 
 func main() {
 	var (
 		targetName = flag.String("target", "", "built-in target name (see -list)")
 		file       = flag.String("file", "", "C-subset source file to test")
-		strategy   = flag.String("strategy", "interleaved", "search strategy spec: dfs|bfs|random|random-path|cov-opt|dist-opt|fewest-faults|interleaved, or composite like cupa(dist,dfs) / interleave(dfs,random)")
-		stratSeed  = flag.Int64("strategy-seed", 1, "seed for randomized strategies")
+		strategy   = flag.String("strategy", "", "search strategy spec: dfs|bfs|random|random-path|cov-opt|dist-opt|fewest-faults|interleaved, or composite like cupa(dist,dfs) / interleave(dfs,random) (default: the engine's random-path ⊕ cov-opt)")
+		stratSeed  = flag.Int64("strategy-seed", 1, "seed for the randomized strategies of an explicit -strategy")
 		maxPaths   = flag.Int("max-paths", 0, "stop after this many explored paths (0 = exhaustive)")
 		maxSteps   = flag.Uint64("steps", 2_000_000, "per-path instruction budget (hang detection)")
 		listAll    = flag.Bool("list", false, "list built-in targets")
@@ -108,18 +106,8 @@ func main() {
 	}
 
 	ecfg := engine.Config{MaxStateSteps: *maxSteps}
-	if *strategy != "interleaved" { // bare "interleaved" is the engine default
-		if err := search.Validate(*strategy); err != nil {
-			fatalf("%v", err)
-		}
-		spec, seed := *strategy, *stratSeed
-		ecfg.Strategy = func(t *tree.Tree, d *cfg.Distance) engine.Strategy {
-			s, err := search.Build(spec, t, d, seed)
-			if err != nil {
-				fatalf("%v", err) // unreachable: validated above
-			}
-			return s
-		}
+	if ecfg.Strategy, err = search.Factory(*strategy, *stratSeed); err != nil {
+		fatalf("%v", err)
 	}
 
 	e, err := engine.New(in, "main", ecfg)

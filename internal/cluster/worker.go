@@ -7,13 +7,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	cfg2 "cloud9/internal/cfg"
 	"cloud9/internal/coverage"
 	"cloud9/internal/engine"
 	"cloud9/internal/interp"
 	"cloud9/internal/obs"
 	"cloud9/internal/search"
-	"cloud9/internal/tree"
 )
 
 // WorkerConfig configures one cluster worker.
@@ -240,16 +238,9 @@ func NewWorker(cfg WorkerConfig, tr Transport) (*Worker, error) {
 		return nil, err
 	}
 	if cfg.StrategySpec != "" {
-		spec, seed := cfg.StrategySpec, strategySeed(cfg.ID, 0)
-		if err := search.Validate(spec); err != nil {
+		cfg.Engine.Strategy, err = search.Factory(cfg.StrategySpec, strategySeed(cfg.ID, 0))
+		if err != nil {
 			return nil, fmt.Errorf("cluster: worker %d strategy: %w", cfg.ID, err)
-		}
-		cfg.Engine.Strategy = func(t *tree.Tree, d *cfg2.Distance) engine.Strategy {
-			s, err := search.Build(spec, t, d, seed)
-			if err != nil {
-				panic(err) // validated above; same spec cannot fail here
-			}
-			return s
 		}
 	}
 	exp, err := engine.New(in, cfg.Entry, cfg.Engine)

@@ -10,19 +10,19 @@ import (
 	"fmt"
 	"time"
 
-	cfganalysis "cloud9/internal/cfg"
 	"cloud9/internal/cluster"
 	"cloud9/internal/engine"
 	"cloud9/internal/interp"
 	"cloud9/internal/posix"
+	"cloud9/internal/search"
 	"cloud9/internal/state"
-	"cloud9/internal/tree"
 )
 
-// StrategyName selects a search strategy.
+// StrategyName is a search strategy spec in the internal/search grammar
+// ("dfs", "cupa(site,dfs)", "dist-opt(w=1:0.5:0:0)", ...).
 type StrategyName string
 
-// Available strategies.
+// The argument-less strategies, as spec values.
 const (
 	StrategyInterleaved  StrategyName = "interleaved" // random-path + cov-opt (paper default)
 	StrategyDFS          StrategyName = "dfs"
@@ -38,7 +38,9 @@ const (
 type Options struct {
 	// Entry is the function to start from (default "main").
 	Entry string
-	// Strategy selects candidate ordering (default StrategyInterleaved).
+	// Strategy selects candidate ordering: any internal/search spec,
+	// built with Seed; one that does not parse fails Test / TestCluster.
+	// Empty is the engine default (random-path ⊕ cov-opt, its own seeds).
 	Strategy StrategyName
 	// MaxPathSteps is the per-path instruction budget for hang detection
 	// (default 2,000,000).
@@ -58,9 +60,6 @@ func (o *Options) fill() {
 	if o.Entry == "" {
 		o.Entry = "main"
 	}
-	if o.Strategy == "" {
-		o.Strategy = StrategyInterleaved
-	}
 	if o.MaxPathSteps == 0 {
 		o.MaxPathSteps = 2_000_000
 	}
@@ -69,33 +68,16 @@ func (o *Options) fill() {
 	}
 }
 
-func (o *Options) engineConfig() engine.Config {
-	cfg := engine.Config{
+func (o *Options) engineConfig() (engine.Config, error) {
+	strategy, err := search.Factory(string(o.Strategy), o.Seed)
+	if err != nil {
+		return engine.Config{}, fmt.Errorf("core: strategy: %w", err)
+	}
+	return engine.Config{
+		Strategy:       strategy,
 		MaxStateSteps:  o.MaxPathSteps,
 		RecordAllTests: o.RecordAllTests,
-	}
-	seed := o.Seed
-	switch o.Strategy {
-	case StrategyDFS:
-		cfg.Strategy = func(*tree.Tree, *cfganalysis.Distance) engine.Strategy { return engine.NewDFS() }
-	case StrategyBFS:
-		cfg.Strategy = func(*tree.Tree, *cfganalysis.Distance) engine.Strategy { return engine.NewBFS() }
-	case StrategyRandom:
-		cfg.Strategy = func(*tree.Tree, *cfganalysis.Distance) engine.Strategy { return engine.NewRandom(seed) }
-	case StrategyRandomPath:
-		cfg.Strategy = func(t *tree.Tree, _ *cfganalysis.Distance) engine.Strategy { return engine.NewRandomPath(t, seed) }
-	case StrategyCoverage:
-		cfg.Strategy = func(*tree.Tree, *cfganalysis.Distance) engine.Strategy { return engine.NewCoverageOptimized(seed) }
-	case StrategyDistance:
-		cfg.Strategy = func(_ *tree.Tree, d *cfganalysis.Distance) engine.Strategy {
-			return engine.NewDistanceOptimized(d, seed)
-		}
-	case StrategyFewestFaults:
-		cfg.Strategy = func(*tree.Tree, *cfganalysis.Distance) engine.Strategy { return engine.NewFewestFaults() }
-	case StrategyInterleaved:
-		// engine default
-	}
-	return cfg
+	}, nil
 }
 
 // Report summarizes a symbolic test run.
@@ -141,11 +123,15 @@ func newInterp(name, source string, hostFS map[string][]byte) (*interp.Interp, e
 // returns the report.
 func Test(name, source string, opts Options) (*Report, error) {
 	opts.fill()
+	ecfg, err := opts.engineConfig()
+	if err != nil {
+		return nil, err
+	}
 	in, err := newInterp(name, source, opts.HostFS)
 	if err != nil {
 		return nil, err
 	}
-	e, err := engine.New(in, opts.Entry, opts.engineConfig())
+	e, err := engine.New(in, opts.Entry, ecfg)
 	if err != nil {
 		return nil, err
 	}
@@ -189,6 +175,10 @@ type ClusterOptions struct {
 // evicted for silence (in one process a silent worker is a busy one).
 func TestCluster(name, source string, opts ClusterOptions) (*Report, error) {
 	opts.fill()
+	ecfg, err := opts.engineConfig()
+	if err != nil {
+		return nil, err
+	}
 	if opts.Workers <= 0 {
 		opts.Workers = 4
 	}
@@ -201,7 +191,7 @@ func TestCluster(name, source string, opts ClusterOptions) (*Report, error) {
 		NewInterp: func() (*interp.Interp, error) {
 			return newInterp(name, source, opts.HostFS)
 		},
-		Engine:      opts.engineConfig(),
+		Engine:      ecfg,
 		MaxDuration: opts.MaxDuration,
 	})
 	if err != nil {

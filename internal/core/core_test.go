@@ -43,8 +43,10 @@ func TestSingleNodeFindsBug(t *testing.T) {
 
 func TestAllStrategiesAgreeOnPathCount(t *testing.T) {
 	var counts []uint64
-	for _, s := range []StrategyName{StrategyDFS, StrategyBFS, StrategyRandom,
-		StrategyRandomPath, StrategyCoverage, StrategyInterleaved} {
+	// "" is the engine default; any internal/search spec is accepted.
+	for _, s := range []StrategyName{"", StrategyDFS, StrategyBFS, StrategyRandom,
+		StrategyRandomPath, StrategyCoverage, StrategyInterleaved, StrategyDistance,
+		StrategyFewestFaults, "cupa(site,dfs)", "dist-opt(w=1:0.5:0:0.25)"} {
 		rep, err := Test("buggy.c", buggy, Options{Strategy: s})
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
@@ -169,4 +171,20 @@ func TestFewestFaultsStrategyRuns(t *testing.T) {
 		t.Fatalf("fault depth distribution %v", byFaults)
 	}
 	_ = state.TermError
+}
+
+// TestUnknownStrategyIsAnError: a misspelt or malformed spec must fail
+// the run, single-node and cluster alike (it used to fall through to
+// the engine default silently).
+func TestUnknownStrategyIsAnError(t *testing.T) {
+	for _, spec := range []StrategyName{"dsf", "cupa(site,dfs"} {
+		if _, err := Test("buggy.c", buggy, Options{Strategy: spec}); err == nil {
+			t.Errorf("Test with strategy %q should fail", spec)
+		}
+		if _, err := TestCluster("buggy.c", buggy, ClusterOptions{
+			Workers: 2, Options: Options{Strategy: spec},
+		}); err == nil {
+			t.Errorf("TestCluster with strategy %q should fail", spec)
+		}
+	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 	"strings"
 
@@ -24,8 +23,8 @@ import (
 //	Yield  · y/(1+y)              — recent lineage coverage yield y
 //
 // The zero value ranks everything equally (every feature weighted 0
-// collapses to the minimum-weight floor); DefaultDistWeights
-// reproduces the classic md2u-only ranking.
+// collapses to the minimum-weight floor); DefaultDistWeights is the
+// classic md2u-only ranking.
 type DistWeights struct {
 	MD2U, Depth, Faults, Yield float64
 }
@@ -64,78 +63,42 @@ func ParseDistWeights(s string) (DistWeights, error) {
 	return DistWeights{MD2U: vals[0], Depth: vals[1], Faults: vals[2], Yield: vals[3]}, nil
 }
 
-// DistanceOptimized is KLEE's coverage-optimized searcher proper: it
-// weights each candidate by the inverse square of its static minimum
-// distance to uncovered code (md2u over the internal/cfg call-and-flow
-// graph) and samples proportionally, steering workers toward states
-// that are few branches away from lines nobody has covered yet — where
-// CoverageOptimized rewards yield after the fact, this ranks by
-// predicted yield before it.
+// DistanceOptimized is KLEE's coverage-optimized searcher proper: with
+// the default weights it ranks each candidate by the inverse square of
+// its static minimum distance to uncovered code (md2u over the
+// internal/cfg call-and-flow graph) and samples proportionally, steering
+// workers toward states that are few branches away from lines nobody
+// has covered yet — where CoverageOptimized rewards yield after the
+// fact, this ranks by predicted yield before it. Other weight vectors
+// mix in the depth, fault and yield features documented on DistWeights.
 //
 // Weights are computed at selection time straight from the shared
 // oracle, so every coverage delta — locally executed lines or a global
 // overlay merge — re-ranks the frontier at the next Select with no
 // bookkeeping here. Virtual nodes (path-only jobs not yet replayed)
-// have no program state to locate and draw a neutral weight, as does
-// every node when no oracle was supplied (a Validate build).
+// have no program state to locate and draw a neutral md2u feature, as
+// does every node when no oracle was supplied (a Validate build).
 type DistanceOptimized struct {
-	d     *cfg.Distance
-	nodes []*tree.Node
-	pos   map[*tree.Node]int
-	rng   *rand.Rand
-	// w, when set, replaces the fixed md2u ranking with the linear
-	// feature combination of DistWeights. nil keeps the legacy scoring
-	// path untouched (bit-for-bit: the exactness pins and the PR 5
-	// experiment baselines run bare dist-opt).
-	w *DistWeights
+	weighted
+	d *cfg.Distance
+	w DistWeights
 }
 
-// NewDistanceOptimized returns a distance-to-uncovered weighted
-// strategy reading d (nil degrades to uniform selection).
-func NewDistanceOptimized(d *cfg.Distance, seed int64) *DistanceOptimized {
-	return &DistanceOptimized{
-		d:   d,
-		pos: map[*tree.Node]int{},
-		rng: rand.New(rand.NewSource(seed)),
-	}
-}
-
-// NewDistanceOptimizedWeighted returns the parameterized-family member
-// with the given feature weights ("dist-opt(w=...)" in the spec
-// grammar).
-func NewDistanceOptimizedWeighted(d *cfg.Distance, seed int64, w DistWeights) *DistanceOptimized {
-	r := NewDistanceOptimized(d, seed)
-	r.w = &w
+// NewDistanceOptimized returns the member of the distance-weighted
+// family with feature weights w, reading d (nil degrades the md2u
+// feature to a constant). Bare "dist-opt" in the spec grammar is
+// DefaultDistWeights; "dist-opt(w=...)" names any other member.
+func NewDistanceOptimized(d *cfg.Distance, seed int64, w DistWeights) *DistanceOptimized {
+	r := &DistanceOptimized{d: d, w: w}
+	r.weighted = newWeighted(r.featWeight, seed)
 	return r
 }
 
 // Name implements Strategy.
 func (r *DistanceOptimized) Name() string { return "dist-opt" }
 
-// Add implements Strategy.
-func (r *DistanceOptimized) Add(n *tree.Node) {
-	if _, dup := r.pos[n]; dup {
-		return
-	}
-	r.pos[n] = len(r.nodes)
-	r.nodes = append(r.nodes, n)
-}
-
-// Remove implements Strategy.
-func (r *DistanceOptimized) Remove(n *tree.Node) {
-	i, ok := r.pos[n]
-	if !ok {
-		return
-	}
-	last := len(r.nodes) - 1
-	r.nodes[i] = r.nodes[last]
-	r.pos[r.nodes[i]] = i
-	r.nodes = r.nodes[:last]
-	delete(r.pos, n)
-}
-
-// virtualWeight is the rank of a node whose distance is unknown — a
-// virtual (not-yet-replayed) job, or any node when no oracle was
+// virtualWeight is the md2u feature of a node whose distance is unknown
+// — a virtual (not-yet-replayed) job, or any node when no oracle was
 // supplied. It corresponds to assuming the state sits a few branches
 // from uncovered code (md2u 4): below every genuinely near state, so a
 // flood of imported virtual jobs cannot drown the nearly-there states
@@ -143,39 +106,18 @@ func (r *DistanceOptimized) Remove(n *tree.Node) {
 // residual, so transferred work still materializes ahead of dead ends.
 const virtualWeight = 1.0 / 25 // 1/(1+4)²
 
-// distWeight ranks a candidate: 1/(1+md2u)², the sharp preference for
-// nearly-there states KLEE's md2u searcher uses. States that cannot
-// reach uncovered code keep a tiny residual weight so a saturated
-// frontier still drains. With a weight vector installed, the rank is
-// instead the vector's linear combination over the normalized feature
-// set (featWeight).
-func (r *DistanceOptimized) distWeight(n *tree.Node) float64 {
-	if r.w != nil {
-		return r.featWeight(n)
-	}
-	if r.d == nil || n.State == nil {
-		return virtualWeight
-	}
-	dd := r.d.StateDist(n.State)
-	if dd >= cfg.Unreachable {
-		return 1e-9
-	}
-	w := float64(1 + dd)
-	return 1 / (w * w)
-}
-
 // minFeatWeight keeps every candidate selectable whatever the vector:
 // a learner-proposed all-zero (or saturated-feature) vector must
 // degrade to uniform drain, not a division by zero or a starved node.
+// It is also the md2u feature of a state that cannot reach uncovered
+// code, so a saturated frontier still drains.
 const minFeatWeight = 1e-9
 
-// featWeight scores a candidate under the parameterized family: the
-// weight vector dotted with the four normalized features documented on
-// DistWeights. The md2u feature reuses the legacy scale (inverse
-// square, virtualWeight for unlocatable states) so w=1:0:0:0 ranks
-// like classic dist-opt.
+// featWeight scores a candidate: the weight vector dotted with the four
+// normalized features documented on DistWeights. The md2u feature is
+// 1/(1+md2u)², the sharp preference for nearly-there states KLEE's md2u
+// searcher uses.
 func (r *DistanceOptimized) featWeight(n *tree.Node) float64 {
-	w := r.w
 	md := virtualWeight
 	if r.d != nil && n.State != nil {
 		if dd := r.d.StateDist(n.State); dd >= cfg.Unreachable {
@@ -185,50 +127,14 @@ func (r *DistanceOptimized) featWeight(n *tree.Node) float64 {
 			md = 1 / (f * f)
 		}
 	}
-	score := w.MD2U * md
-	score += w.Depth / (1 + float64(n.Depth)/8)
-	score += w.Faults / float64(1+faultsOf(n))
-	if n.Meta != nil {
-		if y := n.Meta["covYield"]; y > 0 {
-			score += w.Yield * y / (1 + y)
-		}
+	score := r.w.MD2U * md
+	score += r.w.Depth / (1 + float64(n.Depth)/8)
+	score += r.w.Faults / float64(1+n.Faults)
+	if y := n.CovYield; y > 0 {
+		score += r.w.Yield * y / (1 + y)
 	}
 	if score < minFeatWeight {
 		score = minFeatWeight
 	}
 	return score
 }
-
-// Select implements Strategy: proportional sampling over distance
-// weights (the same loop CoverageOptimized uses over yield weights).
-func (r *DistanceOptimized) Select() *tree.Node {
-	for len(r.nodes) > 0 {
-		total := 0.0
-		weights := make([]float64, len(r.nodes))
-		for i, n := range r.nodes {
-			weights[i] = r.distWeight(n)
-			total += weights[i]
-		}
-		pick := r.rng.Float64() * total
-		var chosen *tree.Node
-		for i, n := range r.nodes {
-			pick -= weights[i]
-			if pick <= 0 {
-				chosen = n
-				break
-			}
-		}
-		if chosen == nil {
-			chosen = r.nodes[len(r.nodes)-1]
-		}
-		r.Remove(chosen)
-		if chosen.IsCandidate() {
-			return chosen
-		}
-	}
-	return nil
-}
-
-// NotifyCoverage implements Strategy. Distances are read fresh from the
-// oracle at Select, so newly covered lines re-rank without bookkeeping.
-func (r *DistanceOptimized) NotifyCoverage(*tree.Node, int) {}

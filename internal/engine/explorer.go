@@ -276,16 +276,10 @@ func (e *Explorer) exploreNode(n *tree.Node) error {
 		}
 		return err
 	}
-	if e.newLines > 0 {
-		// Credit the node's shared coverage-yield meta exactly once,
-		// here — not inside each strategy — so composed strategies (an
-		// interleave of two coverage-aware searchers) can't double-count
-		// the same lines through the shared Meta map.
-		if n.Meta == nil {
-			n.Meta = map[string]float64{}
-		}
-		n.Meta["covYield"] += float64(e.newLines)
-	}
+	// Credit the node's coverage yield exactly once, here — not inside
+	// each strategy — so composed strategies (an interleave of two
+	// coverage-aware searchers) can't double-count the same lines.
+	n.CovYield += float64(e.newLines)
 	e.Strat.NotifyCoverage(n, e.newLines)
 	if kids == nil {
 		// Terminated.

@@ -152,47 +152,63 @@ func (b *BFS) Select() *tree.Node {
 // NotifyCoverage implements Strategy.
 func (b *BFS) NotifyCoverage(*tree.Node, int) {}
 
+// ---- Candidate set ----
+
+// candidates is the indexed candidate set the sampling strategies embed:
+// a slice to draw from by index and a position map, so Add (idempotent)
+// and Remove (swap-delete; unknown nodes are a no-op) are O(1).
+type candidates struct {
+	nodes []*tree.Node
+	pos   map[*tree.Node]int
+}
+
+func newCandidates() candidates { return candidates{pos: map[*tree.Node]int{}} }
+
+// Add implements Strategy.
+func (c *candidates) Add(n *tree.Node) {
+	if _, dup := c.pos[n]; dup {
+		return
+	}
+	c.pos[n] = len(c.nodes)
+	c.nodes = append(c.nodes, n)
+}
+
+// Remove implements Strategy.
+func (c *candidates) Remove(n *tree.Node) {
+	i, ok := c.pos[n]
+	if !ok {
+		return
+	}
+	last := len(c.nodes) - 1
+	c.nodes[i] = c.nodes[last]
+	c.pos[c.nodes[i]] = i
+	c.nodes = c.nodes[:last]
+	delete(c.pos, n)
+}
+
+// NotifyCoverage implements Strategy (yield lives on the node).
+func (c *candidates) NotifyCoverage(*tree.Node, int) {}
+
 // ---- Uniform random ----
 
 // Random picks a uniformly random candidate.
 type Random struct {
-	nodes []*tree.Node
-	pos   map[*tree.Node]int
-	rng   *rand.Rand
+	candidates
+	rng *rand.Rand
 }
 
 // NewRandom returns a uniform-random strategy.
 func NewRandom(seed int64) *Random {
-	return &Random{pos: map[*tree.Node]int{}, rng: rand.New(rand.NewSource(seed))}
+	return &Random{candidates: newCandidates(), rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements Strategy.
 func (r *Random) Name() string { return "random" }
 
-// Add implements Strategy.
-func (r *Random) Add(n *tree.Node) {
-	r.pos[n] = len(r.nodes)
-	r.nodes = append(r.nodes, n)
-}
-
-// Remove implements Strategy.
-func (r *Random) Remove(n *tree.Node) {
-	i, ok := r.pos[n]
-	if !ok {
-		return
-	}
-	last := len(r.nodes) - 1
-	r.nodes[i] = r.nodes[last]
-	r.pos[r.nodes[i]] = i
-	r.nodes = r.nodes[:last]
-	delete(r.pos, n)
-}
-
 // Select implements Strategy.
 func (r *Random) Select() *tree.Node {
 	for len(r.nodes) > 0 {
-		i := r.rng.Intn(len(r.nodes))
-		n := r.nodes[i]
+		n := r.nodes[r.rng.Intn(len(r.nodes))]
 		r.Remove(n)
 		if n.IsCandidate() {
 			return n
@@ -201,8 +217,49 @@ func (r *Random) Select() *tree.Node {
 	return nil
 }
 
-// NotifyCoverage implements Strategy.
-func (r *Random) NotifyCoverage(*tree.Node, int) {}
+// ---- Weighted sampling ----
+
+// weighted draws a candidate with probability proportional to a weight
+// function. Each pick evaluates every weight once into a reused scratch
+// slice, then sums and walks it in slice order: linear in the frontier,
+// allocation-free once the scratch has grown to it.
+type weighted struct {
+	candidates
+	weight  func(*tree.Node) float64
+	rng     *rand.Rand
+	scratch []float64
+}
+
+func newWeighted(weight func(*tree.Node) float64, seed int64) weighted {
+	return weighted{candidates: newCandidates(), weight: weight, rng: rand.New(rand.NewSource(seed))}
+}
+
+// Select implements Strategy.
+func (w *weighted) Select() *tree.Node {
+	for len(w.nodes) > 0 {
+		ws, total := w.scratch[:0], 0.0
+		for _, n := range w.nodes {
+			x := w.weight(n)
+			ws = append(ws, x)
+			total += x
+		}
+		w.scratch = ws
+		pick := w.rng.Float64() * total
+		chosen := w.nodes[len(w.nodes)-1] // rounding left pick above zero
+		for i, x := range ws {
+			pick -= x
+			if pick <= 0 {
+				chosen = w.nodes[i]
+				break
+			}
+		}
+		w.Remove(chosen)
+		if chosen.IsCandidate() {
+			return chosen
+		}
+	}
+	return nil
+}
 
 // ---- Random path ----
 
@@ -265,87 +322,32 @@ func (r *RandomPath) NotifyCoverage(*tree.Node, int) {}
 // without static CFG distances (documented substitution: the paper
 // weighs states by estimated distance to an uncovered line; we weigh by
 // observed recent coverage yield, which drives the same feedback loop).
-type CoverageOptimized struct {
-	nodes []*tree.Node
-	pos   map[*tree.Node]int
-	rng   *rand.Rand
-}
+type CoverageOptimized struct{ weighted }
 
 // NewCoverageOptimized returns a coverage-feedback strategy.
 func NewCoverageOptimized(seed int64) *CoverageOptimized {
-	return &CoverageOptimized{pos: map[*tree.Node]int{}, rng: rand.New(rand.NewSource(seed))}
+	return &CoverageOptimized{newWeighted(func(n *tree.Node) float64 { return 1 + n.CovYield }, seed)}
 }
 
 // Name implements Strategy.
 func (c *CoverageOptimized) Name() string { return "cov-opt" }
 
-func weightOf(n *tree.Node) float64 {
-	if n.Meta == nil {
-		return 1
+// InheritYield starts a newly filed candidate at half its parent's
+// coverage yield, decaying stale signal — but only when the node has
+// none yet: re-Adds (a SetStrategy re-seed) must not overwrite yield
+// that global decay has already discounted. The yield itself is
+// credited once, by the explorer (exploreNode), not per strategy.
+func InheritYield(n *tree.Node) {
+	if n.CovYield == 0 && n.Parent != nil {
+		n.CovYield = n.Parent.CovYield / 2
 	}
-	return 1 + n.Meta["covYield"]
 }
 
 // Add implements Strategy.
 func (c *CoverageOptimized) Add(n *tree.Node) {
-	// Children inherit half their parent's yield, decaying stale signal —
-	// but only when the node has none yet: re-Adds (a SetStrategy
-	// re-seed) must not overwrite yield that global decay has already
-	// discounted.
-	if (n.Meta == nil || n.Meta["covYield"] == 0) && n.Parent != nil && n.Parent.Meta != nil {
-		if n.Meta == nil {
-			n.Meta = map[string]float64{}
-		}
-		n.Meta["covYield"] = n.Parent.Meta["covYield"] / 2
-	}
-	c.pos[n] = len(c.nodes)
-	c.nodes = append(c.nodes, n)
+	InheritYield(n)
+	c.weighted.Add(n)
 }
-
-// Remove implements Strategy.
-func (c *CoverageOptimized) Remove(n *tree.Node) {
-	i, ok := c.pos[n]
-	if !ok {
-		return
-	}
-	last := len(c.nodes) - 1
-	c.nodes[i] = c.nodes[last]
-	c.pos[c.nodes[i]] = i
-	c.nodes = c.nodes[:last]
-	delete(c.pos, n)
-}
-
-// Select implements Strategy.
-func (c *CoverageOptimized) Select() *tree.Node {
-	for len(c.nodes) > 0 {
-		total := 0.0
-		for _, n := range c.nodes {
-			total += weightOf(n)
-		}
-		pick := c.rng.Float64() * total
-		var chosen *tree.Node
-		for _, n := range c.nodes {
-			pick -= weightOf(n)
-			if pick <= 0 {
-				chosen = n
-				break
-			}
-		}
-		if chosen == nil {
-			chosen = c.nodes[len(c.nodes)-1]
-		}
-		c.Remove(chosen)
-		if chosen.IsCandidate() {
-			return chosen
-		}
-	}
-	return nil
-}
-
-// NotifyCoverage implements Strategy. The covYield meta this strategy
-// weighs by is credited once by the explorer (see exploreNode), not
-// here — updating it per-strategy would double-count under interleave.
-func (c *CoverageOptimized) NotifyCoverage(*tree.Node, int) {}
 
 // NotifyGlobalCoverage implements GlobalCoverageAware: when the rest of
 // the cluster covers new lines, locally accumulated yield is partly
@@ -356,9 +358,7 @@ func (c *CoverageOptimized) NotifyGlobalCoverage(newLines int) {
 		return
 	}
 	for _, n := range c.nodes {
-		if n.Meta != nil && n.Meta["covYield"] != 0 {
-			n.Meta["covYield"] /= 2
-		}
+		n.CovYield /= 2
 	}
 }
 
@@ -445,23 +445,9 @@ func NewFewestFaults() *FewestFaults {
 // Name implements Strategy.
 func (f *FewestFaults) Name() string { return "fewest-faults" }
 
-func faultsOf(n *tree.Node) int {
-	if n.State != nil {
-		return n.State.FaultsTaken
-	}
-	if n.Meta != nil {
-		return int(n.Meta["faults"])
-	}
-	return 0
-}
-
 // Add implements Strategy.
 func (f *FewestFaults) Add(n *tree.Node) {
-	k := faultsOf(n)
-	if n.Meta == nil {
-		n.Meta = map[string]float64{}
-	}
-	n.Meta["faults"] = float64(k)
+	k := int(n.Faults)
 	f.buckets[k] = append(f.buckets[k], n)
 	if len(f.buckets) == 1 || k < f.min {
 		f.min = k
@@ -470,7 +456,7 @@ func (f *FewestFaults) Add(n *tree.Node) {
 
 // Remove implements Strategy.
 func (f *FewestFaults) Remove(n *tree.Node) {
-	k := faultsOf(n)
+	k := int(n.Faults)
 	b := f.buckets[k]
 	for i, c := range b {
 		if c == n {

@@ -118,18 +118,10 @@ type faults struct{}
 
 func (faults) Name() string { return "faults" }
 
-func (faults) ClassOf(n *tree.Node) uint64 {
-	if n.State != nil {
-		return uint64(n.State.FaultsTaken)
-	}
-	if n.Meta != nil {
-		return uint64(n.Meta["faults"])
-	}
-	return 0
-}
+func (faults) ClassOf(n *tree.Node) uint64 { return uint64(n.Faults) }
 
 // yield buckets nodes by the log2 band of their inherited coverage
-// yield (the covYield meta the engine's coverage feedback maintains):
+// yield (the node's CovYield, kept by the engine's coverage feedback):
 // recently productive lineages land in high bands, exhausted ones in
 // band 0, and uniform class selection keeps probing both.
 type yield struct{}
@@ -137,10 +129,7 @@ type yield struct{}
 func (yield) Name() string { return "yield" }
 
 func (yield) ClassOf(n *tree.Node) uint64 {
-	if n.Meta == nil {
-		return 0
-	}
-	y := n.Meta["covYield"]
+	y := n.CovYield
 	if y < 1 {
 		return 0
 	}

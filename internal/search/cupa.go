@@ -20,9 +20,8 @@ type cupaClass struct {
 // are partitioned by a Classifier, Select draws a non-empty class
 // uniformly, then delegates within the class to an inner strategy.
 // All operations are O(1) amortized: classes live in a map, the
-// non-empty class keys in a slice with a position index (the same
-// swap-remove trick Random uses), and each node remembers its class so
-// Remove never re-classifies.
+// non-empty class keys in an indexed set, and each node remembers its
+// class so Remove never re-classifies.
 //
 // Layering nests: an inner constructor may itself build a CUPA, giving
 // e.g. site→depth two-level selection.
@@ -33,19 +32,48 @@ type CUPA struct {
 	rng      *rand.Rand
 
 	classes map[uint64]*cupaClass
-	keys    []uint64       // keys of non-empty classes
-	keyPos  map[uint64]int // key → index in keys
+	keys    indexed[uint64] // keys of non-empty classes
 	where   map[*tree.Node]uint64
 
 	// Coverage-sensitive classifiers (dist: md2u bands move as the
 	// overlay grows) have their nodes re-banded on coverage growth; a
-	// deterministic node order (slice + swap-remove index, never a map
-	// walk) keeps the re-banding — and thus every later lazy inner
-	// construction and rng draw — reproducible for the lock-step sim.
+	// deterministic node order (an indexed set, never a map walk) keeps
+	// the re-banding — and thus every later lazy inner construction and
+	// rng draw — reproducible for the lock-step sim. Only those
+	// classifiers pay for tracking it.
 	covSensitive bool
 	needReband   bool
-	order        []*tree.Node
-	orderPos     map[*tree.Node]int
+	order        indexed[*tree.Node]
+}
+
+// indexed is a set whose members also sit in a slice, for O(1) draws by
+// index and an iteration order fixed by the add/remove history: add is
+// idempotent, remove swap-deletes and ignores non-members.
+type indexed[K comparable] struct {
+	items []K
+	pos   map[K]int
+}
+
+func newIndexed[K comparable]() indexed[K] { return indexed[K]{pos: map[K]int{}} }
+
+func (s *indexed[K]) add(k K) {
+	if _, ok := s.pos[k]; ok {
+		return
+	}
+	s.pos[k] = len(s.items)
+	s.items = append(s.items, k)
+}
+
+func (s *indexed[K]) remove(k K) {
+	i, ok := s.pos[k]
+	if !ok {
+		return
+	}
+	last := len(s.items) - 1
+	s.items[i] = s.items[last]
+	s.pos[s.items[i]] = i
+	s.items = s.items[:last]
+	delete(s.pos, k)
 }
 
 // CoverageSensitive marks classifiers whose ClassOf depends on the
@@ -66,10 +94,10 @@ func NewCUPA(cls Classifier, newInner func() engine.Strategy, seed int64) *CUPA 
 		name:         "cupa(" + cls.Name() + ")",
 		rng:          rand.New(rand.NewSource(seed)),
 		classes:      map[uint64]*cupaClass{},
-		keyPos:       map[uint64]int{},
+		keys:         newIndexed[uint64](),
 		where:        map[*tree.Node]uint64{},
 		covSensitive: covSensitive,
-		orderPos:     map[*tree.Node]int{},
+		order:        newIndexed[*tree.Node](),
 	}
 }
 
@@ -77,46 +105,16 @@ func NewCUPA(cls Classifier, newInner func() engine.Strategy, seed int64) *CUPA 
 func (c *CUPA) Name() string { return c.name }
 
 // NumClasses returns the number of currently non-empty classes.
-func (c *CUPA) NumClasses() int { return len(c.keys) }
-
-func (c *CUPA) pushKey(k uint64) {
-	if _, ok := c.keyPos[k]; ok {
-		return
-	}
-	c.keyPos[k] = len(c.keys)
-	c.keys = append(c.keys, k)
-}
-
-func (c *CUPA) dropKey(k uint64) {
-	i, ok := c.keyPos[k]
-	if !ok {
-		return
-	}
-	last := len(c.keys) - 1
-	c.keys[i] = c.keys[last]
-	c.keyPos[c.keys[i]] = i
-	c.keys = c.keys[:last]
-	delete(c.keyPos, k)
-}
+func (c *CUPA) NumClasses() int { return len(c.keys.items) }
 
 // Add implements engine.Strategy.
 func (c *CUPA) Add(n *tree.Node) {
 	if _, dup := c.where[n]; dup {
 		return
 	}
-	// Children inherit half their parent's coverage yield (the same
-	// decaying feedback CoverageOptimized maintains), so the yield
-	// classifier and cov-opt inners see the signal whatever the nesting.
-	// Only when the node has no yield yet: a SetStrategy re-seed re-Adds
-	// existing candidates, and overwriting would resurrect yield that
-	// global-coverage decay already discounted.
-	if (n.Meta == nil || n.Meta["covYield"] == 0) &&
-		n.Parent != nil && n.Parent.Meta != nil && n.Parent.Meta["covYield"] != 0 {
-		if n.Meta == nil {
-			n.Meta = map[string]float64{}
-		}
-		n.Meta["covYield"] = n.Parent.Meta["covYield"] / 2
-	}
+	// Before classifying, so the yield classifier (and cov-opt inners)
+	// see the inherited signal whatever the nesting.
+	engine.InheritYield(n)
 	k := c.cls.ClassOf(n)
 	cl := c.classes[k]
 	if cl == nil {
@@ -126,34 +124,10 @@ func (c *CUPA) Add(n *tree.Node) {
 	cl.inner.Add(n)
 	cl.count++
 	c.where[n] = k
-	c.pushKey(k)
-	c.track(n)
-}
-
-// track/untrack maintain the deterministic node order re-banding
-// iterates (swap-remove, O(1)); only coverage-sensitive classifiers
-// pay for it.
-func (c *CUPA) track(n *tree.Node) {
-	if !c.covSensitive {
-		return
+	c.keys.add(k)
+	if c.covSensitive {
+		c.order.add(n)
 	}
-	c.orderPos[n] = len(c.order)
-	c.order = append(c.order, n)
-}
-
-func (c *CUPA) untrack(n *tree.Node) {
-	if !c.covSensitive {
-		return
-	}
-	i, ok := c.orderPos[n]
-	if !ok {
-		return
-	}
-	last := len(c.order) - 1
-	c.order[i] = c.order[last]
-	c.orderPos[c.order[i]] = i
-	c.order = c.order[:last]
-	delete(c.orderPos, n)
 }
 
 // reband re-files every tracked node whose class key moved — md2u
@@ -169,7 +143,7 @@ func (c *CUPA) reband() {
 		return
 	}
 	c.needReband = false
-	for _, n := range c.order {
+	for _, n := range c.order.items {
 		k := c.where[n]
 		k2 := c.cls.ClassOf(n)
 		if k2 == k {
@@ -180,7 +154,7 @@ func (c *CUPA) reband() {
 		cl.count--
 		if cl.count <= 0 {
 			cl.count = 0
-			c.dropKey(k)
+			c.keys.remove(k)
 		}
 		dst := c.classes[k2]
 		if dst == nil {
@@ -190,7 +164,7 @@ func (c *CUPA) reband() {
 		dst.inner.Add(n)
 		dst.count++
 		c.where[n] = k2
-		c.pushKey(k2)
+		c.keys.add(k2)
 	}
 }
 
@@ -201,13 +175,13 @@ func (c *CUPA) Remove(n *tree.Node) {
 		return
 	}
 	delete(c.where, n)
-	c.untrack(n)
+	c.order.remove(n)
 	cl := c.classes[k]
 	cl.inner.Remove(n)
 	cl.count--
 	if cl.count <= 0 {
 		cl.count = 0
-		c.dropKey(k)
+		c.keys.remove(k)
 	}
 }
 
@@ -215,24 +189,24 @@ func (c *CUPA) Remove(n *tree.Node) {
 // then the class's inner policy.
 func (c *CUPA) Select() *tree.Node {
 	c.reband()
-	for len(c.keys) > 0 {
-		k := c.keys[c.rng.Intn(len(c.keys))]
+	for len(c.keys.items) > 0 {
+		k := c.keys.items[c.rng.Intn(len(c.keys.items))]
 		cl := c.classes[k]
 		n := cl.inner.Select()
 		if n == nil {
 			// The inner consumed its remaining entries as stale; retire
 			// the class until something is filed into it again.
 			cl.count = 0
-			c.dropKey(k)
+			c.keys.remove(k)
 			continue
 		}
 		cl.count--
 		if cl.count <= 0 {
 			cl.count = 0
-			c.dropKey(k)
+			c.keys.remove(k)
 		}
 		delete(c.where, n)
-		c.untrack(n)
+		c.order.remove(n)
 		if n.IsCandidate() {
 			return n
 		}
@@ -240,8 +214,8 @@ func (c *CUPA) Select() *tree.Node {
 	return nil
 }
 
-// NotifyCoverage implements engine.Strategy. The covYield meta the
-// yield classifier and cov-opt inners read is credited once by the
+// NotifyCoverage implements engine.Strategy. The node's CovYield that
+// the yield classifier and cov-opt inners read is credited once by the
 // explorer; crediting it here too would double-count whenever two
 // coverage-aware strategies share the node (interleave siblings).
 // Locally covered lines do move md2u bands, though, so a coverage-
@@ -263,7 +237,7 @@ func (c *CUPA) NotifyGlobalCoverage(newLines int) {
 	if newLines > 0 && c.covSensitive {
 		c.needReband = true
 	}
-	for _, k := range c.keys {
+	for _, k := range c.keys.items {
 		if g, ok := c.classes[k].inner.(engine.GlobalCoverageAware); ok {
 			g.NotifyGlobalCoverage(newLines)
 		}

@@ -22,7 +22,9 @@
 // # Specs and the registry
 //
 // A strategy is described by a spec string, parsed by Parse and built
-// by Build. The full grammar:
+// by Build; Factory(spec, seed) does both and returns the constructor
+// engine.Config.Strategy takes ("" is the engine's own default) — the
+// one route core, c9 and the cluster worker use. The full grammar:
 //
 //	SPEC       := NAME | NAME "(" ARG ("," ARG)* ")"
 //	ARG        := SPEC | CLASSIFIER | KV
@@ -75,9 +77,9 @@
 // normalized features — a·1/(1+md2u)² (distance to uncovered code),
 // b·1/(1+depth/8) (shallow-first), c·1/(1+faults) (fewest injected
 // faults), d·y/(1+y) (recent coverage yield) — with engine.DistWeights
-// carrying the vector ("1:0:0:0" is classic dist-opt; the bare spec
-// without w= keeps the exact legacy code path bit-for-bit). This family
-// is what the load balancer's online learner searches over: it perturbs
+// carrying the vector (the bare spec without w= is "1:0:0:0", classic
+// dist-opt, through the same scoring code). This family is what the
+// load balancer's online learner searches over: it perturbs
 // the incumbent vector into challenger portfolio slots and adopts
 // winners by bandit mean (see internal/cluster's learner).
 //

@@ -520,3 +520,42 @@ func TestSelectionSequencePinned(t *testing.T) {
 		t.Fatalf("selection sequences moved.\n--- got\n%s--- want\n%s", got.String(), want)
 	}
 }
+
+// TestFactory: the empty spec is the engine default (nil), a bad spec is
+// an error before any engine exists, and bare "interleaved" honours its
+// seed exactly as its alias "interleave" does.
+func TestFactory(t *testing.T) {
+	if f, err := Factory("", 7); f != nil || err != nil {
+		t.Fatalf(`Factory("") = %p, %v; want nil, nil`, f, err)
+	}
+	for _, bad := range []string{"dsf", "cupa(site,dfs", "dist-opt(w=1:2)"} {
+		if _, err := Factory(bad, 1); err == nil {
+			t.Errorf("Factory(%q) should fail", bad)
+		}
+	}
+	order := func(spec string, seed int64) string {
+		f, err := Factory(spec, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, leaves := buildTestTree(80, 23)
+		s := f(tr, nil)
+		idx := map[*tree.Node]int{}
+		for i, n := range leaves {
+			idx[n] = i
+			s.Add(n)
+		}
+		var out []int
+		for n := s.Select(); n != nil; n = s.Select() {
+			tr.MarkDead(n)
+			out = append(out, idx[n])
+		}
+		return fmt.Sprint(out)
+	}
+	if order("interleaved", 7) != order("interleave", 7) {
+		t.Error("interleaved and interleave draw differently on the same seed")
+	}
+	if order("interleaved", 7) == order("interleaved", 8) {
+		t.Error("interleaved ignores its seed")
+	}
+}

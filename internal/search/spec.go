@@ -297,8 +297,32 @@ func Build(spec string, t *tree.Tree, d *cfg.Distance, seed int64) (engine.Strat
 	if err != nil {
 		return nil, err
 	}
-	b := &Builder{Tree: t, Dist: d, seed: seed}
-	return b.Build(ast)
+	return (&Builder{Tree: t, Dist: d, seed: seed}).Build(ast)
+}
+
+// Factory parses spec once and returns the constructor
+// engine.Config.Strategy wants: each call builds a fresh strategy from
+// the same (spec, seed). The empty spec returns nil, the engine's own
+// default; a spec that does not parse or build (against a throwaway
+// tree, as in Validate) is an error.
+func Factory(spec string, seed int64) (func(*tree.Tree, *cfg.Distance) engine.Strategy, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	ast, err := Parse(spec)
+	if err == nil {
+		_, err = (&Builder{Tree: tree.New(nil, nil), seed: seed}).Build(ast)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return func(t *tree.Tree, d *cfg.Distance) engine.Strategy {
+		s, err := (&Builder{Tree: t, Dist: d, seed: seed}).Build(ast)
+		if err != nil {
+			panic(err) // the same spec built just above
+		}
+		return s
+	}, nil
 }
 
 // Validate checks that spec parses and builds (against a throwaway
@@ -392,8 +416,7 @@ func init() {
 	// dist-opt ranks by static distance to uncovered code; the optional
 	// weight vector (w=md2u:depth:faults:yield) generalizes the fixed
 	// 1/(1+md2u)² ranking into the parameterized family the LB's online
-	// learner searches over. Bare dist-opt keeps the exact legacy
-	// scoring path, bit-for-bit.
+	// learner searches over. Bare dist-opt is w=1:0:0:0.
 	RegisterStrategy("dist-opt", func(b *Builder, s *Spec) (engine.Strategy, error) {
 		if len(s.Args) != 0 {
 			return nil, fmt.Errorf("search: dist-opt takes no positional arguments")
@@ -401,14 +424,14 @@ func init() {
 		if err := noKVs("dist-opt", s, "w"); err != nil {
 			return nil, err
 		}
+		w := engine.DefaultDistWeights()
 		if v, ok := s.KV("w"); ok {
-			w, err := engine.ParseDistWeights(v)
-			if err != nil {
+			var err error
+			if w, err = engine.ParseDistWeights(v); err != nil {
 				return nil, fmt.Errorf("search: dist-opt: %w", err)
 			}
-			return engine.NewDistanceOptimizedWeighted(b.Dist, b.DeriveSeed(), w), nil
 		}
-		return engine.NewDistanceOptimized(b.Dist, b.DeriveSeed()), nil
+		return engine.NewDistanceOptimized(b.Dist, b.DeriveSeed(), w), nil
 	})
 	RegisterStrategy("fewest-faults", func(b *Builder, s *Spec) (engine.Strategy, error) {
 		return engine.NewFewestFaults(), noArgs("fewest-faults", s)

@@ -41,6 +41,10 @@ type Node struct {
 
 	Status Status
 	Life   Life
+	// Faults is the injected-fault count of the last program state
+	// attached (AddChild, Materialize). It outlives State, so fault-ordered
+	// strategies can still place a node whose state is gone.
+	Faults int32
 
 	// State holds the program state for materialized candidate and fence
 	// nodes; nil for virtual and dead nodes (Fig. 3's terminal state
@@ -51,8 +55,10 @@ type Node struct {
 	// maintained incrementally for the random-path strategy.
 	nCandidates int
 
-	// Meta is scratch space for strategies (e.g. heap indices, weights).
-	Meta map[string]float64
+	// CovYield is the lineage's recent coverage yield: the explorer adds
+	// the lines a step newly covered, a child starts at half its parent's
+	// (engine.InheritYield), cluster-wide coverage growth halves it.
+	CovYield float64
 }
 
 // IsCandidate reports whether the node is explorable.
@@ -129,6 +135,9 @@ func (t *Tree) AddChild(parent *Node, choice uint8, status Status, life Life, st
 		Life:   life,
 		State:  st,
 	}
+	if st != nil {
+		n.Faults = int32(st.FaultsTaken)
+	}
 	parent.Children[choice] = n
 	t.numNodes++
 	if life == Candidate {
@@ -181,6 +190,7 @@ func (t *Tree) FenceToCandidate(n *Node) {
 func (t *Tree) Materialize(n *Node, st *state.S) {
 	n.Status = Materialized
 	n.State = st
+	n.Faults = int32(st.FaultsTaken)
 }
 
 // NearestMaterializedAncestor walks up from n (exclusive) to the closest

@@ -1,6 +1,9 @@
 package tree
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // Tree tests use nil states: lifecycle bookkeeping is independent of the
 // program state payload.
@@ -144,5 +147,15 @@ func TestPruneKeepsFences(t *testing.T) {
 	tr.Prune()
 	if tr.ChildAt(tr.Root, 0) != f {
 		t.Fatal("fence nodes must survive pruning (owned by other workers)")
+	}
+}
+
+// TestNodeSizeBudget: a node is allocated per fork, so the typed
+// strategy fields (CovYield, and Faults in the padding beside Choice /
+// Status / Life) must not grow it past the 80 bytes it had with the
+// Meta map pointer.
+func TestNodeSizeBudget(t *testing.T) {
+	if sz := unsafe.Sizeof(Node{}); sz > 80 {
+		t.Fatalf("tree.Node is %d bytes, budget 80", sz)
 	}
 }
