@@ -245,7 +245,7 @@ func (w *weighted) Select() *tree.Node {
 		}
 		w.scratch = ws
 		pick := w.rng.Float64() * total
-		chosen := w.nodes[len(w.nodes)-1] // rounding left pick above zero
+		chosen := w.nodes[len(w.nodes)-1] // kept if rounding leaves pick above zero
 		for i, x := range ws {
 			pick -= x
 			if pick <= 0 {

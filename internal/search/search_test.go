@@ -332,6 +332,22 @@ func TestParsePortfolio(t *testing.T) {
 	}
 }
 
+// drainOrder files leaves into s and drains it, returning the leaf
+// indices in selection order.
+func drainOrder(tr *tree.Tree, leaves []*tree.Node, s engine.Strategy) []int {
+	idx := map[*tree.Node]int{}
+	for i, n := range leaves {
+		idx[n] = i
+		s.Add(n)
+	}
+	var order []int
+	for n := s.Select(); n != nil; n = s.Select() {
+		tr.MarkDead(n)
+		order = append(order, idx[n])
+	}
+	return order
+}
+
 // TestBuildDeterminism: same (spec, seed) yields the same selection
 // sequence; different seeds diverge (for randomized strategies).
 func TestBuildDeterminism(t *testing.T) {
@@ -341,20 +357,7 @@ func TestBuildDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx := map[*tree.Node]int{}
-		for i, n := range leaves {
-			idx[n] = i
-			s.Add(n)
-		}
-		var order []int
-		for {
-			n := s.Select()
-			if n == nil {
-				return order
-			}
-			tr.MarkDead(n)
-			order = append(order, idx[n])
-		}
+		return drainOrder(tr, leaves, s)
 	}
 	a, b := run(7), run(7)
 	if fmt.Sprint(a) != fmt.Sprint(b) {
@@ -539,18 +542,7 @@ func TestFactory(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr, leaves := buildTestTree(80, 23)
-		s := f(tr, nil)
-		idx := map[*tree.Node]int{}
-		for i, n := range leaves {
-			idx[n] = i
-			s.Add(n)
-		}
-		var out []int
-		for n := s.Select(); n != nil; n = s.Select() {
-			tr.MarkDead(n)
-			out = append(out, idx[n])
-		}
-		return fmt.Sprint(out)
+		return fmt.Sprint(drainOrder(tr, leaves, f(tr, nil)))
 	}
 	if order("interleaved", 7) != order("interleave", 7) {
 		t.Error("interleaved and interleave draw differently on the same seed")
