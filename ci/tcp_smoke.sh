@@ -13,7 +13,7 @@
 #
 # With KILL_TARGET=lb the victim is the coordination plane itself: the
 # primary load balancer is kill -9'd mid-run with a warm standby tailing
-# its replication log. The standby must promote itself after its grace,
+# its replication stream. The standby must promote itself after its grace,
 # the workers (dialed with both addresses) must rotate onto it, and the
 # finished run must still match the single-node path count exactly, with
 # the promotion protocol (primary-lost → standby-promoted → epoch-bump →
@@ -21,13 +21,12 @@
 #
 # The data plane under test is selectable: DATA_PLANE=p2p (default)
 # ships job payloads worker→worker over peer sessions, with the LB
-# carrying metadata only; relay forces every batch through the LB;
-# depth replaces shipping entirely with deterministic depth-ranged work
-# units each worker re-derives locally. The pinned path count must
-# reproduce bit-for-bit in every mode, and the script asserts the
-# mode's payload signature from the obs dump: p2p and depth runs
-# without a peer fault must show c9_lb_payload_bytes_total == 0, relay
-# runs must show it nonzero.
+# carrying metadata only (a batch whose peer link is down is relayed
+# through the LB); depth replaces shipping entirely with deterministic
+# depth-ranged work units each worker re-derives locally. The pinned
+# path count must reproduce bit-for-bit in both modes, and the script
+# asserts the mode's payload signature from the obs dump: p2p and depth
+# runs without a peer fault must show c9_lb_payload_bytes_total == 0.
 #
 # Usage: ci/tcp_smoke.sh [target] [port]
 # Env:   PORTFOLIO  overrides the strategy mix (comma-separated specs).
@@ -35,7 +34,7 @@
 #                   the LB's final metrics/journal dump obs.json);
 #                   default a fresh mktemp dir. Nightly sets it to
 #                   archive the observability artifacts.
-#        DATA_PLANE p2p (default) | relay | depth — passed to the LB as
+#        DATA_PLANE p2p (default) | depth — passed to the LB as
 #                   -data-plane; workers inherit the mode at Hello.
 #        KILL_TARGET worker (default) kill -9's one worker; lb kill -9's
 #                   the primary load balancer (standby takes over);
@@ -53,11 +52,11 @@
 #                   promoted standby likewise cannot finish before its
 #                   resync window closes).
 #
-# PR CI runs the fast single-target form (`test`) in p2p and relay,
-# plus a fault-free p2p run in the bench job that fails if any payload
-# byte crossed the LB; the nightly gauntlet runs the full fault matrix
-# (`test` + `printf`, worker and lb kills, under p2p, depth and relay)
-# through the same script.
+# PR CI runs the fast single-target form (`test`) in p2p, plus a
+# fault-free p2p run in the bench job that fails if any payload byte
+# crossed the LB; the nightly gauntlet runs the full fault matrix
+# (`test` + `printf`, worker and lb kills, under p2p and depth) through
+# the same script.
 set -euo pipefail
 
 PORTFOLIO="${PORTFOLIO:-cupa(dist,dfs),dist-opt,dfs}"
@@ -65,9 +64,9 @@ KILL_DELAY="${KILL_DELAY:-0}"
 KILL_TARGET="${KILL_TARGET:-worker}"
 DATA_PLANE="${DATA_PLANE:-p2p}"
 case "$DATA_PLANE" in
-  p2p | relay | depth) ;;
+  p2p | depth) ;;
   *)
-    echo "smoke: unknown DATA_PLANE '$DATA_PLANE' (want p2p|relay|depth)" >&2
+    echo "smoke: unknown DATA_PLANE '$DATA_PLANE' (want p2p|depth)" >&2
     exit 1
     ;;
 esac
@@ -158,7 +157,7 @@ done
 # Kill once the run is underway: every worker has joined (the LB's
 # min-workers barrier lifts and dispatch begins), so in worker mode the
 # victim is a full member the survivors must be re-seated around, and in
-# lb mode the replication log already carries the full membership.
+# lb mode the standby already holds the full membership.
 for _ in $(seq 1 200); do
   n=0
   for i in 0 1 2; do
@@ -262,21 +261,10 @@ fi
 # every job payload off the LB — but only a fault-free run may assert
 # the zero strictly, because a kill can legitimately trigger the
 # peer→relay fallback mid-fault. depth never ships at all, so its zero
-# holds even under kills. relay must show payload (the 3-worker run
-# cannot finish without the seed worker shipping to its idle peers).
+# holds even under kills.
 PAYLOAD=$(sed -n 's/.*"c9_lb_payload_bytes_total": \([0-9]*\).*/\1/p' "$LOGS/obs.json" | head -1)
 PAYLOAD="${PAYLOAD:-0}"
 case "$DATA_PLANE" in
-  relay)
-    # The relay byte counter is primary-local (never replicated — it is
-    # not part of the exact state), so a promoted standby only counts
-    # relays it performed itself; the nonzero assertion holds only when
-    # the dump comes from the LB that ran the whole exploration.
-    if [[ "$KILL_TARGET" != "lb" && "$PAYLOAD" -eq 0 ]]; then
-      echo "smoke: FAIL — relay mode moved no payload bytes through the LB" >&2
-      exit 1
-    fi
-    ;;
   depth)
     if [[ "$PAYLOAD" -ne 0 ]]; then
       echo "smoke: FAIL — depth mode moved $PAYLOAD payload bytes through the LB, want 0" >&2

@@ -10,12 +10,13 @@
 // total line says which of the two ended the run.
 //
 // The LB is no longer a single point of failure: a second c9-lb started
-// with -standby -peer=<primary> tails the primary's replication log and,
-// if the primary dies without a clean shutdown, promotes itself after
-// -promote-grace and finishes the run from the exact replicated state.
+// with -standby -peer=<primary> installs a snapshot of the primary's
+// state, tails its replication stream and, if the primary dies without
+// a clean shutdown, promotes itself after -promote-grace and finishes
+// the run from the exact replicated state.
 // Workers given both addresses (c9-worker -lb primary,standby) ride the
 // failover out. SIGTERM shuts either role down gracefully: the primary
-// stamps the log so standbys exit instead of taking over.
+// marks the stream's end so standbys exit instead of taking over.
 //
 // Usage:
 //
@@ -53,7 +54,7 @@ func main() {
 		learnSeed  = flag.Int64("learn-seed", 1, "seed for the learner's deterministic perturbation stream")
 		obsAddr    = flag.String("obs-addr", "", "serve the live fleet observability HTTP on this address (/metrics, /snapshot, /journal, /debug/pprof)")
 		obsDump    = flag.String("obs-dump", "", "write the final fleet metrics snapshot + run journal as JSON to this file")
-		dataPlane  = flag.String("data-plane", cluster.DataPlaneP2P, "job payload path: p2p (worker→worker with LB-relay fallback), relay (every batch through the LB), or depth (deterministic depth-partitioned work units; no payload moves at all)")
+		dataPlane  = flag.String("data-plane", cluster.DataPlaneP2P, "job payload path: p2p (worker→worker; a batch whose peer link is down is relayed through the LB) or depth (deterministic depth-partitioned work units; no payload moves at all)")
 		partDepth  = flag.Int("partition-depth", 0, "depth-partition boundary for -data-plane depth (0 = default)")
 		partUnits  = flag.Int("partition-units", 0, "work-unit count for -data-plane depth (0 = default)")
 		standby    = flag.Bool("standby", false, "run as a warm standby: tail the primary at -peer and promote on its loss")
@@ -74,10 +75,10 @@ func main() {
 	}
 
 	switch *dataPlane {
-	case "", cluster.DataPlaneP2P, cluster.DataPlaneRelay, cluster.DataPlaneDepth:
+	case "", cluster.DataPlaneP2P, cluster.DataPlaneDepth:
 	default:
-		fmt.Fprintf(os.Stderr, "c9-lb: -data-plane must be %q, %q or %q, got %q\n",
-			cluster.DataPlaneP2P, cluster.DataPlaneRelay, cluster.DataPlaneDepth, *dataPlane)
+		fmt.Fprintf(os.Stderr, "c9-lb: -data-plane must be %q or %q, got %q\n",
+			cluster.DataPlaneP2P, cluster.DataPlaneDepth, *dataPlane)
 		os.Exit(1)
 	}
 	cfg := cluster.DefaultBalancerConfig()
@@ -101,9 +102,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "c9-lb: -learn needs a -portfolio with at least two dist-opt slots\n")
 		os.Exit(1)
 	}
-	// SIGTERM (and Ctrl-C) shut down gracefully: the primary stamps the
-	// replication log so attached standbys exit instead of promoting,
-	// workers get MsgStop, and the final report + obs dump still happen.
+	// SIGTERM (and Ctrl-C) shut down gracefully: the primary marks the end
+	// of its replication stream so attached standbys exit instead of
+	// promoting, workers get MsgStop, and the final report + obs dump still happen.
 	var srvP atomic.Pointer[cluster.LBServer]
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)

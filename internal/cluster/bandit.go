@@ -17,15 +17,17 @@ import "math"
 // function of (pulls, rewards, total), so the LB stays RNG-free and the
 // lock-step sim reproduces allocations bit-for-bit — the same
 // determinism bar the custody protocol meets.
+//
+// Replicated state (see lbState), hence the exported fields.
 type slotBandit struct {
-	pulls  []uint64  // arm pull counts
-	reward []float64 // cumulative normalized reward per arm
-	total  uint64    // total pulls across arms
+	Pulls  []uint64  // arm pull counts
+	Reward []float64 // cumulative normalized reward per arm
+	Total  uint64    // total pulls across arms
 }
 
 // newSlotBandit sizes the bandit for k portfolio slots.
 func newSlotBandit(k int) *slotBandit {
-	return &slotBandit{pulls: make([]uint64, k), reward: make([]float64, k)}
+	return &slotBandit{Pulls: make([]uint64, k), Reward: make([]float64, k)}
 }
 
 // banditRewardScale is the yield (newly covered lines per window) at
@@ -39,31 +41,31 @@ const banditRewardScale = 16
 // nothing must see its mean fall, which is exactly what distinguishes a
 // bandit from cumulative-yield weighting.
 func (b *slotBandit) observe(i int, added uint64) {
-	if i < 0 || i >= len(b.pulls) {
+	if i < 0 || i >= len(b.Pulls) {
 		return
 	}
-	b.pulls[i]++
-	b.total++
-	b.reward[i] += float64(added) / float64(added+banditRewardScale)
+	b.Pulls[i]++
+	b.Total++
+	b.Reward[i] += float64(added) / float64(added+banditRewardScale)
 }
 
 // reset clears one arm's history (the learner installs a new spec in
 // the slot; the old spec's record says nothing about the new one).
 func (b *slotBandit) reset(i int) {
-	if i < 0 || i >= len(b.pulls) {
+	if i < 0 || i >= len(b.Pulls) {
 		return
 	}
-	b.total -= b.pulls[i]
-	b.pulls[i] = 0
-	b.reward[i] = 0
+	b.Total -= b.Pulls[i]
+	b.Pulls[i] = 0
+	b.Reward[i] = 0
 }
 
 // mean returns an arm's empirical mean reward (0 if unpulled).
 func (b *slotBandit) mean(i int) float64 {
-	if b.pulls[i] == 0 {
+	if b.Pulls[i] == 0 {
 		return 0
 	}
-	return b.reward[i] / float64(b.pulls[i])
+	return b.Reward[i] / float64(b.Pulls[i])
 }
 
 // banditMinWeight keeps every arm's allocation weight strictly positive
@@ -77,15 +79,15 @@ const banditMinWeight = 0.01
 // so every slot is tried before exploitation narrows — the classic
 // "play each arm once" initialization, expressed as a weight.
 func (b *slotBandit) weights(c float64) []float64 {
-	w := make([]float64, len(b.pulls))
+	w := make([]float64, len(b.Pulls))
 	for i := range w {
-		if b.pulls[i] == 0 {
+		if b.Pulls[i] == 0 {
 			w[i] = 1 + c
 			continue
 		}
 		bonus := 0.0
-		if b.total > 1 {
-			bonus = c * math.Sqrt(2*math.Log(float64(b.total))/float64(b.pulls[i]))
+		if b.Total > 1 {
+			bonus = c * math.Sqrt(2*math.Log(float64(b.Total))/float64(b.Pulls[i]))
 		}
 		w[i] = b.mean(i) + bonus
 		if w[i] < banditMinWeight {

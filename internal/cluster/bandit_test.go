@@ -56,7 +56,7 @@ func TestBanditReweightShiftsAllocation(t *testing.T) {
 		return lb, joinN(t, lb, 4)
 	}
 	lb, ms := mk()
-	if lb.bandit == nil {
+	if lb.Bandit == nil {
 		t.Fatal("bandit reweighting must be the default mode")
 	}
 	// Slot 1 produces every window, slot 0 never: its mean decays to 0
@@ -156,7 +156,7 @@ func TestBanditFloorNeverStarvesSlot(t *testing.T) {
 	cfg := DefaultBalancerConfig()
 	cfg.Portfolio = []string{"dfs", "bfs", "random"}
 	lb := NewLoadBalancer(cfg, 100)
-	lb.bandit = b
+	lb.Bandit = b
 	for n := 3; n <= 9; n++ {
 		alloc := lb.desiredAllocation(n)
 		for i, a := range alloc {
@@ -185,15 +185,15 @@ func TestLearnerRacesAndAdopts(t *testing.T) {
 	cfg.LearnEvery = 8 // decide on the 8th window, once both arms have ≥6 pulls
 	cfg.LearnSeed = 7
 	lb := NewLoadBalancer(cfg, 4095)
-	if lb.learner == nil || len(lb.learner.slots) != 2 {
-		t.Fatalf("learner did not claim the dist-opt slots: %+v", lb.learner)
+	if lb.Learner == nil || len(lb.Learner.Slots) != 2 {
+		t.Fatalf("learner did not claim the dist-opt slots: %+v", lb.Learner)
 	}
-	challenger := lb.cfg.Portfolio[1]
+	challenger := lb.Portfolio[1]
 	if challenger == "dist-opt" {
 		t.Fatal("challenger slot was not dealt a perturbation")
 	}
-	if lb.cfg.Portfolio[0] != "dist-opt" {
-		t.Fatalf("incumbent slot rewritten at start: %q", lb.cfg.Portfolio[0])
+	if lb.Portfolio[0] != "dist-opt" {
+		t.Fatalf("incumbent slot rewritten at start: %q", lb.Portfolio[0])
 	}
 	ms := joinN(t, lb, 3)
 	// The challenger's worker produces coverage every window; the
@@ -210,17 +210,17 @@ func TestLearnerRacesAndAdopts(t *testing.T) {
 		}
 		outs = lb.Tick(time.Unix(int64(r+2), 0))
 	}
-	if lb.learner.Adoptions != 1 {
-		t.Fatalf("adoptions = %d, want 1", lb.learner.Adoptions)
+	if lb.Learner.Adoptions != 1 {
+		t.Fatalf("adoptions = %d, want 1", lb.Learner.Adoptions)
 	}
-	if lb.cfg.Portfolio[0] != challenger {
-		t.Fatalf("incumbent slot = %q, want adopted challenger %q", lb.cfg.Portfolio[0], challenger)
+	if lb.Portfolio[0] != challenger {
+		t.Fatalf("incumbent slot = %q, want adopted challenger %q", lb.Portfolio[0], challenger)
 	}
-	if lb.cfg.Portfolio[1] == challenger || lb.cfg.Portfolio[1] == "dist-opt" {
-		t.Fatalf("challenger slot not re-dealt: %q", lb.cfg.Portfolio[1])
+	if lb.Portfolio[1] == challenger || lb.Portfolio[1] == "dist-opt" {
+		t.Fatalf("challenger slot not re-dealt: %q", lb.Portfolio[1])
 	}
-	if lb.cfg.Portfolio[2] != "dfs" {
-		t.Fatalf("non-family slot touched: %q", lb.cfg.Portfolio[2])
+	if lb.Portfolio[2] != "dfs" {
+		t.Fatalf("non-family slot touched: %q", lb.Portfolio[2])
 	}
 	// Both rewritten slots' members were retargeted via MsgStrategy, and
 	// the rewritten arms' posteriors were reset.
@@ -230,16 +230,16 @@ func TestLearnerRacesAndAdopts(t *testing.T) {
 			retargeted[o.To] = o.Msg.Spec
 		}
 	}
-	if retargeted[ms[0].ID] != lb.cfg.Portfolio[0] {
-		t.Fatalf("incumbent worker retargeted to %q, want %q", retargeted[ms[0].ID], lb.cfg.Portfolio[0])
+	if retargeted[ms[0].ID] != lb.Portfolio[0] {
+		t.Fatalf("incumbent worker retargeted to %q, want %q", retargeted[ms[0].ID], lb.Portfolio[0])
 	}
-	if retargeted[ms[1].ID] != lb.cfg.Portfolio[1] {
-		t.Fatalf("challenger worker retargeted to %q, want %q", retargeted[ms[1].ID], lb.cfg.Portfolio[1])
+	if retargeted[ms[1].ID] != lb.Portfolio[1] {
+		t.Fatalf("challenger worker retargeted to %q, want %q", retargeted[ms[1].ID], lb.Portfolio[1])
 	}
-	if lb.bandit.pulls[0] != 0 || lb.bandit.pulls[1] != 0 {
-		t.Fatalf("rewritten arms not reset: pulls %v", lb.bandit.pulls)
+	if lb.Bandit.Pulls[0] != 0 || lb.Bandit.Pulls[1] != 0 {
+		t.Fatalf("rewritten arms not reset: pulls %v", lb.Bandit.Pulls)
 	}
-	if lb.bandit.pulls[2] == 0 {
+	if lb.Bandit.Pulls[2] == 0 {
 		t.Fatal("untouched arm was reset")
 	}
 }

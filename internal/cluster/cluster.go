@@ -132,7 +132,7 @@ func Run(cfg Config) (*Result, error) {
 		res.Final.Queues = append(res.Final.Queues, w.Exp.Tree.NumCandidates())
 		cov.Or(w.Exp.Cov)
 	}
-	fleet.Merge(lb.GoneObs())
+	fleet.Merge(lb.GoneObs)
 	lb.PutLBMetrics(&fleet)
 	res.Final.UsefulSteps = fleet.Counter(obs.MEngineUsefulSteps)
 	res.Final.ReplaySteps = fleet.Counter(obs.MEngineReplaySteps)

@@ -1,10 +1,10 @@
 package cluster
 
 // Data-plane tests: the exactness bar for the decentralized data plane
-// is that every mode — peer-to-peer shipping, LB-relayed shipping, and
-// deterministic depth partitioning — lands on the identical path/error
-// totals, including under worker kills, LB kills, and peer links
-// blackholed mid-transfer. The modes differ only in who carries the
+// is that both modes — peer-to-peer shipping and deterministic depth
+// partitioning — land on the identical path/error totals, including
+// under worker kills, LB kills, and peer links blackholed mid-transfer
+// (each batch then falls back to relay through the LB). The modes differ only in who carries the
 // payload, and the metrics must prove it: zero job payload bytes cross
 // the LB under p2p and depth.
 
@@ -41,12 +41,12 @@ func simDataPlaneRun(t *testing.T, mode string, peerFrom, peerTo int,
 	return res
 }
 
-// TestSimDataPlaneModesExactPaths runs the same cluster under all three
+// TestSimDataPlaneModesExactPaths runs the same cluster under both
 // data-plane modes: identical totals, with the payload on the wire the
-// mode promises — peer bytes under p2p, LB bytes under relay, no
-// shipped bytes at all under depth (and no transfers either).
+// mode promises — peer bytes under p2p, no shipped bytes at all under
+// depth (and no transfers either).
 func TestSimDataPlaneModesExactPaths(t *testing.T) {
-	for _, mode := range []string{DataPlaneP2P, DataPlaneRelay, DataPlaneDepth} {
+	for _, mode := range []string{DataPlaneP2P, DataPlaneDepth} {
 		res := simDataPlaneRun(t, mode, 0, 0, nil, nil)
 		if !res.Exhausted {
 			t.Fatalf("%s: run did not exhaust", mode)
@@ -63,13 +63,6 @@ func TestSimDataPlaneModesExactPaths(t *testing.T) {
 			}
 			if res.Final.TransfersIssued > 0 && peerBytes == 0 {
 				t.Fatal("p2p: transfers issued but no peer payload bytes recorded")
-			}
-		case DataPlaneRelay:
-			if res.Final.TransfersIssued > 0 && lbBytes == 0 {
-				t.Fatal("relay: transfers issued but no payload bytes crossed the LB")
-			}
-			if peerBytes != 0 {
-				t.Fatalf("relay: %d peer payload bytes, want 0 (no peer links in relay mode)", peerBytes)
 			}
 		case DataPlaneDepth:
 			if lbBytes != 0 || peerBytes != 0 {
@@ -166,8 +159,8 @@ func TestSimDepthLBCrashExactPaths(t *testing.T) {
 	if res.Final.Paths != 64 || res.Final.Errors != 1 {
 		t.Fatalf("paths=%d errors=%d, want 64/1 across the LB failover", res.Final.Paths, res.Final.Errors)
 	}
-	if res.LB.Term() != 2 || res.LB.Promotions() != 1 {
-		t.Fatalf("term=%d promotions=%d, want 2/1", res.LB.Term(), res.LB.Promotions())
+	if res.LB.Term != 2 || res.LB.Promotions != 1 {
+		t.Fatalf("term=%d promotions=%d, want 2/1", res.LB.Term, res.LB.Promotions)
 	}
 	if res.Evictions != 0 {
 		t.Fatalf("evictions = %d, want 0 (no worker died)", res.Evictions)

@@ -70,8 +70,8 @@ func TestSimLBFailoverExactPaths(t *testing.T) {
 		t.Fatalf("failover totals diverge: paths=%d errors=%d, undisturbed paths=%d errors=%d",
 			res.Final.Paths, res.Final.Errors, undisturbed.Final.Paths, undisturbed.Final.Errors)
 	}
-	if res.LB.Term() != 2 || res.LB.Promotions() != 1 {
-		t.Fatalf("term=%d promotions=%d, want 2/1", res.LB.Term(), res.LB.Promotions())
+	if res.LB.Term != 2 || res.LB.Promotions != 1 {
+		t.Fatalf("term=%d promotions=%d, want 2/1", res.LB.Term, res.LB.Promotions)
 	}
 	if res.Evictions != 0 {
 		t.Fatalf("evictions = %d, want 0 (no worker died)", res.Evictions)
@@ -168,8 +168,8 @@ func TestSimLBFailoverWithWorkerCrash(t *testing.T) {
 	if res.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", res.Evictions)
 	}
-	if res.LB.Term() != 2 {
-		t.Fatalf("term = %d, want 2", res.LB.Term())
+	if res.LB.Term != 2 {
+		t.Fatalf("term = %d, want 2", res.LB.Term)
 	}
 	// The eviction happened on the promoted standby: it must appear after
 	// the promotion in the (single, promoted) journal.

@@ -47,10 +47,10 @@ type BalancerConfig struct {
 	LearnSeed int64
 	// DataPlane selects how job payloads move between workers:
 	// DataPlaneP2P (the default; "" means p2p) ships batches directly
-	// worker→worker over peer sessions, falling back to LB relay when a
-	// link cannot be established; DataPlaneRelay forces every batch
-	// through the LB (MsgShip); DataPlaneDepth removes payload shipping
-	// entirely in favor of deterministic depth-partition unit grants.
+	// worker→worker over peer sessions, falling back to LB relay for a
+	// batch whose link cannot be established; DataPlaneDepth removes
+	// payload shipping entirely in favor of deterministic depth-partition
+	// unit grants.
 	DataPlane string
 	// PartitionDepth and PartitionUnits shape the depth data plane:
 	// terminal paths are truncated at PartitionDepth and hashed into
@@ -68,9 +68,6 @@ const (
 	// custody acknowledgments. Falls back to relay per batch when a peer
 	// link is down.
 	DataPlaneP2P = "p2p"
-	// DataPlaneRelay forces every job batch through the LB (the
-	// pre-decentralization behavior, kept as a fallback and baseline).
-	DataPlaneRelay = "relay"
 	// DataPlaneDepth replaces job shipping with depth-partitioned work
 	// units: every worker re-derives the shared upper tree and only the
 	// unit owner counts the terminals inside it.
@@ -162,14 +159,14 @@ type Member struct {
 	Obs obs.Snapshot
 	// LastSeen is the lease renewal time.
 	LastSeen time.Time
-	// resynced marks that this member has re-reported a full frontier
+	// Resynced marks that this member has re-reported a full frontier
 	// snapshot inside the current post-promotion resync window (see
 	// LoadBalancer.promote); meaningless outside one.
-	resynced bool
-	// ackRelayed tracks, per source, the highest batch ack already
+	Resynced bool
+	// AckRelayed tracks, per source, the highest batch ack already
 	// relayed on this member's behalf, so the cumulative acks workers
 	// repeat in every status don't turn into repeated MsgJobsAck relays.
-	ackRelayed map[int]uint64
+	AckRelayed map[int]uint64
 }
 
 // Record is the member's accounting record: the last frontier-bearing
@@ -184,27 +181,28 @@ func (m *Member) Record() Status {
 }
 
 // custodyBatch is a job tree the LB holds in custody after reclaiming it
-// from a departed member, until a survivor acknowledges it.
+// from a departed member, until a survivor acknowledges it. Replicated
+// state (see lbState), hence the exported fields.
 type custodyBatch struct {
-	jt *JobTree
-	n  int
-	// id is the batch's stable custody id: the departed member's epoch.
+	Jobs *JobTree
+	N    int
+	// ID is the batch's stable custody id: the departed member's epoch.
 	// Epochs are globally unique — across the run and across LB
 	// incarnations — so a promoted standby re-delivering a batch the lost
 	// primary already placed reuses the same id and the receivers'
 	// permanent dedup set still applies.
-	id uint64
-	// rec is the departed member's accounting record (counters and
+	ID uint64
+	// Rec is the departed member's accounting record (counters and
 	// accounted metrics, no frontier), shipped with every delivery and
 	// echoed back in ReseatAcks — the repair channel for an LB that
 	// missed the departure.
-	rec *Status
-	// counted is set once the batch's job count has been added to the
+	Rec *Status
+	// Counted is set once the batch's job count has been added to the
 	// send side of the quiescence reconciliation (exactly once, however
 	// many times the batch is re-delivered).
-	counted bool
-	dst     int
-	sentAt  time.Time
+	Counted bool
+	Dst     int
+	SentAt  time.Time
 }
 
 // LoadBalancer keeps per-worker status, the membership table, computes
@@ -218,113 +216,26 @@ type custodyBatch struct {
 // deterministic simulation can drive the membership machinery with a
 // synthetic clock.
 type LoadBalancer struct {
-	cfg      BalancerConfig
-	members  map[int]*Member
-	evicted  map[int]uint64 // departed id → epoch, for stale-message rejection
-	cov      *coverage.BitVec
+	cfg BalancerConfig
+	lbState
+
+	// Everything below is local to this incarnation and not replicated.
 	covDirty bool
+	journal  *obs.Journal
 
-	nextID    int
-	nextEpoch uint64
+	// Control-plane replication (replica.go): repEnabled gates input
+	// logging, onRep streams each logged entry to attached standbys,
+	// snapshotsServed counts the snapshots served to attaching ones.
+	repEnabled      bool
+	onRep           func(RepEntry)
+	snapshotsServed int
 
-	// Per-portfolio-slot cumulative coverage yield, and the countdown to
-	// the next periodic reweighting pass (see portfolio.go).
-	specYield     []uint64
-	reweightTicks int
-	// bandit scores the portfolio slots (nil without a portfolio);
-	// windowYield accumulates per-slot new-coverage lines between
-	// reweight passes — one bandit pull per slot per window, so a slot's
-	// reward is its coverage rate per quantum, not per status (per-status
-	// rewards punish multi-worker slots: the second worker's status
-	// re-reports lines the first already merged and pays zero). learner
-	// runs the sample-evaluate-refine loop when cfg.Learn is set.
-	bandit      *slotBandit
-	windowYield []uint64
-	learner     *specLearner
-
-	// Custody of re-seated jobs: outstanding (delivered, unacked) batches
-	// by stable custody id (the departed member's epoch), plus orphans
-	// waiting for a survivor to exist. reseatAcked remembers, per custody
-	// id, the ReseatAck a survivor echoed — proof the batch was imported,
-	// with the departed member's true accounting record attached.
-	reseats     map[uint64]*custodyBatch
-	orphans     []*custodyBatch
-	reseatAcked map[uint64]ReseatAck
-
-	// Quiescence reconciliation state for departed members: their final
-	// counters, plus jobs the LB itself delivered while re-seating.
-	// goneObs is the Merge-fold of departed members' accounted metrics.
-	gone       []Status
-	goneObs    obs.Snapshot
-	goneSent   uint64
-	goneRecv   uint64
-	reseatSent uint64
-
-	// journal records fleet membership and custody events; lastNow
-	// caches the most recent clock value threaded into an LB entry point,
-	// for sites without a time parameter (rebalance/adoption paths).
-	journal *obs.Journal
-	lastNow time.Time
-
-	// Fleet-view counters surfaced in FleetObs (joins and custody
-	// re-seats have no legacy public field; reweights/rebalances count
-	// portfolio maintenance passes that moved something).
-	joins         int
-	reseatsIssued int
-	reweights     int
-	rebalances    int
-
-	// Control-plane replication (replica.go). term is the primary
-	// incarnation (1 at birth, +1 per promotion); repSeq/repLog the
-	// input log; repEnabled gates logging; replaying suppresses re-
-	// logging while a replica applies entries; onRep streams appended
-	// entries to attached standbys. baseCfg is the effective (defaulted)
-	// config before the learner's in-place portfolio rewrites — what a
-	// standby must be constructed with to replay identically.
-	term       uint64
-	repSeq     uint64
-	repLog     []RepEntry
-	repEnabled bool
-	replaying  bool
-	onRep      func(RepEntry)
-	baseCfg    BalancerConfig
-
-	// Post-promotion state: the resync window (evictions and orphan
-	// placement suspended until members re-report or the deadline
-	// passes) and the epoch range in which unknown members are
-	// readmitted (joins the lost primary accepted during the
-	// replication gap). promotions/readmits feed the failover metrics.
-	resyncPending bool
-	resyncUntil   time.Time
-	readmitLo     uint64
-	readmitHi     uint64
-	promotions    int
-	readmits      int
-
-	// Data plane. unitOwner maps depth-partition unit → owning member id
-	// (-1 unclaimed; nil outside depth mode) and is replicated state:
-	// every mutation happens inside logged entry handlers (Tick grants,
-	// depart reclaims, Update claim reconciliation), so a replica replays
-	// the identical table. unitSentAt paces grant re-delivery per member.
 	// relayedBatches/relayedBytes count job payload that transited the LB
-	// (MsgShip relays) — primary-local observability, deliberately not
-	// replicated: a relay in flight through a lost primary is re-sent by
-	// its custodial owner, exactly like a batch lost on a dead peer link.
-	unitOwner      []int
-	unitSentAt     map[int]time.Time
-	unitGrants     int
-	unitReclaims   int
+	// (MsgShip fallback relays): a relay in flight through a lost primary
+	// is re-sent by its custodial owner, exactly like a batch lost on a
+	// dead peer link, so a standby has no use for the numbers.
 	relayedBatches int
 	relayedBytes   uint64
-
-	// Replication-log compaction (replica.go): repBase is the seq the
-	// retained log suffix starts after (entries ≤ repBase live only in
-	// lastSnap); repCompactAt is the retained-entry count that triggers
-	// compaction; repSnapshots counts compactions taken.
-	repBase      uint64
-	repCompactAt int
-	repSnapshots int
-	lastSnap     *RepSnapshot
 
 	// Enabled gates balancing (Fig. 13 disables it mid-run).
 	Enabled bool
@@ -333,12 +244,100 @@ type LoadBalancer struct {
 	// times: re-seat and unit-grant re-delivery keep their pace. Set by
 	// cluster.Run, where a silent member is never a dead one.
 	neverEvict bool
+}
 
-	// TransfersIssued counts ⟨src,dst,n⟩ orders. Evictions counts
-	// lease-expiry departures; Leaves counts graceful goodbyes.
-	TransfersIssued int
+// lbState is the balancer's replicated state, all of it: a field is
+// replicated if and only if it is declared here (or in a type reachable
+// from here). SnapshotState encodes this struct, InstallState decodes
+// into a fresh one and StateFingerprint is the same encoding indented, so
+// a new field needs no code in any of the three; the encoder sees exported
+// fields only, which is why every name is exported. Every mutation happens
+// inside a logged entry point (replica.go) — or in promote, before the
+// promoted balancer can have a standby of its own — so a replica fed the
+// same entries holds the same lbState.
+type lbState struct {
+	// Term is the primary incarnation (1 at birth, +1 per promotion);
+	// RepSeq the sequence number of the last logged or applied entry.
+	Term   uint64
+	RepSeq uint64
+	// LastNow caches the most recent clock value threaded into an entry
+	// point, for sites without a time parameter (rebalance/adoption paths
+	// and Balance's log stamp).
+	LastNow time.Time
+
+	Members   map[int]*Member
+	Evicted   map[int]uint64 // departed id → epoch, for stale-message rejection
+	NextID    int
+	NextEpoch uint64
+	Cov       *coverage.BitVec
+
+	// Portfolio is the current slot → spec table: BalancerConfig.Portfolio
+	// as the learner has rewritten it since. SpecYield is the per-slot
+	// cumulative coverage yield, ReweightTicks the countdown to the next
+	// periodic reweighting pass (see portfolio.go). Bandit scores the slots
+	// (nil without a portfolio); WindowYield accumulates per-slot
+	// new-coverage lines between reweight passes — one bandit pull per slot
+	// per window, so a slot's reward is its coverage rate per quantum, not
+	// per status (per-status rewards punish multi-worker slots: the second
+	// worker's status re-reports lines the first already merged and pays
+	// zero). Learner runs the sample-evaluate-refine loop when cfg.Learn is
+	// set.
+	Portfolio     []string
+	SpecYield     []uint64
+	WindowYield   []uint64
+	ReweightTicks int
+	Bandit        *slotBandit
+	Learner       *specLearner
+
+	// Custody of re-seated jobs: outstanding (delivered, unacked) batches
+	// by stable custody id (the departed member's epoch), plus orphans
+	// waiting for a survivor to exist. ReseatAcked remembers, per custody
+	// id, the ReseatAck a survivor echoed — proof the batch was imported,
+	// with the departed member's true accounting record attached.
+	Reseats     map[uint64]*custodyBatch
+	Orphans     []*custodyBatch
+	ReseatAcked map[uint64]ReseatAck
+
+	// Quiescence reconciliation state for departed members: their final
+	// counters, plus jobs the LB itself delivered while re-seating.
+	// GoneObs is the Merge-fold of departed members' accounted metrics.
+	Gone       []Status
+	GoneObs    obs.Snapshot
+	GoneSent   uint64
+	GoneRecv   uint64
+	ReseatSent uint64
+
+	// Post-promotion state: the resync window (evictions and orphan
+	// placement suspended until members re-report or the deadline
+	// passes) and the epoch range in which unknown members are
+	// readmitted (joins the lost primary accepted during the
+	// replication gap).
+	ResyncPending bool
+	ResyncUntil   time.Time
+	ReadmitLo     uint64
+	ReadmitHi     uint64
+
+	// Depth data plane: UnitOwner maps partition unit → owning member id
+	// (-1 unclaimed; nil outside depth mode), UnitSentAt paces grant
+	// re-delivery per member.
+	UnitOwner  []int
+	UnitSentAt map[int]time.Time
+
+	// Fleet-view counters surfaced in FleetObs. TransfersIssued counts
+	// ⟨src,dst,n⟩ orders, Evictions lease-expiry departures, Leaves
+	// graceful goodbyes; Reweights/Rebalances count portfolio maintenance
+	// passes that moved something.
+	Joins           int
 	Evictions       int
 	Leaves          int
+	Readmits        int
+	Promotions      int
+	TransfersIssued int
+	ReseatsIssued   int
+	Reweights       int
+	Rebalances      int
+	UnitGrants      int
+	UnitReclaims    int
 }
 
 // NewLoadBalancer builds an LB for coverage vectors of the given bit
@@ -365,34 +364,34 @@ func NewLoadBalancer(cfg BalancerConfig, covLen int) *LoadBalancer {
 		}
 	}
 	lb := &LoadBalancer{
-		cfg:         cfg,
-		baseCfg:     cfg,
-		members:     map[int]*Member{},
-		evicted:     map[int]uint64{},
-		reseats:     map[uint64]*custodyBatch{},
-		reseatAcked: map[uint64]ReseatAck{},
-		cov:         coverage.New(covLen),
-		specYield:   make([]uint64, len(cfg.Portfolio)),
-		journal:     obs.NewJournal(0),
-		term:        1,
-		Enabled:     true,
+		cfg: cfg,
+		lbState: lbState{
+			Term:        1,
+			Members:     map[int]*Member{},
+			Evicted:     map[int]uint64{},
+			Reseats:     map[uint64]*custodyBatch{},
+			ReseatAcked: map[uint64]ReseatAck{},
+			Cov:         coverage.New(covLen),
+			Portfolio:   append([]string(nil), cfg.Portfolio...),
+			SpecYield:   make([]uint64, len(cfg.Portfolio)),
+		},
+		journal: obs.NewJournal(0),
+		Enabled: true,
 	}
-	lb.baseCfg.Portfolio = append([]string(nil), cfg.Portfolio...)
 	lb.journal.Worker = LBFrom
-	lb.repCompactAt = DefaultRepCompactAt
 	if cfg.DataPlane == DataPlaneDepth {
-		lb.unitOwner = make([]int, cfg.PartitionUnits)
-		for i := range lb.unitOwner {
-			lb.unitOwner[i] = -1
+		lb.UnitOwner = make([]int, cfg.PartitionUnits)
+		for i := range lb.UnitOwner {
+			lb.UnitOwner[i] = -1
 		}
-		lb.unitSentAt = map[int]time.Time{}
+		lb.UnitSentAt = map[int]time.Time{}
 	}
 	if len(cfg.Portfolio) > 0 {
-		lb.bandit = newSlotBandit(len(cfg.Portfolio))
-		lb.windowYield = make([]uint64, len(cfg.Portfolio))
+		lb.Bandit = newSlotBandit(len(cfg.Portfolio))
+		lb.WindowYield = make([]uint64, len(cfg.Portfolio))
 	}
 	if cfg.Learn {
-		lb.learner = newSpecLearner(lb)
+		lb.Learner = newSpecLearner(lb)
 	}
 	return lb
 }
@@ -401,15 +400,15 @@ func NewLoadBalancer(cfg BalancerConfig, covLen int) *LoadBalancer {
 // returned outbounds broadcast the updated membership view.
 func (lb *LoadBalancer) Join(addr string, now time.Time) (*Member, []Outbound) {
 	lb.logRep(RepEntry{Kind: RepJoin, Addr: addr, T: now.UnixNano()})
-	lb.lastNow = now
+	lb.LastNow = now
 	specIdx, spec := lb.assignSpec()
-	id := lb.nextID
-	lb.nextID++
-	lb.nextEpoch++
-	m := &Member{ID: id, Epoch: lb.nextEpoch, Addr: addr, LastSeen: now,
+	id := lb.NextID
+	lb.NextID++
+	lb.NextEpoch++
+	m := &Member{ID: id, Epoch: lb.NextEpoch, Addr: addr, LastSeen: now,
 		Spec: spec, SpecIdx: specIdx}
-	lb.members[id] = m
-	lb.joins++
+	lb.Members[id] = m
+	lb.Joins++
 	lb.journal.AppendAt(now, obs.EvWorkerJoin, id, map[string]string{
 		"epoch": strconv.FormatUint(m.Epoch, 10), "spec": spec,
 	})
@@ -418,31 +417,31 @@ func (lb *LoadBalancer) Join(addr string, now time.Time) (*Member, []Outbound) {
 
 // IsMember reports whether id is a current member with the given epoch.
 func (lb *LoadBalancer) IsMember(id int, epoch uint64) bool {
-	m := lb.members[id]
+	m := lb.Members[id]
 	return m != nil && m.Epoch == epoch
 }
 
 // NumMembers returns the current membership size.
-func (lb *LoadBalancer) NumMembers() int { return len(lb.members) }
+func (lb *LoadBalancer) NumMembers() int { return len(lb.Members) }
 
 // Touch renews a member's lease without a status (TCP reconnects).
 func (lb *LoadBalancer) Touch(id int, now time.Time) {
-	if m := lb.members[id]; m != nil {
+	if m := lb.Members[id]; m != nil {
 		lb.logRep(RepEntry{Kind: RepTouch, From: id, T: now.UnixNano()})
 		m.LastSeen = now
 	}
 }
 
 // Config returns the balancer's effective configuration — defaults
-// resolved, portfolio as originally configured (before any learner
-// rewrites). A standby constructed from it replays the primary's input
-// log into identical state, learner perturbation stream included.
-func (lb *LoadBalancer) Config() BalancerConfig { return lb.baseCfg }
+// resolved, portfolio as configured (the learner's rewrites live in
+// lbState.Portfolio). A standby constructed from it replays the primary's
+// inputs into identical state, learner perturbation stream included.
+func (lb *LoadBalancer) Config() BalancerConfig { return lb.cfg }
 
 // memberView snapshots the membership table as id → epoch.
 func (lb *LoadBalancer) memberView() map[int]uint64 {
-	v := make(map[int]uint64, len(lb.members))
-	for id, m := range lb.members {
+	v := make(map[int]uint64, len(lb.Members))
+	for id, m := range lb.Members {
 		v[id] = m.Epoch
 	}
 	return v
@@ -454,7 +453,7 @@ func (lb *LoadBalancer) memberView() map[int]uint64 {
 // cannot corrupt the accounting. The returned outbounds relay the
 // status's job-batch acknowledgments to their sources.
 func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bool) {
-	m := lb.members[st.Worker]
+	m := lb.Members[st.Worker]
 	if m == nil && st.Frontier != nil && lb.canReadmit(st.Worker, st.Epoch) {
 		// Post-promotion: a worker the lost primary admitted during the
 		// replication gap re-reports. Its epoch falls in the stride window
@@ -468,7 +467,7 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 		return outs, false
 	}
 	lb.logRep(RepEntry{Kind: RepStatus, Status: &st, T: now.UnixNano()})
-	lb.lastNow = now
+	lb.LastNow = now
 	// Data-plane journaling: peer-session events are derived from the
 	// cumulative counters each status carries, compared against the
 	// previous accepted record — so a replica replaying the status log
@@ -493,18 +492,18 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 	// else owns, the claimant's word is authoritative (grants are the
 	// only way a worker learns a unit id, and reclaims only happen on
 	// departure, which also voids the claim source).
-	if lb.unitOwner != nil {
+	if lb.UnitOwner != nil {
 		for _, u := range st.Units {
-			if u >= 0 && u < len(lb.unitOwner) && lb.unitOwner[u] == -1 {
-				lb.unitOwner[u] = st.Worker
+			if u >= 0 && u < len(lb.UnitOwner) && lb.UnitOwner[u] == -1 {
+				lb.UnitOwner[u] = st.Worker
 			}
 		}
 	}
 	m.Last = st
 	if st.Frontier != nil {
 		m.LastFull = st
-		if lb.resyncPending {
-			m.resynced = true
+		if lb.ResyncPending {
+			m.Resynced = true
 		}
 	}
 	if st.Obs != nil {
@@ -521,8 +520,8 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 	m.LastSeen = now
 	var added int
 	if len(st.CovWords) > 0 {
-		g := coverage.FromWords(st.CovWords, lb.cov.Len()-1)
-		if added = lb.cov.Or(g); added > 0 {
+		g := coverage.FromWords(st.CovWords, lb.Cov.Len()-1)
+		if added = lb.Cov.Or(g); added > 0 {
 			lb.covDirty = true
 			// Per-worker yield: lines this member was first to land in
 			// the global overlay — portfolio reweighting's signal. The
@@ -531,9 +530,9 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 		}
 	}
 	if added > 0 {
-		if idx := lb.yieldSlot(st.Spec, m); idx >= 0 && idx < len(lb.specYield) {
-			lb.specYield[idx] += uint64(added)
-			lb.windowYield[idx] += uint64(added)
+		if idx := lb.yieldSlot(st.Spec, m); idx >= 0 && idx < len(lb.SpecYield) {
+			lb.SpecYield[idx] += uint64(added)
+			lb.WindowYield[idx] += uint64(added)
 		}
 	}
 	// Assignment reconciliation: the member record is the intent, the
@@ -542,7 +541,7 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 	// other than its assignment missed a MsgStrategy (lost on a dead
 	// conn, or a reconnect raced the rebalance) — re-send it, which is
 	// idempotent worker-side and converges within one status round-trip.
-	if len(lb.cfg.Portfolio) > 0 {
+	if len(lb.Portfolio) > 0 {
 		switch {
 		case st.SpecPinned:
 			if !m.Pinned {
@@ -561,14 +560,14 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 	// status. Clear acknowledged LB custody the same way; both are
 	// idempotent high-water marks.
 	for _, ack := range st.Acks {
-		if m.ackRelayed[ack.Src] >= ack.Seq {
+		if m.AckRelayed[ack.Src] >= ack.Seq {
 			continue
 		}
-		if m.ackRelayed == nil {
-			m.ackRelayed = map[int]uint64{}
+		if m.AckRelayed == nil {
+			m.AckRelayed = map[int]uint64{}
 		}
-		m.ackRelayed[ack.Src] = ack.Seq
-		if lb.members[ack.Src] != nil {
+		m.AckRelayed[ack.Src] = ack.Seq
+		if lb.Members[ack.Src] != nil {
 			outs = append(outs, Outbound{To: ack.Src, Msg: Message{
 				Kind: MsgJobsAck, From: st.Worker, Seq: ack.Seq,
 			}})
@@ -583,14 +582,14 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 	// the true cut (see depart). Workers sort their acks, keeping the
 	// journal deterministic.
 	for _, ack := range st.ReseatAcks {
-		if _, seen := lb.reseatAcked[ack.ID]; !seen {
-			lb.reseatAcked[ack.ID] = ack
+		if _, seen := lb.ReseatAcked[ack.ID]; !seen {
+			lb.ReseatAcked[ack.ID] = ack
 		}
-		if b := lb.reseats[ack.ID]; b != nil {
+		if b := lb.Reseats[ack.ID]; b != nil {
 			lb.journal.AppendAt(now, obs.EvReseatReplayed, st.Worker, map[string]string{
-				"id": strconv.FormatUint(ack.ID, 10), "jobs": strconv.Itoa(b.n),
+				"id": strconv.FormatUint(ack.ID, 10), "jobs": strconv.Itoa(b.N),
 			})
-			delete(lb.reseats, ack.ID)
+			delete(lb.Reseats, ack.ID)
 		}
 	}
 	return outs, true
@@ -600,11 +599,11 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 // before the goodbye) becomes its accounting record and any remaining
 // frontier is re-seated.
 func (lb *LoadBalancer) Goodbye(id int, now time.Time) []Outbound {
-	if lb.members[id] == nil {
+	if lb.Members[id] == nil {
 		return nil
 	}
 	lb.logRep(RepEntry{Kind: RepGoodbye, From: id, T: now.UnixNano()})
-	lb.lastNow = now
+	lb.LastNow = now
 	lb.Leaves++
 	lb.journal.AppendAt(now, obs.EvWorkerGoodbye, id, nil)
 	return lb.depart(id, now)
@@ -614,8 +613,8 @@ func (lb *LoadBalancer) Goodbye(id int, now time.Time) []Outbound {
 // the resulting eviction notices and re-seat deliveries.
 func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
 	lb.logRep(RepEntry{Kind: RepExpire, T: now.UnixNano()})
-	lb.lastNow = now
-	if lb.resyncPending && !lb.resyncTick(now) {
+	lb.LastNow = now
+	if lb.ResyncPending && !lb.resyncTick(now) {
 		// Evictions are suspended until the post-promotion resync window
 		// closes: leases were restarted at promotion, and acting on
 		// replicated state before members re-report would re-seat stale
@@ -626,7 +625,7 @@ func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
 		return nil
 	}
 	var expired []int
-	for id, m := range lb.members {
+	for id, m := range lb.Members {
 		if now.Sub(m.LastSeen) > lb.cfg.Lease {
 			expired = append(expired, id)
 		}
@@ -636,7 +635,7 @@ func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
 	for _, id := range expired {
 		lb.Evictions++
 		lb.journal.AppendAt(now, obs.EvWorkerEvict, id, map[string]string{
-			"epoch": strconv.FormatUint(lb.members[id].Epoch, 10),
+			"epoch": strconv.FormatUint(lb.Members[id].Epoch, 10),
 		})
 		outs = append(outs, lb.depart(id, now)...)
 	}
@@ -648,9 +647,9 @@ func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
 // any unacknowledged LB batches addressed to it, and re-seats everything
 // onto a survivor (or holds it as an orphan until one joins).
 func (lb *LoadBalancer) depart(id int, now time.Time) []Outbound {
-	m := lb.members[id]
-	delete(lb.members, id)
-	lb.evicted[id] = m.Epoch
+	m := lb.Members[id]
+	delete(lb.Members, id)
+	lb.Evicted[id] = m.Epoch
 	if lb.cfg.DataPlane == DataPlaneDepth {
 		// Depth mode voids the departed member entirely: its counted
 		// terminals all live inside its owned units, the units return to
@@ -659,25 +658,25 @@ func (lb *LoadBalancer) depart(id int, now time.Time) []Outbound {
 		// tree. Folding the departed counters in as well would double
 		// count; dropping them keeps the total exact.
 		reclaimed := 0
-		for u, owner := range lb.unitOwner {
+		for u, owner := range lb.UnitOwner {
 			if owner == id {
-				lb.unitOwner[u] = -1
+				lb.UnitOwner[u] = -1
 				reclaimed++
 			}
 		}
 		if reclaimed > 0 {
-			lb.unitReclaims += reclaimed
+			lb.UnitReclaims += reclaimed
 			lb.journal.AppendAt(now, obs.EvUnitReclaim, id, map[string]string{
 				"units": strconv.Itoa(reclaimed),
 			})
 		}
-		delete(lb.unitSentAt, id)
+		delete(lb.UnitSentAt, id)
 		outs := []Outbound{{To: Broadcast, Msg: Message{
 			Kind: MsgEvict, From: id, Epoch: m.Epoch, Members: lb.memberView(),
 		}}}
 		return append(outs, lb.rebalanceStrategies()...)
 	}
-	if acked, acknowledged := lb.reseatAcked[m.Epoch]; acknowledged {
+	if acked, acknowledged := lb.ReseatAcked[m.Epoch]; acknowledged {
 		// A previous LB incarnation already departed this member — at an
 		// accounting cut this (promoted) balancer never saw — and a
 		// survivor imported its re-seated frontier: the record echoed
@@ -687,41 +686,41 @@ func (lb *LoadBalancer) depart(id int, now time.Time) []Outbound {
 		// skipping without the substitution would drop the progress
 		// between the replicated cut and the true one (undercount).
 		rec := acked.Rec
-		lb.gone = append(lb.gone, rec)
+		lb.Gone = append(lb.Gone, rec)
 		if rec.Obs != nil {
-			lb.goneObs.Merge(*rec.Obs)
+			lb.GoneObs.Merge(*rec.Obs)
 		} else {
-			lb.goneObs.Merge(m.Obs)
+			lb.GoneObs.Merge(m.Obs)
 		}
-		lb.goneSent += rec.JobsSent
-		lb.goneRecv += rec.JobsRecv
-		lb.reseatSent += uint64(acked.Jobs)
+		lb.GoneSent += rec.JobsSent
+		lb.GoneRecv += rec.JobsRecv
+		lb.ReseatSent += uint64(acked.Jobs)
 	} else if m.Reported {
 		// The accounting record's counters match the latest status
 		// (workers send a full status on every transfer), and everything
 		// explored after it is re-explored by whoever inherits the
 		// frontier — counted exactly once either way.
 		rec := m.Record()
-		lb.gone = append(lb.gone, rec)
-		lb.goneObs.Merge(m.Obs)
-		lb.goneSent += rec.JobsSent
-		lb.goneRecv += rec.JobsRecv
+		lb.Gone = append(lb.Gone, rec)
+		lb.GoneObs.Merge(m.Obs)
+		lb.GoneSent += rec.JobsSent
+		lb.GoneRecv += rec.JobsRecv
 		if n := rec.Frontier.Count(); n > 0 {
-			lb.orphans = append(lb.orphans, &custodyBatch{
-				jt: rec.Frontier, n: n, id: m.Epoch, rec: custodyRecord(m),
+			lb.Orphans = append(lb.Orphans, &custodyBatch{
+				Jobs: rec.Frontier, N: n, ID: m.Epoch, Rec: custodyRecord(m),
 			})
 		}
 	}
 	var rehome []uint64
-	for bid, b := range lb.reseats {
-		if b.dst == id {
+	for bid, b := range lb.Reseats {
+		if b.Dst == id {
 			rehome = append(rehome, bid)
 		}
 	}
 	sort.Slice(rehome, func(i, j int) bool { return rehome[i] < rehome[j] })
 	for _, bid := range rehome {
-		lb.orphans = append(lb.orphans, lb.reseats[bid])
-		delete(lb.reseats, bid)
+		lb.Orphans = append(lb.Orphans, lb.Reseats[bid])
+		delete(lb.Reseats, bid)
 	}
 	outs := []Outbound{{To: Broadcast, Msg: Message{
 		Kind: MsgEvict, From: id, Epoch: m.Epoch, Members: lb.memberView(),
@@ -751,7 +750,7 @@ func custodyRecord(m *Member) *Status {
 // reported member. Each batch's job count enters the quiescence send
 // side exactly once, no matter how often the batch is re-delivered.
 func (lb *LoadBalancer) placeOrphans(now time.Time) []Outbound {
-	if len(lb.orphans) == 0 || lb.resyncPending {
+	if len(lb.Orphans) == 0 || lb.ResyncPending {
 		// During a post-promotion resync window placement waits: members
 		// are still re-reporting, and their ReseatAcks may prove a
 		// pending orphan was already imported under the lost primary —
@@ -764,37 +763,37 @@ func (lb *LoadBalancer) placeOrphans(now time.Time) []Outbound {
 		return nil
 	}
 	var outs []Outbound
-	for _, b := range lb.orphans {
-		if acked, acknowledged := lb.reseatAcked[b.id]; acknowledged {
+	for _, b := range lb.Orphans {
+		if acked, acknowledged := lb.ReseatAcked[b.ID]; acknowledged {
 			// The lost primary placed this batch after the replication
 			// cut and a survivor imported it: drop the duplicate, counting
 			// the delivery once on the quiescence send side (the
 			// survivor's JobsRecv already counts the receive side).
-			if !b.counted {
-				lb.reseatSent += uint64(acked.Jobs)
-				b.counted = true
+			if !b.Counted {
+				lb.ReseatSent += uint64(acked.Jobs)
+				b.Counted = true
 			}
 			lb.journal.AppendAt(now, obs.EvReseatReplayed, LBFrom, map[string]string{
-				"id": strconv.FormatUint(b.id, 10), "jobs": strconv.Itoa(acked.Jobs),
+				"id": strconv.FormatUint(b.ID, 10), "jobs": strconv.Itoa(acked.Jobs),
 			})
 			continue
 		}
-		b.dst = dst
-		b.sentAt = now
-		if !b.counted {
-			lb.reseatSent += uint64(b.n)
-			b.counted = true
+		b.Dst = dst
+		b.SentAt = now
+		if !b.Counted {
+			lb.ReseatSent += uint64(b.N)
+			b.Counted = true
 		}
-		lb.reseats[b.id] = b
-		lb.reseatsIssued++
+		lb.Reseats[b.ID] = b
+		lb.ReseatsIssued++
 		lb.journal.AppendAt(now, obs.EvCustodyReseat, dst, map[string]string{
-			"id": strconv.FormatUint(b.id, 10), "jobs": strconv.Itoa(b.n),
+			"id": strconv.FormatUint(b.ID, 10), "jobs": strconv.Itoa(b.N),
 		})
 		outs = append(outs, Outbound{To: dst, Msg: Message{
-			Kind: MsgJobs, From: LBFrom, Seq: b.id, Jobs: b.jt, Status: b.rec,
+			Kind: MsgJobs, From: LBFrom, Seq: b.ID, Jobs: b.Jobs, Status: b.Rec,
 		}})
 	}
-	lb.orphans = nil
+	lb.Orphans = nil
 	return outs
 }
 
@@ -802,7 +801,7 @@ func (lb *LoadBalancer) placeOrphans(now time.Time) []Outbound {
 // (deterministic tie-break on id).
 func (lb *LoadBalancer) leastLoaded() (int, bool) {
 	best, bestQ, found := 0, 0, false
-	for id, m := range lb.members {
+	for id, m := range lb.Members {
 		if !m.Reported {
 			continue
 		}
@@ -819,29 +818,29 @@ func (lb *LoadBalancer) leastLoaded() (int, bool) {
 // duplicates via the sequence high-water mark).
 func (lb *LoadBalancer) Tick(now time.Time) []Outbound {
 	lb.logRep(RepEntry{Kind: RepTick, T: now.UnixNano()})
-	lb.lastNow = now
+	lb.LastNow = now
 	outs := lb.placeOrphans(now)
 	// Sorted so re-delivery order (and thus the downstream message
 	// sequence) is identical across identically-seeded runs and between
 	// a primary and its replica.
-	ids := make([]uint64, 0, len(lb.reseats))
-	for bid := range lb.reseats {
+	ids := make([]uint64, 0, len(lb.Reseats))
+	for bid := range lb.Reseats {
 		ids = append(ids, bid)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, bid := range ids {
-		b := lb.reseats[bid]
-		if lb.members[b.dst] == nil {
+		b := lb.Reseats[bid]
+		if lb.Members[b.Dst] == nil {
 			continue // re-homed on that member's departure
 		}
-		if !b.sentAt.IsZero() && now.Sub(b.sentAt) > lb.cfg.Lease {
-			b.sentAt = now
-			outs = append(outs, Outbound{To: b.dst, Msg: Message{
-				Kind: MsgJobs, From: LBFrom, Seq: b.id, Jobs: b.jt, Status: b.rec,
+		if !b.SentAt.IsZero() && now.Sub(b.SentAt) > lb.cfg.Lease {
+			b.SentAt = now
+			outs = append(outs, Outbound{To: b.Dst, Msg: Message{
+				Kind: MsgJobs, From: LBFrom, Seq: b.ID, Jobs: b.Jobs, Status: b.Rec,
 			}})
 		}
 	}
-	if lb.unitOwner != nil {
+	if lb.UnitOwner != nil {
 		outs = append(outs, lb.grantUnits(now)...)
 	}
 	// Periodic portfolio reweighting: recompute the yield-weighted
@@ -850,26 +849,26 @@ func (lb *LoadBalancer) Tick(now time.Time) []Outbound {
 	// LearnEvery-th reweight pass it compares incumbent and challenger
 	// dist-opt slots on the bandit's record and may rewrite slot specs
 	// before the rebalance runs.
-	if len(lb.cfg.Portfolio) > 0 && lb.cfg.ReweightEvery > 0 {
-		lb.reweightTicks++
-		if lb.reweightTicks >= lb.cfg.ReweightEvery {
-			lb.reweightTicks = 0
-			lb.reweights++
+	if len(lb.Portfolio) > 0 && lb.cfg.ReweightEvery > 0 {
+		lb.ReweightTicks++
+		if lb.ReweightTicks >= lb.cfg.ReweightEvery {
+			lb.ReweightTicks = 0
+			lb.Reweights++
 			lb.journal.AppendAt(now, obs.EvReweight, LBFrom, map[string]string{
-				"pass": strconv.Itoa(lb.reweights),
+				"pass": strconv.Itoa(lb.Reweights),
 			})
 			// Close the bandit's observation window: one pull per manned
 			// slot, rewarded with the window's accumulated yield. Unmanned
 			// slots produce no evidence and are not pulled.
 			counts := lb.specCounts()
-			for i := range lb.windowYield {
+			for i := range lb.WindowYield {
 				if counts[i] > 0 {
-					lb.bandit.observe(i, lb.windowYield[i])
+					lb.Bandit.observe(i, lb.WindowYield[i])
 				}
-				lb.windowYield[i] = 0
+				lb.WindowYield[i] = 0
 			}
-			if lb.learner != nil {
-				outs = append(outs, lb.learner.step()...)
+			if lb.Learner != nil {
+				outs = append(outs, lb.Learner.step(lb)...)
 			}
 			outs = append(outs, lb.rebalanceStrategies()...)
 		}
@@ -878,7 +877,7 @@ func (lb *LoadBalancer) Tick(now time.Time) []Outbound {
 }
 
 // Ship relays a job batch on behalf of a worker whose peer link to Dst
-// is unavailable (or that runs in relay mode). The payload re-emerges
+// is unavailable. The payload re-emerges
 // as an ordinary MsgJobs with the original (From, Epoch, Seq), so the
 // receiver's gap rule, its ack high-water marks, and the sender's
 // custody records are oblivious to which channel carried the batch.
@@ -888,7 +887,7 @@ func (lb *LoadBalancer) Tick(now time.Time) []Outbound {
 func (lb *LoadBalancer) Ship(m Message) []Outbound {
 	lb.relayedBatches++
 	lb.relayedBytes += uint64(payloadBytes(m.Jobs))
-	if lb.members[m.Dst] == nil {
+	if lb.Members[m.Dst] == nil {
 		// Destination already departed: drop. The sender re-imports the
 		// batch when it processes the eviction notice.
 		return nil
@@ -943,25 +942,20 @@ func (lb *LoadBalancer) Round(now time.Time) []Outbound {
 // grantUnits hands unclaimed depth-partition units to idle members and
 // re-delivers possibly-lost grants. Runs inside Tick (a logged entry),
 // reads only replicated state, and iterates members in sorted id order,
-// so a replica replaying the log builds the identical unit table.
+// so a replica replaying the entries builds the identical unit table.
 // Grants are suspended during a post-promotion resync window: members'
 // unit claims (statuses) must reconcile first, or a unit granted by the
 // lost primary inside the replication gap could be granted twice.
 func (lb *LoadBalancer) grantUnits(now time.Time) []Outbound {
-	if lb.resyncPending {
+	if lb.ResyncPending {
 		return nil
 	}
-	ids := make([]int, 0, len(lb.members))
-	for id := range lb.members {
+	ids := make([]int, 0, len(lb.Members))
+	for id := range lb.Members {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var unclaimed []int
-	for u, owner := range lb.unitOwner {
-		if owner == -1 {
-			unclaimed = append(unclaimed, u)
-		}
-	}
+	unclaimed := lb.ownedUnits(-1)
 	var outs []Outbound
 	if len(unclaimed) > 0 && len(ids) > 0 {
 		chunk := (len(unclaimed) + len(ids) - 1) / len(ids)
@@ -970,7 +964,7 @@ func (lb *LoadBalancer) grantUnits(now time.Time) []Outbound {
 			if next >= len(unclaimed) {
 				break
 			}
-			m := lb.members[id]
+			m := lb.Members[id]
 			// Only idle members claim: a busy worker is still draining a
 			// previous grant (or the shared upper tree).
 			if !m.Reported || m.Last.Queue > 0 || !m.Last.Done {
@@ -979,13 +973,13 @@ func (lb *LoadBalancer) grantUnits(now time.Time) []Outbound {
 			granted := unclaimed[next:min(next+chunk, len(unclaimed))]
 			next += len(granted)
 			for _, u := range granted {
-				lb.unitOwner[u] = id
+				lb.UnitOwner[u] = id
 			}
-			lb.unitGrants += len(granted)
+			lb.UnitGrants += len(granted)
 			// Clearing Done holds off both a second grant and quiescence
 			// until the worker has folded this one in and re-reported.
 			m.Last.Done = false
-			lb.unitSentAt[id] = now
+			lb.UnitSentAt[id] = now
 			lb.journal.AppendAt(now, obs.EvUnitGrant, id, map[string]string{
 				"units": strconv.Itoa(len(granted)),
 				"first": strconv.Itoa(granted[0]),
@@ -999,22 +993,23 @@ func (lb *LoadBalancer) grantUnits(now time.Time) []Outbound {
 	// lease paces it to one retry per silence period.
 	for _, id := range ids {
 		owned := lb.ownedUnits(id)
-		if len(owned) == 0 || len(lb.members[id].Last.Units) == len(owned) {
+		if len(owned) == 0 || len(lb.Members[id].Last.Units) == len(owned) {
 			continue
 		}
-		if sent, ok := lb.unitSentAt[id]; ok && now.Sub(sent) <= lb.cfg.Lease {
+		if sent, ok := lb.UnitSentAt[id]; ok && now.Sub(sent) <= lb.cfg.Lease {
 			continue
 		}
-		lb.unitSentAt[id] = now
+		lb.UnitSentAt[id] = now
 		outs = append(outs, Outbound{To: id, Msg: Message{Kind: MsgUnits, Units: owned}})
 	}
 	return outs
 }
 
-// ownedUnits returns the sorted unit ids owned by member id.
+// ownedUnits returns the sorted unit ids owned by member id (-1: the
+// unclaimed ones).
 func (lb *LoadBalancer) ownedUnits(id int) []int {
 	var out []int
-	for u, owner := range lb.unitOwner {
+	for u, owner := range lb.UnitOwner {
 		if owner == id {
 			out = append(out, u)
 		}
@@ -1022,43 +1017,32 @@ func (lb *LoadBalancer) ownedUnits(id int) []int {
 	return out
 }
 
-// unclaimedUnits counts depth-partition units with no owner.
-func (lb *LoadBalancer) unclaimedUnits() int {
-	n := 0
-	for _, owner := range lb.unitOwner {
-		if owner == -1 {
-			n++
-		}
-	}
-	return n
-}
-
 // GlobalCoverage returns the merged coverage vector and whether it
 // changed since the last call.
 func (lb *LoadBalancer) GlobalCoverage() (*coverage.BitVec, bool) {
 	dirty := lb.covDirty
 	lb.covDirty = false
-	return lb.cov, dirty
+	return lb.Cov, dirty
 }
 
 // Statuses returns the latest statuses of current members plus the
 // final statuses of departed members (read-only copies, ordered by
 // worker id; departed entries keep their original ids).
 func (lb *LoadBalancer) Statuses() []Status {
-	out := make([]Status, 0, len(lb.members)+len(lb.gone))
-	for _, m := range lb.members {
+	out := make([]Status, 0, len(lb.Members)+len(lb.Gone))
+	for _, m := range lb.Members {
 		if m.Reported {
 			out = append(out, m.Last)
 		}
 	}
-	out = append(out, lb.gone...)
+	out = append(out, lb.Gone...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
 	return out
 }
 
 // GoneStatuses returns the final statuses of departed members.
 func (lb *LoadBalancer) GoneStatuses() []Status {
-	return append([]Status(nil), lb.gone...)
+	return append([]Status(nil), lb.Gone...)
 }
 
 // MemberRecord returns the accounting record of a current member, if id
@@ -1066,7 +1050,7 @@ func (lb *LoadBalancer) GoneStatuses() []Status {
 // departed without their departure being processed (e.g. a crash whose
 // lease had not lapsed when the run ended).
 func (lb *LoadBalancer) MemberRecord(id int) (Status, bool) {
-	m := lb.members[id]
+	m := lb.Members[id]
 	if m == nil || !m.Reported {
 		return Status{}, false
 	}
@@ -1076,7 +1060,7 @@ func (lb *LoadBalancer) MemberRecord(id int) (Status, bool) {
 // TotalQueue sums the reported queue lengths of current members.
 func (lb *LoadBalancer) TotalQueue() int {
 	n := 0
-	for _, m := range lb.members {
+	for _, m := range lb.Members {
 		n += m.Last.Queue
 	}
 	return n
@@ -1085,10 +1069,10 @@ func (lb *LoadBalancer) TotalQueue() int {
 // TotalPaths sums explored paths across current and departed members.
 func (lb *LoadBalancer) TotalPaths() uint64 {
 	var n uint64
-	for _, m := range lb.members {
+	for _, m := range lb.Members {
 		n += m.Last.Paths
 	}
-	for _, st := range lb.gone {
+	for _, st := range lb.Gone {
 		n += st.Paths
 	}
 	return n
@@ -1100,10 +1084,10 @@ func (lb *LoadBalancer) TotalPaths() uint64 {
 // when a source has fewer jobs than reported.
 func (lb *LoadBalancer) StatesTransferred() int {
 	n := 0
-	for _, m := range lb.members {
+	for _, m := range lb.Members {
 		n += int(m.Last.TransferredIn)
 	}
-	for _, st := range lb.gone {
+	for _, st := range lb.Gone {
 		n += int(st.TransferredIn)
 	}
 	return n
@@ -1120,10 +1104,10 @@ func (lb *LoadBalancer) Journal() *obs.Journal { return lb.journal }
 // commutative, so the fold order does not affect the result.
 func (lb *LoadBalancer) FleetObs() obs.Snapshot {
 	s := obs.Snapshot{}
-	for _, m := range lb.members {
+	for _, m := range lb.Members {
 		s.Merge(m.Obs)
 	}
-	s.Merge(lb.goneObs)
+	s.Merge(lb.GoneObs)
 	lb.PutLBMetrics(&s)
 	return s
 }
@@ -1131,51 +1115,48 @@ func (lb *LoadBalancer) FleetObs() obs.Snapshot {
 // MemberObs returns a current member's accounted metrics (as of its
 // last full status), if id is a reported member.
 func (lb *LoadBalancer) MemberObs(id int) (obs.Snapshot, bool) {
-	m := lb.members[id]
+	m := lb.Members[id]
 	if m == nil || !m.Reported {
 		return obs.Snapshot{}, false
 	}
 	return m.Obs, true
 }
 
-// GoneObs returns the merged accounted metrics of departed members.
-func (lb *LoadBalancer) GoneObs() obs.Snapshot { return lb.goneObs }
-
 // PutLBMetrics writes the LB's own membership, custody and portfolio
 // metrics into a snapshot — shared by FleetObs and by cluster.Run's
 // final fold, which has fresher per-worker data than the LB's records.
 func (lb *LoadBalancer) PutLBMetrics(s *obs.Snapshot) {
-	s.PutGauge(obs.MLBMembers, int64(len(lb.members)))
-	s.PutCounter(obs.MLBJoins, uint64(lb.joins))
+	s.PutGauge(obs.MLBMembers, int64(len(lb.Members)))
+	s.PutCounter(obs.MLBJoins, uint64(lb.Joins))
 	s.PutCounter(obs.MLBEvictions, uint64(lb.Evictions))
 	s.PutCounter(obs.MLBLeaves, uint64(lb.Leaves))
 	s.PutCounter(obs.MLBTransfersIssued, uint64(lb.TransfersIssued))
 	s.PutCounter(obs.MLBStatesTransferred, uint64(lb.StatesTransferred()))
-	s.PutCounter(obs.MLBReseats, uint64(lb.reseatsIssued))
-	s.PutCounter(obs.MLBReseatJobs, lb.reseatSent)
-	s.PutCounter(obs.MLBReweights, uint64(lb.reweights))
-	s.PutCounter(obs.MLBRebalances, uint64(lb.rebalances))
+	s.PutCounter(obs.MLBReseats, uint64(lb.ReseatsIssued))
+	s.PutCounter(obs.MLBReseatJobs, lb.ReseatSent)
+	s.PutCounter(obs.MLBReweights, uint64(lb.Reweights))
+	s.PutCounter(obs.MLBRebalances, uint64(lb.Rebalances))
 	s.PutCounter(obs.MLBAdoptions, uint64(lb.Adoptions()))
-	s.PutGauge(obs.MLBCoverageLines, int64(lb.cov.Count()))
+	s.PutGauge(obs.MLBCoverageLines, int64(lb.Cov.Count()))
 	// Data-plane metrics go in unconditionally: a zero
 	// c9_lb_payload_bytes_total is the P2P mode's proof obligation (CI
 	// asserts it), so the zero must be visible, not absent.
 	s.PutCounter(obs.MLBPayloadBytes, lb.relayedBytes)
 	s.PutCounter(obs.MLBRelayedBatches, uint64(lb.relayedBatches))
-	s.PutCounter(obs.MLBUnitGrants, uint64(lb.unitGrants))
-	s.PutCounter(obs.MLBUnitReclaims, uint64(lb.unitReclaims))
-	s.PutGauge(obs.MLBUnitsUnclaimed, int64(lb.unclaimedUnits()))
-	s.PutCounter(obs.MLBRepSnapshots, uint64(lb.repSnapshots))
-	s.PutGauge(obs.MLBTerm, int64(lb.term))
-	s.PutCounter(obs.MLBPromotions, uint64(lb.promotions))
-	s.PutCounter(obs.MLBReadmits, uint64(lb.readmits))
-	if lb.repEnabled {
-		s.PutCounter(obs.MLBRepEntries, lb.repSeq)
+	s.PutCounter(obs.MLBUnitGrants, uint64(lb.UnitGrants))
+	s.PutCounter(obs.MLBUnitReclaims, uint64(lb.UnitReclaims))
+	s.PutGauge(obs.MLBUnitsUnclaimed, int64(len(lb.ownedUnits(-1))))
+	s.PutCounter(obs.MLBRepSnapshots, uint64(lb.snapshotsServed))
+	s.PutGauge(obs.MLBTerm, int64(lb.Term))
+	s.PutCounter(obs.MLBPromotions, uint64(lb.Promotions))
+	s.PutCounter(obs.MLBReadmits, uint64(lb.Readmits))
+	if lb.RepSeq > 0 {
+		s.PutCounter(obs.MLBRepEntries, lb.RepSeq)
 	}
-	for i, y := range lb.specYield {
+	for i, y := range lb.SpecYield {
 		s.PutCounter(obs.MLBSlotYield(i), y)
 	}
-	if len(lb.cfg.Portfolio) > 0 {
+	if len(lb.Portfolio) > 0 {
 		for i, c := range lb.specCounts() {
 			s.PutGauge(obs.MLBSlotWorkers(i), int64(c))
 		}
@@ -1189,32 +1170,32 @@ func (lb *LoadBalancer) PutLBMetrics(s *obs.Snapshot) {
 // deliveries. In-flight or unprocessed job batches keep the counters
 // unbalanced, so termination cannot be declared while work is moving.
 func (lb *LoadBalancer) Quiescent() bool {
-	if len(lb.members) == 0 || len(lb.orphans) > 0 {
+	if len(lb.Members) == 0 || len(lb.Orphans) > 0 {
 		return false
 	}
 	var sent, recv uint64
-	for _, m := range lb.members {
+	for _, m := range lb.Members {
 		if !m.Reported || m.Last.Queue > 0 {
 			return false
 		}
 		sent += m.Last.JobsSent
 		recv += m.Last.JobsRecv
 	}
-	if lb.unitOwner != nil {
+	if lb.UnitOwner != nil {
 		// Depth mode additionally requires the whole partition to be
 		// claimed, every owner to acknowledge its grants (a granted-but-
 		// undelivered unit holds termination open), and every member to
 		// have finished its last fold-in.
-		if lb.unclaimedUnits() > 0 {
+		if len(lb.ownedUnits(-1)) > 0 {
 			return false
 		}
-		for id, m := range lb.members {
+		for id, m := range lb.Members {
 			if !m.Last.Done || len(m.Last.Units) != len(lb.ownedUnits(id)) {
 				return false
 			}
 		}
 	}
-	return sent+lb.goneSent+lb.reseatSent == recv+lb.goneRecv
+	return sent+lb.GoneSent+lb.ReseatSent == recv+lb.GoneRecv
 }
 
 // Balance computes transfer orders per the paper's algorithm: classify
@@ -1227,13 +1208,13 @@ func (lb *LoadBalancer) Balance() []TransferOrder {
 		// replica symmetric (neither logs nor replays Balance entries).
 		return nil
 	}
-	lb.logRep(RepEntry{Kind: RepBalance, T: lb.lastNow.UnixNano()})
+	lb.logRep(RepEntry{Kind: RepBalance, T: lb.LastNow.UnixNano()})
 	type wl struct {
 		id int
 		l  int
 	}
 	var ws []wl
-	for id, m := range lb.members {
+	for id, m := range lb.Members {
 		if !m.Reported {
 			continue
 		}
@@ -1307,55 +1288,54 @@ const (
 )
 
 // promote turns this balancer into the primary of the next term. Called
-// by Replica.Promote on a live standby, and replayed (via RepPromote)
-// by any standby chained behind it. The journal records the full
+// by Replica.Promote on a live standby; a standby attaching afterwards
+// receives the promoted state in its snapshot. The journal records the full
 // promotion sequence — primary-lost, standby-promoted, epoch-bump — and
 // a resync window opens during which evictions and orphan placement are
 // suspended (see ExpireLeases, placeOrphans) until every member has
 // re-reported a full frontier snapshot or 2×Lease has passed; its close
 // is journaled as resync.
 func (lb *LoadBalancer) promote(now time.Time) {
-	lb.lastNow = now
+	lb.LastNow = now
 	lb.journal.AppendAt(now, obs.EvPrimaryLost, LBFrom, map[string]string{
-		"term": strconv.FormatUint(lb.term, 10),
+		"term": strconv.FormatUint(lb.Term, 10),
 	})
-	lb.term++
-	lb.promotions++
+	lb.Term++
+	lb.Promotions++
 	lb.journal.AppendAt(now, obs.EvStandbyPromote, LBFrom, map[string]string{
-		"term":    strconv.FormatUint(lb.term, 10),
-		"members": strconv.Itoa(len(lb.members)),
-		"applied": strconv.FormatUint(lb.repSeq, 10),
+		"term":    strconv.FormatUint(lb.Term, 10),
+		"members": strconv.Itoa(len(lb.Members)),
+		"applied": strconv.FormatUint(lb.RepSeq, 10),
 	})
-	lb.readmitLo = lb.nextEpoch
-	lb.nextEpoch += promoteEpochStride
-	lb.readmitHi = lb.nextEpoch
-	lb.nextID += promoteIDStride
+	lb.ReadmitLo = lb.NextEpoch
+	lb.NextEpoch += promoteEpochStride
+	lb.ReadmitHi = lb.NextEpoch
+	lb.NextID += promoteIDStride
 	lb.journal.AppendAt(now, obs.EvEpochBump, LBFrom, map[string]string{
-		"next_epoch": strconv.FormatUint(lb.nextEpoch, 10),
-		"next_id":    strconv.Itoa(lb.nextID),
+		"next_epoch": strconv.FormatUint(lb.NextEpoch, 10),
+		"next_id":    strconv.Itoa(lb.NextID),
 	})
 	// Restart every lease and custody-redelivery clock: the replicated
 	// LastSeen/sentAt values are cuts of the old primary's timeline, and
 	// nobody could renew while there was no primary to hear them.
-	for _, m := range lb.members {
+	for _, m := range lb.Members {
 		m.LastSeen = now
-		m.resynced = false
+		m.Resynced = false
 	}
-	for _, b := range lb.reseats {
-		if !b.sentAt.IsZero() {
-			b.sentAt = now
+	for _, b := range lb.Reseats {
+		if !b.SentAt.IsZero() {
+			b.SentAt = now
 		}
 	}
-	for id := range lb.unitSentAt {
-		lb.unitSentAt[id] = now
+	for id := range lb.UnitSentAt {
+		lb.UnitSentAt[id] = now
 	}
-	lb.resyncPending = len(lb.members) > 0
-	lb.resyncUntil = now.Add(2 * lb.cfg.Lease)
+	lb.ResyncPending = len(lb.Members) > 0
+	lb.ResyncUntil = now.Add(2 * lb.cfg.Lease)
 	// Workers may have merged coverage the replication cut missed; force
 	// a broadcast of the (replicated) overlay so re-handshaking members
 	// reconverge on it.
 	lb.covDirty = true
-	lb.logRep(RepEntry{Kind: RepPromote, T: now.UnixNano()})
 }
 
 // resyncTick decides whether the post-promotion resync window may
@@ -1364,17 +1344,17 @@ func (lb *LoadBalancer) promote(now time.Time) {
 // journaling the resync event with how many members were still stale.
 func (lb *LoadBalancer) resyncTick(now time.Time) bool {
 	stale := 0
-	for _, m := range lb.members {
-		if !m.resynced {
+	for _, m := range lb.Members {
+		if !m.Resynced {
 			stale++
 		}
 	}
-	if stale > 0 && now.Before(lb.resyncUntil) {
+	if stale > 0 && now.Before(lb.ResyncUntil) {
 		return false
 	}
-	lb.resyncPending = false
+	lb.ResyncPending = false
 	lb.journal.AppendAt(now, obs.EvResync, LBFrom, map[string]string{
-		"members": strconv.Itoa(len(lb.members)),
+		"members": strconv.Itoa(len(lb.Members)),
 		"stale":   strconv.Itoa(stale),
 	})
 	return true
@@ -1382,24 +1362,20 @@ func (lb *LoadBalancer) resyncTick(now time.Time) bool {
 
 // ResyncDone reports that no post-promotion resync window is open (true
 // on a balancer that never promoted).
-func (lb *LoadBalancer) ResyncDone() bool { return !lb.resyncPending }
-
-// Promotions returns how many standby promotions this balancer's
-// history includes (0 for an undisturbed primary).
-func (lb *LoadBalancer) Promotions() int { return lb.promotions }
+func (lb *LoadBalancer) ResyncDone() bool { return !lb.ResyncPending }
 
 // canReadmit reports whether an unknown (id, epoch) pair is a member the
 // lost primary admitted during the replication gap: the epoch falls in
 // the stride window only that primary could have issued from, and this
 // incarnation neither knows nor evicted the worker.
 func (lb *LoadBalancer) canReadmit(id int, epoch uint64) bool {
-	if lb.members[id] != nil {
+	if lb.Members[id] != nil {
 		return false
 	}
-	if e, gone := lb.evicted[id]; gone && e >= epoch {
+	if e, gone := lb.Evicted[id]; gone && e >= epoch {
 		return false
 	}
-	return epoch > lb.readmitLo && epoch <= lb.readmitHi
+	return epoch > lb.ReadmitLo && epoch <= lb.ReadmitHi
 }
 
 // Readmit re-admits a worker the lost primary joined after the
@@ -1410,15 +1386,15 @@ func (lb *LoadBalancer) Readmit(id int, epoch uint64, addr string, now time.Time
 		return nil, nil
 	}
 	lb.logRep(RepEntry{Kind: RepReadmit, From: id, Epoch: epoch, Addr: addr, T: now.UnixNano()})
-	lb.lastNow = now
+	lb.LastNow = now
 	specIdx, spec := lb.assignSpec()
 	m := &Member{ID: id, Epoch: epoch, Addr: addr, LastSeen: now,
 		Spec: spec, SpecIdx: specIdx}
-	lb.members[id] = m
-	lb.joins++
-	lb.readmits++
-	if id >= lb.nextID {
-		lb.nextID = id + 1
+	lb.Members[id] = m
+	lb.Joins++
+	lb.Readmits++
+	if id >= lb.NextID {
+		lb.NextID = id + 1
 	}
 	lb.journal.AppendAt(now, obs.EvWorkerJoin, id, map[string]string{
 		"epoch": strconv.FormatUint(epoch, 10), "spec": spec, "readmit": "1",

@@ -29,12 +29,14 @@ import (
 // counters, and retargeting rides the same MsgStrategy path as a
 // portfolio rebalance — so the whole loop replays bit-for-bit in the
 // lock-step sim and is property-testable (`-exp learn`).
+//
+// Replicated state (see lbState), hence the exported fields; the slot
+// specs themselves live in lbState.Portfolio.
 type specLearner struct {
-	lb    *LoadBalancer
-	slots []int // portfolio slots in the dist-opt family; slots[0] = incumbent
-	vecs  map[int]engine.DistWeights
-	rng   uint64 // splitmix64 state
-	calls int    // reweight passes seen since the last decision
+	Slots []int // portfolio slots in the dist-opt family; Slots[0] = incumbent
+	Vecs  map[int]engine.DistWeights
+	Rng   uint64 // splitmix64 state
+	Calls int    // reweight passes seen since the last decision
 	// Adoptions counts incumbent replacements (experiment telemetry).
 	Adoptions int
 }
@@ -43,20 +45,20 @@ type specLearner struct {
 // weight vector with a raced challenger's (0 without a learner) —
 // experiment and stats telemetry.
 func (lb *LoadBalancer) Adoptions() int {
-	if lb.learner == nil {
+	if lb.Learner == nil {
 		return 0
 	}
-	return lb.learner.Adoptions
+	return lb.Learner.Adoptions
 }
 
 // LearnedSpec returns the incumbent spec of the learner's dist-opt
 // family slot ("" without an active learner) — the current winner of
 // the sample-evaluate-refine loop.
 func (lb *LoadBalancer) LearnedSpec() string {
-	if lb.learner == nil || len(lb.learner.slots) < 2 {
+	if lb.Learner == nil || len(lb.Learner.Slots) < 2 {
 		return ""
 	}
-	return lb.cfg.Portfolio[lb.learner.slots[0]]
+	return lb.Portfolio[lb.Learner.Slots[0]]
 }
 
 // learnMinPulls is how many bandit pulls a slot needs before the
@@ -72,20 +74,17 @@ const learnMargin = 0.005
 // the initial challenger perturbations. With fewer than two family
 // slots there is nothing to race; the learner stays inert.
 func newSpecLearner(lb *LoadBalancer) *specLearner {
-	l := &specLearner{lb: lb, vecs: map[int]engine.DistWeights{}, rng: uint64(lb.cfg.LearnSeed)*0x9e3779b97f4a7c15 + 1}
-	// The learner rewrites portfolio entries in place; clone so the
-	// caller's slice is not mutated behind its back.
-	lb.cfg.Portfolio = append([]string(nil), lb.cfg.Portfolio...)
-	for i, spec := range lb.cfg.Portfolio {
+	l := &specLearner{Vecs: map[int]engine.DistWeights{}, Rng: uint64(lb.cfg.LearnSeed)*0x9e3779b97f4a7c15 + 1}
+	for i, spec := range lb.Portfolio {
 		if w, ok := distFamily(spec); ok {
-			l.slots = append(l.slots, i)
-			l.vecs[i] = w
+			l.Slots = append(l.Slots, i)
+			l.Vecs[i] = w
 		}
 	}
-	if len(l.slots) < 2 {
+	if len(l.Slots) < 2 {
 		return l
 	}
-	l.dealChallengers()
+	l.dealChallengers(lb)
 	return l
 }
 
@@ -107,18 +106,10 @@ func distFamily(spec string) (engine.DistWeights, bool) {
 	return engine.DefaultDistWeights(), true
 }
 
-// next draws from the deterministic perturbation stream (splitmix64).
-func (l *specLearner) next() uint64 {
-	l.rng += 0x9e3779b97f4a7c15
-	z := l.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// unit maps a stream draw to [0,1).
+// unit draws from the deterministic perturbation stream (splitmix64),
+// mapped to [0,1).
 func (l *specLearner) unit() float64 {
-	return float64(l.next()>>11) / float64(1<<53)
+	return float64(splitmix64(&l.Rng)>>11) / float64(1<<53)
 }
 
 // perturb samples a neighbor of w: each component is scaled by a
@@ -152,16 +143,15 @@ func (l *specLearner) perturb(w engine.DistWeights) engine.DistWeights {
 // to it (the same idempotent MsgStrategy a rebalance sends; yield
 // attribution for in-flight statuses reporting the old spec lapses
 // until the swap lands, which under-counts rather than mis-credits).
-func (l *specLearner) setSlot(i int, spec string) []Outbound {
-	lb := l.lb
-	if lb.cfg.Portfolio[i] == spec {
+func (l *specLearner) setSlot(lb *LoadBalancer, i int, spec string) []Outbound {
+	if lb.Portfolio[i] == spec {
 		return nil
 	}
-	lb.cfg.Portfolio[i] = spec
-	lb.bandit.reset(i)
-	lb.windowYield[i] = 0
-	ids := make([]int, 0, len(lb.members))
-	for id, m := range lb.members {
+	lb.Portfolio[i] = spec
+	lb.Bandit.reset(i)
+	lb.WindowYield[i] = 0
+	ids := make([]int, 0, len(lb.Members))
+	for id, m := range lb.Members {
 		if !m.Pinned && m.SpecIdx == i {
 			ids = append(ids, id)
 		}
@@ -169,7 +159,7 @@ func (l *specLearner) setSlot(i int, spec string) []Outbound {
 	sort.Ints(ids)
 	var outs []Outbound
 	for _, id := range ids {
-		m := lb.members[id]
+		m := lb.Members[id]
 		m.Spec = spec
 		outs = append(outs, Outbound{To: id, Msg: Message{Kind: MsgStrategy, Spec: spec}})
 	}
@@ -178,13 +168,13 @@ func (l *specLearner) setSlot(i int, spec string) []Outbound {
 
 // dealChallengers rewrites every non-incumbent family slot to a fresh
 // perturbation of the incumbent vector.
-func (l *specLearner) dealChallengers() []Outbound {
-	inc := l.vecs[l.slots[0]]
+func (l *specLearner) dealChallengers(lb *LoadBalancer) []Outbound {
+	inc := l.Vecs[l.Slots[0]]
 	var outs []Outbound
-	for _, i := range l.slots[1:] {
+	for _, i := range l.Slots[1:] {
 		w := l.perturb(inc)
-		l.vecs[i] = w
-		outs = append(outs, l.setSlot(i, "dist-opt(w="+w.String()+")")...)
+		l.Vecs[i] = w
+		outs = append(outs, l.setSlot(lb, i, "dist-opt(w="+w.String()+")")...)
 	}
 	return outs
 }
@@ -192,24 +182,24 @@ func (l *specLearner) dealChallengers() []Outbound {
 // step runs on every periodic reweight pass; every LearnEvery-th pass
 // it makes an adopt/keep decision. Called before rebalanceStrategies so
 // retargeted slots settle in the same tick's allocation.
-func (l *specLearner) step() []Outbound {
-	if len(l.slots) < 2 {
+func (l *specLearner) step(lb *LoadBalancer) []Outbound {
+	if len(l.Slots) < 2 {
 		return nil
 	}
-	l.calls++
-	if l.calls < l.lb.cfg.LearnEvery {
+	l.Calls++
+	if l.Calls < lb.cfg.LearnEvery {
 		return nil
 	}
-	l.calls = 0
-	b := l.lb.bandit
-	inc := l.slots[0]
-	if b.pulls[inc] < learnMinPulls {
+	l.Calls = 0
+	b := lb.Bandit
+	inc := l.Slots[0]
+	if b.Pulls[inc] < learnMinPulls {
 		return nil
 	}
 	// Best sufficiently-sampled challenger (index tie-break).
 	best, bestMean := -1, b.mean(inc)+learnMargin
-	for _, i := range l.slots[1:] {
-		if b.pulls[i] < learnMinPulls {
+	for _, i := range l.Slots[1:] {
+		if b.Pulls[i] < learnMinPulls {
 			continue
 		}
 		if m := b.mean(i); m > bestMean {
@@ -223,10 +213,10 @@ func (l *specLearner) step() []Outbound {
 	// challenger slot (the winner's included) gets a fresh perturbation
 	// of it. The incumbent's arm resets too — it is now a new spec.
 	l.Adoptions++
-	l.vecs[inc] = l.vecs[best]
-	l.lb.journal.AppendAt(l.lb.lastNow, obs.EvAdoption, LBFrom, map[string]string{
-		"spec": "dist-opt(w=" + l.vecs[best].String() + ")",
+	l.Vecs[inc] = l.Vecs[best]
+	lb.journal.AppendAt(lb.LastNow, obs.EvAdoption, LBFrom, map[string]string{
+		"spec": "dist-opt(w=" + l.Vecs[best].String() + ")",
 	})
-	outs := l.setSlot(inc, "dist-opt(w="+l.vecs[best].String()+")")
-	return append(outs, l.dealChallengers()...)
+	outs := l.setSlot(lb, inc, "dist-opt(w="+l.Vecs[best].String()+")")
+	return append(outs, l.dealChallengers(lb)...)
 }

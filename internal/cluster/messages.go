@@ -44,11 +44,11 @@
 // default p2p mode a Balance directive only names (src, dst, count);
 // the batch itself flows worker→worker over a peer session (dial/accept
 // with an epoch-fenced handshake over TCP; next-tick delivery in the
-// sim). When a peer link cannot be established the sender falls back to
-// LB-relayed shipping (MsgShip → LoadBalancer.Ship → MsgJobs), which is
-// also the forced path in relay mode; either way the receiver sees an
-// ordinary MsgJobs with the original (From, Epoch, Seq), so the gap
-// rule, ack high-water marks, and custody records are channel-agnostic.
+// sim). When a peer link cannot be established the sender falls back,
+// for that batch, to LB-relayed shipping (MsgShip → LoadBalancer.Ship →
+// MsgJobs); either way the receiver sees an ordinary MsgJobs with the
+// original (From, Epoch, Seq), so the gap rule, ack high-water marks,
+// and custody records are channel-agnostic.
 // The depth mode removes payload shipping entirely: the LB grants
 // deterministic depth-D work units (MsgUnits) that every worker can
 // re-derive locally from the shared upper tree, and only the unit owner
@@ -78,6 +78,14 @@
 // members' final sent/received counters and its own re-seat deliveries
 // into the reconciliation, so the cluster terminates exactly when every
 // live member is idle and no job batch is in flight or orphaned.
+//
+// # Replication
+//
+// Everything the balancer must agree on with a standby is one struct,
+// lbState (lb.go); the statuses and job trees defined in this file are
+// part of it, held inside Member and custodyBatch records. A standby
+// attaches by installing a snapshot of that struct and then replays the
+// primary's inputs (replica.go, snapshot.go).
 package cluster
 
 import (
@@ -103,7 +111,7 @@ const (
 	MsgJobsAck                    // LB → worker: Dst acknowledged job batches up to Seq
 	MsgMembers                    // LB → workers: membership snapshot (id → epoch)
 	MsgStrategy                   // LB → worker: run the strategy spec in Spec from now on
-	MsgShip                       // worker → LB: relay a job batch to Dst (peer link unavailable, or relay mode)
+	MsgShip                       // worker → LB: relay a job batch to Dst (peer link unavailable)
 	MsgUnits                      // LB → worker: depth-partition unit grant (Units is the full owned set)
 )
 

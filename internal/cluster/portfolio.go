@@ -26,14 +26,14 @@ import (
 // weighting applies, and the scores are strictly positive, so no slot
 // can starve.
 func (lb *LoadBalancer) specWeights() []float64 {
-	return lb.bandit.weights(lb.cfg.BanditC)
+	return lb.Bandit.weights(lb.cfg.BanditC)
 }
 
 // desiredAllocation distributes n workers over the portfolio slots:
 // one worker per slot first (diversity floor, in portfolio order),
 // then the remainder by weighted largest-remainder apportionment.
 func (lb *LoadBalancer) desiredAllocation(n int) []int {
-	k := len(lb.cfg.Portfolio)
+	k := len(lb.Portfolio)
 	alloc := make([]int, k)
 	if n <= 0 || k == 0 {
 		return alloc
@@ -86,13 +86,13 @@ func (lb *LoadBalancer) desiredAllocation(n int) []int {
 // the old strategy's results to the new slot. Returns -1 when the
 // reported spec maps to no slot (no portfolio, or a local override).
 func (lb *LoadBalancer) yieldSlot(reported string, m *Member) int {
-	if len(lb.cfg.Portfolio) == 0 {
+	if len(lb.Portfolio) == 0 {
 		return -1
 	}
 	if reported == m.Spec {
 		return m.SpecIdx
 	}
-	for i, s := range lb.cfg.Portfolio {
+	for i, s := range lb.Portfolio {
 		if s == reported {
 			return i
 		}
@@ -103,8 +103,8 @@ func (lb *LoadBalancer) yieldSlot(reported string, m *Member) int {
 // specCounts tallies current members per portfolio slot (pinned
 // members hold no slot).
 func (lb *LoadBalancer) specCounts() []int {
-	counts := make([]int, len(lb.cfg.Portfolio))
-	for _, m := range lb.members {
+	counts := make([]int, len(lb.Portfolio))
+	for _, m := range lb.Members {
 		if !m.Pinned && m.SpecIdx >= 0 && m.SpecIdx < len(counts) {
 			counts[m.SpecIdx]++
 		}
@@ -115,7 +115,7 @@ func (lb *LoadBalancer) specCounts() []int {
 // unpinned counts the members participating in portfolio allocation.
 func (lb *LoadBalancer) unpinned() int {
 	n := 0
-	for _, m := range lb.members {
+	for _, m := range lb.Members {
 		if !m.Pinned {
 			n++
 		}
@@ -127,7 +127,7 @@ func (lb *LoadBalancer) unpinned() int {
 // before the member is inserted): the lowest-index slot still below
 // its desired share in the post-join allocation.
 func (lb *LoadBalancer) assignSpec() (int, string) {
-	k := len(lb.cfg.Portfolio)
+	k := len(lb.Portfolio)
 	if k == 0 {
 		return -1, ""
 	}
@@ -135,11 +135,11 @@ func (lb *LoadBalancer) assignSpec() (int, string) {
 	counts := lb.specCounts()
 	for i := 0; i < k; i++ {
 		if counts[i] < desired[i] {
-			return i, lb.cfg.Portfolio[i]
+			return i, lb.Portfolio[i]
 		}
 	}
-	i := lb.nextID % k // all slots full (rounding): deterministic fallback
-	return i, lb.cfg.Portfolio[i]
+	i := lb.NextID % k // all slots full (rounding): deterministic fallback
+	return i, lb.Portfolio[i]
 }
 
 // rebalanceStrategies moves members from over- to under-allocated
@@ -148,20 +148,20 @@ func (lb *LoadBalancer) assignSpec() (int, string) {
 // strategy state to throw away. A no-op while allocations match, so
 // stable yields cause no churn.
 func (lb *LoadBalancer) rebalanceStrategies() []Outbound {
-	k := len(lb.cfg.Portfolio)
-	if k == 0 || len(lb.members) == 0 {
+	k := len(lb.Portfolio)
+	if k == 0 || len(lb.Members) == 0 {
 		return nil
 	}
 	desired := lb.desiredAllocation(lb.unpinned())
 	counts := lb.specCounts()
-	ids := make([]int, 0, len(lb.members))
-	for id := range lb.members {
+	ids := make([]int, 0, len(lb.Members))
+	for id := range lb.Members {
 		ids = append(ids, id)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(ids)))
 	var outs []Outbound
 	for _, id := range ids {
-		m := lb.members[id]
+		m := lb.Members[id]
 		if m.Pinned {
 			continue
 		}
@@ -183,12 +183,12 @@ func (lb *LoadBalancer) rebalanceStrategies() []Outbound {
 			counts[i]--
 		}
 		counts[j]++
-		m.SpecIdx, m.Spec = j, lb.cfg.Portfolio[j]
+		m.SpecIdx, m.Spec = j, lb.Portfolio[j]
 		outs = append(outs, Outbound{To: id, Msg: Message{Kind: MsgStrategy, Spec: m.Spec}})
 	}
 	if len(outs) > 0 {
-		lb.rebalances++
-		lb.journal.AppendAt(lb.lastNow, obs.EvRebalance, LBFrom, map[string]string{
+		lb.Rebalances++
+		lb.journal.AppendAt(lb.LastNow, obs.EvRebalance, LBFrom, map[string]string{
 			"moved": strconv.Itoa(len(outs)),
 		})
 	}

@@ -292,7 +292,7 @@ func TestSimPortfolioCrashRecoveryExactPaths(t *testing.T) {
 	// The departure freed the cov-opt slot; the rebalance hands it to a
 	// survivor (deterministically), so the portfolio stays diverse.
 	specs := map[string]int{}
-	for _, m := range crashed.LB.members {
+	for _, m := range crashed.LB.Members {
 		specs[m.Spec]++
 	}
 	if len(specs) != 3 {

@@ -1,25 +1,39 @@
 package cluster
 
 // Replication-property tests: the LoadBalancer is a deterministic state
-// machine over its input log, so replaying the log through a fresh
-// standby must reproduce the primary's state byte for byte
-// (StateFingerprint is the oracle), and promotion is a pure control
+// machine over its inputs, so replaying them through a fresh standby
+// must reproduce the primary's replicated state field for field
+// (StateFingerprint is the oracle, and
+// TestFingerprintCoversReplicatedState checks the oracle), and promotion is a pure control
 // transition — it must not touch the bandit's reward accounting even
 // when it lands in the middle of an observation window.
 
 import (
-	"strings"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"cloud9/internal/coverage"
 )
 
-// replayAll replays the primary's full retained log through a fresh
-// replica built from the primary's own (base) config.
-func replayAll(t *testing.T, lb *LoadBalancer, covLen int) *Replica {
+// recordReplication turns on the balancer's input logging and returns
+// the slice every logged entry is appended to — the primary retains none
+// itself, so the stream's consumer is where history lives (as in RunSim).
+func recordReplication(lb *LoadBalancer) *[]RepEntry {
+	var all []RepEntry
+	lb.StartReplication(func(e RepEntry) { all = append(all, e) })
+	return &all
+}
+
+// replay applies entries to a fresh replica built from the primary's
+// config.
+func replay(t testing.TB, lb *LoadBalancer, covLen int, entries []RepEntry) *Replica {
 	t.Helper()
 	rep := NewReplica(lb.Config(), covLen)
-	for _, e := range lb.RepLogFrom(0) {
+	for _, e := range entries {
 		if err := rep.Apply(e); err != nil {
 			t.Fatalf("replay: %v", err)
 		}
@@ -31,57 +45,16 @@ func replayAll(t *testing.T, lb *LoadBalancer, covLen int) *Replica {
 // of every replicated entry point — joins, covered and plain statuses,
 // custody ticks, bandit reweights, balance rounds, a goodbye with a
 // live frontier, lease expiry — and requires a standby replaying the
-// log to land on a byte-identical state fingerprint.
+// entries to land on an identical state fingerprint.
 func TestReplicaReplayFingerprint(t *testing.T) {
-	cfg := DefaultBalancerConfig()
-	cfg.Portfolio = []string{"dfs", "random"}
-	cfg.ReweightEvery = 1
-	const covLen = 4095
-	lb := NewLoadBalancer(cfg, covLen)
-	lb.StartReplication(nil)
-
-	now := time.Unix(10, 0)
-	var ms []*Member
-	for i := 0; i < 4; i++ {
-		m, _ := lb.Join("", now)
-		ms = append(ms, m)
-	}
-	for r := 0; r < 6; r++ {
-		now = now.Add(300 * time.Millisecond)
-		for i, m := range ms {
-			if lb.members[m.ID] == nil {
-				continue
-			}
-			st := Status{
-				Worker: m.ID, Epoch: m.Epoch, Spec: m.Spec,
-				Queue: 3 + (i+r)%5, Paths: uint64(10*r + i),
-				UsefulSteps: uint64(100 * r),
-				Frontier:    BuildJobTree([][]uint8{{uint8(i % 2), uint8(r % 2)}, {1}}),
-			}
-			if m.SpecIdx == 1 {
-				st.CovWords = covStatus(r*200+i*40, 40)
-			}
-			if _, ok := lb.Update(st, now); !ok {
-				t.Fatalf("status for member %d rejected", m.ID)
-			}
-		}
-		lb.Tick(now)
-		lb.Balance()
-		if r == 3 {
-			lb.Goodbye(ms[1].ID, now) // live frontier → custody re-seat
-		}
-	}
-	// Let one lease lapse so ExpireLeases does real work on replay too.
-	now = now.Add(lb.cfg.Lease + time.Second)
-	lb.ExpireLeases(now)
-
-	rep := replayAll(t, lb, covLen)
+	lb, all, covLen := driveScriptedPrimary(t, scriptedConfigs()[0])
+	rep := replay(t, lb, covLen, all)
 	want, got := lb.StateFingerprint(), rep.LB().StateFingerprint()
 	if want != got {
 		t.Fatalf("replayed standby diverges from primary:\n--- primary ---\n%s\n--- standby ---\n%s", want, got)
 	}
-	if rep.LastSeq() != lb.RepSeq() {
-		t.Fatalf("standby applied %d entries, primary logged %d", rep.LastSeq(), lb.RepSeq())
+	if rep.LastSeq() != lb.RepSeq || uint64(len(all)) != lb.RepSeq {
+		t.Fatalf("standby applied %d of %d streamed entries, primary logged %d", rep.LastSeq(), len(all), lb.RepSeq)
 	}
 }
 
@@ -96,7 +69,7 @@ func TestQuickReplicaReplayFingerprint(t *testing.T) {
 		cfg.Portfolio = []string{"dfs", "random"}
 		cfg.ReweightEvery = 1
 		lb := NewLoadBalancer(cfg, covLen)
-		lb.StartReplication(nil)
+		all := recordReplication(lb)
 		now := time.Unix(10, 0)
 		var ms []*Member
 		for i, op := range ops {
@@ -110,7 +83,7 @@ func TestQuickReplicaReplayFingerprint(t *testing.T) {
 					continue
 				}
 				m := ms[int(op/7)%len(ms)]
-				if lb.members[m.ID] == nil {
+				if lb.Members[m.ID] == nil {
 					continue
 				}
 				st := Status{
@@ -131,13 +104,13 @@ func TestQuickReplicaReplayFingerprint(t *testing.T) {
 					continue
 				}
 				m := ms[int(op/7)%len(ms)]
-				if lb.members[m.ID] != nil {
+				if lb.Members[m.ID] != nil {
 					lb.Goodbye(m.ID, now)
 				}
 			}
 		}
 		rep := NewReplica(lb.Config(), covLen)
-		for _, e := range lb.RepLogFrom(0) {
+		for _, e := range *all {
 			if err := rep.Apply(e); err != nil {
 				t.Logf("replay: %v", err)
 				return false
@@ -150,16 +123,15 @@ func TestQuickReplicaReplayFingerprint(t *testing.T) {
 	}
 }
 
-// fpLines extracts the fingerprint lines with the given prefix — used to
-// compare one subsystem's state (e.g. the bandit's arms) in isolation.
-func fpLines(fp, prefix string) []string {
-	var out []string
-	for _, l := range strings.Split(fp, "\n") {
-		if strings.HasPrefix(l, prefix) {
-			out = append(out, l)
-		}
+// banditState renders the portfolio-scoring part of the replicated
+// state in isolation.
+func banditState(t *testing.T, lb *LoadBalancer) string {
+	t.Helper()
+	out, err := json.Marshal([]any{lb.Bandit, lb.SpecYield, lb.WindowYield, lb.Portfolio, lb.ReweightTicks})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return string(out)
 }
 
 // TestPromoteMidWindowBanditUntouched opens a bandit observation window
@@ -174,7 +146,7 @@ func TestPromoteMidWindowBanditUntouched(t *testing.T) {
 	cfg.ReweightEvery = 1
 	const covLen = 4095
 	lb := NewLoadBalancer(cfg, covLen)
-	lb.StartReplication(nil)
+	all := recordReplication(lb)
 
 	now := time.Unix(10, 0)
 	ms := joinN(t, lb, 4)
@@ -206,26 +178,22 @@ func TestPromoteMidWindowBanditUntouched(t *testing.T) {
 			t.Fatalf("status for member %d rejected", m.ID)
 		}
 	}
-	if lb.bandit == nil {
+	if lb.Bandit == nil {
 		t.Fatal("bandit reweighting must be on")
 	}
 
-	rep := replayAll(t, lb, covLen)
-	before := rep.LB().StateFingerprint()
+	rep := replay(t, lb, covLen, *all)
 	if got := rep.LB().StateFingerprint(); got != lb.StateFingerprint() {
 		t.Fatalf("standby diverged before promotion:\n%s", got)
 	}
+	before := banditState(t, rep.LB())
 
 	promoted := rep.Promote(now.Add(time.Second))
-	after := promoted.StateFingerprint()
-	for _, prefix := range []string{"arm ", "yield ", "portfolio "} {
-		b, a := fpLines(before, prefix), fpLines(after, prefix)
-		if strings.Join(b, "\n") != strings.Join(a, "\n") {
-			t.Fatalf("promotion touched %q state:\nbefore %v\nafter  %v", prefix, b, a)
-		}
+	if after := banditState(t, promoted); after != before {
+		t.Fatalf("promotion touched the bandit's state:\nbefore %s\nafter  %s", before, after)
 	}
-	if promoted.Term() != 2 || promoted.Promotions() != 1 {
-		t.Fatalf("term=%d promotions=%d, want 2/1", promoted.Term(), promoted.Promotions())
+	if promoted.Term != 2 || promoted.Promotions != 1 {
+		t.Fatalf("term=%d promotions=%d, want 2/1", promoted.Term, promoted.Promotions)
 	}
 	if promoted.ResyncDone() {
 		t.Fatal("promotion with live members must open a resync window")
@@ -233,12 +201,165 @@ func TestPromoteMidWindowBanditUntouched(t *testing.T) {
 
 	// The interrupted window closes on the promoted primary's next
 	// reweight tick and credits each arm exactly once more.
-	pulls := append([]uint64(nil), promoted.bandit.pulls...)
+	pulls := append([]uint64(nil), promoted.Bandit.Pulls...)
 	promoted.Tick(now.Add(2 * time.Second))
 	for i := range pulls {
-		if promoted.bandit.pulls[i] != pulls[i]+1 {
+		if promoted.Bandit.Pulls[i] != pulls[i]+1 {
 			t.Fatalf("arm %d pulled %d times after one post-promotion tick, want %d",
-				i, promoted.bandit.pulls[i], pulls[i]+1)
+				i, promoted.Bandit.Pulls[i], pulls[i]+1)
+		}
+	}
+}
+
+// populate makes every container reachable from v non-empty — nil
+// pointers allocated, empty maps and slices given one element — so that a
+// walk over v passes through every field of every type v can hold. A
+// type already being populated further up (JobTree inside JobTree, Status
+// inside ReseatAck inside Status) is left empty the second time.
+func populate(v reflect.Value, onPath map[reflect.Type]bool) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			if onPath[v.Type().Elem()] {
+				return
+			}
+			v.Set(reflect.New(v.Type().Elem()))
+		}
+		populate(v.Elem(), onPath)
+	case reflect.Struct:
+		if onPath[v.Type()] {
+			return
+		}
+		onPath[v.Type()] = true
+		defer delete(onPath, v.Type())
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				populate(v.Field(i), onPath)
+			}
+		}
+	case reflect.Map:
+		if v.Len() == 0 {
+			elem := reflect.New(v.Type().Elem()).Elem()
+			populate(elem, onPath)
+			if v.IsNil() {
+				v.Set(reflect.MakeMap(v.Type()))
+			}
+			v.SetMapIndex(reflect.Zero(v.Type().Key()), elem)
+		}
+	case reflect.Slice:
+		if v.Len() == 0 {
+			elem := reflect.New(v.Type().Elem()).Elem()
+			populate(elem, onPath)
+			v.Set(reflect.Append(v, elem))
+		}
+	}
+}
+
+// eachLeaf calls visit for every scalar reachable from v (which must be
+// settable), naming each by its path from v. Map values are
+// not addressable, so they are walked as copies; store writes the copy —
+// and every copy above it — back, and visit calls it after each change
+// it makes to the leaf.
+func eachLeaf(t *testing.T, path string, v reflect.Value, store func(), visit func(path string, leaf reflect.Value, store func())) {
+	switch v.Interface().(type) {
+	case time.Time, *coverage.BitVec:
+		visit(path, v, store)
+		return
+	}
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			eachLeaf(t, path, v.Elem(), store, visit)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() {
+				t.Errorf("%s.%s is unexported: neither the snapshot nor the fingerprint can see it", path, f.Name)
+				continue
+			}
+			eachLeaf(t, path+"."+f.Name, v.Field(i), store, visit)
+		}
+	case reflect.Map:
+		for _, k := range v.MapKeys() {
+			elem := reflect.New(v.Type().Elem()).Elem()
+			elem.Set(v.MapIndex(k))
+			eachLeaf(t, fmt.Sprintf("%s[%v]", path, k), elem, func() { v.SetMapIndex(k, elem); store() }, visit)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			eachLeaf(t, fmt.Sprintf("%s[%d]", path, i), v.Index(i), store, visit)
+		}
+	default:
+		visit(path, v, store)
+	}
+}
+
+// perturb changes a leaf to a different value of its type.
+func perturb(t *testing.T, leaf reflect.Value) {
+	switch x := leaf.Interface().(type) {
+	case time.Time:
+		leaf.Set(reflect.ValueOf(x.Add(time.Second)))
+		return
+	case *coverage.BitVec:
+		flipped := x.Clone()
+		if !flipped.Set(0) {
+			flipped = coverage.New(x.Len() - 1)
+		}
+		leaf.Set(reflect.ValueOf(flipped))
+		return
+	}
+	switch leaf.Kind() {
+	case reflect.Bool:
+		leaf.SetBool(!leaf.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		leaf.SetInt(leaf.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		leaf.SetUint(leaf.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		leaf.SetFloat(leaf.Float() + 0.5)
+	case reflect.String:
+		leaf.SetString(leaf.String() + "x")
+	default:
+		t.Fatalf("lbState holds a %s leaf this test cannot perturb; teach it, and check the snapshot encoding carries the kind", leaf.Kind())
+	}
+}
+
+// TestFingerprintCoversReplicatedState checks the oracle every
+// replication test leans on: each leaf value of lbState — every field of
+// every type the state can hold — is perturbed in turn, and the
+// fingerprint must change each time. A field the fingerprint does not
+// read is a field whose divergence no property test can see; the
+// hand-written fingerprint this one replaced missed five (the named
+// paths below).
+func TestFingerprintCoversReplicatedState(t *testing.T) {
+	lb := NewLoadBalancer(DefaultBalancerConfig(), 63)
+	state := reflect.ValueOf(&lb.lbState).Elem()
+	populate(state, map[reflect.Type]bool{})
+	base := lb.StateFingerprint()
+
+	visited := map[string]bool{}
+	eachLeaf(t, "", state, func() {}, func(path string, leaf reflect.Value, store func()) {
+		visited[path] = true
+		old := reflect.New(leaf.Type()).Elem()
+		old.Set(leaf)
+		perturb(t, leaf)
+		store()
+		if lb.StateFingerprint() == base {
+			t.Errorf("fingerprint does not see %s", path)
+		}
+		leaf.Set(old)
+		store()
+	})
+	if got := lb.StateFingerprint(); got != base {
+		t.Fatalf("walk did not restore the state:\n--- before ---\n%s\n--- after ---\n%s", base, got)
+	}
+	for _, path := range []string{
+		".Members[0].Last.UsefulSteps", ".Members[0].Last.ReplaySteps",
+		".Bandit.Total", ".LastNow", ".Reseats[0].Rec.Paths",
+	} {
+		if !visited[path] {
+			t.Errorf("walk never reached %s (%d leaves visited)", path, len(visited))
 		}
 	}
 }

@@ -28,7 +28,7 @@ type SimSwap struct {
 }
 
 // SimCrashLB schedules a load-balancer kill -9 at a virtual tick. A
-// standby replica tails the primary's replication log with a one-tick
+// standby replica tails the primary's replication stream with a one-tick
 // delivery lag (entries logged during tick T reach the standby at the
 // start of tick T+2), so the crash loses the most recent window of
 // inputs — exactly the gap the promotion protocol must repair. The
@@ -543,17 +543,17 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			}
 		}
 		for id := range crashed {
-			if _, still := s.lb.members[id]; still {
+			if _, still := s.lb.Members[id]; still {
 				done = false
 				break
 			}
 		}
-		if len(s.lb.orphans) > 0 {
+		if len(s.lb.Orphans) > 0 {
 			done = false
 		}
 		// Depth mode: every work unit must have an owner, or a reclaimed
 		// unit's jobs would be silently dropped at termination.
-		if s.lb.unitOwner != nil && s.lb.unclaimedUnits() > 0 {
+		if len(s.lb.ownedUnits(-1)) > 0 {
 			done = false
 		}
 		if done {
@@ -605,7 +605,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			fleet.Merge(o)
 		}
 	}
-	fleet.Merge(s.lb.GoneObs())
+	fleet.Merge(s.lb.GoneObs)
 	s.lb.PutLBMetrics(&fleet)
 	res.Obs = fleet
 	res.Journal = s.lb.Journal().All()

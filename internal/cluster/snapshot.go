@@ -1,341 +1,148 @@
 package cluster
 
-// Replication-log snapshot and compaction. The input log (replica.go)
-// grows with run length; without compaction a standby attaching late
-// replays from entry 1 and the primary retains the whole history. A
-// snapshot captures the balancer's complete replicated state at an
-// entry boundary; the log entries at or before that boundary are then
-// truncated, and a standby whose last applied entry predates the
-// boundary bootstraps by installing the snapshot and tailing the
-// retained suffix. The correctness bar is byte-identity: installing a
-// snapshot taken at seq S and applying entries S+1..N must produce the
-// same StateFingerprint as replaying 1..N (pinned by a property test).
+// Standby attach by state snapshot. The primary retains no input log: a
+// standby may attach at any point of a run, and catching it up by entries
+// alone would mean keeping every accepted status — frontiers included —
+// for as long as the run lasts. Instead every attaching standby is handed
+// a snapshot of the replicated state (lbState) cut at an entry boundary,
+// followed by the live entry stream from the next sequence number on. The
+// correctness bar is state identity: installing a snapshot cut at seq S
+// and applying entries S+1..N must produce the same StateFingerprint as
+// replaying 1..N (pinned by a property test).
 //
-// The blob is a gob encoding of an in-package mirror struct with
-// exported fields — gob cannot see unexported fields, and several
-// replicated types (Member.resynced, custodyBatch, the bandit and
-// learner internals) keep theirs private. The gob round-trip doubles as
-// the deep copy, so the capture can reference live state directly.
+// Nothing in this file names a replicated field for copying. The blob is
+// the JSON encoding of lbState itself, installed by decoding it into the
+// state of a freshly constructed balancer. JSON rather than the gob the
+// rest of the wire speaks, for two reasons: it round-trips nil and empty
+// as themselves, and its decoder allocates in proportion to its input —
+// gob sizes a map from the count the stream declares, and
+// FuzzInstallState drove that to MakeMapWithSize(4.2e9) and an
+// out-of-memory exit from a 3 KB blob.
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/json"
+	"fmt"
 	"strconv"
 	"time"
 
-	"cloud9/internal/coverage"
-	"cloud9/internal/engine"
 	"cloud9/internal/obs"
 )
 
-// DefaultRepCompactAt is the retained-entry count at which the
-// replication log is compacted behind a snapshot. High enough that the
-// miniature workloads rarely trigger it; white-box tests lower it.
-const DefaultRepCompactAt = 8192
-
 // RepSnapshot is a point-in-time capture of the balancer's replicated
-// state: what a standby installs instead of replaying entries 1..Seq.
+// state: what an attaching standby installs before it applies entries.
 type RepSnapshot struct {
-	Seq  uint64
-	Term uint64
-	Blob []byte // gob-encoded repSnapState
+	Blob []byte // JSON-encoded lbState
 }
 
-// repSnapState mirrors every replicated LoadBalancer field with
-// exported names so gob can carry it. Observability state (journal,
-// relay byte counters) is deliberately absent: it is primary-local.
-type repSnapState struct {
-	Term      uint64
-	NextID    int
-	NextEpoch uint64
-	LastNow   time.Time
-
-	// CfgPortfolio is the *current* portfolio — the learner rewrites
-	// slots in place, so the constructed-from-config copy is stale.
-	CfgPortfolio []string
-
-	Joins, ReseatsIssued, Reweights, Rebalances int
-	Evictions, Leaves, TransfersIssued          int
-	Promotions, Readmits                        int
-
-	GoneSent, GoneRecv, ReseatSent uint64
-	Gone                           []Status
-	GoneObs                        obs.Snapshot
-
-	CovWords []uint64
-	CovN     int // coverage.FromWords' n (Len()-1)
-
-	ResyncPending bool
-	ResyncUntil   time.Time
-	ReadmitLo     uint64
-	ReadmitHi     uint64
-
-	Members     map[int]repSnapMember
-	Evicted     map[int]uint64
-	Reseats     map[uint64]repSnapBatch
-	Orphans     []repSnapBatch
-	ReseatAcked map[uint64]ReseatAck
-
-	SpecYield     []uint64
-	WindowYield   []uint64
-	ReweightTicks int
-	BanditPulls   []uint64
-	BanditReward  []float64
-	BanditTotal   uint64
-	LearnerRng    uint64
-	LearnerCalls  int
-	Adoptions     int
-	LearnerSlots  []int
-	LearnerVecs   map[int]engine.DistWeights
-
-	UnitOwner    []int
-	UnitSentAt   map[int]time.Time
-	UnitGrants   int
-	UnitReclaims int
-}
-
-type repSnapMember struct {
-	ID         int
-	Epoch      uint64
-	Addr       string
-	Spec       string
-	SpecIdx    int
-	Pinned     bool
-	Yield      uint64
-	Reported   bool
-	Last       Status
-	LastFull   Status
-	Obs        obs.Snapshot
-	LastSeen   time.Time
-	Resynced   bool
-	AckRelayed map[int]uint64
-}
-
-type repSnapBatch struct {
-	Jt      *JobTree
-	N       int
-	ID      uint64
-	Rec     *Status
-	Counted bool
-	Dst     int
-	SentAt  time.Time
-}
+// maxSnapshotBytes bounds the blob InstallState will decode. A snapshot
+// holds each member's last frontier, so it grows with the run, but the
+// gob message that carries it cannot exceed this size on every platform;
+// anything larger did not come from SnapshotState.
+const maxSnapshotBytes = 1 << 30
 
 // SnapshotState captures the balancer's replicated state as of the last
-// logged (or applied) entry. Returns nil only if encoding fails, which
-// no in-package type can cause.
-func (lb *LoadBalancer) SnapshotState() *RepSnapshot {
-	s := repSnapState{
-		Term:      lb.term,
-		NextID:    lb.nextID,
-		NextEpoch: lb.nextEpoch,
-		LastNow:   lb.lastNow,
-
-		CfgPortfolio: lb.cfg.Portfolio,
-
-		Joins: lb.joins, ReseatsIssued: lb.reseatsIssued,
-		Reweights: lb.reweights, Rebalances: lb.rebalances,
-		Evictions: lb.Evictions, Leaves: lb.Leaves,
-		TransfersIssued: lb.TransfersIssued,
-		Promotions:      lb.promotions, Readmits: lb.readmits,
-
-		GoneSent: lb.goneSent, GoneRecv: lb.goneRecv, ReseatSent: lb.reseatSent,
-		Gone:    lb.gone,
-		GoneObs: lb.goneObs,
-
-		CovWords: lb.cov.Words(),
-		CovN:     lb.cov.Len() - 1,
-
-		ResyncPending: lb.resyncPending,
-		ResyncUntil:   lb.resyncUntil,
-		ReadmitLo:     lb.readmitLo,
-		ReadmitHi:     lb.readmitHi,
-
-		Members:     make(map[int]repSnapMember, len(lb.members)),
-		Evicted:     lb.evicted,
-		Reseats:     make(map[uint64]repSnapBatch, len(lb.reseats)),
-		ReseatAcked: lb.reseatAcked,
-
-		SpecYield:     lb.specYield,
-		WindowYield:   lb.windowYield,
-		ReweightTicks: lb.reweightTicks,
-
-		UnitOwner:  lb.unitOwner,
-		UnitSentAt: lb.unitSentAt,
-		UnitGrants: lb.unitGrants, UnitReclaims: lb.unitReclaims,
+// logged (or applied) entry. The caller must be at an entry boundary: no
+// entry point half-run.
+func (lb *LoadBalancer) SnapshotState() (*RepSnapshot, error) {
+	blob, err := json.Marshal(&lb.lbState)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: snapshot encode: %w", err)
 	}
-	for id, m := range lb.members {
-		s.Members[id] = repSnapMember{
-			ID: m.ID, Epoch: m.Epoch, Addr: m.Addr,
-			Spec: m.Spec, SpecIdx: m.SpecIdx, Pinned: m.Pinned, Yield: m.Yield,
-			Reported: m.Reported, Last: m.Last, LastFull: m.LastFull,
-			Obs: m.Obs, LastSeen: m.LastSeen, Resynced: m.resynced,
-			AckRelayed: m.ackRelayed,
-		}
-	}
-	for id, b := range lb.reseats {
-		s.Reseats[id] = snapBatch(b)
-	}
-	for _, b := range lb.orphans {
-		s.Orphans = append(s.Orphans, snapBatch(b))
-	}
-	if lb.bandit != nil {
-		s.BanditPulls = lb.bandit.pulls
-		s.BanditReward = lb.bandit.reward
-		s.BanditTotal = lb.bandit.total
-	}
-	if lb.learner != nil {
-		s.LearnerRng = lb.learner.rng
-		s.LearnerCalls = lb.learner.calls
-		s.Adoptions = lb.learner.Adoptions
-		s.LearnerSlots = lb.learner.slots
-		s.LearnerVecs = lb.learner.vecs
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
-		return nil
-	}
-	return &RepSnapshot{Seq: lb.repSeq, Term: lb.term, Blob: buf.Bytes()}
+	return &RepSnapshot{Blob: blob}, nil
 }
 
-func snapBatch(b *custodyBatch) repSnapBatch {
-	return repSnapBatch{Jt: b.jt, N: b.n, ID: b.id, Rec: b.rec,
-		Counted: b.counted, Dst: b.dst, SentAt: b.sentAt}
+// serveSnapshot is SnapshotState for an attaching standby: the attach is
+// journaled and counted (c9_lb_rep_snapshots_total) on the primary.
+func (lb *LoadBalancer) serveSnapshot(now time.Time) (*RepSnapshot, error) {
+	snap, err := lb.SnapshotState()
+	if err != nil {
+		return nil, err
+	}
+	lb.snapshotsServed++
+	lb.journal.AppendAt(now, obs.EvRepSnapshot, LBFrom, map[string]string{
+		"seq":  strconv.FormatUint(lb.RepSeq, 10),
+		"blob": strconv.Itoa(len(snap.Blob)),
+	})
+	return snap, nil
 }
 
-// InstallState overwrites the replica's balancer with a snapshot's
-// state; subsequent Apply calls must start at snap.Seq+1. The replica
-// must be freshly constructed from the primary's configuration.
+// InstallState replaces the replica's state with a snapshot's; subsequent
+// Apply calls must start at the snapshot's sequence number plus one
+// (LastSeq reports it). The blob arrives from the network: one that does
+// not decode, or decodes to a state this replica's configuration cannot
+// have produced, is an error and leaves the replica as it was.
 func (r *Replica) InstallState(snap *RepSnapshot) error {
-	var s repSnapState
-	if err := gob.NewDecoder(bytes.NewReader(snap.Blob)).Decode(&s); err != nil {
-		return err
+	if len(snap.Blob) > maxSnapshotBytes {
+		return fmt.Errorf("cluster: snapshot of %d bytes exceeds the %d limit", len(snap.Blob), maxSnapshotBytes)
 	}
-	lb := r.lb
-	lb.term = s.Term
-	lb.repSeq = snap.Seq
-	lb.repBase = snap.Seq
-	lb.lastSnap = snap
-	lb.repLog = nil
-	lb.nextID = s.NextID
-	lb.nextEpoch = s.NextEpoch
-	lb.lastNow = s.LastNow
-	if s.CfgPortfolio != nil {
-		lb.cfg.Portfolio = s.CfgPortfolio
+	covLen := r.lb.Cov.Len() - 1
+	fresh := NewLoadBalancer(r.lb.cfg, covLen)
+	if err := json.Unmarshal(snap.Blob, &fresh.lbState); err != nil {
+		return fmt.Errorf("cluster: snapshot decode: %w", err)
 	}
-	lb.joins, lb.reseatsIssued = s.Joins, s.ReseatsIssued
-	lb.reweights, lb.rebalances = s.Reweights, s.Rebalances
-	lb.Evictions, lb.Leaves = s.Evictions, s.Leaves
-	lb.TransfersIssued = s.TransfersIssued
-	lb.promotions, lb.readmits = s.Promotions, s.Readmits
-	lb.goneSent, lb.goneRecv, lb.reseatSent = s.GoneSent, s.GoneRecv, s.ReseatSent
-	lb.gone = s.Gone
-	lb.goneObs = s.GoneObs
-	lb.cov = coverage.FromWords(s.CovWords, s.CovN)
-	lb.covDirty = true
-	lb.resyncPending = s.ResyncPending
-	lb.resyncUntil = s.ResyncUntil
-	lb.readmitLo, lb.readmitHi = s.ReadmitLo, s.ReadmitHi
-	lb.members = make(map[int]*Member, len(s.Members))
-	for id, sm := range s.Members {
-		lb.members[id] = &Member{
-			ID: sm.ID, Epoch: sm.Epoch, Addr: sm.Addr,
-			Spec: sm.Spec, SpecIdx: sm.SpecIdx, Pinned: sm.Pinned, Yield: sm.Yield,
-			Reported: sm.Reported, Last: sm.Last, LastFull: sm.LastFull,
-			Obs: sm.Obs, LastSeen: sm.LastSeen, resynced: sm.Resynced,
-			ackRelayed: sm.AckRelayed,
-		}
+	if err := fresh.validate(r.lb.cfg, covLen); err != nil {
+		return fmt.Errorf("cluster: snapshot rejected: %w", err)
 	}
-	lb.evicted = s.Evicted
-	if lb.evicted == nil {
-		lb.evicted = map[int]uint64{}
-	}
-	lb.reseats = make(map[uint64]*custodyBatch, len(s.Reseats))
-	for id, sb := range s.Reseats {
-		b := unsnapBatch(sb)
-		lb.reseats[id] = b
-	}
-	lb.orphans = nil
-	for _, sb := range s.Orphans {
-		lb.orphans = append(lb.orphans, unsnapBatch(sb))
-	}
-	lb.reseatAcked = s.ReseatAcked
-	if lb.reseatAcked == nil {
-		lb.reseatAcked = map[uint64]ReseatAck{}
-	}
-	lb.specYield = s.SpecYield
-	if lb.specYield == nil {
-		lb.specYield = make([]uint64, len(lb.cfg.Portfolio))
-	}
-	lb.reweightTicks = s.ReweightTicks
-	if lb.bandit != nil && s.BanditPulls != nil {
-		lb.bandit.pulls = s.BanditPulls
-		lb.bandit.reward = s.BanditReward
-		lb.bandit.total = s.BanditTotal
-		lb.windowYield = s.WindowYield
-		if lb.windowYield == nil {
-			lb.windowYield = make([]uint64, len(lb.cfg.Portfolio))
-		}
-	}
-	if lb.learner != nil {
-		lb.learner.rng = s.LearnerRng
-		lb.learner.calls = s.LearnerCalls
-		lb.learner.Adoptions = s.Adoptions
-		lb.learner.slots = s.LearnerSlots
-		if s.LearnerVecs != nil {
-			lb.learner.vecs = s.LearnerVecs
-		}
-	}
-	if lb.unitOwner != nil && s.UnitOwner != nil {
-		lb.unitOwner = s.UnitOwner
-		lb.unitSentAt = s.UnitSentAt
-		if lb.unitSentAt == nil {
-			lb.unitSentAt = map[int]time.Time{}
-		}
-	}
-	lb.unitGrants, lb.unitReclaims = s.UnitGrants, s.UnitReclaims
+	r.lb.lbState = fresh.lbState
 	return nil
 }
 
-func unsnapBatch(sb repSnapBatch) *custodyBatch {
-	return &custodyBatch{jt: sb.Jt, n: sb.N, id: sb.ID, rec: sb.Rec,
-		counted: sb.Counted, dst: sb.Dst, sentAt: sb.SentAt}
-}
-
-// maybeCompactRep compacts the retained replication log behind a state
-// snapshot once it reaches repCompactAt entries. Callable only at an
-// entry boundary — logRep (before the mutation it logs) and
-// Replica.Apply (before dispatch) — where the balancer state equals
-// entries 1..repSeq fully applied. Attached standbys are unaffected:
-// they receive the live entry stream and compact on their own schedule;
-// only a standby attaching from before repBase needs lastSnap.
-func (lb *LoadBalancer) maybeCompactRep() {
-	if lb.repCompactAt <= 0 || len(lb.repLog) < lb.repCompactAt {
-		return
+// validate rejects a decoded state whose shapes disagree with the
+// configuration it is installed under. The balancer indexes these slices
+// by portfolio slot, partition unit and member id, and follows these
+// pointers, without re-checking, so a mismatch would otherwise surface as
+// a panic rounds later.
+func (st *lbState) validate(cfg BalancerConfig, covLen int) error {
+	k, units := len(cfg.Portfolio), 0
+	if cfg.DataPlane == DataPlaneDepth {
+		units = cfg.PartitionUnits
 	}
-	snap := lb.SnapshotState()
-	if snap == nil {
-		return
+	switch {
+	case st.Cov == nil || (st.Bandit == nil) != (k == 0) || (st.Learner == nil) == cfg.Learn:
+		return fmt.Errorf("coverage, bandit or learner presence disagrees with the configuration")
+	case st.Cov.Len() != covLen+1:
+		return fmt.Errorf("coverage vector holds %d lines, want %d", st.Cov.Len(), covLen+1)
+	case len(st.Portfolio) != k || len(st.SpecYield) != k || len(st.WindowYield) != k:
+		return fmt.Errorf("portfolio tables sized %d/%d/%d, want %d slots",
+			len(st.Portfolio), len(st.SpecYield), len(st.WindowYield), k)
+	case len(st.UnitOwner) != units:
+		return fmt.Errorf("unit table holds %d units, want %d", len(st.UnitOwner), units)
+	case st.NextID < 0:
+		return fmt.Errorf("next member id %d is negative", st.NextID)
 	}
-	lb.lastSnap = snap
-	lb.repBase = snap.Seq
-	lb.repLog = nil
-	lb.repSnapshots++
-	lb.journal.AppendAt(lb.lastNow, obs.EvRepSnapshot, LBFrom, map[string]string{
-		"seq":  strconv.FormatUint(snap.Seq, 10),
-		"blob": strconv.Itoa(len(snap.Blob)),
-	})
+	for id, m := range st.Members {
+		if m == nil || m.ID != id {
+			return fmt.Errorf("member filed under id %d is %+v", id, m)
+		}
+	}
+	for id, b := range st.Reseats {
+		if b == nil {
+			return fmt.Errorf("custody batch %d is null", id)
+		}
+	}
+	for _, b := range st.Orphans {
+		if b == nil {
+			return fmt.Errorf("orphaned custody batch is null")
+		}
+	}
+	if b := st.Bandit; b != nil {
+		if len(b.Pulls) != k || len(b.Reward) != k {
+			return fmt.Errorf("bandit sized %d/%d, want %d arms", len(b.Pulls), len(b.Reward), k)
+		}
+		for i, r := range b.Reward {
+			// Each pull pays a reward in [0,1); anything else can drive the
+			// apportionment's weight sum to ±Inf and its shares to NaN.
+			if r < 0 || r > float64(b.Pulls[i]) {
+				return fmt.Errorf("bandit arm %d holds reward %v over %d pulls", i, r, b.Pulls[i])
+			}
+		}
+	}
+	if l := st.Learner; l != nil {
+		for _, slot := range l.Slots {
+			if slot < 0 || slot >= k {
+				return fmt.Errorf("learner slot %d outside the %d-slot portfolio", slot, k)
+			}
+		}
+	}
+	return nil
 }
-
-// RepBase returns the compaction point: the highest entry seq no longer
-// retained in the log (0 before any compaction).
-func (lb *LoadBalancer) RepBase() uint64 { return lb.repBase }
-
-// LastSnapshot returns the most recent compaction snapshot (nil before
-// any compaction).
-func (lb *LoadBalancer) LastSnapshot() *RepSnapshot { return lb.lastSnap }
-
-// SetRepCompactAt overrides the compaction threshold (entries retained
-// before a snapshot is taken); n <= 0 disables compaction. Exposed for
-// tests and the c9-lb binary.
-func (lb *LoadBalancer) SetRepCompactAt(n int) { lb.repCompactAt = n }

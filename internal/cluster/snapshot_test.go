@@ -1,34 +1,39 @@
 package cluster
 
-// Replication-log snapshot tests: compaction must be invisible to the
-// replay contract. A standby bootstrapped from a snapshot plus the
-// retained tail must land on the same byte-identical StateFingerprint
-// as one that replayed the full log from seq 1 — and as the primary.
+// Snapshot tests: attaching by snapshot must be invisible to the replay
+// contract. A standby that installs a snapshot cut at any seq S and
+// applies the entries after it must land on the same StateFingerprint
+// as one that replayed everything from seq 1 — and as the primary.
 
 import (
 	"testing"
 	"time"
-
-	"cloud9/internal/obs"
 )
+
+// scriptedConfigs are the balancer configurations the scripted primary is
+// driven under: the default p2p plane with a two-slot portfolio, and the
+// depth plane with the learner racing two dist-opt slots — between them
+// every optional part of lbState (bandit, learner, unit table) is live.
+func scriptedConfigs() []BalancerConfig {
+	p2p := DefaultBalancerConfig()
+	p2p.Portfolio = []string{"dfs", "random"}
+	p2p.ReweightEvery = 1
+	depth := p2p
+	depth.Portfolio = []string{"dist-opt", "dist-opt", "random"}
+	depth.Learn, depth.LearnEvery = true, 1
+	depth.DataPlane = DataPlaneDepth
+	return []BalancerConfig{p2p, depth}
+}
 
 // driveScriptedPrimary drives a primary through the scripted mix of
 // replicated entry points (joins, statuses, ticks, balance rounds, a
-// goodbye with live custody, a lease expiry), capturing every log entry
-// as it is emitted — compaction on the primary drops the retained
-// prefix, so the full history only exists in the capture.
-func driveScriptedPrimary(t *testing.T, compactAt int) (*LoadBalancer, []RepEntry, int) {
+// goodbye with live custody, a lease expiry), capturing every entry as it
+// is emitted.
+func driveScriptedPrimary(t testing.TB, cfg BalancerConfig) (*LoadBalancer, []RepEntry, int) {
 	t.Helper()
-	cfg := DefaultBalancerConfig()
-	cfg.Portfolio = []string{"dfs", "random"}
-	cfg.ReweightEvery = 1
 	const covLen = 4095
 	lb := NewLoadBalancer(cfg, covLen)
-	var all []RepEntry
-	lb.StartReplication(func(e RepEntry) { all = append(all, e) })
-	if compactAt > 0 {
-		lb.SetRepCompactAt(compactAt)
-	}
+	all := recordReplication(lb)
 
 	now := time.Unix(10, 0)
 	var ms []*Member
@@ -39,7 +44,7 @@ func driveScriptedPrimary(t *testing.T, compactAt int) (*LoadBalancer, []RepEntr
 	for r := 0; r < 6; r++ {
 		now = now.Add(300 * time.Millisecond)
 		for i, m := range ms {
-			if lb.members[m.ID] == nil {
+			if lb.Members[m.ID] == nil {
 				continue
 			}
 			st := Status{
@@ -47,6 +52,11 @@ func driveScriptedPrimary(t *testing.T, compactAt int) (*LoadBalancer, []RepEntr
 				Queue: 3 + (i+r)%5, Paths: uint64(10*r + i),
 				UsefulSteps: uint64(100 * r),
 				Frontier:    BuildJobTree([][]uint8{{uint8(i % 2), uint8(r % 2)}, {1}}),
+			}
+			if i == 2 && r >= 4 {
+				// One member runs dry: a balancing target under p2p, a
+				// unit-grant claimant under depth.
+				st.Queue, st.Done, st.Units = 0, true, lb.ownedUnits(m.ID)
 			}
 			if m.SpecIdx == 1 {
 				st.CovWords = covStatus(r*200+i*40, 40)
@@ -58,85 +68,52 @@ func driveScriptedPrimary(t *testing.T, compactAt int) (*LoadBalancer, []RepEntr
 		lb.Tick(now)
 		lb.Balance()
 		if r == 3 {
-			lb.Goodbye(ms[1].ID, now)
+			lb.Goodbye(ms[1].ID, now) // live frontier → custody re-seat
 		}
 	}
+	// Let one lease lapse so ExpireLeases does real work on replay too.
 	now = now.Add(lb.cfg.Lease + time.Second)
 	lb.ExpireLeases(now)
-	return lb, all, covLen
+	return lb, *all, covLen
 }
 
-// TestRepSnapshotTailFingerprint is the compaction property test: with
-// a small compaction threshold the primary truncates its log mid-script;
-// a replica built snapshot-then-tail must fingerprint byte-identically
-// to a full-replay replica and to the primary itself.
+// TestRepSnapshotTailFingerprint is the attach property test, at every
+// cut the script has: a replica that applied entries 1..S is snapshotted
+// (it sits at an entry boundary, as the primary does under its server's
+// lock), a second replica installs that snapshot and applies S+1..N, and
+// must fingerprint identically to a full replay and to the primary.
 func TestRepSnapshotTailFingerprint(t *testing.T) {
-	lb, all, covLen := driveScriptedPrimary(t, 8)
-	if lb.RepBase() == 0 {
-		t.Fatalf("compaction never fired: repBase=0 after %d entries", len(all))
+	for _, cfg := range scriptedConfigs() {
+		snapshotTailFingerprint(t, cfg)
 	}
-	snap := lb.LastSnapshot()
-	if snap == nil || snap.Seq != lb.RepBase() {
-		t.Fatalf("snapshot missing or misplaced: %+v (repBase %d)", snap, lb.RepBase())
-	}
+}
 
-	// Full replay from seq 1 (the captured history).
-	full := NewReplica(lb.Config(), covLen)
-	for _, e := range all {
-		if err := full.Apply(e); err != nil {
-			t.Fatalf("full replay: %v", err)
-		}
-	}
-	// Snapshot + retained tail (what a late-joining standby receives).
-	tail := NewReplica(lb.Config(), covLen)
-	if err := tail.InstallState(snap); err != nil {
-		t.Fatalf("install: %v", err)
-	}
-	for _, e := range all {
-		if e.Seq <= snap.Seq {
-			continue
-		}
-		if err := tail.Apply(e); err != nil {
-			t.Fatalf("tail replay: %v", err)
-		}
-	}
-
+func snapshotTailFingerprint(t *testing.T, cfg BalancerConfig) {
+	lb, all, covLen := driveScriptedPrimary(t, cfg)
 	want := lb.StateFingerprint()
-	if got := full.LB().StateFingerprint(); got != want {
+	if got := replay(t, lb, covLen, all).LB().StateFingerprint(); got != want {
 		t.Fatalf("full replay diverges from primary:\n--- primary ---\n%s\n--- full ---\n%s", want, got)
 	}
-	if got := tail.LB().StateFingerprint(); got != want {
-		t.Fatalf("snapshot-then-tail diverges from primary:\n--- primary ---\n%s\n--- tail ---\n%s", want, got)
-	}
-	if tail.LastSeq() != lb.RepSeq() {
-		t.Fatalf("tail replica at seq %d, primary at %d", tail.LastSeq(), lb.RepSeq())
-	}
-	// The compaction left its mark in the journal and the metrics.
-	if at := journalIdx(lb.Journal().All(), obs.EvRepSnapshot); at[0] < 0 {
-		t.Fatal("journal missing rep-snapshot event")
-	}
-	fleet := obs.Snapshot{}
-	lb.PutLBMetrics(&fleet)
-	if fleet.Counter(obs.MLBRepSnapshots) == 0 {
-		t.Fatal("rep-snapshot counter not exported")
-	}
-}
-
-// TestRepSnapshotCompactionBounds: the retained log must stay bounded
-// by the compaction threshold while entries keep flowing.
-func TestRepSnapshotCompactionBounds(t *testing.T) {
-	lb, all, _ := driveScriptedPrimary(t, 8)
-	if got := len(lb.RepLogFrom(lb.RepBase())); got > 8 {
-		t.Fatalf("retained log holds %d entries past the snapshot, want ≤ 8", got)
-	}
-	if uint64(len(all)) != lb.RepSeq() {
-		t.Fatalf("captured %d entries, primary logged %d", len(all), lb.RepSeq())
-	}
-	// Snapshots are cumulative: the latest one covers everything before
-	// repBase, so RepLogFrom(0) on a compacted primary cannot serve a
-	// from-scratch standby — that is exactly what InstallState is for.
-	if uint64(len(lb.RepLogFrom(0))) == lb.RepSeq() {
-		t.Fatal("primary retained the full log despite compaction")
+	for s := 0; s <= len(all); s++ {
+		snap, err := replay(t, lb, covLen, all[:s]).LB().SnapshotState()
+		if err != nil {
+			t.Fatalf("snapshot at seq %d: %v", s, err)
+		}
+		tail := NewReplica(lb.Config(), covLen)
+		if err := tail.InstallState(snap); err != nil {
+			t.Fatalf("install at seq %d: %v", s, err)
+		}
+		if tail.LastSeq() != uint64(s) {
+			t.Fatalf("snapshot cut at seq %d installs as seq %d", s, tail.LastSeq())
+		}
+		for _, e := range all[s:] {
+			if err := tail.Apply(e); err != nil {
+				t.Fatalf("tail replay after seq %d: %v", s, err)
+			}
+		}
+		if got := tail.LB().StateFingerprint(); got != want {
+			t.Fatalf("snapshot at seq %d then tail diverges from primary:\n--- primary ---\n%s\n--- tail ---\n%s", s, want, got)
+		}
 	}
 }
 
@@ -144,8 +121,11 @@ func TestRepSnapshotCompactionBounds(t *testing.T) {
 // with no tail entries is byte-identical to the primary at the moment
 // the snapshot was cut.
 func TestRepSnapshotIdentityNoTail(t *testing.T) {
-	lb, _, covLen := driveScriptedPrimary(t, 0) // no auto-compaction
-	snap := lb.SnapshotState()
+	lb, _, covLen := driveScriptedPrimary(t, scriptedConfigs()[0])
+	snap, err := lb.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep := NewReplica(lb.Config(), covLen)
 	if err := rep.InstallState(snap); err != nil {
 		t.Fatalf("install: %v", err)
@@ -153,7 +133,47 @@ func TestRepSnapshotIdentityNoTail(t *testing.T) {
 	if got, want := rep.LB().StateFingerprint(), lb.StateFingerprint(); got != want {
 		t.Fatalf("snapshot-restored replica diverges:\n--- primary ---\n%s\n--- restored ---\n%s", want, got)
 	}
-	if rep.LastSeq() != lb.RepSeq() {
-		t.Fatalf("restored replica at seq %d, primary at %d", rep.LastSeq(), lb.RepSeq())
+	if rep.LastSeq() != lb.RepSeq {
+		t.Fatalf("restored replica at seq %d, primary at %d", rep.LastSeq(), lb.RepSeq)
 	}
+}
+
+// midScriptSnapshot cuts a snapshot two thirds into the script, while
+// members are alive, frontiers reported and custody outstanding.
+func midScriptSnapshot(t testing.TB, cfg BalancerConfig) *RepSnapshot {
+	t.Helper()
+	lb, all, covLen := driveScriptedPrimary(t, cfg)
+	snap, err := replay(t, lb, covLen, all[:len(all)*2/3]).LB().SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// FuzzInstallState: the blob InstallState decodes arrives from the
+// network. Whatever it holds, under either scripted configuration the
+// install must return an error or leave a state the balancer can
+// fingerprint and run a round on — with every lease lapsed, so
+// departures, custody re-seats and a reweighting pass all execute —
+// without panicking. The committed corpus (testdata/fuzz/FuzzInstallState)
+// is a mid-script p2p snapshot, its first half, and the same state with
+// SpecYield cut to one slot; the seeds added here are the same cuts in
+// today's lbState layout.
+func FuzzInstallState(f *testing.F) {
+	cfgs := scriptedConfigs()
+	for _, cfg := range cfgs {
+		f.Add(midScriptSnapshot(f, cfg).Blob)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		for _, cfg := range cfgs {
+			rep := NewReplica(cfg, 4095)
+			if rep.InstallState(&RepSnapshot{Blob: blob}) != nil {
+				continue
+			}
+			lb := rep.LB()
+			lb.StateFingerprint()
+			lb.Round(lb.LastNow.Add(time.Hour))
+			lb.StateFingerprint()
+		}
+	})
 }

@@ -43,11 +43,10 @@ type Hello struct {
 	Addr  string
 	ID    int
 	Epoch uint64
-	// Standby subscribes to the primary's replication log instead of
-	// joining as a worker; LastSeq is the last entry already applied, so
-	// a re-attaching standby only receives the missing suffix.
+	// Standby subscribes to the primary's replication stream instead of
+	// joining as a worker: the answer is a state snapshot followed by
+	// every entry logged after it, on first attach and re-attach alike.
 	Standby bool
-	LastSeq uint64
 }
 
 // HelloAck assigns the worker its cluster id, epoch, seed role, and —
@@ -79,10 +78,10 @@ type WireMsg struct {
 	// PeerAddrs maps worker ids to their job-transfer addresses
 	// (piggybacked on LB messages so sources can dial destinations).
 	PeerAddrs map[int]string
-	// Rep is one replication-log entry (primary → standby stream).
+	// Rep is one replication entry (primary → standby stream).
 	Rep *RepEntry
-	// Snap bootstraps a standby attaching from before the primary's log
-	// compaction point: install the snapshot, then tail Rep entries.
+	// Snap opens every standby stream: install the snapshot, then apply
+	// the Rep entries that follow.
 	Snap *RepSnapshot
 }
 
@@ -548,16 +547,13 @@ func (t *TCPWorkerTransport) Close() {
 // and leave at any time; there is no fixed cluster size and no startup
 // barrier.
 type LBServer struct {
-	cfg      BalancerConfig
 	listener net.Listener
-	covLen   int
 	noAccept bool // listener is driven externally (promoted standby)
 
 	mu       sync.Mutex
 	lb       *LoadBalancer
 	conns    map[int]*lbWorkerConn
 	standbys []*lbStandbyConn
-	repOn    bool
 	stopped  bool
 	shutdown bool // graceful termination requested (SIGTERM / Shutdown)
 	// exhausted records that Serve ended on quiescence — the frontier
@@ -703,9 +699,7 @@ func NewLBServer(addr string, cfg BalancerConfig, covLen int, minWorkers int) (*
 		}
 	}
 	return &LBServer{
-		cfg:        cfg,
 		listener:   ln,
-		covLen:     covLen,
 		lb:         NewLoadBalancer(cfg, covLen),
 		conns:      map[int]*lbWorkerConn{},
 		MinWorkers: minWorkers,
@@ -716,11 +710,9 @@ func NewLBServer(addr string, cfg BalancerConfig, covLen int, minWorkers int) (*
 // standby's — around an existing listener. The listener's accept loop
 // stays with the caller (the Standby), which routes connections to
 // handle().
-func newLBServerWith(ln net.Listener, lb *LoadBalancer, covLen, minWorkers int) *LBServer {
+func newLBServerWith(ln net.Listener, lb *LoadBalancer, minWorkers int) *LBServer {
 	s := &LBServer{
-		cfg:        lb.Config(),
 		listener:   ln,
-		covLen:     covLen,
 		noAccept:   true,
 		lb:         lb,
 		conns:      map[int]*lbWorkerConn{},
@@ -730,13 +722,12 @@ func newLBServerWith(ln net.Listener, lb *LoadBalancer, covLen, minWorkers int) 
 	return s
 }
 
-// EnableReplication turns on input logging and standby streaming: every
-// logged entry is queued to each attached standby (Hello{Standby:true}).
-// Call before Serve.
+// EnableReplication turns on input logging and standby streaming: a
+// standby that attaches (Hello{Standby:true}) is sent a state snapshot
+// and from then on every logged entry. Call before Serve.
 func (s *LBServer) EnableReplication() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.repOn = true
 	// The hook fires with s.mu held (every LB mutation is under it), so
 	// it must only queue — the per-standby flushers do the encoding.
 	s.lb.StartReplication(func(e RepEntry) {
@@ -746,7 +737,7 @@ func (s *LBServer) EnableReplication() {
 	})
 }
 
-// Shutdown requests a graceful exit: the replication log gets a
+// Shutdown requests a graceful exit: the replication stream gets a
 // RepShutdown marker (telling standbys this is a clean end, not a
 // crash), workers receive MsgStop, and Serve returns. Safe from a
 // signal handler goroutine.
@@ -798,18 +789,10 @@ func (s *LBServer) TotalPaths() uint64 {
 	return s.lb.TotalPaths()
 }
 
-// RepBase reports the replication-log compaction base (0 until the
-// first snapshot). Safe concurrently with Serve.
-func (s *LBServer) RepBase() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lb.RepBase()
-}
-
 // addrsLocked snapshots the member id → peer address map.
 func (s *LBServer) addrsLocked() map[int]string {
 	addrs := map[int]string{}
-	for id, m := range s.lb.members {
+	for id, m := range s.lb.Members {
 		addrs[id] = m.Addr
 	}
 	return addrs
@@ -933,14 +916,14 @@ func (s *LBServer) Stats() (evictions, leaves, transfersIssued, statesTransferre
 func (s *LBServer) Term() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lb.Term()
+	return s.lb.Term
 }
 
 // Promotions counts failovers folded into this server's history.
 func (s *LBServer) Promotions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lb.Promotions()
+	return s.lb.Promotions
 }
 
 // LearnedSpec returns the learner's current incumbent spec ("" when the
@@ -977,49 +960,42 @@ func (s *LBServer) Journal() *obs.Journal {
 }
 
 // handleStandby serves one replication subscriber: handshake (config +
-// coverage length so the standby can build a matching replica), the
-// catch-up suffix of the retained log, then live entries via the
-// flusher. The read side only watches for disconnect.
-func (s *LBServer) handleStandby(conn net.Conn, dec *gob.Decoder, enc *gob.Encoder, h *Hello) {
+// coverage length so the standby can build a matching replica), a
+// snapshot of the replicated state, then live entries via the flusher.
+// The read side only watches for disconnect.
+func (s *LBServer) handleStandby(conn net.Conn, dec *gob.Decoder, enc *gob.Encoder, now time.Time) {
 	s.mu.Lock()
-	if s.stopped || !s.repOn {
+	var snap *RepSnapshot
+	if !s.stopped && s.lb.repEnabled {
+		// Every LB mutation happens under s.mu, one whole entry point at a
+		// time, so this is an entry boundary. An encode error cannot come
+		// from the balancer's own types; were it to, the attach is refused
+		// like any other the primary cannot serve.
+		snap, _ = s.lb.serveSnapshot(now)
+	}
+	if snap == nil {
 		s.mu.Unlock()
 		_ = enc.Encode(WireMsg{Ack: &HelloAck{ID: helloRefused}})
 		conn.Close()
 		return
 	}
 	cfg := s.lb.Config()
-	ack := HelloAck{ID: 0, Cfg: &cfg, CovLen: s.covLen}
+	ack := HelloAck{ID: 0, Cfg: &cfg, CovLen: s.lb.Cov.Len() - 1}
 	sc := newLBStandbyConn(conn, enc)
-	// A subscriber attaching from before the log's compaction point
-	// cannot be caught up by entries alone: bootstrap it with the
-	// compaction snapshot, then the suffix retained after it.
-	var snap *RepSnapshot
-	after := h.LastSeq
-	if after < s.lb.RepBase() {
-		snap = s.lb.LastSnapshot()
-		after = snap.Seq
-	}
-	// Queue the catch-up suffix before registering for live entries, all
-	// under the lock: nothing can interleave, so the standby sees a
-	// gapless sequence.
-	for _, e := range s.lb.RepLogFrom(after) {
-		sc.q = append(sc.q, e)
-	}
+	// Registering for live entries in the critical section the snapshot
+	// was cut in leaves no gap: the first entry queued is snapshot seq + 1.
 	s.standbys = append(s.standbys, sc)
 	s.mu.Unlock()
 
-	if err := enc.Encode(WireMsg{Ack: &ack}); err != nil {
+	// Ack and snapshot must precede every queued entry on the wire; encode
+	// them directly, before the flusher starts draining.
+	err := enc.Encode(WireMsg{Ack: &ack})
+	if err == nil {
+		err = enc.Encode(WireMsg{Snap: snap})
+	}
+	if err != nil {
 		s.dropStandby(sc)
 		return
-	}
-	// The snapshot must precede every queued entry on the wire; encode it
-	// directly, before the flusher starts draining.
-	if snap != nil {
-		if err := enc.Encode(WireMsg{Snap: snap}); err != nil {
-			s.dropStandby(sc)
-			return
-		}
 	}
 	go sc.flush()
 	for {
@@ -1067,7 +1043,7 @@ func (s *LBServer) handle(conn net.Conn) {
 	}
 	now := time.Now()
 	if h.Standby {
-		s.handleStandby(conn, dec, enc, h)
+		s.handleStandby(conn, dec, enc, now)
 		return
 	}
 	s.mu.Lock()
@@ -1098,7 +1074,7 @@ func (s *LBServer) handle(conn net.Conn) {
 			}
 		} else {
 			id, epoch = h.ID, h.Epoch
-			spec = s.lb.members[id].Spec
+			spec = s.lb.Members[id].Spec
 			s.lb.Touch(id, now)
 		}
 	} else {
@@ -1155,7 +1131,7 @@ func (s *LBServer) handle(conn net.Conn) {
 
 // Standby is a warm standby load balancer: it listens on its own
 // address — politely refusing workers with helloNotPrimary until
-// promoted — while tailing the primary's replication log over TCP. If
+// promoted — while tailing the primary's replication stream over TCP. If
 // the primary's stream drops without a RepShutdown marker and cannot be
 // re-attached within the grace window, the standby promotes its replica
 // and serves the cluster from the exact replicated state; workers that
@@ -1170,7 +1146,6 @@ type Standby struct {
 
 	mu     sync.Mutex
 	rep    *Replica
-	covLen int
 	srv    *LBServer // non-nil once promoted
 	closed bool
 }
@@ -1196,8 +1171,8 @@ func NewStandby(addr, peer string, promoteGrace time.Duration, minWorkers int) (
 // their second -lb entry).
 func (sb *Standby) Addr() string { return sb.listener.Addr().String() }
 
-// LastSeq returns the last replication entry applied (0 before the
-// first attach).
+// LastSeq returns the last replication entry applied or installed (0
+// before the first snapshot arrives).
 func (sb *Standby) LastSeq() uint64 {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
@@ -1232,7 +1207,7 @@ func (sb *Standby) acceptLoop() {
 	}
 }
 
-// attach dials the primary and subscribes from the last applied entry,
+// attach dials the primary and subscribes to its replication stream,
 // retrying with jittered backoff until the deadline. A helloRefused
 // answer means the primary is alive but not serving the stream — not a
 // crash — and is surfaced as ErrJoinRefused.
@@ -1252,7 +1227,7 @@ func (sb *Standby) attach(deadline time.Time) (net.Conn, *gob.Decoder, *HelloAck
 		if err == nil {
 			enc := gob.NewEncoder(conn)
 			dec := gob.NewDecoder(conn)
-			h := Hello{Standby: true, LastSeq: sb.LastSeq()}
+			h := Hello{Standby: true}
 			if err := enc.Encode(WireMsg{Hello: &h}); err == nil {
 				var wm WireMsg
 				if err := dec.Decode(&wm); err == nil && wm.Ack != nil {
@@ -1260,7 +1235,7 @@ func (sb *Standby) attach(deadline time.Time) (net.Conn, *gob.Decoder, *HelloAck
 						conn.Close()
 						return nil, nil, nil, ErrJoinRefused
 					}
-					if wm.Ack.ID >= 0 {
+					if wm.Ack.ID >= 0 && wm.Ack.Cfg != nil {
 						return conn, dec, wm.Ack, nil
 					}
 				}
@@ -1289,17 +1264,6 @@ func (sb *Standby) Run() (*LBServer, error) {
 		sb.Close()
 		return nil, fmt.Errorf("cluster: standby never attached: %w", err)
 	}
-	sb.mu.Lock()
-	sb.covLen = ack.CovLen
-	if ack.Cfg == nil {
-		sb.mu.Unlock()
-		conn.Close()
-		sb.Close()
-		return nil, errors.New("cluster: standby handshake missing config")
-	}
-	sb.rep = NewReplica(*ack.Cfg, ack.CovLen)
-	sb.mu.Unlock()
-
 	for {
 		var wm WireMsg
 		if err := dec.Decode(&wm); err != nil {
@@ -1308,9 +1272,8 @@ func (sb *Standby) Run() (*LBServer, error) {
 			// primary that stays dead past it has crashed — promote.
 			nc, nd, nack, aerr := sb.attach(time.Now().Add(sb.grace))
 			if aerr == nil {
-				// Same run resumes: the catch-up stream continues from
-				// LastSeq. The config re-ships but the replica keeps its
-				// state.
+				// Same run resumes. The new stream opens with a fresh
+				// snapshot; until it arrives the replica we hold stands.
 				conn, dec, ack = nc, nd, nack
 				continue
 			}
@@ -1324,25 +1287,27 @@ func (sb *Standby) Run() (*LBServer, error) {
 			return sb.promote()
 		}
 		if wm.Snap != nil {
-			// We attached from before the primary's compaction point: a
-			// fresh replica installs the snapshot, and the entry stream
-			// continues from snap.Seq+1.
-			sb.mu.Lock()
-			sb.rep = NewReplica(*ack.Cfg, sb.covLen)
-			serr := sb.rep.InstallState(wm.Snap)
-			sb.mu.Unlock()
-			if serr != nil {
+			rep := NewReplica(*ack.Cfg, ack.CovLen)
+			if serr := rep.InstallState(wm.Snap); serr != nil {
 				conn.Close()
 				sb.Close()
 				return nil, fmt.Errorf("cluster: standby snapshot install: %w", serr)
 			}
+			sb.mu.Lock()
+			sb.rep = rep
+			sb.mu.Unlock()
 			continue
 		}
 		if wm.Rep == nil {
 			continue
 		}
 		sb.mu.Lock()
-		aerr := sb.rep.Apply(*wm.Rep)
+		var aerr error
+		if sb.rep == nil {
+			aerr = errors.New("entry before snapshot")
+		} else {
+			aerr = sb.rep.Apply(*wm.Rep)
+		}
 		clean := wm.Rep.Kind == RepShutdown
 		sb.mu.Unlock()
 		if aerr != nil {
@@ -1367,7 +1332,7 @@ func (sb *Standby) promote() (*LBServer, error) {
 		return nil, errors.New("cluster: promote before attach")
 	}
 	lb := sb.rep.Promote(time.Now())
-	sb.srv = newLBServerWith(sb.listener, lb, sb.covLen, sb.minWorkers)
+	sb.srv = newLBServerWith(sb.listener, lb, sb.minWorkers)
 	sb.rep = nil
 	return sb.srv, nil
 }

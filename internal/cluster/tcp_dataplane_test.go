@@ -1,11 +1,11 @@
 package cluster
 
 // TCP data-plane tests: over real sockets, the p2p mode must move every
-// job payload worker→worker (zero payload bytes through the LB), relay
-// mode must move them all through the LB, and depth mode must move none
-// at all — with the explored totals identical in each, and still
-// identical with every peer link blackholed (p2p falls back to relay per
-// batch) or a worker killed under depth partitioning.
+// job payload worker→worker (zero payload bytes through the LB) and
+// depth mode must move none at all — with the explored totals identical
+// in each, and still identical with every peer link blackholed (p2p
+// falls back to relay per batch) or a worker killed under depth
+// partitioning.
 
 import (
 	"testing"
@@ -51,23 +51,6 @@ func TestTCPP2PZeroRelayBytes(t *testing.T) {
 		if fleet.Counter(obs.MClusterPeerBytes) == 0 {
 			t.Fatal("jobs shipped in p2p mode but no peer payload bytes counted")
 		}
-	}
-}
-
-// TestTCPRelayModePayloadThroughLB: with -data-plane relay every batch
-// crosses the LB; the payload counter must show it, totals unchanged.
-func TestTCPRelayModePayloadThroughLB(t *testing.T) {
-	cfg := DefaultBalancerConfig()
-	cfg.DataPlane = DataPlaneRelay
-	paths, errors, lbs := runTCPDataPlane(t, cfg)
-	if paths != 1024 || errors != 1 {
-		t.Fatalf("paths=%d errors=%d, want 1024/1", paths, errors)
-	}
-	fleet := lbs.ObsSnapshot()
-	// Gate on batches actually sent, not directives issued — a directive
-	// that finds the sender's queue already drained ships nothing.
-	if fleet.Counter(obs.MClusterJobsSent) > 0 && fleet.Counter(obs.MLBPayloadBytes) == 0 {
-		t.Fatal("jobs shipped in relay mode but no payload bytes crossed the LB")
 	}
 }
 
@@ -173,81 +156,34 @@ func TestTCPDepthWorkerCrashExactPaths(t *testing.T) {
 	}
 }
 
-// TestTCPStandbySnapshotBootstrap: a standby attaching after the
-// primary compacted its log must be bootstrapped snapshot-first (it
-// cannot replay from seq 1 — that prefix no longer exists) and then
-// tail the live log to the primary's head.
+// TestTCPStandbySnapshotBootstrap: a standby that attaches late — the
+// fleet joined and exploring, none of it ever streamed to this standby —
+// holds only what the attach snapshot carried. Kill the primary right
+// after: the promoted standby must finish the run with the undisturbed
+// totals and no false evictions, and the primary must have journaled and
+// counted the one snapshot it served.
 func TestTCPStandbySnapshotBootstrap(t *testing.T) {
-	lbs, err := NewLBServer("127.0.0.1:0", DefaultBalancerConfig(), 64, 2)
-	if err != nil {
-		t.Fatal(err)
+	f, primary := tcpFailover(t, true)
+	paths, errors, departed := f.serve(t)
+	if paths != 4096 || errors != 1 {
+		t.Fatalf("paths=%d errors=%d, want 4096/1 (undisturbed totals) from a snapshot-attached standby", paths, errors)
 	}
-	lbs.EnableReplication()
-	// Tiny threshold so a handful of joins forces compaction before the
-	// standby ever attaches.
-	lbs.lb.SetRepCompactAt(2)
-	served := make(chan error, 1)
-	go func() {
-		_, err := lbs.Serve(30 * time.Second)
-		served <- err
-	}()
-	var conns []*TCPWorkerTransport
-	defer func() {
-		for _, c := range conns {
-			c.Close()
+	if evictions, _, _, _ := f.lbs.Stats(); evictions != 0 || departed != 0 {
+		t.Fatalf("evictions=%d departed=%d, want 0/0 (no worker died)", evictions, departed)
+	}
+	if f.lbs.Term() != 2 {
+		t.Fatalf("term = %d, want 2", f.lbs.Term())
+	}
+	var served []obs.Event
+	for _, ev := range primary.Journal().All() {
+		if ev.Type == obs.EvRepSnapshot {
+			served = append(served, ev)
 		}
-	}()
-	for i := 0; i < 3; i++ {
-		tr, _, err := DialLB(lbs.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns = append(conns, tr)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for lbs.RepBase() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("primary never compacted its log")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if len(served) != 1 || served[0].Fields["seq"] == "0" || served[0].Fields["blob"] == "" {
+		t.Fatalf("primary journaled %d rep-snapshot events, want one with seq and blob: %+v", len(served), served)
 	}
-
-	sb, err := NewStandby("127.0.0.1:0", lbs.Addr(), 200*time.Millisecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type runResult struct {
-		srv *LBServer
-		err error
-	}
-	done := make(chan runResult, 1)
-	go func() {
-		srv, err := sb.Run()
-		done <- runResult{srv, err}
-	}()
-	// The standby's first applied seq comes from the snapshot: once its
-	// LastSeq reaches the primary's compaction base, the snapshot must
-	// have been installed — that prefix was never sent entry-by-entry.
-	base := lbs.RepBase()
-	for sb.LastSeq() < base {
-		if time.Now().After(deadline) {
-			t.Fatalf("standby never caught up: lastSeq=%d base=%d", sb.LastSeq(), base)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	lbs.Shutdown()
-	if err := <-served; err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case r := <-done:
-		if r.err != nil {
-			t.Fatalf("standby: %v", r.err)
-		}
-		if r.srv != nil {
-			t.Fatalf("standby promoted (term %d) after a clean shutdown", r.srv.Term())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("standby never observed the shutdown marker")
+	if got := primary.ObsSnapshot().Counter(obs.MLBRepSnapshots); got != 1 {
+		t.Fatalf("%s = %d, want 1", obs.MLBRepSnapshots, got)
 	}
 }

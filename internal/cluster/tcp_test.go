@@ -338,14 +338,17 @@ func TestTCPTransportJobDelivery(t *testing.T) {
 	}
 }
 
-// TestTCPLBFailoverExactPaths is kill -9 of the load balancer over real
-// sockets: a primary with an attached standby and three workers (each
-// given both addresses) runs until exploration is underway, then the
-// primary is severed abruptly — connections cut, queued replication
-// entries dropped, no shutdown marker. The standby must promote after
-// its grace, the workers must rotate onto it, and the run must finish
-// with exactly the undisturbed totals and no false evictions.
-func TestTCPLBFailoverExactPaths(t *testing.T) {
+// tcpFailover is kill -9 of the load balancer over real sockets: a
+// primary with a standby and three workers (each given both addresses)
+// runs until exploration is underway, then the primary is severed
+// abruptly — connections cut, queued replication entries dropped, no
+// shutdown marker. The standby must promote after its grace and the
+// workers rotate onto it. With lateAttach the standby only subscribes at
+// the kill point, so everything it knows comes from the attach snapshot.
+// Returns the fleet pointed at the promoted server (for the caller to
+// serve) and the dead primary.
+func tcpFailover(t *testing.T, lateAttach bool) (*tcpFleet, *LBServer) {
+	t.Helper()
 	cfg := DefaultBalancerConfig()
 	cfg.Lease = 500 * time.Millisecond
 	f := newTCPFleet(t, hugeClusterTarget, cfg, 3)
@@ -356,14 +359,17 @@ func TestTCPLBFailoverExactPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	promoted := make(chan *LBServer, 1)
-	go func() {
+	attach := func() {
 		srv, err := sb.Run()
 		if err != nil {
 			t.Errorf("standby: %v", err)
 		}
 		promoted <- srv
-	}()
-
+	}
+	attached := !lateAttach
+	if attached {
+		go attach()
+	}
 	for i := 0; i < 3; i++ {
 		f.start(t, tcpWorkerOpts{lbAddrs: []string{lbs.Addr(), sb.Addr()}})
 	}
@@ -373,10 +379,20 @@ func TestTCPLBFailoverExactPaths(t *testing.T) {
 	// caught up past the joins — the entries still queued at that instant
 	// die with the primary, exactly like a real crash.
 	deadline := time.Now().Add(60 * time.Second)
-	for lbs.TotalPaths() < 50 || sb.LastSeq() < 4 {
+	caughtUp := uint64(4)
+	for lbs.TotalPaths() < 50 || sb.LastSeq() < caughtUp {
 		if time.Now().After(deadline) {
 			t.Fatalf("cluster never reached the kill point: paths=%d lastSeq=%d",
 				lbs.TotalPaths(), sb.LastSeq())
+		}
+		if !attached && lbs.TotalPaths() >= 50 {
+			// Nothing logged so far is ever streamed to this standby: it
+			// reaches the primary's current seq by snapshot or not at all.
+			lbs.mu.Lock()
+			caughtUp = lbs.lb.RepSeq
+			lbs.mu.Unlock()
+			attached = true
+			go attach()
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -392,6 +408,14 @@ func TestTCPLBFailoverExactPaths(t *testing.T) {
 		t.Fatal("standby treated the crash as a clean shutdown")
 	}
 	f.lbs = srv
+	return f, lbs
+}
+
+// TestTCPLBFailoverExactPaths: across the kill the run must finish with
+// exactly the undisturbed totals and no false evictions.
+func TestTCPLBFailoverExactPaths(t *testing.T) {
+	f, _ := tcpFailover(t, false)
+	srv := f.lbs
 	paths, errors, departed := f.serve(t)
 	if paths != 4096 || errors != 1 {
 		t.Fatalf("paths=%d errors=%d, want 4096/1 (undisturbed totals) across LB failover", paths, errors)

@@ -21,12 +21,6 @@ type WorkerConfig struct {
 	Seed  bool   // the seed worker starts with the whole-tree job
 	Batch int    // exploration steps between mailbox polls
 
-	// Heartbeat is the maximum silence between statuses even mid-batch,
-	// so slow batches never expire the membership lease (default: 250ms).
-	Heartbeat time.Duration
-	// ResendAfter re-sends unacknowledged exported job batches (lossy
-	// transports only; receivers suppress duplicates). Default: 2s.
-	ResendAfter time.Duration
 	// CrashWhen, if set, is a fault-injection hook evaluated on the
 	// worker's own thread at each loop boundary with the current queue
 	// length; returning true crashes the worker on the spot (no goodbye,
@@ -54,9 +48,9 @@ type WorkerConfig struct {
 
 	// DataPlane selects how exported job batches travel (inherited from
 	// the balancer config / HelloAck): DataPlaneP2P (default, also "")
-	// ships peer-to-peer with LB-relay fallback; DataPlaneRelay always
-	// relays through the LB; DataPlaneDepth ships nothing (workers claim
-	// deterministic depth units instead — Engine.Partition must be set).
+	// ships peer-to-peer with LB-relay fallback; DataPlaneDepth ships
+	// nothing (workers claim deterministic depth units instead —
+	// Engine.Partition must be set).
 	DataPlane string
 
 	Engine engine.Config
@@ -119,6 +113,15 @@ type unackedBatch struct {
 const (
 	viaPeer  = "peer"
 	viaRelay = "relay"
+)
+
+const (
+	// heartbeat is the maximum silence between statuses even mid-batch,
+	// so slow batches never expire the membership lease.
+	heartbeat = 250 * time.Millisecond
+	// resendAfter re-sends unacknowledged exported job batches (lossy
+	// transports only; receivers suppress duplicates).
+	resendAfter = 2 * time.Second
 )
 
 // Worker is one Cloud9 worker node: a private symbolic execution engine
@@ -253,12 +256,6 @@ func NewWorker(cfg WorkerConfig, tr Transport) (*Worker, error) {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 16
 	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 250 * time.Millisecond
-	}
-	if cfg.ResendAfter <= 0 {
-		cfg.ResendAfter = 2 * time.Second
-	}
 	if cfg.FrontierEvery <= 0 {
 		cfg.FrontierEvery = 16
 	}
@@ -360,29 +357,27 @@ func (w *Worker) importPaths(paths [][]uint8) {
 	w.batchHist.Observe(uint64(len(paths)))
 }
 
-// shipBatch moves one exported batch to dst over the configured data
-// plane: peer session first with LB-relay fallback (p2p, the default),
-// or always relayed through the LB (relay mode). It returns the channel
-// used and whether the batch left this worker at all; false means the
-// caller must roll custody back (both channels refused the batch).
+// shipBatch moves one exported batch to dst: over the peer session, or
+// — this batch only — relayed through the LB when the session cannot be
+// had. It returns the channel used and whether the batch left this worker
+// at all; false means the caller must roll custody back (both channels
+// refused the batch).
 func (w *Worker) shipBatch(dst int, m Message) (string, bool) {
-	if w.cfg.DataPlane != DataPlaneRelay {
-		if w.transport.SendJobs(dst, m) {
-			w.notePeerOpen(dst)
-			w.peerBytes.Add(uint64(payloadBytes(m.Jobs)))
-			return viaPeer, true
-		}
-		// The peer link is refused, blackholed, or not yet dialable:
-		// whatever session existed is gone, and the batch falls back to
-		// LB-relayed shipping so a partitioned fleet keeps making
-		// progress. The receiver sees an identical MsgJobs either way.
-		w.notePeerClose(dst)
-		w.peerFallbacks.Inc()
-		w.journal.Append(obs.EvPeerFallback, map[string]string{
-			"dst": strconv.Itoa(dst),
-			"seq": strconv.FormatUint(m.Seq, 10),
-		})
+	if w.transport.SendJobs(dst, m) {
+		w.notePeerOpen(dst)
+		w.peerBytes.Add(uint64(payloadBytes(m.Jobs)))
+		return viaPeer, true
 	}
+	// The peer link is refused, blackholed, or not yet dialable: whatever
+	// session existed is gone, and the batch falls back to LB-relayed
+	// shipping so a partitioned fleet keeps making progress. The receiver
+	// sees an identical MsgJobs either way.
+	w.notePeerClose(dst)
+	w.peerFallbacks.Inc()
+	w.journal.Append(obs.EvPeerFallback, map[string]string{
+		"dst": strconv.Itoa(dst),
+		"seq": strconv.FormatUint(m.Seq, 10),
+	})
 	ship := m
 	ship.Kind = MsgShip
 	ship.Dst = dst
@@ -637,7 +632,7 @@ func (w *Worker) resendOverdue() {
 		}
 		overdue := false
 		for _, b := range byseq {
-			if now.Sub(b.sentAt) > w.cfg.ResendAfter {
+			if now.Sub(b.sentAt) > resendAfter {
 				overdue = true
 				break
 			}
@@ -670,7 +665,7 @@ func (w *Worker) resendOverdue() {
 				// above this one may be outstanding, and the receiver would
 				// expect the reimported seq forever and drop all of them.
 				// Stamp the rest too so the next attempt waits out
-				// ResendAfter instead of hot-looping on a dead connection.
+				// resendAfter instead of hot-looping on a dead connection.
 				for _, rest := range seqs[i+1:] {
 					byseq[rest].sentAt = now
 				}
@@ -828,7 +823,7 @@ func (w *Worker) RunLoop() error {
 				return err
 			}
 			w.stepsSinceStatus++
-			if time.Since(w.lastStatus) >= w.cfg.Heartbeat {
+			if time.Since(w.lastStatus) >= heartbeat {
 				// Mid-batch heartbeat: keep the lease alive through slow
 				// solver batches.
 				w.sendStatus()

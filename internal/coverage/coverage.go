@@ -4,7 +4,11 @@
 // LB ORs vectors into the global view sent back to workers.
 package coverage
 
-import "math/bits"
+import (
+	"encoding/json"
+	"errors"
+	"math/bits"
+)
 
 // BitVec is a fixed-capacity bit vector; bit i represents source line i.
 type BitVec struct {
@@ -120,6 +124,33 @@ func FromWords(words []uint64, n int) *BitVec {
 	w := make([]uint64, (n+64)/64)
 	copy(w, words)
 	return &BitVec{words: w, n: n}
+}
+
+// bitVecJSON is BitVec's JSON form: the line capacity and the backing
+// words.
+type bitVecJSON struct {
+	N     int
+	Words []uint64
+}
+
+// MarshalJSON lets a BitVec held in a larger struct travel with it.
+func (v *BitVec) MarshalJSON() ([]byte, error) {
+	return json.Marshal(bitVecJSON{N: v.n, Words: v.words})
+}
+
+// UnmarshalJSON is MarshalJSON's inverse. The bytes may come from the
+// network: a word count that disagrees with the declared capacity is an
+// error, so every later Get and Set stays inside the slice.
+func (v *BitVec) UnmarshalJSON(data []byte) error {
+	var j bitVecJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	if j.N < 0 || len(j.Words) != j.N/64+1 {
+		return errors.New("coverage: bit vector capacity disagrees with its length")
+	}
+	v.n, v.words = j.N, j.Words
+	return nil
 }
 
 // CoveredOf counts covered lines restricted to the given line set

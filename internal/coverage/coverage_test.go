@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -182,5 +183,32 @@ func TestOrEachReportsExactDelta(t *testing.T) {
 	}
 	if v.Len() != 301 || !v.Get(260) {
 		t.Fatal("vector did not grow to cover the longer operand")
+	}
+}
+
+// TestJSONRoundTrip: a vector survives its JSON form, and a form whose
+// word count disagrees with its capacity — the bytes may come from the
+// network — is refused instead of yielding a vector that indexes past
+// its words.
+func TestJSONRoundTrip(t *testing.T) {
+	v := New(130)
+	v.Set(0)
+	v.Set(64)
+	v.Set(130)
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got BitVec
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != v.Len() || got.Count() != 3 || !got.Get(130) || got.Get(129) {
+		t.Fatalf("round trip changed the vector: %s -> len %d count %d", data, got.Len(), got.Count())
+	}
+	for _, bad := range []string{`{"N":130,"Words":[1]}`, `{"N":-1,"Words":[]}`, `{"N":0,"Words":[]}`, `[1,2]`} {
+		if err := json.Unmarshal([]byte(bad), new(BitVec)); err == nil {
+			t.Errorf("accepted %s", bad)
+		}
 	}
 }

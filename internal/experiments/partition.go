@@ -8,9 +8,8 @@ import (
 	"cloud9/internal/targets"
 )
 
-// Partition races the three data-plane modes — frontier-custody P2P
-// shipping, LB-relayed shipping, and deterministic depth partitioning —
-// on the same targets. The shape under test: every mode must land on
+// Partition races the two data-plane modes — frontier-custody P2P
+// shipping and deterministic depth partitioning — on the same targets. The shape under test: every mode must land on
 // the identical path/error count (the data plane moves work around but
 // never changes what is explored), while the payload bytes crossing the
 // LB collapse to zero under P2P and depth. Ticks show the price of each
@@ -19,10 +18,10 @@ func Partition(workers int) (*Table, error) {
 	if workers == 0 {
 		workers = 4
 	}
-	modes := []string{cluster.DataPlaneP2P, cluster.DataPlaneRelay, cluster.DataPlaneDepth}
+	modes := []string{cluster.DataPlaneP2P, cluster.DataPlaneDepth}
 	t := &Table{
 		ID:    "Partition",
-		Title: fmt.Sprintf("data-plane race on %d workers: p2p vs relay vs depth", workers),
+		Title: fmt.Sprintf("data-plane race on %d workers: p2p vs depth", workers),
 		Header: []string{"target", "mode", "ticks", "paths", "errors",
 			"transfers", "lb payload B", "units"},
 		Notes: []string{

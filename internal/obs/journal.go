@@ -150,7 +150,7 @@ const (
 	EvStandbyPromote = "standby-promoted" // standby: replica took over as primary
 	EvEpochBump      = "epoch-bump"       // promoted LB: id/epoch counters strode past the lost window
 	EvResync         = "resync"           // promoted LB: members re-reported full frontiers (or went stale)
-	EvRepSnapshot    = "rep-snapshot"     // LB: replication log compacted behind a state snapshot
+	EvRepSnapshot    = "rep-snapshot"     // LB: state snapshot served to an attaching standby (fields: seq, blob)
 
 	// Data plane: peer sessions and depth partitioning.
 	EvPeerSessionOpen  = "peer-session-open"  // LB: a worker opened a peer job-shipping session (fields: dst)

@@ -78,8 +78,9 @@ const (
 	MLBCoverageLines     = "c9_lb_coverage_lines" // gauge
 
 	// Data plane, LB side. MLBPayloadBytes counts job-payload bytes that
-	// transited the LB (relay mode or peer-link fallback); a healthy P2P
-	// run keeps it at zero, which CI asserts.
+	// transited the LB (the per-batch peer-link fallback); a healthy P2P
+	// run keeps it at zero, which CI asserts. MLBRepSnapshots counts state
+	// snapshots served to attaching standbys, one per attach.
 	MLBPayloadBytes   = "c9_lb_payload_bytes_total"
 	MLBRelayedBatches = "c9_lb_relayed_batches_total"
 	MLBUnitGrants     = "c9_lb_unit_grants_total"
@@ -89,7 +90,7 @@ const (
 
 	// Control-plane replication / failover (LB high availability).
 	MLBTerm       = "c9_lb_term"                // gauge: promotions + 1 (which primary incarnation this is)
-	MLBRepEntries = "c9_lb_rep_entries_total"   // replication-log entries appended
+	MLBRepEntries = "c9_lb_rep_entries_total"   // inputs logged for (streamed to) standbys
 	MLBPromotions = "c9_lb_promotions_total"    // standby promotions folded into this LB's history
 	MLBReadmits   = "c9_lb_readmits_total"      // members re-admitted after a missed-join failover window
 	MLBStandbyLag = "c9_lb_standby_lag_entries" // gauge (standby): entries behind the primary's last seen seq
