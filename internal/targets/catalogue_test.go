@@ -1,0 +1,97 @@
+package targets
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"cloud9/internal/engine"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/catalogue.golden from this run")
+
+const catalogueGolden = "testdata/catalogue.golden"
+
+// catalogueSlow names the targets whose exhaustive run is too long for
+// -short: ten budget-killed searches on memcached (13 s) and three on
+// coreutil-sum (21 s).
+var catalogueSlow = map[string]bool{
+	"memcached":    true,
+	"coreutil-sum": true,
+}
+
+// catalogueRow explores one catalogue target exactly as `c9 -target name`
+// does (engine-default strategy, 2,000,000-instruction path budget, the
+// solver's default backtrack budget) and renders what the search tree
+// looked like: the exploration totals plus the tier-3 counters, which
+// move if a solver change alters which searches run or how they branch.
+func catalogueRow(t *testing.T, name string) string {
+	t.Helper()
+	tgt, ok := ByName(name)
+	if !ok {
+		t.Fatalf("Names() lists %q but ByName does not resolve it", name)
+	}
+	in, err := Factory(tgt)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.New(in, "main", engine.Config{MaxStateSteps: 2_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunToCompletion(0); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	ss := in.Solver.Stats.Snapshot()
+	return fmt.Sprintf("%s\tpaths=%d\terrors=%d\thangs=%d\tlines=%d\tkills=%d\truns=%d\tbacktracks=%d\tunsat=%d\n",
+		name, e.Stats.PathsExplored, e.Stats.Errors, e.Stats.Hangs, e.Cov.Count(),
+		e.Stats.SolverKilled, ss.SolverRuns, ss.Backtracks, ss.Unsat)
+}
+
+// TestCatalogueGolden pins the search tree of every CLI target: a change
+// to the solver or the engine that claims "same tree, only faster" is
+// checked by this file staying byte-identical. Regenerate (after a
+// deliberate re-pin only) with
+//
+//	go test ./internal/targets -run TestCatalogueGolden -update
+func TestCatalogueGolden(t *testing.T) {
+	if *update {
+		var out strings.Builder
+		for _, name := range Names() {
+			out.WriteString(catalogueRow(t, name))
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(catalogueGolden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(catalogueGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if name, _, ok := strings.Cut(line, "\t"); ok {
+			want[name] = line
+		}
+	}
+	names := Names()
+	if len(want) != len(names) {
+		t.Errorf("golden has %d rows, Names() has %d targets", len(want), len(names))
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			if testing.Short() && catalogueSlow[name] {
+				t.Skip("long-only")
+			}
+			if got := catalogueRow(t, name); got != want[name] {
+				t.Errorf("search tree moved.\n got: %s want: %s", got, want[name])
+			}
+		})
+	}
+}
