@@ -254,6 +254,20 @@ func (e *Explorer) Step() (bool, error) {
 	return true, e.exploreNode(n)
 }
 
+// whereIs returns the function s was executing and the source line of
+// the instruction it stopped at (0 if that instruction carries none).
+func whereIs(s *state.S) (fn string, line int) {
+	t := s.CurThread()
+	if t == nil || len(t.Stack) == 0 {
+		return "", 0
+	}
+	f := t.Top()
+	if instrs := f.Fn.Blocks[f.Block].Instrs; f.PC > 0 && f.PC <= len(instrs) {
+		line = instrs[f.PC-1].Line
+	}
+	return f.Fn.Name, line
+}
+
 // exploreNode advances a materialized candidate one fork.
 func (e *Explorer) exploreNode(n *tree.Node) error {
 	s := n.State
@@ -268,9 +282,20 @@ func (e *Explorer) exploreNode(n *tree.Node) error {
 			// Solver gave up on this path (the analog of an SMT
 			// timeout): kill the state, keep exploring others.
 			atomic.AddUint64(&e.Stats.SolverKilled, 1)
-			e.Journal.Append(obs.EvBudgetKill, map[string]string{
+			fn, line := whereIs(s)
+			fields := map[string]string{
 				"depth": strconv.Itoa(n.Depth),
-			})
+				"func":  fn,
+				"line":  strconv.Itoa(line),
+			}
+			var kill *solver.BudgetError
+			if errors.As(err, &kill) {
+				fields["group"] = strconv.FormatUint(kill.Group, 16)
+				fields["vars"] = strconv.Itoa(kill.Vars)
+				fields["cons"] = strconv.Itoa(kill.Cons)
+				fields["backtracks"] = strconv.FormatUint(kill.Backtracks, 10)
+			}
+			e.Journal.Append(obs.EvBudgetKill, fields)
 			s.Release()
 			return nil
 		}

@@ -60,4 +60,7 @@ func PutSolverStats(s *obs.Snapshot, st solver.Stats) {
 	s.PutCounter(obs.MSolverBacktracks, st.Backtracks)
 	s.PutCounter(obs.MSolverUnsat, st.Unsat)
 	s.PutCounter(obs.MSolverUnitPropFolds, st.UnitPropFolds)
+	s.PutCounter(obs.MSolverPruneMemoHits, st.PruneMemoHits)
+	s.PutCounter(obs.MSolverPruneMemoMisses, st.PruneMemoMisses)
+	s.PutCounter(obs.MSolverPruneEvals, st.PruneEvals)
 }

@@ -155,18 +155,19 @@ func Render(s Snapshot) string {
 // tune on, computed once here instead of in three binaries.
 func derivedRatios(s Snapshot) []string {
 	var out []string
-	rate := func(label, num, den string) {
-		d := s.Counter(den)
+	rate := func(label string, n, d uint64) {
 		if d == 0 {
 			return
 		}
-		n := s.Counter(num)
 		out = append(out, fmt.Sprintf("%s=%d/%d (%.1f%%)", label, n, d, 100*float64(n)/float64(d)))
 	}
-	rate("solver-cache-hit", "c9_solver_cache_hits_total", "c9_solver_queries_total")
-	rate("fork-fast-path", "c9_solver_fork_fast_hits_total", "c9_solver_fork_queries_total")
-	rate("fork-interval-decided", "c9_solver_fork_interval_hits_total", "c9_solver_fork_queries_total")
-	rate("model-reuse", "c9_solver_model_reuse_total", "c9_solver_queries_total")
-	rate("state-extend", "c9_solver_state_extends_total", "c9_solver_queries_total")
+	queries, forks := s.Counter(MSolverQueries), s.Counter(MSolverForkQueries)
+	rate("solver-cache-hit", s.Counter(MSolverCacheHits), queries)
+	rate("fork-fast-path", s.Counter(MSolverForkFastHits), forks)
+	rate("fork-interval-decided", s.Counter(MSolverForkIntervalHits), forks)
+	rate("model-reuse", s.Counter(MSolverModelReuse), queries)
+	rate("state-extend", s.Counter(MSolverStateExtends), queries)
+	hits := s.Counter(MSolverPruneMemoHits)
+	rate("prune-memo-hit", hits, hits+s.Counter(MSolverPruneMemoMisses))
 	return out
 }

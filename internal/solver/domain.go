@@ -16,6 +16,10 @@ func (d *domain) has(v uint8) bool {
 	return d.bits[v>>6]&(1<<(v&63)) != 0
 }
 
+func (d *domain) add(v uint8) {
+	d.bits[v>>6] |= 1 << (v & 63)
+}
+
 func (d *domain) remove(v uint8) {
 	d.bits[v>>6] &^= 1 << (v & 63)
 }
@@ -58,6 +62,22 @@ func (d *domain) intersect(o *domain) {
 	d.bits[1] &= o.bits[1]
 	d.bits[2] &= o.bits[2]
 	d.bits[3] &= o.bits[3]
+}
+
+// union adds every value of o.
+func (d *domain) union(o *domain) {
+	d.bits[0] |= o.bits[0]
+	d.bits[1] |= o.bits[1]
+	d.bits[2] |= o.bits[2]
+	d.bits[3] |= o.bits[3]
+}
+
+// subtract removes every value of o.
+func (d *domain) subtract(o *domain) {
+	d.bits[0] &^= o.bits[0]
+	d.bits[1] &^= o.bits[1]
+	d.bits[2] &^= o.bits[2]
+	d.bits[3] &^= o.bits[3]
 }
 
 func (d *domain) count() int {

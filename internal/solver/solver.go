@@ -10,7 +10,8 @@ import (
 
 // ErrBudget is returned when the backtracking search exceeds the solver's
 // backtrack budget (the analog of an SMT solver timeout). Callers should
-// treat the query result as unknown.
+// treat the query result as unknown. The error returned is a *BudgetError
+// naming the search; test for it with errors.Is(err, ErrBudget).
 var ErrBudget = errors.New("solver: backtrack budget exceeded")
 
 // Stats counts solver activity. Fields are updated atomically; read them
@@ -30,6 +31,11 @@ type Stats struct {
 	Backtracks     uint64 // value choices undone
 	Unsat          uint64 // queries found unsatisfiable
 	UnitPropFolds  uint64 // constraints discharged by unit propagation
+
+	// Tier-3 forward checking (solveGroup's prune memo).
+	PruneMemoHits   uint64 // prunes answered from the memo alone
+	PruneMemoMisses uint64 // prunes that had to classify domain values
+	PruneEvals      uint64 // residual evaluations those misses cost
 
 	// Interval-abstraction tier (interval.go).
 	IntervalSat      uint64 // queries answered sat: cond true on the whole interval box
@@ -57,6 +63,10 @@ func (s *Stats) Snapshot() Stats {
 		Unsat:          atomic.LoadUint64(&s.Unsat),
 		UnitPropFolds:  atomic.LoadUint64(&s.UnitPropFolds),
 
+		PruneMemoHits:   atomic.LoadUint64(&s.PruneMemoHits),
+		PruneMemoMisses: atomic.LoadUint64(&s.PruneMemoMisses),
+		PruneEvals:      atomic.LoadUint64(&s.PruneEvals),
+
 		IntervalSat:      atomic.LoadUint64(&s.IntervalSat),
 		IntervalUnsat:    atomic.LoadUint64(&s.IntervalUnsat),
 		IntervalEmpty:    atomic.LoadUint64(&s.IntervalEmpty),
@@ -67,14 +77,13 @@ func (s *Stats) Snapshot() Stats {
 
 type cacheEntry struct {
 	sat bool
-	// budget marks an ErrBudget outcome; budgetAt records the
-	// MaxBacktracks value the query exceeded. The entry only answers
-	// ErrBudget while the current budget is no larger; raising the
-	// budget invalidates it, so a once-too-hard query is retried
-	// instead of failing forever.
-	budget   bool
-	budgetAt uint64
-	model    expr.Assignment
+	// kill marks an ErrBudget outcome: the killed search, with the
+	// MaxBacktracks value it exceeded. The entry only answers ErrBudget
+	// while the current budget is no larger; raising the budget
+	// invalidates it, so a once-too-hard query is retried instead of
+	// failing forever.
+	kill  *BudgetError
+	model expr.Assignment
 }
 
 // Solver answers satisfiability queries over constraint sets. It is not
@@ -111,15 +120,19 @@ type Solver struct {
 	subsume subsumeCache
 
 	// Reusable scratch buffers for the hot paths (extend pools,
-	// partition union-find, group var lists, forward-checking domain
-	// snapshots). The solver is single-owner, so sharing is safe.
+	// partition union-find, group var lists). The solver is
+	// single-owner, so sharing is safe.
 	poolScratch  []*expr.Expr
 	poolScratch2 []*expr.Expr
 	chainScratch []*ConstraintSet
 	groupScratch []*igroup
 	idScratch    []uint64
-	saveStack    []savedDom
 	part         partitioner
+
+	// tier3 is solveGroup's working state (tier3.go): the search's
+	// per-variable and per-constraint tables, the domain restore stack
+	// and the prune memo, all reused from one search to the next.
+	tier3 groupSearch
 }
 
 type groupResult struct {
@@ -264,10 +277,10 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 		key ^= 0xf00d
 	}
 	if e, ok := s.cache[key]; ok {
-		if e.budget {
-			if s.MaxBacktracks <= e.budgetAt {
+		if e.kill != nil {
+			if s.MaxBacktracks <= e.kill.Budget {
 				atomic.AddUint64(&s.Stats.CacheHits, 1)
-				return false, nil, ErrBudget
+				return false, nil, e.kill
 			}
 			// The budget was raised since this entry was recorded:
 			// fall through and retry the query.
@@ -420,8 +433,9 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 		ok, narrowed, err := s.solveGroup(g.cons, gids, model, seedB)
 		s.idScratch = gids[:0]
 		if err != nil {
-			if errors.Is(err, ErrBudget) {
-				s.put(key, cacheEntry{budget: true, budgetAt: s.MaxBacktracks})
+			var kill *BudgetError
+			if errors.As(err, &kill) {
+				s.put(key, cacheEntry{kill: kill})
 			}
 			return false, nil, err
 		}
@@ -551,319 +565,6 @@ func (s *Solver) putGroup(key uint64, res groupResult) {
 		s.groupCacheKeys = append(s.groupCacheKeys, key)
 	}
 	s.groupCache[key] = res
-}
-
-// savedDom is one forward-checking domain snapshot on the shared
-// restore stack (solveGroup).
-type savedDom struct {
-	lv int
-	d  domain
-}
-
-// solveGroup runs backtracking search with forward checking over one
-// independent group (cons over the sorted variable ids), extending
-// model in place on success. The search works over a dense slice-backed
-// assignment (see expr.EvalSlice) — this is the hot path. Per-
-// constraint unbound-variable counts are maintained incrementally on
-// bind/unbind, so variable selection and forward checking read O(1)
-// counts instead of rescanning every constraint's variable list.
-//
-// bnds, when non-nil, seeds the unbound variables' domains from the
-// interval abstraction (values outside a variable's bounds cannot be
-// part of any solution, so dropping them preserves satisfiability and
-// every surviving model). narrowed reports whether seeding actually
-// removed values — callers must not publish narrowed results to the
-// canonical group cache.
-func (s *Solver) solveGroup(cons []*expr.Expr, ids []uint64, model expr.Assignment, bnds boundsMap) (sat, narrowed bool, err error) {
-	atomic.AddUint64(&s.Stats.SolverRuns, 1)
-
-	maxID := uint64(0)
-	for _, id := range ids {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	for id := range model {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	if maxID >= 1<<22 {
-		return false, false, ErrBudget // pathological id space; treat as unknown
-	}
-	vals := make([]int16, maxID+1)
-	for i := range vals {
-		vals[i] = -1
-	}
-	for id, v := range model {
-		vals[id] = int16(v)
-	}
-
-	vars := make([]uint64, 0, len(ids))
-	for _, id := range ids {
-		if vals[id] < 0 {
-			vars = append(vars, id)
-		}
-	}
-	if len(vars) == 0 {
-		// Everything bound by units; just verify.
-		for _, c := range cons {
-			v, ok := c.EvalSlice(vals)
-			if !ok || v == 0 {
-				return false, false, nil
-			}
-		}
-		return true, false, nil
-	}
-
-	// Local dense index over the unbound variables.
-	li := make(map[uint64]int, len(vars))
-	for i, id := range vars {
-		li[id] = i
-	}
-	domains := make([]domain, len(vars))
-	for i := range domains {
-		domains[i] = fullDomain()
-	}
-	// Interval seeding: restrict each domain to the variable's bounds.
-	// The bounds are non-empty by construction (an empty interval marks
-	// the state unsat before any search), so no domain empties here.
-	if bnds != nil {
-		for i, id := range vars {
-			if iv, ok := bnds[id]; ok && (iv.lo > 0 || iv.hi < 255) {
-				domains[i].removeOutside(iv.lo, iv.hi)
-				narrowed = true
-			}
-		}
-	}
-
-	// Per-constraint bookkeeping: which unbound vars it mentions, and
-	// how many of them are currently unbound (cnt, maintained on
-	// bind/unbind through varCons, the var → constraints index).
-	type conInfo struct {
-		c    *expr.Expr
-		vars []uint64
-		lvs  []int
-	}
-	infos := make([]conInfo, 0, len(cons))
-	cnt := make([]int, 0, len(cons))
-	varCons := make([][]int32, len(vars))
-	for _, c := range cons {
-		ci := conInfo{c: c}
-		for _, id := range c.VarIDs() {
-			if lv, ok := li[id]; ok {
-				ci.vars = append(ci.vars, id)
-				ci.lvs = append(ci.lvs, lv)
-			}
-		}
-		idx := int32(len(infos))
-		infos = append(infos, ci)
-		cnt = append(cnt, len(ci.lvs))
-		for _, lv := range ci.lvs {
-			varCons[lv] = append(varCons[lv], idx)
-		}
-	}
-	bind := func(lv int) {
-		for _, ci := range varCons[lv] {
-			cnt[ci]--
-		}
-	}
-	unbind := func(lv int) {
-		for _, ci := range varCons[lv] {
-			cnt[ci]++
-		}
-	}
-	// firstUnbound returns the one unbound var of a cnt==1 constraint.
-	firstUnbound := func(ci *conInfo) (uint64, int) {
-		for k, id := range ci.vars {
-			if vals[id] < 0 {
-				return id, ci.lvs[k]
-			}
-		}
-		return 0, -1 // unreachable when cnt==1
-	}
-
-	// pruneUnary restricts var id's domain using constraint c, assuming
-	// id is c's only unbound variable. The constraint is first partially
-	// evaluated under the current assignment, collapsing everything but
-	// the scanned variable; the 256-value scan then runs on the (usually
-	// tiny) residual. Returns false if the domain empties.
-	pruneUnary := func(c *expr.Expr, id uint64, lv int) bool {
-		d := &domains[lv]
-		reduced := c.SubstSlice(vals)
-		if reduced.IsConst() {
-			return reduced.ConstVal() != 0
-		}
-		v, ok := d.first()
-		for ok {
-			vals[id] = int16(v)
-			ev, evOK := reduced.EvalSlice(vals)
-			if !evOK || ev == 0 {
-				d.remove(v)
-			}
-			v, ok = d.next(v)
-		}
-		vals[id] = -1
-		return !d.empty()
-	}
-
-	// Initial unary pruning pass.
-	for i := range infos {
-		switch cnt[i] {
-		case 0:
-			v, ok := infos[i].c.EvalSlice(vals)
-			if !ok || v == 0 {
-				return false, narrowed, nil
-			}
-		case 1:
-			id, lv := firstUnbound(&infos[i])
-			if !pruneUnary(infos[i].c, id, lv) {
-				return false, narrowed, nil
-			}
-		}
-	}
-
-	var backtracks uint64
-
-	// Count how many constraints mention each var, for ordering.
-	mentions := make([]int, len(vars))
-	for i := range infos {
-		for _, lv := range infos[i].lvs {
-			mentions[lv]++
-		}
-	}
-
-	// nearUnary[lv] = the smallest number of unbound variables among
-	// constraints mentioning lv (refilled per pick from the maintained
-	// counts). Choosing the variable that brings some constraint
-	// closest to unary lets forward checking prune as early as
-	// possible.
-	nearUnary := make([]int, len(vars))
-	pickVar := func() (int, bool) {
-		for i := range nearUnary {
-			nearUnary[i] = 65
-		}
-		for i := range infos {
-			n := cnt[i]
-			if n == 0 {
-				continue
-			}
-			ci := &infos[i]
-			for k, lv := range ci.lvs {
-				if vals[ci.vars[k]] >= 0 {
-					continue
-				}
-				if n < nearUnary[lv] {
-					nearUnary[lv] = n
-				}
-			}
-		}
-		best, bestScore, found := 0, -1, false
-		for lv, id := range vars {
-			if vals[id] >= 0 {
-				continue
-			}
-			near := nearUnary[lv]
-			if near == 65 {
-				near = 64 // mentioned by no active constraint
-			}
-			// Prefer: constraints nearest unary, then small domains,
-			// then high mention counts.
-			score := (64-near)*1_000_000 + (256-domains[lv].count())*1000 + mentions[lv]
-			if score > bestScore {
-				best, bestScore, found = lv, score, true
-			}
-		}
-		return best, found
-	}
-
-	// savedMark deduplicates domain snapshots within one value trial;
-	// the snapshots themselves live on the shared restore stack
-	// (s.saveStack), segmented by recursion level.
-	savedMark := make([]uint64, len(vars))
-	var trial uint64
-	s.saveStack = s.saveStack[:0]
-
-	var solve func() (bool, error)
-	solve = func() (bool, error) {
-		lv, found := pickVar()
-		if !found {
-			// All assigned: final verification.
-			for i := range infos {
-				v, ok := infos[i].c.EvalSlice(vals)
-				if !ok || v == 0 {
-					return false, nil
-				}
-			}
-			return true, nil
-		}
-		id := vars[lv]
-		d := &domains[lv]
-		bind(lv)
-		v, ok := d.first()
-		for ok {
-			vals[id] = int16(v)
-			trial++
-			base := len(s.saveStack)
-			// Forward checking: constraints that now have exactly one
-			// unbound var prune that var's domain.
-			feasible := true
-			for i := range infos {
-				switch cnt[i] {
-				case 0:
-					ev, evOK := infos[i].c.EvalSlice(vals)
-					if !evOK || ev == 0 {
-						feasible = false
-					}
-				case 1:
-					uid, ulv := firstUnbound(&infos[i])
-					if savedMark[ulv] != trial {
-						savedMark[ulv] = trial
-						s.saveStack = append(s.saveStack, savedDom{ulv, domains[ulv]})
-					}
-					if !pruneUnary(infos[i].c, uid, ulv) {
-						feasible = false
-					}
-				}
-				if !feasible {
-					break
-				}
-			}
-			if feasible {
-				done, err := solve()
-				if err != nil {
-					return false, err
-				}
-				if done {
-					return true, nil
-				}
-			}
-			// Restore and try next value.
-			for i := len(s.saveStack) - 1; i >= base; i-- {
-				sd := s.saveStack[i]
-				domains[sd.lv] = sd.d
-			}
-			s.saveStack = s.saveStack[:base]
-			vals[id] = -1
-			backtracks++
-			if backtracks > s.MaxBacktracks {
-				return false, ErrBudget
-			}
-			v, ok = d.next(v)
-		}
-		unbind(lv)
-		return false, nil
-	}
-
-	sat, err = solve()
-	atomic.AddUint64(&s.Stats.Backtracks, backtracks)
-	if err != nil || !sat {
-		return sat, narrowed, err
-	}
-	for _, id := range vars {
-		model[id] = uint8(vals[id])
-	}
-	return true, narrowed, nil
 }
 
 // ---- From-scratch reference pipeline ----

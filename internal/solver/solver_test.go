@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -451,23 +452,28 @@ func TestQuickSubstSliceMatchesSubstConsts(t *testing.T) {
 
 func TestBudgetResultIsCached(t *testing.T) {
 	s := New()
-	s.MaxBacktracks = 1
-	// A group needing real search with an impossible budget.
-	cs := EmptySet.
-		Append(expr.Eq(c8(7), expr.Add(v(0), expr.Add(v(1), v(2))))).
-		Append(expr.Not(expr.Eq(v(0), v(1)))).
-		Append(expr.Ult(v(2), v(0)))
+	s.MaxBacktracks = 1 << 10
+	hard := hardGroups()[0]
+	cs := EmptySet
+	for _, c := range hard.cons {
+		cs = cs.Append(c)
+	}
 	_, _, err := s.Solve(cs)
-	if err == nil {
-		t.Skip("budget unexpectedly sufficient")
+	var kill *BudgetError
+	if !errors.As(err, &kill) {
+		t.Fatalf("want a budget kill, got %v", err)
+	}
+	if kill.Group != hard.key || kill.Backtracks != 1<<10+1 {
+		t.Errorf("the kill names the wrong search: %+v", *kill)
 	}
 	before := s.Stats.Snapshot()
 	_, _, err2 := s.Solve(cs)
-	if err2 == nil {
-		t.Fatal("second query should also report budget exhaustion")
+	var again *BudgetError
+	if !errors.As(err2, &again) || again != kill {
+		t.Fatalf("second query should report the same kill, got %v", err2)
 	}
 	after := s.Stats.Snapshot()
-	if after.CacheHits != before.CacheHits+1 {
+	if after.CacheHits != before.CacheHits+1 || after.SolverRuns != before.SolverRuns {
 		t.Fatal("budget failures should be answered from the cache")
 	}
 }
