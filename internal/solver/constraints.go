@@ -47,10 +47,37 @@
 // optimization; only groups sharing variables with the query are
 // solved, solved groups memoized order-insensitively in a group cache),
 // and backtracking search with forward checking over 256-value word-
-// mask domains. Searches that do run start from interval-narrowed
-// domains — except model-producing ones, which stay unseeded so the
-// group cache holds only canonical models (§6: cached inputs must
-// replay identically everywhere).
+// mask domains (tier3.go). Searches that do run start from interval-
+// narrowed domains — except model-producing ones, which stay unseeded
+// so the group cache holds only canonical models (§6: cached inputs
+// must replay identically everywhere).
+//
+// A forward check prunes the domain of a constraint's last unbound
+// variable to the values that satisfy the constraint. That set is a
+// function of the constraint and the values of its other variables and
+// of nothing else, and chronological backtracking asks for the same one
+// over and over, so the search keeps a prune memo: keyed by (the
+// hash-consed constraint, which of its variables is unbound, the other
+// variables' bytes packed into a uint64), an entry records which values
+// have been classified and which of them satisfy. A prune evaluates
+// only domain values its entry has not classified yet — by partial
+// evaluation and a scan of the residual, exactly as an unmemoized prune
+// would — and intersects the domain with the entry. The memo replaces
+// evaluations by lookups of their results, so it cannot change a domain,
+// a verdict, a model or a backtrack count. A key is valid in any search
+// (it names every variable the constraint mentions), so the memo is
+// never reset: it lives on the Solver with the rest of the search's
+// tables, which are reused from search to search, and is bounded by
+// pruneMemoCap entries — when full it is emptied. A constraint over more
+// than nine variables, or with one bound by the outer model, is not
+// keyed and is scanned every time. The search itself is still
+// chronological: a conflict among the last two variables bound is
+// re-found under every assignment of the first two, now at the price of
+// a lookup.
+//
+// A search that exhausts MaxBacktracks returns a *BudgetError —
+// errors.Is(err, ErrBudget) — naming the group (its group-cache key),
+// its size and the backtracks spent; the engine journals it.
 //
 // The pre-incremental from-scratch pipeline survives as the reference
 // implementation (ReferenceMayBeTrue/ReferenceSolve); differential

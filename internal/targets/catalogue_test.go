@@ -3,11 +3,13 @@ package targets
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"strings"
 	"testing"
 
 	"cloud9/internal/engine"
+	"cloud9/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/catalogue.golden from this run")
@@ -22,12 +24,10 @@ var catalogueSlow = map[string]bool{
 	"coreutil-sum": true,
 }
 
-// catalogueRow explores one catalogue target exactly as `c9 -target name`
-// does (engine-default strategy, 2,000,000-instruction path budget, the
-// solver's default backtrack budget) and renders what the search tree
-// looked like: the exploration totals plus the tier-3 counters, which
-// move if a solver change alters which searches run or how they branch.
-func catalogueRow(t *testing.T, name string) string {
+// exploreAsC9 explores one catalogue target to exhaustion exactly as
+// `c9 -target name` does: engine-default strategy, 2,000,000-instruction
+// path budget, the solver's default backtrack budget.
+func exploreAsC9(t *testing.T, name string) *engine.Explorer {
 	t.Helper()
 	tgt, ok := ByName(name)
 	if !ok {
@@ -44,7 +44,16 @@ func catalogueRow(t *testing.T, name string) string {
 	if _, err := e.RunToCompletion(0); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	ss := in.Solver.Stats.Snapshot()
+	return e
+}
+
+// catalogueRow renders what a target's search tree looked like: the
+// exploration totals plus the tier-3 counters, which move if a solver
+// change alters which searches run or how they branch.
+func catalogueRow(t *testing.T, name string) string {
+	t.Helper()
+	e := exploreAsC9(t, name)
+	ss := e.In.Solver.Stats.Snapshot()
 	return fmt.Sprintf("%s\tpaths=%d\terrors=%d\thangs=%d\tlines=%d\tkills=%d\truns=%d\tbacktracks=%d\tunsat=%d\n",
 		name, e.Stats.PathsExplored, e.Stats.Errors, e.Stats.Hangs, e.Cov.Count(),
 		e.Stats.SolverKilled, ss.SolverRuns, ss.Backtracks, ss.Unsat)
@@ -93,5 +102,27 @@ func TestCatalogueGolden(t *testing.T) {
 				t.Errorf("search tree moved.\n got: %s want: %s", got, want[name])
 			}
 		})
+	}
+}
+
+// The journal alone says what a run abandoned: memcached's ten budget
+// kills are two groups of four variables, five times each, every one
+// named with the place in the program that asked.
+func TestBudgetKillsAreJournaled(t *testing.T) {
+	e := exploreAsC9(t, "memcached")
+	kills := map[string]int{}
+	for _, ev := range e.Journal.Tail(0) {
+		if ev.Type != obs.EvBudgetKill {
+			continue
+		}
+		f := ev.Fields
+		if f["vars"] != "4" || f["backtracks"] != "65537" || !strings.HasPrefix(f["func"], "mc_") || f["line"] == "" || f["line"] == "0" {
+			t.Errorf("budget-kill event lacks its search or its location: %v", f)
+		}
+		kills[f["group"]+"/"+f["cons"]]++
+	}
+	want := map[string]int{"c1fafc383e11a8a0/7": 5, "5fab7a5327cbe6c0/8": 5}
+	if !maps.Equal(kills, want) {
+		t.Errorf("kills by group/constraints: %v, want %v", kills, want)
 	}
 }
