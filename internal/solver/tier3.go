@@ -141,8 +141,8 @@ type BudgetError struct {
 
 func (e *BudgetError) Error() string { return ErrBudget.Error() }
 
-// Is makes errors.Is(err, ErrBudget) hold.
-func (e *BudgetError) Is(target error) bool { return target == ErrBudget }
+// Unwrap makes errors.Is(err, ErrBudget) hold.
+func (e *BudgetError) Unwrap() error { return ErrBudget }
 
 // solveGroup runs backtracking search with forward checking over one
 // independent group (cons over the sorted variable ids), extending
@@ -206,7 +206,7 @@ func (s *Solver) solveGroup(cons []*expr.Expr, ids []uint64, model expr.Assignme
 	atomic.AddUint64(&s.Stats.PruneMemoHits, g.memoHits)
 	atomic.AddUint64(&s.Stats.PruneMemoMisses, g.memoMisses)
 	atomic.AddUint64(&s.Stats.PruneEvals, g.evals)
-	if err != nil {
+	if err != nil { // the search fails only by running out of budget
 		err = &BudgetError{Group: groupHash(cons), Vars: len(g.vars), Cons: len(cons), Backtracks: g.backtracks, Budget: g.budget}
 	}
 	return sat, narrowed, err
@@ -225,7 +225,13 @@ func (g *groupSearch) search(cons []*expr.Expr, ids []uint64, bnds boundsMap) (s
 	n := len(g.vars)
 	if n == 0 {
 		// Everything bound by units; just verify.
-		return g.holds(cons), false, nil
+		for _, c := range cons {
+			v, ok := c.EvalSlice(vals)
+			if !ok || v == 0 {
+				return false, false, nil
+			}
+		}
+		return true, false, nil
 	}
 
 	g.domains = resize(g.domains, n)
@@ -296,7 +302,6 @@ func (g *groupSearch) search(cons []*expr.Expr, ids []uint64, bnds boundsMap) (s
 	clear(g.savedMark)
 	g.trial = 0
 	g.saveStack = g.saveStack[:0]
-	// Initial unary pruning pass.
 	for i := range g.infos {
 		switch g.cnt[i] {
 		case 0:
@@ -324,27 +329,16 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// holds reports whether every constraint evaluates to true under g.vals.
-func (g *groupSearch) holds(cons []*expr.Expr) bool {
-	for _, c := range cons {
-		v, ok := c.EvalSlice(g.vals)
-		if !ok || v == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // pruneUnary restricts the domain of constraint i's one unbound variable
 // to the values that satisfy it, first saving the domain for the current
-// value trial to undo. Which values those are is a function of
-// the constraint and its other variables' values alone, so the verdicts
-// are remembered in the prune memo: only domain values not yet
-// classified under that key are evaluated — the constraint partially
-// evaluated under the current assignment, collapsing everything but the
-// scanned variable, then run over those values on the (usually tiny)
-// residual — and the domain is intersected with the satisfying set.
-// Returns false if the domain empties.
+// value trial to undo. Which values those are is a function of the
+// constraint and its other variables' values alone, so the verdicts are
+// remembered in the prune memo: only domain values not yet classified
+// under that key are evaluated — the constraint partially evaluated
+// under the current assignment, collapsing everything but the scanned
+// variable, then run over those values on the (usually tiny) residual —
+// and the domain is intersected with the satisfying set. Returns false
+// if the domain empties.
 func (g *groupSearch) pruneUnary(i int) bool {
 	ci := &g.infos[i]
 	vals := g.vals
