@@ -76,13 +76,16 @@ func (in *Interp) InitialState(entry string) (*state.S, error) {
 
 // Advance runs s until it forks or terminates.
 //
-// Returns (children, nil) on a fork: s is dead (released) and the
-// children (each with its path extended by one choice) replace it.
+// Returns (children, nil) on a fork: the children (each with its path
+// extended by one choice) replace s, which lives on as the last of them.
 // Returns (nil, nil) when s terminated; inspect s.Term.
 // An error means the engine itself failed (solver budget, bad IR).
 func (in *Interp) Advance(s *state.S) ([]*state.S, error) {
+	var t *state.Thread
 	for !s.Terminated() {
-		t := s.CurThread()
+		if t == nil || t.ID != s.Cur {
+			t = s.CurThread() // a map lookup: once per switch, not per instruction
+		}
 		if t == nil || t.Status != state.ThreadRunnable {
 			children, err := in.reschedule(s)
 			if children != nil || err != nil {
@@ -148,25 +151,30 @@ func (in *Interp) reschedule(s *state.S) ([]*state.S, error) {
 	return nil, nil
 }
 
-// forkN clones s into n children; init fixes up each child with its
-// choice index. s is released.
+// forkN turns s into n children: n-1 forks of it, then s itself under a
+// new id, so a branch copies one state, not two. init fixes up each
+// child with its choice index.
 func (in *Interp) forkN(s *state.S, n int, init func(child *state.S, i int)) []*state.S {
 	in.Stats.Forks++
 	children := make([]*state.S, n)
-	for i := 0; i < n; i++ {
-		c := s.Fork(in.NewStateID())
+	for i := range children {
+		c := s
+		if i < n-1 {
+			c = s.Fork(in.NewStateID())
+		} else {
+			c.ID = in.NewStateID()
+		}
 		c.Forks++
 		c.Path = state.AppendChoice(c.Path, uint8(i))
 		c.HasDecision = false
 		init(c, i)
 		children[i] = c
 	}
-	s.Release()
 	return children
 }
 
 // exec executes one instruction. Non-nil children means the state forked
-// (s released). Engine errors are returned as err; program errors
+// (s is the last child). Engine errors are returned as err; program errors
 // terminate the state instead.
 func (in *Interp) exec(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.Instr) (children []*state.S, err error) {
 	switch instr.Op {
@@ -269,19 +277,9 @@ func (in *Interp) execDiv(s *state.S, t *state.Thread, f *state.Frame, instr *cv
 	}
 }
 
-// resolveAddr turns an address expression into a concrete address,
-// concretizing symbolic pointers with a path constraint.
-func (in *Interp) resolveAddr(s *state.S, e *expr.Expr) (uint64, error) {
-	if e.IsConst() {
-		return e.ConstVal(), nil
-	}
-	model, sat, err := in.Solver.Solve(s.Constraints)
-	if err != nil {
-		return 0, err
-	}
-	if !sat {
-		return 0, fmt.Errorf("interp: symbolic address on infeasible path")
-	}
+// evalUnder evaluates e under model; variables the model leaves unbound
+// read as 0.
+func evalUnder(e *expr.Expr, model expr.Assignment) uint64 {
 	v, ok := e.Eval(model)
 	if !ok {
 		full := expr.Assignment{}
@@ -295,6 +293,23 @@ func (in *Interp) resolveAddr(s *state.S, e *expr.Expr) (uint64, error) {
 		}
 		v, _ = e.Eval(full)
 	}
+	return v
+}
+
+// resolveAddr turns an address expression into a concrete address,
+// concretizing symbolic pointers with a path constraint.
+func (in *Interp) resolveAddr(s *state.S, e *expr.Expr) (uint64, error) {
+	if e.IsConst() {
+		return e.ConstVal(), nil
+	}
+	model, sat, err := in.Solver.Solve(s.Constraints)
+	if err != nil {
+		return 0, err
+	}
+	if !sat {
+		return 0, fmt.Errorf("interp: symbolic address on infeasible path")
+	}
+	v := evalUnder(e, model)
 	s.Constraints = s.Constraints.Append(expr.Eq(e, expr.Const(v, e.Width())))
 	return v, nil
 }
@@ -315,19 +330,7 @@ func (in *Interp) checkSymbolicBounds(s *state.S, t *state.Thread, f *state.Fram
 		s.SetTerminated(state.TermUnsatPath, "symbolic address on infeasible path")
 		return nil, nil
 	}
-	a0, ok := addrE.Eval(model)
-	if !ok {
-		full := expr.Assignment{}
-		for k, mv := range model {
-			full[k] = mv
-		}
-		for _, id := range addrE.VarIDs() {
-			if _, bound := full[id]; !bound {
-				full[id] = 0
-			}
-		}
-		a0, _ = addrE.Eval(full)
-	}
+	a0 := evalUnder(addrE, model)
 	_, os, _, found := s.Resolve(t.Proc, a0)
 	if !found {
 		s.SetTerminated(state.TermError,
@@ -458,6 +461,7 @@ func (in *Interp) execRet(s *state.S, t *state.Thread, f *state.Frame, instr *cv
 	if instr.A >= 0 {
 		ret = f.Regs[instr.A]
 	}
+	retReg := f.RetReg // PopFrame hands f to the next call
 	s.PopFrame(t)
 	if len(t.Stack) == 0 {
 		// Thread entry returned.
@@ -472,12 +476,11 @@ func (in *Interp) execRet(s *state.S, t *state.Thread, f *state.Frame, instr *cv
 		}
 		return nil, nil // reschedule happens at loop top
 	}
-	caller := t.Top()
-	if f.RetReg >= 0 {
+	if retReg >= 0 {
 		if ret == nil {
 			ret = expr.Const(0, expr.W32)
 		}
-		caller.Regs[f.RetReg] = ret
+		t.Top().Regs[retReg] = ret
 	}
 	return nil, nil
 }
@@ -521,27 +524,33 @@ func (in *Interp) execAssert(s *state.S, t *state.Thread, f *state.Frame, instr 
 }
 
 func (in *Interp) execCall(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.Instr) (children []*state.S, err error) {
-	args := make([]*expr.Expr, len(instr.Args))
-	for i, r := range instr.Args {
-		args[i] = f.Regs[r]
-	}
 	if callee := in.Prog.Func(instr.Sym); callee != nil {
-		retReg := instr.A
-		return nil, s.PushFrame(t, callee, args, retReg)
+		cf, err := s.PushFrame(t, callee, len(instr.Args), instr.A)
+		if err != nil {
+			return nil, err
+		}
+		for i, r := range instr.Args {
+			cf.Regs[i] = f.Regs[r]
+		}
+		return nil, nil
 	}
 	b, ok := in.Builtins[instr.Sym]
 	if !ok {
 		return nil, fmt.Errorf("interp: call to unknown function %q", instr.Sym)
 	}
-	if len(args) < b.MinArgs {
+	if len(instr.Args) < b.MinArgs {
 		return nil, fmt.Errorf("interp: builtin %q called with %d args, want >= %d",
-			instr.Sym, len(args), b.MinArgs)
+			instr.Sym, len(instr.Args), b.MinArgs)
+	}
+	args := make([]*expr.Expr, len(instr.Args))
+	for i, r := range instr.Args {
+		args[i] = f.Regs[r]
 	}
 	ctx := &Ctx{In: in, S: s, T: t}
 
 	var result *expr.Expr
 	var callErr error
-	forked := func() bool {
+	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				switch sig := r.(type) {
@@ -579,9 +588,7 @@ func (in *Interp) execCall(s *state.S, t *state.Thread, f *state.Frame, instr *c
 			}
 		}()
 		result, callErr = b.Fn(ctx, args)
-		return false
 	}()
-	_ = forked
 	if children != nil {
 		return children, nil
 	}

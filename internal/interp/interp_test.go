@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"cloud9/internal/cc"
+	"cloud9/internal/cvm"
+	"cloud9/internal/expr"
 	"cloud9/internal/state"
 )
 
@@ -615,5 +617,62 @@ func TestSymbolicWriteOOBDetected(t *testing.T) {
 	}
 	if errs == 0 {
 		t.Fatal("unconstrained symbolic write must expose an OOB path")
+	}
+}
+
+// callLoop returns a function that runs one iteration of
+// `for (;;) y = id(x);` on a fresh interpreter, id a function without
+// stack slots: the call, the return, the branch back.
+func callLoop(t testing.TB) func() {
+	prog := cvm.NewProgram("t")
+	id := cvm.NewFuncBuilder("id", 1)
+	id.Ret(0)
+	prog.Funcs["id"] = id.Func()
+	m := cvm.NewFuncBuilder("main", 0)
+	x := m.Const(7, expr.W32)
+	loop := m.NewBlock()
+	m.Br(loop)
+	m.SetBlock(loop)
+	m.Call("id", x)
+	m.Br(loop)
+	prog.Funcs["main"] = m.Func()
+	if err := prog.Validate(nil); err != nil {
+		t.Fatal(err)
+	}
+	in := New(prog)
+	s, err := in.InitialState("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		th := s.CurThread()
+		f := th.Top()
+		instr := &f.Fn.Blocks[f.Block].Instrs[f.PC]
+		f.PC++
+		if kids, err := in.exec(s, th, f, instr); kids != nil || err != nil {
+			t.Fatalf("%v: kids=%v err=%v", instr.Op, kids, err)
+		}
+	}
+	step() // const
+	step() // br
+	return func() { step(); step(); step() }
+}
+
+// Once a frame has been popped, a call draws its frame and registers
+// from the lineage's free list and a direct call builds no argument
+// slice: calling and returning allocates nothing.
+func TestWarmCallReturnDoesNotAllocateFrames(t *testing.T) {
+	iter := callLoop(t)
+	iter()
+	if n := testing.AllocsPerRun(100, iter); n != 0 {
+		t.Fatalf("a warm call and return allocates %.0f times, want 0", n)
+	}
+}
+
+func BenchmarkCallReturn(b *testing.B) {
+	iter := callLoop(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		iter()
 	}
 }

@@ -197,119 +197,100 @@ func (a *Allocator) Allocate(size int64, name string) *Object {
 	return obj
 }
 
-// AddressSpace maps addresses to object states. Cloning shares object
-// states copy-on-write; the index itself is copied eagerly (it is small
-// relative to contents).
+// AddressSpace maps addresses to object states: one slice sorted by
+// base, binary-searched by every lookup. Cloning copies the slice and
+// shares the object states copy-on-write; the refcounts stay because a
+// state's death (Release) must give a surviving sibling back the right
+// to write in place.
 type AddressSpace struct {
-	objects map[uint64]*ObjectState // keyed by base
-	bases   []uint64                // sorted
+	objs []*ObjectState
 }
 
 // NewAddressSpace returns an empty space.
-func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{objects: make(map[uint64]*ObjectState)}
-}
+func NewAddressSpace() *AddressSpace { return &AddressSpace{} }
 
 // Clone returns a CoW copy of the space.
 func (as *AddressSpace) Clone() *AddressSpace {
-	dup := &AddressSpace{
-		objects: make(map[uint64]*ObjectState, len(as.objects)),
-		bases:   append([]uint64(nil), as.bases...),
-	}
-	for b, os := range as.objects {
-		dup.objects[b] = os.Ref()
+	dup := &AddressSpace{objs: make([]*ObjectState, len(as.objs))}
+	copy(dup.objs, as.objs)
+	for _, os := range dup.objs {
+		os.Ref()
 	}
 	return dup
 }
 
 // Release drops the space's references (called when a state dies).
 func (as *AddressSpace) Release() {
-	for _, os := range as.objects {
+	for _, os := range as.objs {
 		os.Unref()
 	}
 }
 
-// Bind inserts a fresh object state into the space.
-func (as *AddressSpace) Bind(os *ObjectState) {
-	base := os.Obj.Base
-	if _, dup := as.objects[base]; dup {
-		panic(fmt.Sprintf("mem: duplicate binding at %#x", base))
-	}
-	as.objects[base] = os
-	as.insertBase(base)
-}
-
-func (as *AddressSpace) insertBase(base uint64) {
-	lo, hi := 0, len(as.bases)
+// search returns the index of the first object whose base is above addr.
+func (as *AddressSpace) search(addr uint64) int {
+	lo, hi := 0, len(as.objs)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if as.bases[mid] < base {
+		if as.objs[mid].Obj.Base <= addr {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	as.bases = append(as.bases, 0)
-	copy(as.bases[lo+1:], as.bases[lo:])
-	as.bases[lo] = base
+	return lo
 }
 
-// Unbind removes the object containing base and returns its state.
+// Bind inserts a fresh object state into the space.
+func (as *AddressSpace) Bind(os *ObjectState) {
+	base := os.Obj.Base
+	i := as.search(base)
+	if i > 0 && as.objs[i-1].Obj.Base == base {
+		panic(fmt.Sprintf("mem: duplicate binding at %#x", base))
+	}
+	as.objs = append(as.objs, nil)
+	copy(as.objs[i+1:], as.objs[i:])
+	as.objs[i] = os
+}
+
+// Unbind removes the object based at base and returns its state (nil
+// when no object starts there).
 func (as *AddressSpace) Unbind(base uint64) *ObjectState {
-	os, ok := as.objects[base]
-	if !ok {
+	i := as.search(base) - 1
+	if i < 0 || as.objs[i].Obj.Base != base {
 		return nil
 	}
-	delete(as.objects, base)
-	for i, b := range as.bases {
-		if b == base {
-			as.bases = append(as.bases[:i], as.bases[i+1:]...)
-			break
-		}
-	}
+	os := as.objs[i]
+	as.objs = append(as.objs[:i], as.objs[i+1:]...)
 	return os
 }
 
 // Resolve finds the object containing addr. ok=false means unmapped
 // (a memory error in the program under test).
 func (as *AddressSpace) Resolve(addr uint64) (*ObjectState, int64, bool) {
-	// Find the greatest base <= addr.
-	lo, hi := 0, len(as.bases)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if as.bases[mid] <= addr {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
+	i := as.search(addr) - 1
+	if i < 0 || !as.objs[i].Obj.Contains(addr) {
 		return nil, 0, false
 	}
-	os := as.objects[as.bases[lo-1]]
-	if !os.Obj.Contains(addr) {
-		return nil, 0, false
-	}
+	os := as.objs[i]
 	return os, int64(addr - os.Obj.Base), true
 }
 
-// Writable returns a privately owned object state for the object
-// containing addr, replacing the space's reference if CoW demanded a
-// copy.
+// Writable returns a privately owned state for os, an object state of
+// this space, replacing the space's reference if CoW demanded a copy.
 func (as *AddressSpace) Writable(os *ObjectState) *ObjectState {
 	w := os.copyForWrite()
 	if w != os {
-		as.objects[os.Obj.Base] = w
+		as.objs[as.search(os.Obj.Base)-1] = w
 	}
 	return w
 }
 
 // NumObjects returns the number of bound objects.
-func (as *AddressSpace) NumObjects() int { return len(as.objects) }
+func (as *AddressSpace) NumObjects() int { return len(as.objs) }
 
-// Objects calls fn for each bound object state.
+// Objects calls fn for each bound object state, in address order.
 func (as *AddressSpace) Objects(fn func(*ObjectState)) {
-	for _, b := range as.bases {
-		fn(as.objects[b])
+	for _, os := range as.objs {
+		fn(os)
 	}
 }

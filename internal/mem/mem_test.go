@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -252,6 +253,94 @@ func TestQuickResolveConsistent(t *testing.T) {
 		return ok && os.Obj == want && off == int64(addr-want.Base)
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickIndexAgreesWithModel drives two sibling spaces (one cloned
+// from the other, again and again) through random Bind, Unbind, Clone
+// and Writable-then-write sequences and holds each, after every step, to
+// a map-and-sort model: which objects it has, in which order, what
+// Resolve answers at their edges, and the byte each holds — so a write or
+// a Bind or an Unbind in one never shows in its sibling.
+func TestQuickIndexAgreesWithModel(t *testing.T) {
+	alloc := NewAllocator(0x1000)
+	var pool []*Object
+	for i := 0; i < 24; i++ {
+		pool = append(pool, alloc.Allocate(int64(i%5+1), "o"))
+	}
+	type model map[uint64]byte // base of each bound object -> its first byte
+	check := func(as *AddressSpace, m model) bool {
+		var bases []uint64
+		as.Objects(func(os *ObjectState) { bases = append(bases, os.Obj.Base) })
+		if as.NumObjects() != len(m) || len(bases) != len(m) || !sort.SliceIsSorted(bases, func(i, j int) bool { return bases[i] < bases[j] }) {
+			return false
+		}
+		for _, o := range pool {
+			want, bound := m[o.Base]
+			for _, addr := range []uint64{o.Base, o.End() - 1} {
+				os, off, ok := as.Resolve(addr)
+				if ok != bound || ok && (os.Obj != o || off != int64(addr-o.Base) || byte(os.Byte(0).ConstVal()) != want) {
+					return false
+				}
+			}
+			if _, _, ok := as.Resolve(o.End()); ok {
+				return false // the guard gap after every object is unmapped
+			}
+		}
+		return true
+	}
+	f := func(ops []uint16) (ok bool) {
+		spaces := [2]*AddressSpace{NewAddressSpace(), NewAddressSpace()}
+		models := [2]model{{}, {}}
+		for _, op := range ops {
+			x := int(op >> 15)
+			as, m, o := spaces[x], models[x], pool[int(op>>2)%len(pool)]
+			_, bound := m[o.Base]
+			switch op & 3 {
+			case 0:
+				panicked := func() (p bool) {
+					defer func() { p = recover() != nil }()
+					as.Bind(NewObjectState(o))
+					return
+				}()
+				if panicked != bound {
+					return false
+				}
+				if !bound {
+					m[o.Base] = 0
+				}
+			case 1:
+				if o.Size > 1 && as.Unbind(o.Base+1) != nil {
+					return false // not a base address
+				}
+				os := as.Unbind(o.Base)
+				if (os != nil) != bound || bound && os.Obj != o {
+					return false
+				}
+				if bound {
+					os.Unref()
+					delete(m, o.Base)
+				}
+			case 2:
+				spaces[1-x].Release()
+				spaces[1-x], models[1-x] = as.Clone(), model{}
+				for b, v := range m {
+					models[1-x][b] = v
+				}
+			case 3:
+				if os, _, ok := as.Resolve(o.Base); ok {
+					as.Writable(os).PutByte(0, expr.Const(uint64(op>>7), expr.W8))
+					m[o.Base] = byte(op >> 7)
+				}
+			}
+			if !check(spaces[0], models[0]) || !check(spaces[1], models[1]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -31,24 +31,33 @@ const (
 	ThreadTerminated
 )
 
-// Frame is one activation record.
+// Frame is one activation record. Only the top frame of a stack is ever
+// written, and it is always owned by that stack alone; the frames below
+// it may be shared with forked stacks (see Thread.Clone).
 type Frame struct {
 	Fn       *cvm.Func
 	Regs     []*expr.Expr
 	Block    int
 	PC       int
-	SlotObjs []*mem.Object // one memory object per stack slot
+	SlotObjs []*mem.Object // one memory object per stack slot; immutable after PushFrame
 	RetReg   int           // caller register receiving the return value (-1: none)
+	shared   bool          // reachable from more than one stack: copy before writing
 }
 
-// Clone deep-copies the frame (register slice copied; expressions are
-// immutable and shared; slot objects are identities shared with the
-// clone's address space clone).
+// Clone returns an exclusively owned copy of the frame: the register
+// slice is copied (expressions are immutable and shared); the slot
+// objects are identities and the slice naming them is shared.
 func (f *Frame) Clone() *Frame {
-	dup := *f
-	dup.Regs = append([]*expr.Expr(nil), f.Regs...)
-	dup.SlotObjs = append([]*mem.Object(nil), f.SlotObjs...)
-	return &dup
+	return f.copyTo(&Frame{Regs: make([]*expr.Expr, len(f.Regs))})
+}
+
+// copyTo makes dst, which brings len(f.Regs) registers, a Clone of f.
+func (f *Frame) copyTo(dst *Frame) *Frame {
+	regs := dst.Regs
+	copy(regs, f.Regs)
+	*dst = *f
+	dst.Regs, dst.shared = regs, false
+	return dst
 }
 
 // Thread is a cooperative thread.
@@ -63,12 +72,18 @@ type Thread struct {
 	JoinWlist uint64     // wait queue notified when this thread terminates
 }
 
-// Clone deep-copies the thread.
+// Clone copies the thread for a fork: the clone gets its own top frame,
+// and the frames below it are shared with t and marked so. PopFrame
+// copies a shared frame when a return exposes it.
 func (t *Thread) Clone() *Thread {
 	dup := *t
-	dup.Stack = make([]*Frame, len(t.Stack))
-	for i, f := range t.Stack {
-		dup.Stack[i] = f.Clone()
+	dup.Stack = append([]*Frame(nil), t.Stack...)
+	if n := len(t.Stack) - 1; n >= 0 {
+		dup.Stack[n] = t.Stack[n].Clone()
+		// Whatever lies below a shared frame was marked with it.
+		for i := n - 1; i >= 0 && !t.Stack[i].shared; i-- {
+			t.Stack[i].shared = true
+		}
 	}
 	dup.Joiners = append([]ThreadID(nil), t.Joiners...)
 	return &dup
@@ -168,6 +183,8 @@ type S struct {
 	// Symbolics records the symbolic input regions created along this
 	// path, for test-case rendering.
 	Symbolics []SymbolicRegion
+
+	lin *lineage
 }
 
 // SymbolicRegion names a run of symbolic byte variables created by one
@@ -226,6 +243,7 @@ func New(prog *cvm.Program, entry string) (*S, error) {
 		NextPID:   1,
 		NextWlist: 1,
 		Aux:       map[string]interface{}{},
+		lin:       &lineage{locals: map[*cvm.Func]string{}},
 	}
 	p := &Process{ID: s.NextPID, Space: mem.NewAddressSpace()}
 	s.NextPID++
@@ -248,63 +266,45 @@ func New(prog *cvm.Program, entry string) (*S, error) {
 	s.Threads[t.ID] = t
 	p.MainThread = t.ID
 	s.Cur = t.ID
-	if err := s.PushFrame(t, fn, nil, -1); err != nil {
+	if _, err := s.PushFrame(t, fn, 0, -1); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Fork deep-copies the state for a branch. The caller appends the branch
-// constraint and path choice afterwards.
+// Fork copies the state for a branch, sharing what a branch rarely
+// writes: object contents are copy-on-write (mem.AddressSpace.Clone),
+// every frame but the top one of each stack is shared until a return
+// exposes it (Thread.Clone), and constraints, path and globals are
+// persistent or immutable. The caller appends the branch constraint and
+// path choice afterwards.
 func (s *S) Fork(newID uint64) *S {
-	dup := &S{
-		ID:          newID,
-		Prog:        s.Prog,
-		Procs:       make(map[ProcessID]*Process, len(s.Procs)),
-		Threads:     make(map[ThreadID]*Thread, len(s.Threads)),
-		Shared:      s.Shared.Clone(),
-		Alloc:       s.Alloc.Clone(),
-		Globals:     s.Globals, // immutable after New
-		Constraints: s.Constraints,
-		Cur:         s.Cur,
-		Path:        s.Path,
-		NextTID:     s.NextTID,
-		NextPID:     s.NextPID,
-		NextWlist:   s.NextWlist,
-		NextSym:     s.NextSym,
-		WaitLists:   make(map[uint64][]ThreadID, len(s.WaitLists)),
-		Steps:       s.Steps,
-		Forks:       s.Forks,
-		MaxSteps:    s.MaxSteps,
-		MaxHeap:     s.MaxHeap,
-		HeapUsed:    s.HeapUsed,
-		ForkSched:   s.ForkSched,
-		SchedBound:  s.SchedBound,
-		CtxSwitches: s.CtxSwitches,
-		FaultInj:    s.FaultInj,
-		FaultsTaken: s.FaultsTaken,
-		Aux:         make(map[string]interface{}, len(s.Aux)),
-	}
+	dup := *s
+	dup.ID = newID
+	dup.Term, dup.TermMsg = TermNone, ""
+	dup.Shared = s.Shared.Clone()
+	dup.Alloc = s.Alloc.Clone()
+	dup.Procs = make(map[ProcessID]*Process, len(s.Procs))
 	for id, p := range s.Procs {
 		dup.Procs[id] = p.Clone()
 	}
+	dup.Threads = make(map[ThreadID]*Thread, len(s.Threads))
 	for id, t := range s.Threads {
 		dup.Threads[id] = t.Clone()
 	}
+	dup.WaitLists = make(map[uint64][]ThreadID, len(s.WaitLists))
 	for id, q := range s.WaitLists {
 		dup.WaitLists[id] = append([]ThreadID(nil), q...)
 	}
+	dup.Aux = make(map[string]interface{}, len(s.Aux))
 	for k, v := range s.Aux {
 		if c, ok := v.(AuxCloner); ok {
-			dup.Aux[k] = c.CloneAux()
-		} else {
-			dup.Aux[k] = v
+			v = c.CloneAux()
 		}
+		dup.Aux[k] = v
 	}
 	dup.Symbolics = append([]SymbolicRegion(nil), s.Symbolics...)
-	dup.Decision = s.Decision
-	dup.HasDecision = s.HasDecision
-	return dup
+	return &dup
 }
 
 // AuxCloner lets Aux values define deep-copy behavior on fork.
@@ -325,45 +325,86 @@ func (s *S) CurThread() *Thread { return s.Threads[s.Cur] }
 // CurProc returns the running thread's process.
 func (s *S) CurProc() *Process { return s.Procs[s.CurThread().Proc] }
 
-// PushFrame activates fn on thread t with the given argument values.
-func (s *S) PushFrame(t *Thread, fn *cvm.Func, args []*expr.Expr, retReg int) error {
-	if len(args) != fn.NumParams {
-		return fmt.Errorf("state: call %s with %d args, want %d", fn.Name, len(args), fn.NumParams)
+// PushFrame activates fn on thread t and returns the new frame; the
+// caller writes the nargs argument values into its first registers.
+func (s *S) PushFrame(t *Thread, fn *cvm.Func, nargs, retReg int) (*Frame, error) {
+	if nargs != fn.NumParams {
+		return nil, fmt.Errorf("state: call %s with %d args, want %d", fn.Name, nargs, fn.NumParams)
 	}
-	f := &Frame{
-		Fn:     fn,
-		Regs:   make([]*expr.Expr, fn.NumRegs),
-		RetReg: retReg,
-	}
-	copy(f.Regs, args)
+	f := s.lin.newFrame(fn.NumRegs)
+	f.Fn, f.RetReg = fn, retReg
 	if n := len(fn.Slots); n > 0 {
 		f.SlotObjs = make([]*mem.Object, n)
 		space := s.Procs[t.Proc].Space
+		name := s.lin.localName(fn)
 		for i, size := range fn.Slots {
-			obj := s.Alloc.Allocate(size, "local "+fn.Name)
+			obj := s.Alloc.Allocate(size, name)
 			space.Bind(mem.NewObjectState(obj))
 			f.SlotObjs[i] = obj
 		}
 	}
 	t.Stack = append(t.Stack, f)
-	return nil
+	return f, nil
 }
 
-// PopFrame removes the top frame, freeing its stack objects, and returns
-// it. Returns nil when the stack is empty.
-func (s *S) PopFrame(t *Thread) *Frame {
-	if len(t.Stack) == 0 {
-		return nil
-	}
-	f := t.Top()
-	t.Stack = t.Stack[:len(t.Stack)-1]
+// PopFrame removes the top frame of a non-empty stack, freeing its stack
+// objects, and makes the frame it exposes t's own if forks share it. The
+// popped frame goes on the free list, whence that copy usually takes it.
+func (s *S) PopFrame(t *Thread) {
+	n := len(t.Stack) - 1
+	f := t.Stack[n]
+	t.Stack = t.Stack[:n]
 	space := s.Procs[t.Proc].Space
 	for _, obj := range f.SlotObjs {
 		if os := space.Unbind(obj.Base); os != nil {
 			os.Unref()
 		}
 	}
+	if len(s.lin.free) < maxFreeFrames {
+		s.lin.free = append(s.lin.free, f)
+	}
+	if n > 0 && t.Stack[n-1].shared {
+		below := t.Stack[n-1]
+		t.Stack[n-1] = below.copyTo(s.lin.newFrame(len(below.Regs)))
+	}
+}
+
+// lineage is the scratch shared by every state forked from one root.
+// One worker owns a lineage, so nothing here is locked, and for the same
+// reason none of it may live at package level: the workers of a
+// cluster.Run are goroutines of one process over one *cvm.Program.
+type lineage struct {
+	free   []*Frame             // popped frames for newFrame to reuse
+	locals map[*cvm.Func]string // "local "+fn.Name, the name of fn's slot objects
+}
+
+const maxFreeFrames = 16
+
+// newFrame returns a frame with nregs empty registers and nothing else.
+func (l *lineage) newFrame(nregs int) *Frame {
+	n := len(l.free) - 1
+	if n < 0 {
+		return &Frame{Regs: make([]*expr.Expr, nregs)}
+	}
+	f := l.free[n]
+	l.free = l.free[:n]
+	regs := f.Regs
+	if cap(regs) < nregs {
+		regs = make([]*expr.Expr, nregs)
+	}
+	regs = regs[:nregs]
+	clear(regs)
+	*f = Frame{Regs: regs}
 	return f
+}
+
+func (l *lineage) localName(fn *cvm.Func) string {
+	name, ok := l.locals[fn]
+	if !ok {
+		name = "local " + fn.Name
+		l.locals[fn] = name
+	}
+	return name
 }
 
 // Resolve finds the object containing addr visible to process pid:
@@ -472,10 +513,12 @@ func (s *S) CreateThread(pid ProcessID, fn *cvm.Func, args []*expr.Expr) (Thread
 	s.NextTID++
 	t.JoinWlist = s.NewWaitList()
 	s.Threads[t.ID] = t
-	if err := s.PushFrame(t, fn, args, -1); err != nil {
+	f, err := s.PushFrame(t, fn, len(args), -1)
+	if err != nil {
 		delete(s.Threads, t.ID)
 		return 0, err
 	}
+	copy(f.Regs, args)
 	return t.ID, nil
 }
 

@@ -1,14 +1,17 @@
 package state
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cloud9/internal/cvm"
 	"cloud9/internal/expr"
+	"cloud9/internal/mem"
 )
 
 // tinyProgram builds a minimal valid program with one function.
-func tinyProgram(t *testing.T) *cvm.Program {
+func tinyProgram(t testing.TB) *cvm.Program {
 	t.Helper()
 	p := cvm.NewProgram("t")
 	p.AddGlobal("g", 8, []byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -95,6 +98,222 @@ func TestForkIsolation(t *testing.T) {
 	if s.CurThread().Top().Regs[0] != nil {
 		t.Fatal("register fork leak")
 	}
+
+	// A frame below the top is shared by the fork. The child returns into
+	// it and writes a register there; the parent, still in the callee,
+	// must find its caller's register as it left it when it returns too.
+	th := s.CurThread()
+	th.Top().Regs[0] = expr.Const(1, expr.W32)
+	if _, err := s.PushFrame(th, s.Prog.Func("main"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	child = s.Fork(3)
+	cth := child.CurThread()
+	if cth.Stack[0] != th.Stack[0] {
+		t.Fatal("the frame below the top should be shared, not copied")
+	}
+	child.PopFrame(cth)
+	cth.Top().Regs[0] = expr.Const(2, expr.W32)
+	s.PopFrame(th)
+	if got := th.Top().Regs[0].ConstVal(); got != 1 {
+		t.Fatalf("parent's caller register = %d after the child wrote the shared frame, want 1", got)
+	}
+	if th.Top() == cth.Top() {
+		t.Fatal("both stacks returned into the same frame")
+	}
+}
+
+// deepFork is the eager fork this package had before frames were shared:
+// every frame of every stack copied, slot lists included. The oracle the
+// shared-until-written Fork is held to.
+func deepFork(s *S, newID uint64) *S {
+	dup := *s
+	dup.ID = newID
+	dup.Term, dup.TermMsg = TermNone, ""
+	dup.Shared = s.Shared.Clone()
+	dup.Alloc = s.Alloc.Clone()
+	dup.Procs = map[ProcessID]*Process{}
+	for id, p := range s.Procs {
+		dup.Procs[id] = p.Clone()
+	}
+	dup.Threads = map[ThreadID]*Thread{}
+	for id, t := range s.Threads {
+		dup.Threads[id] = deepCloneThread(t)
+	}
+	dup.WaitLists = map[uint64][]ThreadID{}
+	for id, q := range s.WaitLists {
+		dup.WaitLists[id] = append([]ThreadID(nil), q...)
+	}
+	dup.Aux = map[string]interface{}{}
+	for k, v := range s.Aux {
+		if c, ok := v.(AuxCloner); ok {
+			v = c.CloneAux()
+		}
+		dup.Aux[k] = v
+	}
+	dup.Symbolics = append([]SymbolicRegion(nil), s.Symbolics...)
+	return &dup
+}
+
+func deepCloneThread(t *Thread) *Thread {
+	dup := *t
+	dup.Stack = make([]*Frame, len(t.Stack))
+	for i, f := range t.Stack {
+		df := *f
+		df.Regs = append([]*expr.Expr(nil), f.Regs...)
+		df.SlotObjs = append([]*mem.Object(nil), f.SlotObjs...)
+		df.shared = false
+		dup.Stack[i] = &df
+	}
+	dup.Joiners = append([]ThreadID(nil), t.Joiners...)
+	return &dup
+}
+
+// deepForkProcess is ForkProcess with the calling thread deep-copied.
+func deepForkProcess(s *S, calling ThreadID) {
+	saved := s.Threads[calling]
+	s.Threads[calling] = deepCloneThread(saved) // what ForkProcess clones shares nothing with saved
+	_, ctid := s.ForkProcess(calling)
+	s.Threads[ctid] = deepCloneThread(s.Threads[ctid])
+	s.Threads[calling] = saved
+}
+
+// dump renders everything of s a program can observe: per thread every
+// frame's function, position, return register and registers; per
+// address space every object's base, size and bytes.
+func dump(s *S) string {
+	var b strings.Builder
+	for tid := ThreadID(1); tid < s.NextTID; tid++ {
+		th := s.Threads[tid]
+		if th == nil {
+			continue
+		}
+		fmt.Fprintf(&b, "thread %d proc %d status %d\n", tid, th.Proc, th.Status)
+		for _, f := range th.Stack {
+			fmt.Fprintf(&b, "  %s b%d pc%d ret%d", f.Fn.Name, f.Block, f.PC, f.RetReg)
+			for _, r := range f.Regs {
+				if r == nil {
+					b.WriteString(" -")
+				} else {
+					fmt.Fprintf(&b, " %d", r.ConstVal())
+				}
+			}
+			for _, o := range f.SlotObjs {
+				fmt.Fprintf(&b, " @%#x", o.Base)
+			}
+			b.WriteByte('\n')
+		}
+	}
+	space := func(name string, as *mem.AddressSpace) {
+		fmt.Fprintf(&b, "space %s\n", name)
+		as.Objects(func(os *mem.ObjectState) {
+			fmt.Fprintf(&b, "  %#x+%d %x\n", os.Obj.Base, os.Obj.Size, os.ConcreteBytes(nil))
+		})
+	}
+	for pid := ProcessID(1); pid < s.NextPID; pid++ {
+		space(fmt.Sprint(pid), s.Procs[pid].Space)
+	}
+	space("shared", s.Shared)
+	return b.String()
+}
+
+// forkOps applies the op sequence data encodes to two lineages at once,
+// one forked with Fork and ForkProcess, its twin with deepFork and
+// deepForkProcess, and after every op holds every live state to its
+// twin's dump. One op is two bytes: the op, then its argument.
+func forkOps(t *testing.T, data []byte) {
+	const maxStates, maxDepth = 8, 8
+	got, want := []*S{newState(t)}, []*S{newState(t)}
+	cur := 0
+	for len(data) >= 2 {
+		op, arg := data[0]%6, int(data[1])
+		data = data[2:]
+		for side, s := range []*S{got[cur], want[cur]} {
+			th := s.CurThread()
+			live := th.Status != ThreadTerminated
+			switch {
+			case op == 0 && live && len(th.Stack) < maxDepth: // call
+				fn, nargs := s.Prog.Func("main"), 0
+				if arg%2 == 1 {
+					fn, nargs = s.Prog.Func("worker"), 1
+				}
+				f, err := s.PushFrame(th, fn, nargs, arg%3-1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range f.Regs {
+					if r != nil { // both lineages recycle frames, so the twin would agree
+						t.Fatalf("new frame of %s: register %d is not empty", fn.Name, i)
+					}
+				}
+				for i := 0; i < nargs; i++ {
+					f.Regs[i] = expr.Const(uint64(arg), expr.W32)
+				}
+			case op == 1 && live: // return, as interp.execRet does
+				f := th.Top()
+				ret, retReg := f.Regs[0], f.RetReg
+				s.PopFrame(th)
+				if len(th.Stack) == 0 {
+					s.TerminateThread(th.ID, ret)
+				} else if retReg >= 0 && retReg < len(th.Top().Regs) {
+					th.Top().Regs[retReg] = ret
+				}
+			case op == 2 && live: // register write and a step
+				f := th.Top()
+				f.Regs[arg%len(f.Regs)] = expr.Const(uint64(arg), expr.W32)
+				f.PC++
+				f.Block = arg % 3
+			case op == 3 && live: // store to a slot of any frame of the stack
+				f := th.Stack[arg%len(th.Stack)]
+				if len(f.SlotObjs) == 0 {
+					break
+				}
+				space, os, off, ok := s.Resolve(th.Proc, f.SlotObjs[0].Base+uint64(arg%16))
+				if !ok {
+					t.Fatalf("slot of a live frame unmapped")
+				}
+				space.Writable(os).Write(off, expr.Const(uint64(arg), expr.W8))
+			case op == 4 && live && int(s.NextPID) < 4: // process fork, then run either side of it
+				if side == 0 {
+					s.ForkProcess(s.Cur)
+				} else {
+					deepForkProcess(s, s.Cur)
+				}
+				if arg%2 == 1 {
+					s.Cur = s.NextTID - 1
+				}
+			case op == 5 && side == 0 && len(got) < maxStates: // fork, then run any sibling
+				got = append(got, got[cur].Fork(uint64(len(got)+1)))
+				want = append(want, deepFork(want[cur], uint64(len(want)+1)))
+			}
+		}
+		if op == 5 {
+			cur = arg % len(got)
+		} else if got[cur].CurThread().Status == ThreadTerminated {
+			// The running thread ended: run another, the same on both sides.
+			if r := got[cur].Runnable(); len(r) > 0 {
+				got[cur].Cur, want[cur].Cur = r[0], r[0]
+			}
+		}
+		for i := range got {
+			for _, th := range got[i].Threads {
+				if len(th.Stack) > 0 && th.Top().shared {
+					t.Fatalf("state %d thread %d: top frame is shared", i, th.ID)
+				}
+			}
+			if g, w := dump(got[i]), dump(want[i]); g != w {
+				t.Fatalf("state %d differs from its deep-forked twin after op %d/%d\n--- shared\n%s--- deep\n%s", i, op, arg, g, w)
+			}
+		}
+	}
+}
+
+// FuzzForkIsolation: no sequence of calls, returns, writes and forks
+// lets one state see what another did through a frame or an object they
+// share.
+func FuzzForkIsolation(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(forkOps)
 }
 
 func TestForkPreservesCounters(t *testing.T) {
@@ -292,7 +511,7 @@ func TestPushPopFrameReleasesSlots(t *testing.T) {
 	s := newState(t)
 	th := s.CurThread()
 	fn := s.Prog.Func("main")
-	if err := s.PushFrame(th, fn, nil, -1); err != nil {
+	if _, err := s.PushFrame(th, fn, 0, -1); err != nil {
 		t.Fatal(err)
 	}
 	addr := th.Top().SlotObjs[0].Base
@@ -302,5 +521,63 @@ func TestPushPopFrameReleasesSlots(t *testing.T) {
 	s.PopFrame(th)
 	if _, _, _, ok := s.Resolve(th.Proc, addr); ok {
 		t.Fatal("slot should be unmapped after pop")
+	}
+}
+
+// wcShaped builds the state a coreutil-wc branch forks: one process, one
+// thread, depth frames, about forty bound objects.
+func wcShaped(t testing.TB, depth int) *S {
+	s, err := New(tinyProgram(t), "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := s.CurThread()
+	for len(th.Stack) < depth {
+		if _, err := s.PushFrame(th, s.Prog.Func("main"), 0, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	space := s.CurProc().Space
+	for space.NumObjects() < 40 {
+		space.Bind(mem.NewObjectState(s.Alloc.Allocate(32, "heap")))
+	}
+	s.Symbolics = []SymbolicRegion{{Name: "stdin", Len: 8}}
+	return s
+}
+
+// branch is what interp.forkN does to a state at a two-way branch: one
+// fork, and the parent lives on as the other child.
+func branch(s *S) *S {
+	c := s.Fork(s.ID + 1)
+	c.Path = AppendChoice(c.Path, 0)
+	s.Path = AppendChoice(s.Path, 1)
+	return c
+}
+
+// A branch costs a fixed number of allocations, whatever the depth of
+// the stack below the top frame. The budget is a count, not a timing:
+// raise it only with a reason.
+func TestForkAllocBudget(t *testing.T) {
+	const budget = 20
+	var first float64
+	for _, depth := range []int{4, 8} {
+		s := wcShaped(t, depth)
+		n := testing.AllocsPerRun(100, func() { branch(s).Release() })
+		if n > budget {
+			t.Errorf("depth %d: a branch allocates %.0f times, budget %d", depth, n, budget)
+		}
+		if first == 0 {
+			first = n
+		} else if n != first {
+			t.Errorf("a branch allocates %.0f times at depth 4 and %.0f at depth %d", first, n, depth)
+		}
+	}
+}
+
+func BenchmarkFork(b *testing.B) {
+	s := wcShaped(b, 4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		branch(s).Release()
 	}
 }
