@@ -4,10 +4,11 @@
 // directly between workers. Membership is elastic: workers may join
 // mid-run, leave gracefully, or crash — a silent worker is evicted when
 // its lease lapses and its last-reported jobs are re-seated onto
-// survivors. The LB exits when the cluster is quiescent (or -max-duration
-// cuts the run off) and prints the aggregate results, including departed
-// workers' final contributions; exhausted=true|false on the cluster
-// total line says which of the two ended the run.
+// survivors. The LB exits when the run has terminated — every worker
+// idle and nothing in flight, confirmed by two probe waves — or when
+// -max-duration cuts it off, and prints the aggregate results, including
+// departed workers' final contributions; exhausted=true|false on the
+// cluster total line says which of the two ended the run.
 //
 // The LB is no longer a single point of failure: a second c9-lb started
 // with -standby -peer=<primary> installs a snapshot of the primary's
@@ -44,7 +45,7 @@ func main() {
 	var (
 		listen     = flag.String("listen", "127.0.0.1:7747", "address to listen on")
 		targetName = flag.String("target", "memcached", "target (for coverage sizing)")
-		minWorkers = flag.Int("min-workers", 2, "workers that must have joined before quiescence can end the run")
+		minWorkers = flag.Int("min-workers", 2, "workers that must have joined before the run can end by running dry")
 		lease      = flag.Duration("lease", cluster.DefaultLease, "membership lease; silent workers are evicted past this")
 		maxDur     = flag.Duration("max-duration", 10*time.Minute, "run bound")
 		portfolio  = flag.String("portfolio", "", "comma-separated strategy specs assigned to workers at join (e.g. \"dfs,random-path,cupa(site,dfs)\"); empty = engine default everywhere")
@@ -153,7 +154,7 @@ func main() {
 		// Always accept standby subscriptions: replication costs one
 		// retained entry per input on these miniature runs.
 		srv.EnableReplication()
-		fmt.Printf("c9-lb: listening on %s (elastic membership, quiescence after ≥%d workers)\n",
+		fmt.Printf("c9-lb: listening on %s (elastic membership, termination probes after ≥%d workers)\n",
 			srv.Addr(), *minWorkers)
 	}
 	srvP.Store(srv)

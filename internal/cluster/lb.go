@@ -244,7 +244,36 @@ type LoadBalancer struct {
 	// times: re-seat and unit-grant re-delivery keep their pace. Set by
 	// cluster.Run, where a silent member is never a dead one.
 	neverEvict bool
+
+	// Termination detector (probe): probeSeq is the last wave opened,
+	// probeOpen whether it still waits for echoes, cleanWaves how many
+	// complete waves in a row found the cluster quiescent on the same job
+	// sum waveSum (sent = received), probeWaves how many were opened in all.
+	// Not replicated: a promoted standby starts a fresh wave, numbered
+	// above anything the lost primary can have sent (the term is the
+	// sequence's high half). holdOpen keeps the detector from opening one
+	// while the fabric would not end the run anyway (LBServer.MinWorkers).
+	probeSeq   uint64
+	probeOpen  bool
+	cleanWaves int
+	waveSum    uint64
+	probeWaves int
+	holdOpen   bool
 }
+
+// The termination detector's metric and journal event (internal/obs
+// holds the rest of the catalogue; these two are read nowhere else).
+const (
+	mLBProbeWaves = "c9_lb_probe_waves_total"
+	evTerminated  = "terminated" // LB: two clean probe waves agreed (fields: term, wave, waves, sent, recv)
+)
+
+// What made the balancer grant units, as the unit-grant journal event's
+// cause field says it.
+const (
+	grantOnReport = "report" // an idle member's status arrived
+	grantOnTick   = "tick"   // the balance round found an idle member and unclaimed units
+)
 
 // lbState is the balancer's replicated state, all of it: a field is
 // replicated if and only if it is declared here (or in a type reachable
@@ -408,6 +437,7 @@ func (lb *LoadBalancer) Join(addr string, now time.Time) (*Member, []Outbound) {
 	m := &Member{ID: id, Epoch: lb.NextEpoch, Addr: addr, LastSeen: now,
 		Spec: spec, SpecIdx: specIdx}
 	lb.Members[id] = m
+	lb.resetWaves()
 	lb.Joins++
 	lb.journal.AppendAt(now, obs.EvWorkerJoin, id, map[string]string{
 		"epoch": strconv.FormatUint(m.Epoch, 10), "spec": spec,
@@ -592,6 +622,13 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 			delete(lb.Reseats, ack.ID)
 		}
 	}
+	// Depth mode: an idle report is a request for the next range of
+	// units, answered now and not on the next round. Update is a logged
+	// entry and grantUnits reads replicated state only, so a replica
+	// replaying the status grants the same units.
+	if lb.UnitOwner != nil && st.Done && st.Queue == 0 {
+		outs = append(outs, lb.grantUnits(now, grantOnReport)...)
+	}
 	return outs, true
 }
 
@@ -650,6 +687,7 @@ func (lb *LoadBalancer) depart(id int, now time.Time) []Outbound {
 	m := lb.Members[id]
 	delete(lb.Members, id)
 	lb.Evicted[id] = m.Epoch
+	lb.resetWaves()
 	if lb.cfg.DataPlane == DataPlaneDepth {
 		// Depth mode voids the departed member entirely: its counted
 		// terminals all live inside its owned units, the units return to
@@ -841,7 +879,10 @@ func (lb *LoadBalancer) Tick(now time.Time) []Outbound {
 		}
 	}
 	if lb.UnitOwner != nil {
-		outs = append(outs, lb.grantUnits(now)...)
+		// Units reclaimed from a departed member have no report to ride
+		// on; lost grants are re-sent from here too.
+		outs = append(outs, lb.grantUnits(now, grantOnTick)...)
+		outs = append(outs, lb.redeliverUnits(now)...)
 	}
 	// Periodic portfolio reweighting: recompute the yield-weighted
 	// allocation and move workers if it shifted. A no-op between shifts.
@@ -905,7 +946,12 @@ func (lb *LoadBalancer) Control(m Message, now time.Time) []Outbound {
 	switch m.Kind {
 	case MsgStatus:
 		if m.Status != nil {
-			outs, _ := lb.Update(*m.Status, now)
+			outs, ok := lb.Update(*m.Status, now)
+			if ok {
+				// The report may be the one that makes the cluster look
+				// quiescent, completes a probe wave, or shows it was not.
+				outs = append(outs, lb.probe(now, false)...)
+			}
 			return outs
 		}
 	case MsgGoodbye:
@@ -920,9 +966,17 @@ func (lb *LoadBalancer) Control(m Message, now time.Time) []Outbound {
 
 // Round is one balance round: evict members whose lease lapsed, run
 // custody and portfolio maintenance, turn the balancing decision into
-// MsgTransferReq orders addressed to their sources, and broadcast the
-// global coverage vector if it changed. Fabrics call it on their own
-// period and deliver the result in order.
+// MsgTransferReq orders addressed to their sources, broadcast the
+// global coverage vector if it changed, and re-send a termination probe
+// still waiting for echoes. Fabrics call it on their own period and
+// deliver the result in order.
+//
+// Transfer orders are issued here and not when a starved report arrives
+// (as unit grants and probes are): the donor's queue in the balancer's
+// view is as old as the donor's last status, and re-ordering against it
+// before the donor has reported the previous order's effect ships the
+// same surplus many times over (measured, ARCHITECTURE.md "When the
+// balancer acts").
 func (lb *LoadBalancer) Round(now time.Time) []Outbound {
 	outs := lb.ExpireLeases(now)
 	outs = append(outs, lb.Tick(now)...)
@@ -936,64 +990,72 @@ func (lb *LoadBalancer) Round(now time.Time) []Outbound {
 			Kind: MsgCoverage, CovWords: cov.Words(),
 		}})
 	}
+	return append(outs, lb.probe(now, true)...)
+}
+
+// grantUnits hands unclaimed depth-partition units to idle members, to
+// each half its fair share of what is left (rounded up), so the ranges
+// shrink as the pool drains — 16 units and 2 members go out as 4, 3, 3,
+// 2, 1, 1, 1, 1 — and the member that finishes early comes back for
+// more instead of waiting out a one-shot split. Runs inside a logged
+// entry (Update for cause grantOnReport, Tick for grantOnTick), reads
+// only replicated state, and iterates members in sorted id order, so a
+// replica replaying the entries builds the identical unit table. Grants
+// are suspended during a post-promotion resync window: members' unit
+// claims (statuses) must reconcile first, or a unit granted by the lost
+// primary inside the replication gap could be granted twice.
+func (lb *LoadBalancer) grantUnits(now time.Time, cause string) []Outbound {
+	unclaimed := lb.ownedUnits(-1)
+	if lb.ResyncPending || len(unclaimed) == 0 {
+		return nil
+	}
+	ids := lb.memberIDs()
+	var outs []Outbound
+	for _, id := range ids {
+		if len(unclaimed) == 0 {
+			break
+		}
+		m := lb.Members[id]
+		// Only idle members claim: a busy worker is still draining a
+		// previous grant (or the shared upper tree). One whose report does
+		// not yet claim what it owns went idle before its last grant
+		// reached it — any mail wakes an idle worker into reporting again —
+		// and is about to be busy; the same test holds quiescence off
+		// until the grant is folded in.
+		if !m.Reported || m.Last.Queue > 0 || !m.Last.Done || !lb.claimsUnits(m) {
+			continue
+		}
+		chunk := (len(unclaimed) + 2*len(ids) - 1) / (2 * len(ids))
+		granted := unclaimed[:chunk]
+		unclaimed = unclaimed[chunk:]
+		for _, u := range granted {
+			lb.UnitOwner[u] = id
+		}
+		lb.UnitGrants += len(granted)
+		lb.UnitSentAt[id] = now
+		lb.journal.AppendAt(now, obs.EvUnitGrant, id, map[string]string{
+			"units": strconv.Itoa(len(granted)),
+			"first": strconv.Itoa(granted[0]),
+			"cause": cause,
+		})
+		outs = append(outs, Outbound{To: id, Msg: Message{Kind: MsgUnits, Units: lb.ownedUnits(id)}})
+	}
 	return outs
 }
 
-// grantUnits hands unclaimed depth-partition units to idle members and
-// re-delivers possibly-lost grants. Runs inside Tick (a logged entry),
-// reads only replicated state, and iterates members in sorted id order,
-// so a replica replaying the entries builds the identical unit table.
-// Grants are suspended during a post-promotion resync window: members'
-// unit claims (statuses) must reconcile first, or a unit granted by the
-// lost primary inside the replication gap could be granted twice.
-func (lb *LoadBalancer) grantUnits(now time.Time) []Outbound {
+// redeliverUnits re-sends possibly-lost grants: a member whose status
+// does not yet claim every unit it owns may have lost the MsgUnits (dead
+// conn, promotion gap). The full owned list is idempotent, so re-sending
+// is always safe; the lease paces it to one retry per silence period.
+// Replica-safe for the reasons grantUnits is.
+func (lb *LoadBalancer) redeliverUnits(now time.Time) []Outbound {
 	if lb.ResyncPending {
 		return nil
 	}
-	ids := make([]int, 0, len(lb.Members))
-	for id := range lb.Members {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	unclaimed := lb.ownedUnits(-1)
 	var outs []Outbound
-	if len(unclaimed) > 0 && len(ids) > 0 {
-		chunk := (len(unclaimed) + len(ids) - 1) / len(ids)
-		next := 0
-		for _, id := range ids {
-			if next >= len(unclaimed) {
-				break
-			}
-			m := lb.Members[id]
-			// Only idle members claim: a busy worker is still draining a
-			// previous grant (or the shared upper tree).
-			if !m.Reported || m.Last.Queue > 0 || !m.Last.Done {
-				continue
-			}
-			granted := unclaimed[next:min(next+chunk, len(unclaimed))]
-			next += len(granted)
-			for _, u := range granted {
-				lb.UnitOwner[u] = id
-			}
-			lb.UnitGrants += len(granted)
-			// Clearing Done holds off both a second grant and quiescence
-			// until the worker has folded this one in and re-reported.
-			m.Last.Done = false
-			lb.UnitSentAt[id] = now
-			lb.journal.AppendAt(now, obs.EvUnitGrant, id, map[string]string{
-				"units": strconv.Itoa(len(granted)),
-				"first": strconv.Itoa(granted[0]),
-			})
-			outs = append(outs, Outbound{To: id, Msg: Message{Kind: MsgUnits, Units: lb.ownedUnits(id)}})
-		}
-	}
-	// Re-delivery: a member whose status does not yet claim every unit it
-	// owns may have lost the MsgUnits (dead conn, promotion gap). The
-	// full owned list is idempotent, so re-sending is always safe; the
-	// lease paces it to one retry per silence period.
-	for _, id := range ids {
+	for _, id := range lb.memberIDs() {
 		owned := lb.ownedUnits(id)
-		if len(owned) == 0 || len(lb.Members[id].Last.Units) == len(owned) {
+		if len(owned) == 0 || lb.claimsUnits(lb.Members[id]) {
 			continue
 		}
 		if sent, ok := lb.UnitSentAt[id]; ok && now.Sub(sent) <= lb.cfg.Lease {
@@ -1003,6 +1065,23 @@ func (lb *LoadBalancer) grantUnits(now time.Time) []Outbound {
 		outs = append(outs, Outbound{To: id, Msg: Message{Kind: MsgUnits, Units: owned}})
 	}
 	return outs
+}
+
+// memberIDs returns the current member ids in ascending order.
+func (lb *LoadBalancer) memberIDs() []int {
+	ids := make([]int, 0, len(lb.Members))
+	for id := range lb.Members {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// claimsUnits reports whether m's last status claims every unit the
+// table says it owns: false from a grant until the worker has folded it
+// in and reported.
+func (lb *LoadBalancer) claimsUnits(m *Member) bool {
+	return len(m.Last.Units) == len(lb.ownedUnits(m.ID))
 }
 
 // ownedUnits returns the sorted unit ids owned by member id (-1: the
@@ -1146,6 +1225,7 @@ func (lb *LoadBalancer) PutLBMetrics(s *obs.Snapshot) {
 	s.PutCounter(obs.MLBUnitGrants, uint64(lb.UnitGrants))
 	s.PutCounter(obs.MLBUnitReclaims, uint64(lb.UnitReclaims))
 	s.PutGauge(obs.MLBUnitsUnclaimed, int64(len(lb.ownedUnits(-1))))
+	s.PutCounter(mLBProbeWaves, uint64(lb.probeWaves))
 	s.PutCounter(obs.MLBRepSnapshots, uint64(lb.snapshotsServed))
 	s.PutGauge(obs.MLBTerm, int64(lb.Term))
 	s.PutCounter(obs.MLBPromotions, uint64(lb.Promotions))
@@ -1163,23 +1243,23 @@ func (lb *LoadBalancer) PutLBMetrics(s *obs.Snapshot) {
 	}
 }
 
-// Quiescent reports global completion: at least one member, every
-// member reported idle with an empty queue, no orphaned custody, and
-// the send/receive reconciliation balanced across live members,
-// departed members' final counters, and the LB's own re-seat
-// deliveries. In-flight or unprocessed job batches keep the counters
-// unbalanced, so termination cannot be declared while work is moving.
+// Quiescent reports whether the members' last reports are consistent
+// with global completion: at least one member, every member reported
+// idle with an empty queue, no orphaned custody, and the send/receive
+// reconciliation balanced across live members, departed members' final
+// counters, and the LB's own re-seat deliveries. A batch in flight
+// between two reports taken at the same instant keeps the counters
+// unbalanced; reports taken at different instants can balance while a
+// member holds work, so this is a necessary condition only — it opens
+// the probe waves, and they decide (probe, Terminated).
 func (lb *LoadBalancer) Quiescent() bool {
 	if len(lb.Members) == 0 || len(lb.Orphans) > 0 {
 		return false
 	}
-	var sent, recv uint64
 	for _, m := range lb.Members {
 		if !m.Reported || m.Last.Queue > 0 {
 			return false
 		}
-		sent += m.Last.JobsSent
-		recv += m.Last.JobsRecv
 	}
 	if lb.UnitOwner != nil {
 		// Depth mode additionally requires the whole partition to be
@@ -1189,13 +1269,91 @@ func (lb *LoadBalancer) Quiescent() bool {
 		if len(lb.ownedUnits(-1)) > 0 {
 			return false
 		}
-		for id, m := range lb.Members {
-			if !m.Last.Done || len(m.Last.Units) != len(lb.ownedUnits(id)) {
+		for _, m := range lb.Members {
+			if !m.Last.Done || !lb.claimsUnits(m) {
 				return false
 			}
 		}
 	}
-	return sent+lb.GoneSent+lb.ReseatSent == recv+lb.GoneRecv
+	sent, recv := lb.jobSums()
+	return sent == recv
+}
+
+// jobSums totals the two sides of the job reconciliation as last
+// reported: jobs sent by live members, by departed ones and by the LB
+// re-seating, against jobs received by live and departed members.
+func (lb *LoadBalancer) jobSums() (sent, recv uint64) {
+	for _, m := range lb.Members {
+		sent += m.Last.JobsSent
+		recv += m.Last.JobsRecv
+	}
+	return sent + lb.GoneSent + lb.ReseatSent, recv + lb.GoneRecv
+}
+
+// Terminated reports that the run is over: two consecutive complete
+// probe waves found the cluster quiescent with the same job sums (see
+// "Termination" in the package comment).
+func (lb *LoadBalancer) Terminated() bool { return lb.cleanWaves >= 2 }
+
+// resetWaves starts the termination count again and abandons an open
+// wave: the membership changed, or a report showed work.
+func (lb *LoadBalancer) resetWaves() {
+	lb.cleanWaves, lb.probeOpen = 0, false
+}
+
+// probe advances the termination detector and returns the probe to
+// broadcast, if any. It runs after every accepted status (Control) and
+// on every balance round (Round, resend set): when Quiescent first holds
+// it opens a wave; once every member's last status echoes the open wave
+// it closes it — clean if the job sums equal the previous clean wave's,
+// the first of a new count otherwise — and opens the next at once, so
+// two waves cost two round trips, not two rounds; a wave still short of
+// echoes is re-sent on a round and left alone on a report. Neither caller
+// is a logged entry and none of the state is replicated: a replica never
+// runs this, and a promoted one starts from a fresh wave.
+func (lb *LoadBalancer) probe(now time.Time, resend bool) []Outbound {
+	if lb.Terminated() {
+		return nil
+	}
+	if lb.holdOpen || lb.ResyncPending || !lb.Quiescent() {
+		lb.resetWaves()
+		return nil
+	}
+	if lb.probeOpen {
+		for _, m := range lb.Members {
+			if m.Last.Probe < lb.probeSeq {
+				if resend {
+					return []Outbound{lb.probeMsg()}
+				}
+				return nil
+			}
+		}
+		sent, recv := lb.jobSums() // equal: Quiescent holds
+		if lb.cleanWaves > 0 && sent == lb.waveSum {
+			lb.cleanWaves++
+		} else {
+			lb.cleanWaves = 1
+		}
+		lb.waveSum, lb.probeOpen = sent, false
+		if lb.Terminated() {
+			lb.journal.AppendAt(now, evTerminated, LBFrom, map[string]string{
+				"term":  strconv.FormatUint(lb.Term, 10),
+				"wave":  strconv.FormatUint(lb.probeSeq&(1<<32-1), 10),
+				"waves": strconv.Itoa(lb.probeWaves),
+				"sent":  strconv.FormatUint(sent, 10),
+				"recv":  strconv.FormatUint(recv, 10),
+			})
+			return nil
+		}
+	}
+	lb.probeSeq = max(lb.probeSeq, lb.Term<<32) + 1
+	lb.probeOpen = true
+	lb.probeWaves++
+	return []Outbound{lb.probeMsg()}
+}
+
+func (lb *LoadBalancer) probeMsg() Outbound {
+	return Outbound{To: Broadcast, Msg: Message{Kind: MsgProbe, Seq: lb.probeSeq}}
 }
 
 // Balance computes transfer orders per the paper's algorithm: classify
@@ -1391,6 +1549,7 @@ func (lb *LoadBalancer) Readmit(id int, epoch uint64, addr string, now time.Time
 	m := &Member{ID: id, Epoch: epoch, Addr: addr, LastSeen: now,
 		Spec: spec, SpecIdx: specIdx}
 	lb.Members[id] = m
+	lb.resetWaves()
 	lb.Joins++
 	lb.Readmits++
 	if id >= lb.NextID {

@@ -74,10 +74,26 @@
 // evicted (MsgEvict broadcasts carry the new membership view). A worker
 // that sees its own eviction halts immediately.
 //
-// Quiescence detection survives departures: the balancer folds departed
-// members' final sent/received counters and its own re-seat deliveries
-// into the reconciliation, so the cluster terminates exactly when every
-// live member is idle and no job batch is in flight or orphaned.
+// # Termination
+//
+// LoadBalancer.Quiescent is a necessary condition read off the members'
+// last reports: everyone idle, nothing orphaned, and the sent and received
+// job counters — live members', departed members' final ones, the
+// balancer's own re-seat deliveries — in balance. It is not sufficient,
+// because the reports were taken at different instants: A's idle report is
+// old, B ships A a batch, A ships B one back, B drains and reports, and
+// the sums balance while A still holds work. What decides is a pair of
+// probe waves (LoadBalancer.probe). When the condition first holds the
+// balancer broadcasts MsgProbe{Seq: n}; a worker answers at once with a
+// status echoing the highest probe it has seen (Status.Probe), so every
+// report of a complete wave was taken after the wave began. The run is over
+// when two consecutive complete waves found the condition holding with the
+// same sums (Mattern's four-counter rule: the counters only grow, so equal
+// sums across two waves mean nothing was sent, received or in flight when
+// the first one ended, and an idle worker only wakes on a receipt). A
+// report that shows work, a join or a departure starts the count again; an
+// unanswered probe is re-sent on every balance round, so a lost one costs a
+// round and never wedges the run.
 //
 // # Replication
 //
@@ -113,6 +129,7 @@ const (
 	MsgStrategy                   // LB → worker: run the strategy spec in Spec from now on
 	MsgShip                       // worker → LB: relay a job batch to Dst (peer link unavailable)
 	MsgUnits                      // LB → worker: depth-partition unit grant (Units is the full owned set)
+	MsgProbe                      // LB → workers: termination probe wave Seq; answer with a status at once
 )
 
 // LBFrom is the From id used for job batches the load balancer re-seats
@@ -128,7 +145,8 @@ type Message struct {
 	// MsgStatus) or the departed member's epoch (MsgEvict).
 	Epoch uint64
 	// Seq numbers job batches for custody acknowledgment (MsgJobs,
-	// MsgJobsAck). Per-sender monotonic.
+	// MsgJobsAck), per-sender monotonic; on a MsgProbe it is the wave's
+	// number.
 	Seq uint64
 	// MsgJobs
 	Jobs *JobTree
@@ -200,6 +218,11 @@ type Status struct {
 	CovWords    []uint64
 	CovCount    int
 	Done        bool // frontier empty and no pending imports
+	// Probe echoes the highest MsgProbe sequence the worker had seen when
+	// it took this snapshot: a status with Probe ≥ n was taken after wave
+	// n began, which is what lets the balancer treat a wave's reports as
+	// one cut (see "Termination" in the package comment).
+	Probe uint64
 	// Frontier is the worker's candidate set as a job tree, taken in the
 	// same instant as the counters above. On eviction the LB re-seats it
 	// onto a survivor; everything the worker did after this snapshot is

@@ -517,16 +517,15 @@ func (t *TCPWorkerTransport) WaitForMail() {
 	if len(t.inbox) > 0 || t.closed {
 		return
 	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-		case <-time.After(10 * time.Millisecond):
-			t.mailCond.Broadcast()
-		}
-	}()
+	// The timer takes the lock this call holds until Wait parks, so its
+	// wake-up cannot come before the wait it is for.
+	timeout := time.AfterFunc(10*time.Millisecond, func() {
+		t.mu.Lock()
+		t.mailCond.Broadcast()
+		t.mu.Unlock()
+	})
 	t.mailCond.Wait()
-	close(done)
+	timeout.Stop()
 }
 
 // Close shuts down the transport.
@@ -556,16 +555,28 @@ type LBServer struct {
 	standbys []*lbStandbyConn
 	stopped  bool
 	shutdown bool // graceful termination requested (SIGTERM / Shutdown)
-	// exhausted records that Serve ended on quiescence — the frontier
-	// ran dry — rather than on its time bound or a Shutdown.
+	// exhausted records that Serve ended because the balancer's probe
+	// waves found the frontier dry everywhere, rather than on its time
+	// bound or a Shutdown.
 	exhausted bool
-	// MinWorkers, when > 0, delays quiescence-based shutdown until that
-	// many workers have been members at some point (prevents the LB from
-	// declaring a tiny exploration finished before peers ever join). It
-	// is NOT a startup barrier: balancing begins as soon as two members
-	// report.
+	// MinWorkers, when > 0, delays termination detection until that many
+	// workers have been members at once (prevents the LB from declaring
+	// a tiny exploration finished before peers ever join). It is NOT a
+	// startup barrier: balancing begins as soon as two members report.
 	MinWorkers  int
 	peakMembers int
+	// wake rouses Serve between ticks: a handler's report closed the last
+	// probe wave.
+	wake chan struct{}
+}
+
+// wakeServe makes Serve look at the balancer now instead of on its next
+// tick. Never blocks: one pending wake-up is as good as many.
+func (s *LBServer) wakeServe() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
 }
 
 // lbStandbyConn streams replication entries to one attached standby.
@@ -579,7 +590,10 @@ type lbStandbyConn struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	q    []RepEntry
-	dead bool
+	// sending: the flusher holds entries it took off q and has not
+	// finished encoding — an empty q alone does not mean they were sent.
+	sending bool
+	dead    bool
 }
 
 func newLBStandbyConn(conn net.Conn, enc *gob.Encoder) *lbStandbyConn {
@@ -601,6 +615,7 @@ func (sc *lbStandbyConn) enqueue(e RepEntry) {
 func (sc *lbStandbyConn) flush() {
 	for {
 		sc.mu.Lock()
+		sc.sending = false
 		for len(sc.q) == 0 && !sc.dead {
 			sc.cond.Wait()
 		}
@@ -610,6 +625,7 @@ func (sc *lbStandbyConn) flush() {
 		}
 		batch := sc.q
 		sc.q = nil
+		sc.sending = true
 		sc.mu.Unlock()
 		for i := range batch {
 			if err := sc.enc.Encode(WireMsg{Rep: &batch[i]}); err != nil {
@@ -635,10 +651,10 @@ func (sc *lbStandbyConn) settle(timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
 	for {
 		sc.mu.Lock()
-		n := len(sc.q)
+		sent := len(sc.q) == 0 && !sc.sending
 		dead := sc.dead
 		sc.mu.Unlock()
-		if n == 0 || dead || time.Now().After(deadline) {
+		if sent || dead || time.Now().After(deadline) {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -698,11 +714,14 @@ func NewLBServer(addr string, cfg BalancerConfig, covLen int, minWorkers int) (*
 			return nil, fmt.Errorf("cluster: portfolio: %w", err)
 		}
 	}
+	lb := NewLoadBalancer(cfg, covLen)
+	lb.holdOpen = minWorkers > 0 // until Serve has counted that many
 	return &LBServer{
 		listener:   ln,
-		lb:         NewLoadBalancer(cfg, covLen),
+		lb:         lb,
 		conns:      map[int]*lbWorkerConn{},
 		MinWorkers: minWorkers,
+		wake:       make(chan struct{}, 1),
 	}, nil
 }
 
@@ -711,12 +730,14 @@ func NewLBServer(addr string, cfg BalancerConfig, covLen int, minWorkers int) (*
 // stays with the caller (the Standby), which routes connections to
 // handle().
 func newLBServerWith(ln net.Listener, lb *LoadBalancer, minWorkers int) *LBServer {
+	lb.holdOpen = minWorkers > 0
 	s := &LBServer{
 		listener:   ln,
 		noAccept:   true,
 		lb:         lb,
 		conns:      map[int]*lbWorkerConn{},
 		MinWorkers: minWorkers,
+		wake:       make(chan struct{}, 1),
 	}
 	s.EnableReplication()
 	return s
@@ -829,9 +850,13 @@ func (s *LBServer) dispatchLocked(outs []Outbound) {
 	}
 }
 
-// Serve accepts workers and balances until quiescence (or maxDuration),
-// then broadcasts stop and returns the final statuses — live members'
-// last reports plus the final records of departed members.
+// Serve accepts workers and balances until the run terminates (or
+// maxDuration passes), then broadcasts stop and returns the final
+// statuses — live members' last reports plus the final records of
+// departed members. The balance round runs on a 20 ms tick; what the
+// balancer does on a report (unit grants, probe waves) the handlers
+// dispatch as the report arrives, and the one that closes the last wave
+// wakes this loop, so the end of a run does not wait for a tick either.
 func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 	if !s.noAccept {
 		go s.acceptLoop()
@@ -839,32 +864,31 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 	start := time.Now()
 	tick := time.NewTicker(20 * time.Millisecond)
 	defer tick.Stop()
-	quiet, exhausted := 0, false
-	for range tick.C {
-		now := time.Now()
+	exhausted := false
+	for !exhausted {
+		ticked := false
+		select {
+		case <-tick.C:
+			ticked = true
+		case <-s.wake:
+		}
 		s.mu.Lock()
 		if s.shutdown || s.stopped {
 			s.mu.Unlock()
 			break
 		}
-		if n := s.lb.NumMembers(); n > s.peakMembers {
-			s.peakMembers = n
-		}
-		s.dispatchLocked(s.lb.Round(now))
-		// A freshly promoted server must not trust replicated quiescence:
-		// the resync window has to close (everyone re-reported, or the
-		// deadline passed) before the replicated counters mean anything.
-		done := s.peakMembers >= s.MinWorkers && s.lb.ResyncDone() && s.lb.Quiescent()
-		s.mu.Unlock()
-		if done {
-			quiet++
-			if quiet >= 5 {
-				exhausted = true
-				break
+		if ticked {
+			if n := s.lb.NumMembers(); n > s.peakMembers {
+				s.peakMembers = n
 			}
-		} else {
-			quiet = 0
+			s.lb.holdOpen = s.peakMembers < s.MinWorkers
+			s.dispatchLocked(s.lb.Round(time.Now()))
 		}
+		// A freshly promoted server cannot get here on replicated
+		// quiescence: wave state is not replicated, and no wave opens
+		// before the resync window has closed.
+		exhausted = s.lb.Terminated()
+		s.mu.Unlock()
 		if maxDuration > 0 && time.Since(start) > maxDuration {
 			break
 		}
@@ -894,9 +918,10 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 	return statuses, nil
 }
 
-// Exhausted reports whether Serve ended because the cluster went
-// quiescent (every member idle, nothing in flight), as opposed to being
-// cut off by maxDuration or Shutdown. False until Serve returns.
+// Exhausted reports whether Serve ended because the cluster terminated
+// (every member idle, nothing in flight, two probe waves agreeing), as
+// opposed to being cut off by maxDuration or Shutdown. False until Serve
+// returns.
 func (s *LBServer) Exhausted() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1124,6 +1149,9 @@ func (s *LBServer) handle(conn net.Conn) {
 		s.mu.Lock()
 		if !s.stopped {
 			s.dispatchLocked(s.lb.Control(*wm.Msg, time.Now()))
+			if s.lb.Terminated() {
+				s.wakeServe()
+			}
 		}
 		s.mu.Unlock()
 	}

@@ -152,6 +152,18 @@ func (f *tcpFleet) serve(t *testing.T) (paths, errors uint64, departed int) {
 	default:
 	}
 	f.statuses = statuses
+	if !f.lbs.Exhausted() {
+		// The run hit Serve's bound instead of terminating: whatever the
+		// test goes on to report, the balancer's journal says where it
+		// stuck.
+		for _, ev := range f.lbs.Journal().All() {
+			t.Logf("lb journal: %s %s worker=%d %v", time.Unix(0, ev.T).Format("05.000"), ev.Type, ev.Worker, ev.Fields)
+		}
+		for _, st := range statuses {
+			t.Logf("final status: worker=%d queue=%d done=%v paths=%d sent=%d recv=%d probe=%d",
+				st.Worker, st.Queue, st.Done, st.Paths, st.JobsSent, st.JobsRecv, st.Probe)
+		}
+	}
 	for _, st := range statuses {
 		paths += st.Paths
 		errors += st.Errors

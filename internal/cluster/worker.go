@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -32,6 +33,10 @@ type WorkerConfig struct {
 	// when the send/receive counters changed, so the LB's custody
 	// snapshot never misses a transfer — light statuses only carry
 	// exploration progress, which crash recovery discards anyway.
+	// A busy worker's statuses go out on a clock (statusEvery), so a
+	// crash discards up to FrontierEvery × 5 ms of exploration — not
+	// FrontierEvery batches, as when every batch sent one; the cluster's
+	// totals are exact either way, only more of them is explored twice.
 	// Default: 16. Use 1 to ship the frontier with every status.
 	FrontierEvery int
 
@@ -116,6 +121,23 @@ const (
 )
 
 const (
+	// statusEvery is the period of a busy worker's progress statuses:
+	// RunLoop sends one after a batch only if this long has passed since
+	// the last status of any kind. Everything the balancer acts on — jobs
+	// in or out, going idle, a unit grant, an eviction, a probe — sends
+	// its status at once; the clocked ones carry queue length, counters
+	// and coverage, which the balance round reads every 20 ms.
+	statusEvery = 5 * time.Millisecond
+	// idleCollect is how long a worker stays idle before it collects its
+	// garbage, once per idle period: longer than two balance rounds, so a
+	// starved worker waiting for the next transfer order does not, and a
+	// worker that has run out of work while others finish does. The dead
+	// states of its last jobs are up to half its heap, and an idle process
+	// allocates nothing that would start a cycle (the runtime forces one
+	// only every two minutes); with workers sharing a process (cluster.Run)
+	// the cycle runs on the core this worker is not using and lowers the
+	// heap the busy ones grow into.
+	idleCollect = 50 * time.Millisecond
 	// heartbeat is the maximum silence between statuses even mid-batch,
 	// so slow batches never expire the membership lease.
 	heartbeat = 250 * time.Millisecond
@@ -194,14 +216,20 @@ type Worker struct {
 	crash    atomic.Bool
 	retire   atomic.Bool
 
-	// stepsSinceStatus throttles status updates; lastStatus backs the
-	// mid-batch heartbeat. statusesSinceFull and lastFullSent/Recv drive
-	// the full-vs-light status cadence. fullPending forces the next
-	// status to carry the frontier after a full snapshot may have been
-	// lost (LB send failure or stream reconnect); lastLBGen is the LB
-	// stream generation the last status went out on.
-	stepsSinceStatus  int
+	// now is the clock lastStatus is read on (time.Now outside tests);
+	// lastStatus, the time of the last status sent, paces the per-batch
+	// statuses (statusEvery) and the mid-batch heartbeat.
+	// statusesSinceFull and lastFullSent/Recv drive the full-vs-light
+	// status cadence. fullPending forces the next status to carry the
+	// frontier after a full snapshot may have been lost (LB send failure
+	// or stream reconnect); lastLBGen is the LB stream generation the
+	// last status went out on. probeSeen is the highest termination probe
+	// received, echoed in every status.
+	now               func() time.Time
 	lastStatus        time.Time
+	idleSince         time.Time // start of the current idle period (zero: busy)
+	collected         bool      // this idle period has had its collection
+	probeSeen         uint64
 	statusesSinceFull int
 	lastFullSent      uint64
 	lastFullRecv      uint64
@@ -273,6 +301,7 @@ func NewWorker(cfg WorkerConfig, tr Transport) (*Worker, error) {
 		peerSessions: map[int]bool{},
 		spec:         cfg.StrategySpec,
 		specPinned:   cfg.StrategyPinned,
+		now:          time.Now,
 		// The first status is always a full snapshot.
 		statusesSinceFull: cfg.FrontierEvery,
 	}
@@ -470,6 +499,11 @@ func (w *Worker) drainMailbox() {
 					"owned": strconv.Itoa(len(w.Exp.OwnedUnits())),
 				})
 			}
+			w.sendStatus()
+		case MsgProbe:
+			// Termination wave: the answer must be a snapshot taken after
+			// the probe arrived, so it goes out now, whatever the clock says.
+			w.probeSeen = max(w.probeSeen, msg.Seq)
 			w.sendStatus()
 		case MsgCoverage:
 			// Merge the global vector into the local one so the local
@@ -725,6 +759,7 @@ func (w *Worker) sendStatusOpt(full bool) {
 		CovWords:      w.Exp.Cov.Words(),
 		CovCount:      w.Exp.Cov.Count(),
 		Done:          w.Exp.Done(),
+		Probe:         w.probeSeen,
 		Acks:          acks,
 		ReseatAcks:    reseatAcks,
 		Spec:          w.spec,
@@ -773,7 +808,21 @@ func (w *Worker) sendStatusOpt(full bool) {
 	default:
 		w.statusesSinceFull++
 	}
-	w.lastStatus = time.Now()
+	w.lastStatus = w.now()
+}
+
+// collectIfIdle starts one garbage collection per idle period, once the
+// worker has had nothing to explore for idleCollect. The cycle runs
+// beside the loop (it ends on its own; nothing waits for it), so an idle
+// worker still answers a probe or a grant while its heap is marked.
+func (w *Worker) collectIfIdle() {
+	switch now := w.now(); {
+	case w.idleSince.IsZero():
+		w.idleSince = now
+	case !w.collected && now.Sub(w.idleSince) >= idleCollect:
+		w.collected = true
+		go runtime.GC()
+	}
 }
 
 // sendGoodbye announces a graceful leave. The preceding status carries
@@ -816,23 +865,22 @@ func (w *Worker) RunLoop() error {
 			// the jobs (or anything else) to arrive.
 			w.sendStatus()
 			w.transport.WaitForMail()
+			w.collectIfIdle()
 			continue
 		}
+		w.idleSince, w.collected = time.Time{}, false
 		for i := 0; i < w.cfg.Batch && !w.Exp.Done(); i++ {
 			if _, err := w.Exp.Step(); err != nil {
 				return err
 			}
-			w.stepsSinceStatus++
-			if time.Since(w.lastStatus) >= heartbeat {
+			if w.now().Sub(w.lastStatus) >= heartbeat {
 				// Mid-batch heartbeat: keep the lease alive through slow
 				// solver batches.
 				w.sendStatus()
-				w.stepsSinceStatus = 0
 			}
 		}
-		if w.stepsSinceStatus >= w.cfg.Batch {
+		if w.now().Sub(w.lastStatus) >= statusEvery {
 			w.sendStatus()
-			w.stepsSinceStatus = 0
 		}
 	}
 	if !w.departed {
