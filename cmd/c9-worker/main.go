@@ -56,14 +56,21 @@ func main() {
 		os.Exit(1)
 	}
 	defer tr.Close()
-	spec, pinned := ack.Spec, false
-	if *strategy != "" {
+	// What the handshake decided — identity, seed role, the portfolio slot,
+	// the data plane and its partition shape — comes from the ack; the rest
+	// is this process's own.
+	wc := ack.WorkerConfig(cluster.WorkerConfig{
+		Batch:     *batch,
+		Engine:    engine.Config{MaxStateSteps: *steps},
+		NewInterp: targets.Factory(tgt),
+		Entry:     "main",
 		// Explicit local override beats the LB's portfolio slot; the pin
 		// travels in every status so the LB excludes this worker from
 		// allocation instead of reassigning it.
-		spec, pinned = *strategy, true
-	}
-	label := spec
+		StrategySpec:   *strategy,
+		StrategyPinned: *strategy != "",
+	})
+	label := wc.StrategySpec
 	if label == "" {
 		label = "engine default"
 	}
@@ -74,28 +81,7 @@ func main() {
 	fmt.Printf("c9-worker: joined as worker %d (epoch %d, seed=%v, strategy %s, data-plane %s)\n",
 		ack.ID, ack.Epoch, ack.Seed, label, plane)
 
-	// The data-plane mode is LB policy, inherited at the handshake: depth
-	// partitioning additionally ships the partition spec so every worker
-	// derives the same unit function.
-	ecfg := engine.Config{MaxStateSteps: *steps}
-	if ack.DataPlane == cluster.DataPlaneDepth {
-		ecfg.Partition = &engine.PartitionSpec{
-			Depth: ack.PartitionDepth,
-			Units: ack.PartitionUnits,
-		}
-	}
-	w, err := cluster.NewWorker(cluster.WorkerConfig{
-		ID:             ack.ID,
-		Epoch:          ack.Epoch,
-		Seed:           ack.Seed,
-		Batch:          *batch,
-		Engine:         ecfg,
-		NewInterp:      targets.Factory(tgt),
-		Entry:          "main",
-		DataPlane:      ack.DataPlane,
-		StrategySpec:   spec,
-		StrategyPinned: pinned,
-	}, tr)
+	w, err := cluster.NewWorker(wc, tr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "c9-worker: %v\n", err)
 		os.Exit(1)

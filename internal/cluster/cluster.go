@@ -106,11 +106,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// Final accounting, folded through the obs plane. Serve froze the
 	// balancer and every worker goroutine has exited, so nothing below
-	// races. Live workers contribute their full registries; departed
-	// ones (crashed, retired, or evicted) the LB's accounted snapshot —
-	// everything they did after it was re-explored by survivors. That
-	// covers a member whose departure the LB never processed (lease
-	// unexpired at shutdown): it is still a member, with a member record.
+	// races.
 	lb := lbs.lb
 	res := &Result{
 		Exhausted: lbs.Exhausted(),
@@ -119,21 +115,16 @@ func Run(cfg Config) (*Result, error) {
 		Leaves:    lb.Leaves,
 		Journal:   lb.Journal().All(),
 	}
+	// Lines a live worker covered after its last accepted status join the
+	// overlay first, so the fold's coverage gauge and Final agree.
 	cov, _ := lb.GlobalCoverage()
-	fleet := obs.Snapshot{}
 	for _, w := range workers {
-		if w.Departed() {
-			if o, ok := lb.MemberObs(w.ID); ok {
-				fleet.Merge(o)
-			}
-			continue
+		if !w.Departed() {
+			res.Final.Queues = append(res.Final.Queues, w.Exp.Tree.NumCandidates())
+			cov.Or(w.Exp.Cov)
 		}
-		fleet.Merge(w.Exp.Obs.Snapshot())
-		res.Final.Queues = append(res.Final.Queues, w.Exp.Tree.NumCandidates())
-		cov.Or(w.Exp.Cov)
 	}
-	fleet.Merge(lb.GoneObs)
-	lb.PutLBMetrics(&fleet)
+	fleet := fleetFold(lb, workers)
 	res.Final.UsefulSteps = fleet.Counter(obs.MEngineUsefulSteps)
 	res.Final.ReplaySteps = fleet.Counter(obs.MEngineReplaySteps)
 	res.Final.Paths = fleet.Counter(obs.MEnginePaths)
@@ -148,6 +139,26 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// fleetFold is a run's final metrics, the same cut on either fabric: live
+// workers contribute their full registries; departed ones (crashed,
+// retired, or evicted) what the balancer accounted for them — everything
+// they did after it was re-explored by survivors — which is GoneObs once
+// the departure was processed and the member's record until then (a crash
+// whose lease had not lapsed at the end of the run is still a member).
+func fleetFold(lb *LoadBalancer, workers []*Worker) obs.Snapshot {
+	fleet := obs.Snapshot{}
+	for _, w := range workers {
+		if !w.Departed() {
+			fleet.Merge(w.Exp.Obs.Snapshot())
+		} else if m := lb.Members[w.ID]; m != nil {
+			fleet.Merge(m.Obs)
+		}
+	}
+	fleet.Merge(lb.GoneObs)
+	lb.PutLBMetrics(&fleet)
+	return fleet
+}
+
 // runWorker is one cluster member: join the balancer at lbAddr, build
 // the worker the handshake describes, explore until told to stop.
 func runWorker(cfg Config, in *interp.Interp, lbAddr string) (*Worker, error) {
@@ -156,17 +167,10 @@ func runWorker(cfg Config, in *interp.Interp, lbAddr string) (*Worker, error) {
 		return nil, err
 	}
 	defer tr.Close()
-	// The data-plane mode is LB policy, inherited at the handshake.
-	ecfg := cfg.Engine
-	if ack.DataPlane == DataPlaneDepth {
-		ecfg.Partition = &engine.PartitionSpec{Depth: ack.PartitionDepth, Units: ack.PartitionUnits}
-	}
-	w, err := NewWorker(WorkerConfig{
-		ID: ack.ID, Epoch: ack.Epoch, Seed: ack.Seed,
-		Engine: ecfg, Entry: cfg.Entry,
-		DataPlane: ack.DataPlane, StrategySpec: ack.Spec,
+	w, err := NewWorker(ack.WorkerConfig(WorkerConfig{
+		Engine: cfg.Engine, Entry: cfg.Entry,
 		NewInterp: func() (*interp.Interp, error) { return in, nil },
-	}, tr)
+	}), tr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: worker %d: %w", ack.ID, err)
 	}

@@ -76,7 +76,7 @@ func TestSimLBFailoverExactPaths(t *testing.T) {
 	if res.Evictions != 0 {
 		t.Fatalf("evictions = %d, want 0 (no worker died)", res.Evictions)
 	}
-	if !res.LB.ResyncDone() {
+	if res.LB.ResyncPending {
 		t.Fatal("resync window still open at exhaustion")
 	}
 

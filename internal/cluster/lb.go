@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -372,8 +373,19 @@ type lbState struct {
 // NewLoadBalancer builds an LB for coverage vectors of the given bit
 // length.
 func NewLoadBalancer(cfg BalancerConfig, covLen int) *LoadBalancer {
+	// Every default is applied here and nowhere else, field by field (the
+	// fabrics used to resolve some themselves, and disagreed on which
+	// fields were caller state). Defaulting twice changes nothing, which
+	// is what lets a standby be built from Config().
+	def := DefaultBalancerConfig()
+	if cfg.Delta == 0 {
+		cfg.Delta = def.Delta
+	}
+	if cfg.MinTransfer == 0 {
+		cfg.MinTransfer = def.MinTransfer
+	}
 	if cfg.Lease <= 0 {
-		cfg.Lease = DefaultLease
+		cfg.Lease = def.Lease
 	}
 	if cfg.ReweightEvery == 0 {
 		cfg.ReweightEvery = DefaultReweightEvery
@@ -429,19 +441,25 @@ func NewLoadBalancer(cfg BalancerConfig, covLen int) *LoadBalancer {
 // returned outbounds broadcast the updated membership view.
 func (lb *LoadBalancer) Join(addr string, now time.Time) (*Member, []Outbound) {
 	lb.logRep(RepEntry{Kind: RepJoin, Addr: addr, T: now.UnixNano()})
-	lb.LastNow = now
-	specIdx, spec := lb.assignSpec()
-	id := lb.NextID
 	lb.NextID++
 	lb.NextEpoch++
-	m := &Member{ID: id, Epoch: lb.NextEpoch, Addr: addr, LastSeen: now,
+	return lb.seat(lb.NextID-1, lb.NextEpoch, addr, now, nil)
+}
+
+// seat enters (id, epoch) in the membership table with the portfolio
+// slot it is due, journals the join (plus what the caller has to say
+// about it) and returns the member and the broadcast of the new view.
+func (lb *LoadBalancer) seat(id int, epoch uint64, addr string, now time.Time, note map[string]string) (*Member, []Outbound) {
+	lb.LastNow = now
+	specIdx, spec := lb.assignSpec()
+	m := &Member{ID: id, Epoch: epoch, Addr: addr, LastSeen: now,
 		Spec: spec, SpecIdx: specIdx}
 	lb.Members[id] = m
 	lb.resetWaves()
 	lb.Joins++
-	lb.journal.AppendAt(now, obs.EvWorkerJoin, id, map[string]string{
-		"epoch": strconv.FormatUint(m.Epoch, 10), "spec": spec,
-	})
+	fields := map[string]string{"epoch": strconv.FormatUint(epoch, 10), "spec": spec}
+	maps.Copy(fields, note)
+	lb.journal.AppendAt(now, obs.EvWorkerJoin, id, fields)
 	return m, []Outbound{{To: Broadcast, Msg: Message{Kind: MsgMembers, Members: lb.memberView()}}}
 }
 
@@ -451,15 +469,55 @@ func (lb *LoadBalancer) IsMember(id int, epoch uint64) bool {
 	return m != nil && m.Epoch == epoch
 }
 
-// NumMembers returns the current membership size.
-func (lb *LoadBalancer) NumMembers() int { return len(lb.Members) }
-
 // Touch renews a member's lease without a status (TCP reconnects).
 func (lb *LoadBalancer) Touch(id int, now time.Time) {
 	if m := lb.Members[id]; m != nil {
 		lb.logRep(RepEntry{Kind: RepTouch, From: id, T: now.UnixNano()})
 		m.LastSeen = now
 	}
+}
+
+// Admit is the admission decision, made once for every fabric: it turns
+// a worker's Hello into the HelloAck that answers it and the messages the
+// cluster is owed. A Hello with no id joins. One naming a current (id,
+// epoch) resumes that membership: the lease is renewed and the worker is
+// sent the membership view — it slept through any broadcast sent while it
+// was disconnected, and an idle worker blocks on its mailbox, so the view
+// both catches it up and wakes it to re-report under the new stream
+// generation (otherwise an idle worker rides out a failover silently and
+// the promoted LB has to evict it). One naming a member the lost primary
+// admitted inside the replication gap is readmitted as it is (see
+// canReadmit). Anyone else was evicted and its work re-seated: the ack
+// says helloRefused and nothing changes. The ack also carries the seed
+// role and what every worker of the run must agree on — data plane,
+// partition shape; the fabric delivers it ahead of anything else it
+// sends that worker.
+func (lb *LoadBalancer) Admit(h Hello, now time.Time) (HelloAck, []Outbound) {
+	var m *Member
+	var outs []Outbound
+	switch {
+	case h.ID < 0:
+		m, outs = lb.Join(h.Addr, now)
+	case lb.IsMember(h.ID, h.Epoch):
+		m = lb.Members[h.ID]
+		lb.Touch(h.ID, now)
+		outs = []Outbound{{To: h.ID, Msg: Message{Kind: MsgMembers, Members: lb.memberView()}}}
+	default:
+		if m, outs = lb.Readmit(h.ID, h.Epoch, h.Addr, now); m == nil {
+			return HelloAck{ID: helloRefused}, nil
+		}
+	}
+	return HelloAck{
+		ID: m.ID, Epoch: m.Epoch, Spec: m.Spec,
+		// Id 0 is handed out once, to the run's first member, which starts
+		// with the whole-tree job. Depth mode seeds every worker: each
+		// re-derives the shared upper tree locally and counts only inside
+		// its granted units.
+		Seed:           m.ID == 0 || lb.cfg.DataPlane == DataPlaneDepth,
+		DataPlane:      lb.cfg.DataPlane,
+		PartitionDepth: lb.cfg.PartitionDepth,
+		PartitionUnits: lb.cfg.PartitionUnits,
+	}, outs
 }
 
 // Config returns the balancer's effective configuration — defaults
@@ -1119,32 +1177,6 @@ func (lb *LoadBalancer) Statuses() []Status {
 	return out
 }
 
-// GoneStatuses returns the final statuses of departed members.
-func (lb *LoadBalancer) GoneStatuses() []Status {
-	return append([]Status(nil), lb.Gone...)
-}
-
-// MemberRecord returns the accounting record of a current member, if id
-// is one and has reported. Used for final accounting of workers that
-// departed without their departure being processed (e.g. a crash whose
-// lease had not lapsed when the run ended).
-func (lb *LoadBalancer) MemberRecord(id int) (Status, bool) {
-	m := lb.Members[id]
-	if m == nil || !m.Reported {
-		return Status{}, false
-	}
-	return m.Record(), true
-}
-
-// TotalQueue sums the reported queue lengths of current members.
-func (lb *LoadBalancer) TotalQueue() int {
-	n := 0
-	for _, m := range lb.Members {
-		n += m.Last.Queue
-	}
-	return n
-}
-
 // TotalPaths sums explored paths across current and departed members.
 func (lb *LoadBalancer) TotalPaths() uint64 {
 	var n uint64
@@ -1189,16 +1221,6 @@ func (lb *LoadBalancer) FleetObs() obs.Snapshot {
 	s.Merge(lb.GoneObs)
 	lb.PutLBMetrics(&s)
 	return s
-}
-
-// MemberObs returns a current member's accounted metrics (as of its
-// last full status), if id is a reported member.
-func (lb *LoadBalancer) MemberObs(id int) (obs.Snapshot, bool) {
-	m := lb.Members[id]
-	if m == nil || !m.Reported {
-		return obs.Snapshot{}, false
-	}
-	return m.Obs, true
 }
 
 // PutLBMetrics writes the LB's own membership, custody and portfolio
@@ -1518,10 +1540,6 @@ func (lb *LoadBalancer) resyncTick(now time.Time) bool {
 	return true
 }
 
-// ResyncDone reports that no post-promotion resync window is open (true
-// on a balancer that never promoted).
-func (lb *LoadBalancer) ResyncDone() bool { return !lb.ResyncPending }
-
 // canReadmit reports whether an unknown (id, epoch) pair is a member the
 // lost primary admitted during the replication gap: the epoch falls in
 // the stride window only that primary could have issued from, and this
@@ -1544,21 +1562,9 @@ func (lb *LoadBalancer) Readmit(id int, epoch uint64, addr string, now time.Time
 		return nil, nil
 	}
 	lb.logRep(RepEntry{Kind: RepReadmit, From: id, Epoch: epoch, Addr: addr, T: now.UnixNano()})
-	lb.LastNow = now
-	specIdx, spec := lb.assignSpec()
-	m := &Member{ID: id, Epoch: epoch, Addr: addr, LastSeen: now,
-		Spec: spec, SpecIdx: specIdx}
-	lb.Members[id] = m
-	lb.resetWaves()
-	lb.Joins++
 	lb.Readmits++
-	if id >= lb.NextID {
-		lb.NextID = id + 1
-	}
-	lb.journal.AppendAt(now, obs.EvWorkerJoin, id, map[string]string{
-		"epoch": strconv.FormatUint(epoch, 10), "spec": spec, "readmit": "1",
-	})
-	return m, []Outbound{{To: Broadcast, Msg: Message{Kind: MsgMembers, Members: lb.memberView()}}}
+	lb.NextID = max(lb.NextID, id+1)
+	return lb.seat(id, epoch, addr, now, map[string]string{"readmit": "1"})
 }
 
 // ShutdownMarker appends the terminal replication entry: the primary is

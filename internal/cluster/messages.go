@@ -4,20 +4,26 @@
 // deterministic lock-step simulation (RunSim, sim.go — the experiments
 // and paper figures) and gob over TCP (tcp.go — cmd/c9-lb and
 // cmd/c9-worker across real processes, or Run, which seats the same
-// LBServer and DialLB workers in one process over loopback). Both drive
-// the balancer through the same two calls — LoadBalancer.Control for
-// each worker→LB message, LoadBalancer.Round for each balance round —
-// and differ only in when they call them and how they deliver the
-// results.
+// LBServer and DialLB workers in one process over loopback). What does
+// not depend on the fabric is decided once and both call it:
+// LoadBalancer.Admit answers a Hello, HelloAck.WorkerConfig describes the
+// worker an answer admits, NewLoadBalancer resolves the configuration,
+// LoadBalancer.Control applies each worker→LB message and
+// LoadBalancer.Round is each balance round, LoadBalancer.Terminated ends
+// the run, fleetFold folds it. A fabric owns delivery and timing: when it
+// makes those calls and how the messages they return reach their
+// destinations.
 //
 // # Membership protocol
 //
 // Cluster membership is dynamic and crash-tolerant. Workers join at any
-// time (a Hello over TCP, LoadBalancer.Join in the sim), each receiving
-// a cluster id and a monotonically increasing epoch. Statuses double as
-// lease renewals: a member that stays silent longer than the balancer's
-// Lease is presumed crashed and evicted. Workers may also leave
-// gracefully by sending a final status followed by MsgGoodbye.
+// time — a Hello, sent over TCP or made up by the sim, answered by
+// LoadBalancer.Admit — each receiving a cluster id and a monotonically
+// increasing epoch; a worker whose LB stream dropped re-sends its Hello
+// with both and resumes. Statuses double as lease renewals: a member
+// that stays silent longer than the balancer's Lease is presumed crashed
+// and evicted. Workers may also leave gracefully by sending a final
+// status followed by MsgGoodbye.
 //
 // # Job custody and crash recovery
 //
@@ -57,8 +63,8 @@
 // # Strategy portfolios
 //
 // When the balancer is configured with a portfolio (internal/search
-// spec strings), each joining worker is handed a spec (in the TCP
-// HelloAck / the Member record in the sim), statuses report the spec a
+// spec strings), each joining worker is handed a spec (in the HelloAck),
+// statuses report the spec a
 // worker currently runs, and the LB rebalances assignments on
 // join/leave/evict and on a periodic reweighting tick driven by the
 // coverage yield each slot earns in the global overlay (MsgStrategy →
@@ -93,7 +99,9 @@
 // the first one ended, and an idle worker only wakes on a receipt). A
 // report that shows work, a join or a departure starts the count again; an
 // unanswered probe is re-sent on every balance round, so a lost one costs a
-// round and never wedges the run.
+// round and never wedges the run. Both fabrics end a run on this verdict
+// (LoadBalancer.Terminated) and on nothing else; the sim, which sees the
+// workers too, fails a run whose verdict a live worker contradicts.
 //
 // # Replication
 //
@@ -163,8 +171,6 @@ type Message struct {
 	Status *Status
 	// MsgEvict / MsgMembers: current membership view (id → epoch).
 	Members map[int]uint64
-	// MsgHello (TCP): the worker's peer job-transfer address.
-	Addr string
 	// MsgStrategy: the internal/search strategy spec the worker should
 	// hot-swap to (portfolio rebalancing on membership changes and
 	// periodic yield-driven reweighting).
@@ -174,6 +180,48 @@ type Message struct {
 	// harmless).
 	Units []int
 }
+
+// Hello registers a worker with the LB. Addr is the worker's own
+// listening address for peer job transfers. ID < 0 requests a fresh
+// join; otherwise the worker is re-dialing and asks to resume the
+// membership identified by (ID, Epoch). LoadBalancer.Admit answers it.
+type Hello struct {
+	Addr  string
+	ID    int
+	Epoch uint64
+	// Standby subscribes to the primary's replication stream instead of
+	// joining as a worker: the answer is a state snapshot followed by
+	// every entry logged after it, on first attach and re-attach alike.
+	Standby bool
+}
+
+// HelloAck assigns the worker its cluster id, epoch, seed role, and —
+// when the LB runs a strategy portfolio — the search spec the worker
+// should explore with. ID < 0 means the handshake was refused (see the
+// sentinels below). WorkerConfig turns an accepted one into the worker
+// it describes.
+type HelloAck struct {
+	ID    int
+	Epoch uint64
+	Seed  bool
+	Spec  string
+	// Data-plane mode the cluster runs (DataPlaneP2P when empty) and,
+	// for depth mode, the partition shape every worker must agree on.
+	DataPlane      string
+	PartitionDepth int
+	PartitionUnits int
+	// Standby handshake only: the primary's effective balancer config
+	// and coverage vector length, so the subscriber constructs a replica
+	// that replays to byte-identical state.
+	Cfg    *BalancerConfig
+	CovLen int
+}
+
+// HelloAck.ID sentinels for refused handshakes.
+const (
+	helloRefused    = -1 // membership evicted (or a stale peer epoch); do not retry
+	helloNotPrimary = -2 // standby, not primary; retry elsewhere/later
+)
 
 // JobAck acknowledges, per source worker, every job batch with sequence
 // number ≤ Seq. Batch sequences are per (sender, receiver) pair and the

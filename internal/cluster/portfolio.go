@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 
 	"cloud9/internal/obs"
+	"cloud9/internal/search"
 )
 
 // Strategy portfolios (§3.3 heterogeneous per-worker policies): the
@@ -17,6 +19,17 @@ import (
 // running it. Every step is deterministic (sorted iteration, index
 // tie-breaks) so the lock-step simulation reproduces assignments
 // bit-for-bit.
+
+// checkPortfolio rejects a portfolio with an entry internal/search cannot
+// build, before any worker is handed one.
+func checkPortfolio(specs []string) error {
+	for _, spec := range specs {
+		if err := search.Validate(spec); err != nil {
+			return fmt.Errorf("cluster: portfolio: %w", err)
+		}
+	}
+	return nil
+}
 
 // specWeights returns the hand-out weight of each portfolio slot: UCB1
 // scores over normalized per-window yield (bandit.go), so a slot's

@@ -45,16 +45,24 @@ func replay(t testing.TB, lb *LoadBalancer, covLen int, entries []RepEntry) *Rep
 // of every replicated entry point — joins, covered and plain statuses,
 // custody ticks, bandit reweights, balance rounds, a goodbye with a
 // live frontier, lease expiry — and requires a standby replaying the
-// entries to land on an identical state fingerprint.
+// entries to land on an identical state fingerprint. The standby is built
+// from the primary's Config(), defaults already resolved, so defaulting
+// must be idempotent: under the zero-valued config every default there
+// is gets applied a second time.
 func TestReplicaReplayFingerprint(t *testing.T) {
-	lb, all, covLen := driveScriptedPrimary(t, scriptedConfigs()[0])
-	rep := replay(t, lb, covLen, all)
-	want, got := lb.StateFingerprint(), rep.LB().StateFingerprint()
-	if want != got {
-		t.Fatalf("replayed standby diverges from primary:\n--- primary ---\n%s\n--- standby ---\n%s", want, got)
-	}
-	if rep.LastSeq() != lb.RepSeq || uint64(len(all)) != lb.RepSeq {
-		t.Fatalf("standby applied %d of %d streamed entries, primary logged %d", rep.LastSeq(), len(all), lb.RepSeq)
+	for _, cfg := range []BalancerConfig{scriptedConfigs()[0], {}} {
+		lb, all, covLen := driveScriptedPrimary(t, cfg)
+		rep := replay(t, lb, covLen, all)
+		want, got := lb.StateFingerprint(), rep.LB().StateFingerprint()
+		if want != got {
+			t.Fatalf("replayed standby diverges from primary:\n--- primary ---\n%s\n--- standby ---\n%s", want, got)
+		}
+		if rep.LastSeq() != lb.RepSeq || uint64(len(all)) != lb.RepSeq {
+			t.Fatalf("standby applied %d of %d streamed entries, primary logged %d", rep.LastSeq(), len(all), lb.RepSeq)
+		}
+		if !reflect.DeepEqual(rep.LB().Config(), lb.Config()) {
+			t.Fatalf("standby built from %+v runs with %+v", lb.Config(), rep.LB().Config())
+		}
 	}
 }
 
@@ -195,7 +203,7 @@ func TestPromoteMidWindowBanditUntouched(t *testing.T) {
 	if promoted.Term != 2 || promoted.Promotions != 1 {
 		t.Fatalf("term=%d promotions=%d, want 2/1", promoted.Term, promoted.Promotions)
 	}
-	if promoted.ResyncDone() {
+	if !promoted.ResyncPending {
 		t.Fatal("promotion with live members must open a resync window")
 	}
 

@@ -2,7 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"cloud9/internal/engine"
@@ -198,12 +199,7 @@ type sim struct {
 func (s *sim) dispatch(outs []Outbound) {
 	for _, out := range outs {
 		if out.To == Broadcast {
-			ids := make([]int, 0, len(s.pending))
 			for id := range s.pending {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
-			for _, id := range ids {
 				s.pending[id] = append(s.pending[id], out.Msg)
 			}
 			continue
@@ -220,7 +216,24 @@ func simTick(tick int) time.Time {
 	return time.Unix(0, 0).Add(time.Duration(tick) * time.Second)
 }
 
-// RunSim executes the lock-step simulation.
+// verdictHolds checks the balancer's termination verdict against what the
+// sim can see and a TCP balancer cannot — the workers themselves. A live
+// worker still holding candidates means the detector is wrong, and the
+// run must fail instead of passing for exhaustive.
+func verdictHolds(alive map[int]*Worker) error {
+	for _, id := range slices.Sorted(maps.Keys(alive)) {
+		if w := alive[id]; !w.Exp.Done() {
+			return fmt.Errorf("balancer declared termination while worker %d holds %d candidates",
+				id, w.Exp.Tree.NumCandidates())
+		}
+	}
+	return nil
+}
+
+// RunSim executes the lock-step simulation. Admission, worker bring-up,
+// termination and the final fold are the ones TCP uses (Admit, HelloAck.
+// WorkerConfig, Terminated, fleetFold); what is written here is delivery
+// — mail lands at tick boundaries — and the virtual clock.
 func RunSim(cfg SimConfig) (*SimResult, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -234,39 +247,14 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	if cfg.SampleTicks <= 0 {
 		cfg.SampleTicks = cfg.BalanceTicks
 	}
-	if cfg.Balancer.Delta == 0 {
-		// Default only the balancing knobs in place — every other field
-		// (portfolio, reweight mode, learner config) is caller state.
-		def := DefaultBalancerConfig()
-		cfg.Balancer.Delta = def.Delta
-		if cfg.Balancer.MinTransfer == 0 {
-			cfg.Balancer.MinTransfer = def.MinTransfer
-		}
-	}
-	for _, spec := range cfg.Balancer.Portfolio {
-		if err := search.Validate(spec); err != nil {
-			return nil, fmt.Errorf("cluster: sim portfolio: %w", err)
-		}
-	}
 	if cfg.LeaseTicks <= 0 {
 		cfg.LeaseTicks = 3 * cfg.BalanceTicks
 	}
+	// The lease is the one balancer field the sim sets: it is a duration,
+	// and the sim's clock runs one second to the tick.
 	cfg.Balancer.Lease = time.Duration(cfg.LeaseTicks) * time.Second
-	// Depth partitioning changes how workers are constructed — every
-	// worker seeds the root and carries the partition spec — so resolve
-	// the defaults NewLoadBalancer would apply before any worker exists.
-	depth := cfg.Balancer.DataPlane == DataPlaneDepth
-	if depth {
-		if cfg.Balancer.PartitionDepth <= 0 {
-			cfg.Balancer.PartitionDepth = DefaultPartitionDepth
-		}
-		if cfg.Balancer.PartitionUnits <= 0 {
-			cfg.Balancer.PartitionUnits = DefaultPartitionUnits
-		}
-		cfg.Engine.Partition = &engine.PartitionSpec{
-			Depth: cfg.Balancer.PartitionDepth,
-			Units: cfg.Balancer.PartitionUnits,
-		}
+	if err := checkPortfolio(cfg.Balancer.Portfolio); err != nil {
+		return nil, err
 	}
 
 	s := &sim{
@@ -279,29 +267,25 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	}
 	var workers []*Worker
 	alive := map[int]*Worker{}
-	crashed := map[int]bool{}
 
-	spawn := func(seedOK bool) (*Worker, error) {
-		m, outs := s.lb.Join("", s.now)
-		s.inbox[m.ID] = nil
-		s.pending[m.ID] = nil
+	spawn := func() error {
+		ack, outs := s.lb.Admit(Hello{ID: -1}, s.now)
+		s.inbox[ack.ID] = nil
+		s.pending[ack.ID] = nil
 		s.dispatch(outs)
-		w, err := NewWorker(WorkerConfig{
-			ID: m.ID, Epoch: m.Epoch, Seed: (seedOK && m.ID == 0) || depth,
+		w, err := NewWorker(ack.WorkerConfig(WorkerConfig{
 			Engine: cfg.Engine, NewInterp: cfg.NewInterp, Entry: cfg.Entry,
-			DataPlane:    cfg.Balancer.DataPlane,
-			StrategySpec: m.Spec,
-		}, simEndpoint{s, m.ID})
+		}), simEndpoint{s, ack.ID})
 		if err != nil {
-			return nil, fmt.Errorf("cluster: sim worker %d: %w", m.ID, err)
+			return fmt.Errorf("cluster: sim worker %d: %w", ack.ID, err)
 		}
 		// The worker's journal runs on the virtual tick clock, so journals
 		// from identically-seeded runs are byte-identical.
 		w.Exp.Journal.Now = func() time.Time { return s.now }
 		workers = append(workers, w)
-		alive[m.ID] = w
+		alive[w.ID] = w
 		w.sendStatus()
-		return w, nil
+		return nil
 	}
 
 	// Coverage length requires an interpreter; probe one state first.
@@ -329,7 +313,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		})
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		if _, err := spawn(true); err != nil {
+		if err := spawn(); err != nil {
 			return nil, err
 		}
 	}
@@ -337,35 +321,30 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	res := &SimResult{LB: s.lb}
 	snapshot := func() Snapshot {
 		snap := Snapshot{}
+		add := func(useful, replay, paths, errors, hangs uint64) {
+			snap.UsefulSteps += useful
+			snap.ReplaySteps += replay
+			snap.Paths += paths
+			snap.Errors += errors
+			snap.Hangs += hangs
+		}
 		for _, w := range workers {
-			if w.Departed() || crashed[w.ID] {
+			if w.Departed() {
+				// Gone, but maybe still a member (a crash whose lease has not
+				// lapsed): count the record that becomes its accounting at
+				// eviction — everything past it is re-explored by survivors.
+				if m := s.lb.Members[w.ID]; m != nil {
+					rec := m.Record()
+					add(rec.UsefulSteps, rec.ReplaySteps, rec.Paths, rec.Errors, rec.Hangs)
+				}
 				continue
 			}
-			snap.UsefulSteps += w.Exp.Stats.UsefulSteps
-			snap.ReplaySteps += w.Exp.Stats.ReplaySteps
-			snap.Paths += w.Exp.Stats.PathsExplored
-			snap.Errors += w.Exp.Stats.Errors
-			snap.Hangs += w.Exp.Stats.Hangs
+			st := &w.Exp.Stats
+			add(st.UsefulSteps, st.ReplaySteps, st.PathsExplored, st.Errors, st.Hangs)
 			snap.Queues = append(snap.Queues, w.Exp.Tree.NumCandidates())
 		}
-		for _, st := range s.lb.GoneStatuses() {
-			snap.UsefulSteps += st.UsefulSteps
-			snap.ReplaySteps += st.ReplaySteps
-			snap.Paths += st.Paths
-			snap.Errors += st.Errors
-			snap.Hangs += st.Hangs
-		}
-		// Crashed-but-not-yet-evicted workers: count the snapshot that
-		// will become their accounting record at eviction (everything
-		// past it is re-explored by survivors).
-		for id := range crashed {
-			if rec, ok := s.lb.MemberRecord(id); ok {
-				snap.UsefulSteps += rec.UsefulSteps
-				snap.ReplaySteps += rec.ReplaySteps
-				snap.Paths += rec.Paths
-				snap.Errors += rec.Errors
-				snap.Hangs += rec.Hangs
-			}
+		for _, st := range s.lb.Gone {
+			add(st.UsefulSteps, st.ReplaySteps, st.Paths, st.Errors, st.Hangs)
 		}
 		cov, _ := s.lb.GlobalCoverage()
 		snap.Coverage = cov.Count()
@@ -374,27 +353,13 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		return snap
 	}
 
-	crashAt := map[int][]int{}
-	for _, ev := range cfg.Crashes {
-		crashAt[ev.Tick] = append(crashAt[ev.Tick], ev.Worker)
-	}
-	retireAt := map[int][]int{}
-	for _, ev := range cfg.Retires {
-		retireAt[ev.Tick] = append(retireAt[ev.Tick], ev.Worker)
-	}
-	joinAt := map[int]int{}
-	for _, t := range cfg.Joins {
-		joinAt[t]++
-	}
 	if len(cfg.Swaps) > 0 && len(cfg.Balancer.Portfolio) > 0 {
 		return nil, fmt.Errorf("cluster: sim: Swaps and Balancer.Portfolio are mutually exclusive (injected swaps bypass the LB's assignment records)")
 	}
-	swapAt := map[int][]SimSwap{}
 	for _, sw := range cfg.Swaps {
 		if err := search.Validate(sw.Spec); err != nil {
 			return nil, fmt.Errorf("cluster: sim swap: %w", err)
 		}
-		swapAt[sw.Tick] = append(swapAt[sw.Tick], sw)
 	}
 
 	tick := 0
@@ -425,54 +390,45 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			s.gen++ // every worker re-handshakes with a full status
 			res.LB = s.lb
 		}
-		// Membership events first: a crash at tick T means the worker
-		// does nothing at T or later; its inbox freezes.
-		for _, id := range crashAt[tick] {
-			if w := alive[id]; w != nil {
-				// The sim never enters RunLoop, so the crash journal entry
-				// (normally RunLoop's) is appended here.
-				w.journal.Append(obs.EvCrash, nil)
-				w.Crash()
-				crashed[id] = true
-				delete(alive, id)
+		// Membership events first, each kind in the order the schedule
+		// lists it: a crash at tick T means the worker does nothing at T or
+		// later; its inbox freezes.
+		for _, ev := range cfg.Crashes {
+			if w := alive[ev.Worker]; ev.Tick == tick && w != nil {
+				w.vanish()
+				delete(alive, ev.Worker)
 			}
 		}
-		for _, id := range retireAt[tick] {
-			if w := alive[id]; w != nil {
+		for _, ev := range cfg.Retires {
+			if w := alive[ev.Worker]; ev.Tick == tick && w != nil {
 				w.sendGoodbye()
-				delete(alive, id)
+				delete(alive, ev.Worker)
 			}
 		}
-		for i := 0; i < joinAt[tick]; i++ {
+		for _, at := range cfg.Joins {
+			if at != tick {
+				continue
+			}
 			if s.down {
 				return nil, fmt.Errorf("cluster: sim: join scheduled at tick %d while the LB is down", tick)
 			}
-			if _, err := spawn(false); err != nil {
+			if err := spawn(); err != nil {
 				return nil, err
 			}
 		}
-		for _, sw := range swapAt[tick] {
-			if _, ok := alive[sw.Worker]; ok {
+		for _, sw := range cfg.Swaps {
+			if _, ok := alive[sw.Worker]; ok && sw.Tick == tick {
 				s.inbox[sw.Worker] = append(s.inbox[sw.Worker],
 					Message{Kind: MsgStrategy, Spec: sw.Spec})
 			}
 		}
 		// Deliver messages produced last tick.
-		ids := make([]int, 0, len(s.pending))
-		for id := range s.pending {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			s.inbox[id] = append(s.inbox[id], s.pending[id]...)
+		for id, mail := range s.pending {
+			s.inbox[id] = append(s.inbox[id], mail...)
 			s.pending[id] = nil
 		}
-		// Each live worker: process mail, then run one quantum.
-		aliveIDs := make([]int, 0, len(alive))
-		for id := range alive {
-			aliveIDs = append(aliveIDs, id)
-		}
-		sort.Ints(aliveIDs)
+		// Each live worker, in id order: process mail, then run one quantum.
+		aliveIDs := slices.Sorted(maps.Keys(alive))
 		for _, id := range aliveIDs {
 			w := alive[id]
 			w.drainMailbox()
@@ -528,54 +484,13 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		if tick%cfg.SampleTicks == 0 {
 			res.Samples = append(res.Samples, snapshot())
 		}
-		// Termination: every live worker idle, nothing in flight, no
-		// orphaned custody, every crashed worker already evicted (so its
-		// re-seated jobs are accounted for), and — under CrashLB — the
-		// promoted standby in charge with its resync window closed.
-		done := true
-		if s.down || tick < promoteAt || !s.lb.ResyncDone() {
-			done = false
-		}
-		for _, w := range alive {
-			if !w.Exp.Done() {
-				done = false
-				break
+		// Termination is the balancer's call, as on TCP: two clean probe
+		// waves (LoadBalancer.Terminated). A dead primary decides nothing,
+		// and a promotion still to come holds the run open.
+		if !s.down && tick >= promoteAt && s.lb.Terminated() {
+			if err := verdictHolds(alive); err != nil {
+				return nil, fmt.Errorf("cluster: sim: tick %d: %w", tick, err)
 			}
-		}
-		for id := range crashed {
-			if _, still := s.lb.Members[id]; still {
-				done = false
-				break
-			}
-		}
-		if len(s.lb.Orphans) > 0 {
-			done = false
-		}
-		// Depth mode: every work unit must have an owner, or a reclaimed
-		// unit's jobs would be silently dropped at termination.
-		if len(s.lb.ownedUnits(-1)) > 0 {
-			done = false
-		}
-		if done {
-			scan := func(q []Message) {
-				for _, msg := range q {
-					if msg.Kind == MsgJobs || msg.Kind == MsgTransferReq || msg.Kind == MsgUnits {
-						done = false
-					}
-				}
-			}
-			for id := range s.inbox {
-				if _, live := alive[id]; !live {
-					// Departed worker's frozen inbox: anything stranded in
-					// it was re-imported by its sender or re-seated by the
-					// LB; it can't hold live work.
-					continue
-				}
-				scan(s.inbox[id])
-				scan(s.pending[id])
-			}
-		}
-		if done && len(alive) > 0 {
 			res.Exhausted = true
 			break
 		}
@@ -590,24 +505,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	res.Workers = workers
 	res.Final = snapshot()
 	res.Evictions = s.lb.Evictions
-	// Fleet metrics fold on the same accounting cut as snapshot(): live
-	// workers' registries, crashed-but-unevicted members' accounted
-	// snapshots, departed members' merged records, LB counters.
-	fleet := obs.Snapshot{}
-	for _, w := range workers {
-		if w.Departed() || crashed[w.ID] {
-			continue
-		}
-		fleet.Merge(w.Exp.Obs.Snapshot())
-	}
-	for id := range crashed {
-		if o, ok := s.lb.MemberObs(id); ok {
-			fleet.Merge(o)
-		}
-	}
-	fleet.Merge(s.lb.GoneObs)
-	s.lb.PutLBMetrics(&fleet)
-	res.Obs = fleet
+	res.Obs = fleetFold(s.lb, workers)
 	res.Journal = s.lb.Journal().All()
 	return res, nil
 }

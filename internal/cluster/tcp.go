@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cloud9/internal/obs"
-	"cloud9/internal/search"
 )
 
 // ErrJoinRefused is returned when the LB rejects a (re)join — the
@@ -21,12 +20,6 @@ var ErrJoinRefused = errors.New("cluster: join refused (evicted)")
 // next address and backs off.
 var ErrNotPrimary = errors.New("cluster: not primary (standby)")
 
-// HelloAck.ID sentinels for refused handshakes.
-const (
-	helloRefused    = -1 // membership evicted; do not retry
-	helloNotPrimary = -2 // standby, not primary; retry elsewhere/later
-)
-
 // The TCP fabric runs the same worker/LB protocol across real processes:
 // workers register with the load balancer at any time (no fixed cluster
 // size), stream status updates to it, and ship job trees directly to
@@ -34,41 +27,8 @@ const (
 // LB connection drops re-dials and resumes its membership; a worker that
 // goes silent past its lease is evicted and its last-reported frontier
 // re-seated onto survivors. cmd/c9-lb and cmd/c9-worker wrap this.
-
-// Hello registers a worker with the LB. Addr is the worker's own
-// listening address for peer job transfers. ID < 0 requests a fresh
-// join; otherwise the worker is re-dialing and asks to resume the
-// membership identified by (ID, Epoch).
-type Hello struct {
-	Addr  string
-	ID    int
-	Epoch uint64
-	// Standby subscribes to the primary's replication stream instead of
-	// joining as a worker: the answer is a state snapshot followed by
-	// every entry logged after it, on first attach and re-attach alike.
-	Standby bool
-}
-
-// HelloAck assigns the worker its cluster id, epoch, seed role, and —
-// when the LB runs a strategy portfolio — the search spec the worker
-// should explore with. ID < 0 means the join was refused (stale
-// reconnect of an evicted member).
-type HelloAck struct {
-	ID    int
-	Epoch uint64
-	Seed  bool
-	Spec  string
-	// Data-plane mode the cluster runs (DataPlaneP2P when empty) and,
-	// for depth mode, the partition shape every worker must agree on.
-	DataPlane      string
-	PartitionDepth int
-	PartitionUnits int
-	// Standby handshake only: the primary's effective balancer config
-	// and coverage vector length, so the subscriber constructs a replica
-	// that replays to byte-identical state.
-	Cfg    *BalancerConfig
-	CovLen int
-}
+// Every connection — worker→LB, worker→worker, standby→primary — is a
+// session: a Hello, the HelloAck that answers it, then WireMsg frames.
 
 // WireMsg is the union envelope exchanged over TCP.
 type WireMsg struct {
@@ -85,16 +45,224 @@ type WireMsg struct {
 	Snap *RepSnapshot
 }
 
+// handshakeTimeout bounds every connection handshake, on both sides.
+// Dialing, a destination that never answers must cost this long and no
+// more: a worker shipping to a blackholed peer falls back to LB relay
+// instead of stalling its loop, and one looking for the primary (a
+// standby too) moves on to the next address instead of sitting in a read
+// reconnectDeadline never interrupts. Accepting, a connection that never
+// sends its Hello must not pin a goroutine and a socket forever.
+const handshakeTimeout = time.Second
+
+// session owns one TCP connection for its lifetime: the socket, its one
+// gob encoder and one decoder (gob sends a type's descriptor once per
+// encoder and buffers reads per decoder, so a second codec on the socket
+// would re-send descriptors or lose buffered bytes), the lock that keeps
+// frames whole, and both halves of the Hello/HelloAck exchange.
+type session struct {
+	conn net.Conn
+	dec  *gob.Decoder
+
+	mu  sync.Mutex // one frame on the wire at a time; guards enc and err
+	enc *gob.Encoder
+	err error // the first send error; the session is dead from then on
+}
+
+func newSession(conn net.Conn) *session {
+	return &session{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+}
+
+// send puts one frame on the wire. The first failure closes the
+// connection — its reader (the worker's pump, an LB handler) fails now
+// and starts recovering at once — and every later send fails fast.
+func (s *session) send(wm WireMsg) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err == nil {
+		if s.err = s.enc.Encode(wm); s.err != nil {
+			s.conn.Close()
+		}
+	}
+	return s.err
+}
+
+// recv reads the next frame. One reader per session.
+func (s *session) recv() (WireMsg, error) {
+	var wm WireMsg
+	err := s.dec.Decode(&wm)
+	return wm, err
+}
+
+// readLoop hands f every frame until the connection ends, and closes it.
+func (s *session) readLoop(f func(WireMsg)) {
+	for {
+		wm, err := s.recv()
+		if err != nil {
+			s.close()
+			return
+		}
+		f(wm)
+	}
+}
+
+func (s *session) close() { s.conn.Close() }
+
+// hangUp ends the connection without losing what was just sent: the
+// write side closes now, and the reader keeps draining the other end's
+// frames until it hangs up too (or handshakeTimeout passes) and only
+// then closes the socket. Closing outright with statuses still unread
+// makes the kernel answer with a reset, which discards whatever the
+// worker had not read yet — the MsgStop — and leaves it re-dialing a
+// server that is gone until reconnectDeadline.
+func (s *session) hangUp() {
+	if tc, ok := s.conn.(*net.TCPConn); ok {
+		_ = tc.CloseWrite()
+	}
+	_ = s.conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+}
+
+// dialSession opens a session to addr: connect, present h, and wait for
+// the acceptor's verdict, all under handshakeTimeout. It is the one place
+// a refusal becomes an error: helloNotPrimary is ErrNotPrimary (a standby
+// answered; retry elsewhere or later), any other negative id
+// ErrJoinRefused (the LB evicted this membership, a primary serves no
+// replication stream, a peer has accepted a newer epoch of this id: do
+// not retry). An ack that does not answer the hello sent — another id
+// than the one resumed, no balancer config for a standby — is a failed
+// handshake like a late or malformed one.
+func dialSession(addr string, h Hello) (*session, *HelloAck, error) {
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := newSession(conn)
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	err = s.send(WireMsg{Hello: &h})
+	var wm WireMsg
+	if err == nil {
+		wm, err = s.recv()
+	}
+	ack := wm.Ack
+	switch {
+	case err != nil || ack == nil:
+		err = fmt.Errorf("cluster: bad hello ack from %s: %v", addr, err)
+	case ack.ID == helloNotPrimary:
+		err = ErrNotPrimary
+	case ack.ID < 0:
+		err = ErrJoinRefused
+	case (h.ID >= 0 && ack.ID != h.ID) || (h.Standby && ack.Cfg == nil):
+		err = fmt.Errorf("cluster: hello ack from %s does not answer the hello", addr)
+	}
+	if err != nil {
+		s.close()
+		return nil, nil, err
+	}
+	_ = conn.SetDeadline(time.Time{})
+	return s, ack, nil
+}
+
+// acceptSession reads the Hello that must open every accepted
+// connection, under handshakeTimeout. It returns a nil Hello, with the
+// connection closed, if the frame is late, malformed, or not a Hello.
+func acceptSession(conn net.Conn) (*session, *Hello) {
+	s := newSession(conn)
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	wm, err := s.recv()
+	if err != nil || wm.Hello == nil {
+		s.close()
+		return nil, nil
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	return s, wm.Hello
+}
+
+// refuse answers a Hello with one of the refusal sentinels and closes.
+func (s *session) refuse(sentinel int) {
+	_ = s.send(WireMsg{Ack: &HelloAck{ID: sentinel}}) // unsent, the dialer's handshake times out
+	s.close()
+}
+
+// acceptLoop serves every connection ln accepts, each on its own
+// goroutine, until ln is closed. All three listeners — the LB's, a
+// standby's, a worker's for its peers — run it, and every serve begins
+// with acceptSession, so none waits on a silent dialer.
+func acceptLoop(ln net.Listener, serve func(net.Conn)) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go serve(conn)
+	}
+}
+
+// Redial tuning: capped exponential backoff starting at reconnectBase,
+// doubling to reconnectCap, with deterministic splitmix64 jitter (seeded
+// per dialer) so a fleet of workers orphaned by the same LB crash doesn't
+// re-dial in lockstep. The deadline is sized to ride out a full failover:
+// standby promotion grace plus the promoted LB's resync window.
+const (
+	reconnectBase     = 25 * time.Millisecond
+	reconnectCap      = 800 * time.Millisecond
+	reconnectDeadline = 25 * time.Second
+)
+
+// backoffSleep returns the next jittered delay and doubles the backoff
+// (half deterministic floor, half jitter — bounded yet desynchronized).
+func backoffSleep(jitter *uint64, backoff *time.Duration) time.Duration {
+	half := *backoff / 2
+	d := half + time.Duration(splitmix64(jitter)%uint64(half+1))
+	if *backoff < reconnectCap {
+		*backoff *= 2
+	}
+	return d
+}
+
+// redial opens a session to whichever of addrs accepts h, rotating
+// through them (primary first, then standbys): during a failover the
+// primary refuses connections and the standby answers ErrNotPrimary until
+// its promotion lands, so the dialer keeps cycling — jittered, capped
+// backoff — until someone accepts, the answer is ErrJoinRefused (final),
+// stop says the dialer itself was closed, or an attempt fails past the
+// deadline. The port of ln, the dialer's own listener, seeds the jitter.
+func redial(addrs []string, h Hello, ln net.Listener, deadline time.Time, stop func() bool) (*session, *HelloAck, error) {
+	var jitter uint64
+	if p, ok := ln.Addr().(*net.TCPAddr); ok {
+		jitter = uint64(p.Port)
+	}
+	backoff := reconnectBase
+	for attempt := 0; ; attempt++ {
+		if stop() {
+			return nil, nil, errors.New("cluster: closed while dialing")
+		}
+		s, ack, err := dialSession(addrs[attempt%len(addrs)], h)
+		if err == nil {
+			return s, ack, nil
+		}
+		if errors.Is(err, ErrJoinRefused) || time.Now().After(deadline) {
+			return nil, nil, err
+		}
+		if errors.Is(err, ErrNotPrimary) {
+			// A standby answered: the control plane is alive and promotion
+			// is at most one grace window away. Poll tightly instead of
+			// continuing to double, or a worker can sleep straight through
+			// the promoted LB's resync window and be evicted for silence it
+			// didn't choose.
+			backoff = reconnectBase
+		}
+		time.Sleep(backoffSleep(&jitter, &backoff))
+	}
+}
+
 // TCPWorkerTransport implements Transport over the TCP fabric.
 type TCPWorkerTransport struct {
 	ID    int
 	Epoch uint64
 
 	lbAddrs []string // control-plane addresses, tried in rotation
-	lbConn  net.Conn
-	lbEnc   *gob.Encoder
-	lbGen   uint64 // bumped each time the LB stream is (re)established
 	encMu   sync.Mutex
+	lb      *session // the current LB stream
+	lbGen   uint64   // bumped each time the LB stream is (re)established
 
 	listener net.Listener
 
@@ -102,7 +270,7 @@ type TCPWorkerTransport struct {
 	inbox     []Message
 	mailCond  *sync.Cond
 	peerAddrs map[int]string
-	peerConns map[string]*peerConn
+	peers     map[string]*session // outbound peer sessions, by address
 	// peerEpochs fences inbound peer sessions: the newest epoch accepted
 	// per dialer id. A dialer presenting an older epoch is a stale
 	// incarnation (it was evicted and its successor already dialed) and
@@ -112,102 +280,65 @@ type TCPWorkerTransport struct {
 	closed     bool
 }
 
-type peerConn struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	mu   sync.Mutex
-}
-
 // DialLB connects to the load balancer, registers, and starts the
 // worker's peer listener and reconnect-aware LB pump. Extra addresses
 // are standby LBs: the worker rotates through all of them, so a join
 // that lands on an unpromoted standby (ErrNotPrimary) retries against
-// the next address with backoff until the deadline.
+// the next address with backoff until the deadline (an LB failover may
+// be in progress when the worker starts).
 func DialLB(lbAddr string, standbyAddrs ...string) (*TCPWorkerTransport, *HelloAck, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, nil, err
 	}
 	t := &TCPWorkerTransport{
+		ID:         -1, // no membership yet: connectLB joins
 		lbAddrs:    append([]string{lbAddr}, standbyAddrs...),
 		listener:   ln,
 		peerAddrs:  map[int]string{},
-		peerConns:  map[string]*peerConn{},
+		peers:      map[string]*session{},
 		peerEpochs: map[int]uint64{},
 	}
 	t.mailCond = sync.NewCond(&t.mu)
-	// Initial join: rotate through the addresses with the same capped
-	// backoff as reconnect (an LB failover may be in progress when the
-	// worker starts).
-	var ack *HelloAck
-	var dec *gob.Decoder
-	seedID := 0 // no cluster id yet; seed the jitter off the listener port
-	if p, ok := ln.Addr().(*net.TCPAddr); ok {
-		seedID = p.Port
-	}
-	jitter := reconnectSeed(seedID)
-	deadline := time.Now().Add(reconnectDeadline)
-	backoff := reconnectBase
-	for attempt := 0; ; attempt++ {
-		ack, dec, err = t.dialHello(t.lbAddrs[attempt%len(t.lbAddrs)], -1, 0)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, ErrJoinRefused) || time.Now().After(deadline) {
-			ln.Close()
-			return nil, nil, err
-		}
-		if errors.Is(err, ErrNotPrimary) {
-			// Mid-failover join: a live standby means promotion is imminent
-			// — keep the polling tight (see reconnect).
-			backoff = reconnectBase
-		}
-		time.Sleep(backoffSleep(&jitter, &backoff))
+	s, ack, err := t.connectLB()
+	if err != nil {
+		ln.Close()
+		return nil, nil, err
 	}
 	t.ID = ack.ID
 	t.Epoch = ack.Epoch
 
-	go t.pump(dec)
-	go t.acceptPeers()
+	go t.pump(s)
+	go acceptLoop(ln, t.servePeer) // direct worker-to-worker job transfers
 	return t, ack, nil
 }
 
-// dialHello dials one LB address and performs the join (id < 0) or
-// resume handshake, installing the new connection on success.
-func (t *TCPWorkerTransport) dialHello(addr string, id int, epoch uint64) (*HelloAck, *gob.Decoder, error) {
-	conn, err := net.Dial("tcp", addr)
+// connectLB joins the cluster (no id yet) or resumes this worker's
+// membership at whichever LB address accepts, and makes the new session
+// the LB stream.
+func (t *TCPWorkerTransport) connectLB() (*session, *HelloAck, error) {
+	h := Hello{Addr: t.listener.Addr().String(), ID: t.ID, Epoch: t.Epoch}
+	s, ack, err := redial(t.lbAddrs, h, t.listener, time.Now().Add(reconnectDeadline), t.isClosed)
 	if err != nil {
 		return nil, nil, err
 	}
-	enc := gob.NewEncoder(conn)
-	hello := Hello{Addr: t.listener.Addr().String(), ID: id, Epoch: epoch}
-	if err := enc.Encode(WireMsg{Hello: &hello}); err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	dec := gob.NewDecoder(conn)
-	var wm WireMsg
-	if err := dec.Decode(&wm); err != nil || wm.Ack == nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("cluster: bad hello ack: %v", err)
-	}
-	switch {
-	case wm.Ack.ID == helloNotPrimary:
-		conn.Close()
-		return nil, nil, ErrNotPrimary
-	case wm.Ack.ID < 0:
-		conn.Close()
-		return nil, nil, ErrJoinRefused
-	}
 	t.encMu.Lock()
-	if t.lbConn != nil {
-		t.lbConn.Close()
+	if t.lb != nil {
+		t.lb.close()
 	}
-	t.lbConn = conn
-	t.lbEnc = enc
+	t.lb = s
 	t.lbGen++
 	t.encMu.Unlock()
-	return wm.Ack, dec, nil
+	if t.isClosed() {
+		s.close() // Close ran while we dialed and shut the session before this one
+	}
+	return s, ack, nil
+}
+
+func (t *TCPWorkerTransport) isClosed() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.closed
 }
 
 // LBGen implements Transport: statuses sent under an older generation
@@ -222,22 +353,17 @@ func (t *TCPWorkerTransport) LBGen() uint64 {
 // pump decodes LB messages, reconnecting with the worker's identity when
 // the connection drops. If the LB refuses the resume (we were evicted)
 // or stays unreachable, the worker is stopped.
-func (t *TCPWorkerTransport) pump(dec *gob.Decoder) {
+func (t *TCPWorkerTransport) pump(s *session) {
 	for {
-		var wm WireMsg
-		if err := dec.Decode(&wm); err != nil {
-			t.mu.Lock()
-			closed := t.closed
-			t.mu.Unlock()
-			if closed {
+		wm, err := s.recv()
+		if err != nil {
+			if t.isClosed() {
 				return
 			}
-			nd, ok := t.reconnect()
-			if !ok {
+			if s, _, err = t.connectLB(); err != nil {
 				t.push(Message{Kind: MsgStop})
 				return
 			}
-			dec = nd
 			continue
 		}
 		t.mu.Lock()
@@ -251,119 +377,35 @@ func (t *TCPWorkerTransport) pump(dec *gob.Decoder) {
 	}
 }
 
-// Reconnect tuning: capped exponential backoff starting at
-// reconnectBase, doubling to reconnectCap, with deterministic
-// splitmix64 jitter (seeded per worker) so a fleet of workers orphaned
-// by the same LB crash doesn't re-dial in lockstep. The deadline is
-// sized to ride out a full failover: standby promotion grace plus the
-// promoted LB's resync window.
-const (
-	reconnectBase     = 25 * time.Millisecond
-	reconnectCap      = 800 * time.Millisecond
-	reconnectDeadline = 25 * time.Second
-)
-
-// reconnectSeed derives a per-worker jitter stream seed.
-func reconnectSeed(id int) uint64 {
-	s := uint64(id)
-	return splitmix64(&s)
-}
-
-// backoffSleep returns the next jittered delay and doubles the backoff
-// (half deterministic floor, half jitter — bounded yet desynchronized).
-func backoffSleep(jitter *uint64, backoff *time.Duration) time.Duration {
-	half := *backoff / 2
-	d := half + time.Duration(splitmix64(jitter)%uint64(half+1))
-	if *backoff < reconnectCap {
-		*backoff *= 2
-	}
-	return d
-}
-
-// reconnect re-dials the LB control plane, resuming this worker's
-// membership. It rotates through every known address (primary first,
-// then standbys): during a failover the primary refuses connections
-// and the standby answers ErrNotPrimary until its promotion lands, so
-// the worker keeps cycling — jittered, capped backoff — until the
-// promoted LB accepts the resume or the deadline expires.
-func (t *TCPWorkerTransport) reconnect() (*gob.Decoder, bool) {
-	jitter := reconnectSeed(t.ID)
-	backoff := reconnectBase
-	deadline := time.Now().Add(reconnectDeadline)
-	for attempt := 0; ; attempt++ {
-		time.Sleep(backoffSleep(&jitter, &backoff))
-		t.mu.Lock()
-		closed := t.closed
-		t.mu.Unlock()
-		if closed || time.Now().After(deadline) {
-			return nil, false
-		}
-		ack, dec, err := t.dialHello(t.lbAddrs[attempt%len(t.lbAddrs)], t.ID, t.Epoch)
-		if err == nil && ack.ID == t.ID {
-			return dec, true
-		}
-		if errors.Is(err, ErrJoinRefused) {
-			return nil, false
-		}
-		if errors.Is(err, ErrNotPrimary) {
-			// A standby answered: the control plane is alive and promotion
-			// is at most one grace window away. Poll tightly instead of
-			// continuing to double, or the worker can sleep straight
-			// through the promoted LB's resync window and be evicted for
-			// silence it didn't choose.
-			backoff = reconnectBase
-		}
-	}
-}
-
-// acceptPeers receives direct worker-to-worker job transfers.
-func (t *TCPWorkerTransport) acceptPeers() {
-	for {
-		c, err := t.listener.Accept()
-		if err != nil {
-			return
-		}
-		go t.servePeer(c)
-	}
-}
-
 // servePeer handles one inbound peer session: the epoch-fenced
-// handshake, then the job-batch stream. The first frame must be the
-// dialer's identity; an id whose epoch is older than the newest this
-// worker has accepted is refused (see peerEpochs). The worker-level
-// evicted-peer check on MsgJobs remains the authoritative exactness
-// guard — the fence just stops stale incarnations at the door.
+// handshake, then the job-batch stream. The Hello is the dialer's
+// identity; an id whose epoch is older than the newest this worker has
+// accepted is refused (see peerEpochs). The worker-level evicted-peer
+// check on MsgJobs remains the authoritative exactness guard — the fence
+// just stops stale incarnations at the door.
 func (t *TCPWorkerTransport) servePeer(c net.Conn) {
-	d := gob.NewDecoder(c)
-	e := gob.NewEncoder(c)
-	h := readHello(c, d)
+	s, h := acceptSession(c)
 	if h == nil {
-		c.Close()
 		return
 	}
 	t.mu.Lock()
-	if seen, ok := t.peerEpochs[h.ID]; ok && h.Epoch < seen {
-		t.mu.Unlock()
-		_ = e.Encode(WireMsg{Ack: &HelloAck{ID: helloRefused}})
-		c.Close()
-		return
+	stale := h.Epoch < t.peerEpochs[h.ID]
+	if !stale {
+		t.peerEpochs[h.ID] = h.Epoch
 	}
-	t.peerEpochs[h.ID] = h.Epoch
 	t.mu.Unlock()
-	if err := e.Encode(WireMsg{Ack: &HelloAck{ID: h.ID, Epoch: h.Epoch}}); err != nil {
-		c.Close()
+	if stale {
+		s.refuse(helloRefused)
 		return
 	}
-	for {
-		var wm WireMsg
-		if err := d.Decode(&wm); err != nil {
-			c.Close()
-			return
-		}
+	if s.send(WireMsg{Ack: &HelloAck{ID: h.ID, Epoch: h.Epoch}}) != nil {
+		return
+	}
+	s.readLoop(func(wm WireMsg) {
 		if wm.Msg != nil {
 			t.push(*wm.Msg)
 		}
-	}
+	})
 }
 
 func (t *TCPWorkerTransport) push(m Message) {
@@ -374,12 +416,13 @@ func (t *TCPWorkerTransport) push(m Message) {
 }
 
 // SendToLB implements Transport. A false return means the message was
-// not handed to a live LB stream; the pump's reconnect restores the
-// stream (bumping the generation) and the worker re-sends a full status.
+// not handed to a live LB stream: the failed send closed it, the pump is
+// re-dialing, and the new stream's generation bump makes the worker
+// re-send a full status.
 func (t *TCPWorkerTransport) SendToLB(m Message) bool {
 	t.encMu.Lock()
 	defer t.encMu.Unlock()
-	return t.sendToLBLocked(m)
+	return t.lb.send(WireMsg{Msg: &m}) == nil
 }
 
 // SendToLBAt implements Transport: the message goes out only if the
@@ -388,113 +431,48 @@ func (t *TCPWorkerTransport) SendToLB(m Message) bool {
 func (t *TCPWorkerTransport) SendToLBAt(m Message, gen uint64) bool {
 	t.encMu.Lock()
 	defer t.encMu.Unlock()
-	if t.lbGen != gen {
-		return false
-	}
-	return t.sendToLBLocked(m)
-}
-
-func (t *TCPWorkerTransport) sendToLBLocked(m Message) bool {
-	if t.lbEnc == nil {
-		return false
-	}
-	if err := t.lbEnc.Encode(WireMsg{Msg: &m}); err != nil {
-		// The connection is dead: close it so the pump's Decode fails now
-		// and reconnection starts immediately, and drop the encoder so
-		// further sends fail fast until dialHello installs a new stream.
-		t.lbConn.Close()
-		t.lbEnc = nil
-		return false
-	}
-	return true
-}
-
-// handshakeTimeout bounds every connection handshake. Dialing a peer, a
-// blackholed destination must fail fast enough for the sender to fall
-// back to LB relay instead of stalling the worker loop; accepting, a
-// connection that never sends its Hello must not pin a goroutine and a
-// socket forever.
-const handshakeTimeout = time.Second
-
-// readHello reads the Hello that must open every accepted connection,
-// under handshakeTimeout. It returns nil — the caller closes the
-// connection — if the frame is late, malformed, or not a Hello.
-func readHello(conn net.Conn, dec *gob.Decoder) *Hello {
-	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	var wm WireMsg
-	if err := dec.Decode(&wm); err != nil {
-		return nil
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	return wm.Hello
+	return t.lbGen == gen && t.lb.send(WireMsg{Msg: &m}) == nil
 }
 
 // SendJobs implements Transport (direct worker-to-worker transfer). A
 // false return means the batch was not handed to a peer session; the
 // caller keeps custody and falls back to LB relay (or re-imports). A
 // cached session that died mid-send is redialed once — a peer that
-// merely restarted its listener should not force a relay detour.
+// merely restarted its listener should not force a relay detour. A
+// refused dial means the acceptor already accepted a newer epoch for
+// this id: we are a stale incarnation and must not ship.
 func (t *TCPWorkerTransport) SendJobs(dst int, m Message) bool {
 	t.mu.Lock()
 	addr := t.peerAddrs[dst]
-	pc := t.peerConns[addr]
+	ps := t.peers[addr]
 	t.mu.Unlock()
 	if addr == "" {
 		return false // destination unknown yet; the LB will rebalance later
 	}
 	for attempt := 0; attempt < 2; attempt++ {
-		if pc == nil {
+		if ps == nil {
 			var err error
-			if pc, err = t.dialPeer(addr); err != nil {
+			if ps, _, err = dialSession(addr, Hello{ID: t.ID, Epoch: t.Epoch}); err != nil {
 				return false
 			}
+			t.mu.Lock()
+			t.peers[addr] = ps
+			t.mu.Unlock()
 		}
-		pc.mu.Lock()
-		err := pc.enc.Encode(WireMsg{Msg: &m})
-		pc.mu.Unlock()
-		if err == nil {
+		if ps.send(WireMsg{Msg: &m}) == nil {
 			return true
 		}
 		// Connection died; drop it so the retry (and any later send)
 		// starts from a fresh dial. The caller keeps custody either way
 		// (ack high-water marks de-duplicate resends).
-		pc.conn.Close()
 		t.mu.Lock()
-		if t.peerConns[addr] == pc {
-			delete(t.peerConns, addr)
+		if t.peers[addr] == ps {
+			delete(t.peers, addr)
 		}
 		t.mu.Unlock()
-		pc = nil
+		ps = nil
 	}
 	return false
-}
-
-// dialPeer establishes an epoch-fenced peer session: dial, present this
-// worker's identity, and wait (bounded) for the acceptor's verdict. A
-// refusal means the acceptor already accepted a newer epoch for this id
-// — we are a stale incarnation and must not ship.
-func (t *TCPWorkerTransport) dialPeer(addr string) (*peerConn, error) {
-	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
-	if err != nil {
-		return nil, err
-	}
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(WireMsg{Hello: &Hello{ID: t.ID, Epoch: t.Epoch}}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	var wm WireMsg
-	if err := gob.NewDecoder(conn).Decode(&wm); err != nil || wm.Ack == nil || wm.Ack.ID < 0 {
-		conn.Close()
-		return nil, errors.New("cluster: peer handshake refused")
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	pc := &peerConn{conn: conn, enc: enc}
-	t.mu.Lock()
-	t.peerConns[addr] = pc
-	t.mu.Unlock()
-	return pc, nil
 }
 
 // Recv implements Transport.
@@ -533,11 +511,12 @@ func (t *TCPWorkerTransport) Close() {
 	t.mu.Lock()
 	t.closed = true
 	t.mailCond.Broadcast()
+	for _, ps := range t.peers {
+		ps.close()
+	}
 	t.mu.Unlock()
 	t.encMu.Lock()
-	if t.lbConn != nil {
-		t.lbConn.Close()
-	}
+	t.lb.close()
 	t.encMu.Unlock()
 	t.listener.Close()
 }
@@ -551,14 +530,10 @@ type LBServer struct {
 
 	mu       sync.Mutex
 	lb       *LoadBalancer
-	conns    map[int]*lbWorkerConn
+	conns    map[int]*session // registered workers' sessions, by member id
 	standbys []*lbStandbyConn
 	stopped  bool
 	shutdown bool // graceful termination requested (SIGTERM / Shutdown)
-	// exhausted records that Serve ended because the balancer's probe
-	// waves found the frontier dry everywhere, rather than on its time
-	// bound or a Shutdown.
-	exhausted bool
 	// MinWorkers, when > 0, delays termination detection until that many
 	// workers have been members at once (prevents the LB from declaring
 	// a tiny exploration finished before peers ever join). It is NOT a
@@ -585,8 +560,7 @@ func (s *LBServer) wakeServe() {
 // whatever sits in the queue when the primary dies is exactly the
 // in-flight window the standby must recover without.
 type lbStandbyConn struct {
-	conn net.Conn
-	enc  *gob.Encoder
+	sess *session
 	mu   sync.Mutex
 	cond *sync.Cond
 	q    []RepEntry
@@ -596,8 +570,8 @@ type lbStandbyConn struct {
 	dead    bool
 }
 
-func newLBStandbyConn(conn net.Conn, enc *gob.Encoder) *lbStandbyConn {
-	sc := &lbStandbyConn{conn: conn, enc: enc}
+func newLBStandbyConn(sess *session) *lbStandbyConn {
+	sc := &lbStandbyConn{sess: sess}
 	sc.cond = sync.NewCond(&sc.mu)
 	return sc
 }
@@ -628,7 +602,7 @@ func (sc *lbStandbyConn) flush() {
 		sc.sending = true
 		sc.mu.Unlock()
 		for i := range batch {
-			if err := sc.enc.Encode(WireMsg{Rep: &batch[i]}); err != nil {
+			if sc.sess.send(WireMsg{Rep: &batch[i]}) != nil {
 				sc.close()
 				return
 			}
@@ -641,7 +615,7 @@ func (sc *lbStandbyConn) close() {
 	sc.dead = true
 	sc.cond.Broadcast()
 	sc.mu.Unlock()
-	sc.conn.Close()
+	sc.sess.close()
 }
 
 // settle waits briefly for the flusher to drain the queue — used on
@@ -661,86 +635,31 @@ func (sc *lbStandbyConn) settle(timeout time.Duration) {
 	}
 }
 
-type lbWorkerConn struct {
-	id   int
-	enc  *gob.Encoder
-	conn net.Conn
-	mu   sync.Mutex
-}
-
-func (wc *lbWorkerConn) send(wm WireMsg) {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	_ = wc.enc.Encode(wm)
-}
-
-// hangUp ends the connection without losing what was just sent: the
-// write side closes now, and the handler keeps draining the worker's
-// statuses until the worker hangs up too (or handshakeTimeout passes)
-// and only then closes the socket. Closing outright with statuses still
-// unread makes the kernel answer with a reset, which discards whatever
-// the worker had not read yet — the MsgStop — and leaves it re-dialing a
-// server that is gone until reconnectDeadline.
-func (wc *lbWorkerConn) hangUp() {
-	if tc, ok := wc.conn.(*net.TCPConn); ok {
-		_ = tc.CloseWrite()
-	}
-	_ = wc.conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-}
-
 // NewLBServer listens on addr. minWorkers gates quiescence-based
 // shutdown only (see LBServer.MinWorkers); pass 0 for a fully elastic
 // cluster.
 func NewLBServer(addr string, cfg BalancerConfig, covLen int, minWorkers int) (*LBServer, error) {
+	if err := checkPortfolio(cfg.Portfolio); err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Delta == 0 {
-		d := cfg
-		cfg = DefaultBalancerConfig()
-		if d.Lease > 0 {
-			cfg.Lease = d.Lease
-		}
-		cfg.Portfolio = d.Portfolio
-		cfg.ReweightEvery = d.ReweightEvery
-		cfg.DataPlane = d.DataPlane
-		cfg.PartitionDepth = d.PartitionDepth
-		cfg.PartitionUnits = d.PartitionUnits
-	}
-	for _, spec := range cfg.Portfolio {
-		if err := search.Validate(spec); err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("cluster: portfolio: %w", err)
-		}
-	}
-	lb := NewLoadBalancer(cfg, covLen)
+	return newLBServer(ln, NewLoadBalancer(cfg, covLen), minWorkers), nil
+}
+
+// newLBServer seats a balancer — a fresh one, or a promoted standby's,
+// already running — behind a listener.
+func newLBServer(ln net.Listener, lb *LoadBalancer, minWorkers int) *LBServer {
 	lb.holdOpen = minWorkers > 0 // until Serve has counted that many
 	return &LBServer{
 		listener:   ln,
 		lb:         lb,
-		conns:      map[int]*lbWorkerConn{},
-		MinWorkers: minWorkers,
-		wake:       make(chan struct{}, 1),
-	}, nil
-}
-
-// newLBServerWith wraps an already-running LoadBalancer — a promoted
-// standby's — around an existing listener. The listener's accept loop
-// stays with the caller (the Standby), which routes connections to
-// handle().
-func newLBServerWith(ln net.Listener, lb *LoadBalancer, minWorkers int) *LBServer {
-	lb.holdOpen = minWorkers > 0
-	s := &LBServer{
-		listener:   ln,
-		noAccept:   true,
-		lb:         lb,
-		conns:      map[int]*lbWorkerConn{},
+		conns:      map[int]*session{},
 		MinWorkers: minWorkers,
 		wake:       make(chan struct{}, 1),
 	}
-	s.EnableReplication()
-	return s
 }
 
 // EnableReplication turns on input logging and standby streaming: a
@@ -784,10 +703,10 @@ func (s *LBServer) Abort() {
 	s.mu.Lock()
 	s.stopped = true
 	s.shutdown = true
-	for _, wc := range s.conns {
-		wc.conn.Close()
+	for _, ss := range s.conns {
+		ss.close()
 	}
-	s.conns = map[int]*lbWorkerConn{}
+	s.conns = map[int]*session{}
 	for _, sc := range s.standbys {
 		sc.mu.Lock()
 		sc.q = nil // in-flight entries die with the process
@@ -823,7 +742,9 @@ func (s *LBServer) addrsLocked() map[int]string {
 // the current peer-address map (except to coverage broadcasts, which go
 // out every dirty round and name no peer). Eviction notices also go to
 // the evicted member itself (if still connected) so a falsely evicted
-// straggler halts, then its connection is dropped.
+// straggler halts, then its connection is dropped. A failed send needs
+// no action here: the session closed itself, its handler's read fails, and
+// the membership lives on until the worker re-dials or its lease lapses.
 func (s *LBServer) dispatchLocked(outs []Outbound) {
 	addrs := s.addrsLocked()
 	for _, out := range outs {
@@ -833,19 +754,19 @@ func (s *LBServer) dispatchLocked(outs []Outbound) {
 			if msg.Kind == MsgCoverage {
 				wm.PeerAddrs = nil
 			}
-			for _, wc := range s.conns {
-				wc.send(wm)
+			for _, ss := range s.conns {
+				_ = ss.send(wm)
 			}
 			if msg.Kind == MsgEvict {
-				if wc := s.conns[msg.From]; wc != nil {
-					wc.conn.Close()
+				if ss := s.conns[msg.From]; ss != nil {
+					ss.close()
 					delete(s.conns, msg.From)
 				}
 			}
 			continue
 		}
-		if wc := s.conns[out.To]; wc != nil {
-			wc.send(WireMsg{Msg: &msg, PeerAddrs: addrs})
+		if ss := s.conns[out.To]; ss != nil {
+			_ = ss.send(WireMsg{Msg: &msg, PeerAddrs: addrs})
 		}
 	}
 }
@@ -859,13 +780,12 @@ func (s *LBServer) dispatchLocked(outs []Outbound) {
 // wakes this loop, so the end of a run does not wait for a tick either.
 func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 	if !s.noAccept {
-		go s.acceptLoop()
+		go acceptLoop(s.listener, s.handle)
 	}
 	start := time.Now()
 	tick := time.NewTicker(20 * time.Millisecond)
 	defer tick.Stop()
-	exhausted := false
-	for !exhausted {
+	for done := false; !done; {
 		ticked := false
 		select {
 		case <-tick.C:
@@ -878,16 +798,14 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 			break
 		}
 		if ticked {
-			if n := s.lb.NumMembers(); n > s.peakMembers {
-				s.peakMembers = n
-			}
+			s.peakMembers = max(s.peakMembers, len(s.lb.Members))
 			s.lb.holdOpen = s.peakMembers < s.MinWorkers
 			s.dispatchLocked(s.lb.Round(time.Now()))
 		}
 		// A freshly promoted server cannot get here on replicated
 		// quiescence: wave state is not replicated, and no wave opens
 		// before the resync window has closed.
-		exhausted = s.lb.Terminated()
+		done = s.lb.Terminated()
 		s.mu.Unlock()
 		if maxDuration > 0 && time.Since(start) > maxDuration {
 			break
@@ -898,13 +816,12 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 	// check stopped and won't apply further updates, so post-Serve reads
 	// of the LB (totals, membership counters) are race-free.
 	s.stopped = true
-	s.exhausted = exhausted
-	for _, wc := range s.conns {
-		wc.send(WireMsg{Msg: &Message{Kind: MsgStop}})
-		wc.hangUp()
+	for _, ss := range s.conns {
+		_ = ss.send(WireMsg{Msg: &Message{Kind: MsgStop}})
+		ss.hangUp()
 	}
 	statuses := s.lb.Statuses()
-	s.conns = map[int]*lbWorkerConn{}
+	s.conns = map[int]*session{}
 	standbys := s.standbys
 	s.standbys = nil
 	s.mu.Unlock()
@@ -918,14 +835,14 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 	return statuses, nil
 }
 
-// Exhausted reports whether Serve ended because the cluster terminated
-// (every member idle, nothing in flight, two probe waves agreeing), as
-// opposed to being cut off by maxDuration or Shutdown. False until Serve
-// returns.
+// Exhausted reports whether the cluster terminated (every member idle,
+// nothing in flight, two probe waves agreeing), as opposed to Serve being
+// cut off by maxDuration or Shutdown: the balancer's verdict, which Serve
+// ends on and freezes when it returns.
 func (s *LBServer) Exhausted() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.exhausted
+	return s.lb.Terminated()
 }
 
 // Stats returns the membership and transfer counters (safe after — or
@@ -988,7 +905,7 @@ func (s *LBServer) Journal() *obs.Journal {
 // coverage length so the standby can build a matching replica), a
 // snapshot of the replicated state, then live entries via the flusher.
 // The read side only watches for disconnect.
-func (s *LBServer) handleStandby(conn net.Conn, dec *gob.Decoder, enc *gob.Encoder, now time.Time) {
+func (s *LBServer) handleStandby(ss *session, now time.Time) {
 	s.mu.Lock()
 	var snap *RepSnapshot
 	if !s.stopped && s.lb.repEnabled {
@@ -1000,36 +917,24 @@ func (s *LBServer) handleStandby(conn net.Conn, dec *gob.Decoder, enc *gob.Encod
 	}
 	if snap == nil {
 		s.mu.Unlock()
-		_ = enc.Encode(WireMsg{Ack: &HelloAck{ID: helloRefused}})
-		conn.Close()
+		ss.refuse(helloRefused)
 		return
 	}
 	cfg := s.lb.Config()
 	ack := HelloAck{ID: 0, Cfg: &cfg, CovLen: s.lb.Cov.Len() - 1}
-	sc := newLBStandbyConn(conn, enc)
+	sc := newLBStandbyConn(ss)
 	// Registering for live entries in the critical section the snapshot
 	// was cut in leaves no gap: the first entry queued is snapshot seq + 1.
 	s.standbys = append(s.standbys, sc)
 	s.mu.Unlock()
 
-	// Ack and snapshot must precede every queued entry on the wire; encode
+	// Ack and snapshot must precede every queued entry on the wire; send
 	// them directly, before the flusher starts draining.
-	err := enc.Encode(WireMsg{Ack: &ack})
-	if err == nil {
-		err = enc.Encode(WireMsg{Snap: snap})
+	if ss.send(WireMsg{Ack: &ack}) == nil && ss.send(WireMsg{Snap: snap}) == nil {
+		go sc.flush()
+		ss.readLoop(func(WireMsg) {})
 	}
-	if err != nil {
-		s.dropStandby(sc)
-		return
-	}
-	go sc.flush()
-	for {
-		var wm WireMsg
-		if err := dec.Decode(&wm); err != nil {
-			s.dropStandby(sc)
-			return
-		}
-	}
+	s.dropStandby(sc)
 }
 
 func (s *LBServer) dropStandby(sc *lbStandbyConn) {
@@ -1044,107 +949,46 @@ func (s *LBServer) dropStandby(sc *lbStandbyConn) {
 	sc.close()
 }
 
-func (s *LBServer) acceptLoop() {
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return
-		}
-		go s.handle(conn)
-	}
-}
-
-// handle serves one worker connection: the join/resume handshake, then
-// the status stream. A decode error only drops the connection — the
-// membership survives until the lease lapses, so a worker that re-dials
-// in time resumes exactly where it was.
+// handle serves one worker connection: the handshake (LoadBalancer.Admit
+// decides, this delivers), then the status stream. A read error only
+// drops the connection — the membership survives until the lease lapses,
+// so a worker that re-dials in time resumes exactly where it was.
 func (s *LBServer) handle(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	h := readHello(conn, dec)
+	ss, h := acceptSession(conn)
 	if h == nil {
-		conn.Close()
 		return
 	}
 	now := time.Now()
 	if h.Standby {
-		s.handleStandby(conn, dec, enc, now)
+		s.handleStandby(ss, now)
 		return
 	}
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
-		conn.Close()
+		ss.close()
 		return
 	}
-	var id int
-	var epoch uint64
-	var spec string
-	if h.ID >= 0 {
-		// Resume: accept if (id, epoch) is still a member — or, on a
-		// promoted standby, if it falls in the readmit window (the worker
-		// joined the lost primary inside the replication gap; its epoch
-		// sits between the replicated frontier and the promotion stride).
-		if !s.lb.IsMember(h.ID, h.Epoch) {
-			if s.lb.canReadmit(h.ID, h.Epoch) {
-				m, outs := s.lb.Readmit(h.ID, h.Epoch, h.Addr, now)
-				id, epoch, spec = m.ID, m.Epoch, m.Spec
-				s.dispatchLocked(outs)
-			} else {
-				s.mu.Unlock()
-				wc := &lbWorkerConn{enc: enc, conn: conn}
-				wc.send(WireMsg{Ack: &HelloAck{ID: helloRefused}})
-				conn.Close()
-				return
-			}
-		} else {
-			id, epoch = h.ID, h.Epoch
-			spec = s.lb.Members[id].Spec
-			s.lb.Touch(id, now)
-		}
-	} else {
-		m, outs := s.lb.Join(h.Addr, now)
-		id, epoch, spec = m.ID, m.Epoch, m.Spec
-		s.dispatchLocked(outs)
+	ack, outs := s.lb.Admit(*h, now)
+	if ack.ID < 0 {
+		s.mu.Unlock()
+		ss.refuse(ack.ID)
+		return
 	}
-	wc := &lbWorkerConn{id: id, enc: enc, conn: conn}
-	// Send the ack before registering the connection for dispatch: the
-	// moment wc is in s.conns, a concurrent Serve tick or another
-	// handler's dispatchLocked may send it a broadcast, and dialHello
+	// Send the ack before registering the session for dispatch: the
+	// moment it is in s.conns, a concurrent Serve tick or another
+	// handler's dispatchLocked may send it a broadcast, and the dialer
 	// requires the HelloAck to be the first WireMsg on the wire.
-	bcfg := s.lb.Config()
-	wc.send(WireMsg{Ack: &HelloAck{
-		ID: id, Epoch: epoch,
-		// Depth mode seeds every worker: each re-derives the shared upper
-		// tree locally and counts only inside its granted units.
-		Seed:           id == 0 || bcfg.DataPlane == DataPlaneDepth,
-		Spec:           spec,
-		DataPlane:      bcfg.DataPlane,
-		PartitionDepth: bcfg.PartitionDepth,
-		PartitionUnits: bcfg.PartitionUnits,
-	}, PeerAddrs: s.addrsLocked()})
-	if old := s.conns[id]; old != nil {
-		old.conn.Close()
+	_ = ss.send(WireMsg{Ack: &ack, PeerAddrs: s.addrsLocked()})
+	if old := s.conns[ack.ID]; old != nil {
+		old.close()
 	}
-	s.conns[id] = wc
-	if h.ID >= 0 {
-		// A resuming worker slept through any broadcasts sent while it was
-		// disconnected, and an idle worker blocks on its mailbox until
-		// something arrives: answer the resume with the current membership
-		// view so it catches up AND wakes to re-report under the new
-		// stream generation — otherwise an idle worker rides out a
-		// failover silently and the promoted LB has to evict it.
-		wc.send(WireMsg{Msg: &Message{Kind: MsgMembers, Members: s.lb.memberView()}, PeerAddrs: s.addrsLocked()})
-	}
+	s.conns[ack.ID] = ss
+	s.dispatchLocked(outs)
 	s.mu.Unlock()
-	for {
-		var wm WireMsg
-		if err := dec.Decode(&wm); err != nil {
-			conn.Close()
-			return
-		}
+	ss.readLoop(func(wm WireMsg) {
 		if wm.Msg == nil {
-			continue
+			return
 		}
 		s.mu.Lock()
 		if !s.stopped {
@@ -1154,7 +998,7 @@ func (s *LBServer) handle(conn net.Conn) {
 			}
 		}
 		s.mu.Unlock()
-	}
+	})
 }
 
 // Standby is a warm standby load balancer: it listens on its own
@@ -1191,7 +1035,7 @@ func NewStandby(addr, peer string, promoteGrace time.Duration, minWorkers int) (
 		promoteGrace = 2 * time.Second
 	}
 	sb := &Standby{listener: ln, peer: peer, grace: promoteGrace, minWorkers: minWorkers}
-	go sb.acceptLoop()
+	go acceptLoop(ln, sb.route)
 	return sb, nil
 }
 
@@ -1210,28 +1054,17 @@ func (sb *Standby) LastSeq() uint64 {
 	return sb.rep.LastSeq()
 }
 
-// acceptLoop routes connections: before promotion every handshake is
+// route serves one connection: before promotion every handshake is
 // answered with helloNotPrimary (dialers rotate and retry); after
 // promotion connections go straight to the promoted server's handler.
-func (sb *Standby) acceptLoop() {
-	for {
-		conn, err := sb.listener.Accept()
-		if err != nil {
-			return
-		}
-		sb.mu.Lock()
-		srv := sb.srv
-		sb.mu.Unlock()
-		if srv != nil {
-			go srv.handle(conn)
-			continue
-		}
-		go func(conn net.Conn) {
-			if readHello(conn, gob.NewDecoder(conn)) != nil {
-				_ = gob.NewEncoder(conn).Encode(WireMsg{Ack: &HelloAck{ID: helloNotPrimary}})
-			}
-			conn.Close()
-		}(conn)
+func (sb *Standby) route(conn net.Conn) {
+	sb.mu.Lock()
+	srv := sb.srv
+	sb.mu.Unlock()
+	if srv != nil {
+		srv.handle(conn)
+	} else if ss, h := acceptSession(conn); h != nil {
+		ss.refuse(helloNotPrimary)
 	}
 }
 
@@ -1239,45 +1072,8 @@ func (sb *Standby) acceptLoop() {
 // retrying with jittered backoff until the deadline. A helloRefused
 // answer means the primary is alive but not serving the stream — not a
 // crash — and is surfaced as ErrJoinRefused.
-func (sb *Standby) attach(deadline time.Time) (net.Conn, *gob.Decoder, *HelloAck, error) {
-	seedID := 0
-	if p, ok := sb.listener.Addr().(*net.TCPAddr); ok {
-		seedID = p.Port
-	}
-	jitter := reconnectSeed(seedID)
-	backoff := reconnectBase
-	var lastErr error
-	for {
-		if sb.isClosed() {
-			return nil, nil, nil, errors.New("cluster: standby closed")
-		}
-		conn, err := net.Dial("tcp", sb.peer)
-		if err == nil {
-			enc := gob.NewEncoder(conn)
-			dec := gob.NewDecoder(conn)
-			h := Hello{Standby: true}
-			if err := enc.Encode(WireMsg{Hello: &h}); err == nil {
-				var wm WireMsg
-				if err := dec.Decode(&wm); err == nil && wm.Ack != nil {
-					if wm.Ack.ID == helloRefused {
-						conn.Close()
-						return nil, nil, nil, ErrJoinRefused
-					}
-					if wm.Ack.ID >= 0 && wm.Ack.Cfg != nil {
-						return conn, dec, wm.Ack, nil
-					}
-				}
-			}
-			conn.Close()
-			lastErr = errors.New("cluster: standby handshake failed")
-		} else {
-			lastErr = err
-		}
-		if time.Now().After(deadline) {
-			return nil, nil, nil, lastErr
-		}
-		time.Sleep(backoffSleep(&jitter, &backoff))
-	}
+func (sb *Standby) attach(deadline time.Time) (*session, *HelloAck, error) {
+	return redial([]string{sb.peer}, Hello{Standby: true}, sb.listener, deadline, sb.isClosed)
 }
 
 // Run tails the primary until it ends. It returns (nil, nil) when the
@@ -1287,25 +1083,29 @@ func (sb *Standby) attach(deadline time.Time) (net.Conn, *gob.Decoder, *HelloAck
 func (sb *Standby) Run() (*LBServer, error) {
 	// First attach gets a generous window: the standby may start before
 	// the primary does.
-	conn, dec, ack, err := sb.attach(time.Now().Add(15 * time.Second))
+	ss, ack, err := sb.attach(time.Now().Add(15 * time.Second))
 	if err != nil {
 		sb.Close()
 		return nil, fmt.Errorf("cluster: standby never attached: %w", err)
 	}
+	// end closes the stream and the standby: nothing is promoted.
+	end := func(err error) (*LBServer, error) {
+		ss.close()
+		sb.Close()
+		return nil, err
+	}
 	for {
-		var wm WireMsg
-		if err := dec.Decode(&wm); err != nil {
-			conn.Close()
+		wm, err := ss.recv()
+		if err != nil {
+			ss.close()
 			// Stream lost: try to re-attach inside the grace window; a
 			// primary that stays dead past it has crashed — promote.
-			nc, nd, nack, aerr := sb.attach(time.Now().Add(sb.grace))
-			if aerr == nil {
+			if ss, ack, err = sb.attach(time.Now().Add(sb.grace)); err == nil {
 				// Same run resumes. The new stream opens with a fresh
 				// snapshot; until it arrives the replica we hold stands.
-				conn, dec, ack = nc, nd, nack
 				continue
 			}
-			if errors.Is(aerr, ErrJoinRefused) {
+			if errors.Is(err, ErrJoinRefused) {
 				sb.Close()
 				return nil, nil // primary alive but done with us: clean end
 			}
@@ -1316,10 +1116,8 @@ func (sb *Standby) Run() (*LBServer, error) {
 		}
 		if wm.Snap != nil {
 			rep := NewReplica(*ack.Cfg, ack.CovLen)
-			if serr := rep.InstallState(wm.Snap); serr != nil {
-				conn.Close()
-				sb.Close()
-				return nil, fmt.Errorf("cluster: standby snapshot install: %w", serr)
+			if err := rep.InstallState(wm.Snap); err != nil {
+				return end(fmt.Errorf("cluster: standby snapshot install: %w", err))
 			}
 			sb.mu.Lock()
 			sb.rep = rep
@@ -1330,23 +1128,16 @@ func (sb *Standby) Run() (*LBServer, error) {
 			continue
 		}
 		sb.mu.Lock()
-		var aerr error
-		if sb.rep == nil {
-			aerr = errors.New("entry before snapshot")
-		} else {
-			aerr = sb.rep.Apply(*wm.Rep)
+		err = errors.New("entry before snapshot")
+		if sb.rep != nil {
+			err = sb.rep.Apply(*wm.Rep)
 		}
-		clean := wm.Rep.Kind == RepShutdown
 		sb.mu.Unlock()
-		if aerr != nil {
-			conn.Close()
-			sb.Close()
-			return nil, fmt.Errorf("cluster: standby apply: %w", aerr)
+		if err != nil {
+			return end(fmt.Errorf("cluster: standby apply: %w", err))
 		}
-		if clean {
-			conn.Close()
-			sb.Close()
-			return nil, nil
+		if wm.Rep.Kind == RepShutdown {
+			return end(nil)
 		}
 	}
 }
@@ -1360,7 +1151,11 @@ func (sb *Standby) promote() (*LBServer, error) {
 		return nil, errors.New("cluster: promote before attach")
 	}
 	lb := sb.rep.Promote(time.Now())
-	sb.srv = newLBServerWith(sb.listener, lb, sb.minWorkers)
+	sb.srv = newLBServer(sb.listener, lb, sb.minWorkers)
+	// The listener's accept loop stays here, and route hands the promoted
+	// server its connections.
+	sb.srv.noAccept = true
+	sb.srv.EnableReplication()
 	sb.rep = nil
 	return sb.srv, nil
 }

@@ -5,6 +5,7 @@ package cluster
 // handshake deadline on the three accept loops.
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -47,21 +48,44 @@ func TestTCPGracefulRetire(t *testing.T) {
 	}
 }
 
+// endlessClusterTarget has 2^40 paths: at the few tens of thousands a
+// second these workers explore, no machine exhausts it inside a test, so
+// a run over it ends by its time bound whatever the speed of the day.
+const endlessClusterTarget = `
+int main() {
+	char buf[40];
+	cloud9_make_symbolic(buf, 40, "in");
+	int n = 0;
+	int i;
+	for (i = 0; i < 40; i++) {
+		if (buf[i] > 100) n++;
+	}
+	return n;
+}`
+
 // TestTCPTimeBoundStopsWorkers cuts a run off by maxDuration while the
 // workers are busy reporting: every one must see the MsgStop and exit at
 // once. (Closing the connections outright used to reset them with
 // statuses unread, which could discard the MsgStop and leave the worker
 // re-dialing the dead server until reconnectDeadline.)
 func TestTCPTimeBoundStopsWorkers(t *testing.T) {
-	f := newTCPFleet(t, hugeClusterTarget, DefaultBalancerConfig(), 3)
+	f := newTCPFleet(t, endlessClusterTarget, DefaultBalancerConfig(), 3)
 	for i := 0; i < 3; i++ {
 		f.start(t, tcpWorkerOpts{})
 	}
-	if _, err := f.lbs.Serve(200 * time.Millisecond); err != nil {
+	statuses, err := f.lbs.Serve(200 * time.Millisecond)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if f.lbs.Exhausted() {
-		t.Fatal("4096 paths exhausted inside 200ms: the run was not cut off")
+		t.Fatal("2^40 paths exhausted inside 200ms: the run was not cut off")
+	}
+	var steps uint64
+	for _, st := range statuses {
+		steps += st.UsefulSteps
+	}
+	if steps == 0 {
+		t.Fatal("no work reported inside 200ms: the workers were not busy when the cut came")
 	}
 	stopped := make(chan struct{})
 	go func() {
@@ -130,4 +154,176 @@ func TestTCPHandshakeDeadline(t *testing.T) {
 		t.Fatalf("paths=%d errors=%d, want 4096/1", paths, errors)
 	}
 	silent.Wait()
+}
+
+// silentListener accepts connections and never answers them: what a
+// dialer sees of a wedged process, or of a port something else owns.
+func silentListener(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+	return ln.Addr().String()
+}
+
+// acceptingLB is a balancer that admits workers without running rounds.
+func acceptingLB(t *testing.T) *LBServer {
+	t.Helper()
+	lbs, err := NewLBServer("127.0.0.1:0", DefaultBalancerConfig(), 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go acceptLoop(lbs.listener, lbs.handle)
+	t.Cleanup(func() { lbs.listener.Close() })
+	return lbs
+}
+
+// TestTCPDialHandshakeDeadline is TestTCPHandshakeDeadline from the other
+// end: an address that accepts and never answers must cost each dialer —
+// a worker joining, a worker re-dialing, a standby attaching — one
+// handshakeTimeout and then the next address (or its deadline), not a
+// goroutine parked in a read forever. Only peer dials were bounded before.
+func TestTCPDialHandshakeDeadline(t *testing.T) {
+	within := func(t *testing.T, what string, start time.Time, lo, hi time.Duration) {
+		t.Helper()
+		if d := time.Since(start); d < lo || d > hi {
+			t.Fatalf("%s took %v, want between %v and %v", what, d, lo, hi)
+		}
+	}
+	t.Run("worker", func(t *testing.T) {
+		t.Parallel()
+		silent, lbs := silentListener(t), acceptingLB(t)
+		start := time.Now()
+		tr, ack, err := DialLB(silent, lbs.Addr())
+		if err != nil {
+			t.Fatalf("join past a silent first address: %v", err)
+		}
+		defer tr.Close()
+		within(t, "the join", start, handshakeTimeout, 3*handshakeTimeout)
+
+		// Cut the stream at the balancer: the pump re-dials in rotation,
+		// silent address first, and must come out the other side resumed.
+		start = time.Now()
+		lbs.mu.Lock()
+		lbs.conns[ack.ID].close()
+		lbs.mu.Unlock()
+		for tr.LBGen() < 2 {
+			if time.Since(start) > 3*handshakeTimeout {
+				t.Fatal("the pump never got past the silent address")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		within(t, "the resume", start, handshakeTimeout, 3*handshakeTimeout)
+		lbs.mu.Lock()
+		defer lbs.mu.Unlock()
+		if !lbs.lb.IsMember(ack.ID, ack.Epoch) || lbs.lb.Joins != 1 {
+			t.Fatalf("resumed as someone else: joins=%d members=%v", lbs.lb.Joins, lbs.lb.memberView())
+		}
+	})
+	t.Run("standby", func(t *testing.T) {
+		t.Parallel()
+		sb, err := NewStandby("127.0.0.1:0", silentListener(t), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sb.Close()
+		start := time.Now()
+		if _, _, err := sb.attach(start.Add(handshakeTimeout / 2)); err == nil {
+			t.Fatal("attached to a primary that never answered")
+		}
+		within(t, "the failed attach", start, handshakeTimeout, 2*handshakeTimeout)
+	})
+}
+
+// TestTCPRefusalsMapOnce sends each refusal a Hello can get — an evicted
+// membership, an unpromoted standby, a primary that serves no replication
+// stream, a peer that has seen a newer epoch of the dialer — through
+// dialSession, the one place they become errors, and then checks what
+// each dialer built on it does with the error.
+func TestTCPRefusalsMapOnce(t *testing.T) {
+	lbs := acceptingLB(t) // replication off: a standby's hello is refused
+	sb, err := NewStandby("127.0.0.1:0", lbs.Addr(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	t1, _, err := DialLB(sb.Addr(), lbs.Addr()) // ErrNotPrimary, then the next address
+	if err != nil {
+		t.Fatalf("join past an unpromoted standby: %v", err)
+	}
+	defer t1.Close()
+	t2, _, err := DialLB(lbs.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t2.Close()
+	t2.mu.Lock()
+	t2.peerEpochs[t1.ID] = t1.Epoch + 1 // t1's successor has already dialed t2
+	t2.mu.Unlock()
+
+	for name, c := range map[string]struct {
+		addr string
+		h    Hello
+		want error
+	}{
+		"evicted member":      {lbs.Addr(), Hello{ID: 7, Epoch: 3}, ErrJoinRefused},
+		"unpromoted standby":  {sb.Addr(), Hello{ID: -1}, ErrNotPrimary},
+		"no replication here": {lbs.Addr(), Hello{Standby: true}, ErrJoinRefused},
+		"stale peer epoch":    {t2.listener.Addr().String(), Hello{ID: t1.ID, Epoch: t1.Epoch}, ErrJoinRefused},
+	} {
+		if _, _, err := dialSession(c.addr, c.h); !errors.Is(err, c.want) {
+			t.Errorf("%s: dialSession says %v, want %v", name, err, c.want)
+		}
+	}
+
+	// Standby.attach: a refusal is final, not one more failed attempt.
+	start := time.Now()
+	if _, _, err := sb.attach(start.Add(reconnectDeadline)); !errors.Is(err, ErrJoinRefused) {
+		t.Errorf("attach to a primary without replication: %v, want %v", err, ErrJoinRefused)
+	}
+	// SendJobs: a stale incarnation must not ship.
+	t1.mu.Lock()
+	t1.peerAddrs[t2.ID] = t2.listener.Addr().String()
+	t1.mu.Unlock()
+	if t1.SendJobs(t2.ID, Message{Kind: MsgJobs, From: t1.ID, Epoch: t1.Epoch, Seq: 1, Jobs: BuildJobTree([][]uint8{{0}})}) {
+		t.Error("a peer that had accepted a newer epoch of the sender took its batch")
+	}
+	// The pump: the balancer evicts t1 and drops its connection; the
+	// re-dial is refused and the worker is told to stop.
+	lbs.mu.Lock()
+	lbs.dispatchLocked(lbs.lb.Goodbye(t1.ID, time.Now()))
+	lbs.mu.Unlock()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if m, ok := t1.Recv(); ok && m.Kind == MsgStop {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a worker whose resume was refused was never stopped")
+		}
+	}
+	if time.Since(start) > 5*time.Second {
+		t.Errorf("the refusals took %v: someone retried a final answer", time.Since(start))
+	}
 }

@@ -75,34 +75,21 @@ func (f *tcpFleet) start(t *testing.T, o tcpWorkerOpts) {
 			return
 		}
 		defer tr.Close()
-		// The data-plane mode is LB policy, inherited at the handshake —
-		// same as cmd/c9-worker.
-		ecfg := engine.Config{MaxStateSteps: 1_000_000}
-		if ack.DataPlane == DataPlaneDepth {
-			ecfg.Partition = &engine.PartitionSpec{
-				Depth: ack.PartitionDepth,
-				Units: ack.PartitionUnits,
-			}
-		}
 		var transport Transport = tr
 		if o.wrap != nil {
 			transport = o.wrap(tr)
 		}
 		var w *Worker
-		wc := WorkerConfig{
-			ID:        ack.ID,
-			Epoch:     ack.Epoch,
-			Seed:      ack.Seed,
-			Batch:     8,
-			Engine:    ecfg,
-			DataPlane: ack.DataPlane,
+		wc := ack.WorkerConfig(WorkerConfig{
+			Batch:  8,
+			Engine: engine.Config{MaxStateSteps: 1_000_000},
 			// Frontier with every status: cheap at this scale, and it
 			// keeps the custody snapshot maximally fresh for the crash
 			// assertions below.
 			FrontierEvery: 1,
 			NewInterp:     func() (*interp.Interp, error) { return in, nil },
 			Entry:         "main",
-		}
+		})
 		if o.crashWhen != nil {
 			wc.CrashWhen = func(queue int) bool { return o.crashWhen(w, queue) }
 		}
@@ -292,7 +279,7 @@ func TestTCPTransportJobDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go lbs.acceptLoop()
+	go acceptLoop(lbs.listener, lbs.handle)
 
 	t1, ack1, err := DialLB(lbs.Addr())
 	if err != nil {
@@ -337,6 +324,9 @@ func TestTCPTransportJobDelivery(t *testing.T) {
 
 	for {
 		if m, ok := t2.Recv(); ok {
+			if m.Kind == MsgMembers {
+				continue // the membership view its own join broadcast
+			}
 			if m.Kind != MsgJobs || m.Jobs.Count() != 2 || m.Seq != 1 || m.From != ack1.ID {
 				t.Fatalf("got %+v", m)
 			}

@@ -66,10 +66,27 @@ type WorkerConfig struct {
 	Entry     string
 }
 
+// WorkerConfig fills base in with what the handshake decided: identity,
+// seed role, the LB's strategy assignment (unless base pins its own), the
+// data plane and — in depth mode — the partition every worker of the run
+// derives the same units from. Everything else in base is the caller's.
+func (a *HelloAck) WorkerConfig(base WorkerConfig) WorkerConfig {
+	base.ID, base.Epoch, base.Seed = a.ID, a.Epoch, a.Seed
+	if !base.StrategyPinned {
+		base.StrategySpec = a.Spec
+	}
+	base.DataPlane = a.DataPlane
+	if a.DataPlane == DataPlaneDepth {
+		base.Engine.Partition = &engine.PartitionSpec{Depth: a.PartitionDepth, Units: a.PartitionUnits}
+	}
+	return base
+}
+
 // Transport delivers messages between cluster members. Two fabrics
 // implement it: the lock-step sim (sim.go) and gob over TCP (tcp.go).
 // Per-destination delivery must be FIFO — the custody protocol
-// de-duplicates on sequence high-water marks.
+// de-duplicates on sequence high-water marks. Delivery is all it is: who
+// a worker is comes from the handshake (HelloAck.WorkerConfig).
 type Transport interface {
 	// SendToLB delivers a control message (status, goodbye, relayed
 	// batch) to the load balancer, in order. A false return means the
@@ -213,7 +230,6 @@ type Worker struct {
 
 	stopped  bool
 	departed bool // left without a final status: crash, self-eviction, or retire
-	crash    atomic.Bool
 	retire   atomic.Bool
 
 	// now is the clock lastStatus is read on (time.Now outside tests);
@@ -366,10 +382,13 @@ func (w *Worker) Stopped() bool { return w.stopped }
 // its in-memory stats must not be double counted.
 func (w *Worker) Departed() bool { return w.departed }
 
-// Crash makes the worker vanish at its next loop boundary: no goodbye,
-// no final status — exactly what a kill -9 looks like to the cluster.
-// Test/fault-injection hook; safe from other goroutines.
-func (w *Worker) Crash() { w.crash.Store(true) }
+// vanish is a crash, on the worker's own thread: no goodbye, no final
+// status — exactly what a kill -9 looks like to the cluster. Fault
+// injection only (WorkerConfig.CrashWhen, SimConfig.Crashes).
+func (w *Worker) vanish() {
+	w.journal.Append(obs.EvCrash, nil)
+	w.departed = true
+}
 
 // Retire makes the worker leave gracefully at its next loop boundary: a
 // final status (carrying its whole frontier) followed by MsgGoodbye, so
@@ -842,13 +861,8 @@ func (w *Worker) sendGoodbye() {
 func (w *Worker) RunLoop() error {
 	w.sendStatus()
 	for !w.stopped {
-		if w.cfg.CrashWhen != nil && !w.crash.Load() &&
-			w.cfg.CrashWhen(w.Exp.Tree.NumCandidates()) {
-			w.crash.Store(true)
-		}
-		if w.crash.Load() {
-			w.journal.Append(obs.EvCrash, nil)
-			w.departed = true
+		if w.cfg.CrashWhen != nil && w.cfg.CrashWhen(w.Exp.Tree.NumCandidates()) {
+			w.vanish()
 			return nil
 		}
 		if w.retire.Load() {
