@@ -3,6 +3,7 @@ package solver
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +14,19 @@ func v(id uint64) *expr.Expr      { return expr.Var(id, "v") }
 func c8(x uint64) *expr.Expr      { return expr.Const(x, expr.W8) }
 func c32(x uint64) *expr.Expr     { return expr.Const(x, expr.W32) }
 func w32(e *expr.Expr) *expr.Expr { return expr.ZExt(e, expr.W32) }
+
+// Snapshot lists the Stats fields by hand; a counter added to the struct
+// and not to the list would read zero everywhere downstream.
+func TestStatsSnapshotCopiesEveryField(t *testing.T) {
+	var st Stats
+	rv := reflect.ValueOf(&st).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		rv.Field(i).SetUint(uint64(i + 1))
+	}
+	if got := st.Snapshot(); !reflect.DeepEqual(got, st) {
+		t.Errorf("Snapshot dropped a field:\n got  %+v\n want %+v", got, st)
+	}
+}
 
 func TestEmptySetSat(t *testing.T) {
 	s := New()

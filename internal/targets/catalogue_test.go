@@ -10,6 +10,7 @@ import (
 
 	"cloud9/internal/engine"
 	"cloud9/internal/obs"
+	"cloud9/internal/solver"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/catalogue.golden from this run")
@@ -50,13 +51,54 @@ func exploreAsC9(t *testing.T, name string) *engine.Explorer {
 // catalogueRow renders what a target's search tree looked like: the
 // exploration totals plus the tier-3 counters, which move if a solver
 // change alters which searches run or how they branch.
-func catalogueRow(t *testing.T, name string) string {
+func catalogueRow(t *testing.T, name string) (string, solver.Stats) {
 	t.Helper()
 	e := exploreAsC9(t, name)
 	ss := e.In.Solver.Stats.Snapshot()
 	return fmt.Sprintf("%s\tpaths=%d\terrors=%d\thangs=%d\tlines=%d\tkills=%d\truns=%d\tbacktracks=%d\tunsat=%d\n",
 		name, e.Stats.PathsExplored, e.Stats.Errors, e.Stats.Hangs, e.Cov.Count(),
-		e.Stats.SolverKilled, ss.SolverRuns, ss.Backtracks, ss.Unsat)
+		e.Stats.SolverKilled, ss.SolverRuns, ss.Backtracks, ss.Unsat), ss
+}
+
+// answerPaths are the solver's ways of answering without a search, one
+// counter each. IntervalSat and IntervalUnsat are the two outcomes of
+// one probe in check, so they count as one path.
+var answerPaths = []struct {
+	name string
+	hits func(solver.Stats) uint64
+}{
+	{"CacheHits", func(s solver.Stats) uint64 { return s.CacheHits }},
+	{"GroupCacheHits", func(s solver.Stats) uint64 { return s.GroupCacheHits }},
+	{"ForkFastHits", func(s solver.Stats) uint64 { return s.ForkFastHits }},
+	{"ForkIntervalHits", func(s solver.Stats) uint64 { return s.ForkIntervalHits }},
+	{"IntervalSat+IntervalUnsat", func(s solver.Stats) uint64 { return s.IntervalSat + s.IntervalUnsat }},
+	{"IntervalEmpty", func(s solver.Stats) uint64 { return s.IntervalEmpty }},
+	{"StateHits", func(s solver.Stats) uint64 { return s.StateHits }},
+	{"PruneMemoHits", func(s solver.Stats) uint64 { return s.PruneMemoHits }},
+}
+
+// catalogueTraffic sums, over the targets TestCatalogueGolden explored,
+// the queries asked and what each answer path caught of them. A row per
+// target plus the totals is the traffic table in ARCHITECTURE.md.
+type catalogueTraffic struct {
+	targets        int
+	queries, forks uint64
+	hits           []uint64 // parallel to answerPaths
+}
+
+func (c *catalogueTraffic) add(t *testing.T, name string, ss solver.Stats) {
+	if c.hits == nil {
+		c.hits = make([]uint64, len(answerPaths))
+	}
+	c.targets++
+	c.queries += ss.Queries
+	c.forks += ss.ForkQueries
+	row := fmt.Sprintf("traffic %s queries=%d forks=%d", name, ss.Queries, ss.ForkQueries)
+	for i, p := range answerPaths {
+		c.hits[i] += p.hits(ss)
+		row += fmt.Sprintf(" %s=%d", p.name, p.hits(ss))
+	}
+	t.Log(row)
 }
 
 // TestCatalogueGolden pins the search tree of every CLI target: a change
@@ -69,7 +111,8 @@ func TestCatalogueGolden(t *testing.T) {
 	if *update {
 		var out strings.Builder
 		for _, name := range Names() {
-			out.WriteString(catalogueRow(t, name))
+			row, _ := catalogueRow(t, name)
+			out.WriteString(row)
 		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -93,15 +136,34 @@ func TestCatalogueGolden(t *testing.T) {
 	if len(want) != len(names) {
 		t.Errorf("golden has %d rows, Names() has %d targets", len(want), len(names))
 	}
+	var traffic catalogueTraffic
+	skipped := 0
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			if testing.Short() && catalogueSlow[name] {
+				skipped++
 				t.Skip("long-only")
 			}
-			if got := catalogueRow(t, name); got != want[name] {
+			got, ss := catalogueRow(t, name)
+			if got != want[name] {
 				t.Errorf("search tree moved.\n got: %s want: %s", got, want[name])
 			}
+			traffic.add(t, name, ss)
 		})
+	}
+	// Standing traffic check: a solver fast path that answers nothing on
+	// the whole catalogue is a path to delete (ROADMAP aim 2). Only a
+	// run over every target can say so; -run Golden/printf cannot.
+	if traffic.targets+skipped != len(names) {
+		return
+	}
+	t.Logf("traffic total targets=%d queries=%d forks=%d", traffic.targets, traffic.queries, traffic.forks)
+	for i, p := range answerPaths {
+		t.Logf("traffic total %s=%d", p.name, traffic.hits[i])
+		if traffic.hits[i] == 0 {
+			t.Errorf("solver counter %s is zero over %d targets and %d queries: the path answers nothing",
+				p.name, traffic.targets, traffic.queries)
+		}
 	}
 }
 
