@@ -79,9 +79,9 @@
 // The solver (internal/solver) is incremental: the preprocessed solve
 // state of every path-condition node — flattened form, unit-propagation
 // fixpoint, independence partition, witness model — is memoized and
-// extended per appended constraint instead of recomputed per query, a
-// subsumption cache answers supersets-of-unsat and subsets-of-sat
-// queries by hash-set reasoning, and branch sites issue one fused
+// extended per appended constraint instead of recomputed per query,
+// solved independent groups are remembered whatever set they recur in,
+// and branch sites issue one fused
 // Solver.Fork query whose parent-model fast path decides one direction
 // by evaluation alone (the §6 constraint-cache design taken to its
 // limit). Solver cache hit rates surface through `c9 -stats` and the

@@ -43,10 +43,7 @@ func (e *Explorer) initObs() {
 func PutSolverStats(s *obs.Snapshot, st solver.Stats) {
 	s.PutCounter(obs.MSolverQueries, st.Queries)
 	s.PutCounter(obs.MSolverCacheHits, st.CacheHits)
-	s.PutCounter(obs.MSolverModelReuse, st.ModelReuse)
 	s.PutCounter(obs.MSolverGroupCacheHits, st.GroupCacheHits)
-	s.PutCounter(obs.MSolverSubsumeSat, st.SubsumeSat)
-	s.PutCounter(obs.MSolverSubsumeUnsat, st.SubsumeUnsat)
 	s.PutCounter(obs.MSolverForkQueries, st.ForkQueries)
 	s.PutCounter(obs.MSolverForkFastHits, st.ForkFastHits)
 	s.PutCounter(obs.MSolverForkIntervalHits, st.ForkIntervalHits)

@@ -24,10 +24,7 @@ const (
 	// Solver tiers and caches (internal/solver, folded from solver.Stats).
 	MSolverQueries          = "c9_solver_queries_total"
 	MSolverCacheHits        = "c9_solver_cache_hits_total"
-	MSolverModelReuse       = "c9_solver_model_reuse_total"
 	MSolverGroupCacheHits   = "c9_solver_group_cache_hits_total"
-	MSolverSubsumeSat       = "c9_solver_subsume_sat_total"
-	MSolverSubsumeUnsat     = "c9_solver_subsume_unsat_total"
 	MSolverForkQueries      = "c9_solver_fork_queries_total"
 	MSolverForkFastHits     = "c9_solver_fork_fast_hits_total"
 	MSolverForkIntervalHits = "c9_solver_fork_interval_hits_total"
@@ -44,6 +41,11 @@ const (
 	MSolverPruneMemoHits    = "c9_solver_prune_memo_hits_total"
 	MSolverPruneMemoMisses  = "c9_solver_prune_memo_misses_total"
 	MSolverPruneEvals       = "c9_solver_prune_evals_total"
+
+	// Retired: nothing exports these; bench/layers.go still sums them, and the next benchmark PR drops them.
+	MSolverModelReuse   = "c9_solver_model_reuse_total"
+	MSolverSubsumeSat   = "c9_solver_subsume_sat_total"
+	MSolverSubsumeUnsat = "c9_solver_subsume_unsat_total"
 
 	// Cluster protocol, worker side (internal/cluster).
 	MClusterJobsSent        = "c9_cluster_jobs_sent_total"

@@ -165,7 +165,6 @@ func derivedRatios(s Snapshot) []string {
 	rate("solver-cache-hit", s.Counter(MSolverCacheHits), queries)
 	rate("fork-fast-path", s.Counter(MSolverForkFastHits), forks)
 	rate("fork-interval-decided", s.Counter(MSolverForkIntervalHits), forks)
-	rate("model-reuse", s.Counter(MSolverModelReuse), queries)
 	rate("state-extend", s.Counter(MSolverStateExtends), queries)
 	hits := s.Counter(MSolverPruneMemoHits)
 	rate("prune-memo-hit", hits, hits+s.Counter(MSolverPruneMemoMisses))

@@ -31,15 +31,17 @@
 //
 //   - a result cache keyed on structural hashes (O(1) to compute:
 //     expressions are hash-consed, see package expr), with budget
-//     failures stamped by the budget they failed under,
-//   - witness-model reuse: each set carries a model known to satisfy
-//     it; one evaluation answers a query the model already witnesses,
-//   - a counterexample/model subsumption cache keyed on sorted
-//     conjunct-hash sets (subsume.go), indexed past a small linear
-//     threshold by per-base buckets plus a UBTree set-trie on the
-//     unsat side: supersets of known-unsat sets are unsat, subsets of
-//     known-sat sets reuse the stored model — the paper's §6
-//     "Constraint Caches".
+//     failures stamped by the budget they failed under; its models
+//     also seed the witness of the set a branch goes on to create,
+//   - a group cache: each independent group's verdict and model under
+//     an order-insensitive hash of its constraints, so a contradiction
+//     or a solution found once is found again inside any larger set,
+//   - the per-set state memo itself (incremental.go), whose witness
+//     model lets Fork decide one direction of a branch by evaluation.
+//
+// These are the paper's §6 "Constraint Caches" that have traffic on the
+// target catalogue (TestCatalogueGolden fails if one of them, or one of
+// the other tiers' fast paths, answers nothing on it).
 //
 // Tier 3 — the search itself: incremental unit propagation of
 // equalities with constants (re-run only over the new constraint's

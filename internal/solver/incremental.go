@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"cloud9/internal/expr"
@@ -32,7 +31,7 @@ import (
 // setState is the memoized solve state of one ConstraintSet node. It is
 // derived incrementally from the parent node's state and cached in
 // Solver.states. All fields are immutable once the state is published
-// except the lazily stamped model/fullModel/sortedHashes caches.
+// except the lazily stamped model.
 type setState struct {
 	// unsat marks sets proven unsatisfiable by propagation alone
 	// (constant-false residual or conflicting unit equalities).
@@ -59,9 +58,6 @@ type setState struct {
 	// Used by the Fork/MayBeTrue evaluation fast path; never used for
 	// full-model (concretization) queries, which must stay canonical.
 	model expr.Assignment
-	// sortedHashes is the lazily computed sorted multiset of the set's
-	// flattened conjunct hashes, the subsumption-cache key.
-	sortedHashes []uint64
 }
 
 // igroup is one independent group of the residual partition: residual
@@ -317,37 +313,4 @@ func (s *Solver) extend(parent *setState, c *expr.Expr) *setState {
 	s.groupScratch = fresh[:0]
 	st.bounds = ref.b
 	return st
-}
-
-// hashesFor returns the sorted conjunct-hash multiset of cs, the
-// subsumption-cache key, cached on the set's state. ok=false means the
-// set is too deep to key cheaply (the O(N log N) key build would
-// dominate the query).
-func (s *Solver) hashesFor(cs *ConstraintSet, st *setState) ([]uint64, bool) {
-	if cs.Len() == 0 {
-		return nil, true
-	}
-	if cs.Len() > subsumeMaxDepth {
-		return nil, false
-	}
-	if st.sortedHashes != nil {
-		return st.sortedHashes, true
-	}
-	hs := make([]uint64, 0, cs.Len())
-	for n := cs; n != nil; n = n.parent {
-		hs = appendConjunctHashes(n.c, hs)
-	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-	st.sortedHashes = hs
-	return hs, true
-}
-
-// appendConjunctHashes appends the hashes of c's top-level conjuncts
-// (the same decomposition flatten performs).
-func appendConjunctHashes(c *expr.Expr, out []uint64) []uint64 {
-	if c.Op() == expr.OpLAnd {
-		out = appendConjunctHashes(c.Kid(0), out)
-		return appendConjunctHashes(c.Kid(1), out)
-	}
-	return append(out, c.Hash())
 }

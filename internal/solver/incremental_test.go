@@ -9,8 +9,8 @@ import (
 )
 
 // Differential property test: the incremental query path (memoized
-// per-set states, subsumption cache, model reuse, tiny caps forcing
-// evictions) must agree with a from-scratch reference solve on every
+// per-set states, group cache, Fork's model evaluation, tiny caps
+// forcing evictions) must agree with a from-scratch reference solve on every
 // query over randomized Append-tree workloads.
 //
 // Workloads maintain the execution invariant the solver's fast paths
@@ -112,8 +112,8 @@ func TestQuickDifferentialIncremental(t *testing.T) {
 	if st.StateExtends == 0 || st.StateHits == 0 {
 		t.Errorf("incremental state machinery unexercised: %+v", st)
 	}
-	if st.ModelReuse+st.SubsumeSat+st.SubsumeUnsat == 0 {
-		t.Errorf("no model-reuse or subsumption hit in the whole workload: %+v", st)
+	if st.GroupCacheHits == 0 || st.ForkFastHits == 0 {
+		t.Errorf("group cache or Fork's model evaluation unexercised: %+v", st)
 	}
 }
 
@@ -186,58 +186,54 @@ func TestBudgetRaiseRetriesQuery(t *testing.T) {
 	}
 }
 
-// A superset of a known-unsat constraint set is answered unsat by
-// subsumption, without a group search. The contradiction lives in
-// two-variable sum constraints the interval tier cannot see through
-// (Add over two unbounded bytes abstracts to the full range), so the
-// query genuinely reaches the subsumption cache.
-func TestSubsumptionSupersetUnsat(t *testing.T) {
-	s := New()
-	cs := EmptySet.Append(expr.Eq(c8(10), expr.Add(v(0), v(1))))
-	cond := expr.Eq(c8(20), expr.Add(v(0), v(1))) // sum ≡ 10 ∧ sum ≡ 20: unsat via search
-	sat, err := s.MayBeTrue(cs, cond)
-	if err != nil || sat {
-		t.Fatalf("seed query should be unsat: %v %v", sat, err)
+// mayBeTrueAgrees asks the incremental path and a fresh solver's
+// from-scratch pipeline the same may-query and requires one verdict.
+func mayBeTrueAgrees(t *testing.T, s *Solver, cs *ConstraintSet, cond *expr.Expr, want bool) {
+	t.Helper()
+	got, err := s.MayBeTrue(cs, cond)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A different, larger set containing the same contradiction.
-	cs2 := cs.Append(expr.Ult(c8(200), v(9)))
-	before := s.Stats.Snapshot()
-	sat, err = s.MayBeTrue(cs2, cond)
-	if err != nil || sat {
-		t.Fatalf("superset query should be unsat: %v %v", sat, err)
+	ref, err := New().ReferenceMayBeTrue(cs, cond)
+	if err != nil {
+		t.Fatal(err)
 	}
-	after := s.Stats.Snapshot()
-	if after.SubsumeUnsat != before.SubsumeUnsat+1 {
-		t.Errorf("expected a subsumption unsat hit: %+v -> %+v", before, after)
-	}
-	if after.SolverRuns != before.SolverRuns {
-		t.Errorf("subsumption hit should not run a group search: %+v -> %+v", before, after)
+	if got != ref || got != want {
+		t.Errorf("MayBeTrue(%v | %v) = %v, reference %v, want %v", cs.Slice(), cond, got, ref, want)
 	}
 }
 
-// A subset of a known-sat constraint set is answered sat by
-// subsumption, reusing the stored model.
-func TestSubsumptionSubsetSat(t *testing.T) {
+// A superset of a known-unsat constraint set is unsat, and costs no
+// second search: the contradiction is one independent group, which the
+// group cache remembers whatever else the set holds. It lives in
+// two-variable sum constraints the interval tier cannot see through
+// (Add over two unbounded bytes abstracts to the full range), so the
+// first query genuinely reaches tier 3.
+func TestSupersetOfUnsatSetIsUnsat(t *testing.T) {
+	s := New()
+	cs := EmptySet.Append(expr.Eq(c8(10), expr.Add(v(0), v(1))))
+	cond := expr.Eq(c8(20), expr.Add(v(0), v(1))) // sum ≡ 10 ∧ sum ≡ 20: unsat via search
+	mayBeTrueAgrees(t, s, cs, cond, false)
+	// A different, larger set containing the same contradiction.
+	cs2 := cs.Append(expr.Ult(c8(200), v(9)))
+	before := s.Stats.Snapshot()
+	mayBeTrueAgrees(t, s, cs2, cond, false)
+	after := s.Stats.Snapshot()
+	if after.SolverRuns != before.SolverRuns || after.GroupCacheHits != before.GroupCacheHits+1 {
+		t.Errorf("the group cache should answer the superset: %+v -> %+v", before, after)
+	}
+}
+
+// A subset of a known-sat constraint set, on a fresh chain, is sat.
+func TestSubsetOfSatSetIsSat(t *testing.T) {
 	s := New()
 	big := EmptySet.
 		Append(expr.Ult(v(0), c8(10))).
 		Append(expr.Ult(v(1), c8(10)))
 	cond := expr.Ult(c8(3), v(0))
-	sat, err := s.MayBeTrue(big, cond)
-	if err != nil || !sat {
-		t.Fatalf("seed query should be sat: %v %v", sat, err)
-	}
-	// A fresh chain carrying a subset of the conjuncts.
+	mayBeTrueAgrees(t, s, big, cond, true)
 	small := EmptySet.Append(expr.Ult(v(1), c8(10)))
-	before := s.Stats.Snapshot()
-	sat, err = s.MayBeTrue(small, cond)
-	if err != nil || !sat {
-		t.Fatalf("subset query should be sat: %v %v", sat, err)
-	}
-	after := s.Stats.Snapshot()
-	if after.SubsumeSat != before.SubsumeSat+1 {
-		t.Errorf("expected a subsumption sat hit: %+v -> %+v", before, after)
-	}
+	mayBeTrueAgrees(t, s, small, cond, true)
 }
 
 // Fork decides one branch direction by evaluating the parent set's
@@ -267,8 +263,8 @@ func TestForkFastPath(t *testing.T) {
 }
 
 // Appending onto a solved set extends its memoized state instead of
-// reprocessing the whole chain: the per-append extension count stays
-// constant as the chain deepens.
+// reprocessing the whole chain: the per-append extension count and the
+// per-check group visits stay constant as the chain deepens.
 func TestIncrementalAppendIsO1(t *testing.T) {
 	s := New()
 	cs := EmptySet
@@ -283,6 +279,12 @@ func TestIncrementalAppendIsO1(t *testing.T) {
 	// is state-less). Reprocessing from scratch would be ~64²/2 ≈ 2000.
 	if st.StateExtends > 70 {
 		t.Errorf("expected ~64 state extensions along the chain, got %d", st.StateExtends)
+	}
+	// Nor does a check revisit the groups the chain already solved: a
+	// set whose state carries a witness is sat as it stands. Visiting
+	// every group on every check is 904 here, and grows with the square.
+	if n := st.GroupCacheHits + st.SolverRuns; n > 4*64 {
+		t.Errorf("64 checks visited %d groups; a witnessed set should visit none", n)
 	}
 }
 

@@ -19,10 +19,7 @@ var ErrBudget = errors.New("solver: backtrack budget exceeded")
 type Stats struct {
 	Queries        uint64 // top-level satisfiability queries
 	CacheHits      uint64 // answered from the result cache
-	ModelReuse     uint64 // answered by evaluating a known witness model
 	GroupCacheHits uint64 // independent groups answered from the group cache
-	SubsumeUnsat   uint64 // answered unsat by superset-of-unsat-core reasoning
-	SubsumeSat     uint64 // answered sat by subset-of-known-sat reasoning
 	ForkQueries    uint64 // fused branch queries (Fork)
 	ForkFastHits   uint64 // Fork directions decided by parent-model evaluation
 	StateHits      uint64 // constraint-set states answered from the memo table
@@ -50,10 +47,7 @@ func (s *Stats) Snapshot() Stats {
 	return Stats{
 		Queries:        atomic.LoadUint64(&s.Queries),
 		CacheHits:      atomic.LoadUint64(&s.CacheHits),
-		ModelReuse:     atomic.LoadUint64(&s.ModelReuse),
 		GroupCacheHits: atomic.LoadUint64(&s.GroupCacheHits),
-		SubsumeUnsat:   atomic.LoadUint64(&s.SubsumeUnsat),
-		SubsumeSat:     atomic.LoadUint64(&s.SubsumeSat),
 		ForkQueries:    atomic.LoadUint64(&s.ForkQueries),
 		ForkFastHits:   atomic.LoadUint64(&s.ForkFastHits),
 		StateHits:      atomic.LoadUint64(&s.StateHits),
@@ -114,10 +108,6 @@ type Solver struct {
 	stateKeys []*ConstraintSet
 	maxStates int
 	empty     *setState // per-solver empty-set state (lazily stamped)
-
-	// subsume is the counterexample/model subsumption cache
-	// (subsume.go), keyed on sorted conjunct-hash sets.
-	subsume subsumeCache
 
 	// Reusable scratch buffers for the hot paths (extend pools,
 	// partition union-find, group var lists). The solver is
@@ -255,13 +245,17 @@ func (s *Solver) Fork(cs *ConstraintSet, cond *expr.Expr) (mayTrue, mayFalse boo
 	return mayTrue, mayFalse, nil
 }
 
-// check is the core query path: derive (incrementally) the memoized
-// solve state of cs, extend it with cond, and decide satisfiability,
-// consulting the result, model, subsumption and group caches on the
-// way. When fullModel is false and cond is non-nil, only groups sharing
-// variables with cond are searched (KLEE's independent-constraint
-// optimization — sound because execution states only exist on feasible
-// paths, so the untouched groups are satisfiable on their own).
+// check is the core query path: answer from the result cache, else
+// derive (incrementally) the memoized solve state of cs, decide cond
+// from the state's interval bounds if they can, else extend the state
+// with cond and solve each group the extension created or rewrote, from
+// the group cache where it has been solved before. The evaluation of
+// the set's witness model is Fork's, not check's: a query Fork issues
+// has already failed it. When fullModel is false and cond is non-nil,
+// only groups sharing variables with cond are searched (KLEE's
+// independent-constraint optimization — sound because execution states
+// only exist on feasible paths, so the untouched groups are satisfiable
+// on their own).
 func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool, expr.Assignment, error) {
 	atomic.AddUint64(&s.Stats.Queries, 1)
 
@@ -319,40 +313,18 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 	ext := st
 	if cond != nil {
 		ext = s.extend(st, cond)
+	} else if !fullModel && st.model != nil {
+		// CheckSat on a set whose state already carries a witness: no
+		// group needs visiting. Nothing in the engine asks this; the
+		// gated BenchmarkIncrementalAppendSolve (append, then CheckSat,
+		// 256 deep) does, and is 3x slower without it.
+		return true, st.model, nil
 	}
 
-	var qk *queryKey // subsumption key of cs ∧ cond (lazy)
 	if ext.unsat {
 		atomic.AddUint64(&s.Stats.Unsat, 1)
 		s.put(key, cacheEntry{sat: false})
-		s.subsume.addUnsat(s.queryKeyFor(cs, st, cond))
 		return false, nil, nil
-	}
-
-	// Fast paths. Skipped for full-model queries: their results feed
-	// concretization decisions that must be deterministic functions of
-	// the constraint set alone, or replays diverge across workers
-	// (§6 "Broken Replays").
-	if !fullModel {
-		if m := st.model; m != nil && condHolds(cond, m) {
-			atomic.AddUint64(&s.Stats.ModelReuse, 1)
-			s.put(key, cacheEntry{sat: true, model: m})
-			return true, m, nil
-		}
-		qk = s.queryKeyFor(cs, st, cond)
-		if qk != nil {
-			if s.subsume.hitUnsat(qk) {
-				atomic.AddUint64(&s.Stats.SubsumeUnsat, 1)
-				atomic.AddUint64(&s.Stats.Unsat, 1)
-				s.put(key, cacheEntry{sat: false})
-				return false, nil, nil
-			}
-			if m, ok := s.subsume.hitSat(qk); ok {
-				atomic.AddUint64(&s.Stats.SubsumeSat, 1)
-				s.put(key, cacheEntry{sat: true, model: m})
-				return true, m, nil
-			}
-		}
 	}
 
 	// Solve: units first, then each (relevant) independent group. For
@@ -463,10 +435,6 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 	if !sat {
 		atomic.AddUint64(&s.Stats.Unsat, 1)
 		s.put(key, cacheEntry{sat: false})
-		if qk == nil {
-			qk = s.queryKeyFor(cs, st, cond)
-		}
-		s.subsume.addUnsat(qk)
 		return false, nil, nil
 	}
 	if fullModel {
@@ -497,43 +465,14 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 				}
 			}
 		}
-	} else {
-		if st.model == nil && st != s.empty {
-			// The model witnesses cs's units and every group it
-			// solved (cond only adds constraints): stamp it on the
-			// state so Fork and future queries can evaluate against
-			// it instead of searching.
-			st.model = model
-		}
-		s.subsume.addSat(qk, model)
+	} else if st.model == nil && st != s.empty {
+		// The model witnesses cs's units and every group it solved
+		// (cond only adds constraints): stamp it on the state so Fork
+		// can evaluate against it instead of searching.
+		st.model = model
 	}
 	s.put(key, cacheEntry{sat: true, model: model})
 	return true, model, nil
-}
-
-// queryKeyFor returns the subsumption key of cs ∧ cond — the set's
-// shared sorted-hash slice plus the condition's few sorted hashes — or
-// nil when the set is too deep to key cheaply (see subsumeMaxDepth).
-func (s *Solver) queryKeyFor(cs *ConstraintSet, st *setState, cond *expr.Expr) *queryKey {
-	base, ok := s.hashesFor(cs, st)
-	if !ok {
-		return nil
-	}
-	k := &queryKey{base: base}
-	if cond != nil {
-		ch := appendConjunctHashes(cond, make([]uint64, 0, 4))
-		sort.Slice(ch, func(i, j int) bool { return ch[i] < ch[j] })
-		k.extra = ch
-	}
-	return k
-}
-
-func condHolds(cond *expr.Expr, m expr.Assignment) bool {
-	if cond == nil {
-		return true
-	}
-	v, ok := cond.Eval(m)
-	return ok && v != 0
 }
 
 // evictHalf implements the bounded-map FIFO policy shared by every
@@ -576,9 +515,8 @@ func (s *Solver) putGroup(key uint64, res groupResult) {
 // benchmarks measure the incremental speedup against it.
 
 // ReferenceMayBeTrue answers MayBeTrue through the from-scratch
-// pipeline, bypassing the incremental state, result, model and
-// subsumption caches (the group cache is still consulted, as the
-// pre-incremental solver did).
+// pipeline, bypassing the incremental state and the result cache (the
+// group cache is still consulted, as the pre-incremental solver did).
 func (s *Solver) ReferenceMayBeTrue(cs *ConstraintSet, cond *expr.Expr) (bool, error) {
 	if cond != nil && cond.IsFalse() {
 		return false, nil
