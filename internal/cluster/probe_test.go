@@ -358,44 +358,3 @@ func TestRunLoopStatusesOnAClock(t *testing.T) {
 		}
 	}
 }
-
-// TestIdleWorkerCollectsOnce: a worker with nothing to explore starts a
-// collection once it has been idle for idleCollect — not before, which
-// is where a starved worker waiting for the next balance round sits —
-// and the period ends when work arrives.
-func TestIdleWorkerCollectsOnce(t *testing.T) {
-	clock := time.Unix(100, 0)
-	var w *Worker
-	var collectedAt []bool
-	tr := &scriptedTransport{mail: map[int][]Message{
-		4: {{Kind: MsgJobs, From: 1, Epoch: 2, Seq: 1, Jobs: BuildJobTree([][]uint8{{}})}},
-		6: {{Kind: MsgStop}},
-	}}
-	tr.onDrain = func(k int) {
-		collectedAt = append(collectedAt, w.collected)
-		switch k {
-		case 1:
-			clock = clock.Add(idleCollect - time.Millisecond)
-		case 2:
-			clock = clock.Add(time.Millisecond)
-		}
-	}
-	w, err := NewWorker(WorkerConfig{
-		ID: 0, Epoch: 1, Seed: false, Batch: 1,
-		NewInterp: mkInterp(t, hugeClusterTarget), Entry: "main",
-	}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.now = func() time.Time { return clock }
-	if err := w.RunLoop(); err != nil {
-		t.Fatal(err)
-	}
-	// Drains 0-2 see no collection yet (the idle clock starts after drain
-	// 0 and reads 49 ms after drain 1's wait); the wait after drain 2
-	// reads 50 ms and collects; drain 4 delivers a job, and the batch that
-	// follows ends the idle period.
-	if want := []bool{false, false, false, true, true, false}; !reflect.DeepEqual(collectedAt, want) {
-		t.Fatalf("collected flag at the end of each drain: %v, want %v", collectedAt, want)
-	}
-}

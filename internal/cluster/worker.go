@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -145,16 +144,6 @@ const (
 	// its status at once; the clocked ones carry queue length, counters
 	// and coverage, which the balance round reads every 20 ms.
 	statusEvery = 5 * time.Millisecond
-	// idleCollect is how long a worker stays idle before it collects its
-	// garbage, once per idle period: longer than two balance rounds, so a
-	// starved worker waiting for the next transfer order does not, and a
-	// worker that has run out of work while others finish does. The dead
-	// states of its last jobs are up to half its heap, and an idle process
-	// allocates nothing that would start a cycle (the runtime forces one
-	// only every two minutes); with workers sharing a process (cluster.Run)
-	// the cycle runs on the core this worker is not using and lowers the
-	// heap the busy ones grow into.
-	idleCollect = 50 * time.Millisecond
 	// heartbeat is the maximum silence between statuses even mid-batch,
 	// so slow batches never expire the membership lease.
 	heartbeat = 250 * time.Millisecond
@@ -243,8 +232,6 @@ type Worker struct {
 	// received, echoed in every status.
 	now               func() time.Time
 	lastStatus        time.Time
-	idleSince         time.Time // start of the current idle period (zero: busy)
-	collected         bool      // this idle period has had its collection
 	probeSeen         uint64
 	statusesSinceFull int
 	lastFullSent      uint64
@@ -830,20 +817,6 @@ func (w *Worker) sendStatusOpt(full bool) {
 	w.lastStatus = w.now()
 }
 
-// collectIfIdle starts one garbage collection per idle period, once the
-// worker has had nothing to explore for idleCollect. The cycle runs
-// beside the loop (it ends on its own; nothing waits for it), so an idle
-// worker still answers a probe or a grant while its heap is marked.
-func (w *Worker) collectIfIdle() {
-	switch now := w.now(); {
-	case w.idleSince.IsZero():
-		w.idleSince = now
-	case !w.collected && now.Sub(w.idleSince) >= idleCollect:
-		w.collected = true
-		go runtime.GC()
-	}
-}
-
 // sendGoodbye announces a graceful leave. The preceding status carries
 // the whole frontier, so the LB re-seats it immediately.
 func (w *Worker) sendGoodbye() {
@@ -879,10 +852,8 @@ func (w *Worker) RunLoop() error {
 			// the jobs (or anything else) to arrive.
 			w.sendStatus()
 			w.transport.WaitForMail()
-			w.collectIfIdle()
 			continue
 		}
-		w.idleSince, w.collected = time.Time{}, false
 		for i := 0; i < w.cfg.Batch && !w.Exp.Done(); i++ {
 			if _, err := w.Exp.Step(); err != nil {
 				return err
