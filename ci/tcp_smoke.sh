@@ -284,14 +284,16 @@ esac
 # moved worker→worker, unit-grant proves depth ownership was handed
 # out. Depth mode never ships, so it has no custody to re-seat — and
 # the victim may die before owning a unit, so unit-reclaim is not
-# asserted.
+# asserted. A p2p victim may likewise die before it has reported a
+# frontier (on a fast target, killed the moment it joins): worker-evict
+# carries the job count of the frontier it last reported, and the two
+# re-seat events are required only when some eviction had one to re-seat.
 EVENTS=""
 case "$KILL_TARGET" in
   lb) EVENTS="primary-lost standby-promoted epoch-bump resync" ;;
   worker)
-    if [[ "$DATA_PLANE" == "depth" ]]; then
-      EVENTS="worker-evict"
-    else
+    EVENTS="worker-evict"
+    if [[ "$DATA_PLANE" != "depth" ]] && grep -Eq '"frontier": "[1-9][0-9]*"' "$LOGS/obs.json"; then
       EVENTS="worker-evict custody-reseat reseat-replayed"
     fi
     ;;

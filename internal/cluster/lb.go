@@ -729,8 +729,16 @@ func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
 	var outs []Outbound
 	for _, id := range expired {
 		lb.Evictions++
+		m := lb.Members[id]
+		// frontier is what depart has to re-seat: zero for a member that
+		// died before its first report, and then no custody event follows.
+		frontier := 0
+		if m.Reported {
+			frontier = m.Record().Frontier.Count()
+		}
 		lb.journal.AppendAt(now, obs.EvWorkerEvict, id, map[string]string{
-			"epoch": strconv.FormatUint(lb.Members[id].Epoch, 10),
+			"epoch":    strconv.FormatUint(m.Epoch, 10),
+			"frontier": strconv.Itoa(frontier),
 		})
 		outs = append(outs, lb.depart(id, now)...)
 	}

@@ -82,6 +82,13 @@ func TestSimCrashJournalSequence(t *testing.T) {
 			evictIdx, reseatIdx, replayIdx)
 	}
 
+	// The eviction says how many jobs it leaves to re-seat (what
+	// ci/tcp_smoke.sh reads to know a re-seat is owed), and the re-seat
+	// moves exactly that many.
+	if f, jobs := res.Journal[evictIdx].Fields["frontier"], res.Journal[reseatIdx].Fields["jobs"]; f == "" || f == "0" || f != jobs {
+		t.Fatalf("worker-evict frontier=%q, custody-reseat jobs=%q", f, jobs)
+	}
+
 	// Seq numbers are strictly monotonic — the journal is a total order.
 	for i := 1; i < len(res.Journal); i++ {
 		if res.Journal[i].Seq <= res.Journal[i-1].Seq {
