@@ -732,13 +732,9 @@ func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
 		m := lb.Members[id]
 		// frontier is what depart has to re-seat: zero for a member that
 		// died before its first report, and then no custody event follows.
-		frontier := 0
-		if m.Reported {
-			frontier = m.Record().Frontier.Count()
-		}
 		lb.journal.AppendAt(now, obs.EvWorkerEvict, id, map[string]string{
 			"epoch":    strconv.FormatUint(m.Epoch, 10),
-			"frontier": strconv.Itoa(frontier),
+			"frontier": strconv.Itoa(m.Record().Frontier.Count()),
 		})
 		outs = append(outs, lb.depart(id, now)...)
 	}

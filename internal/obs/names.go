@@ -42,7 +42,7 @@ const (
 	MSolverPruneMemoMisses  = "c9_solver_prune_memo_misses_total"
 	MSolverPruneEvals       = "c9_solver_prune_evals_total"
 
-	// Retired: nothing exports these; bench/layers.go still sums them, and the next benchmark PR drops them.
+	// Retired, exported by nothing: bench/layers.go reads them until the next benchmark PR drops them.
 	MSolverModelReuse   = "c9_solver_model_reuse_total"
 	MSolverSubsumeSat   = "c9_solver_subsume_sat_total"
 	MSolverSubsumeUnsat = "c9_solver_subsume_unsat_total"

@@ -21,8 +21,8 @@ import (
 //     groups the new constraint touches, sharing every untouched group
 //     pointer with the parent, and
 //   - a witness model is inherited from the parent (or the branch query
-//     that created the constraint) so later queries can often be
-//     answered by evaluation alone.
+//     that created the constraint) so Fork can often decide a direction
+//     by evaluation alone.
 //
 // This is the paper's §6 "Constraint Caches" taken to its limit: the
 // cache key is the set itself, and the cached value is the entire
@@ -55,8 +55,9 @@ type setState struct {
 	// satisfiability of this set: it satisfies units and every solved
 	// group (unsolved groups are independently satisfiable by the
 	// exploration invariant — states only exist on feasible paths).
-	// Used by the Fork/MayBeTrue evaluation fast path; never used for
-	// full-model (concretization) queries, which must stay canonical.
+	// Fork evaluates branch conditions against it and CheckSat returns
+	// it; never used for full-model (concretization) queries, which
+	// must stay canonical.
 	model expr.Assignment
 }
 

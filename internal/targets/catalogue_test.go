@@ -87,9 +87,6 @@ type catalogueTraffic struct {
 }
 
 func (c *catalogueTraffic) add(t *testing.T, name string, ss solver.Stats) {
-	if c.hits == nil {
-		c.hits = make([]uint64, len(answerPaths))
-	}
 	c.targets++
 	c.queries += ss.Queries
 	c.forks += ss.ForkQueries
@@ -136,7 +133,7 @@ func TestCatalogueGolden(t *testing.T) {
 	if len(want) != len(names) {
 		t.Errorf("golden has %d rows, Names() has %d targets", len(want), len(names))
 	}
-	var traffic catalogueTraffic
+	traffic := catalogueTraffic{hits: make([]uint64, len(answerPaths))}
 	skipped := 0
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
