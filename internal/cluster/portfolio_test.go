@@ -39,6 +39,54 @@ func TestPortfolioAssignmentAtJoin(t *testing.T) {
 	}
 }
 
+// TestPortfolioAllocationIsEqualShares: n workers over k slots get one
+// per slot before any slot gets a second, shares differ by at most one,
+// and the surplus goes to the lower indices; joins, a goodbye and a pin
+// keep the members' slots on that table.
+func TestPortfolioAllocationIsEqualShares(t *testing.T) {
+	specs := []string{"dfs", "bfs", "random", "cov-opt"}
+	for k := 1; k <= len(specs); k++ {
+		cfg := DefaultBalancerConfig()
+		cfg.Portfolio = specs[:k]
+		lb := NewLoadBalancer(cfg, 100)
+		for n := 0; n <= 9; n++ {
+			got := lb.desiredAllocation(n)
+			for i := 0; i < k; i++ {
+				want := n / k
+				if i < n%k {
+					want++
+				}
+				if got[i] != want {
+					t.Fatalf("k=%d n=%d: allocation %v, slot %d wants %d", k, n, got, i, want)
+				}
+			}
+		}
+	}
+
+	cfg := DefaultBalancerConfig()
+	cfg.Portfolio = specs
+	lb := NewLoadBalancer(cfg, 100)
+	onTable := func(when string) {
+		t.Helper()
+		got, want := lb.specCounts(), lb.desiredAllocation(lb.unpinned())
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: slots hold %v, want %v", when, got, want)
+			}
+		}
+	}
+	ms := joinN(t, lb, 6)
+	onTable("six joins")
+	lb.Goodbye(ms[5].ID, time.Unix(2, 0))
+	onTable("goodbye")
+	// Member 4 is slot 0's second runner; pinned, it holds no slot.
+	report(t, lb, ms[4], Status{Queue: 1, Spec: "dist-opt", SpecPinned: true, Frontier: BuildJobTree(nil)})
+	if lb.unpinned() != 4 {
+		t.Fatalf("unpinned = %d after a pin, want 4", lb.unpinned())
+	}
+	onTable("pin")
+}
+
 func TestPortfolioRebalanceOnDepart(t *testing.T) {
 	cfg := DefaultBalancerConfig()
 	cfg.Portfolio = []string{"dfs", "bfs", "random"}
