@@ -49,10 +49,6 @@ func main() {
 		lease      = flag.Duration("lease", cluster.DefaultLease, "membership lease; silent workers are evicted past this")
 		maxDur     = flag.Duration("max-duration", 10*time.Minute, "run bound")
 		portfolio  = flag.String("portfolio", "", "comma-separated strategy specs assigned to workers at join (e.g. \"dfs,random-path,cupa(site,dfs)\"); empty = engine default everywhere")
-		banditC    = flag.Float64("bandit-c", cluster.DefaultBanditC, "UCB1 exploration constant of the portfolio reweighting bandit")
-		learn      = flag.Bool("learn", false, "run the online learner: perturb dist-opt weight vectors and race challengers in spare portfolio slots (needs ≥2 dist-opt slots in -portfolio)")
-		learnEvery = flag.Int("learn-every", cluster.DefaultLearnEvery, "learner adopt/keep decision cadence, in reweight passes")
-		learnSeed  = flag.Int64("learn-seed", 1, "seed for the learner's deterministic perturbation stream")
 		obsAddr    = flag.String("obs-addr", "", "serve the live fleet observability HTTP on this address (/metrics, /snapshot, /journal, /debug/pprof)")
 		obsDump    = flag.String("obs-dump", "", "write the final fleet metrics snapshot + run journal as JSON to this file")
 		dataPlane  = flag.String("data-plane", cluster.DataPlaneP2P, "job payload path: p2p (worker→worker; a batch whose peer link is down is relayed through the LB) or depth (deterministic depth-partitioned work units; no payload moves at all)")
@@ -87,10 +83,6 @@ func main() {
 	cfg.DataPlane = *dataPlane
 	cfg.PartitionDepth = *partDepth
 	cfg.PartitionUnits = *partUnits
-	cfg.BanditC = *banditC
-	cfg.Learn = *learn
-	cfg.LearnEvery = *learnEvery
-	cfg.LearnSeed = *learnSeed
 	if *portfolio != "" {
 		specs, err := search.ParsePortfolio(*portfolio)
 		if err != nil {
@@ -99,9 +91,6 @@ func main() {
 		}
 		cfg.Portfolio = specs
 		fmt.Printf("c9-lb: portfolio %v\n", specs)
-	} else if *learn {
-		fmt.Fprintf(os.Stderr, "c9-lb: -learn needs a -portfolio with at least two dist-opt slots\n")
-		os.Exit(1)
 	}
 	// SIGTERM (and Ctrl-C) shut down gracefully: the primary marks the end
 	// of its replication stream so attached standbys exit instead of
@@ -182,9 +171,6 @@ func main() {
 		replay += st.ReplaySteps
 		fmt.Printf("  worker %d (epoch %d): paths=%d errors=%d useful=%d replay=%d cov=%d\n",
 			st.Worker, st.Epoch, st.Paths, st.Errors, st.UsefulSteps, st.ReplaySteps, st.CovCount)
-	}
-	if spec := srv.LearnedSpec(); spec != "" {
-		fmt.Printf("learner: incumbent=%s adoptions=%d\n", spec, srv.Adoptions())
 	}
 	evictions, leaves, transfers, transferred := srv.Stats()
 	fmt.Printf("membership: evictions=%d leaves=%d transfers=%d states-transferred=%d\n",

@@ -26,7 +26,7 @@ type runner struct {
 
 func main() {
 	var (
-		exps = flag.String("exp", "all", "comma-separated experiment ids (table4,fig7,fig8,fig9,fig10,fig11,fig12,fig13,table5,table6,cases,portfolio,dist,learn,partition); 'scaling' expands to fig7..fig13")
+		exps = flag.String("exp", "all", "comma-separated experiment ids (table4,fig7,fig8,fig9,fig10,fig11,fig12,fig13,table5,table6,cases,portfolio,dist,partition); 'scaling' expands to fig7..fig13")
 	)
 	flag.Parse()
 
@@ -44,7 +44,6 @@ func main() {
 		{"cases", func() (*experiments.Table, error) { return experiments.CaseStudies() }},
 		{"portfolio", func() (*experiments.Table, error) { return experiments.PortfolioDiversity(0) }},
 		{"dist", func() (*experiments.Table, error) { return experiments.DistanceDirected(0) }},
-		{"learn", func() (*experiments.Table, error) { return experiments.LearnedPortfolio(0) }},
 		{"partition", func() (*experiments.Table, error) { return experiments.Partition(0) }},
 	}
 

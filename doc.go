@@ -52,14 +52,12 @@
 // a registry maps serializable spec strings to strategy constructors.
 // Specs being plain data is what enables cluster-coordinated
 // *portfolios*: the load balancer hands each joining worker a spec
-// from a configured portfolio (c9-lb -portfolio), rebalances
-// assignments on membership changes, periodically reweights which
-// specs get handed out by the coverage yield each slot earns in the
-// global overlay, and workers hot-swap strategies mid-run by
-// re-seeding the new searcher from their local tree — without
-// disturbing frontier custody, so crash-recovery exactness holds under
-// reassignment (the CI smoke runs a mixed portfolio and still expects
-// the exact single-node path count).
+// from a configured portfolio (c9-lb -portfolio) in equal shares,
+// rebalances assignments on membership changes, and workers hot-swap
+// strategies mid-run by re-seeding the new searcher from their local
+// tree — without disturbing frontier custody, so crash-recovery
+// exactness holds under reassignment (the CI smoke runs a mixed
+// portfolio and still expects the exact single-node path count).
 //
 // Static analysis lives in internal/cfg: per-function control-flow
 // graphs and an interprocedural call graph built once at target load,

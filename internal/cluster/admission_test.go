@@ -16,7 +16,7 @@ import (
 // field in turn, Delta left zero, and requires the value to be the one
 // the balancer runs with behind NewLBServer and behind RunSim. Both used
 // to re-derive the config when Delta was zero, and NewLBServer's copy
-// forgot BanditC, Learn, LearnEvery, LearnSeed and MinTransfer. The loop
+// forgot MinTransfer among others. The loop
 // is over the struct's fields, so a new one is covered by being declared.
 func TestBalancerConfigSurvivesEveryConstructor(t *testing.T) {
 	typ := reflect.TypeOf(BalancerConfig{})

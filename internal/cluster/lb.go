@@ -23,29 +23,11 @@ type BalancerConfig struct {
 	// before it is presumed crashed and evicted. 0 means DefaultLease.
 	Lease time.Duration
 	// Portfolio lists the internal/search strategy specs the LB hands
-	// out to workers — one slot per joining member, rebalanced on
-	// membership changes, reweighted by observed coverage yield (see
-	// portfolio.go). Empty: workers run the engine default, as before.
-	// Validate entries with search.ParsePortfolio before starting.
+	// out to workers — one slot per joining member, in equal shares,
+	// rebalanced on membership changes (see portfolio.go). Empty: workers
+	// run the engine default. Validate entries with search.ParsePortfolio
+	// before starting.
 	Portfolio []string
-	// ReweightEvery is the number of LB ticks between periodic
-	// yield-driven assignment rebalances (0 = DefaultReweightEvery;
-	// negative disables the periodic pass — membership changes still
-	// rebalance).
-	ReweightEvery int
-	// BanditC is the UCB1 exploration constant (0 = DefaultBanditC).
-	BanditC float64
-	// Learn enables the online sample-evaluate-refine loop over the
-	// dist-opt weight family: the LB perturbs the incumbent weight
-	// vector, races challengers in the portfolio's other dist-opt slots,
-	// and adopts winners (see learn.go). Requires at least two dist-opt
-	// slots in Portfolio.
-	Learn bool
-	// LearnEvery is the number of reweight passes between learner
-	// decisions (0 = DefaultLearnEvery).
-	LearnEvery int
-	// LearnSeed seeds the learner's deterministic perturbation stream.
-	LearnSeed int64
 	// DataPlane selects how job payloads move between workers:
 	// DataPlaneP2P (the default; "" means p2p) ships batches directly
 	// worker→worker over peer sessions, falling back to LB relay for a
@@ -83,20 +65,6 @@ const (
 	DefaultPartitionUnits = 16
 )
 
-// DefaultBanditC is the UCB1 exploration constant when
-// BalancerConfig.BanditC is zero. Rewards live in [0,1); ½ keeps the
-// exploration bonus comparable to a mid-range mean without letting it
-// drown the signal.
-const DefaultBanditC = 0.5
-
-// DefaultLearnEvery is the number of reweight passes between learner
-// decisions when BalancerConfig.LearnEvery is zero.
-const DefaultLearnEvery = 4
-
-// DefaultReweightEvery is the LB-tick cadence of periodic portfolio
-// reweighting when BalancerConfig.ReweightEvery is zero.
-const DefaultReweightEvery = 32
-
 // DefaultLease is the membership lease used when BalancerConfig.Lease is
 // zero. Generous relative to worker status cadence so that a slow batch
 // never triggers a false eviction.
@@ -133,12 +101,9 @@ type Member struct {
 	// Spec is the strategy spec assigned from the portfolio (SpecIdx its
 	// slot), "" / -1 when no portfolio is configured. Pinned members
 	// chose their strategy locally and are excluded from allocation.
-	// Yield counts the global-overlay lines this member was first to
-	// cover — the signal portfolio reweighting runs on.
 	Spec    string
 	SpecIdx int
 	Pinned  bool
-	Yield   uint64
 	// Reported is set once the first status arrives; unreported members
 	// neither balance nor count toward quiescence.
 	Reported bool
@@ -291,7 +256,7 @@ type lbState struct {
 	Term   uint64
 	RepSeq uint64
 	// LastNow caches the most recent clock value threaded into an entry
-	// point, for sites without a time parameter (rebalance/adoption paths
+	// point, for sites without a time parameter (the portfolio rebalance
 	// and Balance's log stamp).
 	LastNow time.Time
 
@@ -301,23 +266,9 @@ type lbState struct {
 	NextEpoch uint64
 	Cov       *coverage.BitVec
 
-	// Portfolio is the current slot → spec table: BalancerConfig.Portfolio
-	// as the learner has rewritten it since. SpecYield is the per-slot
-	// cumulative coverage yield, ReweightTicks the countdown to the next
-	// periodic reweighting pass (see portfolio.go). Bandit scores the slots
-	// (nil without a portfolio); WindowYield accumulates per-slot
-	// new-coverage lines between reweight passes — one bandit pull per slot
-	// per window, so a slot's reward is its coverage rate per quantum, not
-	// per status (per-status rewards punish multi-worker slots: the second
-	// worker's status re-reports lines the first already merged and pays
-	// zero). Learner runs the sample-evaluate-refine loop when cfg.Learn is
-	// set.
-	Portfolio     []string
-	SpecYield     []uint64
-	WindowYield   []uint64
-	ReweightTicks int
-	Bandit        *slotBandit
-	Learner       *specLearner
+	// SpecYield is the per-slot cumulative coverage yield: the lines the
+	// global overlay first saw from a worker running cfg.Portfolio[i].
+	SpecYield []uint64
 
 	// Custody of re-seated jobs: outstanding (delivered, unacked) batches
 	// by stable custody id (the departed member's epoch), plus orphans
@@ -355,8 +306,8 @@ type lbState struct {
 
 	// Fleet-view counters surfaced in FleetObs. TransfersIssued counts
 	// ⟨src,dst,n⟩ orders, Evictions lease-expiry departures, Leaves
-	// graceful goodbyes; Reweights/Rebalances count portfolio maintenance
-	// passes that moved something.
+	// graceful goodbyes, Rebalances portfolio rebalances that moved a
+	// member.
 	Joins           int
 	Evictions       int
 	Leaves          int
@@ -364,7 +315,6 @@ type lbState struct {
 	Promotions      int
 	TransfersIssued int
 	ReseatsIssued   int
-	Reweights       int
 	Rebalances      int
 	UnitGrants      int
 	UnitReclaims    int
@@ -387,15 +337,6 @@ func NewLoadBalancer(cfg BalancerConfig, covLen int) *LoadBalancer {
 	if cfg.Lease <= 0 {
 		cfg.Lease = def.Lease
 	}
-	if cfg.ReweightEvery == 0 {
-		cfg.ReweightEvery = DefaultReweightEvery
-	}
-	if cfg.BanditC == 0 {
-		cfg.BanditC = DefaultBanditC
-	}
-	if cfg.LearnEvery == 0 {
-		cfg.LearnEvery = DefaultLearnEvery
-	}
 	if cfg.DataPlane == DataPlaneDepth {
 		if cfg.PartitionDepth <= 0 {
 			cfg.PartitionDepth = DefaultPartitionDepth
@@ -413,7 +354,6 @@ func NewLoadBalancer(cfg BalancerConfig, covLen int) *LoadBalancer {
 			Reseats:     map[uint64]*custodyBatch{},
 			ReseatAcked: map[uint64]ReseatAck{},
 			Cov:         coverage.New(covLen),
-			Portfolio:   append([]string(nil), cfg.Portfolio...),
 			SpecYield:   make([]uint64, len(cfg.Portfolio)),
 		},
 		journal: obs.NewJournal(0),
@@ -426,13 +366,6 @@ func NewLoadBalancer(cfg BalancerConfig, covLen int) *LoadBalancer {
 			lb.UnitOwner[i] = -1
 		}
 		lb.UnitSentAt = map[int]time.Time{}
-	}
-	if len(cfg.Portfolio) > 0 {
-		lb.Bandit = newSlotBandit(len(cfg.Portfolio))
-		lb.WindowYield = make([]uint64, len(cfg.Portfolio))
-	}
-	if cfg.Learn {
-		lb.Learner = newSpecLearner(lb)
 	}
 	return lb
 }
@@ -520,10 +453,9 @@ func (lb *LoadBalancer) Admit(h Hello, now time.Time) (HelloAck, []Outbound) {
 	}, outs
 }
 
-// Config returns the balancer's effective configuration — defaults
-// resolved, portfolio as configured (the learner's rewrites live in
-// lbState.Portfolio). A standby constructed from it replays the primary's
-// inputs into identical state, learner perturbation stream included.
+// Config returns the balancer's effective configuration, defaults
+// resolved. A standby constructed from it replays the primary's inputs
+// into identical state.
 func (lb *LoadBalancer) Config() BalancerConfig { return lb.cfg }
 
 // memberView snapshots the membership table as id → epoch.
@@ -606,21 +538,16 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 	}
 	m.Reported = true
 	m.LastSeen = now
-	var added int
 	if len(st.CovWords) > 0 {
 		g := coverage.FromWords(st.CovWords, lb.Cov.Len()-1)
-		if added = lb.Cov.Or(g); added > 0 {
+		if added := lb.Cov.Or(g); added > 0 {
 			lb.covDirty = true
-			// Per-worker yield: lines this member was first to land in
-			// the global overlay — portfolio reweighting's signal. The
-			// slot credited is the spec the status reports running.
-			m.Yield += uint64(added)
-		}
-	}
-	if added > 0 {
-		if idx := lb.yieldSlot(st.Spec, m); idx >= 0 && idx < len(lb.SpecYield) {
-			lb.SpecYield[idx] += uint64(added)
-			lb.WindowYield[idx] += uint64(added)
+			// The lines this status was first to land in the global
+			// overlay are its slot's yield; the slot credited is the spec
+			// the status reports running.
+			if idx := lb.yieldSlot(st.Spec, m); idx >= 0 && idx < len(lb.SpecYield) {
+				lb.SpecYield[idx] += uint64(added)
+			}
 		}
 	}
 	// Assignment reconciliation: the member record is the intent, the
@@ -629,12 +556,15 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 	// other than its assignment missed a MsgStrategy (lost on a dead
 	// conn, or a reconnect raced the rebalance) — re-send it, which is
 	// idempotent worker-side and converges within one status round-trip.
-	if len(lb.Portfolio) > 0 {
+	if len(lb.cfg.Portfolio) > 0 {
 		switch {
 		case st.SpecPinned:
 			if !m.Pinned {
+				// The pin vacated a slot: re-man it if that left the
+				// others uneven.
 				m.Pinned = true
 				m.SpecIdx = -1
+				outs = append(outs, lb.rebalanceStrategies()...)
 			}
 			m.Spec = st.Spec
 		case st.Spec != m.Spec:
@@ -946,36 +876,6 @@ func (lb *LoadBalancer) Tick(now time.Time) []Outbound {
 		outs = append(outs, lb.grantUnits(now, grantOnTick)...)
 		outs = append(outs, lb.redeliverUnits(now)...)
 	}
-	// Periodic portfolio reweighting: recompute the yield-weighted
-	// allocation and move workers if it shifted. A no-op between shifts.
-	// The learner (when enabled) piggybacks on the same cadence: every
-	// LearnEvery-th reweight pass it compares incumbent and challenger
-	// dist-opt slots on the bandit's record and may rewrite slot specs
-	// before the rebalance runs.
-	if len(lb.Portfolio) > 0 && lb.cfg.ReweightEvery > 0 {
-		lb.ReweightTicks++
-		if lb.ReweightTicks >= lb.cfg.ReweightEvery {
-			lb.ReweightTicks = 0
-			lb.Reweights++
-			lb.journal.AppendAt(now, obs.EvReweight, LBFrom, map[string]string{
-				"pass": strconv.Itoa(lb.Reweights),
-			})
-			// Close the bandit's observation window: one pull per manned
-			// slot, rewarded with the window's accumulated yield. Unmanned
-			// slots produce no evidence and are not pulled.
-			counts := lb.specCounts()
-			for i := range lb.WindowYield {
-				if counts[i] > 0 {
-					lb.Bandit.observe(i, lb.WindowYield[i])
-				}
-				lb.WindowYield[i] = 0
-			}
-			if lb.Learner != nil {
-				outs = append(outs, lb.Learner.step(lb)...)
-			}
-			outs = append(outs, lb.rebalanceStrategies()...)
-		}
-	}
 	return outs
 }
 
@@ -1239,9 +1139,7 @@ func (lb *LoadBalancer) PutLBMetrics(s *obs.Snapshot) {
 	s.PutCounter(obs.MLBStatesTransferred, uint64(lb.StatesTransferred()))
 	s.PutCounter(obs.MLBReseats, uint64(lb.ReseatsIssued))
 	s.PutCounter(obs.MLBReseatJobs, lb.ReseatSent)
-	s.PutCounter(obs.MLBReweights, uint64(lb.Reweights))
 	s.PutCounter(obs.MLBRebalances, uint64(lb.Rebalances))
-	s.PutCounter(obs.MLBAdoptions, uint64(lb.Adoptions()))
 	s.PutGauge(obs.MLBCoverageLines, int64(lb.Cov.Count()))
 	// Data-plane metrics go in unconditionally: a zero
 	// c9_lb_payload_bytes_total is the P2P mode's proof obligation (CI
@@ -1262,7 +1160,7 @@ func (lb *LoadBalancer) PutLBMetrics(s *obs.Snapshot) {
 	for i, y := range lb.SpecYield {
 		s.PutCounter(obs.MLBSlotYield(i), y)
 	}
-	if len(lb.Portfolio) > 0 {
+	if len(lb.cfg.Portfolio) > 0 {
 		for i, c := range lb.specCounts() {
 			s.PutGauge(obs.MLBSlotWorkers(i), int64(c))
 		}

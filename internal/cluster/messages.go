@@ -64,12 +64,11 @@
 //
 // When the balancer is configured with a portfolio (internal/search
 // spec strings), each joining worker is handed a spec (in the HelloAck),
-// statuses report the spec a
-// worker currently runs, and the LB rebalances assignments on
-// join/leave/evict and on a periodic reweighting tick driven by the
-// coverage yield each slot earns in the global overlay (MsgStrategy →
-// worker hot-swap). Swaps change only selection order — never the
-// frontier or custody state — so path-count exactness is preserved.
+// statuses report the spec a worker currently runs, and the LB keeps the
+// slots in equal shares, moving members when one leaves, is evicted or
+// pins its own strategy (MsgStrategy → worker hot-swap). Swaps change
+// only selection order — never the frontier or custody state — so
+// path-count exactness is preserved.
 //
 // # Epochs
 //
@@ -172,8 +171,7 @@ type Message struct {
 	// MsgEvict / MsgMembers: current membership view (id → epoch).
 	Members map[int]uint64
 	// MsgStrategy: the internal/search strategy spec the worker should
-	// hot-swap to (portfolio rebalancing on membership changes and
-	// periodic yield-driven reweighting).
+	// hot-swap to (portfolio rebalancing on membership changes).
 	Spec string
 	// MsgUnits: the complete set of depth-partition units the receiver
 	// owns (idempotent full list, so a lost or duplicated grant is

@@ -11,14 +11,16 @@ import (
 
 // Strategy portfolios (§3.3 heterogeneous per-worker policies): the
 // load balancer owns the assignment of internal/search strategy specs
-// to workers. Each joining worker is handed the most under-represented
-// portfolio slot; on membership changes (join/leave/evict) and on a
-// periodic reweighting tick the assignments are rebalanced against the
-// desired allocation, which weights each slot by the cumulative
-// new-coverage yield the global overlay has attributed to workers
-// running it. Every step is deterministic (sorted iteration, index
-// tie-breaks) so the lock-step simulation reproduces assignments
-// bit-for-bit.
+// to workers, and the portfolio is a static table — BalancerConfig.
+// Portfolio, slot i → spec, for the whole run. The unpinned members are
+// spread over the slots in equal shares (desiredAllocation): a joining
+// worker is handed the lowest slot still below its share, and when a
+// member leaves, is evicted or pins its own strategy the others are
+// moved to restore the shares. Which slot earns coverage is reported
+// (SpecYield, c9_lb_slot_yield) and steers nothing: a second weight
+// vector is a second entry, dist-opt(w=a:b:c:d). Every step is
+// deterministic (sorted iteration, index tie-breaks) so the lock-step
+// simulation reproduces assignments bit-for-bit.
 
 // checkPortfolio rejects a portfolio with an entry internal/search cannot
 // build, before any worker is handed one.
@@ -31,63 +33,20 @@ func checkPortfolio(specs []string) error {
 	return nil
 }
 
-// specWeights returns the hand-out weight of each portfolio slot: UCB1
-// scores over normalized per-window yield (bandit.go), so a slot's
-// share tracks its *recent rate* of producing new coverage, with an
-// exploration bonus that regrows for under-sampled slots. The diversity
-// floor in desiredAllocation guarantees one worker per slot before any
-// weighting applies, and the scores are strictly positive, so no slot
-// can starve.
-func (lb *LoadBalancer) specWeights() []float64 {
-	return lb.Bandit.weights(lb.cfg.BanditC)
-}
-
-// desiredAllocation distributes n workers over the portfolio slots:
-// one worker per slot first (diversity floor, in portfolio order),
-// then the remainder by weighted largest-remainder apportionment.
+// desiredAllocation distributes n workers over the portfolio slots in
+// equal shares: n/k each, the first n%k slots one more — so every slot
+// is manned before any gets a second worker.
 func (lb *LoadBalancer) desiredAllocation(n int) []int {
-	k := len(lb.Portfolio)
+	k := len(lb.cfg.Portfolio)
 	alloc := make([]int, k)
 	if n <= 0 || k == 0 {
 		return alloc
 	}
-	floor := n
-	if floor > k {
-		floor = k
-	}
-	for i := 0; i < floor; i++ {
-		alloc[i] = 1
-	}
-	rem := n - floor
-	if rem == 0 {
-		return alloc
-	}
-	w := lb.specWeights()
-	var sum float64
-	for _, x := range w {
-		sum += x
-	}
-	type frac struct {
-		idx int
-		f   float64
-	}
-	fr := make([]frac, 0, k)
-	given := 0
-	for i := range w {
-		q := float64(rem) * w[i] / sum
-		g := int(q)
-		alloc[i] += g
-		given += g
-		fr = append(fr, frac{i, q - float64(g)})
-	}
-	sort.Slice(fr, func(a, b int) bool {
-		if fr[a].f != fr[b].f {
-			return fr[a].f > fr[b].f
+	for i := range alloc {
+		alloc[i] = n / k
+		if i < n%k {
+			alloc[i]++
 		}
-		return fr[a].idx < fr[b].idx
-	})
-	for j := 0; j < rem-given; j++ {
-		alloc[fr[j].idx]++
 	}
 	return alloc
 }
@@ -99,13 +58,13 @@ func (lb *LoadBalancer) desiredAllocation(n int) []int {
 // the old strategy's results to the new slot. Returns -1 when the
 // reported spec maps to no slot (no portfolio, or a local override).
 func (lb *LoadBalancer) yieldSlot(reported string, m *Member) int {
-	if len(lb.Portfolio) == 0 {
+	if len(lb.cfg.Portfolio) == 0 {
 		return -1
 	}
 	if reported == m.Spec {
 		return m.SpecIdx
 	}
-	for i, s := range lb.Portfolio {
+	for i, s := range lb.cfg.Portfolio {
 		if s == reported {
 			return i
 		}
@@ -116,7 +75,7 @@ func (lb *LoadBalancer) yieldSlot(reported string, m *Member) int {
 // specCounts tallies current members per portfolio slot (pinned
 // members hold no slot).
 func (lb *LoadBalancer) specCounts() []int {
-	counts := make([]int, len(lb.Portfolio))
+	counts := make([]int, len(lb.cfg.Portfolio))
 	for _, m := range lb.Members {
 		if !m.Pinned && m.SpecIdx >= 0 && m.SpecIdx < len(counts) {
 			counts[m.SpecIdx]++
@@ -140,7 +99,7 @@ func (lb *LoadBalancer) unpinned() int {
 // before the member is inserted): the lowest-index slot still below
 // its desired share in the post-join allocation.
 func (lb *LoadBalancer) assignSpec() (int, string) {
-	k := len(lb.Portfolio)
+	k := len(lb.cfg.Portfolio)
 	if k == 0 {
 		return -1, ""
 	}
@@ -148,20 +107,19 @@ func (lb *LoadBalancer) assignSpec() (int, string) {
 	counts := lb.specCounts()
 	for i := 0; i < k; i++ {
 		if counts[i] < desired[i] {
-			return i, lb.Portfolio[i]
+			return i, lb.cfg.Portfolio[i]
 		}
 	}
 	i := lb.NextID % k // all slots full (rounding): deterministic fallback
-	return i, lb.Portfolio[i]
+	return i, lb.cfg.Portfolio[i]
 }
 
 // rebalanceStrategies moves members from over- to under-allocated
 // portfolio slots, emitting a MsgStrategy per reassignment. Newest
 // members move first (highest id) — they have the least accumulated
-// strategy state to throw away. A no-op while allocations match, so
-// stable yields cause no churn.
+// strategy state to throw away. A no-op while allocations match.
 func (lb *LoadBalancer) rebalanceStrategies() []Outbound {
-	k := len(lb.Portfolio)
+	k := len(lb.cfg.Portfolio)
 	if k == 0 || len(lb.Members) == 0 {
 		return nil
 	}
@@ -196,7 +154,7 @@ func (lb *LoadBalancer) rebalanceStrategies() []Outbound {
 			counts[i]--
 		}
 		counts[j]++
-		m.SpecIdx, m.Spec = j, lb.Portfolio[j]
+		m.SpecIdx, m.Spec = j, lb.cfg.Portfolio[j]
 		outs = append(outs, Outbound{To: id, Msg: Message{Kind: MsgStrategy, Spec: m.Spec}})
 	}
 	if len(outs) > 0 {

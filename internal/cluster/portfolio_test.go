@@ -1,8 +1,8 @@
 package cluster
 
 // Portfolio-coordination tests: deterministic spec assignment at join,
-// rebalancing on membership changes, yield-driven reweighting, and —
-// the custody acceptance bar — that strategy hot-swaps and portfolio
+// equal shares held through membership changes and pins, and — the
+// custody acceptance bar — that strategy hot-swaps and portfolio
 // runs preserve the exact undisturbed path count through crashes.
 
 import (
@@ -21,8 +21,7 @@ func TestPortfolioAssignmentAtJoin(t *testing.T) {
 		m, _ := lb.Join("", time.Unix(0, 0))
 		specs = append(specs, m.Spec)
 	}
-	// Diversity floor first (portfolio order), then weighted remainder —
-	// with no yield yet, weights are equal, so assignment cycles.
+	// Equal shares, lower slots first: assignment cycles.
 	want := []string{"dfs", "bfs", "random", "dfs", "bfs", "random", "dfs"}
 	for i := range want {
 		if specs[i] != want[i] {
@@ -85,6 +84,14 @@ func TestPortfolioAllocationIsEqualShares(t *testing.T) {
 		t.Fatalf("unpinned = %d after a pin, want 4", lb.unpinned())
 	}
 	onTable("pin")
+	// Member 1 is slot 1's only runner: its pin leaves three members for
+	// slots 0-2, so the newest (member 3, in slot 3) is moved there.
+	st := Status{Worker: ms[1].ID, Epoch: ms[1].Epoch, Queue: 1, Spec: "dist-opt", SpecPinned: true}
+	outs, _ := lb.Update(st, time.Unix(3, 0))
+	if len(outs) != 1 || outs[0].To != ms[3].ID || outs[0].Msg.Kind != MsgStrategy || outs[0].Msg.Spec != specs[1] {
+		t.Fatalf("pin of a slot's only runner sent %+v, want one MsgStrategy %q to member %d", outs, specs[1], ms[3].ID)
+	}
+	onTable("pin of an only runner")
 }
 
 func TestPortfolioRebalanceOnDepart(t *testing.T) {
@@ -212,7 +219,6 @@ func TestPortfolioReconcilesLostAssignment(t *testing.T) {
 func TestPortfolioRespectsPinnedWorkers(t *testing.T) {
 	cfg := DefaultBalancerConfig()
 	cfg.Portfolio = []string{"dfs", "bfs"}
-	cfg.ReweightEvery = 1
 	lb := NewLoadBalancer(cfg, 100)
 	ms := joinN(t, lb, 3)
 	for i, m := range ms {
@@ -226,7 +232,7 @@ func TestPortfolioRespectsPinnedWorkers(t *testing.T) {
 		t.Fatalf("pinned member not recorded: %+v", ms[2])
 	}
 	// Allocation sees 2 unpinned members → {dfs, bfs}, already satisfied:
-	// neither the reweight tick nor a departure may touch the pin.
+	// neither the tick nor a departure may touch the pin.
 	for _, o := range lb.Tick(time.Unix(3, 0)) {
 		if o.Msg.Kind == MsgStrategy {
 			t.Fatalf("reassignment emitted despite satisfied allocation: %+v", o)
@@ -305,7 +311,7 @@ func TestSimPortfolioCrashRecoveryExactPaths(t *testing.T) {
 			NewInterp:  factory,
 			Engine:     engine.Config{MaxStateSteps: 1_000_000},
 			Quantum:    200,
-			Balancer:   BalancerConfig{Portfolio: portfolio, ReweightEvery: 4},
+			Balancer:   BalancerConfig{Portfolio: portfolio},
 			Crashes:    crashes,
 			LeaseTicks: 3,
 			MaxTicks:   10_000,

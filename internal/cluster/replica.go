@@ -185,8 +185,8 @@ func (r *Replica) Promote(now time.Time) *LoadBalancer {
 }
 
 // splitmix64 is the standard 64-bit finalizer-based PRNG step (public
-// domain, Vigna). Shared by the learner's perturbation stream and the
-// TCP reconnect jitter: tiny state, solid diffusion, fully deterministic.
+// domain, Vigna), behind the TCP reconnect jitter: tiny state, solid
+// diffusion, fully deterministic.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state

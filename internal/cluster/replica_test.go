@@ -5,11 +5,9 @@ package cluster
 // must reproduce the primary's replicated state field for field
 // (StateFingerprint is the oracle, and
 // TestFingerprintCoversReplicatedState checks the oracle), and promotion is a pure control
-// transition — it must not touch the bandit's reward accounting even
-// when it lands in the middle of an observation window.
+// transition — it must not touch the per-slot yield ledger.
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -43,7 +41,7 @@ func replay(t testing.TB, lb *LoadBalancer, covLen int, entries []RepEntry) *Rep
 
 // TestReplicaReplayFingerprint drives a primary through a scripted mix
 // of every replicated entry point — joins, covered and plain statuses,
-// custody ticks, bandit reweights, balance rounds, a goodbye with a
+// custody ticks, balance rounds, a goodbye with a
 // live frontier, lease expiry — and requires a standby replaying the
 // entries to land on an identical state fingerprint. The standby is built
 // from the primary's Config(), defaults already resolved, so defaulting
@@ -75,7 +73,6 @@ func TestQuickReplicaReplayFingerprint(t *testing.T) {
 	f := func(ops []byte) bool {
 		cfg := DefaultBalancerConfig()
 		cfg.Portfolio = []string{"dfs", "random"}
-		cfg.ReweightEvery = 1
 		lb := NewLoadBalancer(cfg, covLen)
 		all := recordReplication(lb)
 		now := time.Unix(10, 0)
@@ -131,35 +128,20 @@ func TestQuickReplicaReplayFingerprint(t *testing.T) {
 	}
 }
 
-// banditState renders the portfolio-scoring part of the replicated
-// state in isolation.
-func banditState(t *testing.T, lb *LoadBalancer) string {
-	t.Helper()
-	out, err := json.Marshal([]any{lb.Bandit, lb.SpecYield, lb.WindowYield, lb.Portfolio, lb.ReweightTicks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
-
-// TestPromoteMidWindowBanditUntouched opens a bandit observation window
-// (fresh coverage reported, no reweight tick yet) and promotes the
-// replicated standby mid-window: the promotion must not credit or reset
-// any arm — pulls, rewards, and both yield ledgers stay exactly as
-// replicated, so the arm is credited once, by the next genuine reweight
-// tick, never by the failover itself.
-func TestPromoteMidWindowBanditUntouched(t *testing.T) {
+// TestPromoteLeavesSlotYieldUntouched reports fresh coverage from one
+// slot's runners and promotes the replicated standby: the promotion must
+// neither credit nor reset a slot — the yield ledger stays exactly as
+// replicated, and the tick after it adds nothing.
+func TestPromoteLeavesSlotYieldUntouched(t *testing.T) {
 	cfg := DefaultBalancerConfig()
 	cfg.Portfolio = []string{"dfs", "random"}
-	cfg.ReweightEvery = 1
 	const covLen = 4095
 	lb := NewLoadBalancer(cfg, covLen)
 	all := recordReplication(lb)
 
 	now := time.Unix(10, 0)
 	ms := joinN(t, lb, 4)
-	// Two full windows close normally, crediting the arms...
-	for r := 0; r < 2; r++ {
+	for r := 0; r < 3; r++ {
 		now = now.Add(300 * time.Millisecond)
 		for i, m := range ms {
 			st := Status{Worker: m.ID, Epoch: m.Epoch, Spec: m.Spec, Queue: 2,
@@ -173,49 +155,26 @@ func TestPromoteMidWindowBanditUntouched(t *testing.T) {
 		}
 		lb.Tick(now)
 	}
-	// ...then a third window opens: fresh coverage lands but no tick —
-	// the crash interrupts here, mid-window.
-	now = now.Add(300 * time.Millisecond)
-	for i, m := range ms {
-		st := Status{Worker: m.ID, Epoch: m.Epoch, Spec: m.Spec, Queue: 2,
-			Frontier: BuildJobTree(nil)}
-		if m.SpecIdx == 1 {
-			st.CovWords = covStatus(900+i*70, 70)
-		}
-		if _, ok := lb.Update(st, now); !ok {
-			t.Fatalf("status for member %d rejected", m.ID)
-		}
-	}
-	if lb.Bandit == nil {
-		t.Fatal("bandit reweighting must be on")
+	if lb.SpecYield[0] != 0 || lb.SpecYield[1] == 0 {
+		t.Fatalf("slot yields %v, want all of it on slot 1", lb.SpecYield)
 	}
 
 	rep := replay(t, lb, covLen, *all)
 	if got := rep.LB().StateFingerprint(); got != lb.StateFingerprint() {
 		t.Fatalf("standby diverged before promotion:\n%s", got)
 	}
-	before := banditState(t, rep.LB())
+	before := fmt.Sprint(rep.LB().SpecYield)
 
 	promoted := rep.Promote(now.Add(time.Second))
-	if after := banditState(t, promoted); after != before {
-		t.Fatalf("promotion touched the bandit's state:\nbefore %s\nafter  %s", before, after)
+	promoted.Tick(now.Add(2 * time.Second))
+	if after := fmt.Sprint(promoted.SpecYield); after != before {
+		t.Fatalf("promotion touched the slot yields: before %s, after %s", before, after)
 	}
 	if promoted.Term != 2 || promoted.Promotions != 1 {
 		t.Fatalf("term=%d promotions=%d, want 2/1", promoted.Term, promoted.Promotions)
 	}
 	if !promoted.ResyncPending {
 		t.Fatal("promotion with live members must open a resync window")
-	}
-
-	// The interrupted window closes on the promoted primary's next
-	// reweight tick and credits each arm exactly once more.
-	pulls := append([]uint64(nil), promoted.Bandit.Pulls...)
-	promoted.Tick(now.Add(2 * time.Second))
-	for i := range pulls {
-		if promoted.Bandit.Pulls[i] != pulls[i]+1 {
-			t.Fatalf("arm %d pulled %d times after one post-promotion tick, want %d",
-				i, promoted.Bandit.Pulls[i], pulls[i]+1)
-		}
 	}
 }
 
@@ -338,8 +297,8 @@ func perturb(t *testing.T, leaf reflect.Value) {
 // every type the state can hold — is perturbed in turn, and the
 // fingerprint must change each time. A field the fingerprint does not
 // read is a field whose divergence no property test can see; the
-// hand-written fingerprint this one replaced missed five (the named
-// paths below).
+// hand-written fingerprint this one replaced missed five (four of them
+// still exist and are named below).
 func TestFingerprintCoversReplicatedState(t *testing.T) {
 	lb := NewLoadBalancer(DefaultBalancerConfig(), 63)
 	state := reflect.ValueOf(&lb.lbState).Elem()
@@ -364,7 +323,7 @@ func TestFingerprintCoversReplicatedState(t *testing.T) {
 	}
 	for _, path := range []string{
 		".Members[0].Last.UsefulSteps", ".Members[0].Last.ReplaySteps",
-		".Bandit.Total", ".LastNow", ".Reseats[0].Rec.Paths",
+		".LastNow", ".Reseats[0].Rec.Paths",
 	} {
 		if !visited[path] {
 			t.Errorf("walk never reached %s (%d leaves visited)", path, len(visited))

@@ -304,8 +304,8 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			pt = 2
 		}
 		promoteAt = cl.Tick + pt
-		// The standby is built from the primary's effective (pre-learner)
-		// config and tails its input log. Entries are queued here and
+		// The standby is built from the primary's effective config and
+		// tails its input log. Entries are queued here and
 		// applied with a one-tick delivery lag at each tick boundary.
 		s.standby = NewReplica(s.lb.Config(), probeIn.Prog.MaxLine)
 		s.lb.StartReplication(func(e RepEntry) {

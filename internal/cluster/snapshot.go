@@ -98,13 +98,12 @@ func (st *lbState) validate(cfg BalancerConfig, covLen int) error {
 		units = cfg.PartitionUnits
 	}
 	switch {
-	case st.Cov == nil || (st.Bandit == nil) != (k == 0) || (st.Learner == nil) == cfg.Learn:
-		return fmt.Errorf("coverage, bandit or learner presence disagrees with the configuration")
+	case st.Cov == nil:
+		return fmt.Errorf("coverage vector is null")
 	case st.Cov.Len() != covLen+1:
 		return fmt.Errorf("coverage vector holds %d lines, want %d", st.Cov.Len(), covLen+1)
-	case len(st.Portfolio) != k || len(st.SpecYield) != k || len(st.WindowYield) != k:
-		return fmt.Errorf("portfolio tables sized %d/%d/%d, want %d slots",
-			len(st.Portfolio), len(st.SpecYield), len(st.WindowYield), k)
+	case len(st.SpecYield) != k:
+		return fmt.Errorf("slot yield table sized %d, want %d slots", len(st.SpecYield), k)
 	case len(st.UnitOwner) != units:
 		return fmt.Errorf("unit table holds %d units, want %d", len(st.UnitOwner), units)
 	case st.NextID < 0:
@@ -123,25 +122,6 @@ func (st *lbState) validate(cfg BalancerConfig, covLen int) error {
 	for _, b := range st.Orphans {
 		if b == nil {
 			return fmt.Errorf("orphaned custody batch is null")
-		}
-	}
-	if b := st.Bandit; b != nil {
-		if len(b.Pulls) != k || len(b.Reward) != k {
-			return fmt.Errorf("bandit sized %d/%d, want %d arms", len(b.Pulls), len(b.Reward), k)
-		}
-		for i, r := range b.Reward {
-			// Each pull pays a reward in [0,1); anything else can drive the
-			// apportionment's weight sum to ±Inf and its shares to NaN.
-			if r < 0 || r > float64(b.Pulls[i]) {
-				return fmt.Errorf("bandit arm %d holds reward %v over %d pulls", i, r, b.Pulls[i])
-			}
-		}
-	}
-	if l := st.Learner; l != nil {
-		for _, slot := range l.Slots {
-			if slot < 0 || slot >= k {
-				return fmt.Errorf("learner slot %d outside the %d-slot portfolio", slot, k)
-			}
 		}
 	}
 	return nil

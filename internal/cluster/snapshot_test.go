@@ -8,19 +8,29 @@ package cluster
 import (
 	"testing"
 	"time"
+
+	"cloud9/internal/coverage"
 )
+
+// covStatus builds CovWords covering `lines` fresh lines starting at
+// base, sized for an LB built with covLen 4095.
+func covStatus(base, lines int) []uint64 {
+	v := coverage.New(4095)
+	for j := 0; j < lines; j++ {
+		v.Set(base + j)
+	}
+	return v.Words()
+}
 
 // scriptedConfigs are the balancer configurations the scripted primary is
 // driven under: the default p2p plane with a two-slot portfolio, and the
-// depth plane with the learner racing two dist-opt slots — between them
-// every optional part of lbState (bandit, learner, unit table) is live.
+// depth plane with a three-slot one — between them every optional part
+// of lbState (slot yields, unit table) is live.
 func scriptedConfigs() []BalancerConfig {
 	p2p := DefaultBalancerConfig()
 	p2p.Portfolio = []string{"dfs", "random"}
-	p2p.ReweightEvery = 1
 	depth := p2p
 	depth.Portfolio = []string{"dist-opt", "dist-opt", "random"}
-	depth.Learn, depth.LearnEvery = true, 1
 	depth.DataPlane = DataPlaneDepth
 	return []BalancerConfig{p2p, depth}
 }
@@ -154,7 +164,7 @@ func midScriptSnapshot(t testing.TB, cfg BalancerConfig) *RepSnapshot {
 // network. Whatever it holds, under either scripted configuration the
 // install must return an error or leave a state the balancer can
 // fingerprint and run a round on — with every lease lapsed, so
-// departures, custody re-seats and a reweighting pass all execute —
+// departures, custody re-seats and the portfolio rebalance all execute —
 // without panicking. The committed corpus (testdata/fuzz/FuzzInstallState)
 // is a mid-script p2p snapshot, its first half, and the same state with
 // SpecYield cut to one slot; the seeds added here are the same cuts in

@@ -868,23 +868,6 @@ func (s *LBServer) Promotions() int {
 	return s.lb.Promotions
 }
 
-// LearnedSpec returns the learner's current incumbent spec ("" when the
-// learner is off or inert); Adoptions counts its incumbent swaps. Both
-// are safe after — or concurrently with — Serve.
-func (s *LBServer) LearnedSpec() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lb.LearnedSpec()
-}
-
-// Adoptions returns how many times the learner replaced the incumbent
-// dist-opt weight vector.
-func (s *LBServer) Adoptions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lb.Adoptions()
-}
-
 // ObsSnapshot returns the fleet-wide metrics view (safe concurrently
 // with Serve — this is what -obs-addr scrapes mid-run).
 func (s *LBServer) ObsSnapshot() obs.Snapshot {

@@ -11,11 +11,10 @@ import (
 )
 
 // DistWeights parameterizes the DistanceOptimized ranking as a linear
-// combination over four normalized candidate features — the small
-// feature vector the load balancer's online learner perturbs and races
-// (Cha et al.: heuristics drawn from a parameterized family and
-// *learned* beat hand-tuned ones). Each feature lies in (0,1]; a
-// weight scales its contribution to the candidate's sampling weight:
+// combination over four normalized candidate features (after Cha et
+// al.'s parameterized heuristic family); a portfolio names a vector as
+// dist-opt(w=a:b:c:d). Each feature lies in (0,1]; a weight scales its
+// contribution to the candidate's sampling weight:
 //
 //	MD2U   · 1/(1+md2u)²          — static distance to uncovered code
 //	Depth  · 1/(1+depth/8)        — shallow states first
@@ -29,16 +28,9 @@ type DistWeights struct {
 	MD2U, Depth, Faults, Yield float64
 }
 
-// DefaultDistWeights is the hand-tuned starting point of the learned
-// family: pure inverse-square md2u, the KLEE ranking bare dist-opt uses.
+// DefaultDistWeights is the hand-tuned member of the family: pure
+// inverse-square md2u, the KLEE ranking bare dist-opt uses.
 func DefaultDistWeights() DistWeights { return DistWeights{MD2U: 1} }
-
-// String renders the vector in the spec grammar's value form
-// ("1:0:0:0.5"), round-trippable through ParseDistWeights.
-func (w DistWeights) String() string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	return f(w.MD2U) + ":" + f(w.Depth) + ":" + f(w.Faults) + ":" + f(w.Yield)
-}
 
 // ParseDistWeights parses a ':'-separated four-component weight vector
 // (md2u:depth:faults:yield). Components must be finite and
@@ -107,7 +99,7 @@ func (r *DistanceOptimized) Name() string { return "dist-opt" }
 const virtualWeight = 1.0 / 25 // 1/(1+4)²
 
 // minFeatWeight keeps every candidate selectable whatever the vector:
-// a learner-proposed all-zero (or saturated-feature) vector must
+// an all-zero (or saturated-feature) vector must
 // degrade to uniform drain, not a division by zero or a starved node.
 // It is also the md2u feature of a state that cannot reach uncovered
 // code, so a saturated frontier still drains.

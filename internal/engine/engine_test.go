@@ -418,14 +418,14 @@ func TestDistOptPrefersNearUncovered(t *testing.T) {
 }
 
 func TestDistWeightsParseRoundTrip(t *testing.T) {
-	for _, src := range []string{"1:0:0:0", "0.5:1:0:0.25", "0:0:0:0", "2:0.001:1:8"} {
-		w, err := ParseDistWeights(src)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		back, err := ParseDistWeights(w.String())
-		if err != nil || back != w {
-			t.Fatalf("round trip %q -> %q -> %+v (%v)", src, w.String(), back, err)
+	for src, want := range map[string]DistWeights{
+		"1:0:0:0":      {MD2U: 1},
+		"0.5:1:0:0.25": {MD2U: 0.5, Depth: 1, Yield: 0.25},
+		"0:0:0:0":      {},
+		"2:0.001:1:8":  {MD2U: 2, Depth: 0.001, Faults: 1, Yield: 8},
+	} {
+		if w, err := ParseDistWeights(src); err != nil || w != want {
+			t.Fatalf("%q parsed as %+v (%v), want %+v", src, w, err, want)
 		}
 	}
 	for _, bad := range []string{"", "1:2:3", "1:2:3:4:5", "1:x:0:0", "-1:0:0:0", "+Inf:0:0:0", "NaN:0:0:0"} {

@@ -245,72 +245,3 @@ func TestDistDirectedBeatsBaselines(t *testing.T) {
 		t.Fatalf("expected memcached and printf rows, found %d", checked)
 	}
 }
-
-// proportionalTicks is the last measurement of the 1 + cumulative-yield
-// reweighting scheme the bandit replaced, taken on the learn table's
-// memcached rows (by portfolio label) at the commit that removed it: the
-// bar the surviving modes must keep clearing for the removal to stay
-// justified.
-var proportionalTicks = map[string]int{"dist-opt+dfs": 13, "2x dist-opt+dfs": 11}
-
-// TestLearnedPortfolioBeatsProportional pins the learn table: (a) the
-// bandit-reweighted portfolio reaches final coverage on memcached
-// within the PR 5 dist-opt baseline of 16 ticks; (b) the learner never
-// costs ticks against the plain bandit and strictly wins on one row;
-// (c) on memcached neither mode is slower than the proportional scheme
-// was when it was removed (proportionalTicks), and one row is strictly
-// faster. The lock-step sim is deterministic, so these strict
-// comparisons are stable regression bars, not flaky races.
-func TestLearnedPortfolioBeatsProportional(t *testing.T) {
-	tbl, err := LearnedPortfolio(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Header: target, portfolio, final cov, bandit, bandit+learn,
-	// adoptions, winner.
-	ticksOf := func(row []string, col int) int {
-		v, err := strconv.Atoi(row[col])
-		if err != nil {
-			t.Fatalf("bad tick cell %q: %v", row[col], err)
-		}
-		return v
-	}
-	learnWins, propWins, memcachedRows := 0, 0, 0
-	for _, row := range tbl.Rows {
-		bandit, learn := ticksOf(row, 3), ticksOf(row, 4)
-		if learn > bandit {
-			t.Errorf("%s/%s: bandit+learn took %d ticks, plain bandit %d", row[0], row[1], learn, bandit)
-		}
-		if learn < bandit {
-			learnWins++
-		}
-		if !strings.HasPrefix(row[0], "memcached") {
-			continue
-		}
-		memcachedRows++
-		if bandit > 16 {
-			t.Errorf("%s/%s: bandit took %d ticks, above the 16-tick dist-opt baseline",
-				row[0], row[1], bandit)
-		}
-		prop, ok := proportionalTicks[row[1]]
-		if !ok {
-			t.Fatalf("no recorded proportional result for portfolio %q", row[1])
-		}
-		if bandit > prop || learn > prop {
-			t.Errorf("%s/%s: bandit %d / bandit+learn %d ticks, proportional reached it in %d",
-				row[0], row[1], bandit, learn, prop)
-		}
-		if bandit < prop {
-			propWins++
-		}
-	}
-	if memcachedRows == 0 {
-		t.Fatal("no memcached rows")
-	}
-	if learnWins == 0 {
-		t.Fatalf("the learner never strictly beat the plain bandit:\n%s", tbl.Format())
-	}
-	if propWins == 0 {
-		t.Fatalf("bandit reweighting never strictly beat proportional's recorded ticks:\n%s", tbl.Format())
-	}
-}

@@ -131,8 +131,6 @@ const (
 	EvCustodyReseat  = "custody-reseat"  // LB: orphaned frontier re-seated onto a survivor
 	EvReseatReplayed = "reseat-replayed" // LB: survivor acked the re-seat batch
 	EvRebalance      = "portfolio-rebalance"
-	EvReweight       = "bandit-reweight"
-	EvAdoption       = "learner-adoption"
 	EvSpecPin        = "spec-pin"
 	EvBatchGap       = "batch-gap"      // worker: out-of-order batch dropped
 	EvBatchResend    = "batch-resend"   // worker: unacked batch re-sent

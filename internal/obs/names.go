@@ -77,9 +77,7 @@ const (
 	MLBStatesTransferred = "c9_lb_states_transferred_total"
 	MLBReseats           = "c9_lb_reseats_total"
 	MLBReseatJobs        = "c9_lb_reseat_jobs_total"
-	MLBReweights         = "c9_lb_reweights_total"
 	MLBRebalances        = "c9_lb_rebalances_total"
-	MLBAdoptions         = "c9_lb_adoptions_total"
 	MLBCoverageLines     = "c9_lb_coverage_lines" // gauge
 
 	// Data plane, LB side. MLBPayloadBytes counts job-payload bytes that

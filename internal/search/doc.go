@@ -54,7 +54,7 @@
 //	c9 -target printf -strategy 'dist-opt'                   # default md2u weights
 //	c9 -target printf -strategy 'dist-opt(w=1:0.5:0:0.25)'   # custom feature weights
 //	c9 -target test   -strategy 'cupa(site,dist-opt(w=0:1:1:0))'
-//	c9-lb -portfolio 'dist-opt,dist-opt,dfs' -learn          # learner races dist-opt slots
+//	c9-lb -portfolio 'dist-opt,dist-opt(w=1:0.5:0:0.25),dfs' # two vectors side by side
 //
 // Specs are plain strings, so the load balancer can assign them at
 // Hello, carry them in membership messages, and hand a worker a new one
@@ -78,10 +78,8 @@
 // b·1/(1+depth/8) (shallow-first), c·1/(1+faults) (fewest injected
 // faults), d·y/(1+y) (recent coverage yield) — with engine.DistWeights
 // carrying the vector (the bare spec without w= is "1:0:0:0", classic
-// dist-opt, through the same scoring code). This family is what the
-// load balancer's online learner searches over: it perturbs
-// the incumbent vector into challenger portfolio slots and adopts
-// winners by bandit mean (see internal/cluster's learner).
+// dist-opt, through the same scoring code). A portfolio runs a second
+// vector by naming it in a second entry.
 //
 // Both dist-opt forms and the dist classifier read
 // the worker's shared distance oracle (Builder.Dist, supplied by the
@@ -115,10 +113,8 @@
 //
 // A portfolio is an ordered list of specs (ParsePortfolio splits a
 // comma-separated flag value, respecting parentheses). The load
-// balancer assigns one spec per worker at join, rebalances assignments
-// on membership changes, and reweights which specs get handed out by
-// the coverage yield each slot earns in the global overlay — by default
-// a UCB1 bandit over per-window yield rates, optionally with an online
-// learner racing perturbed dist-opt(w=...) vectors across slots — see
-// internal/cluster (bandit.go, learn.go) and ARCHITECTURE.md.
+// balancer assigns one spec per worker at join, keeps the slots in equal
+// shares as members come and go, and reports the coverage yield each
+// slot earns in the global overlay — see internal/cluster (portfolio.go)
+// and ARCHITECTURE.md.
 package search

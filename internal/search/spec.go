@@ -415,8 +415,8 @@ func init() {
 	})
 	// dist-opt ranks by static distance to uncovered code; the optional
 	// weight vector (w=md2u:depth:faults:yield) generalizes the fixed
-	// 1/(1+md2u)² ranking into the parameterized family the LB's online
-	// learner searches over. Bare dist-opt is w=1:0:0:0.
+	// 1/(1+md2u)² ranking into a parameterized family. Bare dist-opt is
+	// w=1:0:0:0.
 	RegisterStrategy("dist-opt", func(b *Builder, s *Spec) (engine.Strategy, error) {
 		if len(s.Args) != 0 {
 			return nil, fmt.Errorf("search: dist-opt takes no positional arguments")
