@@ -450,6 +450,7 @@ func (lb *LoadBalancer) Admit(h Hello, now time.Time) (HelloAck, []Outbound) {
 		DataPlane:      lb.cfg.DataPlane,
 		PartitionDepth: lb.cfg.PartitionDepth,
 		PartitionUnits: lb.cfg.PartitionUnits,
+		Lease:          lb.cfg.Lease,
 	}, outs
 }
 

@@ -114,6 +114,7 @@ package cluster
 import (
 	"encoding/gob"
 	"sort"
+	"time"
 
 	"cloud9/internal/obs"
 )
@@ -208,6 +209,11 @@ type HelloAck struct {
 	DataPlane      string
 	PartitionDepth int
 	PartitionUnits int
+	// Lease is the balancer's membership lease. A worker inside one long
+	// solver search reports nothing; its transport keeps the membership
+	// alive in the meantime (TCPWorkerTransport.keepalive), which a
+	// killed or stopped process cannot.
+	Lease time.Duration
 	// Standby handshake only: the primary's effective balancer config
 	// and coverage vector length, so the subscriber constructs a replica
 	// that replays to byte-identical state.

@@ -259,10 +259,12 @@ type TCPWorkerTransport struct {
 	ID    int
 	Epoch uint64
 
-	lbAddrs []string // control-plane addresses, tried in rotation
-	encMu   sync.Mutex
-	lb      *session // the current LB stream
-	lbGen   uint64   // bumped each time the LB stream is (re)established
+	lbAddrs    []string // control-plane addresses, tried in rotation
+	encMu      sync.Mutex
+	lb         *session  // the current LB stream
+	lbGen      uint64    // bumped each time the LB stream is (re)established
+	lastStatus time.Time // when a status last went out on it
+	done       chan struct{}
 
 	listener net.Listener
 
@@ -298,6 +300,7 @@ func DialLB(lbAddr string, standbyAddrs ...string) (*TCPWorkerTransport, *HelloA
 		peerAddrs:  map[int]string{},
 		peers:      map[string]*session{},
 		peerEpochs: map[int]uint64{},
+		done:       make(chan struct{}),
 	}
 	t.mailCond = sync.NewCond(&t.mu)
 	s, ack, err := t.connectLB()
@@ -310,7 +313,36 @@ func DialLB(lbAddr string, standbyAddrs ...string) (*TCPWorkerTransport, *HelloA
 
 	go t.pump(s)
 	go acceptLoop(ln, t.servePeer) // direct worker-to-worker job transfers
+	if every := ack.Lease / 4; every > 0 {
+		go t.keepalive(every)
+	}
 	return t, ack, nil
+}
+
+// keepalive renews the membership lease while the worker has nothing to
+// say: whenever no status went out for `every` (a quarter of the lease),
+// it sends an empty frame, which LBServer.handle answers with a Touch. A
+// worker inside one solver search longer than the lease reports nothing,
+// and without this is evicted alive — all of them at once on an unlucky
+// target, leaving the balancer no members to finish the run. A killed or
+// stopped process sends no frame and is evicted as before. Runs until
+// Close; a frame lost on a dead stream is not retried — the pump is
+// re-dialing, and the resume renews the lease itself.
+func (t *TCPWorkerTransport) keepalive(every time.Duration) {
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-t.done:
+			return
+		case now := <-tick.C:
+			t.encMu.Lock()
+			if now.Sub(t.lastStatus) >= every {
+				_ = t.lb.send(WireMsg{})
+			}
+			t.encMu.Unlock()
+		}
+	}
 }
 
 // connectLB joins the cluster (no id yet) or resumes this worker's
@@ -422,7 +454,19 @@ func (t *TCPWorkerTransport) push(m Message) {
 func (t *TCPWorkerTransport) SendToLB(m Message) bool {
 	t.encMu.Lock()
 	defer t.encMu.Unlock()
-	return t.lb.send(WireMsg{Msg: &m}) == nil
+	return t.sendLocked(m)
+}
+
+// sendLocked puts m on the LB stream (t.encMu held) and notes when a
+// status went out, for keepalive.
+func (t *TCPWorkerTransport) sendLocked(m Message) bool {
+	if t.lb.send(WireMsg{Msg: &m}) != nil {
+		return false
+	}
+	if m.Kind == MsgStatus {
+		t.lastStatus = time.Now()
+	}
+	return true
 }
 
 // SendToLBAt implements Transport: the message goes out only if the
@@ -431,7 +475,7 @@ func (t *TCPWorkerTransport) SendToLB(m Message) bool {
 func (t *TCPWorkerTransport) SendToLBAt(m Message, gen uint64) bool {
 	t.encMu.Lock()
 	defer t.encMu.Unlock()
-	return t.lbGen == gen && t.lb.send(WireMsg{Msg: &m}) == nil
+	return t.lbGen == gen && t.sendLocked(m)
 }
 
 // SendJobs implements Transport (direct worker-to-worker transfer). A
@@ -509,6 +553,9 @@ func (t *TCPWorkerTransport) WaitForMail() {
 // Close shuts down the transport.
 func (t *TCPWorkerTransport) Close() {
 	t.mu.Lock()
+	if !t.closed {
+		close(t.done)
+	}
 	t.closed = true
 	t.mailCond.Broadcast()
 	for _, ps := range t.peers {
@@ -970,17 +1017,21 @@ func (s *LBServer) handle(conn net.Conn) {
 	s.dispatchLocked(outs)
 	s.mu.Unlock()
 	ss.readLoop(func(wm WireMsg) {
-		if wm.Msg == nil {
-			return
-		}
 		s.mu.Lock()
-		if !s.stopped {
+		defer s.mu.Unlock()
+		switch {
+		case s.stopped:
+		case wm.Msg == nil:
+			// A keepalive: the worker is alive and has nothing to report.
+			// Ids are never reissued, so this session's is its member's
+			// or no one's.
+			s.lb.Touch(ack.ID, time.Now())
+		default:
 			s.dispatchLocked(s.lb.Control(*wm.Msg, time.Now()))
 			if s.lb.Terminated() {
 				s.wakeServe()
 			}
 		}
-		s.mu.Unlock()
 	})
 }
 

@@ -1,8 +1,9 @@
 package cluster
 
 // TCP membership-fault tests that have no in-process twin any more:
-// graceful retire over real sockets, the maxDuration cut-off, and the
-// handshake deadline on the three accept loops.
+// graceful retire over real sockets, the maxDuration cut-off, the
+// handshake deadline on the three accept loops, and the keepalive that
+// holds a silent worker's lease.
 
 import (
 	"errors"
@@ -62,6 +63,60 @@ int main() {
 	}
 	return n;
 }`
+
+// TestTCPKeepaliveHoldsSilentWorkersLease: a worker inside one solver
+// search reports nothing for many leases (coreutil-sum: 26 s against the
+// default 2 s); its transport must keep the membership alive, or a run
+// whose workers all hit such a search loses every member and waits out
+// its time bound. A transport that is gone — the kill -9 case — sends
+// nothing and is evicted as before.
+func TestTCPKeepaliveHoldsSilentWorkersLease(t *testing.T) {
+	const lease = 100 * time.Millisecond
+	cfg := DefaultBalancerConfig()
+	cfg.Lease = lease
+	lbs, err := NewLBServer("127.0.0.1:0", cfg, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		if _, err := lbs.Serve(30 * time.Second); err != nil {
+			t.Error(err)
+		}
+	}()
+	defer func() {
+		lbs.Shutdown()
+		<-served
+	}()
+	tr, ack, err := DialLB(lbs.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if ack.Lease != lease {
+		t.Fatalf("the ack carries lease %v, want %v", ack.Lease, lease)
+	}
+	evictions := func() int {
+		n, _, _, _ := lbs.Stats()
+		return n
+	}
+
+	time.Sleep(5 * lease) // the search: no status, no mailbox poll
+	lbs.mu.Lock()
+	member := lbs.lb.IsMember(ack.ID, ack.Epoch)
+	lbs.mu.Unlock()
+	if !member || evictions() != 0 {
+		t.Fatalf("after five silent leases: member=%v evictions=%d, want true and 0", member, evictions())
+	}
+
+	tr.Close()
+	for start := time.Now(); evictions() == 0; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 2*lease {
+			t.Fatalf("a closed transport was not evicted within two leases")
+		}
+	}
+}
 
 // TestTCPTimeBoundStopsWorkers cuts a run off by maxDuration while the
 // workers are busy reporting: every one must see the MsgStop and exit at
