@@ -316,3 +316,52 @@ func TestVariadicExternAllowed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// slotKinds renders fn's slots in order, P for one promoted to a
+// register and M for one left a memory object.
+func slotKinds(fn *cvm.Func) string {
+	var s strings.Builder
+	for i := range fn.Slots {
+		if fn.SlotReg(i) >= 0 {
+			s.WriteByte('P')
+		} else {
+			s.WriteByte('M')
+		}
+	}
+	return s.String()
+}
+
+// Which locals of f end up in registers: the scalars nobody takes the
+// address of, whatever their type, and nothing else. Slots come in
+// declaration order, parameters first. (The dialect has no 2-byte type;
+// internal/cvm's tests promote one on hand-built IR.)
+func TestSlotPromotion(t *testing.T) {
+	cases := []struct {
+		name, src, want string
+	}{
+		{"plain scalar local", `int f() { int x = 1; x = x + 1; return x; }`, "P"},
+		{"spilled parameter", `int f(int a, char *s) { return a + s[0]; }`, "PP"},
+		{"address passed to a call", `void g(int *p) { *p = 1; } int f() { int x = 0; int y = 0; g(&x); return x + y; }`, "MP"},
+		{"address stored into a pointer", `int f() { int x = 0; int *p; p = &x; return *p; }`, "MP"},
+		{"address taken and dropped", `int f() { int x = 3; &x; return x; }`, "P"},
+		{"dereferenced in place", `int f() { int x = 3; return *&x; }`, "P"},
+		{"read through a narrower type", `int f() { int i = 258; return *(char*)&i; }`, "M"},
+		{"char buf[8]", `int f() { char buf[8]; buf[0] = 1; return buf[0]; }`, "M"},
+		{"int a[2], the size of a long", `int f() { int a[2]; a[1] = 3; return a[1]; }`, "M"},
+		{"char c[1], the size of a char", `int f() { char c[1]; c[0] = 1; return *c; }`, "M"},
+		{"array handed to a call", `int g(char *s) { return s[0]; } int f() { char b[4]; b[0] = 0; return g(b); }`, "M"},
+		{"pointer-typed local", `int f(char *s) { char *p = s; p++; return *p; }`, "PP"},
+		{"pointer to a local", `int f() { int x = 1; int *p = &x; int **pp = &p; return **pp; }`, "MMP"},
+		{"read before it is written", `int f() { int x; return x; }`, "P"},
+		{"declared inside a loop", `int f(int n) { int s = 0; for (int i = 0; i < n; i++) { int t = i; s += t; } return s; }`, "PPPP"},
+		{"char, long and unsigned locals", `long f() { char c = 1; long l = 2; unsigned int u = 3; signed char sc = 4; return c + l + u + sc; }`, "PPPP"},
+		{"temporaries of && || ?:", `int f(int a, int b) { return (a && b) || (a ? b : 2); }`, "PPPPP"},
+		{"incremented and compound-assigned", `int f() { int x = 0; x++; --x; x += 2; x <<= 1; return x; }`, "P"},
+	}
+	for _, c := range cases {
+		prog := compile(t, c.src)
+		if got := slotKinds(prog.Func("f")); got != c.want {
+			t.Errorf("%s: slots %s, want %s\n%s", c.name, got, c.want, prog.Func("f").Disasm())
+		}
+	}
+}

@@ -26,7 +26,13 @@ type Options struct {
 }
 
 // Compile translates the C-subset source into a CVM program.
-func Compile(name, src string, opts Options) (prog *cvm.Program, err error) {
+func Compile(name, src string, opts Options) (*cvm.Program, error) {
+	return compileUnit(name, src, opts, true)
+}
+
+// compileUnit is Compile; promote false leaves every local a memory object,
+// the reference the differential test holds slot promotion to.
+func compileUnit(name, src string, opts Options, promote bool) (prog *cvm.Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if le, ok := r.(lexError); ok {
@@ -89,6 +95,9 @@ func Compile(name, src string, opts Options) (prog *cvm.Program, err error) {
 				}
 			}
 		}
+	}
+	if promote {
+		g.prog.PromoteSlots()
 	}
 	if verr := g.prog.Validate(func(s string) bool {
 		_, ok := g.externs[s]

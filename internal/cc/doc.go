@@ -48,8 +48,13 @@
 //     wanted.
 //   - Integer conversions follow simplified usual-arithmetic rules:
 //     promote to at least int, wider operand wins, unsigned wins ties.
-//   - Every local lives in its own memory object, so out-of-bounds
-//     accesses between locals are detected exactly.
+//   - Every array and every local whose address is taken lives in its
+//     own memory object, so out-of-bounds accesses between locals are
+//     detected exactly. A scalar local or parameter that is only read
+//     and assigned by name lives in a register of its function
+//     (cvm.Program.PromoteSlots, run at the end of Compile): nothing
+//     can point at it, and it reads 0 until first assigned, as the
+//     zeroed object did.
 //   - Lines attributed to instructions drive line coverage; prelude
 //     lines are excluded via Options.CoverageStartLine.
 package cc

@@ -65,7 +65,8 @@ func (b *FuncBuilder) emit(i Instr) {
 }
 
 // Alloca reserves a stack slot of size bytes and returns its index.
-// Each slot is a separate memory object at run time.
+// The slot is a separate memory object at run time unless
+// Program.PromoteSlots moves it into a register.
 func (b *FuncBuilder) Alloca(size int64) int64 {
 	b.fn.Slots = append(b.fn.Slots, size)
 	return int64(len(b.fn.Slots) - 1)

@@ -28,8 +28,8 @@ func (p *Program) Disasm() string {
 // Disasm renders one function.
 func (f *Func) Disasm() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "func %s(params=%d regs=%d slots=%d)\n",
-		f.Name, f.NumParams, f.NumRegs, len(f.Slots))
+	fmt.Fprintf(&b, "func %s(params=%d regs=%d slots=%d promoted=%d)\n",
+		f.Name, f.NumParams, f.NumRegs, len(f.Slots), f.NumPromoted())
 	for _, blk := range f.Blocks {
 		fmt.Fprintf(&b, ".b%d:\n", blk.Index)
 		for i := range blk.Instrs {
@@ -54,6 +54,8 @@ func (in *Instr) String() string {
 		return fmt.Sprintf("r%d = load w%d [r%d]", in.A, in.W, in.B)
 	case OpStore:
 		return fmt.Sprintf("store w%d [r%d] = r%d", in.W, in.A, in.B)
+	case OpSlotStore:
+		return fmt.Sprintf("r%d = slotstore w%d r%d", in.A, in.W, in.B)
 	case OpFrameAddr:
 		return fmt.Sprintf("r%d = &slot%d", in.A, in.Imm)
 	case OpGlobalAddr:

@@ -60,6 +60,10 @@ const (
 	OpSelect // A <- B ? C : D (B width W1)
 	OpAssert // if !A: report error Sym and terminate path
 	OpError  // unconditional error Sym (abort)
+	// OpSlotStore is what PromoteSlots makes of a store to a promoted
+	// slot: A <- B (width W), A the slot's register, the value left as a
+	// load after the store would read it back from memory.
+	OpSlotStore
 )
 
 var opcodeNames = [...]string{
@@ -72,6 +76,7 @@ var opcodeNames = [...]string{
 	OpLoad: "load", OpStore: "store", OpFrameAddr: "frameaddr", OpGlobalAddr: "globaladdr",
 	OpBr: "br", OpCondBr: "condbr", OpRet: "ret", OpCall: "call",
 	OpSelect: "select", OpAssert: "assert", OpError: "error",
+	OpSlotStore: "slotstore",
 }
 
 // String returns the opcode mnemonic.
@@ -156,6 +161,19 @@ type Instr struct {
 	Line int    // source line (coverage unit); 0 = none
 }
 
+// def returns the register the instruction writes, or -1.
+func (in *Instr) def() int {
+	switch in.Op {
+	case OpConst, OpMov, OpZExt, OpSExt, OpTrunc, OpLoad, OpFrameAddr,
+		OpGlobalAddr, OpCall, OpSelect, OpSlotStore:
+		return in.A
+	}
+	if in.Op.IsBinary() {
+		return in.A
+	}
+	return -1
+}
+
 // Block is a basic block: a straight-line instruction sequence ending in
 // exactly one terminator.
 type Block struct {
@@ -168,11 +186,38 @@ type Func struct {
 	Name      string
 	NumParams int // parameters arrive in registers 0..NumParams-1
 	NumRegs   int
-	// Slots are the sizes of the function's stack locals. Each slot
-	// becomes a distinct memory object per activation, so out-of-bounds
-	// accesses between locals are detected precisely.
-	Slots  []int64
-	Blocks []*Block
+	// Slots are the sizes of the function's stack locals. A slot is a
+	// distinct memory object per activation, so out-of-bounds accesses
+	// between locals are detected precisely, unless PromoteSlots found
+	// it a scalar whose address never escapes: that one lives in the
+	// register SlotRegs names and has no object.
+	Slots []int64
+	// SlotRegs is nil (hand-built IR: every slot a memory object) or
+	// parallel to Slots: the register a promoted slot lives in, -1 for a
+	// memory object. Promoted slots take the function's last registers,
+	// in slot order, and only OpSlotStore writes those.
+	SlotRegs []int
+	Blocks   []*Block
+}
+
+// SlotReg returns the register slot i was promoted to, or -1 when the
+// slot is a memory object.
+func (f *Func) SlotReg(i int) int {
+	if f.SlotRegs == nil {
+		return -1
+	}
+	return f.SlotRegs[i]
+}
+
+// NumPromoted counts the slots that live in registers.
+func (f *Func) NumPromoted() int {
+	n := 0
+	for _, r := range f.SlotRegs {
+		if r >= 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Global is a program-level variable with optional initial contents.

@@ -56,6 +56,10 @@ func (p *Program) validateFunc(f *Func, globals map[string]bool, known func(stri
 		}
 		return nil
 	}
+	promoted, err := f.firstPromoted()
+	if err != nil {
+		return err
+	}
 	for bi, blk := range f.Blocks {
 		if blk.Index != bi {
 			return fmt.Errorf("block %d has index %d", bi, blk.Index)
@@ -72,7 +76,7 @@ func (p *Program) validateFunc(f *Func, globals map[string]bool, known func(stri
 				}
 				return fmt.Errorf("block %d has terminator %v mid-block at %d", bi, in.Op, ii)
 			}
-			if err := p.validateInstr(f, in, checkReg, checkTarget, globals, known); err != nil {
+			if err := p.validateInstr(f, in, promoted, checkReg, checkTarget, globals, known); err != nil {
 				return fmt.Errorf("block %d instr %d (%v): %w", bi, ii, in.Op, err)
 			}
 		}
@@ -80,8 +84,53 @@ func (p *Program) validateFunc(f *Func, globals map[string]bool, known func(stri
 	return nil
 }
 
-func (p *Program) validateInstr(f *Func, in *Instr, checkReg func(int) error,
+// firstPromoted checks f.SlotRegs — promoted slots take the function's
+// last registers, above the parameters, in slot order — and returns the
+// first of those registers (f.NumRegs when no slot is promoted).
+func (f *Func) firstPromoted() (int, error) {
+	if f.SlotRegs == nil {
+		return f.NumRegs, nil
+	}
+	if len(f.SlotRegs) != len(f.Slots) {
+		return 0, fmt.Errorf("%d slot registers for %d slots", len(f.SlotRegs), len(f.Slots))
+	}
+	first := f.NumRegs - f.NumPromoted()
+	if first < f.NumParams {
+		return 0, fmt.Errorf("%d promoted slots in %d registers above %d parameters", f.NumRegs-first, f.NumRegs, f.NumParams)
+	}
+	next := first
+	for i, r := range f.SlotRegs {
+		if r == -1 {
+			continue
+		}
+		if r != next {
+			return 0, fmt.Errorf("slot %d promoted to register %d, want %d", i, r, next)
+		}
+		if slotWidth(f.Slots[i]) == 0 {
+			return 0, fmt.Errorf("slot %d of %d bytes promoted", i, f.Slots[i])
+		}
+		next++
+	}
+	return first, nil
+}
+
+// slotIn returns the promoted slot living in register r, or -1.
+func (f *Func) slotIn(r int) int {
+	for i, sr := range f.SlotRegs {
+		if sr == r {
+			return i
+		}
+	}
+	return -1
+}
+
+// validateInstr checks one instruction; promoted is the first register
+// holding a promoted slot.
+func (p *Program) validateInstr(f *Func, in *Instr, promoted int, checkReg func(int) error,
 	checkTarget func(int64) error, globals map[string]bool, known func(string) bool) error {
+	if d := in.def(); d >= promoted && d < f.NumRegs && in.Op != OpSlotStore {
+		return fmt.Errorf("writes register %d of promoted slot %d", d, f.slotIn(d))
+	}
 	regs := func(rs ...int) error {
 		for _, r := range rs {
 			if err := checkReg(r); err != nil {
@@ -119,7 +168,21 @@ func (p *Program) validateInstr(f *Func, in *Instr, checkReg func(int) error,
 		if in.Imm < 0 || int(in.Imm) >= len(f.Slots) {
 			return fmt.Errorf("frame slot %d out of range [0,%d)", in.Imm, len(f.Slots))
 		}
+		if f.SlotReg(int(in.Imm)) >= 0 {
+			return fmt.Errorf("frame slot %d is promoted and has no address", in.Imm)
+		}
 		return regs(in.A)
+	case OpSlotStore:
+		if err := regs(in.A, in.B); err != nil {
+			return err
+		}
+		if in.A < promoted {
+			return fmt.Errorf("register %d is no promoted slot's", in.A)
+		}
+		if w := slotWidth(f.Slots[f.slotIn(in.A)]); in.W != w {
+			return fmt.Errorf("width %d into a slot of width %d", in.W, w)
+		}
+		return nil
 	case OpGlobalAddr:
 		if !globals[in.Sym] {
 			return fmt.Errorf("unknown global %q", in.Sym)

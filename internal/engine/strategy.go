@@ -298,18 +298,30 @@ func (r *RandomPath) Select() *tree.Node {
 		}
 		// Choose among children with candidates, weighted equally
 		// (KLEE's random-path gives each subtree equal probability).
-		var live []*tree.Node
+		live := 0
 		for _, ch := range n.Children {
-			if ch != nil && ch.NumCandidatesBelow() > 0 {
-				live = append(live, ch)
+			if hasCandidates(ch) {
+				live++
 			}
 		}
-		if len(live) == 0 {
+		if live == 0 {
 			return nil
 		}
-		n = live[r.rng.Intn(len(live))]
+		// The j-th live child, without a slice of them per level.
+		j := r.rng.Intn(live)
+		for _, ch := range n.Children {
+			if hasCandidates(ch) {
+				if j == 0 {
+					n = ch
+					break
+				}
+				j--
+			}
+		}
 	}
 }
+
+func hasCandidates(ch *tree.Node) bool { return ch != nil && ch.NumCandidatesBelow() > 0 }
 
 // NotifyCoverage implements Strategy.
 func (r *RandomPath) NotifyCoverage(*tree.Node, int) {}

@@ -11,6 +11,7 @@ import (
 
 	"cloud9/internal/cvm"
 	"cloud9/internal/expr"
+	"cloud9/internal/mem"
 	"cloud9/internal/solver"
 	"cloud9/internal/state"
 )
@@ -206,6 +207,13 @@ func (in *Interp) exec(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.I
 		return in.execLoad(s, t, f, instr)
 	case cvm.OpStore:
 		return in.execStore(s, t, f, instr)
+	case cvm.OpSlotStore:
+		val := f.Regs[instr.B]
+		if val.Width() != instr.W {
+			return nil, fmt.Errorf("interp: %s stores a %d-bit value into a promoted %d-bit slot",
+				f.Fn.Name, val.Width(), instr.W)
+		}
+		f.Regs[instr.A] = mem.StoredValue(val)
 	case cvm.OpBr:
 		f.Block = int(instr.Imm)
 		f.PC = 0

@@ -620,13 +620,64 @@ func TestSymbolicWriteOOBDetected(t *testing.T) {
 	}
 }
 
+// A promoted local reads what the zeroed object it replaced read: 0
+// before its first store, and across the iterations of a loop that
+// declares it, whatever the last one left.
+func TestPromotedLocalReadBeforeWritten(t *testing.T) {
+	_, done := exploreAll(t, `
+		int main() {
+			int x;
+			long l;
+			char c;
+			__c9_out_byte('0' + x + l + c);
+			for (int i = 0; i < 3; i++) {
+				int seen;
+				__c9_out_byte('0' + seen);
+				seen = seen + i + 1;
+			}
+			return 0;
+		}`)
+	if len(done) != 1 || done[0].Term != state.TermExit {
+		t.Fatalf("want one clean path, got %d: %v", len(done), done[0].TermMsg)
+	}
+	if got := string(Output(done[0]).Bytes); got != "0013" {
+		t.Fatalf("output = %q, want 0013", got)
+	}
+}
+
+// A value of another width reaching a promoted slot is the engine's
+// error, not a silently re-sized store.
+func TestSlotStoreWidthMismatchIsAnEngineError(t *testing.T) {
+	prog := cvm.NewProgram("t")
+	m := cvm.NewFuncBuilder("main", 0)
+	x := m.Alloca(4)
+	m.Store(m.FrameAddr(x), m.Const(1, expr.W64), expr.W32)
+	m.Ret(m.Load(m.FrameAddr(x), expr.W32))
+	prog.Funcs["main"] = m.Func()
+	prog.PromoteSlots()
+	if err := prog.Validate(nil); err != nil {
+		t.Fatal(err)
+	}
+	in := New(prog)
+	s, err := in.InitialState("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.Advance(s); err == nil || !strings.Contains(err.Error(), "64-bit value into a promoted 32-bit slot") {
+		t.Fatalf("Advance: err = %v, want the width mismatch", err)
+	}
+}
+
 // callLoop returns a function that runs one iteration of
-// `for (;;) y = id(x);` on a fresh interpreter, id a function without
-// stack slots: the call, the return, the branch back.
+// `for (;;) y = id(x);` on a fresh interpreter, id spilling its
+// parameter to a promoted slot as every compiled callee does: the call,
+// id's four instructions, the branch back.
 func callLoop(t testing.TB) func() {
 	prog := cvm.NewProgram("t")
 	id := cvm.NewFuncBuilder("id", 1)
-	id.Ret(0)
+	x0 := id.Alloca(4)
+	id.Store(id.FrameAddr(x0), 0, expr.W32)
+	id.Ret(id.Load(id.FrameAddr(x0), expr.W32))
 	prog.Funcs["id"] = id.Func()
 	m := cvm.NewFuncBuilder("main", 0)
 	x := m.Const(7, expr.W32)
@@ -636,8 +687,12 @@ func callLoop(t testing.TB) func() {
 	m.Call("id", x)
 	m.Br(loop)
 	prog.Funcs["main"] = m.Func()
+	prog.PromoteSlots()
 	if err := prog.Validate(nil); err != nil {
 		t.Fatal(err)
+	}
+	if id.Func().NumPromoted() != 1 {
+		t.Fatalf("id's parameter slot was not promoted:\n%s", id.Func().Disasm())
 	}
 	in := New(prog)
 	s, err := in.InitialState("main")
@@ -655,12 +710,17 @@ func callLoop(t testing.TB) func() {
 	}
 	step() // const
 	step() // br
-	return func() { step(); step(); step() }
+	return func() {
+		for i := 0; i < 7; i++ {
+			step()
+		}
+	}
 }
 
 // Once a frame has been popped, a call draws its frame and registers
-// from the lineage's free list and a direct call builds no argument
-// slice: calling and returning allocates nothing.
+// from the lineage's free list, a direct call builds no argument slice
+// and a promoted slot is no object: calling and returning allocates
+// nothing.
 func TestWarmCallReturnDoesNotAllocateFrames(t *testing.T) {
 	iter := callLoop(t)
 	iter()

@@ -132,6 +132,32 @@ func (os *ObjectState) Write(off int64, e *expr.Expr) {
 	}
 }
 
+// StoredValue returns the node a Read of e's width yields once e has
+// been written to a zeroed object: what a stack slot promoted to a
+// register holds after a store of e. Constants and bytes come back as
+// themselves; a wider value comes back as its byte extracts re-joined by
+// Read's concat tree, which is not always the node that went in.
+func StoredValue(e *expr.Expr) *expr.Expr {
+	w := e.Width()
+	switch {
+	case w == expr.W1:
+		return expr.Ne(expr.ZExt(e, expr.W8), expr.Const(0, expr.W8))
+	case w == expr.W8 || e.IsConst():
+		return e
+	}
+	return storedTree(e, 0, w.Bytes())
+}
+
+func storedTree(e *expr.Expr, off, n int) *expr.Expr {
+	if n == 1 {
+		return expr.Extract(e, uint(8*off), expr.W8)
+	}
+	half := n / 2
+	lo := storedTree(e, off, half)
+	hi := storedTree(e, off+half, half)
+	return expr.Concat(hi, lo)
+}
+
 // IsFullyConcrete reports whether no byte of the object is symbolic.
 func (os *ObjectState) IsFullyConcrete() bool {
 	for _, s := range os.symbolic {
@@ -187,14 +213,23 @@ func (a *Allocator) Allocate(size int64, name string) *Object {
 	if size <= 0 {
 		size = 1 // zero-sized allocations still get a distinct address
 	}
-	base := a.next
-	obj := &Object{ID: a.nextID, Base: base, Size: size, Name: name}
+	obj := &Object{ID: a.nextID, Base: a.next, Size: size, Name: name}
+	a.Skip(size)
+	return obj
+}
+
+// Skip advances the allocator as Allocate(size, ...) does, building no
+// object: a stack slot promoted to a register still takes its id and its
+// addresses, so every later allocation lands where it always did.
+func (a *Allocator) Skip(size int64) {
+	if size <= 0 {
+		size = 1
+	}
 	a.nextID++
 	span := uint64(size) + allocGuard
 	span += allocAlign - 1
 	span -= span % allocAlign
 	a.next += span
-	return obj
 }
 
 // AddressSpace maps addresses to object states: one slice sorted by

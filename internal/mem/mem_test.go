@@ -367,3 +367,112 @@ func BenchmarkReadWrite(b *testing.B) {
 		os.Read(int64(i%8)*8, expr.W64)
 	}
 }
+
+// Any interleaving of Skip and Allocate hands out the addresses and ids
+// of Allocate alone: a promoted stack slot moves nothing that follows it.
+func TestSkipMatchesAllocate(t *testing.T) {
+	f := func(ops []uint16) bool {
+		mixed, alone := NewAllocator(0x10000), NewAllocator(0x10000)
+		for _, op := range ops {
+			size := int64(op>>1) % 70 // 0 included: it still takes an address
+			want := alone.Allocate(size, "x")
+			if op&1 == 1 {
+				mixed.Skip(size)
+			} else if got := mixed.Allocate(size, "x"); *got != *want {
+				t.Logf("after a skip: %+v, alone: %+v", got, want)
+				return false
+			}
+			if *mixed != *alone {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// slotExpr builds an expression of width w from prog, two bytes an op,
+// on a stack: variables and constants, extensions, concats, arithmetic,
+// comparisons and extracts, so every node kind Write splits and Read
+// re-joins turns up.
+func slotExpr(prog []byte, w expr.Width) *expr.Expr {
+	widths := []expr.Width{expr.W8, expr.W16, expr.W32, expr.W64}
+	stack := []*expr.Expr{}
+	push := func(e *expr.Expr) { stack = append(stack, e) }
+	for ; len(prog) >= 2; prog = prog[2:] {
+		op, arg := prog[0]%8, prog[1]
+		if op > 1 && len(stack) == 0 {
+			continue
+		}
+		top := len(stack) - 1
+		switch op {
+		case 0:
+			push(expr.Var(uint64(arg%4), "v"))
+		case 1:
+			push(expr.Const(uint64(arg), expr.W8))
+		case 2:
+			stack[top] = expr.ZExt(stack[top], widths[arg%4])
+		case 3:
+			stack[top] = expr.SExt(stack[top], widths[arg%4])
+		case 4:
+			if top > 0 {
+				switch stack[top].Width() + stack[top-1].Width() {
+				case expr.W16, expr.W32, expr.W64:
+					stack = append(stack[:top-1], expr.Concat(stack[top], stack[top-1]))
+				}
+			}
+		case 5:
+			if top > 0 && stack[top].Width() == stack[top-1].Width() {
+				ops := []expr.Op{expr.OpAdd, expr.OpXor, expr.OpMul, expr.OpAnd}
+				stack = append(stack[:top-1], expr.Binary(ops[arg%4], stack[top-1], stack[top]))
+			}
+		case 6:
+			stack[top] = expr.Eq(stack[top], expr.Const(uint64(arg), stack[top].Width()))
+		case 7:
+			if n := stack[top].Width().Bytes(); stack[top].Width() != expr.W1 {
+				stack[top] = expr.Extract(stack[top], uint(8*(int(arg)%n)), expr.W8)
+			}
+		}
+	}
+	e := expr.Const(0, expr.W8)
+	if len(stack) > 0 {
+		e = stack[len(stack)-1]
+	}
+	switch {
+	case e.Width() == w:
+	case w == expr.W1:
+		e = expr.Ne(e, expr.Const(0, e.Width()))
+	case e.Width() == expr.W1:
+		e = expr.ZExt(e, w)
+	case e.Width() < w:
+		e = expr.SExt(e, w)
+	default:
+		e = expr.Extract(e, 0, w)
+	}
+	return e
+}
+
+// FuzzSlotRoundTrip: what a promoted slot's register holds after a store
+// is the very node a load after the store reads back from a fresh
+// object — pointer-equal, since the solver's caches key on identity.
+func FuzzSlotRoundTrip(f *testing.F) {
+	f.Add([]byte{1, 0x5a, 2, 2}, uint8(2))                // a constant
+	f.Add([]byte{0, 1}, uint8(1))                         // a byte variable
+	f.Add([]byte{0, 1, 2, 2}, uint8(3))                   // ZExt
+	f.Add([]byte{0, 1, 3, 3}, uint8(4))                   // SExt
+	f.Add([]byte{0, 1, 0, 2, 4, 0}, uint8(2))             // a Concat of two variables
+	f.Add([]byte{0, 1, 6, 7}, uint8(0))                   // a width-1 value
+	f.Add([]byte{0, 1, 3, 2, 0, 2, 2, 2, 5, 0}, uint8(3)) // sext(v1) + zext(v2)
+	f.Fuzz(func(t *testing.T, prog []byte, wSeed uint8) {
+		widths := []expr.Width{expr.W1, expr.W8, expr.W16, expr.W32, expr.W64}
+		e := slotExpr(prog, widths[int(wSeed)%len(widths)])
+		os := NewObjectState(NewAllocator(0x1000).Allocate(8, "slot"))
+		os.Write(0, e)
+		want := os.Read(0, e.Width())
+		if got := StoredValue(e); got != want {
+			t.Fatalf("StoredValue(%v) = %v, a store and a load yield %v", e, got, want)
+		}
+	})
+}

@@ -33,13 +33,15 @@ const (
 
 // Frame is one activation record. Only the top frame of a stack is ever
 // written, and it is always owned by that stack alone; the frames below
-// it may be shared with forked stacks (see Thread.Clone).
+// it may be shared with forked stacks (see Thread.Clone). A promoted
+// stack slot (cvm.Func.SlotRegs) is one of Regs and obeys the same rule:
+// only its own frame's instructions write it.
 type Frame struct {
 	Fn       *cvm.Func
 	Regs     []*expr.Expr
 	Block    int
 	PC       int
-	SlotObjs []*mem.Object // one memory object per stack slot; immutable after PushFrame
+	SlotObjs []*mem.Object // memory object per stack slot, nil for a promoted one (no slice when all are); immutable after PushFrame
 	RetReg   int           // caller register receiving the return value (-1: none)
 	shared   bool          // reachable from more than one stack: copy before writing
 }
@@ -333,15 +335,24 @@ func (s *S) PushFrame(t *Thread, fn *cvm.Func, nargs, retReg int) (*Frame, error
 	}
 	f := s.lin.newFrame(fn.NumRegs)
 	f.Fn, f.RetReg = fn, retReg
-	if n := len(fn.Slots); n > 0 {
-		f.SlotObjs = make([]*mem.Object, n)
-		space := s.Procs[t.Proc].Space
-		name := s.lin.localName(fn)
-		for i, size := range fn.Slots {
-			obj := s.Alloc.Allocate(size, name)
-			space.Bind(mem.NewObjectState(obj))
-			f.SlotObjs[i] = obj
+	var space *mem.AddressSpace
+	var name string
+	for i, size := range fn.Slots {
+		if r := fn.SlotReg(i); r >= 0 {
+			// A promoted slot is a register that reads as the zeroed
+			// object would, and still takes the object's id and addresses.
+			s.Alloc.Skip(size)
+			f.Regs[r] = expr.Const(0, expr.Width(8*size))
+			continue
 		}
+		if f.SlotObjs == nil {
+			f.SlotObjs = make([]*mem.Object, len(fn.Slots))
+			space = s.Procs[t.Proc].Space
+			name = s.lin.localName(fn)
+		}
+		obj := s.Alloc.Allocate(size, name)
+		space.Bind(mem.NewObjectState(obj))
+		f.SlotObjs[i] = obj
 	}
 	t.Stack = append(t.Stack, f)
 	return f, nil
@@ -356,6 +367,9 @@ func (s *S) PopFrame(t *Thread) {
 	t.Stack = t.Stack[:n]
 	space := s.Procs[t.Proc].Space
 	for _, obj := range f.SlotObjs {
+		if obj == nil {
+			continue // promoted: no object was bound
+		}
 		if os := space.Unbind(obj.Base); os != nil {
 			os.Unref()
 		}

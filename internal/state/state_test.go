@@ -10,8 +10,20 @@ import (
 	"cloud9/internal/mem"
 )
 
-// tinyProgram builds a minimal valid program with one function.
+// tinyProgram builds a minimal valid program: main with one array slot,
+// worker with a parameter, and leaf with two scalar slots around an
+// array, promoted as cc.Compile would.
 func tinyProgram(t testing.TB) *cvm.Program {
+	t.Helper()
+	p := unpromotedTinyProgram(t)
+	p.PromoteSlots()
+	if err := p.Validate(nil); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func unpromotedTinyProgram(t testing.TB) *cvm.Program {
 	t.Helper()
 	p := cvm.NewProgram("t")
 	p.AddGlobal("g", 8, []byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -24,6 +36,15 @@ func tinyProgram(t testing.TB) *cvm.Program {
 	b2 := cvm.NewFuncBuilder("worker", 1)
 	b2.Ret(0)
 	p.Funcs["worker"] = b2.Func()
+
+	b3 := cvm.NewFuncBuilder("leaf", 0)
+	n := b3.Alloca(4)
+	b3.Alloca(16)
+	m := b3.Alloca(8)
+	b3.Store(b3.FrameAddr(n), b3.Const(1, expr.W32), expr.W32)
+	b3.Store(b3.FrameAddr(m), b3.Const(2, expr.W64), expr.W64)
+	b3.Ret(b3.Load(b3.FrameAddr(n), expr.W32))
+	p.Funcs["leaf"] = b3.Func()
 	if err := p.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +220,9 @@ func dump(s *S) string {
 				}
 			}
 			for _, o := range f.SlotObjs {
-				fmt.Fprintf(&b, " @%#x", o.Base)
+				if o != nil {
+					fmt.Fprintf(&b, " @%#x", o.Base)
+				}
 			}
 			b.WriteByte('\n')
 		}
@@ -226,23 +249,33 @@ func forkOps(t *testing.T, data []byte) {
 	got, want := []*S{newState(t)}, []*S{newState(t)}
 	cur := 0
 	for len(data) >= 2 {
-		op, arg := data[0]%6, int(data[1])
+		op, arg := data[0]%8, int(data[1])
 		data = data[2:]
 		for side, s := range []*S{got[cur], want[cur]} {
 			th := s.CurThread()
 			live := th.Status != ThreadTerminated
 			switch {
-			case op == 0 && live && len(th.Stack) < maxDepth: // call
+			case (op == 0 || op == 6) && live && len(th.Stack) < maxDepth: // call; 6 calls leaf, whose scalars are registers
 				fn, nargs := s.Prog.Func("main"), 0
-				if arg%2 == 1 {
+				if op == 6 {
+					fn = s.Prog.Func("leaf")
+				} else if arg%2 == 1 {
 					fn, nargs = s.Prog.Func("worker"), 1
 				}
 				f, err := s.PushFrame(th, fn, nargs, arg%3-1)
 				if err != nil {
 					t.Fatal(err)
 				}
+				zeroed := map[int]bool{}
+				for _, r := range fn.SlotRegs {
+					zeroed[r] = true
+				}
 				for i, r := range f.Regs {
-					if r != nil { // both lineages recycle frames, so the twin would agree
+					// Both lineages recycle frames, so the twin would agree.
+					if zeroed[i] && (r == nil || !r.IsConst() || r.ConstVal() != 0) {
+						t.Fatalf("new frame of %s: promoted slot's register %d = %v, want 0", fn.Name, i, r)
+					}
+					if !zeroed[i] && r != nil {
 						t.Fatalf("new frame of %s: register %d is not empty", fn.Name, i)
 					}
 				}
@@ -265,14 +298,30 @@ func forkOps(t *testing.T, data []byte) {
 				f.Block = arg % 3
 			case op == 3 && live: // store to a slot of any frame of the stack
 				f := th.Stack[arg%len(th.Stack)]
-				if len(f.SlotObjs) == 0 {
+				var obj *mem.Object // the frame's array slot; worker has none
+				for _, o := range f.SlotObjs {
+					if o != nil {
+						obj = o
+					}
+				}
+				if obj == nil {
 					break
 				}
-				space, os, off, ok := s.Resolve(th.Proc, f.SlotObjs[0].Base+uint64(arg%16))
+				space, os, off, ok := s.Resolve(th.Proc, obj.Base+uint64(arg%16))
 				if !ok {
 					t.Fatalf("slot of a live frame unmapped")
 				}
 				space.Writable(os).Write(off, expr.Const(uint64(arg), expr.W8))
+			case op == 7 && live: // store to a promoted slot, as interp's slotstore does: top frame only
+				f := th.Top()
+				if slots := f.Fn.Slots; f.Fn.NumPromoted() > 0 {
+					for i := arg % len(slots); ; i = (i + 1) % len(slots) {
+						if r := f.Fn.SlotReg(i); r >= 0 {
+							f.Regs[r] = expr.Const(uint64(arg), expr.Width(8*slots[i]))
+							break
+						}
+					}
+				}
 			case op == 4 && live && int(s.NextPID) < 4: // process fork, then run either side of it
 				if side == 0 {
 					s.ForkProcess(s.Cur)
@@ -313,6 +362,9 @@ func forkOps(t *testing.T, data []byte) {
 // share.
 func FuzzForkIsolation(f *testing.F) {
 	f.Add([]byte{})
+	// Siblings store to a promoted slot of a frame they shared: main calls
+	// leaf calls main, fork, both return into leaf and write its registers.
+	f.Add([]byte{6, 0, 7, 5, 0, 0, 5, 1, 1, 0, 7, 9, 5, 0, 1, 0, 7, 3, 7, 4, 1, 0})
 	f.Fuzz(forkOps)
 }
 
@@ -521,6 +573,56 @@ func TestPushPopFrameReleasesSlots(t *testing.T) {
 	s.PopFrame(th)
 	if _, _, _, ok := s.Resolve(th.Proc, addr); ok {
 		t.Fatal("slot should be unmapped after pop")
+	}
+}
+
+// A promoted slot is a zeroed register and no object, and the allocator
+// moves as if it were one: the array between leaf's two scalars, and
+// whatever is allocated next, sit where they do with nothing promoted.
+func TestPushFramePromotedSlots(t *testing.T) {
+	s := newState(t)
+	ref, err := New(unpromotedTinyProgram(t), "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, rth := s.CurThread(), ref.CurThread()
+	leaf := s.Prog.Func("leaf")
+	bound := s.CurProc().Space.NumObjects()
+	f, err := s.PushFrame(th, leaf, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, err := ref.PushFrame(rth, ref.Prog.Func("leaf"), 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.SlotObjs[0] != nil || f.SlotObjs[2] != nil || *f.SlotObjs[1] != *rf.SlotObjs[1] {
+		t.Fatalf("slot objects %v, want only the array, as %+v", f.SlotObjs, rf.SlotObjs[1])
+	}
+	if got := s.CurProc().Space.NumObjects(); got != bound+1 || ref.CurProc().Space.NumObjects() != bound+3 {
+		t.Fatalf("%d objects bound for leaf's frame, want 1 of its 3 slots", got-bound)
+	}
+	for i, w := range map[int]expr.Width{0: expr.W32, 2: expr.W64} {
+		if r := f.Regs[leaf.SlotRegs[i]]; r != expr.Const(0, w) {
+			t.Errorf("promoted slot %d starts as %v, want a %d-bit 0", i, r, w)
+		}
+	}
+	if got, want := s.Alloc.Allocate(1, "next"), ref.Alloc.Allocate(1, "next"); *got != *want {
+		t.Errorf("the allocation after the frame: %+v, unpromoted %+v", got, want)
+	}
+	s.PopFrame(th)
+	if got := s.CurProc().Space.NumObjects(); got != bound {
+		t.Errorf("%d objects bound after the return, %d before the call", got, bound)
+	}
+
+	// A callee with nothing but promoted slots gets no slot list at all.
+	b := cvm.NewFuncBuilder("scalars", 0)
+	b.Store(b.FrameAddr(b.Alloca(1)), b.Const(1, expr.W8), expr.W8)
+	b.Ret(-1)
+	s.Prog.Funcs["scalars"] = b.Func()
+	s.Prog.PromoteSlots()
+	if f, err = s.PushFrame(th, b.Func(), 0, -1); err != nil || f.SlotObjs != nil {
+		t.Errorf("frame of an all-promoted callee: slot list %v, err %v", f.SlotObjs, err)
 	}
 }
 
