@@ -203,12 +203,30 @@ func (e *Expr) substConsts(a Assignment, bound *VarSet, memo map[*Expr]*Expr) *E
 func (a Assignment) VarSet() *VarSet {
 	s := &VarSet{}
 	for id := range a {
-		if id < 64 {
-			s.lo |= 1 << id
-		} else {
-			s.hi = append(s.hi, id)
-		}
+		s.add(id)
 	}
+	return s.seal()
+}
+
+// VarSetOf summarizes distinct ids, in any order; ids is not kept.
+func VarSetOf(ids []uint64) *VarSet {
+	s := &VarSet{}
+	for _, id := range ids {
+		s.add(id)
+	}
+	return s.seal()
+}
+
+func (s *VarSet) add(id uint64) {
+	if id < 64 {
+		s.lo |= 1 << id
+	} else {
+		s.hi = append(s.hi, id)
+	}
+}
+
+// seal sorts the spill ids and counts the set, once every id is added.
+func (s *VarSet) seal() *VarSet {
 	if len(s.hi) > 1 {
 		sortIDs(s.hi)
 	}

@@ -7,24 +7,9 @@ import (
 	"cloud9/internal/state"
 )
 
-// OutputBuffer collects program output per state (what the program wrote
-// to stdout). It forks with the state.
-type OutputBuffer struct{ Bytes []byte }
-
-// CloneAux deep-copies the buffer on state fork.
-func (o *OutputBuffer) CloneAux() interface{} {
-	return &OutputBuffer{Bytes: append([]byte(nil), o.Bytes...)}
-}
-
-// Output returns s's output buffer, creating it on demand.
-func Output(s *state.S) *OutputBuffer {
-	if o, ok := s.Aux["out"].(*OutputBuffer); ok {
-		return o
-	}
-	o := &OutputBuffer{}
-	s.Aux["out"] = o
-	return o
-}
+// Output returns s's output buffer (what the program wrote to stdout).
+// It forks with the state.
+func Output(s *state.S) *state.OutputBuffer { return &s.Output }
 
 func concrete(c *Ctx, e *expr.Expr) (uint64, error) { return c.Concretize(e) }
 
@@ -342,7 +327,8 @@ func registerCore(in *Interp) {
 			}
 			v = expr.Const(cv, expr.W8)
 		}
-		Output(c.S).Bytes = append(Output(c.S).Bytes, byte(v.ConstVal()))
+		out := Output(c.S)
+		out.Bytes = append(out.Bytes, byte(v.ConstVal()))
 		return expr.Const(0, expr.W32), nil
 	})
 
@@ -350,7 +336,7 @@ func registerCore(in *Interp) {
 
 	reg("time", 0, func(c *Ctx, a []*expr.Expr) (*expr.Expr, error) {
 		tick, _ := c.S.Aux["time"].(uint64)
-		c.S.Aux["time"] = tick + 1
+		c.S.SetAux("time", tick+1)
 		return expr.Const(1300000000+tick, expr.W64), nil
 	})
 }

@@ -38,6 +38,11 @@ type Interp struct {
 	OnCover func(line int)
 
 	nextStateID uint64
+
+	// callCtx and callArgs are execCall's, reused from one builtin call to
+	// the next: no builtin keeps its Ctx or argument slice past its return.
+	callCtx  Ctx
+	callArgs []*expr.Expr
 }
 
 // New creates an interpreter for prog with the core builtins registered.
@@ -550,11 +555,13 @@ func (in *Interp) execCall(s *state.S, t *state.Thread, f *state.Frame, instr *c
 		return nil, fmt.Errorf("interp: builtin %q called with %d args, want >= %d",
 			instr.Sym, len(instr.Args), b.MinArgs)
 	}
-	args := make([]*expr.Expr, len(instr.Args))
-	for i, r := range instr.Args {
-		args[i] = f.Regs[r]
+	args := in.callArgs[:0]
+	for _, r := range instr.Args {
+		args = append(args, f.Regs[r])
 	}
-	ctx := &Ctx{In: in, S: s, T: t}
+	in.callArgs = args
+	ctx := &in.callCtx
+	*ctx = Ctx{In: in, S: s, T: t}
 
 	var result *expr.Expr
 	var callErr error

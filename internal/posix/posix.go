@@ -213,7 +213,7 @@ func modelOf(s *state.S) *px {
 		SelWlist:         s.NewWaitList(),
 		DefaultStreamCap: 4096,
 	}
-	s.Aux[auxKey] = p
+	s.SetAux(auxKey, p)
 	return p
 }
 

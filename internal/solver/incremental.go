@@ -57,7 +57,9 @@ type setState struct {
 	// exploration invariant — states only exist on feasible paths).
 	// Fork evaluates branch conditions against it and CheckSat returns
 	// it; never used for full-model (concretization) queries, which
-	// must stay canonical.
+	// must stay canonical. A model is shared — with child states, the
+	// result cache and, when no search bound anything, the units map of
+	// the set or of the query's extension — and never written.
 	model expr.Assignment
 }
 
@@ -171,7 +173,7 @@ func (s *Solver) extend(parent *setState, c *expr.Expr) *setState {
 
 	for len(pool) > 0 {
 		// Scan the pool: fold constants, harvest unit equalities.
-		var gathered expr.Assignment
+		gathered := s.unitScratch[:0]
 		rest := pool[:0]
 		for _, e := range pool {
 			switch {
@@ -184,26 +186,27 @@ func (s *Solver) extend(parent *setState, c *expr.Expr) *setState {
 			case e.Op() == expr.OpEq && e.Kid(0).IsConst() && e.Kid(1).IsVar():
 				id := e.Kid(1).VarID()
 				v := uint8(e.Kid(0).ConstVal())
-				if prev, ok := st.units[id]; ok && prev != v {
+				prev, ok := st.units[id]
+				for _, b := range gathered {
+					if b.id == id {
+						prev, ok = b.v, true
+					}
+				}
+				if ok && prev != v {
 					st.unsat = true
 					s.poolScratch = pool[:0]
 					return st
 				}
-				if prev, ok := gathered[id]; ok && prev != v {
-					st.unsat = true
-					s.poolScratch = pool[:0]
-					return st
+				if !ok {
+					gathered = append(gathered, groupBinding{id, v})
 				}
-				if gathered == nil {
-					gathered = expr.Assignment{}
-				}
-				gathered[id] = v
 				atomic.AddUint64(&s.Stats.UnitPropFolds, 1)
 			default:
 				rest = append(rest, e)
 			}
 		}
-		if gathered == nil {
+		s.unitScratch = gathered[:0]
+		if len(gathered) == 0 {
 			pool = rest
 			break
 		}
@@ -218,13 +221,16 @@ func (s *Solver) extend(parent *setState, c *expr.Expr) *setState {
 			st.units = u
 			unitsOwned = true
 		}
-		for id, v := range gathered {
-			st.units[id] = v
+		ids := s.idScratch[:0]
+		for _, b := range gathered {
+			st.units[b.id] = b.v
+			ids = append(ids, b.id)
 			// A unit pins the variable's interval to a point. The
-			// narrowings commute (interval intersection), so map order
+			// narrowings commute (interval intersection), so the order
 			// does not affect the result.
-			ref.narrowVar(id, ival{uint64(v), uint64(v)})
+			ref.narrowVar(b.id, ival{uint64(b.v), uint64(b.v)})
 		}
+		s.idScratch = ids[:0]
 		if ref.conflict {
 			// The unit lands outside bounds an earlier constraint
 			// established: the extended set has an empty interval.
@@ -233,11 +239,14 @@ func (s *Solver) extend(parent *setState, c *expr.Expr) *setState {
 			s.poolScratch = pool[:0]
 			return st
 		}
-		bound := gathered.VarSet()
+		// Substituting st.units is substituting gathered: no residual
+		// constraint mentions an older unit, and bound restricts the walk
+		// to the new ones.
+		bound := expr.VarSetOf(ids)
 		st.unitVars = st.unitVars.Union(bound)
 		next := s.poolScratch2[:0]
 		for _, e := range rest {
-			next = flatten(e.SubstConstsWith(gathered, bound), next)
+			next = flatten(e.SubstConstsWith(st.units, bound), next)
 		}
 		if !groupsOwned {
 			st.groups = append(make([]*igroup, 0, len(st.groups)+1), st.groups...)
@@ -247,7 +256,7 @@ func (s *Solver) extend(parent *setState, c *expr.Expr) *setState {
 		for _, g := range st.groups {
 			if g.vars.Intersects(bound) {
 				for _, gc := range g.cons {
-					next = flatten(gc.SubstConstsWith(gathered, bound), next)
+					next = flatten(gc.SubstConstsWith(st.units, bound), next)
 				}
 			} else {
 				kept = append(kept, g)

@@ -1,12 +1,13 @@
 package solver
 
 // Interval abstraction over the memoized solve states: every setState
-// carries a per-variable [lo,hi] bounds map, derived incrementally in
-// extend exactly like the unit assignment and the group partition —
-// copy-on-write against the parent, refined to a fixpoint from the
-// conjuncts the extension introduced or rewrote. The bounds are a sound
-// over-approximation of the set's solutions (every solution assigns
-// each variable a value inside its interval), which buys three things:
+// carries per-variable [lo,hi] bounds (a slice indexed by variable id),
+// derived incrementally in extend exactly like the unit assignment and
+// the group partition — copy-on-write against the parent, refined to a
+// fixpoint from the conjuncts the extension introduced or rewrote. The
+// bounds are a sound over-approximation of the set's solutions (every
+// solution assigns each variable a value inside its interval), which
+// buys three things:
 //
 //   - a branch condition whose interval evaluates to a constant is
 //     decided with zero search: definitely-false conditions are unsat
@@ -34,8 +35,25 @@ import (
 // ival8 is the byte bounds of one symbolic variable.
 type ival8 struct{ lo, hi uint8 }
 
-// boundsMap maps variable id → byte bounds. Absent means [0,255].
-type boundsMap map[uint64]ival8
+// boundsMap holds the byte bounds of variable id at index id. An id past
+// the end is [0,255]. Variable ids count up from 0 along a lineage and a
+// target has a few dozen symbolic bytes, so a dense slice is short, and
+// copying it for a narrowing is one allocation however many variables
+// are narrowed. Ids at or above boundsCap are never narrowed: an interval
+// wider than the tightest one is still sound (tier 3's 1<<22 id rule is
+// the precedent), and it caps what one copy costs.
+type boundsMap []ival8
+
+// boundsCap is the first variable id narrowVar leaves at [0,255].
+const boundsCap = 1 << 10
+
+// get returns id's bounds.
+func (b boundsMap) get(id uint64) ival8 {
+	if id < uint64(len(b)) {
+		return b[id]
+	}
+	return ival8{0, 255}
+}
 
 // ival is an unsigned interval [lo,hi] over a width-w value.
 type ival struct{ lo, hi uint64 }
@@ -114,10 +132,8 @@ func evalIval(e *expr.Expr, b boundsMap) ival {
 		return ival{v, v}
 
 	case expr.OpVar:
-		if iv, ok := b[e.VarID()]; ok {
-			return ival{uint64(iv.lo), uint64(iv.hi)}
-		}
-		return ival{0, 255}
+		iv := b.get(e.VarID())
+		return ival{uint64(iv.lo), uint64(iv.hi)}
 
 	case expr.OpAdd:
 		l, r := evalIval(e.Kid(0), b), evalIval(e.Kid(1), b)
@@ -372,7 +388,7 @@ func cmpIval(l, r ival, strict bool) ival {
 }
 
 // boundsRefiner narrows a bounds map from asserted conjuncts,
-// copy-on-write against the (possibly parent-shared) input map. conflict
+// copy-on-write against the (possibly parent-shared) input slice. conflict
 // is set when some variable's interval empties — the asserted conjuncts
 // are unsatisfiable.
 type boundsRefiner struct {
@@ -386,10 +402,7 @@ func (r *boundsRefiner) narrowVar(id uint64, t ival) {
 	if r.conflict {
 		return
 	}
-	cur := ival8{0, 255}
-	if iv, ok := r.b[id]; ok {
-		cur = iv
-	}
+	cur := r.b.get(id)
 	lo, hi := uint64(cur.lo), uint64(cur.hi)
 	if t.lo > lo {
 		lo = t.lo
@@ -401,16 +414,16 @@ func (r *boundsRefiner) narrowVar(id uint64, t ival) {
 		r.conflict = true
 		return
 	}
-	if lo == uint64(cur.lo) && hi == uint64(cur.hi) {
+	if lo == uint64(cur.lo) && hi == uint64(cur.hi) || id >= boundsCap {
 		return
 	}
 	if !r.owned {
-		nb := make(boundsMap, len(r.b)+4)
-		for k, v := range r.b {
-			nb[k] = v
-		}
-		r.b = nb
-		r.owned = true
+		nb := make(boundsMap, len(r.b), max(len(r.b), int(id)+1))
+		copy(nb, r.b)
+		r.b, r.owned = nb, true
+	}
+	for uint64(len(r.b)) <= id {
+		r.b = append(r.b, ival8{0, 255})
 	}
 	r.b[id] = ival8{uint8(lo), uint8(hi)}
 	r.changed = true

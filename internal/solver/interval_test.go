@@ -273,9 +273,8 @@ func TestIntervalNarrowCondLAnd(t *testing.T) {
 	if r.conflict {
 		t.Fatal("unexpected conflict")
 	}
-	iv, ok := r.b[0]
-	if !ok || iv.lo != 3 || iv.hi != 9 {
-		t.Fatalf("want v0 ∈ [3,9], got %+v (present=%v)", iv, ok)
+	if iv := r.b.get(0); iv.lo != 3 || iv.hi != 9 {
+		t.Fatalf("want v0 ∈ [3,9], got %+v", iv)
 	}
 	// Asserting the negation of a disjunction narrows both arms.
 	r2 := boundsRefiner{}
@@ -283,10 +282,172 @@ func TestIntervalNarrowCondLAnd(t *testing.T) {
 	if r2.conflict {
 		t.Fatal("unexpected conflict")
 	}
-	iv, ok = r2.b[1]
-	if !ok || iv.lo != 5 || iv.hi != 250 {
-		t.Fatalf("want v1 ∈ [5,250], got %+v (present=%v)", iv, ok)
+	if iv := r2.b.get(1); iv.lo != 5 || iv.hi != 250 {
+		t.Fatalf("want v1 ∈ [5,250], got %+v", iv)
 	}
+}
+
+// A branch that narrows one byte's bounds costs the solver a fixed number
+// of allocations, however many variables the path bounded before it:
+// the bounds are copied as one slice, not entry by entry. The budget is
+// a count, not a timing: raise it only with a reason.
+func TestExtendAllocBudget(t *testing.T) {
+	const budget = 6
+	var first float64
+	for _, bound := range []int{2, 12} {
+		s := New()
+		cs := EmptySet
+		for i := 0; i < bound; i++ {
+			cs = cs.Append(expr.Ult(v(uint64(i)), c8(100)))
+		}
+		if ok, err := s.CheckSat(cs); err != nil || !ok {
+			t.Fatalf("CheckSat = %v, %v", ok, err)
+		}
+		fresh := v(uint64(bound))
+		n := testing.AllocsPerRun(100, func() {
+			// The branch's own set state is new every time; its verdict
+			// is the interval tier's, so no query reaches check.
+			mayT, mayF, err := s.Fork(cs.Append(expr.Ult(fresh, c8(50))), expr.Ult(fresh, c8(60)))
+			if err != nil || !mayT || mayF {
+				t.Fatalf("Fork = %v, %v, %v; want true, false, nil", mayT, mayF, err)
+			}
+		})
+		if n > budget {
+			t.Errorf("%d variables bounded: a branch allocates %.0f times, budget %d", bound, n, budget)
+		}
+		if first == 0 {
+			first = n
+		} else if n != first {
+			t.Errorf("a branch allocates %.0f times with 2 variables bounded and %.0f with %d", first, n, bound)
+		}
+	}
+}
+
+// FuzzIntervalSound holds the interval tier to enumeration: for sets of
+// byte comparisons, masks and sums over at most two variables, built
+// through Append, every assignment of the two that satisfies the set lies
+// inside its bounds, and every condition condDecided decides holds on all
+// of them. data is two variable selectors (into soundIDs, which reaches
+// past boundsCap), then four bytes per constraint (see soundCond); the
+// last constraint is only ever a condition. The committed corpus runs
+// the same chain — x < 10, y ≤ x, a mask, a sum, a widened signed
+// compare — over ids below, straddling and past the cap.
+func FuzzIntervalSound(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		ids := [2]uint64{soundIDs[int(data[0])%len(soundIDs)], soundIDs[int(data[1])%len(soundIDs)]}
+		var conds []*expr.Expr
+		for data = data[2:]; len(data) >= 4 && len(conds) < 6; data = data[4:] {
+			conds = append(conds, soundCond(ids, data[:4]))
+		}
+		vals := make([]int16, max(ids[0], ids[1])+1)
+		for i := range vals {
+			vals[i] = -1
+		}
+		s := New()
+		cs := EmptySet
+		for i, c := range conds {
+			st := s.state(cs)
+			// Every solution of cs, by enumeration.
+			var sols [][2]uint8
+			for x := 0; x < 256; x++ {
+				for y := 0; y < 256; y++ {
+					vals[ids[0]], vals[ids[1]] = int16(x), int16(y)
+					if satisfies(cs, vals) {
+						sols = append(sols, [2]uint8{uint8(vals[ids[0]]), uint8(vals[ids[1]])})
+					}
+				}
+			}
+			if st.unsat {
+				if len(sols) > 0 {
+					t.Fatalf("%v is unsat by propagation or an empty interval, but %v solves it", cs.Slice(), sols[0])
+				}
+				return
+			}
+			for _, sol := range sols {
+				for k, id := range ids {
+					if iv := st.bounds.get(id); sol[k] < iv.lo || sol[k] > iv.hi {
+						t.Fatalf("%v: solution %v puts v%d outside its bounds [%d,%d]", cs.Slice(), sol, id, iv.lo, iv.hi)
+					}
+				}
+			}
+			for _, cond := range conds[i:] {
+				decided, truth := condDecided(cond, st.bounds)
+				if !decided {
+					continue
+				}
+				for _, sol := range sols {
+					vals[ids[0]], vals[ids[1]] = int16(sol[0]), int16(sol[1])
+					if got, ok := cond.EvalSlice(vals); !ok || (got != 0) != truth {
+						t.Fatalf("%v: interval says %v is %v, but it is %d at %v", cs.Slice(), cond, truth, got, sol)
+					}
+				}
+			}
+			cs = cs.Append(c)
+		}
+	})
+}
+
+// soundIDs are the variable ids FuzzIntervalSound picks from: the first
+// bytes of an input, and ids at and past the last one dense bounds hold.
+var soundIDs = []uint64{0, 1, 7, boundsCap - 1, boundsCap, boundsCap + 3}
+
+// soundCond builds one byte comparison from four bytes: b[0] picks the
+// comparison (low three bits), negates it (bit 3) and widens both sides
+// to 32 bits (bit 4); b[1] and b[2] pick the sides' terms, b[3] their
+// constants.
+func soundCond(ids [2]uint64, b []byte) *expr.Expr {
+	term := func(sel, k byte) *expr.Expr {
+		x, y := expr.Var(ids[0], "x"), expr.Var(ids[1], "y")
+		switch sel % 6 {
+		case 0:
+			return x
+		case 1:
+			return y
+		case 2:
+			return c8(uint64(k))
+		case 3:
+			return expr.And(x, c8(uint64(k)))
+		case 4:
+			return expr.Add(y, c8(uint64(k)))
+		default:
+			return expr.Add(x, y)
+		}
+	}
+	l, r := term(b[1], b[3]), term(b[2], b[3]*7+3)
+	if b[0]&0x10 != 0 {
+		l, r = w32(l), w32(r)
+	}
+	var c *expr.Expr
+	switch (b[0] & 7) % 5 {
+	case 0:
+		c = expr.Eq(l, r)
+	case 1:
+		c = expr.Ult(l, r)
+	case 2:
+		c = expr.Ule(l, r)
+	case 3:
+		c = expr.Slt(l, r)
+	default:
+		c = expr.Sle(l, r)
+	}
+	if b[0]&0x08 != 0 {
+		c = expr.Not(c)
+	}
+	return c
+}
+
+// satisfies reports whether vals satisfies every constraint of cs.
+func satisfies(cs *ConstraintSet, vals []int16) bool {
+	for n := cs; n != nil; n = n.parent {
+		if v, ok := n.c.EvalSlice(vals); !ok || v == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Seeding must never leak into canonical answers: a solver that ran

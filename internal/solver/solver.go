@@ -117,6 +117,7 @@ type Solver struct {
 	chainScratch []*ConstraintSet
 	groupScratch []*igroup
 	idScratch    []uint64
+	unitScratch  []groupBinding // extend's units gathered in one round
 	part         partitioner
 
 	// tier3 is solveGroup's working state (tier3.go): the search's
@@ -141,6 +142,10 @@ type groupBinding struct {
 	id uint64
 	v  uint8
 }
+
+// noUnits is the witness model of a set with no units whose may-query
+// searched nothing: shared by every solver, written by none.
+var noUnits = expr.Assignment{}
 
 // New returns a solver with default budgets.
 func New() *Solver {
@@ -337,9 +342,26 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 	// contradictions the new units introduced, so rewritten groups are
 	// always solved even when substitution severed them from cond's
 	// variables.
-	model := make(expr.Assignment, len(ext.units)+8)
-	for id, v := range ext.units {
-		model[id] = v
+	//
+	// The model starts as ext.units itself, which no one writes once
+	// extend returns, and becomes a copy before its first binding: a
+	// may-query that searches nothing allocates no model. A set with no
+	// units shares noUnits, so the state still gets a non-nil witness.
+	model, owned := ext.units, false
+	if model == nil {
+		model = noUnits
+	}
+	own := func() {
+		if !owned {
+			m := make(expr.Assignment, len(model)+8)
+			for id, v := range model {
+				m[id] = v
+			}
+			model, owned = m, true
+		}
+	}
+	if fullModel {
+		own()
 	}
 	// Tier 3 seeding: may-query searches start from interval-narrowed
 	// domains instead of full 256-value ones. Full-model queries search
@@ -385,6 +407,9 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 				}
 			}
 			if !conflict {
+				if len(res.model) > 0 {
+					own()
+				}
 				for _, b := range res.model {
 					model[b.id] = b.v
 				}
@@ -402,6 +427,7 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 				break
 			}
 		}
+		own()
 		ok, narrowed, err := s.solveGroup(g.cons, gids, model, seedB)
 		s.idScratch = gids[:0]
 		if err != nil {

@@ -241,12 +241,10 @@ func (g *groupSearch) search(cons []*expr.Expr, ids []uint64, bnds boundsMap) (s
 	// Interval seeding: restrict each domain to the variable's bounds.
 	// The bounds are non-empty by construction (an empty interval marks
 	// the state unsat before any search), so no domain empties here.
-	if bnds != nil {
-		for i, id := range g.vars {
-			if iv, ok := bnds[id]; ok && (iv.lo > 0 || iv.hi < 255) {
-				g.domains[i].removeOutside(iv.lo, iv.hi)
-				narrowed = true
-			}
+	for i, id := range g.vars {
+		if iv := bnds.get(id); iv.lo > 0 || iv.hi < 255 {
+			g.domains[i].removeOutside(iv.lo, iv.hi)
+			narrowed = true
 		}
 	}
 

@@ -8,6 +8,7 @@ package state
 
 import (
 	"fmt"
+	"slices"
 
 	"cloud9/internal/cvm"
 	"cloud9/internal/expr"
@@ -33,7 +34,7 @@ const (
 
 // Frame is one activation record. Only the top frame of a stack is ever
 // written, and it is always owned by that stack alone; the frames below
-// it may be shared with forked stacks (see Thread.Clone). A promoted
+// it may be shared with forked stacks (see Thread.clone). A promoted
 // stack slot (cvm.Func.SlotRegs) is one of Regs and obeys the same rule:
 // only its own frame's instructions write it.
 type Frame struct {
@@ -46,14 +47,10 @@ type Frame struct {
 	shared   bool          // reachable from more than one stack: copy before writing
 }
 
-// Clone returns an exclusively owned copy of the frame: the register
-// slice is copied (expressions are immutable and shared); the slot
-// objects are identities and the slice naming them is shared.
-func (f *Frame) Clone() *Frame {
-	return f.copyTo(&Frame{Regs: make([]*expr.Expr, len(f.Regs))})
-}
-
-// copyTo makes dst, which brings len(f.Regs) registers, a Clone of f.
+// copyTo makes dst, which brings len(f.Regs) registers, an exclusively
+// owned copy of f: the register slice is copied (expressions are
+// immutable and shared); the slot objects are identities and the slice
+// naming them is shared.
 func (f *Frame) copyTo(dst *Frame) *Frame {
 	regs := dst.Regs
 	copy(regs, f.Regs)
@@ -74,14 +71,16 @@ type Thread struct {
 	JoinWlist uint64     // wait queue notified when this thread terminates
 }
 
-// Clone copies the thread for a fork: the clone gets its own top frame,
-// and the frames below it are shared with t and marked so. PopFrame
-// copies a shared frame when a return exposes it.
-func (t *Thread) Clone() *Thread {
+// clone copies the thread for a fork: the clone gets its own top frame,
+// built in one from l's free list when it has one, and the frames below
+// it are shared with t and marked so. PopFrame copies a shared frame
+// when a return exposes it.
+func (t *Thread) clone(l *lineage) *Thread {
 	dup := *t
 	dup.Stack = append([]*Frame(nil), t.Stack...)
 	if n := len(t.Stack) - 1; n >= 0 {
-		dup.Stack[n] = t.Stack[n].Clone()
+		top := t.Stack[n]
+		dup.Stack[n] = top.copyTo(l.newFrame(len(top.Regs)))
 		// Whatever lies below a shared frame was marked with it.
 		for i := n - 1; i >= 0 && !t.Stack[i].shared; i-- {
 			t.Stack[i].shared = true
@@ -151,7 +150,14 @@ type S struct {
 	NextWlist uint64
 	NextSym   uint64
 
-	WaitLists map[uint64][]ThreadID
+	// WaitLists maps a wait queue to the threads sleeping on it. Read it
+	// freely; change it only through NewWaitList, Sleep and Notify: forks
+	// share the map until one of them writes (see ownWaitLists).
+	WaitLists  map[uint64][]ThreadID
+	waitShared bool // WaitLists may be another state's too: copy before writing
+
+	// Output is what the program wrote to stdout along this path.
+	Output OutputBuffer
 
 	Steps     uint64 // instructions executed along this path
 	Forks     int
@@ -179,7 +185,8 @@ type S struct {
 
 	// Aux carries model-defined per-state values that must fork with the
 	// state but hold no guest memory (e.g. scheduling cursor). Values
-	// must be immutable or cloned via AuxCloner.
+	// must be immutable or cloned via AuxCloner. Nil until the first
+	// SetAux, so a fork of a state without any allocates no map.
 	Aux map[string]interface{}
 
 	// Symbolics records the symbolic input regions created along this
@@ -188,6 +195,11 @@ type S struct {
 
 	lin *lineage
 }
+
+// OutputBuffer is program output, only ever appended to. A fork gets
+// the bytes with no spare capacity, so its first append copies them,
+// and the parent's appends land past the end of what the fork reads.
+type OutputBuffer struct{ Bytes []byte }
 
 // SymbolicRegion names a run of symbolic byte variables created by one
 // make_symbolic call.
@@ -244,7 +256,6 @@ func New(prog *cvm.Program, entry string) (*S, error) {
 		NextTID:   1,
 		NextPID:   1,
 		NextWlist: 1,
-		Aux:       map[string]interface{}{},
 		lin:       &lineage{locals: map[*cvm.Func]string{}},
 	}
 	p := &Process{ID: s.NextPID, Space: mem.NewAddressSpace()}
@@ -277,10 +288,13 @@ func New(prog *cvm.Program, entry string) (*S, error) {
 // Fork copies the state for a branch, sharing what a branch rarely
 // writes: object contents are copy-on-write (mem.AddressSpace.Clone),
 // every frame but the top one of each stack is shared until a return
-// exposes it (Thread.Clone), and constraints, path and globals are
-// persistent or immutable. The caller appends the branch constraint and
-// path choice afterwards.
+// exposes it (Thread.clone), the wait lists until either side changes
+// them (ownWaitLists), and the output, symbolic regions, constraints,
+// path and globals are append-only, persistent or immutable: the
+// append-only slices are clipped (see OutputBuffer). The caller appends
+// the branch constraint and path choice afterwards.
 func (s *S) Fork(newID uint64) *S {
+	s.waitShared = true
 	dup := *s
 	dup.ID = newID
 	dup.Term, dup.TermMsg = TermNone, ""
@@ -292,25 +306,30 @@ func (s *S) Fork(newID uint64) *S {
 	}
 	dup.Threads = make(map[ThreadID]*Thread, len(s.Threads))
 	for id, t := range s.Threads {
-		dup.Threads[id] = t.Clone()
+		dup.Threads[id] = t.clone(s.lin)
 	}
-	dup.WaitLists = make(map[uint64][]ThreadID, len(s.WaitLists))
-	for id, q := range s.WaitLists {
-		dup.WaitLists[id] = append([]ThreadID(nil), q...)
-	}
-	dup.Aux = make(map[string]interface{}, len(s.Aux))
+	dup.Output.Bytes = slices.Clip(s.Output.Bytes)
+	dup.Symbolics = slices.Clip(s.Symbolics)
+	dup.Aux = nil
 	for k, v := range s.Aux {
 		if c, ok := v.(AuxCloner); ok {
 			v = c.CloneAux()
 		}
-		dup.Aux[k] = v
+		dup.SetAux(k, v)
 	}
-	dup.Symbolics = append([]SymbolicRegion(nil), s.Symbolics...)
 	return &dup
 }
 
 // AuxCloner lets Aux values define deep-copy behavior on fork.
 type AuxCloner interface{ CloneAux() interface{} }
+
+// SetAux sets Aux[key], making the map on first use.
+func (s *S) SetAux(key string, v interface{}) {
+	if s.Aux == nil {
+		s.Aux = make(map[string]interface{}, 1)
+	}
+	s.Aux[key] = v
+}
 
 // Release drops memory references held by the state (call when the state
 // becomes dead).
@@ -456,8 +475,25 @@ func (s *S) NewSymbol(name string) *expr.Expr {
 	return expr.Var(id, name)
 }
 
+// ownWaitLists makes WaitLists s's alone before a write. Fork marks both
+// sides, like Frame.shared: the flag is not a count, so the last holder
+// pays one copy it did not need. The queues are clipped to their length,
+// so an append to one reallocates it instead of writing into an array
+// the other states still read.
+func (s *S) ownWaitLists() {
+	if !s.waitShared {
+		return
+	}
+	own := make(map[uint64][]ThreadID, len(s.WaitLists)+1)
+	for id, q := range s.WaitLists {
+		own[id] = slices.Clip(q)
+	}
+	s.WaitLists, s.waitShared = own, false
+}
+
 // NewWaitList allocates a wait queue id (cloud9_get_wlist).
 func (s *S) NewWaitList() uint64 {
+	s.ownWaitLists()
 	id := s.NextWlist
 	s.NextWlist++
 	s.WaitLists[id] = nil
@@ -466,6 +502,7 @@ func (s *S) NewWaitList() uint64 {
 
 // Sleep parks thread tid on wait list wl (cloud9_thread_sleep).
 func (s *S) Sleep(tid ThreadID, wl uint64) {
+	s.ownWaitLists()
 	t := s.Threads[tid]
 	t.Status = ThreadSleeping
 	t.WaitList = wl
@@ -493,6 +530,7 @@ func (s *S) Notify(wl uint64, all bool) []ThreadID {
 			woken = append(woken, tid)
 		}
 	}
+	s.ownWaitLists()
 	s.WaitLists[wl] = append([]ThreadID(nil), q[n:]...)
 	return woken
 }
@@ -564,7 +602,7 @@ func (s *S) ForkProcess(callingThread ThreadID) (ProcessID, ThreadID) {
 	child.ExitWlist = s.NewWaitList()
 	s.Procs[child.ID] = child
 
-	ct := s.Threads[callingThread].Clone()
+	ct := s.Threads[callingThread].clone(s.lin)
 	ct.ID = s.NextTID
 	s.NextTID++
 	ct.Proc = child.ID

@@ -165,6 +165,8 @@ func deepFork(s *S, newID uint64) *S {
 	for id, q := range s.WaitLists {
 		dup.WaitLists[id] = append([]ThreadID(nil), q...)
 	}
+	dup.waitShared = false
+	dup.Output.Bytes = append([]byte(nil), s.Output.Bytes...)
 	dup.Aux = map[string]interface{}{}
 	for k, v := range s.Aux {
 		if c, ok := v.(AuxCloner); ok {
@@ -201,9 +203,14 @@ func deepForkProcess(s *S, calling ThreadID) {
 
 // dump renders everything of s a program can observe: per thread every
 // frame's function, position, return register and registers; per
-// address space every object's base, size and bytes.
+// address space every object's base, size and bytes; the wait queues
+// and the output.
 func dump(s *S) string {
 	var b strings.Builder
+	for wl := uint64(1); wl < s.NextWlist; wl++ {
+		fmt.Fprintf(&b, "wlist %d %v\n", wl, s.WaitLists[wl])
+	}
+	fmt.Fprintf(&b, "output %q\n", s.Output.Bytes)
 	for tid := ThreadID(1); tid < s.NextTID; tid++ {
 		th := s.Threads[tid]
 		if th == nil {
@@ -291,11 +298,12 @@ func forkOps(t *testing.T, data []byte) {
 				} else if retReg >= 0 && retReg < len(th.Top().Regs) {
 					th.Top().Regs[retReg] = ret
 				}
-			case op == 2 && live: // register write and a step
+			case op == 2 && live: // register write, a step and a byte of output
 				f := th.Top()
 				f.Regs[arg%len(f.Regs)] = expr.Const(uint64(arg), expr.W32)
 				f.PC++
 				f.Block = arg % 3
+				s.Output.Bytes = append(s.Output.Bytes, byte(arg))
 			case op == 3 && live: // store to a slot of any frame of the stack
 				f := th.Stack[arg%len(th.Stack)]
 				var obj *mem.Object // the frame's array slot; worker has none
@@ -541,10 +549,62 @@ func TestLiveThreadsAndTermination(t *testing.T) {
 	}
 }
 
+// A fork shares the wait lists until one side writes them, and a queue
+// with spare capacity is not appended to in place by both.
+func TestForkSharesWaitListsUntilWritten(t *testing.T) {
+	s := newState(t)
+	var tids []ThreadID
+	for i := 0; i < 5; i++ {
+		tid, err := s.CreateThread(s.CurThread().Proc, s.Prog.Func("worker"), []*expr.Expr{expr.Const(0, expr.W64)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tids = append(tids, tid)
+	}
+	wl := s.NewWaitList()
+	for _, tid := range tids[:3] {
+		s.Sleep(tid, wl)
+	}
+	if q := s.WaitLists[wl]; cap(q) == len(q) {
+		t.Fatalf("queue %v has no spare capacity: the test needs some", q)
+	}
+	child := s.Fork(2)
+	if fmt.Sprintf("%p", child.WaitLists) != fmt.Sprintf("%p", s.WaitLists) {
+		t.Fatal("a fork copied the wait lists before anyone wrote them")
+	}
+	child.Sleep(tids[3], wl)
+	s.Sleep(tids[4], wl)
+	if got, want := fmt.Sprint(child.WaitLists[wl]), fmt.Sprint(tids[:4]); got != want {
+		t.Errorf("child's queue %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(s.WaitLists[wl]), fmt.Sprint(append(tids[:3:3], tids[4])); got != want {
+		t.Errorf("parent's queue %s, want %s", got, want)
+	}
+	child.Notify(wl, true)
+	if len(child.WaitLists[wl]) != 0 || len(s.WaitLists[wl]) != 4 {
+		t.Errorf("notify in the child: child %v, parent %v", child.WaitLists[wl], s.WaitLists[wl])
+	}
+	if s.Threads[tids[0]].Status != ThreadSleeping {
+		t.Error("notify in the child woke the parent's thread")
+	}
+}
+
+// A fork's output is clipped: neither side's appends show in the other.
+func TestForkOutputIsolation(t *testing.T) {
+	s := newState(t)
+	s.Output.Bytes = append(make([]byte, 0, 16), "ab"...)
+	child := s.Fork(2)
+	s.Output.Bytes = append(s.Output.Bytes, 'p')
+	child.Output.Bytes = append(child.Output.Bytes, 'c')
+	if string(s.Output.Bytes) != "abp" || string(child.Output.Bytes) != "abc" {
+		t.Fatalf("parent %q, child %q; want \"abp\", \"abc\"", s.Output.Bytes, child.Output.Bytes)
+	}
+}
+
 func TestAuxClonerDeepCopies(t *testing.T) {
 	s := newState(t)
-	s.Aux["plain"] = 42
-	s.Aux["cloned"] = &testAux{v: 1}
+	s.SetAux("plain", 42)
+	s.SetAux("cloned", &testAux{v: 1})
 	child := s.Fork(2)
 	child.Aux["cloned"].(*testAux).v = 99
 	if s.Aux["cloned"].(*testAux).v != 1 {
@@ -660,7 +720,7 @@ func branch(s *S) *S {
 // the stack below the top frame. The budget is a count, not a timing:
 // raise it only with a reason.
 func TestForkAllocBudget(t *testing.T) {
-	const budget = 20
+	const budget = 16
 	var first float64
 	for _, depth := range []int{4, 8} {
 		s := wcShaped(t, depth)
