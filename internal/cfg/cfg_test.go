@@ -3,6 +3,7 @@ package cfg
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"cloud9/internal/coverage"
@@ -195,15 +196,35 @@ func compare(t *testing.T, tag string, d *Distance) {
 // TestDistanceMatchesScratch is the differential property test: over
 // randomized CFGs and randomized coverage deltas (line-by-line and bulk
 // Sync), the incremental md2u must equal a from-scratch BFS after every
-// delta.
+// delta, and a delta that leaves Epoch where it was moves no distance.
 func TestDistanceMatchesScratch(t *testing.T) {
+	stays := 0
 	for seed := int64(0); seed < 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g := BuildGraph(randProg(rng, 3+rng.Intn(6)))
 			d := NewDistance(g)
-			compare(t, "initial", d)
+			var epoch uint64
+			var dists []int
+			check := func(tag string) {
+				t.Helper()
+				compare(t, tag, d)
+				var now []int
+				for _, fn := range sortedFuncs(g) {
+					for b := 0; b < g.Funcs[fn].NumBlocks(); b++ {
+						now = append(now, d.BlockDist(fn, b))
+					}
+				}
+				if dists != nil && d.Epoch() == epoch {
+					stays++
+					if fmt.Sprint(now) != fmt.Sprint(dists) {
+						t.Fatalf("%s: distances moved at epoch %d", tag, epoch)
+					}
+				}
+				epoch, dists = d.Epoch(), now
+			}
+			check("initial")
 			var lines []int
 			for ln := range g.LineOwners {
 				lines = append(lines, ln)
@@ -219,12 +240,12 @@ func TestDistanceMatchesScratch(t *testing.T) {
 					}
 					lines = lines[k:]
 					d.Sync(v)
-					compare(t, "sync", d)
+					check("sync")
 					continue
 				}
 				d.CoverLine(lines[0])
 				lines = lines[1:]
-				compare(t, "line", d)
+				check("line")
 			}
 			// Full coverage: everything unreachable.
 			for fn, fg := range g.Funcs {
@@ -236,6 +257,18 @@ func TestDistanceMatchesScratch(t *testing.T) {
 			}
 		})
 	}
+	if stays == 0 {
+		t.Fatal("no delta left Epoch in place: the property was never exercised")
+	}
+}
+
+func sortedFuncs(g *Graph) []string {
+	var names []string
+	for fn := range g.Funcs {
+		names = append(names, fn)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // TestIncrementalRecomputeScope: a delta inside one leaf function must

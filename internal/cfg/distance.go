@@ -48,6 +48,8 @@ type Distance struct {
 	// dist[f][b] is the memoized md2u of block b (valid when f ∉ dirty).
 	dist  map[string][]int32
 	dirty map[string]bool
+	// epoch counts the blocks that stopped being distance-0 sources.
+	epoch uint64
 
 	stats DistStats
 }
@@ -86,6 +88,12 @@ func NewDistance(g *Graph) *Distance {
 // Stats returns recomputation counters.
 func (d *Distance) Stats() DistStats { return d.stats }
 
+// Epoch counts the coverage changes that can move a distance: a block's
+// last uncovered line covered. Every distance the oracle answers is the
+// same while Epoch is unchanged, so a caller that cached distances at
+// one epoch holds current values until it moves.
+func (d *Distance) Epoch() uint64 { return d.epoch }
+
 // Covered reports whether the oracle has seen line as covered.
 func (d *Distance) Covered(line int) bool { return d.covered.Get(line) }
 
@@ -106,6 +114,7 @@ func (d *Distance) CoverLine(line int) {
 				// The block stopped being a distance-0 source; distances
 				// that flowed from it must be re-derived.
 				d.dirty[ref.Fn] = true
+				d.epoch++
 			}
 		}
 	}

@@ -64,16 +64,29 @@ func ParseDistWeights(s string) (DistWeights, error) {
 // fact, this ranks by predicted yield before it. Other weight vectors
 // mix in the depth, fault and yield features documented on DistWeights.
 //
-// Weights are computed at selection time straight from the shared
-// oracle, so every coverage delta — locally executed lines or a global
-// overlay merge — re-ranks the frontier at the next Select with no
-// bookkeeping here. Virtual nodes (path-only jobs not yet replayed)
-// have no program state to locate and draw a neutral md2u feature, as
-// does every node when no oracle was supplied (a Validate build).
+// It draws from the same Fenwick sampler as cov-opt, and each cached
+// weight equals what the features give at the pick:
+//   - A node is weighed at the first Select after its Add, not in Add: a
+//     sibling cov-opt in an interleave may still set its inherited yield
+//     (InheritYield) after this Add returns.
+//   - The oracle's Epoch moves whenever a coverage delta (locally
+//     executed lines or a global overlay merge) can move a distance; the
+//     next Select then re-weighs the whole frontier.
+//   - A global-coverage notice re-weighs too: a sibling cov-opt halves
+//     the yields this strategy reads.
+//
+// Between those events a pick costs O(log n). Virtual nodes (path-only
+// jobs not yet replayed) have no program state to locate and draw a
+// neutral md2u feature, as does every node when no oracle was supplied
+// (a Validate build).
 type DistanceOptimized struct {
 	weighted
 	d *cfg.Distance
 	w DistWeights
+	// epoch is d's Epoch when the cached weights were taken; unweighed
+	// holds the nodes filed since the last Select, at weight 0 until then.
+	epoch     uint64
+	unweighed []*tree.Node
 }
 
 // NewDistanceOptimized returns the member of the distance-weighted
@@ -88,6 +101,45 @@ func NewDistanceOptimized(d *cfg.Distance, seed int64, w DistWeights) *DistanceO
 
 // Name implements Strategy.
 func (r *DistanceOptimized) Name() string { return "dist-opt" }
+
+// Add implements Strategy.
+func (r *DistanceOptimized) Add(n *tree.Node) {
+	if _, dup := r.pos[n]; !dup {
+		r.file(n, 0)
+		r.unweighed = append(r.unweighed, n)
+	}
+}
+
+// Select implements Strategy.
+func (r *DistanceOptimized) Select() *tree.Node {
+	r.takeWeights()
+	return r.weighted.Select()
+}
+
+// takeWeights weighs the nodes filed since the last pick, or marks the
+// whole frontier stale if the oracle moved since then.
+func (r *DistanceOptimized) takeWeights() {
+	if r.d != nil && r.d.Epoch() != r.epoch {
+		r.epoch = r.d.Epoch()
+		r.stale = true
+	}
+	if !r.stale {
+		for _, n := range r.unweighed {
+			if i, ok := r.pos[n]; ok {
+				r.ws[i] = r.weight(n)
+				r.refresh(i)
+			}
+		}
+	}
+	r.unweighed = r.unweighed[:0]
+}
+
+// NotifyGlobalCoverage implements GlobalCoverageAware.
+func (r *DistanceOptimized) NotifyGlobalCoverage(newLines int) {
+	if newLines > 0 {
+		r.stale = true
+	}
+}
 
 // virtualWeight is the md2u feature of a node whose distance is unknown
 // — a virtual (not-yet-replayed) job, or any node when no oracle was

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -107,6 +108,79 @@ func TestStrategiesAllComplete(t *testing.T) {
 		if e.Stats.PathsExplored != 16 {
 			t.Errorf("%s explored %d paths, want 16", name, e.Stats.PathsExplored)
 		}
+	}
+}
+
+// TestFewestFaultsSweepsFaultDepth: three independent injection points
+// give 8 paths — 1 with no fault, 3 with one, 3 with two, 1 with three —
+// finished shallowest-first. A node is filed under the fault count at
+// its fork, before the branch that injects takes its fault, so one
+// two-fault path finishes among the one-fault ones; the order is pinned
+// as the FIFO buckets run it.
+func TestFewestFaultsSweepsFaultDepth(t *testing.T) {
+	e := newExplorer(t, `
+		int main() {
+			int fds[2];
+			pipe(fds);
+			cloud9_fi_enable();
+			ioctl(fds[1], SIO_FAULT_INJ, 1);
+			int i;
+			for (i = 0; i < 3; i++) __px_write_try(fds[1], "x", 1);
+			return 0;
+		}`, Config{
+		Strategy:       func(*tree.Tree, *cfg.Distance) Strategy { return NewFewestFaults() },
+		RecordAllTests: true,
+	})
+	if _, err := e.RunToCompletion(0); err != nil {
+		t.Fatal(err)
+	}
+	var faults []int
+	for _, tc := range e.Tests {
+		faults = append(faults, tc.Faults)
+	}
+	if want := []int{0, 1, 1, 2, 1, 2, 2, 3}; fmt.Sprint(faults) != fmt.Sprint(want) {
+		t.Fatalf("fault counts in completion order %v, want %v", faults, want)
+	}
+}
+
+// TestFewestFaultsRemoveKeepsBucketOrder: removing nodes from the middle
+// of a large bucket leaves the rest to drain first-in first-out, and the
+// fewer-faults bucket still drains first.
+func TestFewestFaultsRemoveKeepsBucketOrder(t *testing.T) {
+	const size = 3000
+	f := NewFewestFaults()
+	var zero, one []*tree.Node
+	for i := 0; i < size; i++ {
+		n := &tree.Node{Depth: i}
+		if i%3 == 2 {
+			n.Faults = 1
+			one = append(one, n)
+		} else {
+			zero = append(zero, n)
+		}
+		f.Add(n)
+	}
+	// Drain a prefix, so later removals index past a consumed head.
+	for _, want := range zero[:100] {
+		if got := f.Select(); got != want {
+			t.Fatalf("prefix: picked depth %d, want %d", got.Depth, want.Depth)
+		}
+	}
+	zero = zero[100:]
+	mid := len(zero) / 2
+	for _, n := range zero[mid-250 : mid+250] {
+		f.Remove(n)
+	}
+	f.Remove(one[len(one)/2])
+	want := append(append(zero[:mid-250:mid-250], zero[mid+250:]...), one[:len(one)/2]...)
+	want = append(want, one[len(one)/2+1:]...)
+	for i, w := range want {
+		if got := f.Select(); got != w {
+			t.Fatalf("pick %d: depth %d, want %d", i, got.Depth, w.Depth)
+		}
+	}
+	if n := f.Select(); n != nil {
+		t.Fatalf("drained set yielded depth %d", n.Depth)
 	}
 }
 
@@ -529,9 +603,9 @@ func TestCandidatesAddIdempotent(t *testing.T) {
 	}
 }
 
-// TestWeightedSelectDoesNotAllocate: on a 1,024-node frontier a pick
-// reuses the sampler's scratch slice (dist-opt used to allocate a
-// frontier-sized weight slice per pick).
+// TestWeightedSelectDoesNotAllocate: on a 1,024-node frontier a pick and
+// the re-file of the picked node reuse the sampler's slices (dist-opt
+// used to allocate a frontier-sized weight slice per pick).
 func TestWeightedSelectDoesNotAllocate(t *testing.T) {
 	for name, s := range map[string]Strategy{
 		"cov-opt":  NewCoverageOptimized(1),
@@ -540,7 +614,7 @@ func TestWeightedSelectDoesNotAllocate(t *testing.T) {
 		for i := 0; i < 1024; i++ {
 			s.Add(&tree.Node{Depth: i % 40, CovYield: float64(i % 7)})
 		}
-		s.Add(s.Select()) // grow the scratch slice
+		s.Add(s.Select()) // the first pick weighs dist-opt's frontier
 		if allocs := testing.AllocsPerRun(100, func() { s.Add(s.Select()) }); allocs != 0 {
 			t.Errorf("%s: Select allocates %v times per pick", name, allocs)
 		}

@@ -5,6 +5,7 @@
 package engine
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"cloud9/internal/tree"
@@ -175,10 +176,14 @@ func (c *candidates) Add(n *tree.Node) {
 
 // Remove implements Strategy.
 func (c *candidates) Remove(n *tree.Node) {
-	i, ok := c.pos[n]
-	if !ok {
-		return
+	if i, ok := c.pos[n]; ok {
+		c.removeAt(i)
 	}
+}
+
+// removeAt swap-deletes slot i: the last slot's node moves into it.
+func (c *candidates) removeAt(i int) {
+	n := c.nodes[i]
 	last := len(c.nodes) - 1
 	c.nodes[i] = c.nodes[last]
 	c.pos[c.nodes[i]] = i
@@ -220,40 +225,127 @@ func (r *Random) Select() *tree.Node {
 // ---- Weighted sampling ----
 
 // weighted draws a candidate with probability proportional to a weight
-// function. Each pick evaluates every weight once into a reused scratch
-// slice, then sums and walks it in slice order: linear in the frontier,
-// allocation-free once the scratch has grown to it.
+// function. Each slot of the candidate set caches its node's weight,
+// taken once when the node is filed, and a Fenwick tree over the slots
+// draws in O(log n): the total is a prefix sum, and a descent finds the
+// first slot whose prefix sum reaches rng.Float64()·total — the slot a
+// walk subtracting weights in slot order until the pick reaches zero
+// would stop at, the last slot if rounding leaves the pick above every
+// prefix. Remove swap-deletes as the candidate set does, moving the last
+// slot's weight into the hole.
+//
+// A cached weight must equal what the weight function would return now.
+// The embedder sets stale whenever an input moves under filed nodes
+// (cov-opt's global decay, dist-opt's oracle); the next Select then
+// re-weighs every slot in O(n), once per change instead of once per
+// pick.
 type weighted struct {
 	candidates
-	weight  func(*tree.Node) float64
-	rng     *rand.Rand
-	scratch []float64
+	weight func(*tree.Node) float64
+	rng    *rand.Rand
+	ws     []float64 // ws[i] is nodes[i]'s cached weight
+	// sums is the Fenwick tree over ws, 1-based (sums[0] is unused):
+	// sums[j] holds ws[j-j&-j] + … + ws[j-1]. Every entry is recomputed
+	// from its children by fix, never adjusted by a delta, so the tree
+	// is a function of ws alone and no rounding residue accumulates.
+	sums  []float64
+	stale bool
 }
 
 func newWeighted(weight func(*tree.Node) float64, seed int64) weighted {
-	return weighted{candidates: newCandidates(), weight: weight, rng: rand.New(rand.NewSource(seed))}
+	return weighted{candidates: newCandidates(), weight: weight, rng: rand.New(rand.NewSource(seed)), sums: make([]float64, 1)}
+}
+
+// Add implements Strategy.
+func (w *weighted) Add(n *tree.Node) {
+	if _, dup := w.pos[n]; !dup {
+		w.file(n, w.weight(n))
+	}
+}
+
+// file appends n, which must not be filed yet, with cached weight x.
+func (w *weighted) file(n *tree.Node, x float64) {
+	w.pos[n] = len(w.nodes)
+	w.nodes = append(w.nodes, n)
+	w.ws = append(w.ws, x)
+	w.sums = append(w.sums, 0)
+	w.fix(len(w.ws))
+}
+
+// Remove implements Strategy.
+func (w *weighted) Remove(n *tree.Node) {
+	if i, ok := w.pos[n]; ok {
+		w.removeAt(i)
+	}
+}
+
+func (w *weighted) removeAt(i int) {
+	last := len(w.ws) - 1
+	w.ws[i] = w.ws[last]
+	w.ws, w.sums = w.ws[:last], w.sums[:last+1]
+	if i < last {
+		w.refresh(i)
+	}
+	w.candidates.removeAt(i)
+}
+
+// fix recomputes sums[j] from ws[j-1] and the entries of j's children
+// j-1, j-2, j-4, … below j's lowest set bit.
+func (w *weighted) fix(j int) {
+	s := w.ws[j-1]
+	for k := 1; k < j&-j; k <<= 1 {
+		s += w.sums[j-k]
+	}
+	w.sums[j] = s
+}
+
+// refresh recomputes the entries covering slot i after ws[i] changed:
+// O(log n) entries, each summing at most log n children.
+func (w *weighted) refresh(i int) {
+	for j := i + 1; j < len(w.sums); j += j & -j {
+		w.fix(j)
+	}
+}
+
+// reweigh takes every slot's weight afresh and rebuilds the tree.
+func (w *weighted) reweigh() {
+	for i, n := range w.nodes {
+		w.ws[i] = w.weight(n)
+	}
+	for j := 1; j < len(w.sums); j++ {
+		w.fix(j)
+	}
+	w.stale = false
+}
+
+// draw returns the slot of a weighted random pick from a non-empty set.
+func (w *weighted) draw() int {
+	n := len(w.ws)
+	total := 0.0
+	for j := n; j > 0; j &= j - 1 {
+		total += w.sums[j]
+	}
+	pick := w.rng.Float64() * total
+	// pos counts the leading slots whose prefix sum stays below the pick.
+	pos := 0
+	for step := 1 << (bits.Len(uint(n)) - 1); step > 0; step >>= 1 {
+		if j := pos + step; j <= n && w.sums[j] < pick {
+			pos = j
+			pick -= w.sums[j]
+		}
+	}
+	return min(pos, n-1)
 }
 
 // Select implements Strategy.
 func (w *weighted) Select() *tree.Node {
+	if w.stale {
+		w.reweigh()
+	}
 	for len(w.nodes) > 0 {
-		ws, total := w.scratch[:0], 0.0
-		for _, n := range w.nodes {
-			x := w.weight(n)
-			ws = append(ws, x)
-			total += x
-		}
-		w.scratch = ws
-		pick := w.rng.Float64() * total
-		chosen := w.nodes[len(w.nodes)-1] // kept if rounding leaves pick above zero
-		for i, x := range ws {
-			pick -= x
-			if pick <= 0 {
-				chosen = w.nodes[i]
-				break
-			}
-		}
-		w.Remove(chosen)
+		i := w.draw()
+		chosen := w.nodes[i]
+		w.removeAt(i)
 		if chosen.IsCandidate() {
 			return chosen
 		}
@@ -297,18 +389,28 @@ func (r *RandomPath) Select() *tree.Node {
 			return n
 		}
 		// Choose among children with candidates, weighted equally
-		// (KLEE's random-path gives each subtree equal probability).
+		// (KLEE's random-path gives each subtree equal probability). The
+		// first few live children are kept on the stack, so the usual
+		// narrow fork reads each child once; a wider one walks again for
+		// the j-th.
+		var first [4]*tree.Node
 		live := 0
 		for _, ch := range n.Children {
 			if hasCandidates(ch) {
+				if live < len(first) {
+					first[live] = ch
+				}
 				live++
 			}
 		}
 		if live == 0 {
 			return nil
 		}
-		// The j-th live child, without a slice of them per level.
 		j := r.rng.Intn(live)
+		if j < len(first) {
+			n = first[j]
+			continue
+		}
 		for _, ch := range n.Children {
 			if hasCandidates(ch) {
 				if j == 0 {
@@ -364,7 +466,9 @@ func (c *CoverageOptimized) Add(n *tree.Node) {
 // NotifyGlobalCoverage implements GlobalCoverageAware: when the rest of
 // the cluster covers new lines, locally accumulated yield is partly
 // stale (those lineages may be chasing lines already covered
-// elsewhere), so every tracked weight decays by half.
+// elsewhere), so every tracked yield decays by half. The weight is
+// 1 + yield, not a multiple of it, so the cached weights are re-taken at
+// the next Select rather than scaled.
 func (c *CoverageOptimized) NotifyGlobalCoverage(newLines int) {
 	if newLines == 0 {
 		return
@@ -372,6 +476,7 @@ func (c *CoverageOptimized) NotifyGlobalCoverage(newLines int) {
 	for _, n := range c.nodes {
 		n.CovYield /= 2
 	}
+	c.stale = true
 }
 
 // ---- Interleaved ----
@@ -443,15 +548,17 @@ func (i *Interleaved) NotifyGlobalCoverage(newLines int) {
 // ---- Fewest-faults-first (Table 5 fault-injection experiment) ----
 
 // FewestFaults prioritizes states with fewer injected faults along their
-// path, yielding the uniform fault-depth sweep described in §7.3.3.
+// path, yielding the uniform fault-depth sweep described in §7.3.3. Each
+// fault count is a BFS queue, so a bucket drains first-in first-out and
+// Remove is BFS's O(1) tombstone — Interleaved calls it on every pick.
 type FewestFaults struct {
-	buckets map[int][]*tree.Node
+	buckets map[int]*BFS
 	min     int
 }
 
 // NewFewestFaults returns the fault-injection-oriented strategy.
 func NewFewestFaults() *FewestFaults {
-	return &FewestFaults{buckets: map[int][]*tree.Node{}}
+	return &FewestFaults{buckets: map[int]*BFS{}}
 }
 
 // Name implements Strategy.
@@ -460,7 +567,12 @@ func (f *FewestFaults) Name() string { return "fewest-faults" }
 // Add implements Strategy.
 func (f *FewestFaults) Add(n *tree.Node) {
 	k := int(n.Faults)
-	f.buckets[k] = append(f.buckets[k], n)
+	b := f.buckets[k]
+	if b == nil {
+		b = NewBFS()
+		f.buckets[k] = b
+	}
+	b.Add(n)
 	if len(f.buckets) == 1 || k < f.min {
 		f.min = k
 	}
@@ -468,25 +580,16 @@ func (f *FewestFaults) Add(n *tree.Node) {
 
 // Remove implements Strategy.
 func (f *FewestFaults) Remove(n *tree.Node) {
-	k := int(n.Faults)
-	b := f.buckets[k]
-	for i, c := range b {
-		if c == n {
-			f.buckets[k] = append(b[:i], b[i+1:]...)
-			return
-		}
+	if b := f.buckets[int(n.Faults)]; b != nil {
+		b.Remove(n)
 	}
 }
 
 // Select implements Strategy.
 func (f *FewestFaults) Select() *tree.Node {
 	for k := f.min; k < f.min+1024; k++ {
-		b := f.buckets[k]
-		for len(b) > 0 {
-			n := b[0]
-			b = b[1:]
-			f.buckets[k] = b
-			if n.IsCandidate() {
+		if b := f.buckets[k]; b != nil {
+			if n := b.Select(); n != nil {
 				f.min = k
 				return n
 			}

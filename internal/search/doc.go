@@ -86,7 +86,8 @@
 // engine), which re-derives distances incrementally as the local and
 // global coverage overlays grow — so a MsgCoverage delta from the rest
 // of the cluster re-ranks the frontier at the next selection: dist-opt
-// computes weights fresh at Select, and CUPA re-bands the nodes of a
+// re-weighs its frontier at the first Select after the oracle's Epoch
+// moves (it caches weights between), and CUPA re-bands the nodes of a
 // CoverageSensitive classifier on every coverage notification (a node
 // filed "next to uncovered code" loses that class's selection share
 // once the region saturates). Builds
