@@ -1,7 +1,13 @@
 package cc_test
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"maps"
+	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +19,41 @@ import (
 	"cloud9/internal/solver"
 	"cloud9/internal/targets"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/witness.golden from this run")
+
+const witnessGolden = "testdata/witness.golden"
+
+// witnessRow renders one target's generated inputs as a golden line: the
+// path count and a hash over every test case in exploration order — its
+// kind, message, step count, branch choices and input bytes, regions
+// sorted by name.
+func witnessRow(name string, tests []engine.TestCase) string {
+	h := sha256.New()
+	for _, tc := range tests {
+		fmt.Fprintf(h, "kind=%d msg=%q steps=%d path=%x\n", tc.Kind, tc.Message, tc.Steps, tc.Path)
+		for _, region := range slices.Sorted(maps.Keys(tc.Inputs)) {
+			fmt.Fprintf(h, "\t%q=%x\n", region, tc.Inputs[region])
+		}
+	}
+	return fmt.Sprintf("%s\tpaths=%d\twitness=%x\n", name, len(tests), h.Sum(nil)[:8])
+}
+
+// readWitnessGolden returns the golden's lines by target name.
+func readWitnessGolden(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(witnessGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if name, _, ok := strings.Cut(line, "\t"); ok {
+			rows[name] = line
+		}
+	}
+	return rows
+}
 
 // exploration is everything of a target's exhaustive run that slot
 // promotion must leave alone.
@@ -46,13 +87,29 @@ func explore(t *testing.T, prog *cvm.Program) exploration {
 // instruction, fork and solver counts, the same lines. Under -v it logs
 // how many slots each target had promoted; the nightly summary prints
 // the total, so a front-end change that stops promoting shows.
+//
+// The promoted run's test cases are also held to testdata/witness.golden,
+// one hash per target (see witnessRow): a solver or model change that
+// claims "same witnesses" is checked by this file staying byte-identical.
+// Regenerate (after a deliberate re-pin only, and without -short) with
+//
+//	go test ./internal/cc -run TestPromotionIsExact -update
 func TestPromotionIsExact(t *testing.T) {
 	opts := cc.Options{
 		Externs:           posix.Externs(),
 		CoverageStartLine: strings.Count(posix.Prelude, "\n") + 2, // as posix.CompileTarget
 	}
+	names := targets.Names()
+	golden := map[string]string{}
+	if !*update {
+		golden = readWitnessGolden(t)
+		if len(golden) != len(names) {
+			t.Errorf("witness golden has %d rows, Names() has %d targets", len(golden), len(names))
+		}
+	}
+	rows := map[string]string{}
 	promoted, total := 0, 0
-	for _, name := range targets.Names() {
+	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			if testing.Short() && name == "coreutil-sum" {
 				t.Skip("long-only, as in TestCatalogueGolden")
@@ -85,6 +142,10 @@ func TestPromotionIsExact(t *testing.T) {
 				t.Errorf("no slot of %s was promoted", name)
 			}
 			got, want := explore(t, prog), explore(t, ref)
+			rows[name] = witnessRow(name, got.Tests)
+			if !*update && rows[name] != golden[name] {
+				t.Errorf("generated inputs moved.\n got: %s want: %s", rows[name], golden[name])
+			}
 			if len(got.Tests) != len(want.Tests) {
 				t.Fatalf("%d paths, %d with every local in memory", len(got.Tests), len(want.Tests))
 			}
@@ -100,4 +161,19 @@ func TestPromotionIsExact(t *testing.T) {
 		})
 	}
 	t.Logf("slots total promoted=%d total=%d", promoted, total)
+	if *update {
+		if len(rows) != len(names) {
+			t.Fatalf("-update explored %d of %d targets; run it without -short or -run filters", len(rows), len(names))
+		}
+		var out strings.Builder
+		for _, name := range names {
+			out.WriteString(rows[name])
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(witnessGolden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
