@@ -516,8 +516,8 @@ func (e *Explorer) buildTest(s *state.S) *TestCase {
 	if err == nil && sat {
 		for _, region := range s.Symbolics {
 			buf := make([]byte, region.Len)
-			for i := int64(0); i < region.Len; i++ {
-				buf[i] = model[region.First+uint64(i)]
+			for i := range buf {
+				buf[i], _ = model.Get(region.First + uint64(i)) // unconstrained bytes are 0
 			}
 			// Regions can share a name (e.g. repeated reads); suffix them.
 			name := region.Name

@@ -32,9 +32,9 @@
 //     cached hashes, never DAG walks;
 //   - independence partitioning reads per-constraint VarSets instead of
 //     re-traversing every constraint per query; and
-//   - SubstSlice/SubstConsts prune subtrees whose summaries are disjoint
-//     from the bound variables and memoize rewrites by node identity, so
-//     shared subtrees are rewritten once per query instead of once per
+//   - Subst prunes subtrees whose summaries are disjoint from the bound
+//     variables and memoizes rewrites by node identity, so shared
+//     subtrees are rewritten once per query instead of once per
 //     occurrence.
 //
 // Interning also strengthens the constructors' own simplifications: rules

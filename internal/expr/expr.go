@@ -733,17 +733,58 @@ func Ite(cond, a, b *Expr) *Expr {
 	return intern(OpIte, a.width, 0, "", cond, a, b)
 }
 
-// Assignment maps symbolic byte-variable ids to concrete byte values.
-type Assignment map[uint64]uint8
+// Assignment binds symbolic byte variables to concrete byte values. It
+// is a slice indexed by variable id whose element holds the bound value
+// plus one: 0 means "unbound", so make, growth by append and clear never
+// bind a variable, and ids at or past len(a) are unbound. Outside this
+// package and the solver's search loop, read and write it only through
+// Get and Set.
+//
+// Witness models are shared (between solver states, caches and callers)
+// and never written: clone a shared assignment before writing to it. A
+// Set that grows a slice into its spare capacity is a write too.
+type Assignment []uint16
+
+// Get returns the value bound to id, and whether id is bound.
+func (a Assignment) Get(id uint64) (uint8, bool) {
+	if id >= uint64(len(a)) || a[id] == 0 {
+		return 0, false
+	}
+	return uint8(a[id] - 1), true
+}
+
+// Set binds id to v, growing a to hold id.
+func (a *Assignment) Set(id uint64, v uint8) {
+	if n := uint64(len(*a)); id >= n {
+		*a = append(*a, make(Assignment, id+1-n)...)
+	}
+	(*a)[id] = uint16(v) + 1
+}
+
+// String renders the bindings in ascending id order, as {id:value ...}.
+func (a Assignment) String() string {
+	var b strings.Builder
+	b.WriteByte('{')
+	for id := range uint64(len(a)) {
+		if v, ok := a.Get(id); ok {
+			if b.Len() > 1 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%d:%d", id, v)
+		}
+	}
+	b.WriteByte('}')
+	return b.String()
+}
 
 // Eval evaluates e under a. It reports ok=false if e references a
-// variable missing from a (or hits a division by a symbolic-zero).
+// variable a leaves unbound (or hits a division by zero).
 func (e *Expr) Eval(a Assignment) (uint64, bool) {
 	switch e.op {
 	case OpConst:
 		return e.val, true
 	case OpVar:
-		v, ok := a[e.val]
+		v, ok := a.Get(e.val)
 		return uint64(v), ok
 	case OpNot:
 		v, ok := e.kids[0].Eval(a)
@@ -768,8 +809,11 @@ func (e *Expr) Eval(a Assignment) (uint64, bool) {
 		return e.kids[1].Eval(a)
 	case OpConcat:
 		h, ok1 := e.kids[0].Eval(a)
+		if !ok1 {
+			return 0, false
+		}
 		l, ok2 := e.kids[1].Eval(a)
-		return h<<e.kids[1].width | l, ok1 && ok2
+		return h<<e.kids[1].width | l, ok2
 	case OpExtract:
 		v, ok := e.kids[0].Eval(a)
 		return (v >> e.val) & e.width.Mask(), ok
@@ -789,115 +833,14 @@ func (e *Expr) Eval(a Assignment) (uint64, bool) {
 		return e.kids[2].Eval(a)
 	default:
 		l, ok1 := e.kids[0].Eval(a)
+		if !ok1 {
+			return 0, false
+		}
 		r, ok2 := e.kids[1].Eval(a)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		v, ok := foldBin(e.op, l, r, e.kids[0].width)
-		return v, ok
-	}
-}
-
-// EvalSlice evaluates e under a dense assignment: vals[id] holds the
-// byte value for variable id, or -1 when unbound. Variable ids at or
-// beyond len(vals) count as unbound. This is the solver's hot path; it
-// avoids map hashing entirely.
-func (e *Expr) EvalSlice(vals []int16) (uint64, bool) {
-	switch e.op {
-	case OpConst:
-		return e.val, true
-	case OpVar:
-		if e.val >= uint64(len(vals)) || vals[e.val] < 0 {
-			return 0, false
-		}
-		return uint64(vals[e.val]), true
-	case OpNot:
-		v, ok := e.kids[0].EvalSlice(vals)
-		return b2u(v == 0), ok
-	case OpLAnd:
-		l, ok := e.kids[0].EvalSlice(vals)
-		if !ok {
-			return 0, false
-		}
-		if l == 0 {
-			return 0, true
-		}
-		return e.kids[1].EvalSlice(vals)
-	case OpLOr:
-		l, ok := e.kids[0].EvalSlice(vals)
-		if !ok {
-			return 0, false
-		}
-		if l != 0 {
-			return 1, true
-		}
-		return e.kids[1].EvalSlice(vals)
-	case OpConcat:
-		h, ok1 := e.kids[0].EvalSlice(vals)
-		if !ok1 {
-			return 0, false
-		}
-		l, ok2 := e.kids[1].EvalSlice(vals)
-		return h<<e.kids[1].width | l, ok2
-	case OpExtract:
-		v, ok := e.kids[0].EvalSlice(vals)
-		return (v >> e.val) & e.width.Mask(), ok
-	case OpZExt:
-		return e.kids[0].EvalSlice(vals)
-	case OpSExt:
-		v, ok := e.kids[0].EvalSlice(vals)
-		return uint64(signExtend(v, e.kids[0].width)) & e.width.Mask(), ok
-	case OpIte:
-		c, ok := e.kids[0].EvalSlice(vals)
-		if !ok {
-			return 0, false
-		}
-		if c != 0 {
-			return e.kids[1].EvalSlice(vals)
-		}
-		return e.kids[2].EvalSlice(vals)
-	default:
-		l, ok1 := e.kids[0].EvalSlice(vals)
-		if !ok1 {
-			return 0, false
-		}
-		r, ok2 := e.kids[1].EvalSlice(vals)
 		if !ok2 {
 			return 0, false
 		}
-		return foldBinFast(e.op, l, r, e.kids[0].width)
-	}
-}
-
-// foldBinFast is foldBin without the re-masking of already-normalized
-// operands (EvalSlice results are always in range).
-func foldBinFast(op Op, a, b uint64, w Width) (uint64, bool) {
-	m := w.Mask()
-	switch op {
-	case OpAdd:
-		return (a + b) & m, true
-	case OpSub:
-		return (a - b) & m, true
-	case OpMul:
-		return (a * b) & m, true
-	case OpAnd:
-		return a & b, true
-	case OpOr:
-		return a | b, true
-	case OpXor:
-		return a ^ b, true
-	case OpEq:
-		return b2u(a == b), true
-	case OpUlt:
-		return b2u(a < b), true
-	case OpUle:
-		return b2u(a <= b), true
-	case OpSlt:
-		return b2u(signExtend(a, w) < signExtend(b, w)), true
-	case OpSle:
-		return b2u(signExtend(a, w) <= signExtend(b, w)), true
-	default:
-		return foldBin(op, a, b, w)
+		return foldBin(e.op, l, r, e.kids[0].width)
 	}
 }
 

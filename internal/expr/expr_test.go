@@ -278,9 +278,57 @@ func TestIte(t *testing.T) {
 	}
 }
 
+// bind returns an assignment binding ids to values, given as id, value
+// pairs.
+func bind(idVal ...uint64) Assignment {
+	var a Assignment
+	for i := 0; i+1 < len(idVal); i += 2 {
+		a.Set(idVal[i], uint8(idVal[i+1]))
+	}
+	return a
+}
+
+// The zero element is "unbound": growth and clear bind nothing, and an
+// assignment reads back exactly what was set.
+func TestAssignmentZeroBindsNothing(t *testing.T) {
+	a := bind(9, 1)
+	if len(a) != 10 {
+		t.Fatalf("len %d after binding id 9", len(a))
+	}
+	for id := uint64(0); id < 12; id++ {
+		v, ok := a.Get(id)
+		if want := id == 9; ok != want || (ok && v != 1) {
+			t.Errorf("Get(%d) = %d, %v", id, v, ok)
+		}
+	}
+	a.Set(0, 0)
+	a.Set(20, 255)
+	if v, ok := a.Get(0); !ok || v != 0 {
+		t.Errorf("Get(0) = %d, %v after binding 0", v, ok)
+	}
+	if v, ok := a.Get(20); !ok || v != 255 {
+		t.Errorf("Get(20) = %d, %v after binding 255", v, ok)
+	}
+	if _, ok := a.Get(15); ok {
+		t.Error("growing to id 20 bound id 15")
+	}
+	clear(a)
+	for id := range a {
+		if _, ok := a.Get(uint64(id)); ok {
+			t.Fatalf("id %d still bound after clear", id)
+		}
+	}
+	if _, ok := make(Assignment, 4).Get(2); ok {
+		t.Error("make bound id 2")
+	}
+	if s := bind(3, 0, 1, 250).String(); s != "{1:250 3:0}" {
+		t.Errorf("String() = %q", s)
+	}
+}
+
 func TestEval(t *testing.T) {
 	x, y := Var(0, "x"), Var(1, "y")
-	a := Assignment{0: 10, 1: 250}
+	a := bind(0, 10, 1, 250)
 	sum := Add(ZExt(x, W32), ZExt(y, W32))
 	v, ok := sum.Eval(a)
 	if !ok || v != 260 {
@@ -299,7 +347,7 @@ func TestEval(t *testing.T) {
 
 func TestEvalShortCircuit(t *testing.T) {
 	x := Var(0, "x")
-	a := Assignment{0: 0}
+	a := bind(0, 0)
 	// false && <unbound> evaluates to false.
 	e := LAnd(Ult(x, Const(0, W8)), Ult(Var(99, "u"), Const(5, W8)))
 	// Note: Ult(x, 0) folds to false already; build via non-folding path.
@@ -347,17 +395,22 @@ func TestHashEqual(t *testing.T) {
 func TestSubstConsts(t *testing.T) {
 	x, y := Var(0, "x"), Var(1, "y")
 	e := Add(x, y)
-	got := e.SubstConsts(Assignment{0: 3})
+	got := e.Subst(bind(0, 3), nil)
 	if got.Op() != OpAdd || !got.Kid(0).IsConst() {
 		t.Errorf("subst = %v", got)
 	}
-	got = got.SubstConsts(Assignment{1: 4})
+	got = got.Subst(bind(1, 4), nil)
 	if !got.IsConst() || got.ConstVal() != 7 {
 		t.Errorf("full subst = %v", got)
 	}
 	// Substitution must preserve structure when nothing binds.
-	if e.SubstConsts(Assignment{9: 1}) != e {
+	if e.Subst(bind(9, 1), nil) != e {
 		t.Error("no-op subst should return the same node")
+	}
+	// A summary disjoint from e prunes the walk: x stays even though a
+	// binds it.
+	if e.Subst(bind(0, 3), VarSetOf([]uint64{7})) != e {
+		t.Error("subst outside the bound summary should return the same node")
 	}
 }
 
@@ -379,7 +432,7 @@ func TestQuickFoldMatchesEval(t *testing.T) {
 		op := ops[int(opIdx)%len(ops)]
 		x, y := Var(0, "x"), Var(1, "y")
 		sym := Binary(op, x, y)
-		asg := Assignment{0: av, 1: bv}
+		asg := bind(0, uint64(av), 1, uint64(bv))
 		symV, ok1 := sym.Eval(asg)
 		conc := Binary(op, Const(uint64(av), W8), Const(uint64(bv), W8))
 		if !conc.IsConst() {
@@ -392,17 +445,17 @@ func TestQuickFoldMatchesEval(t *testing.T) {
 	}
 }
 
-// Property: SubstConsts of a full assignment equals Eval.
+// Property: Subst of a full assignment equals Eval.
 func TestQuickSubstMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
 		e := randomExpr(rng, 3)
-		asg := Assignment{0: uint8(rng.Intn(256)), 1: uint8(rng.Intn(256)), 2: uint8(rng.Intn(256))}
+		asg := bind(0, uint64(rng.Intn(256)), 1, uint64(rng.Intn(256)), 2, uint64(rng.Intn(256)))
 		want, ok := e.Eval(asg)
 		if !ok {
 			continue
 		}
-		got := e.SubstConsts(asg)
+		got := e.Subst(asg, nil)
 		if !got.IsConst() {
 			t.Fatalf("subst did not fully fold: %v from %v", got, e)
 		}
@@ -417,7 +470,7 @@ func TestQuickConcatExtract(t *testing.T) {
 	f := func(av, bv uint8) bool {
 		a, b := Var(0, "a"), Var(1, "b")
 		w := Concat(a, b)
-		asg := Assignment{0: av, 1: bv}
+		asg := bind(0, uint64(av), 1, uint64(bv))
 		v, ok := w.Eval(asg)
 		if !ok || v != uint64(av)<<8|uint64(bv) {
 			return false
@@ -455,7 +508,7 @@ func BenchmarkConstructFold(b *testing.B) {
 func BenchmarkEval(b *testing.B) {
 	x, y := Var(0, "x"), Var(1, "y")
 	e := LAnd(Ult(Add(x, Const(3, W8)), y), Not(Eq(y, Const(0, W8))))
-	asg := Assignment{0: 5, 1: 200}
+	asg := bind(0, 5, 1, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Eval(asg)
@@ -468,7 +521,7 @@ func TestQuickConcatCompareRewrites(t *testing.T) {
 	f := func(av, bv uint8, cv uint16) bool {
 		a, b := Var(0, "a"), Var(1, "b")
 		word := Concat(a, b) // a:hi, b:lo
-		asg := Assignment{0: av, 1: bv}
+		asg := bind(0, uint64(av), 1, uint64(bv))
 		w := uint16(av)<<8 | uint16(bv)
 		c := Const(uint64(cv), W16)
 
@@ -488,26 +541,5 @@ func TestQuickConcatCompareRewrites(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: EvalSlice agrees with Eval on random expressions and full
-// assignments.
-func TestQuickEvalSliceMatchesEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 500; i++ {
-		e := randomExpr(rng, 4)
-		asg := Assignment{}
-		vals := make([]int16, 3)
-		for id := 0; id < 3; id++ {
-			v := uint8(rng.Intn(256))
-			asg[uint64(id)] = v
-			vals[id] = int16(v)
-		}
-		v1, ok1 := e.Eval(asg)
-		v2, ok2 := e.EvalSlice(vals)
-		if ok1 != ok2 || (ok1 && v1 != v2) {
-			t.Fatalf("Eval=%d/%v EvalSlice=%d/%v for %v", v1, ok1, v2, ok2, e)
-		}
 	}
 }

@@ -83,96 +83,36 @@ func (e *Expr) Size() int { return int(e.size) }
 // costs more than the few nodes it could save.
 const substMemoThreshold = 32
 
-// SubstSlice replaces every variable bound in the dense assignment
-// (vals[id] >= 0) with its constant and re-simplifies bottom-up. The
-// solver uses it to collapse constraints to their residual free
-// variables before domain scans. Subtrees without free variables are
-// returned as-is, and large expressions are rewritten through an
-// identity memo so shared subtrees are processed once.
-func (e *Expr) SubstSlice(vals []int16) *Expr {
-	if e.vars.Empty() {
+// Subst replaces every variable a binds with its constant and
+// re-simplifies bottom-up; unbound variables are kept. bound, when
+// non-nil, summarizes the ids worth substituting (see VarSetOf): subtrees
+// whose summary is disjoint from it are returned without being walked,
+// so a hot loop that substitutes one assignment into many constraints
+// builds the summary once. Subtrees without free variables are returned
+// as-is, and large expressions are rewritten through an identity memo so
+// shared subtrees are processed once.
+func (e *Expr) Subst(a Assignment, bound *VarSet) *Expr {
+	if e.vars.Empty() || len(a) == 0 || (bound != nil && !e.vars.Intersects(bound)) {
 		return e
 	}
 	var memo map[*Expr]*Expr
 	if e.size >= substMemoThreshold {
 		memo = make(map[*Expr]*Expr)
 	}
-	return e.substSlice(vals, memo)
+	return e.subst(a, bound, memo)
 }
 
-func (e *Expr) substSlice(vals []int16, memo map[*Expr]*Expr) *Expr {
+func (e *Expr) subst(a Assignment, bound *VarSet, memo map[*Expr]*Expr) *Expr {
 	switch e.op {
 	case OpConst:
 		return e
 	case OpVar:
-		if e.val < uint64(len(vals)) && vals[e.val] >= 0 {
-			return Const(uint64(vals[e.val]), e.width)
-		}
-		return e
-	}
-	if e.vars.Empty() {
-		return e
-	}
-	if memo != nil {
-		if r, ok := memo[e]; ok {
-			return r
-		}
-	}
-	kids := make([]*Expr, len(e.kids))
-	changed := false
-	for i, k := range e.kids {
-		kids[i] = k.substSlice(vals, memo)
-		if kids[i] != k {
-			changed = true
-		}
-	}
-	res := e
-	if changed {
-		res = rebuild(e, kids)
-	}
-	if memo != nil {
-		memo[e] = res
-	}
-	return res
-}
-
-// SubstConsts replaces every variable that has a binding in a with its
-// constant value and re-simplifies bottom-up. Unbound variables are kept.
-// Subtrees whose cached variable summary is disjoint from a's domain are
-// returned untouched without being walked.
-func (e *Expr) SubstConsts(a Assignment) *Expr {
-	if e.vars.Empty() || len(a) == 0 {
-		return e
-	}
-	return e.SubstConstsWith(a, a.VarSet())
-}
-
-// SubstConstsWith is SubstConsts with the assignment's variable summary
-// precomputed by the caller (see Assignment.VarSet). Hot loops that
-// substitute one assignment into many constraints — the solver's unit
-// propagation — build the summary once instead of per constraint.
-func (e *Expr) SubstConstsWith(a Assignment, bound *VarSet) *Expr {
-	if e.vars.Empty() || len(a) == 0 || !e.vars.Intersects(bound) {
-		return e
-	}
-	var memo map[*Expr]*Expr
-	if e.size >= substMemoThreshold {
-		memo = make(map[*Expr]*Expr)
-	}
-	return e.substConsts(a, bound, memo)
-}
-
-func (e *Expr) substConsts(a Assignment, bound *VarSet, memo map[*Expr]*Expr) *Expr {
-	switch e.op {
-	case OpConst:
-		return e
-	case OpVar:
-		if v, ok := a[e.val]; ok {
+		if v, ok := a.Get(e.val); ok {
 			return Const(uint64(v), e.width)
 		}
 		return e
 	}
-	if !e.vars.Intersects(bound) {
+	if e.vars.Empty() || (bound != nil && !e.vars.Intersects(bound)) {
 		return e
 	}
 	if memo != nil {
@@ -183,7 +123,7 @@ func (e *Expr) substConsts(a Assignment, bound *VarSet, memo map[*Expr]*Expr) *E
 	kids := make([]*Expr, len(e.kids))
 	changed := false
 	for i, k := range e.kids {
-		kids[i] = k.substConsts(a, bound, memo)
+		kids[i] = k.subst(a, bound, memo)
 		if kids[i] != k {
 			changed = true
 		}
@@ -196,16 +136,6 @@ func (e *Expr) substConsts(a Assignment, bound *VarSet, memo map[*Expr]*Expr) *E
 		memo[e] = res
 	}
 	return res
-}
-
-// VarSet summarizes the assignment's bound ids, for the disjointness
-// pruning in SubstConstsWith.
-func (a Assignment) VarSet() *VarSet {
-	s := &VarSet{}
-	for id := range a {
-		s.add(id)
-	}
-	return s.seal()
 }
 
 // VarSetOf summarizes distinct ids, in any order; ids is not kept.

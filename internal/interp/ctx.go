@@ -319,20 +319,7 @@ func (c *Ctx) Concretize(e *expr.Expr) (uint64, error) {
 	if !sat {
 		return 0, fmt.Errorf("concretize on infeasible path")
 	}
-	v, ok := e.Eval(model)
-	if !ok {
-		// Variables in e unconstrained so far: any value works; use zeros.
-		full := expr.Assignment{}
-		for k, mv := range model {
-			full[k] = mv
-		}
-		for _, id := range e.VarIDs() {
-			if _, bound := full[id]; !bound {
-				full[id] = 0
-			}
-		}
-		v, _ = e.Eval(full)
-	}
+	v := evalUnder(e, model)
 	c.S.Constraints = c.S.Constraints.Append(expr.Eq(e, expr.Const(v, e.Width())))
 	return v, nil
 }

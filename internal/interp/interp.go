@@ -7,6 +7,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"cloud9/internal/cvm"
@@ -291,17 +292,15 @@ func (in *Interp) execDiv(s *state.S, t *state.Thread, f *state.Frame, instr *cv
 }
 
 // evalUnder evaluates e under model; variables the model leaves unbound
-// read as 0.
+// (unconstrained so far, so any value works) read as 0. The model is
+// shared, so the zeros go into a clone.
 func evalUnder(e *expr.Expr, model expr.Assignment) uint64 {
 	v, ok := e.Eval(model)
 	if !ok {
-		full := expr.Assignment{}
-		for k, mv := range model {
-			full[k] = mv
-		}
+		full := slices.Clone(model)
 		for _, id := range e.VarIDs() {
-			if _, bound := full[id]; !bound {
-				full[id] = 0
+			if _, bound := full.Get(id); !bound {
+				full.Set(id, 0)
 			}
 		}
 		v, _ = e.Eval(full)

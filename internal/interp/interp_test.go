@@ -130,8 +130,9 @@ func TestSymbolicBranchForksTwoPaths(t *testing.T) {
 			t.Fatalf("path should be satisfiable: %v", err)
 		}
 		isA := string(Output(s).Bytes) == "A"
-		if isA != (m[0] < 10) {
-			t.Errorf("model x=%d inconsistent with path %q", m[0], Output(s).Bytes)
+		x, _ := m.Get(0)
+		if isA != (x < 10) {
+			t.Errorf("model x=%d inconsistent with path %q", x, Output(s).Bytes)
 		}
 	}
 }

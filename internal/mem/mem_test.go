@@ -49,7 +49,9 @@ func TestSymbolicReadWrite(t *testing.T) {
 	}
 	// Wide read mixing concrete and symbolic bytes.
 	w := os.Read(4, expr.W16)
-	val, ok := w.Eval(expr.Assignment{1: 0x7f})
+	var asg expr.Assignment
+	asg.Set(1, 0x7f)
+	val, ok := w.Eval(asg)
 	if !ok || val != 0x007f {
 		t.Fatalf("mixed read eval = %#x ok=%v", val, ok)
 	}
@@ -65,7 +67,9 @@ func TestWideSymbolicRoundTrip(t *testing.T) {
 	word := expr.Concat(expr.Var(2, "hi"), expr.Var(1, "lo"))
 	os.Write(0, word)
 	back := os.Read(0, expr.W16)
-	asg := expr.Assignment{1: 0x34, 2: 0x12}
+	var asg expr.Assignment
+	asg.Set(1, 0x34)
+	asg.Set(2, 0x12)
 	v, ok := back.Eval(asg)
 	if !ok || v != 0x1234 {
 		t.Fatalf("round trip = %#x ok=%v", v, ok)
@@ -76,7 +80,9 @@ func TestConcreteBytesUnderAssignment(t *testing.T) {
 	_, os := newObj(t, 4)
 	os.PutByte(0, expr.Const('G', expr.W8))
 	os.PutByte(1, expr.Var(7, "x"))
-	bytes := os.ConcreteBytes(expr.Assignment{7: 'E'})
+	var asg expr.Assignment
+	asg.Set(7, 'E')
+	bytes := os.ConcreteBytes(asg)
 	if bytes[0] != 'G' || bytes[1] != 'E' {
 		t.Fatalf("concretized = %q", bytes)
 	}

@@ -58,8 +58,9 @@ type setState struct {
 	// Fork evaluates branch conditions against it and CheckSat returns
 	// it; never used for full-model (concretization) queries, which
 	// must stay canonical. A model is shared — with child states, the
-	// result cache and, when no search bound anything, the units map of
-	// the set or of the query's extension — and never written.
+	// result cache and, when no search bound anything, the units of the
+	// set or of the query's extension — and never written, not even in
+	// its spare capacity.
 	model expr.Assignment
 }
 
@@ -165,7 +166,7 @@ func (s *Solver) extend(parent *setState, c *expr.Expr) *setState {
 		bounds:   parent.bounds,
 	}
 	if len(st.units) > 0 {
-		c = c.SubstConstsWith(st.units, st.unitVars)
+		c = c.Subst(st.units, st.unitVars)
 	}
 	pool := flatten(c, s.poolScratch[:0])
 	unitsOwned, groupsOwned := false, false
@@ -186,7 +187,7 @@ func (s *Solver) extend(parent *setState, c *expr.Expr) *setState {
 			case e.Op() == expr.OpEq && e.Kid(0).IsConst() && e.Kid(1).IsVar():
 				id := e.Kid(1).VarID()
 				v := uint8(e.Kid(0).ConstVal())
-				prev, ok := st.units[id]
+				prev, ok := st.units.Get(id)
 				for _, b := range gathered {
 					if b.id == id {
 						prev, ok = b.v, true
@@ -210,20 +211,22 @@ func (s *Solver) extend(parent *setState, c *expr.Expr) *setState {
 			pool = rest
 			break
 		}
-		// New units: adopt them (copy-on-write), substitute them into
-		// the surviving pool, and dissolve only the groups in their
-		// cone — everything else is untouched by construction.
+		// New units: adopt them (copy-on-write, one allocation sized for
+		// the round's largest id), substitute them into the surviving
+		// pool, and dissolve only the groups in their cone — everything
+		// else is untouched by construction.
 		if !unitsOwned {
-			u := make(expr.Assignment, len(st.units)+len(gathered))
-			for id, v := range st.units {
-				u[id] = v
+			n := uint64(len(st.units))
+			for _, b := range gathered {
+				n = max(n, b.id+1)
 			}
-			st.units = u
-			unitsOwned = true
+			u := make(expr.Assignment, n)
+			copy(u, st.units)
+			st.units, unitsOwned = u, true
 		}
 		ids := s.idScratch[:0]
 		for _, b := range gathered {
-			st.units[b.id] = b.v
+			st.units.Set(b.id, b.v)
 			ids = append(ids, b.id)
 			// A unit pins the variable's interval to a point. The
 			// narrowings commute (interval intersection), so the order
@@ -246,7 +249,7 @@ func (s *Solver) extend(parent *setState, c *expr.Expr) *setState {
 		st.unitVars = st.unitVars.Union(bound)
 		next := s.poolScratch2[:0]
 		for _, e := range rest {
-			next = flatten(e.SubstConstsWith(st.units, bound), next)
+			next = flatten(e.Subst(st.units, bound), next)
 		}
 		if !groupsOwned {
 			st.groups = append(make([]*igroup, 0, len(st.groups)+1), st.groups...)
@@ -256,7 +259,7 @@ func (s *Solver) extend(parent *setState, c *expr.Expr) *setState {
 		for _, g := range st.groups {
 			if g.vars.Intersects(bound) {
 				for _, gc := range g.cons {
-					next = flatten(gc.SubstConstsWith(st.units, bound), next)
+					next = flatten(gc.Subst(st.units, bound), next)
 				}
 			} else {
 				kept = append(kept, g)

@@ -3,6 +3,7 @@ package solver
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cloud9/internal/expr"
@@ -312,9 +313,77 @@ func TestStateEvictionRebuild(t *testing.T) {
 	if err != nil || !sat2 {
 		t.Fatal("fresh solver disagreed on satisfiability")
 	}
-	for id, val := range m {
-		if m2[id] != val {
-			t.Fatalf("model divergence after eviction rebuild on var %d: %d vs %d", id, val, m2[id])
+	for id := range uint64(max(len(m), len(m2))) {
+		if at(m, id) != at(m2, id) {
+			t.Fatalf("model divergence after eviction rebuild on var %d: %d vs %d", id, at(m, id), at(m2, id))
 		}
+	}
+}
+
+// heldAssignments returns every assignment s shares: the memoized states'
+// units and witness models, the result cache's models, and noUnits.
+func heldAssignments(s *Solver) []expr.Assignment {
+	held := []expr.Assignment{noUnits}
+	for _, st := range s.states {
+		held = append(held, st.units, st.model)
+	}
+	for _, e := range s.cache {
+		held = append(held, e.model)
+	}
+	return held
+}
+
+// Shared witnesses are never written: not the model a may-query stamps
+// on a set's state, not a result-cache entry's, not a set's units, and
+// not their spare capacity. A query starts from the set's units and must
+// clone them before it binds anything, whether it takes a group-cache
+// hit, searches inside the units' length or grows the model past it.
+func TestSharedWitnessesAreNeverWritten(t *testing.T) {
+	s := New()
+	// The unit on v5 makes the set's units six long: ids 1 to 4 fall
+	// inside them, 7 and up past them.
+	cs := EmptySet.Append(expr.Eq(c8(3), v(5))).Append(expr.Ult(v(1), v(2)))
+	child := cs.Append(expr.Eq(c8(4), v(6)))
+	if ok, err := s.MayBeTrue(cs, expr.Ult(v(1), v(3))); err != nil || !ok {
+		t.Fatalf("MayBeTrue = %v, %v", ok, err)
+	}
+	if s.state(cs).model == nil {
+		t.Fatal("the may-query stamped no witness on the set's state")
+	}
+	type kept struct{ m, was expr.Assignment }
+	var all []kept
+	keep := func(ms ...expr.Assignment) {
+		for _, m := range ms {
+			all = append(all, kept{m, slices.Clone(m[:cap(m)])})
+		}
+	}
+	before := s.Stats.Snapshot()
+	for _, set := range []*ConstraintSet{cs, child} {
+		s.state(set)
+		keep(heldAssignments(s)...)
+		m, sat, err := s.Solve(set)
+		if err != nil || !sat {
+			t.Fatalf("Solve = %v, %v", sat, err)
+		}
+		keep(m)
+		if ok, err := s.CheckSat(set); err != nil || !ok {
+			t.Fatalf("CheckSat = %v, %v", ok, err)
+		}
+		for _, cond := range []*expr.Expr{expr.Ult(v(1), v(4)), expr.Ult(v(1), v(9))} {
+			if ok, err := s.MayBeTrue(set, cond); err != nil || !ok {
+				t.Fatalf("MayBeTrue(%v) = %v, %v", cond, ok, err)
+			}
+		}
+	}
+	for _, k := range all {
+		if !slices.Equal(k.m[:cap(k.m)], k.was) {
+			t.Errorf("a shared assignment was written: %v, was %v", k.m[:cap(k.m)], k.was)
+		}
+	}
+	after := s.Stats.Snapshot()
+	// The set's full model and its two may-queries search; the child's
+	// queries are group-cache hits on the same groups.
+	if after.GroupCacheHits == before.GroupCacheHits || after.SolverRuns-before.SolverRuns < 3 {
+		t.Errorf("the queries took no group-cache hit or too few searches: %+v -> %+v", before, after)
 	}
 }

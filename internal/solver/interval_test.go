@@ -287,38 +287,55 @@ func TestIntervalNarrowCondLAnd(t *testing.T) {
 	}
 }
 
-// A branch that narrows one byte's bounds costs the solver a fixed number
-// of allocations, however many variables the path bounded before it:
-// the bounds are copied as one slice, not entry by entry. The budget is
-// a count, not a timing: raise it only with a reason.
+// A branch costs the solver a fixed number of allocations, however long
+// the path before it: a branch that narrows one byte's bounds copies the
+// bounds as one slice, not entry by entry, and a branch that adds a unit
+// (Eq(const, var)) copies the path's units as one slice. The budgets are
+// counts, not timings: raise one only with a reason.
 func TestExtendAllocBudget(t *testing.T) {
-	const budget = 6
-	var first float64
-	for _, bound := range []int{2, 12} {
-		s := New()
-		cs := EmptySet
-		for i := 0; i < bound; i++ {
-			cs = cs.Append(expr.Ult(v(uint64(i)), c8(100)))
-		}
-		if ok, err := s.CheckSat(cs); err != nil || !ok {
-			t.Fatalf("CheckSat = %v, %v", ok, err)
-		}
-		fresh := v(uint64(bound))
-		n := testing.AllocsPerRun(100, func() {
-			// The branch's own set state is new every time; its verdict
-			// is the interval tier's, so no query reaches check.
-			mayT, mayF, err := s.Fork(cs.Append(expr.Ult(fresh, c8(50))), expr.Ult(fresh, c8(60)))
-			if err != nil || !mayT || mayF {
-				t.Fatalf("Fork = %v, %v, %v; want true, false, nil", mayT, mayF, err)
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		path   func(x *expr.Expr) *expr.Expr // each earlier constraint, over its own variable
+		branch func(x *expr.Expr) *expr.Expr // the branch's constraint over a fresh one
+		depths []int
+	}{
+		{"narrow", 6,
+			func(x *expr.Expr) *expr.Expr { return expr.Ult(x, c8(100)) },
+			func(x *expr.Expr) *expr.Expr { return expr.Ult(x, c8(50)) },
+			[]int{2, 12}},
+		{"unit", 7,
+			func(x *expr.Expr) *expr.Expr { return expr.Eq(c8(x.VarID()+1), x) },
+			func(x *expr.Expr) *expr.Expr { return expr.Eq(c8(7), x) },
+			[]int{2, 12, 40}},
+	} {
+		var first float64
+		for _, depth := range tc.depths {
+			s := New()
+			cs := EmptySet
+			for i := 0; i < depth; i++ {
+				cs = cs.Append(tc.path(v(uint64(i))))
 			}
-		})
-		if n > budget {
-			t.Errorf("%d variables bounded: a branch allocates %.0f times, budget %d", bound, n, budget)
-		}
-		if first == 0 {
-			first = n
-		} else if n != first {
-			t.Errorf("a branch allocates %.0f times with 2 variables bounded and %.0f with %d", first, n, bound)
+			if ok, err := s.CheckSat(cs); err != nil || !ok {
+				t.Fatalf("CheckSat = %v, %v", ok, err)
+			}
+			fresh := v(uint64(depth))
+			n := testing.AllocsPerRun(100, func() {
+				// The branch's own set state is new every time; its verdict
+				// is the interval tier's, so no query reaches check.
+				mayT, mayF, err := s.Fork(cs.Append(tc.branch(fresh)), expr.Ult(fresh, c8(60)))
+				if err != nil || !mayT || mayF {
+					t.Fatalf("Fork = %v, %v, %v; want true, false, nil", mayT, mayF, err)
+				}
+			})
+			if n > tc.budget {
+				t.Errorf("%s after %d constraints: a branch allocates %.0f times, budget %.0f", tc.name, depth, n, tc.budget)
+			}
+			if first == 0 {
+				first = n
+			} else if n != first {
+				t.Errorf("%s: a branch allocates %.0f times after %d constraints and %.0f after %d", tc.name, first, tc.depths[0], n, depth)
+			}
 		}
 	}
 }
@@ -343,10 +360,7 @@ func FuzzIntervalSound(f *testing.F) {
 		for data = data[2:]; len(data) >= 4 && len(conds) < 6; data = data[4:] {
 			conds = append(conds, soundCond(ids, data[:4]))
 		}
-		vals := make([]int16, max(ids[0], ids[1])+1)
-		for i := range vals {
-			vals[i] = -1
-		}
+		var vals expr.Assignment
 		s := New()
 		cs := EmptySet
 		for i, c := range conds {
@@ -355,9 +369,10 @@ func FuzzIntervalSound(f *testing.F) {
 			var sols [][2]uint8
 			for x := 0; x < 256; x++ {
 				for y := 0; y < 256; y++ {
-					vals[ids[0]], vals[ids[1]] = int16(x), int16(y)
+					vals.Set(ids[0], uint8(x))
+					vals.Set(ids[1], uint8(y))
 					if satisfies(cs, vals) {
-						sols = append(sols, [2]uint8{uint8(vals[ids[0]]), uint8(vals[ids[1]])})
+						sols = append(sols, [2]uint8{at(vals, ids[0]), at(vals, ids[1])})
 					}
 				}
 			}
@@ -380,8 +395,9 @@ func FuzzIntervalSound(f *testing.F) {
 					continue
 				}
 				for _, sol := range sols {
-					vals[ids[0]], vals[ids[1]] = int16(sol[0]), int16(sol[1])
-					if got, ok := cond.EvalSlice(vals); !ok || (got != 0) != truth {
+					vals.Set(ids[0], sol[0])
+					vals.Set(ids[1], sol[1])
+					if got, ok := cond.Eval(vals); !ok || (got != 0) != truth {
 						t.Fatalf("%v: interval says %v is %v, but it is %d at %v", cs.Slice(), cond, truth, got, sol)
 					}
 				}
@@ -441,9 +457,9 @@ func soundCond(ids [2]uint64, b []byte) *expr.Expr {
 }
 
 // satisfies reports whether vals satisfies every constraint of cs.
-func satisfies(cs *ConstraintSet, vals []int16) bool {
+func satisfies(cs *ConstraintSet, vals expr.Assignment) bool {
 	for n := cs; n != nil; n = n.parent {
-		if v, ok := n.c.EvalSlice(vals); !ok || v == 0 {
+		if v, ok := n.c.Eval(vals); !ok || v == 0 {
 			return false
 		}
 	}
@@ -481,9 +497,9 @@ func TestIntervalSeedingKeepsModelsCanonical(t *testing.T) {
 	if err != nil || !sat {
 		t.Fatalf("set should be sat: %v %v", sat, err)
 	}
-	for id, val := range ma {
-		if mb[id] != val {
-			t.Fatalf("model divergence on var %d: fresh=%d warmed=%d", id, val, mb[id])
+	for id := range uint64(max(len(ma), len(mb))) {
+		if at(ma, id) != at(mb, id) {
+			t.Fatalf("model divergence on var %d: fresh=%d warmed=%d", id, at(ma, id), at(mb, id))
 		}
 	}
 	if !cs.EvalAll(ma) || !cs.EvalAll(mb) {

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -344,7 +345,7 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 	// variables.
 	//
 	// The model starts as ext.units itself, which no one writes once
-	// extend returns, and becomes a copy before its first binding: a
+	// extend returns, and becomes a clone before its first binding: a
 	// may-query that searches nothing allocates no model. A set with no
 	// units shares noUnits, so the state still gets a non-nil witness.
 	model, owned := ext.units, false
@@ -353,11 +354,7 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 	}
 	own := func() {
 		if !owned {
-			m := make(expr.Assignment, len(model)+8)
-			for id, v := range model {
-				m[id] = v
-			}
-			model, owned = m, true
+			model, owned = slices.Clone(model), true
 		}
 	}
 	if fullModel {
@@ -401,7 +398,7 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 			}
 			conflict := false
 			for _, b := range res.model {
-				if prev, bound := model[b.id]; bound && prev != b.v {
+				if prev, bound := model.Get(b.id); bound && prev != b.v {
 					conflict = true
 					break
 				}
@@ -411,7 +408,7 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 					own()
 				}
 				for _, b := range res.model {
-					model[b.id] = b.v
+					model.Set(b.id, b.v)
 				}
 				continue
 			}
@@ -422,13 +419,13 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 		gids := g.vars.AppendIDs(s.idScratch[:0])
 		allFree := true
 		for _, id := range gids {
-			if _, bound := model[id]; bound {
+			if _, bound := model.Get(id); bound {
 				allFree = false
 				break
 			}
 		}
 		own()
-		ok, narrowed, err := s.solveGroup(g.cons, gids, model, seedB)
+		ok, narrowed, err := s.solveGroup(g.cons, gids, &model, seedB)
 		s.idScratch = gids[:0]
 		if err != nil {
 			var kill *BudgetError
@@ -448,7 +445,8 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 			res := groupResult{sat: ok, narrowed: narrowed}
 			if ok {
 				for _, id := range gids {
-					res.model = append(res.model, groupBinding{id, model[id]})
+					v, _ := model.Get(id)
+					res.model = append(res.model, groupBinding{id, v})
 				}
 			}
 			s.putGroup(g.key, res)
@@ -467,11 +465,7 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 		// Bind any variable mentioned anywhere but left unconstrained.
 		for _, g := range ext.groups {
 			gids := g.vars.AppendIDs(s.idScratch[:0])
-			for _, id := range gids {
-				if _, ok := model[id]; !ok {
-					model[id] = 0
-				}
-			}
+			bindZero(&model, gids)
 			s.idScratch = gids[:0]
 		}
 		// A constraint can fold away entirely under unit substitution
@@ -479,17 +473,9 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 		// remaining variables from every group. The fold holds for any
 		// value of those variables, so bind them too — concretization
 		// needs every referenced byte.
-		for _, id := range cs.Vars() {
-			if _, ok := model[id]; !ok {
-				model[id] = 0
-			}
-		}
+		bindZero(&model, cs.Vars())
 		if cond != nil {
-			for _, id := range cond.VarIDs() {
-				if _, ok := model[id]; !ok {
-					model[id] = 0
-				}
-			}
+			bindZero(&model, cond.VarIDs())
 		}
 	} else if st.model == nil && st != s.empty {
 		// The model witnesses cs's units and every group it solved
@@ -499,6 +485,15 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 	}
 	s.put(key, cacheEntry{sat: true, model: model})
 	return true, model, nil
+}
+
+// bindZero binds every id of ids that model leaves unbound to 0.
+func bindZero(model *expr.Assignment, ids []uint64) {
+	for _, id := range ids {
+		if _, ok := model.Get(id); !ok {
+			model.Set(id, 0)
+		}
+	}
 }
 
 // evictHalf implements the bounded-map FIFO policy shared by every
@@ -561,11 +556,7 @@ func (s *Solver) ReferenceSolve(cs *ConstraintSet) (expr.Assignment, bool, error
 	if sat && err == nil {
 		// Bind variables whose constraints folded away under unit
 		// substitution (see the full-model completion in check).
-		for _, id := range cs.Vars() {
-			if _, ok := model[id]; !ok {
-				model[id] = 0
-			}
-		}
+		bindZero(&model, cs.Vars())
 	}
 	return model, sat, err
 }
@@ -586,10 +577,12 @@ func (s *Solver) referenceSolve(cons []*expr.Expr, cond *expr.Expr, fullModel bo
 	}
 
 	// Unit propagation to fixpoint: bind Eq(const, var) facts and
-	// substitute them everywhere.
+	// substitute them everywhere. The model holds every unit so far; a
+	// round substitutes only its own, since earlier ones are already gone
+	// from cons.
 	for {
 		progress := false
-		units := expr.Assignment{}
+		var units []uint64
 		next := cons[:0]
 		for _, c := range cons {
 			if c.IsTrue() {
@@ -607,14 +600,14 @@ func (s *Solver) referenceSolve(cons []*expr.Expr, cond *expr.Expr, fullModel bo
 			if c.Op() == expr.OpEq && c.Kid(0).IsConst() && c.Kid(1).IsVar() {
 				id := c.Kid(1).VarID()
 				v := uint8(c.Kid(0).ConstVal())
-				if prev, ok := model[id]; ok && prev != v {
+				prev, ok := model.Get(id)
+				if ok && prev != v {
 					return false, nil, nil
 				}
-				if prev, ok := units[id]; ok && prev != v {
-					return false, nil, nil
+				if !ok {
+					units = append(units, id)
+					model.Set(id, v)
 				}
-				units[id] = v
-				model[id] = v
 				progress = true
 				continue
 			}
@@ -624,9 +617,9 @@ func (s *Solver) referenceSolve(cons []*expr.Expr, cond *expr.Expr, fullModel bo
 		if !progress {
 			break
 		}
-		bound := units.VarSet() // one summary for the whole round
+		bound := expr.VarSetOf(units) // one summary for the whole round
 		for i, c := range cons {
-			cons[i] = c.SubstConstsWith(units, bound)
+			cons[i] = c.Subst(model, bound)
 		}
 	}
 
@@ -649,26 +642,26 @@ func (s *Solver) referenceSolve(cons []*expr.Expr, cond *expr.Expr, fullModel bo
 			}
 			ok := true
 			for _, b := range res.model {
-				if prev, bound := model[b.id]; bound && prev != b.v {
+				if prev, bound := model.Get(b.id); bound && prev != b.v {
 					ok = false
 					break
 				}
 			}
 			if ok {
 				for _, b := range res.model {
-					model[b.id] = b.v
+					model.Set(b.id, b.v)
 				}
 				continue
 			}
 		}
 		allFree := true
 		for _, id := range gids {
-			if _, bound := model[id]; bound {
+			if _, bound := model.Get(id); bound {
 				allFree = false
 				break
 			}
 		}
-		ok, _, err := s.solveGroup(g.cons, gids, model, nil)
+		ok, _, err := s.solveGroup(g.cons, gids, &model, nil)
 		if err != nil {
 			return false, nil, err
 		}
@@ -676,7 +669,8 @@ func (s *Solver) referenceSolve(cons []*expr.Expr, cond *expr.Expr, fullModel bo
 			res := groupResult{sat: ok}
 			if ok {
 				for _, id := range gids {
-					res.model = append(res.model, groupBinding{id, model[id]})
+					v, _ := model.Get(id)
+					res.model = append(res.model, groupBinding{id, v})
 				}
 			}
 			s.putGroup(key, res)
@@ -689,8 +683,8 @@ func (s *Solver) referenceSolve(cons []*expr.Expr, cond *expr.Expr, fullModel bo
 		// Bind any variable mentioned anywhere but left unconstrained.
 		for _, g := range groups {
 			for id := range g.vars {
-				if _, ok := model[id]; !ok {
-					model[id] = 0
+				if _, ok := model.Get(id); !ok {
+					model.Set(id, 0)
 				}
 			}
 		}

@@ -97,9 +97,11 @@ type conInfo struct {
 type groupSearch struct {
 	budget uint64 // the solver's MaxBacktracks
 
-	// vals is the dense assignment EvalSlice and SubstSlice read, indexed
-	// by variable id; -1 is unbound. All -1 between searches.
-	vals []int16
+	// vals is the caller's model, grown to the group's largest id, for
+	// the length of one search. The search binds and unbinds in place
+	// through the encoding (value+1, 0 unbound) instead of Get and Set.
+	// nil between searches.
+	vals expr.Assignment
 
 	// Per unbound variable of the group, by local index.
 	vars      []uint64 // id, ascending
@@ -146,11 +148,13 @@ func (e *BudgetError) Unwrap() error { return ErrBudget }
 
 // solveGroup runs backtracking search with forward checking over one
 // independent group (cons over the sorted variable ids), extending
-// model in place on success. The search works over a dense slice-backed
-// assignment (see expr.EvalSlice) — this is the hot path. Per-
-// constraint unbound-variable counts are maintained incrementally on
-// bind/unbind, so variable selection and forward checking read O(1)
-// counts instead of rescanning every constraint's variable list.
+// model in place on success. model must be the caller's own: the search
+// grows it to the group's largest id and binds into it, and an unsat or
+// budget-killed search may leave bindings behind, so callers discard it
+// then. Per-constraint unbound-variable counts are maintained
+// incrementally on bind/unbind, so variable selection and forward
+// checking read O(1) counts instead of rescanning every constraint's
+// variable list.
 //
 // bnds, when non-nil, seeds the unbound variables' domains from the
 // interval abstraction (values outside a variable's bounds cannot be
@@ -158,50 +162,27 @@ func (e *BudgetError) Unwrap() error { return ErrBudget }
 // every surviving model). narrowed reports whether seeding actually
 // removed values — callers must not publish narrowed results to the
 // canonical group cache.
-func (s *Solver) solveGroup(cons []*expr.Expr, ids []uint64, model expr.Assignment, bnds boundsMap) (sat, narrowed bool, err error) {
+func (s *Solver) solveGroup(cons []*expr.Expr, ids []uint64, model *expr.Assignment, bnds boundsMap) (sat, narrowed bool, err error) {
 	atomic.AddUint64(&s.Stats.SolverRuns, 1)
 
-	maxID := uint64(0)
-	for _, id := range ids {
-		if id > maxID {
-			maxID = id
+	if n := len(ids); n > 0 {
+		maxID := ids[n-1]
+		if maxID >= 1<<22 {
+			// Pathological id space; treat as unknown.
+			return false, false, &BudgetError{Group: groupHash(cons), Vars: n, Cons: len(cons), Budget: s.MaxBacktracks}
 		}
-	}
-	for id := range model {
-		if id > maxID {
-			maxID = id
+		if have := uint64(len(*model)); have <= maxID {
+			*model = append(*model, make(expr.Assignment, maxID+1-have)...)
 		}
-	}
-	if maxID >= 1<<22 {
-		// Pathological id space; treat as unknown.
-		return false, false, &BudgetError{Group: groupHash(cons), Vars: len(ids), Cons: len(cons), Budget: s.MaxBacktracks}
 	}
 	g := &s.tier3
-	if have := len(g.vals); uint64(have) <= maxID {
-		g.vals = slices.Grow(g.vals, int(maxID)+1-have)[:maxID+1]
-		for i := have; i < len(g.vals); i++ {
-			g.vals[i] = -1
-		}
-	}
-	for id, v := range model {
-		g.vals[id] = int16(v)
-	}
+	g.vals = *model
 	g.budget = s.MaxBacktracks
 	g.backtracks, g.memoHits, g.memoMisses, g.evals = 0, 0, 0, 0
 
 	sat, narrowed, err = g.search(cons, ids, bnds)
 
-	if sat && err == nil {
-		for _, id := range g.vars {
-			model[id] = uint8(g.vals[id])
-		}
-	}
-	for id := range model {
-		g.vals[id] = -1
-	}
-	for _, id := range ids {
-		g.vals[id] = -1
-	}
+	g.vals = nil
 	atomic.AddUint64(&s.Stats.Backtracks, g.backtracks)
 	atomic.AddUint64(&s.Stats.PruneMemoHits, g.memoHits)
 	atomic.AddUint64(&s.Stats.PruneMemoMisses, g.memoMisses)
@@ -218,7 +199,7 @@ func (g *groupSearch) search(cons []*expr.Expr, ids []uint64, bnds boundsMap) (s
 	vals := g.vals
 	g.vars = g.vars[:0]
 	for _, id := range ids {
-		if vals[id] < 0 {
+		if vals[id] == 0 {
 			g.vars = append(g.vars, id)
 		}
 	}
@@ -226,7 +207,7 @@ func (g *groupSearch) search(cons []*expr.Expr, ids []uint64, bnds boundsMap) (s
 	if n == 0 {
 		// Everything bound by units; just verify.
 		for _, c := range cons {
-			v, ok := c.EvalSlice(vals)
+			v, ok := c.Eval(vals)
 			if !ok || v == 0 {
 				return false, false, nil
 			}
@@ -303,7 +284,7 @@ func (g *groupSearch) search(cons []*expr.Expr, ids []uint64, bnds boundsMap) (s
 	for i := range g.infos {
 		switch g.cnt[i] {
 		case 0:
-			v, ok := g.infos[i].c.EvalSlice(vals)
+			v, ok := g.infos[i].c.Eval(vals)
 			if !ok || v == 0 {
 				return false, narrowed, nil
 			}
@@ -344,8 +325,8 @@ func (g *groupSearch) pruneUnary(i int) bool {
 	lv := -1
 	key := pruneKey{con: ci.c}
 	for k := ci.lo; k < ci.hi; k++ {
-		if v := vals[g.conVars[k]]; v >= 0 {
-			key.others = key.others<<8 | uint64(v)
+		if v := vals[g.conVars[k]]; v != 0 {
+			key.others = key.others<<8 | uint64(v-1)
 		} else {
 			id, lv = g.conVars[k], int(g.conLvs[k])
 			key.slot = uint8(k - ci.lo)
@@ -368,7 +349,7 @@ func (g *groupSearch) pruneUnary(i int) bool {
 		g.memoHits++
 	} else {
 		g.memoMisses++
-		reduced := ci.c.SubstSlice(vals)
+		reduced := ci.c.Subst(vals, nil)
 		if reduced.IsConst() {
 			// One verdict for every value of id, in the domain or not.
 			todo = fullDomain()
@@ -378,15 +359,15 @@ func (g *groupSearch) pruneUnary(i int) bool {
 		} else {
 			v, ok := todo.first()
 			for ok {
-				vals[id] = int16(v)
-				ev, evOK := reduced.EvalSlice(vals)
+				vals[id] = uint16(v) + 1
+				ev, evOK := reduced.Eval(vals)
 				if evOK && ev != 0 {
 					m.sat.add(v)
 				}
 				g.evals++
 				v, ok = todo.next(v)
 			}
-			vals[id] = -1
+			vals[id] = 0
 		}
 		m.known.union(&todo)
 	}
@@ -411,7 +392,7 @@ func (g *groupSearch) pickVar() (int, bool) {
 		}
 		ci := &g.infos[i]
 		for k := ci.lo; k < ci.hi; k++ {
-			if g.vals[g.conVars[k]] >= 0 {
+			if g.vals[g.conVars[k]] != 0 {
 				continue
 			}
 			if lv := g.conLvs[k]; n < g.nearUnary[lv] {
@@ -421,7 +402,7 @@ func (g *groupSearch) pickVar() (int, bool) {
 	}
 	best, bestScore, found := 0, -1, false
 	for lv, id := range g.vars {
-		if g.vals[id] >= 0 {
+		if g.vals[id] != 0 {
 			continue
 		}
 		near := g.nearUnary[lv]
@@ -443,7 +424,7 @@ func (g *groupSearch) solve() (bool, error) {
 	if !found {
 		// All assigned: final verification.
 		for i := range g.infos {
-			v, ok := g.infos[i].c.EvalSlice(g.vals)
+			v, ok := g.infos[i].c.Eval(g.vals)
 			if !ok || v == 0 {
 				return false, nil
 			}
@@ -458,7 +439,7 @@ func (g *groupSearch) solve() (bool, error) {
 	}
 	v, ok := d.first()
 	for ok {
-		g.vals[id] = int16(v)
+		g.vals[id] = uint16(v) + 1
 		g.trial++
 		base := len(g.saveStack)
 		// Forward checking: constraints that now have exactly one
@@ -467,7 +448,7 @@ func (g *groupSearch) solve() (bool, error) {
 		for i := range g.infos {
 			switch g.cnt[i] {
 			case 0:
-				ev, evOK := g.infos[i].c.EvalSlice(g.vals)
+				ev, evOK := g.infos[i].c.Eval(g.vals)
 				if !evOK || ev == 0 {
 					feasible = false
 				}
@@ -495,7 +476,7 @@ func (g *groupSearch) solve() (bool, error) {
 			g.domains[sd.lv] = sd.d
 		}
 		g.saveStack = g.saveStack[:base]
-		g.vals[id] = -1
+		g.vals[id] = 0
 		g.backtracks++
 		if g.backtracks > g.budget {
 			return false, ErrBudget

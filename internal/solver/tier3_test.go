@@ -90,7 +90,7 @@ func TestHardGroupsAreTheKilledOnes(t *testing.T) {
 		}
 		s := New()
 		s.MaxBacktracks = 1 << 10
-		_, _, err := s.solveGroup(g.cons, groupIDs(g.cons), expr.Assignment{}, nil)
+		_, _, err := s.solveGroup(g.cons, groupIDs(g.cons), new(expr.Assignment), nil)
 		var kill *BudgetError
 		if !errors.As(err, &kill) || !errors.Is(err, ErrBudget) {
 			t.Fatalf("%s: want a budget kill, got %v", g.name, err)
@@ -115,14 +115,11 @@ func checkPruneMemo(t *testing.T, s *Solver, stride, phase int) {
 		}
 		m := memo.masks[i]
 		ids := key.con.VarIDs()
-		vals := make([]int16, ids[len(ids)-1]+1)
-		for j := range vals {
-			vals[j] = -1
-		}
+		var vals expr.Assignment
 		others := key.others
 		for k := len(ids) - 1; k >= 0; k-- {
 			if k != int(key.slot) {
-				vals[ids[k]] = int16(others & 0xff)
+				vals.Set(ids[k], uint8(others))
 				others >>= 8
 			}
 		}
@@ -131,8 +128,8 @@ func checkPruneMemo(t *testing.T, s *Solver, stride, phase int) {
 			if !m.known.has(uint8(v)) {
 				continue
 			}
-			vals[ids[key.slot]] = int16(v)
-			if ev, ok := key.con.EvalSlice(vals); ok && ev != 0 {
+			vals.Set(ids[key.slot], uint8(v))
+			if ev, ok := key.con.Eval(vals); ok && ev != 0 {
 				want.add(uint8(v))
 			}
 		}
@@ -155,8 +152,8 @@ func TestPruneMemoMatchesScan(t *testing.T) {
 		for n := 2 + rng.Intn(5); n > 0; n-- {
 			cons = append(cons, randomConstraint(rng, nv))
 		}
-		model := expr.Assignment{}
-		sat, _, err := s.solveGroup(cons, groupIDs(cons), model, nil)
+		var model expr.Assignment
+		sat, _, err := s.solveGroup(cons, groupIDs(cons), &model, nil)
 		if err == nil && sat {
 			for _, c := range cons {
 				if v, ok := c.Eval(model); !ok || v == 0 {
@@ -203,7 +200,7 @@ func FuzzPruneMask(f *testing.F) {
 		}
 		s := New()
 		s.MaxBacktracks = 1 << 9
-		if _, _, err := s.solveGroup(cons, groupIDs(cons), expr.Assignment{}, nil); err != nil && !errors.Is(err, ErrBudget) {
+		if _, _, err := s.solveGroup(cons, groupIDs(cons), new(expr.Assignment), nil); err != nil && !errors.Is(err, ErrBudget) {
 			t.Fatal(err)
 		}
 		checkPruneMemo(t, s, 1, 0)
@@ -222,10 +219,10 @@ func TestWarmSearchDoesNotAllocate(t *testing.T) {
 	}
 	ids := groupIDs(cons)
 	s := New()
-	model := expr.Assignment{}
+	var model expr.Assignment
 	search := func() {
 		clear(model)
-		if sat, _, err := s.solveGroup(cons, ids, model, nil); err != nil || !sat {
+		if sat, _, err := s.solveGroup(cons, ids, &model, nil); err != nil || !sat {
 			t.Fatalf("sat=%v err=%v", sat, err)
 		}
 	}
@@ -266,7 +263,7 @@ func BenchmarkTier3Hard(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := New()
 				s.MaxBacktracks = 1 << 13
-				if _, _, err := s.solveGroup(g.cons, ids, expr.Assignment{}, nil); !errors.Is(err, ErrBudget) {
+				if _, _, err := s.solveGroup(g.cons, ids, new(expr.Assignment), nil); !errors.Is(err, ErrBudget) {
 					b.Fatalf("want a budget kill, got %v", err)
 				}
 			}
