@@ -41,16 +41,16 @@
 #                   none runs fault-free to completion (used by the
 #                   PR-blocking p2p cell to assert the zero-payload
 #                   invariant without recovery noise).
-#        KILL_DELAY seconds between the victim joining and the kill -9
-#                   (default 0: since the solver's interval tier landed,
-#                   every miniature drains in under a second, so the
-#                   kill must fire the moment the victim joins — any
-#                   later and it races the run's natural completion.
-#                   Quiescence cannot be declared around a silent
-#                   member, so the eviction and re-seat still always
-#                   happen before the LB can finish. In lb mode the
-#                   promoted standby likewise cannot finish before its
-#                   resync window closes).
+#        KILL_DELAY seconds between every worker having joined and the
+#                   kill -9 (default 0). Every miniature drains in under
+#                   a second, so "mid-run" is made true by construction:
+#                   one non-seed worker is kill -STOP'd the moment its
+#                   join line appears (polled every 5 ms), and a stopped
+#                   member echoes no probe, so the run cannot end before
+#                   the kill -9 lands. It is the victim in worker mode;
+#                   in lb mode it is continued after the kill, and the
+#                   promoted standby cannot finish before its resync
+#                   window closes.
 #
 # PR CI runs the fast single-target form (`test`) in p2p, plus a
 # fault-free p2p run in the bench job that fails if any payload byte
@@ -84,7 +84,8 @@ PORT="${2:-7911}"
 BIN="$(mktemp -d)"
 LOGS="${SMOKE_LOGS:-$(mktemp -d)}"
 mkdir -p "$LOGS"
-trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
+# A stopped (held) worker only acts on the signal once continued.
+trap 'kill $(jobs -p) 2>/dev/null || true; kill -CONT $(jobs -p) 2>/dev/null || true' EXIT
 
 echo "== building binaries"
 go build -o "$BIN" ./cmd/c9 ./cmd/c9-lb ./cmd/c9-worker
@@ -157,30 +158,54 @@ done
 # Kill once the run is underway: every worker has joined (the LB's
 # min-workers barrier lifts and dispatch begins), so in worker mode the
 # victim is a full member the survivors must be re-seated around, and in
-# lb mode the standby already holds the full membership.
-for _ in $(seq 1 200); do
-  n=0
+# lb mode the standby already holds the full membership. The run is
+# kept from ending before the kill by construction: the first worker to
+# join under an id other than 0 (in p2p, worker 0 is the seed, whose
+# whole tree no one else holds until it first reports) is kill -STOP'd
+# on its join line, and a stopped member neither reports nor echoes a
+# probe. In worker mode it is the victim; in lb mode it is continued
+# once the primary is dead.
+HELD=
+for _ in $(seq 1 2000); do
+  # Counted first, so the last pass that stops a worker sees every join counted.
+  n=$(grep -l "joined as worker" "$LOGS"/worker[012].txt 2>/dev/null | wc -l || true)
   for i in 0 1 2; do
-    grep -q "joined as worker" "$LOGS/worker$i.txt" 2>/dev/null && n=$((n + 1))
+    if [[ "$KILL_TARGET" != "none" && -z "$HELD" ]] &&
+      grep -q "joined as worker [1-9]" "$LOGS/worker$i.txt" 2>/dev/null &&
+      kill -STOP "${WPIDS[$i]}" 2>/dev/null; then
+      HELD=$i
+    fi
   done
   [[ "$n" -eq 3 ]] && break
-  sleep 0.05
+  sleep 0.005
 done
+if [[ "$KILL_TARGET" == "lb" && "$DATA_PLANE" == "p2p" ]]; then
+  # The journal must show payload moving worker to worker, and after the
+  # kill the seed can drain the tree alone before the standby promotes:
+  # let the primary issue its first transfer order (the held worker keeps
+  # the run open meanwhile; its 500ms lease bounds the wait).
+  for _ in $(seq 1 40); do
+    curl -sf "http://127.0.0.1:$OBS_PORT/metrics" 2>/dev/null |
+      grep -q '^c9_lb_transfers_issued_total [1-9]' && break
+    sleep 0.005
+  done
+fi
 sleep "$KILL_DELAY"
 if [[ "$KILL_TARGET" == "lb" ]]; then
   if kill -0 "$LB_PID" 2>/dev/null; then
     echo "== kill -9 primary LB pid $LB_PID"
     kill -9 "$LB_PID"
+    if [[ -n "$HELD" ]]; then kill -CONT "${WPIDS[$HELD]}"; fi
   else
     echo "smoke: primary LB exited before the kill — run too short for a mid-run crash" >&2
     exit 1
   fi
 elif [[ "$KILL_TARGET" == "worker" ]]; then
-  if kill -0 "${WPIDS[1]}" 2>/dev/null; then
-    echo "== kill -9 worker pid ${WPIDS[1]}"
-    kill -9 "${WPIDS[1]}"
+  if [[ -n "$HELD" ]] && kill -0 "${WPIDS[$HELD]}" 2>/dev/null; then
+    echo "== kill -9 worker pid ${WPIDS[$HELD]}"
+    kill -9 "${WPIDS[$HELD]}"
   else
-    echo "smoke: worker 1 exited before the kill — run too short for a mid-run crash" >&2
+    echo "smoke: no worker but the seed was still running at the kill — run too short for a mid-run crash" >&2
     exit 1
   fi
 fi

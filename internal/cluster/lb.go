@@ -3,6 +3,7 @@ package cluster
 import (
 	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -202,6 +203,9 @@ type LoadBalancer struct {
 	// dead peer link, so a standby has no use for the numbers.
 	relayedBatches int
 	relayedBytes   uint64
+	// earlyRounds counts the rounds LBServer.Serve ran because a report
+	// made one due (roundDue) rather than on its tick.
+	earlyRounds int
 
 	// Enabled gates balancing (Fig. 13 disables it mid-run).
 	Enabled bool
@@ -854,12 +858,7 @@ func (lb *LoadBalancer) Tick(now time.Time) []Outbound {
 	// Sorted so re-delivery order (and thus the downstream message
 	// sequence) is identical across identically-seeded runs and between
 	// a primary and its replica.
-	ids := make([]uint64, 0, len(lb.Reseats))
-	for bid := range lb.Reseats {
-		ids = append(ids, bid)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, bid := range ids {
+	for _, bid := range slices.Sorted(maps.Keys(lb.Reseats)) {
 		b := lb.Reseats[bid]
 		if lb.Members[b.Dst] == nil {
 			continue // re-homed on that member's departure
@@ -927,19 +926,45 @@ func (lb *LoadBalancer) Control(m Message, now time.Time) []Outbound {
 	return nil
 }
 
+// minDonorQueue is the shortest queue Balance's starved rule takes from.
+const minDonorQueue = 2
+
+// roundDue reports whether the status in m, asked before Control records
+// it, gives Balance a starved/donor pair it did not have: the sender is
+// idle for the first time since it last worked (first report, busy
+// before, or JobsRecv grew), or its queue reaches minDonorQueue from
+// below while another reported member sits at 0. A repeated idle report
+// is neither. Never in depth mode, where unit grants answer the report.
+func (lb *LoadBalancer) roundDue(m Message) bool {
+	st := m.Status
+	if m.Kind != MsgStatus || st == nil || lb.cfg.DataPlane == DataPlaneDepth ||
+		!lb.IsMember(st.Worker, st.Epoch) {
+		return false
+	}
+	last := lb.Members[st.Worker].Last
+	if st.Done && st.Queue == 0 {
+		return !last.Done || last.Queue > 0 || st.JobsRecv > last.JobsRecv
+	}
+	if st.Queue < minDonorQueue || last.Queue >= minDonorQueue {
+		return false
+	}
+	for id, o := range lb.Members {
+		if id != st.Worker && o.Reported && o.Last.Queue == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Round is one balance round: evict members whose lease lapsed, run
 // custody and portfolio maintenance, turn the balancing decision into
 // MsgTransferReq orders addressed to their sources, broadcast the
 // global coverage vector if it changed, and re-send a termination probe
-// still waiting for echoes. Fabrics call it on their own period and
-// deliver the result in order.
-//
-// Transfer orders are issued here and not when a starved report arrives
-// (as unit grants and probes are): the donor's queue in the balancer's
-// view is as old as the donor's last status, and re-ordering against it
-// before the donor has reported the previous order's effect ships the
-// same surplus many times over (measured, ARCHITECTURE.md "When the
-// balancer acts").
+// still waiting for echoes. Fabrics call it on their own period (TCP
+// also when roundDue says a report made it due) and deliver the result
+// in order. Transfer orders are never issued inside Control: there they
+// spent one reported surplus twice in the sim, and many times over on
+// every idle report (ARCHITECTURE.md "When the balancer acts").
 func (lb *LoadBalancer) Round(now time.Time) []Outbound {
 	outs := lb.ExpireLeases(now)
 	outs = append(outs, lb.Tick(now)...)
@@ -1032,12 +1057,7 @@ func (lb *LoadBalancer) redeliverUnits(now time.Time) []Outbound {
 
 // memberIDs returns the current member ids in ascending order.
 func (lb *LoadBalancer) memberIDs() []int {
-	ids := make([]int, 0, len(lb.Members))
-	for id := range lb.Members {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
+	return slices.Sorted(maps.Keys(lb.Members))
 }
 
 // claimsUnits reports whether m's last status claims every unit the
@@ -1147,6 +1167,7 @@ func (lb *LoadBalancer) PutLBMetrics(s *obs.Snapshot) {
 	// asserts it), so the zero must be visible, not absent.
 	s.PutCounter(obs.MLBPayloadBytes, lb.relayedBytes)
 	s.PutCounter(obs.MLBRelayedBatches, uint64(lb.relayedBatches))
+	s.PutCounter(obs.MLBEarlyRounds, uint64(lb.earlyRounds))
 	s.PutCounter(obs.MLBUnitGrants, uint64(lb.UnitGrants))
 	s.PutCounter(obs.MLBUnitReclaims, uint64(lb.UnitReclaims))
 	s.PutGauge(obs.MLBUnitsUnclaimed, int64(len(lb.ownedUnits(-1))))
@@ -1335,7 +1356,7 @@ func (lb *LoadBalancer) Balance() []TransferOrder {
 	for lo < hi {
 		// Starved workers (0 jobs) count as underloaded even when σ is
 		// degenerate, as long as a peer has work to spare.
-		starved := ws[lo].l == 0 && ws[hi].l >= 2
+		starved := ws[lo].l == 0 && ws[hi].l >= minDonorQueue
 		if !under(ws[lo].l) && !starved {
 			break // receivers exhausted (sorted: inner ones are closer to the mean)
 		}

@@ -113,7 +113,8 @@ package cluster
 
 import (
 	"encoding/gob"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"cloud9/internal/obs"
@@ -366,13 +367,8 @@ func (jt *JobTree) Paths() [][]uint8 {
 		if n.Leaf {
 			out = append(out, append([]uint8(nil), prefix...))
 		}
-		keys := make([]int, 0, len(n.Kids))
-		for k := range n.Kids {
-			keys = append(keys, int(k))
-		}
-		sort.Ints(keys)
-		for _, k := range keys {
-			walk(n.Kids[uint8(k)], append(prefix, uint8(k)))
+		for _, k := range slices.Sorted(maps.Keys(n.Kids)) {
+			walk(n.Kids[k], append(prefix, k))
 		}
 	}
 	walk(jt, nil)

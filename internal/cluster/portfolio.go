@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"cloud9/internal/obs"
@@ -125,13 +125,8 @@ func (lb *LoadBalancer) rebalanceStrategies() []Outbound {
 	}
 	desired := lb.desiredAllocation(lb.unpinned())
 	counts := lb.specCounts()
-	ids := make([]int, 0, len(lb.Members))
-	for id := range lb.Members {
-		ids = append(ids, id)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(ids)))
 	var outs []Outbound
-	for _, id := range ids {
+	for _, id := range slices.Backward(lb.memberIDs()) {
 		m := lb.Members[id]
 		if m.Pinned {
 			continue

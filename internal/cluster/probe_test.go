@@ -1,10 +1,10 @@
 package cluster
 
 // Tests of what the balancer does when a report arrives: the probe waves
-// that decide termination and the unit grants an idle report is answered
-// with, at the LoadBalancer level (no sockets, hand-picked times), plus
-// the worker's side of both — statuses on a clock, a probe answered at
-// once.
+// that decide termination, the unit grants an idle report is answered
+// with and the reports that make a balance round due, at the
+// LoadBalancer level (no sockets, hand-picked times), plus the worker's
+// side of the first two — statuses on a clock, a probe answered at once.
 
 import (
 	"reflect"
@@ -273,6 +273,51 @@ func TestUnitGrantsShrinkOnIdleReports(t *testing.T) {
 	evs := lb.Journal().All()
 	if last := evs[len(evs)-1]; !granted || last.Type != obs.EvUnitGrant || last.Fields["cause"] != grantOnTick {
 		t.Fatalf("reclaimed units not re-granted on the tick: granted=%v, last event %+v", granted, last)
+	}
+}
+
+// TestRoundDueOnEdges: a report makes a balance round due when the
+// sender first runs dry or first has surplus while a peer is dry, and
+// not when it repeats itself; never in depth mode.
+func TestRoundDueOnEdges(t *testing.T) {
+	idle := Status{Done: true}
+	for _, c := range []struct {
+		name  string
+		depth bool
+		peer  *Status // the other member's last report; nil: none yet
+		last  *Status // the sender's last report; nil: none yet
+		st    Status
+		due   bool
+	}{
+		{name: "first-ever report, idle", st: idle, due: true},
+		{name: "idle again, same JobsRecv", last: &Status{Done: true, JobsRecv: 3}, st: Status{Done: true, JobsRecv: 3}},
+		{name: "idle after JobsRecv grew", last: &Status{Done: true, JobsRecv: 3}, st: Status{Done: true, JobsRecv: 5}, due: true},
+		{name: "idle after a busy report", last: &Status{Queue: 4}, st: idle, due: true},
+		{name: "donor 1 -> 5, idle peer", peer: &idle, last: &Status{Queue: 1}, st: Status{Queue: 5}, due: true},
+		{name: "donor 1 -> 5, busy peer", peer: &Status{Queue: 3}, last: &Status{Queue: 1}, st: Status{Queue: 5}},
+		{name: "donor 1 -> 5, peer never reported", last: &Status{Queue: 1}, st: Status{Queue: 5}},
+		{name: "donor 5 -> 9, idle peer", peer: &idle, last: &Status{Queue: 5}, st: Status{Queue: 9}},
+		{name: "depth plane, first-ever idle", depth: true, st: idle},
+		{name: "depth plane, donor 1 -> 5", depth: true, peer: &idle, last: &Status{Queue: 1}, st: Status{Queue: 5}},
+	} {
+		cfg := DefaultBalancerConfig()
+		if c.depth {
+			cfg.DataPlane = DataPlaneDepth
+		}
+		lb := NewLoadBalancer(cfg, 64)
+		ms := joinN(t, lb, 2)
+		sender, peer := ms[0], ms[1]
+		if c.peer != nil {
+			report(t, lb, peer, *c.peer)
+		}
+		if c.last != nil {
+			report(t, lb, sender, *c.last)
+		}
+		st := c.st
+		st.Worker, st.Epoch = sender.ID, sender.Epoch
+		if got := lb.roundDue(Message{Kind: MsgStatus, From: sender.ID, Epoch: sender.Epoch, Status: &st}); got != c.due {
+			t.Errorf("%s: roundDue = %v, want %v", c.name, got, c.due)
+		}
 	}
 }
 

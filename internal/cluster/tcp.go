@@ -588,8 +588,9 @@ type LBServer struct {
 	MinWorkers  int
 	peakMembers int
 	// wake rouses Serve between ticks: a handler's report closed the last
-	// probe wave.
-	wake chan struct{}
+	// probe wave, or made a balance round due (roundDue, set with it).
+	wake     chan struct{}
+	roundDue bool
 }
 
 // wakeServe makes Serve look at the balancer now instead of on its next
@@ -821,16 +822,18 @@ func (s *LBServer) dispatchLocked(outs []Outbound) {
 // Serve accepts workers and balances until the run terminates (or
 // maxDuration passes), then broadcasts stop and returns the final
 // statuses — live members' last reports plus the final records of
-// departed members. The balance round runs on a 20 ms tick; what the
-// balancer does on a report (unit grants, probe waves) the handlers
-// dispatch as the report arrives, and the one that closes the last wave
+// departed members. The balance round runs on a 20 ms tick, and at once
+// when a handler's report made one due (roundDue), restarting the tick.
+// What the balancer does on a report (unit grants, probe waves) the
+// handlers dispatch as it arrives, and the one that closes the last wave
 // wakes this loop, so the end of a run does not wait for a tick either.
 func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 	if !s.noAccept {
 		go acceptLoop(s.listener, s.handle)
 	}
 	start := time.Now()
-	tick := time.NewTicker(20 * time.Millisecond)
+	const period = 20 * time.Millisecond
+	tick := time.NewTicker(period)
 	defer tick.Stop()
 	for done := false; !done; {
 		ticked := false
@@ -844,7 +847,12 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 			s.mu.Unlock()
 			break
 		}
-		if ticked {
+		if ticked || s.roundDue {
+			if !ticked {
+				s.lb.earlyRounds++
+				tick.Reset(period)
+			}
+			s.roundDue = false
 			s.peakMembers = max(s.peakMembers, len(s.lb.Members))
 			s.lb.holdOpen = s.peakMembers < s.MinWorkers
 			s.dispatchLocked(s.lb.Round(time.Now()))
@@ -1027,8 +1035,9 @@ func (s *LBServer) handle(conn net.Conn) {
 			// or no one's.
 			s.lb.Touch(ack.ID, time.Now())
 		default:
+			s.roundDue = s.roundDue || s.lb.roundDue(*wm.Msg)
 			s.dispatchLocked(s.lb.Control(*wm.Msg, time.Now()))
-			if s.lb.Terminated() {
+			if s.roundDue || s.lb.Terminated() {
 				s.wakeServe()
 			}
 		}

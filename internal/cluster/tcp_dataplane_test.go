@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"cloud9/internal/engine"
 	"cloud9/internal/obs"
+	"cloud9/internal/targets"
 )
 
 // runTCPDataPlane runs an LB (with the given balancer config) and three
@@ -73,6 +75,32 @@ func TestTCPDepthModeExactPaths(t *testing.T) {
 	}
 	if fleet.Counter(obs.MLBUnitGrants) == 0 {
 		t.Fatal("no unit grants recorded")
+	}
+}
+
+// TestTCPEarlyRounds: printf on cluster.Run with two workers. The p2p
+// balancer runs at least one round because a report made it due, not on
+// its tick; the depth one never does. Counted, not timed.
+func TestTCPEarlyRounds(t *testing.T) {
+	tgt, ok := targets.ByName("printf")
+	if !ok {
+		t.Fatal("no printf target")
+	}
+	for _, plane := range []string{DataPlaneP2P, DataPlaneDepth} {
+		bc := DefaultBalancerConfig()
+		bc.DataPlane = plane
+		res, err := Run(Config{
+			Workers: 2, Entry: "main", NewInterp: targets.Factory(tgt),
+			Engine: engine.Config{MaxStateSteps: 1_000_000}, Balancer: bc,
+			MaxDuration: time.Minute,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		early := res.Obs.Counter(obs.MLBEarlyRounds)
+		if !res.Exhausted || res.Final.Paths != 2136 || (plane == DataPlaneP2P) != (early > 0) {
+			t.Fatalf("%s: exhausted=%v paths=%d %s=%d", plane, res.Exhausted, res.Final.Paths, obs.MLBEarlyRounds, early)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -647,12 +649,7 @@ func (w *Worker) handleEvict(msg Message) {
 	}
 	w.notePeerClose(msg.From)
 	if byseq := w.unacked[msg.From]; len(byseq) > 0 {
-		seqs := make([]uint64, 0, len(byseq))
-		for seq := range byseq {
-			seqs = append(seqs, seq)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, seq := range seqs {
+		for _, seq := range slices.Sorted(maps.Keys(byseq)) {
 			w.reimport(msg.From, seq)
 		}
 		w.sendStatus()
@@ -680,11 +677,7 @@ func (w *Worker) resendOverdue() {
 		if !overdue {
 			continue
 		}
-		seqs := make([]uint64, 0, len(byseq))
-		for seq := range byseq {
-			seqs = append(seqs, seq)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		seqs := slices.Sorted(maps.Keys(byseq))
 		for i, seq := range seqs {
 			b := byseq[seq]
 			b.sentAt = now

@@ -86,6 +86,7 @@ const (
 	// snapshots served to attaching standbys, one per attach.
 	MLBPayloadBytes   = "c9_lb_payload_bytes_total"
 	MLBRelayedBatches = "c9_lb_relayed_batches_total"
+	MLBEarlyRounds    = "c9_lb_early_rounds_total" // balance rounds a report made due, run before the tick
 	MLBUnitGrants     = "c9_lb_unit_grants_total"
 	MLBUnitReclaims   = "c9_lb_unit_reclaims_total"
 	MLBUnitsUnclaimed = "c9_lb_units_unclaimed" // gauge
