@@ -1,6 +1,6 @@
 // Command c9-repro regenerates the tables and figures of the Cloud9
 // paper's evaluation (§7) on the miniature targets, printing paper-style
-// rows. Results are recorded in EXPERIMENTS.md.
+// rows. The nightly workflow uploads its output as an artifact.
 //
 // Usage:
 //

@@ -13,7 +13,8 @@
 //   - cmd/c9-lb       — cluster load balancer (TCP, elastic membership)
 //   - cmd/c9-worker   — cluster worker node (TCP; joins/leaves at will)
 //   - cmd/c9-repro    — regenerates every table/figure of the paper's §7
-//   - cmd/c9-benchgate — CI perf-regression gate over the bench suite
+//   - bench/          — the perf ledger: end-to-end seconds and memory
+//     per workload (BENCHMARK.json)
 //   - examples/       — runnable API walkthroughs
 //
 // # Cluster architecture
@@ -65,9 +66,9 @@
 // the dist-opt strategy and the cupa dist classifier rank states by.
 // The metric is incremental — a coverage delta re-solves only the
 // functions whose uncovered-block set changed plus their call-graph
-// ancestors, everything else stays memoized (CI gates the incremental
-// recompute at ≥5x over the from-scratch BFS reference, and a
-// differential property test pins it to that reference exactly).
+// ancestors, everything else stays memoized (a test pins the recompute's
+// scope by its counter, and a differential property test pins the
+// result to the from-scratch BFS reference exactly).
 //
 // The expression layer (internal/expr) is hash-consed: structural
 // hashing, equality, and free-variable queries on constraints are O(1)
@@ -83,17 +84,17 @@
 // Solver.Fork query whose parent-model fast path decides one direction
 // by evaluation alone (the §6 constraint-cache design taken to its
 // limit). Solver cache hit rates surface through `c9 -stats` and the
-// worker exit report; CI gates the incremental speedup against the
-// retained from-scratch reference pipeline.
+// worker exit report; the solver's tests pin each fast path by the
+// counters it keeps (an Append is one state extension, a bounds-decided
+// branch is no query).
 //
-// See README.md for the architecture overview, DESIGN.md for the
-// system inventory and substitutions, and EXPERIMENTS.md for
-// paper-vs-measured results. The benchmarks in bench_test.go regenerate
-// each experiment at reduced scale; .github/workflows/ci.yml runs them
-// once per PR and gates on the committed baseline in ci/. The nightly
-// workflow (.github/workflows/nightly.yml) runs the full-cluster
-// gauntlet: the exploration-exactness gate (ci/exactness.sh pins
-// printf 2136 / memcached 312 / lighttpd 64 / test 552 paths), the
-// complete experiment suite with result tables uploaded as artifacts,
-// and the TCP kill -9 smoke matrix under the dist-strategy portfolio.
+// ARCHITECTURE.md is the map of the system and docs/operations.md the
+// operator's view of the binaries and CI. Performance has one
+// instrument, the ledger under bench/ (bench/README.md): every PR is
+// read on it, base against head. The nightly workflow
+// (.github/workflows/nightly.yml) runs the full-cluster gauntlet: the
+// exploration-exactness gate (ci/exactness.sh pins printf 2136 /
+// memcached 312 / lighttpd 64 / test 552 paths), the complete
+// experiment suite with result tables uploaded as artifacts, and the
+// TCP kill -9 smoke matrix under the dist-strategy portfolio.
 package cloud9

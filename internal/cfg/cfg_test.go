@@ -273,7 +273,7 @@ func sortedFuncs(g *Graph) []string {
 
 // TestIncrementalRecomputeScope: a delta inside one leaf function must
 // re-solve only that function and its call-graph ancestors, not the
-// whole program — the memoization the ≥5x CI bench gate protects.
+// whole program — the memoization BenchmarkDistRecompute measures.
 func TestIncrementalRecomputeScope(t *testing.T) {
 	const leaves = 32
 	funcs := map[string][]blockDesc{}
@@ -304,6 +304,61 @@ func TestIncrementalRecomputeScope(t *testing.T) {
 		t.Fatalf("delta in one leaf re-solved %d function instances, want 1..6", recomputed)
 	}
 	compare(t, "scoped", d)
+}
+
+// BenchmarkDistRecompute: re-deriving md2u after one coverage delta on
+// a 65-function program (main calling 64 eight-block leaves), the
+// incremental oracle against the from-scratch whole-program BFS.
+func BenchmarkDistRecompute(b *testing.B) {
+	funcs := map[string][]blockDesc{}
+	var mainBlocks []blockDesc
+	line := 1
+	for i := 0; i < 64; i++ {
+		name := fmt.Sprintf("leaf%d", i)
+		for j := 0; j < 8; j++ {
+			bd := blockDesc{lines: []int{line}}
+			if j < 7 {
+				bd.succs = []int{j + 1}
+			}
+			funcs[name] = append(funcs[name], bd)
+			line++
+		}
+		mainBlocks = append(mainBlocks, blockDesc{lines: []int{line}, calls: []string{name}, succs: []int{i + 1}})
+		line++
+	}
+	funcs["main"] = append(mainBlocks, blockDesc{lines: []int{line}})
+	g := BuildGraph(buildProg(funcs))
+	// Every coverable line once, shuffled so consecutive deltas land in
+	// different functions.
+	var lines []int
+	for ln := range g.LineOwners {
+		lines = append(lines, ln)
+	}
+	sort.Ints(lines)
+	rand.New(rand.NewSource(42)).Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
+	b.Run("incremental", func(b *testing.B) {
+		var d *Distance
+		for i := 0; i < b.N; i++ {
+			if i%len(lines) == 0 {
+				b.StopTimer()
+				d = NewDistance(g)
+				d.FuncDist("main")
+				b.StartTimer()
+			}
+			d.CoverLine(lines[i%len(lines)])
+			d.FuncDist("main")
+		}
+	})
+	b.Run("from-scratch", func(b *testing.B) {
+		var covered map[int]bool
+		for i := 0; i < b.N; i++ {
+			if i%len(lines) == 0 {
+				covered = map[int]bool{}
+			}
+			covered[lines[i%len(lines)]] = true
+			ScratchDist(g, func(ln int) bool { return covered[ln] })
+		}
+	})
 }
 
 // TestStateDist: distance ranks a state by its current frame, falling

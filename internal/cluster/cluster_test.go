@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/gob"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -110,6 +111,28 @@ func TestQuickJobTreePreservesPathSets(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestJobTreeAggregatesSharedPrefixes: jobs shipped together travel as
+// one job tree (§3.2), so a shared prefix crosses the wire once. 64 paths
+// sharing a 24-step prefix cost fewer bytes as a tree than as the gob
+// encoding of the flat paths (693 against 2,003).
+func TestJobTreeAggregatesSharedPrefixes(t *testing.T) {
+	var paths [][]uint8
+	for i := 0; i < 64; i++ {
+		p := make([]uint8, 24, 30)
+		for bit := 5; bit >= 0; bit-- {
+			p = append(p, uint8(i>>bit)&1)
+		}
+		paths = append(paths, p)
+	}
+	var flat countWriter
+	if err := gob.NewEncoder(&flat).Encode(paths); err != nil {
+		t.Fatal(err)
+	}
+	if tree := payloadBytes(BuildJobTree(paths)); tree >= int(flat) {
+		t.Fatalf("the job tree takes %d bytes, the flat paths %d", tree, flat)
 	}
 }
 
@@ -332,6 +355,40 @@ func TestQuiescenceSurvivesEviction(t *testing.T) {
 	}
 	if lb2.Evictions != 1 {
 		t.Fatalf("evictions = %d", lb2.Evictions)
+	}
+}
+
+// TestLostSeedReseatsTheRoot: the seed (member 0, the one holding the
+// whole-tree job) dies after joining and before its first status, with
+// no job sent anywhere. When its lease lapses the LB re-seats the root
+// job, the empty path, onto the idle survivor, and the run is not over
+// until the survivor reports having received it.
+func TestLostSeedReseatsTheRoot(t *testing.T) {
+	lb := NewLoadBalancer(DefaultBalancerConfig(), 64)
+	ms := joinN(t, lb, 2)
+	late := time.Unix(0, 0).Add(lb.cfg.Lease)
+	idle := Status{Worker: ms[1].ID, Epoch: ms[1].Epoch, Done: true}
+	if _, ok := lb.Update(idle, late); !ok {
+		t.Fatal("idle report rejected")
+	}
+	var root *Message
+	for _, out := range lb.ExpireLeases(late.Add(time.Second)) {
+		if out.Msg.Kind == MsgJobs && out.To == ms[1].ID && out.Msg.From == LBFrom {
+			root = &out.Msg
+		}
+	}
+	if lb.IsMember(ms[0].ID, ms[0].Epoch) || root == nil {
+		t.Fatalf("seed evicted: %v; root re-seated: %v", !lb.IsMember(ms[0].ID, ms[0].Epoch), root != nil)
+	}
+	if paths := root.Jobs.Paths(); len(paths) != 1 || len(paths[0]) != 0 {
+		t.Fatalf("re-seated %v, want the root job alone", paths)
+	}
+	if _, ok := lb.Update(idle, late.Add(2*time.Second)); !ok || lb.Quiescent() {
+		t.Fatalf("the root is in flight: report accepted %v, quiescent %v", ok, lb.Quiescent())
+	}
+	idle.JobsRecv, idle.ReseatAcks = 1, []ReseatAck{{ID: root.Seq, Jobs: 1}}
+	if _, ok := lb.Update(idle, late.Add(3*time.Second)); !ok || !lb.Quiescent() {
+		t.Fatalf("the root landed and drained: report accepted %v, quiescent %v", ok, lb.Quiescent())
 	}
 }
 

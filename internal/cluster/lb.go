@@ -745,6 +745,14 @@ func (lb *LoadBalancer) depart(id int, now time.Time) []Outbound {
 				Jobs: rec.Frontier, N: n, ID: m.Epoch, Rec: custodyRecord(m),
 			})
 		}
+	} else if sent, recv := lb.jobSums(); id == 0 && sent+recv == 0 {
+		// The seed died before its first status and nothing was shipped
+		// yet: it took the whole tree along. Re-seat the root job, the
+		// empty path, which a worker that dropped its root imports as its
+		// root candidate.
+		lb.Orphans = append(lb.Orphans, &custodyBatch{
+			Jobs: BuildJobTree([][]uint8{{}}), N: 1, ID: m.Epoch, Rec: custodyRecord(m),
+		})
 	}
 	var rehome []uint64
 	for bid, b := range lb.Reseats {

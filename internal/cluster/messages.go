@@ -319,7 +319,7 @@ type Status struct {
 	Units []int
 	// Obs carries the worker's metrics, delta-encoded against the last
 	// full status the LB accepted (nil on light statuses — metrics ride
-	// the FrontierEvery cadence, same as the frontier). When ObsBase is
+	// the frontierEvery cadence, same as the frontier). When ObsBase is
 	// set the snapshot is cumulative instead: the worker could not prove
 	// the LB still holds its previous baseline (failed send or stream
 	// reconnect), so the LB replaces its record rather than applying a

@@ -1,9 +1,9 @@
 package cluster
 
 // TCP membership-fault tests that have no in-process twin any more:
-// graceful retire over real sockets, the maxDuration cut-off, the
-// handshake deadline on the three accept loops, and the keepalive that
-// holds a silent worker's lease.
+// graceful retire over real sockets, a seed lost before its first
+// status, the maxDuration cut-off, the handshake deadline on the three
+// accept loops, and the keepalive that holds a silent worker's lease.
 
 import (
 	"errors"
@@ -46,6 +46,38 @@ func TestTCPGracefulRetire(t *testing.T) {
 	}
 	if departed != 1 {
 		t.Fatalf("departed workers = %d, want 1", departed)
+	}
+}
+
+// TestTCPLostSeed: the seed joins and closes its connection before its
+// first status, taking the whole-tree job with it. Once its lease lapses
+// the LB re-seats the root onto the worker that joined after it, which
+// explores all of it.
+func TestTCPLostSeed(t *testing.T) {
+	cfg := DefaultBalancerConfig()
+	cfg.Lease = 300 * time.Millisecond
+	f := newTCPFleet(t, bigClusterTarget, cfg, 1)
+	f.wg.Add(1)
+	go func() {
+		defer f.wg.Done()
+		tr, ack, err := DialLB(f.lbs.Addr())
+		if err != nil {
+			f.errCh <- err
+			return
+		}
+		tr.Close()
+		if !ack.Seed {
+			f.errCh <- errors.New("the first member is not the seed")
+			return
+		}
+		f.start(t, tcpWorkerOpts{})
+	}()
+	paths, errs, _ := f.serve(t)
+	if paths != 1024 || errs != 1 {
+		t.Fatalf("paths=%d errors=%d, want 1024/1 after losing the seed", paths, errs)
+	}
+	if evictions, _, _, _ := f.lbs.Stats(); evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", evictions)
 	}
 }
 

@@ -81,14 +81,10 @@ func (f *tcpFleet) start(t *testing.T, o tcpWorkerOpts) {
 		}
 		var w *Worker
 		wc := ack.WorkerConfig(WorkerConfig{
-			Batch:  8,
-			Engine: engine.Config{MaxStateSteps: 1_000_000},
-			// Frontier with every status: cheap at this scale, and it
-			// keeps the custody snapshot maximally fresh for the crash
-			// assertions below.
-			FrontierEvery: 1,
-			NewInterp:     func() (*interp.Interp, error) { return in, nil },
-			Entry:         "main",
+			Batch:     8,
+			Engine:    engine.Config{MaxStateSteps: 1_000_000},
+			NewInterp: func() (*interp.Interp, error) { return in, nil },
+			Entry:     "main",
 		})
 		if o.crashWhen != nil {
 			wc.CrashWhen = func(queue int) bool { return o.crashWhen(w, queue) }

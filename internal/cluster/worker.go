@@ -28,18 +28,6 @@ type WorkerConfig struct {
 	// length; returning true crashes the worker on the spot (no goodbye,
 	// no further statuses).
 	CrashWhen func(queue int) bool
-	// FrontierEvery is the cadence (in statuses) of full status
-	// snapshots carrying the frontier job tree; in between, cheap
-	// counters-only statuses renew the lease. A status is always full
-	// when the send/receive counters changed, so the LB's custody
-	// snapshot never misses a transfer — light statuses only carry
-	// exploration progress, which crash recovery discards anyway.
-	// A busy worker's statuses go out on a clock (statusEvery), so a
-	// crash discards up to FrontierEvery × 5 ms of exploration — not
-	// FrontierEvery batches, as when every batch sent one; the cluster's
-	// totals are exact either way, only more of them is explored twice.
-	// Default: 16. Use 1 to ship the frontier with every status.
-	FrontierEvery int
 
 	// StrategySpec is the internal/search strategy spec assigned by the
 	// load balancer (the worker's portfolio slot). Empty: the engine
@@ -146,6 +134,12 @@ const (
 	// its status at once; the clocked ones carry queue length, counters
 	// and coverage, which the balance round reads every 20 ms.
 	statusEvery = 5 * time.Millisecond
+	// frontierEvery is the cadence, in statuses, of the full ones that
+	// carry the frontier job tree; the light ones between renew the lease.
+	// A status is full whenever the send/receive counters moved, so the
+	// custody snapshot never misses a transfer, and a crash discards at
+	// most frontierEvery × statusEvery of exploration, explored again.
+	frontierEvery = 16
 	// heartbeat is the maximum silence between statuses even mid-batch,
 	// so slow batches never expire the membership lease.
 	heartbeat = 250 * time.Millisecond
@@ -289,9 +283,6 @@ func NewWorker(cfg WorkerConfig, tr Transport) (*Worker, error) {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 16
 	}
-	if cfg.FrontierEvery <= 0 {
-		cfg.FrontierEvery = 16
-	}
 	w := &Worker{
 		ID:           cfg.ID,
 		Epoch:        cfg.Epoch,
@@ -308,7 +299,7 @@ func NewWorker(cfg WorkerConfig, tr Transport) (*Worker, error) {
 		specPinned:   cfg.StrategyPinned,
 		now:          time.Now,
 		// The first status is always a full snapshot.
-		statusesSinceFull: cfg.FrontierEvery,
+		statusesSinceFull: frontierEvery,
 	}
 	// Cluster-protocol metrics join the engine's registry so one snapshot
 	// covers every layer this worker runs; the journal is shared too,
@@ -712,11 +703,11 @@ func (w *Worker) resendOverdue() {
 // coverage, and acknowledgments, plus — on full statuses — the frontier
 // as path prefixes. Building the frontier tree is O(frontier · depth),
 // so it is shipped when the transfer counters moved (keeping the LB's
-// custody snapshot exact) and every FrontierEvery-th status otherwise;
+// custody snapshot exact) and every frontierEvery-th status otherwise;
 // the cadence is count-based so the lock-step sim stays deterministic.
 func (w *Worker) sendStatus() {
 	full := w.jobsSent.Load() != w.lastFullSent || w.jobsRecv.Load() != w.lastFullRecv ||
-		w.statusesSinceFull >= w.cfg.FrontierEvery || w.Exp.Done()
+		w.statusesSinceFull >= frontierEvery || w.Exp.Done()
 	w.sendStatusOpt(full)
 }
 

@@ -309,6 +309,33 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestImportReplaysFromNearestFence: an imported job replays from its
+// nearest materialized ancestor, not from the root, so a shared prefix is
+// executed once (§8, against VeriSoft's replay from the start). Replaying
+// job 000 leaves its off-path sibling 01 materialized as a fence; job 010
+// imported after it replays only the step from 01 down.
+func TestImportReplaysFromNearestFence(t *testing.T) {
+	replay := func(jobs ...[]uint8) uint64 {
+		e := newExplorer(t, branchy, Config{
+			Strategy: func(*tree.Tree, *cfg.Distance) Strategy { return NewDFS() },
+		})
+		e.DropRoot()
+		for _, job := range jobs {
+			e.ImportJobs([][]uint8{job})
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e.Stats.ReplaySteps
+	}
+	first, fence, job := []uint8{0, 0, 0}, []uint8{0, 1}, []uint8{0, 1, 0}
+	toFence, fromRoot := replay(fence), replay(job)
+	if got := replay(first, job) - replay(first); toFence == 0 || got != fromRoot-toFence {
+		t.Fatalf("job 010 after 000 replayed %d instructions, want %d (%d from the root, %d of them to fence 01)",
+			got, fromRoot-toFence, fromRoot, toFence)
+	}
+}
+
 func TestTreePruneReclaimsDeadNodes(t *testing.T) {
 	e := newExplorer(t, branchy, Config{})
 	if _, err := e.RunToCompletion(0); err != nil {

@@ -1,13 +1,14 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§7) on the miniature targets. Each experiment returns a
-// Table that cmd/c9-repro prints and EXPERIMENTS.md records.
+// Table that cmd/c9-repro prints.
 //
-// Scaling substitutions (documented per DESIGN.md): the paper's
-// 48-worker EC2 cluster becomes a deterministic lock-step simulation
-// (cluster.RunSim) whose virtual time is measured in ticks; 10-minute
-// wall-clock budgets become tick budgets; the targets are the miniatures
-// in internal/targets. The *shapes* — scaling curves, crossovers,
-// who-wins — are the reproduction targets, not absolute numbers.
+// Scaling substitutions: the paper's 48-worker EC2 cluster becomes the
+// deterministic lock-step simulation (cluster.RunSim; ARCHITECTURE.md,
+// "Cluster custody and the epoch protocol") whose virtual time is
+// measured in ticks; 10-minute wall-clock budgets become tick budgets;
+// the targets are the miniatures in internal/targets. The *shapes* —
+// scaling curves, crossovers, who-wins — are the reproduction targets,
+// not absolute numbers.
 package experiments
 
 import (

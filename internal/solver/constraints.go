@@ -84,7 +84,7 @@
 // The pre-incremental from-scratch pipeline survives as the reference
 // implementation (ReferenceMayBeTrue/ReferenceSolve); differential
 // tests check the incremental path agrees with it query-for-query, and
-// the CI benchmarks gate the incremental speedup against it.
+// the package benchmarks measure the incremental speedup against it.
 package solver
 
 import (

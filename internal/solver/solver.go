@@ -321,9 +321,9 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 		ext = s.extend(st, cond)
 	} else if !fullModel && st.model != nil {
 		// CheckSat on a set whose state already carries a witness: no
-		// group needs visiting. Nothing in the engine asks this; the
-		// gated BenchmarkIncrementalAppendSolve (append, then CheckSat,
-		// 256 deep) does, and is 3x slower without it.
+		// group needs visiting. Nothing in the engine asks this;
+		// TestIncrementalAppendIsO1 (append, then CheckSat, 256 deep)
+		// visits 136 groups with it and 3,976 without.
 		return true, st.model, nil
 	}
 
@@ -532,8 +532,8 @@ func (s *Solver) putGroup(key uint64, res groupResult) {
 // The pre-incremental query path — flatten the whole set, unit-
 // propagate to fixpoint, union-find partition, then search — kept as
 // the reference implementation. The differential tests check that the
-// incremental path above agrees with it on every query, and the CI
-// benchmarks measure the incremental speedup against it.
+// incremental path above agrees with it on every query, and the
+// package benchmarks measure the incremental speedup against it.
 
 // ReferenceMayBeTrue answers MayBeTrue through the from-scratch
 // pipeline, bypassing the incremental state and the result cache (the

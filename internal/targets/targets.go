@@ -2,8 +2,9 @@
 // reproduction tests, written in the C subset and compiled with the
 // POSIX model prelude. Each miniature preserves the *exploration
 // structure* of the paper's target (input parsing, protocol state
-// machines, seeded bugs) at laptop scale; see DESIGN.md for the
-// substitution rationale.
+// machines, seeded bugs) at laptop scale, and Target.Mimics names the
+// system it stands for. ARCHITECTURE.md's stack overview places them
+// under every layer the reproduction builds.
 package targets
 
 import (
