@@ -1,6 +1,9 @@
 package expr
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // foldDecoder builds an expression over at most three byte variables
 // from fuzz input, in prefix order: each node reads one selector byte,
@@ -134,11 +137,11 @@ func hasDivision(e *Expr) bool {
 	return false
 }
 
-// FuzzExprFold holds the constructors' folding, Subst and Eval to each
-// other. data is three variable values, a byte whose bits 0-2 put those
-// variables in a partial assignment (the rest bind the others) and whose
-// bits 4-6 pick the root width, then the tree (see foldDecoder). Where
-// Eval knows the value under the full assignment:
+// FuzzExprFold holds the constructors' folding, Subst, Eval and Lanes
+// to each other. data is three variable values, a byte whose bits 0-2
+// put those variables in a partial assignment (the rest bind the others)
+// and whose bits 4-6 pick the root width, then the tree (see
+// foldDecoder). Where Eval knows the value under the full assignment:
 //
 //   - Subst of the full assignment folds to that constant;
 //   - Subst of the partial assignment, evaluated under the rest, gives it,
@@ -147,8 +150,26 @@ func hasDivision(e *Expr) bool {
 //
 // Eval reports unknown only for a division by zero. Folding may absorb
 // one (0 * (x / 0) is 0), so an unknown is not held to anything else.
+// Lanes is held to Eval everywhere, unknowns included: for each
+// variable, the 256 lanes over its values, the others bound, give Eval's
+// value and ok at each.
 func FuzzExprFold(f *testing.F) {
 	f.Add([]byte{})
+	// Folds that hide a division by zero, and connectives whose
+	// unselected arm divides by zero (v0, v1, v2 are the variables):
+	f.Add([]byte{0, 5, 0, 0x01, // v0 * (v1 udiv v2): 0 once v0 = 0 is bound
+		0x01, 0x02, 0x00, 0x01, 0x03, 0x20, 0x40})
+	f.Add([]byte{7, 0, 7, 0x05, // (v0 udiv v1) - (v2 udiv v1): 0 once v0 = v2 = 7 are bound
+		0x01, 0x01, 0x01, 0x03, 0x00, 0x20, 0x01, 0x03, 0x40, 0x20})
+	f.Add([]byte{5, 0, 1, 0x41, // (v0 ult v2) land (v0 udiv v1 = 3): the left arm is false
+		0x03, 0x0d, 0x00, 0x00, 0x40, 0x01, 0x00, 0x01, 0x03, 0x00, 0x20, 0x10, 0x03})
+	f.Add([]byte{1, 0, 5, 0x01, // ite(v0 ult v2, v0, v0 udiv v1): the else arm is not taken
+		0x03, 0x0d, 0x00, 0x00, 0x40, 0x00, 0x01, 0x03, 0x00, 0x20})
+	var lanes Lanes
+	xs := make([]uint8, 256)
+	for x := range xs {
+		xs[x] = uint8(x)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -182,6 +203,17 @@ func FuzzExprFold(f *testing.F) {
 		k := decodeFold(data, func(i int) *Expr { return Const(uint64(data[i]), W8) })
 		if ok && (!k.IsConst() || k.ConstVal() != want) {
 			t.Fatalf("%v at v = %v: Eval %d, over constants %v", e, data[:3], want, k)
+		}
+		for id := range uint64(3) {
+			others := slices.Clone(full)
+			others[id] = 0
+			val, vok := lanes.Eval(e, others, id, xs)
+			for x := range xs {
+				others.Set(id, uint8(x))
+				if w, wok := e.Eval(others); val[x] != w || vok[x] != wok {
+					t.Fatalf("%v at v = %v, v%d = %d: Eval %d, %v; lane %d, %v", e, data[:3], id, x, w, wok, val[x], vok[x])
+				}
+			}
 		}
 	})
 }

@@ -62,9 +62,11 @@
 // hash-consed constraint, which of its variables is unbound, the other
 // variables' bytes packed into a uint64), an entry records which values
 // have been classified and which of them satisfy. A prune evaluates
-// only domain values its entry has not classified yet — by partial
-// evaluation and a scan of the residual, exactly as an unmemoized prune
-// would — and intersects the domain with the entry. The memo replaces
+// only domain values its entry has not classified yet — all of them in
+// one lane-wise pass over the constraint (expr.Lanes), each lane what
+// Eval gives, exactly as an unmemoized prune would — and intersects the
+// domain with the entry. Binding a variable forward-checks only the
+// constraints that mention it; any other kept its verdict. The memo replaces
 // evaluations by lookups of their results, so it cannot change a domain,
 // a verdict, a model or a backtrack count. A key is valid in any search
 // (it names every variable the constraint mentions), so the memo is

@@ -9,23 +9,27 @@ import (
 
 // Tier 3: backtracking search with forward checking over one
 // independent group, and the prune memo that keeps the forward checks
-// from re-deriving the same domain mask.
+// from re-deriving the same domain mask. Binding a variable checks only
+// the constraints that mention it, and a check classifies every value of
+// the free variable it has not classified before in one lane-wise pass
+// over the constraint (expr.Lanes): no residual is built.
 
 // pruneMemoCap bounds the live entries of a solver's prune memo; a full
 // memo is emptied and refilled. Measured on the ledger's memcached-hard
-// (wall_s 2.0 s unmemoized) and on `c9 -target coreutil-sum`, whose
-// 131,072-backtrack searches make a new key at nearly every prune (peak
-// RSS 18.0 MB unmemoized):
+// (fastest of a 6 s run, two rounds) and on `c9 -target coreutil-sum`,
+// whose 131,072-backtrack searches make a new key at nearly every prune,
+// on a 2-core Xeon:
 //
 //	cap      memcached-hard wall_s   coreutil-sum peak RSS
-//	512      1.78 s (thrashes)       17.3 MB
-//	2,048    0.25 s                  17.9 MB
-//	8,192    0.15 s                  19.9 MB
-//	32,768   0.15 s                  26.7 MB
+//	2,048    0.19-0.22 s (thrashes)  13.9 MB
+//	8,192    0.09-0.11 s             13.9-14.3 MB
+//	32,768   0.10 s                  20.1-20.5 MB
 //
-// sort-many's 4,649 searches make 754 keys between them and do not care.
-// A memcached run makes about 7,000 (some 1,500 per killed search, kept
-// from one kill of a group to the next), so at 8,192 it never refills.
+// 8,192 stays: 32,768 buys memcached nothing and costs coreutil-sum
+// 6 MB. sort-many's 4,649 searches make 754 keys between them and do
+// not care. A memcached run makes about 7,000 (some 1,500 per killed
+// search, kept from one kill of a group to the next), so at 8,192 it
+// never refills.
 const pruneMemoCap = 8192
 
 // pruneKeyVars is the most variables a constraint may mention and still
@@ -127,6 +131,8 @@ type groupSearch struct {
 
 	memo      pruneMemo
 	throwaway pruneMask // stands in for a memo entry of an unkeyed constraint
+	lanes     expr.Lanes
+	laneVals  [256]uint8 // the values a prune classifies, one lane each
 
 	backtracks, memoHits, memoMisses, evals uint64
 }
@@ -313,9 +319,9 @@ func resize[T any](s []T, n int) []T {
 // value trial to undo. Which values those are is a function of the
 // constraint and its other variables' values alone, so the verdicts are
 // remembered in the prune memo: only domain values not yet classified
-// under that key are evaluated — the constraint partially evaluated
-// under the current assignment, collapsing everything but the scanned
-// variable, then run over those values on the (usually tiny) residual —
+// under that key are evaluated — all of them in one lane-wise pass over
+// the constraint as built, one lane a value, each lane exactly Eval
+// under the current assignment with the variable bound to its value —
 // and the domain is intersected with the satisfying set. Returns false
 // if the domain empties.
 func (g *groupSearch) pruneUnary(i int) bool {
@@ -349,26 +355,17 @@ func (g *groupSearch) pruneUnary(i int) bool {
 		g.memoHits++
 	} else {
 		g.memoMisses++
-		reduced := ci.c.Subst(vals, nil)
-		if reduced.IsConst() {
-			// One verdict for every value of id, in the domain or not.
-			todo = fullDomain()
-			if reduced.ConstVal() != 0 {
-				m.sat = todo
-			}
-		} else {
-			v, ok := todo.first()
-			for ok {
-				vals[id] = uint16(v) + 1
-				ev, evOK := reduced.Eval(vals)
-				if evOK && ev != 0 {
-					m.sat.add(v)
-				}
-				g.evals++
-				v, ok = todo.next(v)
-			}
-			vals[id] = 0
+		xs := g.laneVals[:0]
+		for v, ok := todo.first(); ok; v, ok = todo.next(v) {
+			xs = append(xs, v)
 		}
+		ev, evOK := g.lanes.Eval(ci.c, vals, id, xs)
+		for k, v := range xs {
+			if evOK[k] && ev[k] != 0 {
+				m.sat.add(v)
+			}
+		}
+		g.evals += uint64(len(xs))
 		m.known.union(&todo)
 	}
 	d.intersect(&m.sat)
@@ -442,10 +439,13 @@ func (g *groupSearch) solve() (bool, error) {
 		g.vals[id] = uint16(v) + 1
 		g.trial++
 		base := len(g.saveStack)
-		// Forward checking: constraints that now have exactly one
-		// unbound var prune that var's domain.
+		// Forward checking: id's constraints that now have exactly one
+		// unbound var prune that var's domain, and those it completed
+		// are checked. Any other constraint kept its count and its
+		// variables' values since it was last checked, and domains only
+		// shrink in between, so checking it again would repeat a verdict.
 		feasible := true
-		for i := range g.infos {
+		for _, i := range mine {
 			switch g.cnt[i] {
 			case 0:
 				ev, evOK := g.infos[i].c.Eval(g.vals)
@@ -453,7 +453,7 @@ func (g *groupSearch) solve() (bool, error) {
 					feasible = false
 				}
 			case 1:
-				if !g.pruneUnary(i) {
+				if !g.pruneUnary(int(i)) {
 					feasible = false
 				}
 			}

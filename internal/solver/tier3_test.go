@@ -237,6 +237,59 @@ func TestWarmSearchDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// Binding a variable forward-checks only the constraints that mention
+// it: any other kept its count and its variables' values since it was
+// last checked. The group is an unsat two-variable constraint whose
+// search fails each of its first variable's 200 values at one prune,
+// plus k always-true constraints over a third variable that stays
+// unbound to the end. Past the k prunes of the initial pass, the search
+// costs the same 201 forward checks at k = 2 and k = 64. Re-checking
+// every constraint after each binding (a loop over g.infos in solve)
+// re-prunes the k at every value: 201 + 200k.
+func TestForwardCheckIsLocalToTheBinding(t *testing.T) {
+	work := func(k int) uint64 {
+		x, y, z := v(0), v(1), v(2)
+		var cons []*expr.Expr
+		for i := 1; i <= k; i++ {
+			cons = append(cons, expr.Ule(expr.And(c8(uint64(i)), z), z))
+		}
+		cons = append(cons,
+			expr.Ult(x, c8(200)),
+			expr.Eq(c8(1), expr.Mul(c8(2), expr.Add(x, y)))) // 2(x+y) is even
+		s := New()
+		if sat, _, err := s.solveGroup(cons, groupIDs(cons), new(expr.Assignment), nil); sat || err != nil {
+			t.Fatalf("k=%d: sat=%v err=%v, want unsat", k, sat, err)
+		}
+		st := s.Stats.Snapshot()
+		if st.Backtracks != 200 {
+			t.Fatalf("k=%d: %d backtracks, want 200", k, st.Backtracks)
+		}
+		return st.PruneMemoHits + st.PruneMemoMisses - uint64(k)
+	}
+	if w2, w64 := work(2), work(64); w2 != 201 || w64 != w2 {
+		t.Fatalf("forward checks past the initial pass: %d at k=2, %d at k=64; want 201 at both", w2, w64)
+	}
+}
+
+// Forward checking evaluates each constraint as it was built: a search
+// interns no expression. Substituting the bound values into a constraint
+// before scanning it (Subst) interns a residual at every prune miss, and
+// looks nodes up in the table even when they exist.
+func TestSearchInternsNothing(t *testing.T) {
+	for _, g := range hardGroups() {
+		ids := groupIDs(g.cons)
+		s := New()
+		s.MaxBacktracks = 1 << 10
+		nodes, hits := expr.InternStats()
+		if _, _, err := s.solveGroup(g.cons, ids, new(expr.Assignment), nil); !errors.Is(err, ErrBudget) {
+			t.Fatalf("%s: want a budget kill, got %v", g.name, err)
+		}
+		if n, h := expr.InternStats(); n != nodes || h != hits {
+			t.Errorf("%s: a cold search interned %d nodes and hit %d", g.name, n-nodes, h-hits)
+		}
+	}
+}
+
 // The memo holds at most pruneMemoCap entries however many keys a search
 // makes.
 func TestPruneMemoIsCapped(t *testing.T) {
