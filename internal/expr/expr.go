@@ -235,6 +235,15 @@ func signExtend(v uint64, w Width) int64 {
 	return int64(v<<shift) >> shift
 }
 
+// The structural operators' values, shared by Eval and the lane loops:
+// hi ++ lo with lo lw bits wide, bits [off, off+w) of v with m the mask
+// of w, and v sign-extended from kw bits and truncated to m.
+func concatBits(hi, lo uint64, lw Width) uint64 { return hi<<lw | lo }
+func extractBits(v, off, m uint64) uint64       { return (v >> off) & m }
+func sextBits(v uint64, kw Width, m uint64) uint64 {
+	return uint64(signExtend(v, kw)) & m
+}
+
 // SignedConst interprets v (already truncated to w) as a signed value.
 func SignedConst(v uint64, w Width) int64 { return signExtend(v, w) }
 
@@ -244,71 +253,114 @@ func foldBin(op Op, a, b uint64, w Width) (uint64, bool) {
 	b &= m
 	switch op {
 	case OpAdd:
-		return (a + b) & m, true
+		return binAdd(a, b, m), true
 	case OpSub:
-		return (a - b) & m, true
+		return binSub(a, b, m), true
 	case OpMul:
-		return (a * b) & m, true
+		return binMul(a, b, m), true
 	case OpUDiv:
-		if b == 0 {
-			return 0, false
-		}
-		return (a / b) & m, true
+		return binUDiv(a, b, m)
 	case OpSDiv:
-		if b == 0 {
-			return 0, false
-		}
-		sa, sb := signExtend(a, w), signExtend(b, w)
-		if sb == 0 {
-			return 0, false
-		}
-		return uint64(sa/sb) & m, true
+		return binSDiv(a, b, w, m)
 	case OpURem:
-		if b == 0 {
-			return 0, false
-		}
-		return (a % b) & m, true
+		return binURem(a, b, m)
 	case OpSRem:
-		sa, sb := signExtend(a, w), signExtend(b, w)
-		if sb == 0 {
-			return 0, false
-		}
-		return uint64(sa%sb) & m, true
+		return binSRem(a, b, w, m)
 	case OpAnd:
-		return a & b, true
+		return binAnd(a, b), true
 	case OpOr:
-		return a | b, true
+		return binOr(a, b), true
 	case OpXor:
-		return a ^ b, true
+		return binXor(a, b), true
 	case OpShl:
-		if b >= uint64(w) {
-			return 0, true
-		}
-		return (a << b) & m, true
+		return binShl(a, b, w, m), true
 	case OpLShr:
-		if b >= uint64(w) {
-			return 0, true
-		}
-		return (a >> b) & m, true
+		return binLShr(a, b, w, m), true
 	case OpAShr:
-		sa := signExtend(a, w)
-		if b >= uint64(w) {
-			b = uint64(w) - 1
-		}
-		return uint64(sa>>b) & m, true
+		return binAShr(a, b, w, m), true
 	case OpEq:
-		return b2u(a == b), true
+		return binEq(a, b), true
 	case OpUlt:
-		return b2u(a < b), true
+		return binUlt(a, b), true
 	case OpUle:
-		return b2u(a <= b), true
+		return binUle(a, b), true
 	case OpSlt:
-		return b2u(signExtend(a, w) < signExtend(b, w)), true
+		return binSlt(a, b, w), true
 	case OpSle:
-		return b2u(signExtend(a, w) <= signExtend(b, w)), true
+		return binSle(a, b, w), true
 	}
 	return 0, false
 }
+
+// The binary operators' semantics, one function each, shared by foldBin
+// (and so by Eval and the constructors' folding) and by the lane loops
+// (lanes.go). Operands are already truncated to w, and m is w.Mask().
+// Division and remainder report false for a zero divisor; a shift by w
+// or more shifts every bit out (ashr: fills with the sign).
+
+func binAdd(a, b, m uint64) uint64 { return (a + b) & m }
+func binSub(a, b, m uint64) uint64 { return (a - b) & m }
+func binMul(a, b, m uint64) uint64 { return (a * b) & m }
+
+func binUDiv(a, b, m uint64) (uint64, bool) {
+	if b == 0 {
+		return 0, false
+	}
+	return (a / b) & m, true
+}
+
+func binSDiv(a, b uint64, w Width, m uint64) (uint64, bool) {
+	if b == 0 {
+		return 0, false
+	}
+	return uint64(signExtend(a, w)/signExtend(b, w)) & m, true
+}
+
+func binURem(a, b, m uint64) (uint64, bool) {
+	if b == 0 {
+		return 0, false
+	}
+	return (a % b) & m, true
+}
+
+func binSRem(a, b uint64, w Width, m uint64) (uint64, bool) {
+	if b == 0 {
+		return 0, false
+	}
+	return uint64(signExtend(a, w)%signExtend(b, w)) & m, true
+}
+
+func binAnd(a, b uint64) uint64 { return a & b }
+func binOr(a, b uint64) uint64  { return a | b }
+func binXor(a, b uint64) uint64 { return a ^ b }
+
+func binShl(a, b uint64, w Width, m uint64) uint64 {
+	if b >= uint64(w) {
+		return 0
+	}
+	return (a << b) & m
+}
+
+func binLShr(a, b uint64, w Width, m uint64) uint64 {
+	if b >= uint64(w) {
+		return 0
+	}
+	return (a >> b) & m
+}
+
+func binAShr(a, b uint64, w Width, m uint64) uint64 {
+	if b >= uint64(w) {
+		b = uint64(w) - 1
+	}
+	return uint64(signExtend(a, w)>>b) & m
+}
+
+func binEq(a, b uint64) uint64  { return b2u(a == b) }
+func binUlt(a, b uint64) uint64 { return b2u(a < b) }
+func binUle(a, b uint64) uint64 { return b2u(a <= b) }
+
+func binSlt(a, b uint64, w Width) uint64 { return b2u(signExtend(a, w) < signExtend(b, w)) }
+func binSle(a, b uint64, w Width) uint64 { return b2u(signExtend(a, w) <= signExtend(b, w)) }
 
 func b2u(b bool) uint64 {
 	if b {
@@ -813,15 +865,15 @@ func (e *Expr) Eval(a Assignment) (uint64, bool) {
 			return 0, false
 		}
 		l, ok2 := e.kids[1].Eval(a)
-		return h<<e.kids[1].width | l, ok2
+		return concatBits(h, l, e.kids[1].width), ok2
 	case OpExtract:
 		v, ok := e.kids[0].Eval(a)
-		return (v >> e.val) & e.width.Mask(), ok
+		return extractBits(v, e.val, e.width.Mask()), ok
 	case OpZExt:
 		return e.kids[0].Eval(a)
 	case OpSExt:
 		v, ok := e.kids[0].Eval(a)
-		return uint64(signExtend(v, e.kids[0].width)) & e.width.Mask(), ok
+		return sextBits(v, e.kids[0].width, e.width.Mask()), ok
 	case OpIte:
 		c, ok := e.kids[0].Eval(a)
 		if !ok {

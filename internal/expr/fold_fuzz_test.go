@@ -150,9 +150,11 @@ func hasDivision(e *Expr) bool {
 //
 // Eval reports unknown only for a division by zero. Folding may absorb
 // one (0 * (x / 0) is 0), so an unknown is not held to anything else.
-// Lanes is held to Eval everywhere, unknowns included: for each
-// variable, the 256 lanes over its values, the others bound, give Eval's
-// value and ok at each.
+// Lanes is held to Eval everywhere, unknowns included: the tree is
+// compiled once per variable into one Lanes, and each program's run
+// over that variable's 256 values, the others bound, gives Eval's value
+// and ok in every lane; so does a run over a descending prefix of them,
+// whose last word of lanes is partial.
 func FuzzExprFold(f *testing.F) {
 	f.Add([]byte{})
 	// Folds that hide a division by zero, and connectives whose
@@ -165,10 +167,30 @@ func FuzzExprFold(f *testing.F) {
 		0x03, 0x0d, 0x00, 0x00, 0x40, 0x01, 0x00, 0x01, 0x03, 0x00, 0x20, 0x10, 0x03})
 	f.Add([]byte{1, 0, 5, 0x01, // ite(v0 ult v2, v0, v0 udiv v1): the else arm is not taken
 		0x03, 0x0d, 0x00, 0x00, 0x40, 0x00, 0x01, 0x03, 0x00, 0x20})
+	// Operands at the edge of an operator's domain:
+	f.Add([]byte{5, 0, 0, 0x00, 0x01, 0x04, 0x00, 0x20}) // v0 sdiv v1, v1 = 0
+	f.Add([]byte{5, 0, 0, 0x00, 0x01, 0x06, 0x00, 0x20}) // v0 srem v1, v1 = 0
+	f.Add([]byte{1, 0, 0, 0x30,                          // (zext v0 shl 63) sdiv -1 at 64 bits: the minimum by -1
+		0x01, 0x04, 0x01, 0x0a, 0x00, 0x10, 0x3f, 0x10, 0x80})
+	f.Add([]byte{1, 0, 0, 0x30, // (zext v0 shl 63) srem -1 at 64 bits
+		0x01, 0x06, 0x01, 0x0a, 0x00, 0x10, 0x3f, 0x10, 0x80})
+	f.Add([]byte{0x81, 8, 0, 0x00, 0x01, 0x0a, 0x00, 0x20})   // v0 shl v1, v1 = 8
+	f.Add([]byte{0x81, 8, 0, 0x00, 0x01, 0x0b, 0x00, 0x20})   // v0 lshr v1, v1 = 8
+	f.Add([]byte{0x81, 200, 0, 0x00, 0x01, 0x0c, 0x00, 0x20}) // v0 ashr v1, v1 = 200
+	f.Add([]byte{0x90, 0xff, 3, 0x20,                         // sext16(v0) ++ extract16@8(sext32(zext16 v1))
+		0x04, 0x07, 0x00, 0x00, 0x05, 0x07, 0x01, 0x06, 0x00, 0x20, 0x08})
+	f.Add([]byte{3, 0, 9, 0x40, // (v0 udiv v1 = 3) land (v2 ult v0): the first arm unknown at v1 = 0
+		0x03, 0x01, 0x00, 0x01, 0x03, 0x00, 0x20, 0x10, 0x03, 0x0d, 0x00, 0x40, 0x00})
+	f.Add([]byte{3, 0, 9, 0x40, // (v0 udiv v1 = 3) lor (v2 ult v0)
+		0x04, 0x01, 0x00, 0x01, 0x03, 0x00, 0x20, 0x10, 0x03, 0x0d, 0x00, 0x40, 0x00})
+	f.Add([]byte{7, 0, 5, 0x10, // (v0 udiv v1) ++ v2: the high half unknown at v1 = 0
+		0x04, 0x01, 0x03, 0x00, 0x20, 0x40})
+	f.Add([]byte{3, 7, 2, 0x40, // (v0 * v1) = (v0 * v1) + v2: one product, two parents
+		0x01, 0x00, 0x01, 0x02, 0x00, 0x20, 0x01, 0x00, 0x01, 0x02, 0x00, 0x20, 0x40})
 	var lanes Lanes
-	xs := make([]uint8, 256)
-	for x := range xs {
-		xs[x] = uint8(x)
+	up, down := make([]uint8, 256), make([]uint8, 256)
+	for x := range up {
+		up[x], down[x] = uint8(x), uint8(255-x)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
@@ -204,14 +226,21 @@ func FuzzExprFold(f *testing.F) {
 		if ok && (!k.IsConst() || k.ConstVal() != want) {
 			t.Fatalf("%v at v = %v: Eval %d, over constants %v", e, data[:3], want, k)
 		}
-		for id := range uint64(3) {
+		lanes.Reset()
+		var progs [3]LaneProg
+		for id := range progs {
+			progs[id] = lanes.Compile(e, uint64(id))
+		}
+		for id, p := range progs {
 			others := slices.Clone(full)
 			others[id] = 0
-			val, vok := lanes.Eval(e, others, id, xs)
-			for x := range xs {
-				others.Set(id, uint8(x))
-				if w, wok := e.Eval(others); val[x] != w || vok[x] != wok {
-					t.Fatalf("%v at v = %v, v%d = %d: Eval %d, %v; lane %d, %v", e, data[:3], id, x, w, wok, val[x], vok[x])
+			for _, xs := range [][]uint8{up, down[:1+int(data[0])%len(down)]} {
+				val, vok := lanes.Run(p, others, xs)
+				for i, x := range xs {
+					others.Set(uint64(id), x)
+					if w, wok := e.Eval(others); val[i] != w || vok.Has(i) != wok {
+						t.Fatalf("%v at v = %v, v%d = %d: Eval %d, %v; lane %d, %v", e, data[:3], id, x, w, wok, val[i], vok.Has(i))
+					}
 				}
 			}
 		}

@@ -1,160 +1,382 @@
 package expr
 
-import "slices"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// Lanes evaluates one expression under many values of one variable at
-// once: lane i binds the variable to the i-th value. Each DAG node that
-// mentions the variable is evaluated once, for all lanes, into a row of
-// lane values; a subtree that does not mention it is evaluated once, by
-// Eval, and its value broadcast. Per lane the result is exactly Eval's,
-// value and ok alike: LAnd, LOr and Ite evaluate every arm and select
-// per lane, so an arm that fails in a lane fails it only where Eval
-// would have evaluated that arm, and binary operators are foldBin.
-//
-// The zero value is ready to use. A Lanes keeps its rows between calls
-// and allocates only for a call larger than any before it; it is not
-// safe for concurrent use.
-type Lanes struct {
-	n   int
-	row map[*Expr]int32 // a node mentioning the variable -> its row's offset
-	val []uint64
-	ok  []bool
+// MaxLanes is the most lanes one run of a lane program evaluates.
+const MaxLanes = 256
+
+// LaneMask is a set of lanes: lane i is bit i%64 of word i/64.
+type LaneMask [MaxLanes / 64]uint64
+
+// Has reports whether lane i is in the set.
+func (m *LaneMask) Has(i int) bool { return m[i>>6]>>(i&63)&1 != 0 }
+
+func (m *LaneMask) add(i int) { m[i>>6] |= 1 << (i & 63) }
+
+// firstLanes returns the set of lanes 0 to n-1.
+func firstLanes(n int) LaneMask {
+	var m LaneMask
+	for j := range m {
+		switch k := n - 64*j; {
+		case k >= 64:
+			m[j] = ^uint64(0)
+		case k > 0:
+			m[j] = 1<<k - 1
+		}
+	}
+	return m
 }
 
-// Eval evaluates e under a with variable id bound, in lane i, to xs[i]:
-// val[i], ok[i] is e.Eval of that assignment. a's own binding of id, if
-// any, is ignored. The slices are valid until the next call.
-func (l *Lanes) Eval(e *Expr, a Assignment, id uint64, xs []uint8) (val []uint64, ok []bool) {
-	l.n = len(xs)
-	l.val, l.ok = l.val[:0], l.ok[:0]
+// Lanes compiles expressions into lane programs and runs them. A run
+// evaluates one expression under many values of one variable at once:
+// lane i binds the variable to the i-th value. Per lane the result is
+// exactly Eval's, value and ok alike.
+//
+// A program lists, in postorder and each once, the DAG nodes that
+// mention the variable; each one's lane values fill a row. A subtree
+// that does not mention the variable is one ground operand, evaluated
+// once per run by Eval and broadcast. ZExt shares its kid's row. A run
+// is one loop over the instructions that switches on each one's
+// operator once and then loops over the lanes; binary operators call
+// the per-op functions foldBin calls. LAnd, LOr and Ite evaluate every
+// arm and select per lane, so an arm that fails in a lane fails it only
+// where Eval would have evaluated that arm.
+//
+// The zero value is ready to use. A Lanes keeps its programs until Reset
+// and its rows between runs, and allocates only to hold more than it
+// ever has; it is not safe for concurrent use.
+type Lanes struct {
+	code []laneIns
+	row  map[*Expr]int32 // Compile's scratch: a compiled node -> its row
+	rows int32           // Compile's scratch: rows of the program so far
+
+	val []uint64   // a run's rows, n lanes each
+	ok  []LaneMask // per row, the lanes whose value Eval knows
+}
+
+// LaneProg names a program compiled by a Lanes. The zero value names
+// none.
+type LaneProg struct {
+	lo, hi int32 // its instructions are code[lo:hi]
+	rows   int32
+	out    int32 // the row of the result
+}
+
+// laneIns computes one row. Ground operands are op OpConst, the
+// variable is op OpVar.
+type laneIns struct {
+	op  Op
+	w   Width // binary and SExt: the operand's width; Concat: the low kid's
+	off uint8 // Extract's bit offset
+	out int32
+	k   [3]int32 // the kids' rows
+	m   uint64   // binary: w's mask; Extract and SExt: the result's
+	e   *Expr    // the ground operand
+}
+
+// Reset forgets every compiled program.
+func (l *Lanes) Reset() { l.code = l.code[:0] }
+
+// Compile compiles e for runs over the values of variable id. The
+// program stays valid until Reset.
+func (l *Lanes) Compile(e *Expr, id uint64) LaneProg {
 	if l.row == nil {
 		l.row = make(map[*Expr]int32)
 	}
 	clear(l.row)
-	r := l.eval(e, a, id, xs)
-	return l.val[r : r+l.n], l.ok[r : r+l.n]
+	l.rows = 0
+	lo := len(l.code)
+	out := l.compile(e, id)
+	return LaneProg{lo: int32(lo), hi: int32(len(l.code)), rows: l.rows, out: out}
 }
 
-// alloc appends one row and returns its offset.
-func (l *Lanes) alloc() int {
-	r := len(l.val)
-	l.val = slices.Grow(l.val, l.n)[:r+l.n]
-	l.ok = slices.Grow(l.ok, l.n)[:r+l.n]
-	return r
-}
-
-// eval returns the offset of e's row, evaluating it on first sight.
-func (l *Lanes) eval(e *Expr, a Assignment, id uint64, xs []uint8) int {
-	if !e.vars.Has(id) {
-		v, ok := e.Eval(a)
-		r := l.alloc()
-		val, oks := l.val[r:r+l.n], l.ok[r:r+l.n]
-		for i := range val {
-			val[i], oks[i] = v, ok
-		}
-		return r
-	}
+// compile emits e's instruction after its kids' and returns its row.
+func (l *Lanes) compile(e *Expr, id uint64) int32 {
 	if r, seen := l.row[e]; seen {
-		return int(r)
-	}
-	if e.op == OpZExt { // the value and ok are the kid's: share its row
-		r := l.eval(e.kids[0], a, id, xs)
-		l.row[e] = int32(r)
 		return r
 	}
-	var k [3]int
-	for i, kid := range e.kids {
-		k[i] = l.eval(kid, a, id, xs)
+	in := laneIns{op: e.op, m: e.width.Mask()}
+	switch {
+	case !e.vars.Has(id):
+		in.op, in.e = OpConst, e
+	case e.op == OpZExt:
+		r := l.compile(e.kids[0], id)
+		l.row[e] = r
+		return r
+	case e.op == OpExtract:
+		in.off = uint8(e.val)
+	case e.op == OpConcat:
+		in.w = e.kids[1].width
+	case e.op == OpSExt:
+		in.w = e.kids[0].width
+	case e.op != OpVar && e.op != OpNot && e.op != OpLAnd && e.op != OpLOr && e.op != OpIte: // binary
+		in.w = e.kids[0].width
+		in.m = in.w.Mask()
 	}
-	r := l.alloc()
-	n := l.n
-	val, ok := l.val[r:r+n], l.ok[r:r+n]
-	kv := func(j int) ([]uint64, []bool) { return l.val[k[j] : k[j]+n], l.ok[k[j] : k[j]+n] }
-	switch e.op {
-	case OpVar: // e is the variable itself
-		for i, x := range xs {
-			val[i], ok[i] = uint64(x), true
+	if in.op != OpConst {
+		for i, kid := range e.kids {
+			in.k[i] = l.compile(kid, id)
 		}
-	case OpNot:
-		v, vok := kv(0)
-		for i := range val {
-			val[i], ok[i] = b2u(v[i] == 0), vok[i]
+	}
+	in.out = l.rows
+	l.rows++
+	l.code = append(l.code, in)
+	l.row[e] = in.out
+	return in.out
+}
+
+// rowOf returns row r of a run over n lanes.
+func (l *Lanes) rowOf(r int32, n int) []uint64 {
+	o := int(r) * n
+	return l.val[o : o+n : o+n]
+}
+
+// Run runs p with variable id of Compile bound, in lane i, to xs[i], and
+// everything else to a: val[i], ok.Has(i) is Eval of that assignment.
+// a's own binding of the variable, if any, is ignored. len(xs) is at
+// most MaxLanes. val is valid until the next run.
+func (l *Lanes) Run(p LaneProg, a Assignment, xs []uint8) (val []uint64, ok LaneMask) {
+	n := len(xs)
+	if n > MaxLanes {
+		panic(fmt.Sprintf("expr: %d lanes, at most %d", n, MaxLanes))
+	}
+	if need := int(p.rows) * n; cap(l.val) < need {
+		l.val = make([]uint64, need)
+	} else {
+		l.val = l.val[:need]
+	}
+	if cap(l.ok) < int(p.rows) {
+		l.ok = make([]LaneMask, p.rows)
+	} else {
+		l.ok = l.ok[:p.rows]
+	}
+	all := firstLanes(n)
+	for j := p.lo; j < p.hi; j++ {
+		in := &l.code[j]
+		val, ok := l.rowOf(in.out, n), &l.ok[in.out]
+		switch in.op {
+		case OpConst:
+			v, vok := in.e.Eval(a)
+			for i := range val {
+				val[i] = v
+			}
+			*ok = LaneMask{}
+			if vok {
+				*ok = all
+			}
+		case OpVar:
+			for i, x := range xs[:len(val)] {
+				val[i] = uint64(x)
+			}
+			*ok = all
+		case OpNot:
+			v := l.rowOf(in.k[0], n)[:len(val)]
+			for i := range val {
+				val[i] = b2u(v[i] == 0)
+			}
+			*ok = l.ok[in.k[0]]
+		case OpExtract:
+			v := l.rowOf(in.k[0], n)[:len(val)]
+			for i := range val {
+				val[i] = extractBits(v[i], uint64(in.off), in.m)
+			}
+			*ok = l.ok[in.k[0]]
+		case OpSExt:
+			v := l.rowOf(in.k[0], n)[:len(val)]
+			for i := range val {
+				val[i] = sextBits(v[i], in.w, in.m)
+			}
+			*ok = l.ok[in.k[0]]
+		case OpConcat: // unknown where the high half is; else the low half's ok
+			h, lo := l.rowOf(in.k[0], n)[:len(val)], l.rowOf(in.k[1], n)[:len(val)]
+			for i := range val {
+				val[i] = concatBits(h[i], lo[i], in.w)
+			}
+			hok := l.ok[in.k[0]]
+			zeroUnknown(val, &hok, all)
+			*ok = and(hok, l.ok[in.k[1]])
+		case OpLAnd, OpLOr, OpIte:
+			l.selectRow(in, val, ok, all)
+		default:
+			l.binary(in, val, ok, all)
 		}
-	case OpLAnd:
-		lv, lok := kv(0)
-		rv, rok := kv(1)
+	}
+	return l.rowOf(p.out, n), l.ok[p.out]
+}
+
+// zeroUnknown zeroes val at the lanes of all outside known: Eval's value
+// where an operand it evaluates first is unknown.
+func zeroUnknown(val []uint64, known *LaneMask, all LaneMask) {
+	for j, w := range all {
+		for w &^= known[j]; w != 0; w &= w - 1 {
+			val[j*64+bits.TrailingZeros64(w)] = 0
+		}
+	}
+}
+
+func and(a, b LaneMask) LaneMask {
+	for j := range a {
+		a[j] &= b[j]
+	}
+	return a
+}
+
+// nonzero returns the lanes where v is not 0.
+func nonzero(v []uint64) LaneMask {
+	var m LaneMask
+	for i, x := range v {
+		m[i>>6] |= b2u(x != 0) << (i & 63)
+	}
+	return m
+}
+
+// selectRow runs LAnd, LOr or Ite: the first kid's row selects, per
+// lane, which operand's value and ok Eval gives.
+func (l *Lanes) selectRow(in *laneIns, val []uint64, ok *LaneMask, all LaneMask) {
+	n := len(val)
+	c, cok := l.rowOf(in.k[0], n), l.ok[in.k[0]]
+	t := nonzero(c)
+	a, aok := l.rowOf(in.k[1], n)[:n], l.ok[in.k[1]]
+	switch in.op {
+	case OpLAnd: // false where c is, else the right arm
 		for i := range val {
-			switch {
-			case !lok[i]:
-				val[i], ok[i] = 0, false
-			case lv[i] == 0:
-				val[i], ok[i] = 0, true
-			default:
-				val[i], ok[i] = rv[i], rok[i]
+			val[i] = 0
+			if c[i] != 0 {
+				val[i] = a[i]
 			}
 		}
-	case OpLOr:
-		lv, lok := kv(0)
-		rv, rok := kv(1)
+		for j := range ok {
+			ok[j] = cok[j] & (^t[j] | aok[j])
+		}
+	case OpLOr: // true where c is, else the right arm
 		for i := range val {
-			switch {
-			case !lok[i]:
-				val[i], ok[i] = 0, false
-			case lv[i] != 0:
-				val[i], ok[i] = 1, true
-			default:
-				val[i], ok[i] = rv[i], rok[i]
+			val[i] = 1
+			if c[i] == 0 {
+				val[i] = a[i]
 			}
 		}
-	case OpConcat:
-		hv, hok := kv(0)
-		lv, lok := kv(1)
-		w := e.kids[1].width
-		for i := range val {
-			if !hok[i] {
-				val[i], ok[i] = 0, false
-			} else {
-				val[i], ok[i] = hv[i]<<w|lv[i], lok[i]
-			}
-		}
-	case OpExtract:
-		v, vok := kv(0)
-		m := e.width.Mask()
-		for i := range val {
-			val[i], ok[i] = (v[i]>>e.val)&m, vok[i]
-		}
-	case OpSExt:
-		v, vok := kv(0)
-		kw, m := e.kids[0].width, e.width.Mask()
-		for i := range val {
-			val[i], ok[i] = uint64(signExtend(v[i], kw))&m, vok[i]
+		for j := range ok {
+			ok[j] = cok[j] & (t[j] | aok[j])
 		}
 	case OpIte:
-		cv, cok := kv(0)
-		av, aok := kv(1)
-		bv, bok := kv(2)
+		b, bok := l.rowOf(in.k[2], n)[:n], l.ok[in.k[2]]
 		for i := range val {
-			switch {
-			case !cok[i]:
-				val[i], ok[i] = 0, false
-			case cv[i] != 0:
-				val[i], ok[i] = av[i], aok[i]
-			default:
-				val[i], ok[i] = bv[i], bok[i]
+			val[i] = b[i]
+			if c[i] != 0 {
+				val[i] = a[i]
 			}
 		}
-	default:
-		lv, lok := kv(0)
-		rv, rok := kv(1)
-		w := e.kids[0].width
-		for i := range val {
-			if lok[i] && rok[i] {
-				val[i], ok[i] = foldBin(e.op, lv[i], rv[i], w)
-			} else {
-				val[i], ok[i] = 0, false
-			}
+		for j := range ok {
+			ok[j] = cok[j] & (t[j]&aok[j] | ^t[j]&bok[j])
 		}
 	}
-	l.row[e] = int32(r)
-	return r
+	zeroUnknown(val, &cok, all)
+}
+
+// binary runs a binary operator: one loop over the lanes per operator,
+// calling its function from expr.go. Eval gives 0, unknown, where
+// either operand is unknown, and where the operator itself is (a zero
+// divisor).
+func (l *Lanes) binary(in *laneIns, val []uint64, ok *LaneMask, all LaneMask) {
+	n := len(val)
+	a, b := l.rowOf(in.k[0], n)[:n], l.rowOf(in.k[1], n)[:n]
+	w, m := in.w, in.m
+	var fails LaneMask // lanes where the operator is unknown
+	switch in.op {
+	case OpAdd:
+		for i := range val {
+			val[i] = binAdd(a[i], b[i], m)
+		}
+	case OpSub:
+		for i := range val {
+			val[i] = binSub(a[i], b[i], m)
+		}
+	case OpMul:
+		for i := range val {
+			val[i] = binMul(a[i], b[i], m)
+		}
+	case OpUDiv:
+		for i := range val {
+			v, vok := binUDiv(a[i], b[i], m)
+			if val[i] = v; !vok {
+				fails.add(i)
+			}
+		}
+	case OpSDiv:
+		for i := range val {
+			v, vok := binSDiv(a[i], b[i], w, m)
+			if val[i] = v; !vok {
+				fails.add(i)
+			}
+		}
+	case OpURem:
+		for i := range val {
+			v, vok := binURem(a[i], b[i], m)
+			if val[i] = v; !vok {
+				fails.add(i)
+			}
+		}
+	case OpSRem:
+		for i := range val {
+			v, vok := binSRem(a[i], b[i], w, m)
+			if val[i] = v; !vok {
+				fails.add(i)
+			}
+		}
+	case OpAnd:
+		for i := range val {
+			val[i] = binAnd(a[i], b[i])
+		}
+	case OpOr:
+		for i := range val {
+			val[i] = binOr(a[i], b[i])
+		}
+	case OpXor:
+		for i := range val {
+			val[i] = binXor(a[i], b[i])
+		}
+	case OpShl:
+		for i := range val {
+			val[i] = binShl(a[i], b[i], w, m)
+		}
+	case OpLShr:
+		for i := range val {
+			val[i] = binLShr(a[i], b[i], w, m)
+		}
+	case OpAShr:
+		for i := range val {
+			val[i] = binAShr(a[i], b[i], w, m)
+		}
+	case OpEq:
+		for i := range val {
+			val[i] = binEq(a[i], b[i])
+		}
+	case OpUlt:
+		for i := range val {
+			val[i] = binUlt(a[i], b[i])
+		}
+	case OpUle:
+		for i := range val {
+			val[i] = binUle(a[i], b[i])
+		}
+	case OpSlt:
+		for i := range val {
+			val[i] = binSlt(a[i], b[i], w)
+		}
+	case OpSle:
+		for i := range val {
+			val[i] = binSle(a[i], b[i], w)
+		}
+	default:
+		panic(fmt.Sprintf("expr: no lane loop for %v", in.op))
+	}
+	known := and(l.ok[in.k[0]], l.ok[in.k[1]])
+	zeroUnknown(val, &known, all)
+	for j := range known {
+		known[j] &^= fails[j]
+	}
+	*ok = known
 }

@@ -63,7 +63,7 @@
 // variables' bytes packed into a uint64), an entry records which values
 // have been classified and which of them satisfy. A prune evaluates
 // only domain values its entry has not classified yet — all of them in
-// one lane-wise pass over the constraint (expr.Lanes), each lane what
+// one run of the constraint's lane program (expr.Lanes), each lane what
 // Eval gives, exactly as an unmemoized prune would — and intersects the
 // domain with the entry. Binding a variable forward-checks only the
 // constraints that mention it; any other kept its verdict. The memo replaces

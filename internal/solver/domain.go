@@ -12,16 +12,8 @@ func fullDomain() domain {
 	return domain{bits: [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}}
 }
 
-func (d *domain) has(v uint8) bool {
-	return d.bits[v>>6]&(1<<(v&63)) != 0
-}
-
 func (d *domain) add(v uint8) {
 	d.bits[v>>6] |= 1 << (v & 63)
-}
-
-func (d *domain) remove(v uint8) {
-	d.bits[v>>6] &^= 1 << (v & 63)
 }
 
 // rangeMask returns the 256-bit set {lo..hi} built from word masks:
@@ -45,15 +37,6 @@ func (d *domain) removeOutside(lo, hi uint8) {
 	d.bits[1] &= m.bits[1]
 	d.bits[2] &= m.bits[2]
 	d.bits[3] &= m.bits[3]
-}
-
-// removeRange removes {lo..hi} from the domain.
-func (d *domain) removeRange(lo, hi uint8) {
-	m := rangeMask(lo, hi)
-	d.bits[0] &^= m.bits[0]
-	d.bits[1] &^= m.bits[1]
-	d.bits[2] &^= m.bits[2]
-	d.bits[3] &^= m.bits[3]
 }
 
 // intersect keeps only the values present in both domains.
@@ -89,6 +72,16 @@ func (d *domain) empty() bool {
 	return d.bits[0]|d.bits[1]|d.bits[2]|d.bits[3] == 0
 }
 
+// appendValues appends the domain's values to dst in ascending order.
+func (d *domain) appendValues(dst []uint8) []uint8 {
+	for w, word := range d.bits {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, uint8(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
+
 // first returns the smallest value in the domain; ok=false when empty.
 func (d *domain) first() (uint8, bool) {
 	for w := 0; w < 4; w++ {
@@ -118,16 +111,4 @@ func (d *domain) next(v uint8) (uint8, bool) {
 		}
 		rem = d.bits[w]
 	}
-}
-
-// singleton reports whether the domain holds exactly one value.
-func (d *domain) singleton() (uint8, bool) {
-	v, ok := d.first()
-	if !ok {
-		return 0, false
-	}
-	if _, more := d.next(v); more {
-		return 0, false
-	}
-	return v, true
 }

@@ -11,8 +11,9 @@ import (
 // independent group, and the prune memo that keeps the forward checks
 // from re-deriving the same domain mask. Binding a variable checks only
 // the constraints that mention it, and a check classifies every value of
-// the free variable it has not classified before in one lane-wise pass
-// over the constraint (expr.Lanes): no residual is built.
+// the free variable it has not classified before in one run of the
+// constraint's lane program over that variable (expr.Lanes), compiled
+// on the pair's first memo miss in the search: no residual is built.
 
 // pruneMemoCap bounds the live entries of a solver's prune memo; a full
 // memo is emptied and refilled. Measured on the ledger's memcached-hard
@@ -20,13 +21,13 @@ import (
 // whose 131,072-backtrack searches make a new key at nearly every prune,
 // on a 2-core Xeon:
 //
-//	cap      memcached-hard wall_s   coreutil-sum peak RSS
-//	2,048    0.19-0.22 s (thrashes)  13.9 MB
-//	8,192    0.09-0.11 s             13.9-14.3 MB
-//	32,768   0.10 s                  20.1-20.5 MB
+//	cap      memcached-hard wall_s    coreutil-sum peak RSS
+//	2,048    0.084-0.089 s (thrashes) 11.6-11.9 MB
+//	8,192    0.045-0.048 s            14.5-14.8 MB
+//	32,768   0.045 s                  21.7-22.0 MB
 //
 // 8,192 stays: 32,768 buys memcached nothing and costs coreutil-sum
-// 6 MB. sort-many's 4,649 searches make 754 keys between them and do
+// 7 MB. sort-many's 4,649 searches make 754 keys between them and do
 // not care. A memcached run makes about 7,000 (some 1,500 per killed
 // search, kept from one kill of a group to the next), so at 8,192 it
 // never refills.
@@ -55,28 +56,63 @@ type pruneMask struct {
 	known, sat domain
 }
 
-// pruneMemo maps residuals to their masks. The masks live in one slab
-// that is kept for the solver's lifetime, so a warmed memo allocates
-// nothing.
+// pruneMemo maps residuals to their masks: an open-addressed table of
+// keys, probed linearly, indexing one slab of masks, both kept for the
+// solver's lifetime. The table is allocated on the first entry and
+// doubles past three quarters full, up to 2*pruneMemoCap slots.
 type pruneMemo struct {
-	idx   map[pruneKey]int32
+	slots []pruneSlot // a power of two long
 	masks []pruneMask
+}
+
+// pruneSlot is one slot of the memo's table: a key in 24 bytes and its
+// mask's index in the slab. An empty slot has a nil con.
+type pruneSlot struct {
+	con    *expr.Expr
+	others uint64
+	slot   uint8
+	mask   int32
+}
+
+// hash mixes the key's fields; con's hash is stamped at construction.
+func (k pruneKey) hash() uint64 {
+	h := k.con.Hash() ^ k.others*0x9e3779b97f4a7c15 ^ uint64(k.slot)
+	h = (h ^ h>>32) * 0xd6e8feb86659fd93
+	return h ^ h>>32
+}
+
+// find returns the slot holding key, or the empty slot where it goes.
+func (p *pruneMemo) find(key pruneKey) *pruneSlot {
+	m := uint64(len(p.slots) - 1)
+	for i := key.hash() & m; ; i = (i + 1) & m {
+		if s := &p.slots[i]; s.con == nil || s.con == key.con && s.others == key.others && s.slot == key.slot {
+			return s
+		}
+	}
 }
 
 // entry returns key's mask, an all-unknown one if the key is new. The
 // pointer is valid until the next call.
 func (p *pruneMemo) entry(key pruneKey) *pruneMask {
-	if i, ok := p.idx[key]; ok {
-		return &p.masks[i]
-	}
-	if p.idx == nil {
-		p.idx = make(map[pruneKey]int32)
+	if len(p.slots) > 0 {
+		if s := p.find(key); s.con != nil {
+			return &p.masks[s.mask]
+		}
 	}
 	if len(p.masks) == pruneMemoCap {
-		clear(p.idx)
+		clear(p.slots)
 		p.masks = p.masks[:0]
 	}
-	p.idx[key] = int32(len(p.masks))
+	if 4*(len(p.masks)+1) > 3*len(p.slots) {
+		old := p.slots
+		p.slots = make([]pruneSlot, max(2*len(old), 64))
+		for _, s := range old {
+			if s.con != nil {
+				*p.find(pruneKey{s.con, s.others, s.slot}) = s
+			}
+		}
+	}
+	*p.find(key) = pruneSlot{key.con, key.others, key.slot, int32(len(p.masks))}
 	p.masks = append(p.masks, pruneMask{})
 	return &p.masks[len(p.masks)-1]
 }
@@ -131,8 +167,11 @@ type groupSearch struct {
 
 	memo      pruneMemo
 	throwaway pruneMask // stands in for a memo entry of an unkeyed constraint
-	lanes     expr.Lanes
-	laneVals  [256]uint8 // the values a prune classifies, one lane each
+	// progs[k] is conVars[k]'s constraint compiled over it into lanes, on
+	// its first prune miss in the search (the zero LaneProg until then).
+	lanes    expr.Lanes
+	progs    []expr.LaneProg
+	laneVals [expr.MaxLanes]uint8 // the values a prune classifies, one lane each
 
 	backtracks, memoHits, memoMisses, evals uint64
 }
@@ -263,6 +302,9 @@ func (g *groupSearch) search(cons []*expr.Expr, ids []uint64, bnds boundsMap) (s
 		})
 		g.cnt = append(g.cnt, int32(hi-lo))
 	}
+	g.progs = resize(g.progs, len(g.conVars))
+	clear(g.progs)
+	g.lanes.Reset()
 	g.varConOff = resize(g.varConOff, n+1)
 	g.varConOff[0] = 0
 	for lv, m := range g.mentions {
@@ -319,23 +361,21 @@ func resize[T any](s []T, n int) []T {
 // value trial to undo. Which values those are is a function of the
 // constraint and its other variables' values alone, so the verdicts are
 // remembered in the prune memo: only domain values not yet classified
-// under that key are evaluated — all of them in one lane-wise pass over
-// the constraint as built, one lane a value, each lane exactly Eval
-// under the current assignment with the variable bound to its value —
-// and the domain is intersected with the satisfying set. Returns false
-// if the domain empties.
+// under that key are evaluated — all of them in one run of the
+// constraint's lane program over the variable, one lane a value, each
+// lane exactly Eval under the current assignment with the variable bound
+// to its value — and the domain is intersected with the satisfying set.
+// Returns false if the domain empties.
 func (g *groupSearch) pruneUnary(i int) bool {
 	ci := &g.infos[i]
 	vals := g.vals
-	var id uint64
-	lv := -1
+	var at int32 // the unbound variable's index in conVars
 	key := pruneKey{con: ci.c}
 	for k := ci.lo; k < ci.hi; k++ {
 		if v := vals[g.conVars[k]]; v != 0 {
 			key.others = key.others<<8 | uint64(v-1)
 		} else {
-			id, lv = g.conVars[k], int(g.conLvs[k])
-			key.slot = uint8(k - ci.lo)
+			at, key.slot = k, uint8(k-ci.lo)
 		}
 	}
 	m := &g.throwaway
@@ -344,10 +384,11 @@ func (g *groupSearch) pruneUnary(i int) bool {
 	} else {
 		*m = pruneMask{}
 	}
+	lv := g.conLvs[at]
 	d := &g.domains[lv]
 	if g.savedMark[lv] != g.trial {
 		g.savedMark[lv] = g.trial
-		g.saveStack = append(g.saveStack, savedDom{lv, *d})
+		g.saveStack = append(g.saveStack, savedDom{int(lv), *d})
 	}
 	todo := *d
 	todo.subtract(&m.known)
@@ -355,13 +396,14 @@ func (g *groupSearch) pruneUnary(i int) bool {
 		g.memoHits++
 	} else {
 		g.memoMisses++
-		xs := g.laneVals[:0]
-		for v, ok := todo.first(); ok; v, ok = todo.next(v) {
-			xs = append(xs, v)
+		p := &g.progs[at]
+		if *p == (expr.LaneProg{}) {
+			*p = g.lanes.Compile(ci.c, g.conVars[at])
 		}
-		ev, evOK := g.lanes.Eval(ci.c, vals, id, xs)
+		xs := todo.appendValues(g.laneVals[:0])
+		ev, evOK := g.lanes.Run(*p, vals, xs)
 		for k, v := range xs {
-			if evOK[k] && ev[k] != 0 {
+			if evOK.Has(k) && ev[k] != 0 {
 				m.sat.add(v)
 			}
 		}

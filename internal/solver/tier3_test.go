@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -109,11 +110,12 @@ func TestHardGroupsAreTheKilledOnes(t *testing.T) {
 func checkPruneMemo(t *testing.T, s *Solver, stride, phase int) {
 	t.Helper()
 	memo := &s.tier3.memo
-	for key, i := range memo.idx {
-		if int(i)%stride != phase%stride {
+	for _, sl := range memo.slots {
+		if sl.con == nil || int(sl.mask)%stride != phase%stride {
 			continue
 		}
-		m := memo.masks[i]
+		key := pruneKey{sl.con, sl.others, sl.slot}
+		m := memo.masks[sl.mask]
 		ids := key.con.VarIDs()
 		var vals expr.Assignment
 		others := key.others
@@ -237,6 +239,46 @@ func TestWarmSearchDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// A prune miss allocates nothing once the solver has held a search as
+// large: with the memo emptied before each search, every search misses,
+// compiles its lane programs into the slab the last one used and runs
+// them over rows already grown.
+func TestWarmMissesDoNotAllocate(t *testing.T) {
+	g := hardGroups()[0]
+	ids := groupIDs(g.cons)
+	s := New()
+	s.MaxBacktracks = 1 << 8
+	model := make(expr.Assignment, ids[len(ids)-1]+1)
+	search := func() {
+		clear(s.tier3.memo.slots)
+		s.tier3.memo.masks = s.tier3.memo.masks[:0]
+		clear(model)
+		if _, _, err := s.solveGroup(g.cons, ids, &model, nil); !errors.Is(err, ErrBudget) {
+			t.Fatalf("want a budget kill, got %v", err)
+		}
+	}
+	search()
+	before := s.Stats.Snapshot()
+	if allocs := testing.AllocsPerRun(10, search); allocs != 1 {
+		t.Errorf("%v allocations per warmed search that misses, want 1 (its BudgetError)", allocs)
+	}
+	// Programs are compiled into the slab afresh by each search, not
+	// appended to the last one's: the slab would grow by amortized
+	// doubling, which the count above rounds away.
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for range 50 {
+		search()
+	}
+	runtime.ReadMemStats(&ms1)
+	if per := (ms1.TotalAlloc - ms0.TotalAlloc) / 50; per > 64 {
+		t.Errorf("%d bytes allocated per warmed search that misses, want at most its BudgetError's", per)
+	}
+	if after := s.Stats.Snapshot(); after.PruneMemoMisses == before.PruneMemoMisses {
+		t.Fatal("the searches never missed the memo")
+	}
+}
+
 // Binding a variable forward-checks only the constraints that mention
 // it: any other kept its count and its variables' values since it was
 // last checked. The group is an unsat two-variable constraint whose
@@ -290,6 +332,17 @@ func TestSearchInternsNothing(t *testing.T) {
 	}
 }
 
+// liveSlots counts the memo's occupied slots.
+func liveSlots(p *pruneMemo) int {
+	n := 0
+	for _, s := range p.slots {
+		if s.con != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // The memo holds at most pruneMemoCap entries however many keys a search
 // makes.
 func TestPruneMemoIsCapped(t *testing.T) {
@@ -298,11 +351,87 @@ func TestPruneMemoIsCapped(t *testing.T) {
 	for i := 0; i < 3*pruneMemoCap+5; i++ {
 		p.entry(pruneKey{con: con, others: uint64(i)}).known.add(1)
 	}
-	if len(p.masks) != 5 || len(p.idx) != 5 || cap(p.masks) > 2*pruneMemoCap {
-		t.Fatalf("after 3 fills + 5: %d masks (cap %d), %d keys", len(p.masks), cap(p.masks), len(p.idx))
+	if len(p.masks) != 5 || liveSlots(&p) != 5 || cap(p.masks) > 2*pruneMemoCap || len(p.slots) > 2*pruneMemoCap {
+		t.Fatalf("after 3 fills + 5: %d masks (cap %d), %d keys in %d slots", len(p.masks), cap(p.masks), liveSlots(&p), len(p.slots))
 	}
 	if m := p.entry(pruneKey{con: con, others: 1}); !m.known.empty() {
 		t.Fatal("an entry dropped by the cap came back classified")
+	}
+}
+
+// A full memo reads every key back to its own mask: pruneMemoCap keys,
+// some differing from others in one field only, four of which hash to
+// the table's last slot, so that three probe chains wrap around its end.
+func TestPruneMemoFullLoad(t *testing.T) {
+	cons := []*expr.Expr{v(0), v(1), expr.Add(v(0), v(1))}
+	last := uint64(2*pruneMemoCap - 1)
+	var keys []pruneKey
+	atEnd := 0
+	for i := 0; len(keys) < pruneMemoCap; i++ {
+		k := pruneKey{con: cons[i%3], others: uint64(i/15) * 0x0101, slot: uint8(i / 3 % 5)}
+		if k.hash()&last == last {
+			if atEnd == 4 {
+				continue
+			}
+			atEnd++
+		} else if len(keys)+4-atEnd == pruneMemoCap {
+			continue
+		}
+		keys = append(keys, k)
+	}
+	var p pruneMemo
+	for i, k := range keys {
+		m := p.entry(k)
+		m.known.add(uint8(i))
+		m.sat.add(uint8(i >> 8))
+	}
+	if len(p.slots) != 2*pruneMemoCap || liveSlots(&p) != pruneMemoCap {
+		t.Fatalf("%d keys in %d slots, want %d in %d", liveSlots(&p), len(p.slots), pruneMemoCap, 2*pruneMemoCap)
+	}
+	wrapped := 0
+	for at, s := range p.slots {
+		if s.con != nil && uint64(at) < (pruneKey{s.con, s.others, s.slot}).hash()&last {
+			wrapped++
+		}
+	}
+	if wrapped < 3 {
+		t.Fatalf("%d probe chains wrapped around the end of the table, want at least 3", wrapped)
+	}
+	for i, k := range keys {
+		var want pruneMask
+		want.known.add(uint8(i))
+		want.sat.add(uint8(i >> 8))
+		if m := p.entry(k); *m != want {
+			t.Fatalf("key %d (%+v) reads back %+v, want %+v", i, k, *m, want)
+		}
+	}
+	if len(p.masks) != pruneMemoCap {
+		t.Fatalf("reading the keys back made %d entries", len(p.masks)-pruneMemoCap)
+	}
+}
+
+// The memo's table is allocated on the first entry and grows with the
+// entries: a solver that never prunes has none, and one that prunes a
+// few keys a small one.
+func TestPruneMemoGrowsOnDemand(t *testing.T) {
+	s := New()
+	x, y := v(0), v(1)
+	cs := EmptySet.Append(expr.Ult(x, c8(10))).Append(expr.Ult(y, c8(20)))
+	if sat, err := s.MayBeTrue(cs, expr.Ult(x, c8(50))); err != nil || !sat { // decided by the bounds
+		t.Fatalf("sat=%v err=%v", sat, err)
+	}
+	if st := s.Stats.Snapshot(); st.PruneMemoHits+st.PruneMemoMisses != 0 {
+		t.Fatalf("the query pruned: %+v", st)
+	}
+	if s.tier3.memo.slots != nil || s.tier3.memo.masks != nil {
+		t.Fatalf("a solver that never pruned holds a memo table of %d slots", len(s.tier3.memo.slots))
+	}
+	cons := []*expr.Expr{expr.Eq(c8(90), expr.Add(x, y)), expr.Ult(x, y)}
+	if sat, _, err := s.solveGroup(cons, groupIDs(cons), new(expr.Assignment), nil); err != nil || !sat {
+		t.Fatalf("sat=%v err=%v", sat, err)
+	}
+	if n := len(s.tier3.memo.slots); n == 0 || n > 64 {
+		t.Fatalf("%d prunes' keys in a table of %d slots", len(s.tier3.memo.masks), n)
 	}
 }
 
