@@ -12,12 +12,12 @@
 # re-ranking never perturbs the explored path set.
 #
 # With KILL_TARGET=lb the victim is the coordination plane itself: the
-# primary load balancer is kill -9'd mid-run with a warm standby tailing
-# its replication stream. The standby must promote itself after its grace,
-# the workers (dialed with both addresses) must rotate onto it, and the
-# finished run must still match the single-node path count exactly, with
-# the promotion protocol (primary-lost → standby-promoted → epoch-bump →
-# resync) journaled and zero false evictions.
+# load balancer is kill -9'd mid-run and `c9-lb -resume` is started at
+# the same address. The workers re-dial it with their membership views,
+# and the finished run must still match the single-node path count
+# exactly, with the re-hello window's close journaled (resync), nothing
+# journaled as work-abandoned, `restart: abandoned=0` in the report and
+# zero false evictions.
 #
 # The data plane under test is selectable: DATA_PLANE=p2p (default)
 # ships job payloads worker→worker over peer sessions, with the LB
@@ -37,7 +37,7 @@
 #        DATA_PLANE p2p (default) | depth — passed to the LB as
 #                   -data-plane; workers inherit the mode at Hello.
 #        KILL_TARGET worker (default) kill -9's one worker; lb kill -9's
-#                   the primary load balancer (standby takes over);
+#                   the load balancer and restarts it with -resume;
 #                   none runs fault-free to completion (used by the
 #                   PR-blocking p2p cell to assert the zero-payload
 #                   invariant without recovery noise).
@@ -49,11 +49,10 @@
 #                   member echoes no probe, so the run cannot end before
 #                   the kill -9 lands. It is the victim in worker mode;
 #                   in lb mode it is continued after the kill, and the
-#                   promoted standby cannot finish before its resync
-#                   window closes.
+#                   resumed balancer's re-hello window waits for it.
 #
-# PR CI runs the fast single-target form (`test`) in p2p, plus a
-# fault-free p2p run in the bench job that fails if any payload byte
+# PR CI runs the fast single-target form (`test`) in p2p with both kill
+# targets, plus a fault-free p2p run in the bench job that fails if any payload byte
 # crossed the LB; the nightly gauntlet runs the full fault matrix
 # (`test` + `printf`, worker and lb kills, under p2p and depth) through
 # the same script.
@@ -110,32 +109,17 @@ fi
 # the eviction + re-seat actually happens before quiescence. The
 # interval tier shrank these runs to a second or two, hence 500ms.
 OBS_PORT=$((PORT + 1))
-SB_PORT=$((PORT + 2))
-SB_OBS_PORT=$((PORT + 3))
 LB_DUMP="$LOGS/obs.json"
-WORKER_LB="127.0.0.1:$PORT"
 if [[ "$KILL_TARGET" == "lb" ]]; then
-  # The primary dies mid-run, so the artifact-grade dump must come from
-  # the survivor: the promoted standby writes obs.json.
-  LB_DUMP="$LOGS/obs-primary.json"
-  WORKER_LB="127.0.0.1:$PORT,127.0.0.1:$SB_PORT"
+  # The first balancer dies mid-run, so the artifact-grade dump must come
+  # from its restart: the resumed balancer writes obs.json.
+  LB_DUMP="$LOGS/obs-killed.json"
 fi
-"$BIN/c9-lb" -listen "127.0.0.1:$PORT" -target "$TARGET" -min-workers 3 \
-  -portfolio "$PORTFOLIO" -lease 500ms -max-duration 5m \
-  -data-plane "$DATA_PLANE" \
-  -obs-addr "127.0.0.1:$OBS_PORT" -obs-dump "$LB_DUMP" >"$LOGS/lb.txt" 2>&1 &
+LB_FLAGS=(-listen "127.0.0.1:$PORT" -target "$TARGET" -portfolio "$PORTFOLIO"
+  -lease 500ms -max-duration 5m -data-plane "$DATA_PLANE" -obs-addr "127.0.0.1:$OBS_PORT")
+"$BIN/c9-lb" "${LB_FLAGS[@]}" -min-workers 3 -obs-dump "$LB_DUMP" >"$LOGS/lb.txt" 2>&1 &
 LB_PID=$!
 sleep 1
-SB_PID=
-if [[ "$KILL_TARGET" == "lb" ]]; then
-  "$BIN/c9-lb" -listen "127.0.0.1:$SB_PORT" -standby -peer "127.0.0.1:$PORT" \
-    -promote-grace 1s -target "$TARGET" -min-workers 3 -lease 500ms \
-    -max-duration 5m -data-plane "$DATA_PLANE" \
-    -obs-addr "127.0.0.1:$SB_OBS_PORT" \
-    -obs-dump "$LOGS/obs.json" >"$LOGS/standby.txt" 2>&1 &
-  SB_PID=$!
-  sleep 1
-fi
 
 # Live exposition check: the LB is parked behind its min-workers barrier
 # (no worker has dialed in yet), so /metrics must answer right now.
@@ -150,7 +134,7 @@ grep -q '^c9_lb_members ' "$LOGS/metrics-early.txt" || {
 
 WPIDS=()
 for i in 0 1 2; do
-  "$BIN/c9-worker" -lb "$WORKER_LB" -target "$TARGET" -batch 8 \
+  "$BIN/c9-worker" -lb "127.0.0.1:$PORT" -target "$TARGET" -batch 8 \
     >"$LOGS/worker$i.txt" 2>&1 &
   WPIDS+=($!)
 done
@@ -158,7 +142,7 @@ done
 # Kill once the run is underway: every worker has joined (the LB's
 # min-workers barrier lifts and dispatch begins), so in worker mode the
 # victim is a full member the survivors must be re-seated around, and in
-# lb mode the standby already holds the full membership. The run is
+# lb mode every worker's view names all three. The run is
 # kept from ending before the kill by construction: the first worker to
 # join under an id other than 0 (in p2p, worker 0 is the seed, whose
 # whole tree no one else holds until it first reports) is kill -STOP'd
@@ -181,8 +165,8 @@ for _ in $(seq 1 2000); do
 done
 if [[ "$KILL_TARGET" == "lb" && "$DATA_PLANE" == "p2p" ]]; then
   # The journal must show payload moving worker to worker, and after the
-  # kill the seed can drain the tree alone before the standby promotes:
-  # let the primary issue its first transfer order (the held worker keeps
+  # kill the seed can drain the tree alone before the restart is up:
+  # let the balancer issue its first transfer order (the held worker keeps
   # the run open meanwhile; its 500ms lease bounds the wait).
   for _ in $(seq 1 40); do
     curl -sf "http://127.0.0.1:$OBS_PORT/metrics" 2>/dev/null |
@@ -193,11 +177,14 @@ fi
 sleep "$KILL_DELAY"
 if [[ "$KILL_TARGET" == "lb" ]]; then
   if kill -0 "$LB_PID" 2>/dev/null; then
-    echo "== kill -9 primary LB pid $LB_PID"
+    echo "== kill -9 LB pid $LB_PID, restart with -resume on the same port"
     kill -9 "$LB_PID"
+    wait "$LB_PID" 2>/dev/null || true
+    "$BIN/c9-lb" "${LB_FLAGS[@]}" -resume -obs-dump "$LOGS/obs.json" >"$LOGS/lb-resumed.txt" 2>&1 &
+    LB_PID=$!
     if [[ -n "$HELD" ]]; then kill -CONT "${WPIDS[$HELD]}"; fi
   else
-    echo "smoke: primary LB exited before the kill — run too short for a mid-run crash" >&2
+    echo "smoke: LB exited before the kill — run too short for a mid-run crash" >&2
     exit 1
   fi
 elif [[ "$KILL_TARGET" == "worker" ]]; then
@@ -211,25 +198,19 @@ elif [[ "$KILL_TARGET" == "worker" ]]; then
 fi
 
 # Best-effort mid-recovery scrape: the post-kill run lasts until the
-# lease (or promote grace) lapses plus re-exploration, usually enough to
-# catch /metrics with live deltas folded in. Non-fatal if the run
-# outraces us. In lb mode the primary's exporter died with it, so the
-# scrape targets the standby (which answers once promoted).
-if [[ "$KILL_TARGET" == "lb" ]]; then
-  curl -sf "http://127.0.0.1:$SB_OBS_PORT/metrics" >"$LOGS/metrics-mid.txt" 2>/dev/null || true
-else
-  curl -sf "http://127.0.0.1:$OBS_PORT/metrics" >"$LOGS/metrics-mid.txt" 2>/dev/null || true
-fi
+# lease (or the restart's re-hello window) lapses plus re-exploration,
+# usually enough to catch /metrics with live deltas folded in. Non-fatal
+# if the run outraces us. In lb mode the exporter is the resumed
+# balancer's, on the same port.
+curl -sf "http://127.0.0.1:$OBS_PORT/metrics" >"$LOGS/metrics-mid.txt" 2>/dev/null || true
 
-# The survivor that prints the final report: the LB in worker mode, the
-# promoted standby in lb mode.
+# The balancer that prints the final report: the LB in worker mode, its
+# restart in lb mode.
 REPORT_LOG="$LOGS/lb.txt"
 if [[ "$KILL_TARGET" == "lb" ]]; then
-  REPORT_LOG="$LOGS/standby.txt"
-  wait "$SB_PID"
-else
-  wait "$LB_PID"
+  REPORT_LOG="$LOGS/lb-resumed.txt"
 fi
+wait "$LB_PID"
 cat "$REPORT_LOG"
 
 TOTAL=$(awk -F'paths=' '/^cluster total:/ {split($2,a," "); print a[1]}' "$REPORT_LOG")
@@ -245,16 +226,16 @@ if [[ "$TOTAL" -ne "$REF" ]]; then
   exit 1
 fi
 if [[ "$KILL_TARGET" == "lb" ]]; then
-  # No worker died: a single false eviction means the promoted standby
-  # acted on stale replicated state instead of waiting out its resync
-  # window.
+  # No worker died: a single false eviction means the restart evicted a
+  # worker that was still re-dialing, and a single abandoned member means
+  # it gave up on one.
   if [[ "${EVICTS:-0}" -ne 0 ]]; then
-    echo "smoke: FAIL — promoted standby falsely evicted $EVICTS worker(s)" >&2
+    echo "smoke: FAIL — resumed LB falsely evicted $EVICTS worker(s)" >&2
     exit 1
   fi
-  if ! grep -q '^replication: term=2 promotions=1$' "$REPORT_LOG"; then
-    echo "smoke: FAIL — promoted standby did not report term=2 promotions=1" >&2
-    grep '^replication:' "$REPORT_LOG" >&2 || true
+  if ! grep -q '^restart: abandoned=0$' "$REPORT_LOG"; then
+    echo "smoke: FAIL — resumed LB did not report abandoned=0" >&2
+    grep '^restart:' "$REPORT_LOG" >&2 || true
     exit 1
   fi
 elif [[ "$KILL_TARGET" == "worker" && "${EVICTS:-0}" -lt 1 ]]; then
@@ -315,7 +296,13 @@ esac
 # re-seat events are required only when some eviction had one to re-seat.
 EVENTS=""
 case "$KILL_TARGET" in
-  lb) EVENTS="primary-lost standby-promoted epoch-bump resync" ;;
+  lb)
+    EVENTS="resync"
+    if grep -q '"type": "work-abandoned"' "$LOGS/obs.json"; then
+      echo "smoke: FAIL — the restart journaled work-abandoned" >&2
+      exit 1
+    fi
+    ;;
   worker)
     EVENTS="worker-evict"
     if [[ "$DATA_PLANE" != "depth" ]] && grep -Eq '"frontier": "[1-9][0-9]*"' "$LOGS/obs.json"; then
@@ -325,7 +312,19 @@ case "$KILL_TARGET" in
 esac
 case "$DATA_PLANE" in
   p2p) EVENTS="$EVENTS peer-session-open" ;;
-  depth) EVENTS="$EVENTS unit-grant" ;;
+  depth)
+    if [[ "$KILL_TARGET" == "lb" ]]; then
+      # The restart's journal starts at the restart, and the dead LB may
+      # have granted every unit already: the workers' acquires prove the
+      # ownership hand-out instead.
+      grep -Eq '"c9_cluster_unit_acquires_total": [1-9]' "$LOGS/obs.json" || {
+        echo "smoke: FAIL — no depth unit was ever acquired" >&2
+        exit 1
+      }
+    else
+      EVENTS="$EVENTS unit-grant"
+    fi
+    ;;
 esac
 for ev in $EVENTS; do
   grep -q "\"type\": \"$ev\"" "$LOGS/obs.json" || {

@@ -10,19 +10,20 @@
 // departed workers' final contributions; exhausted=true|false on the
 // cluster total line says which of the two ended the run.
 //
-// The LB is no longer a single point of failure: a second c9-lb started
-// with -standby -peer=<primary> installs a snapshot of the primary's
-// state, tails its replication stream and, if the primary dies without
-// a clean shutdown, promotes itself after -promote-grace and finishes
-// the run from the exact replicated state.
-// Workers given both addresses (c9-worker -lb primary,standby) ride the
-// failover out. SIGTERM shuts either role down gracefully: the primary
-// marks the stream's end so standbys exit instead of taking over.
+// The LB holds only summaries of what the workers hold, so it is not
+// replicated. If it dies, start c9-lb -resume at the same address (and
+// with the same -target, -lease and -data-plane) before the workers'
+// 25 s redial deadline runs out: the restart seeds nothing, rebuilds the
+// run from the workers that re-dial it, and finishes it. What the restart
+// could not rebuild — a worker that died while no balancer was up, or a
+// departure whose re-seat died in transit — is journaled as
+// work-abandoned and counted on the abandoned=N line; abandoned=0 means
+// the totals are exact. SIGTERM shuts the LB down gracefully.
 //
 // Usage:
 //
 //	c9-lb -listen 127.0.0.1:7747 -target memcached -min-workers 4
-//	c9-lb -listen 127.0.0.1:7748 -standby -peer 127.0.0.1:7747 -target memcached
+//	c9-lb -listen 127.0.0.1:7747 -target memcached -resume
 package main
 
 import (
@@ -30,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -54,9 +54,7 @@ func main() {
 		dataPlane  = flag.String("data-plane", cluster.DataPlaneP2P, "job payload path: p2p (worker→worker; a batch whose peer link is down is relayed through the LB) or depth (deterministic depth-partitioned work units; no payload moves at all)")
 		partDepth  = flag.Int("partition-depth", 0, "depth-partition boundary for -data-plane depth (0 = default)")
 		partUnits  = flag.Int("partition-units", 0, "work-unit count for -data-plane depth (0 = default)")
-		standby    = flag.Bool("standby", false, "run as a warm standby: tail the primary at -peer and promote on its loss")
-		peer       = flag.String("peer", "", "primary LB address to replicate from (required with -standby)")
-		grace      = flag.Duration("promote-grace", 2*time.Second, "how long the primary may stay unreachable before the standby promotes itself")
+		resume     = flag.Bool("resume", false, "restart a dead LB at its address: seed nothing and adopt the run of the workers that re-dial (-min-workers is ignored)")
 	)
 	flag.Parse()
 
@@ -92,61 +90,31 @@ func main() {
 		cfg.Portfolio = specs
 		fmt.Printf("c9-lb: portfolio %v\n", specs)
 	}
-	// SIGTERM (and Ctrl-C) shut down gracefully: the primary marks the end
-	// of its replication stream so attached standbys exit instead of
-	// promoting, workers get MsgStop, and the final report + obs dump still happen.
-	var srvP atomic.Pointer[cluster.LBServer]
+	var srv *cluster.LBServer
+	if *resume {
+		srv, err = cluster.ResumeLBServer(*listen, cfg, prog.MaxLine)
+	} else {
+		srv, err = cluster.NewLBServer(*listen, cfg, prog.MaxLine, *minWorkers)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "c9-lb: %v\n", err)
+		os.Exit(1)
+	}
+	if *resume {
+		fmt.Printf("c9-lb: resuming on %s (rebuilding the run from the workers that re-dial)\n", srv.Addr())
+	} else {
+		fmt.Printf("c9-lb: listening on %s (elastic membership, termination probes after ≥%d workers)\n",
+			srv.Addr(), *minWorkers)
+	}
+	// SIGTERM (and Ctrl-C) shut down gracefully: workers get MsgStop, and
+	// the final report + obs dump still happen.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	go func() {
 		<-sigc
-		if s := srvP.Load(); s != nil {
-			fmt.Fprintln(os.Stderr, "c9-lb: signal received; shutting down gracefully")
-			s.Shutdown()
-			return
-		}
-		fmt.Fprintln(os.Stderr, "c9-lb: signal received; standby exiting (no takeover)")
-		os.Exit(0)
+		fmt.Fprintln(os.Stderr, "c9-lb: signal received; shutting down gracefully")
+		srv.Shutdown()
 	}()
-
-	var srv *cluster.LBServer
-	if *standby {
-		if *peer == "" {
-			fmt.Fprintln(os.Stderr, "c9-lb: -standby requires -peer")
-			os.Exit(1)
-		}
-		sb, err := cluster.NewStandby(*listen, *peer, *grace, *minWorkers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "c9-lb: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("c9-lb: standby on %s replicating from %s (promote-grace %s)\n",
-			sb.Addr(), *peer, *grace)
-		promoted, err := sb.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "c9-lb: %v\n", err)
-			os.Exit(1)
-		}
-		if promoted == nil {
-			fmt.Println("c9-lb: primary shut down cleanly; standby exiting")
-			return
-		}
-		srv = promoted
-		fmt.Printf("c9-lb: primary lost — promoted to primary (term %d) on %s\n",
-			srv.Term(), srv.Addr())
-	} else {
-		srv, err = cluster.NewLBServer(*listen, cfg, prog.MaxLine, *minWorkers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "c9-lb: %v\n", err)
-			os.Exit(1)
-		}
-		// Always accept standby subscriptions: replication costs one
-		// retained entry per input on these miniature runs.
-		srv.EnableReplication()
-		fmt.Printf("c9-lb: listening on %s (elastic membership, termination probes after ≥%d workers)\n",
-			srv.Addr(), *minWorkers)
-	}
-	srvP.Store(srv)
 	if *obsAddr != "" {
 		osrv, serr := obs.Serve(*obsAddr, srv.ObsSnapshot, srv.Journal())
 		if serr != nil {
@@ -175,10 +143,10 @@ func main() {
 	evictions, leaves, transfers, transferred := srv.Stats()
 	fmt.Printf("membership: evictions=%d leaves=%d transfers=%d states-transferred=%d\n",
 		evictions, leaves, transfers, transferred)
-	fmt.Printf("replication: term=%d promotions=%d\n", srv.Term(), srv.Promotions())
+	fleet := srv.ObsSnapshot()
+	fmt.Printf("restart: abandoned=%d\n", fleet.Counter(obs.MLBAbandoned))
 	fmt.Printf("cluster total: paths=%d errors=%d hangs=%d useful=%d replay=%d exhausted=%v\n",
 		paths, errors, hangs, useful, replay, srv.Exhausted())
-	fleet := srv.ObsSnapshot()
 	fmt.Print(obs.Render(fleet))
 	if *obsDump != "" {
 		if err := obs.WriteDump(*obsDump, fleet, srv.Journal().All()); err != nil {

@@ -5,8 +5,10 @@
 // join a run already in progress — the next balancing round ships them
 // jobs — and may leave gracefully with -retire-after, handing their
 // remaining frontier back to the cluster. If the LB connection drops,
-// the worker re-dials and resumes its membership; if the worker is
-// evicted in the meantime, it halts (its jobs were re-seated).
+// the worker re-dials the same address for up to 25 s and resumes its
+// membership there — with the LB it lost, or with a c9-lb -resume started
+// in its place; if the worker was evicted in the meantime, it halts (its
+// jobs were re-seated).
 //
 // Usage:
 //
@@ -18,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -30,7 +31,7 @@ import (
 
 func main() {
 	var (
-		lbAddr      = flag.String("lb", "127.0.0.1:7747", "load balancer address(es), comma-separated primary,standby — the worker rotates on reconnect, so it survives an LB failover")
+		lbAddr      = flag.String("lb", "127.0.0.1:7747", "load balancer address; re-dialed on a dropped connection, so a c9-lb -resume started there adopts this worker")
 		targetName  = flag.String("target", "memcached", "target to explore")
 		steps       = flag.Uint64("steps", 2_000_000, "per-path instruction budget")
 		batch       = flag.Int("batch", 16, "exploration steps between mailbox polls")
@@ -46,11 +47,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "c9-worker: unknown target %q\n", *targetName)
 		os.Exit(1)
 	}
-	addrs := strings.Split(*lbAddr, ",")
-	for i := range addrs {
-		addrs[i] = strings.TrimSpace(addrs[i])
-	}
-	tr, ack, err := cluster.DialLB(addrs[0], addrs[1:]...)
+	tr, ack, err := cluster.DialLB(*lbAddr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "c9-worker: %v\n", err)
 		os.Exit(1)

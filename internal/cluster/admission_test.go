@@ -5,6 +5,7 @@ package cluster
 // answered with, and what worker an answer describes.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func TestBalancerConfigSurvivesEveryConstructor(t *testing.T) {
 				t.Fatalf("teach this test to perturb a %s", f.Type)
 			}
 			want := v.Interface()
-			got := func(lb *LoadBalancer) any { return reflect.ValueOf(lb.Config()).Field(i).Interface() }
+			got := func(lb *LoadBalancer) any { return reflect.ValueOf(lb.cfg).Field(i).Interface() }
 
 			lbs, err := NewLBServer("127.0.0.1:0", cfg, 64, 0)
 			if err != nil {
@@ -76,7 +77,7 @@ func TestBalancerConfigSurvivesEveryConstructor(t *testing.T) {
 
 // TestAdmitDecisions walks one balancer through every answer a Hello can
 // get: join, resume, refusal of a stale epoch and of an evicted member,
-// readmission across a promotion — and the seed role and partition shape
+// readmission by a resumed balancer — and the seed role and partition shape
 // the ack carries under each data plane.
 func TestAdmitDecisions(t *testing.T) {
 	now := time.Unix(100, 0)
@@ -110,9 +111,12 @@ func TestAdmitDecisions(t *testing.T) {
 
 	// A stale epoch, an id never issued, an evicted member: refused, and
 	// nothing changes.
-	before := lb.StateFingerprint()
+	state := func() string {
+		return fmt.Sprint(lb.memberView(), lb.Evicted, lb.NextID, lb.NextEpoch, lb.Joins, lb.Readmits, len(lb.Orphans))
+	}
+	before := state()
 	lb.Goodbye(first.ID, later)
-	gone := lb.StateFingerprint()
+	gone := state()
 	for name, h := range map[string]Hello{
 		"stale epoch": {ID: second.ID, Epoch: second.Epoch - 1},
 		"unknown id":  {ID: 9, Epoch: 3},
@@ -122,23 +126,29 @@ func TestAdmitDecisions(t *testing.T) {
 			t.Fatalf("%s answered %+v %+v, want a bare refusal", name, ack, outs)
 		}
 	}
-	if lb.StateFingerprint() != gone || gone == before {
-		t.Fatal("a refusal changed replicated state")
+	if state() != gone || gone == before {
+		t.Fatal("a refusal changed the balancer's state")
 	}
 
-	// After a promotion, an unknown member whose epoch lies in the stride
-	// window was admitted by the lost primary: readmitted as it is.
-	lb.promote(later)
-	lost := Hello{ID: 5, Epoch: lb.ReadmitLo + 1, Addr: "c:1"}
+	// A resumed balancer readmits an unknown member as it is, turns a
+	// fresh join away until its window closes, and then issues ids and
+	// epochs past everything its re-hellos named.
+	lb = NewLoadBalancer(BalancerConfig{}, 64)
+	lb.resume()
+	lost := Hello{ID: 5, Epoch: 9, Addr: "c:1", View: map[int]uint64{5: 9, 7: 12}}
 	back, outs := lb.Admit(lost, later)
-	if back.ID != lost.ID || back.Epoch != lost.Epoch || lb.Readmits != 1 {
+	if back.ID != lost.ID || back.Epoch != lost.Epoch || back.Seed || lb.Readmits != 1 {
 		t.Fatalf("readmit answered %+v (readmits=%d), want id and epoch kept", back, lb.Readmits)
 	}
 	if len(outs) == 0 || outs[0].To != Broadcast || outs[0].Msg.Members[lost.ID] != lost.Epoch {
 		t.Fatalf("readmit owes %+v, want the new view broadcast", outs)
 	}
-	if fresh, _ := lb.Admit(Hello{ID: -1}, later); fresh.ID <= lost.ID {
-		t.Fatalf("join after a readmit got id %d, inside the ids the lost primary may have issued", fresh.ID)
+	if early, outs := lb.Admit(Hello{ID: -1}, later); early.ID != helloRetry || outs != nil {
+		t.Fatalf("a join inside the window answered %+v %+v, want helloRetry", early, outs)
+	}
+	lb.ExpireLeases(later.Add(2 * lb.cfg.Lease))
+	if fresh, _ := lb.Admit(Hello{ID: -1}, later); fresh.ID != 8 || fresh.Epoch != 13 || fresh.Seed {
+		t.Fatalf("join after the window answered %+v, want id 8, epoch 13, no seed", fresh)
 	}
 
 	// Depth mode seeds everyone and ships the partition shape, defaults

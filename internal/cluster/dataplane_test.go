@@ -148,19 +148,19 @@ func TestSimDepthWorkerCrashExactPaths(t *testing.T) {
 }
 
 // TestSimDepthLBCrashExactPaths kills the LB under depth partitioning:
-// the promoted standby must reconcile unit ownership from the workers'
-// resync statuses (claims issued in the replication gap included) and
-// finish with the undisturbed totals.
+// the restarted balancer, which starts with no grants, must rebuild unit
+// ownership from the workers' first statuses and finish with the
+// undisturbed totals.
 func TestSimDepthLBCrashExactPaths(t *testing.T) {
-	res := simDataPlaneRun(t, DataPlaneDepth, 0, 0, &SimCrashLB{Tick: 5, PromoteTicks: 2}, nil)
+	res := simDataPlaneRun(t, DataPlaneDepth, 0, 0, &SimCrashLB{Tick: 5, RestartTicks: 2}, nil)
 	if !res.Exhausted {
-		t.Fatal("depth failover run did not exhaust")
+		t.Fatal("depth restart run did not exhaust")
 	}
 	if res.Final.Paths != 64 || res.Final.Errors != 1 {
-		t.Fatalf("paths=%d errors=%d, want 64/1 across the LB failover", res.Final.Paths, res.Final.Errors)
+		t.Fatalf("paths=%d errors=%d, want 64/1 across the LB restart", res.Final.Paths, res.Final.Errors)
 	}
-	if res.LB.Term != 2 || res.LB.Promotions != 1 {
-		t.Fatalf("term=%d promotions=%d, want 2/1", res.LB.Term, res.LB.Promotions)
+	if res.LB.Readmits != 3 || res.LB.Abandoned != 0 {
+		t.Fatalf("readmits=%d abandoned=%d, want 3/0", res.LB.Readmits, res.LB.Abandoned)
 	}
 	if res.Evictions != 0 {
 		t.Fatalf("evictions = %d, want 0 (no worker died)", res.Evictions)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"slices"
@@ -126,10 +127,6 @@ type Member struct {
 	Obs obs.Snapshot
 	// LastSeen is the lease renewal time.
 	LastSeen time.Time
-	// Resynced marks that this member has re-reported a full frontier
-	// snapshot inside the current post-promotion resync window (see
-	// LoadBalancer.promote); meaningless outside one.
-	Resynced bool
 	// AckRelayed tracks, per source, the highest batch ack already
 	// relayed on this member's behalf, so the cumulative acks workers
 	// repeat in every status don't turn into repeated MsgJobsAck relays.
@@ -148,21 +145,18 @@ func (m *Member) Record() Status {
 }
 
 // custodyBatch is a job tree the LB holds in custody after reclaiming it
-// from a departed member, until a survivor acknowledges it. Replicated
-// state (see lbState), hence the exported fields.
+// from a departed member, until a survivor acknowledges it.
 type custodyBatch struct {
 	Jobs *JobTree
 	N    int
 	// ID is the batch's stable custody id: the departed member's epoch.
-	// Epochs are globally unique — across the run and across LB
-	// incarnations — so a promoted standby re-delivering a batch the lost
-	// primary already placed reuses the same id and the receivers'
-	// permanent dedup set still applies.
+	// Epochs are unique across the run, a restart included, so the
+	// receivers' permanent dedup set applies to every re-delivery.
 	ID uint64
-	// Rec is the departed member's accounting record (counters and
-	// accounted metrics, no frontier), shipped with every delivery and
-	// echoed back in ReseatAcks — the repair channel for an LB that
-	// missed the departure.
+	// Rec is the departed member's accounting record (counters, accounted
+	// metrics and its own ReseatAcks, no frontier), shipped with every
+	// delivery and echoed back in ReseatAcks — where a restarted balancer
+	// finds it.
 	Rec *Status
 	// Counted is set once the batch's job count has been added to the
 	// send side of the quiescence reconciliation (exactly once, however
@@ -186,21 +180,13 @@ type LoadBalancer struct {
 	cfg BalancerConfig
 	lbState
 
-	// Everything below is local to this incarnation and not replicated.
+	// Everything below is local to this incarnation: a restart starts it
+	// from zero.
 	covDirty bool
 	journal  *obs.Journal
 
-	// Control-plane replication (replica.go): repEnabled gates input
-	// logging, onRep streams each logged entry to attached standbys,
-	// snapshotsServed counts the snapshots served to attaching ones.
-	repEnabled      bool
-	onRep           func(RepEntry)
-	snapshotsServed int
-
 	// relayedBatches/relayedBytes count job payload that transited the LB
-	// (MsgShip fallback relays): a relay in flight through a lost primary
-	// is re-sent by its custodial owner, exactly like a batch lost on a
-	// dead peer link, so a standby has no use for the numbers.
+	// (MsgShip fallback relays).
 	relayedBatches int
 	relayedBytes   uint64
 	// earlyRounds counts the rounds LBServer.Serve ran because a report
@@ -219,9 +205,9 @@ type LoadBalancer struct {
 	// probeOpen whether it still waits for echoes, cleanWaves how many
 	// complete waves in a row found the cluster quiescent on the same job
 	// sum waveSum (sent = received), probeWaves how many were opened in all.
-	// Not replicated: a promoted standby starts a fresh wave, numbered
-	// above anything the lost primary can have sent (the term is the
-	// sequence's high half). holdOpen keeps the detector from opening one
+	// A resumed balancer numbers its waves past the highest probe any
+	// status echoes (Update), so no echo of a dead balancer's wave can
+	// complete one of its own. holdOpen keeps the detector from opening one
 	// while the fabric would not end the run anyway (LBServer.MinWorkers).
 	probeSeq   uint64
 	probeOpen  bool
@@ -235,7 +221,7 @@ type LoadBalancer struct {
 // holds the rest of the catalogue; these two are read nowhere else).
 const (
 	mLBProbeWaves = "c9_lb_probe_waves_total"
-	evTerminated  = "terminated" // LB: two clean probe waves agreed (fields: term, wave, waves, sent, recv)
+	evTerminated  = "terminated" // LB: two clean probe waves agreed (fields: wave, waves, sent, recv)
 )
 
 // What made the balancer grant units, as the unit-grant journal event's
@@ -245,23 +231,15 @@ const (
 	grantOnTick   = "tick"   // the balance round found an idle member and unclaimed units
 )
 
-// lbState is the balancer's replicated state, all of it: a field is
-// replicated if and only if it is declared here (or in a type reachable
-// from here). SnapshotState encodes this struct, InstallState decodes
-// into a fresh one and StateFingerprint is the same encoding indented, so
-// a new field needs no code in any of the three; the encoder sees exported
-// fields only, which is why every name is exported. Every mutation happens
-// inside a logged entry point (replica.go) — or in promote, before the
-// promoted balancer can have a standby of its own — so a replica fed the
-// same entries holds the same lbState.
+// lbState is the run as the balancer sees it: membership, custody,
+// coverage, the unit table and the reconciliation sums. None of it is
+// replicated, because all of it is a summary of what the workers hold; a
+// restarted balancer (resume) starts with an empty lbState and rebuilds
+// it from the workers' re-hellos and first full statuses.
 type lbState struct {
-	// Term is the primary incarnation (1 at birth, +1 per promotion);
-	// RepSeq the sequence number of the last logged or applied entry.
-	Term   uint64
-	RepSeq uint64
 	// LastNow caches the most recent clock value threaded into an entry
-	// point, for sites without a time parameter (the portfolio rebalance
-	// and Balance's log stamp).
+	// point, for sites without a time parameter (the portfolio
+	// rebalance's journal stamp).
 	LastNow time.Time
 
 	Members   map[int]*Member
@@ -292,15 +270,15 @@ type lbState struct {
 	GoneRecv   uint64
 	ReseatSent uint64
 
-	// Post-promotion state: the resync window (evictions and orphan
-	// placement suspended until members re-report or the deadline
-	// passes) and the epoch range in which unknown members are
-	// readmitted (joins the lost primary accepted during the
-	// replication gap).
+	// A resumed balancer's re-hello window (see resume): open while
+	// ResyncPending, closing at ResyncUntil (2×Lease after the first
+	// re-hello) at the latest. Named is every member some re-hello's view
+	// names and Departed every departure some re-hello lists (id → epoch);
+	// what neither came back nor was acknowledged is Abandoned.
 	ResyncPending bool
 	ResyncUntil   time.Time
-	ReadmitLo     uint64
-	ReadmitHi     uint64
+	Named         map[int]uint64
+	Departed      map[int]uint64
 
 	// Depth data plane: UnitOwner maps partition unit → owning member id
 	// (-1 unclaimed; nil outside depth mode), UnitSentAt paces grant
@@ -316,7 +294,7 @@ type lbState struct {
 	Evictions       int
 	Leaves          int
 	Readmits        int
-	Promotions      int
+	Abandoned       int
 	TransfersIssued int
 	ReseatsIssued   int
 	Rebalances      int
@@ -329,8 +307,7 @@ type lbState struct {
 func NewLoadBalancer(cfg BalancerConfig, covLen int) *LoadBalancer {
 	// Every default is applied here and nowhere else, field by field (the
 	// fabrics used to resolve some themselves, and disagreed on which
-	// fields were caller state). Defaulting twice changes nothing, which
-	// is what lets a standby be built from Config().
+	// fields were caller state). Defaulting twice changes nothing.
 	def := DefaultBalancerConfig()
 	if cfg.Delta == 0 {
 		cfg.Delta = def.Delta
@@ -352,7 +329,6 @@ func NewLoadBalancer(cfg BalancerConfig, covLen int) *LoadBalancer {
 	lb := &LoadBalancer{
 		cfg: cfg,
 		lbState: lbState{
-			Term:        1,
 			Members:     map[int]*Member{},
 			Evicted:     map[int]uint64{},
 			Reseats:     map[uint64]*custodyBatch{},
@@ -377,7 +353,6 @@ func NewLoadBalancer(cfg BalancerConfig, covLen int) *LoadBalancer {
 // Join admits a new member, assigning it a fresh id and epoch. The
 // returned outbounds broadcast the updated membership view.
 func (lb *LoadBalancer) Join(addr string, now time.Time) (*Member, []Outbound) {
-	lb.logRep(RepEntry{Kind: RepJoin, Addr: addr, T: now.UnixNano()})
 	lb.NextID++
 	lb.NextEpoch++
 	return lb.seat(lb.NextID-1, lb.NextEpoch, addr, now, nil)
@@ -409,22 +384,23 @@ func (lb *LoadBalancer) IsMember(id int, epoch uint64) bool {
 // Touch renews a member's lease without a status (TCP reconnects).
 func (lb *LoadBalancer) Touch(id int, now time.Time) {
 	if m := lb.Members[id]; m != nil {
-		lb.logRep(RepEntry{Kind: RepTouch, From: id, T: now.UnixNano()})
 		m.LastSeen = now
 	}
 }
 
 // Admit is the admission decision, made once for every fabric: it turns
 // a worker's Hello into the HelloAck that answers it and the messages the
-// cluster is owed. A Hello with no id joins. One naming a current (id,
-// epoch) resumes that membership: the lease is renewed and the worker is
-// sent the membership view — it slept through any broadcast sent while it
-// was disconnected, and an idle worker blocks on its mailbox, so the view
-// both catches it up and wakes it to re-report under the new stream
-// generation (otherwise an idle worker rides out a failover silently and
-// the promoted LB has to evict it). One naming a member the lost primary
-// admitted inside the replication gap is readmitted as it is (see
-// canReadmit). Anyone else was evicted and its work re-seated: the ack
+// cluster is owed. A malformed Hello is refused (checkHello). A Hello with
+// no id joins — except inside a resumed balancer's re-hello window, which
+// answers helloRetry: a join admitted before the run is rebuilt could take
+// id 0 and start a second root. One naming a current (id, epoch) resumes
+// that membership: the lease is renewed and the worker is sent the
+// membership view — it slept through any broadcast sent while it was
+// disconnected, and an idle worker blocks on its mailbox, so the view both
+// catches it up and wakes it to re-report under the new stream generation.
+// Inside the window one naming a member nobody lists as departed is
+// readmitted as it is, and its view and departed set are taken in
+// (noteRehello). Anyone else was evicted and its work re-seated: the ack
 // says helloRefused and nothing changes. The ack also carries the seed
 // role and what every worker of the run must agree on — data plane,
 // partition shape; the fabric delivers it ahead of anything else it
@@ -433,14 +409,21 @@ func (lb *LoadBalancer) Admit(h Hello, now time.Time) (HelloAck, []Outbound) {
 	var m *Member
 	var outs []Outbound
 	switch {
+	case checkHello(h) != nil:
+		return HelloAck{ID: helloRefused}, nil
+	case h.ID < 0 && lb.ResyncPending:
+		return HelloAck{ID: helloRetry}, nil
 	case h.ID < 0:
 		m, outs = lb.Join(h.Addr, now)
 	case lb.IsMember(h.ID, h.Epoch):
 		m = lb.Members[h.ID]
 		lb.Touch(h.ID, now)
-		outs = []Outbound{{To: h.ID, Msg: Message{Kind: MsgMembers, Members: lb.memberView()}}}
+		if lb.ResyncPending {
+			outs = lb.noteRehello(h, now)
+		}
+		outs = append(outs, Outbound{To: h.ID, Msg: Message{Kind: MsgMembers, Members: lb.memberView()}})
 	default:
-		if m, outs = lb.Readmit(h.ID, h.Epoch, h.Addr, now); m == nil {
+		if m, outs = lb.readmit(h, now); m == nil {
 			return HelloAck{ID: helloRefused}, nil
 		}
 	}
@@ -458,11 +441,6 @@ func (lb *LoadBalancer) Admit(h Hello, now time.Time) (HelloAck, []Outbound) {
 	}, outs
 }
 
-// Config returns the balancer's effective configuration, defaults
-// resolved. A standby constructed from it replays the primary's inputs
-// into identical state.
-func (lb *LoadBalancer) Config() BalancerConfig { return lb.cfg }
-
 // memberView snapshots the membership table as id → epoch.
 func (lb *LoadBalancer) memberView() map[int]uint64 {
 	v := make(map[int]uint64, len(lb.Members))
@@ -479,24 +457,16 @@ func (lb *LoadBalancer) memberView() map[int]uint64 {
 // status's job-batch acknowledgments to their sources.
 func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bool) {
 	m := lb.Members[st.Worker]
-	if m == nil && st.Frontier != nil && lb.canReadmit(st.Worker, st.Epoch) {
-		// Post-promotion: a worker the lost primary admitted during the
-		// replication gap re-reports. Its epoch falls in the stride window
-		// no other incarnation can issue, and the full snapshot it opens
-		// with establishes its accounting record from scratch.
-		rm, routs := lb.Readmit(st.Worker, st.Epoch, "", now)
-		m = rm
-		outs = append(outs, routs...)
-	}
 	if m == nil || m.Epoch != st.Epoch {
-		return outs, false
+		return nil, false
 	}
-	lb.logRep(RepEntry{Kind: RepStatus, Status: &st, T: now.UnixNano()})
 	lb.LastNow = now
+	// A resumed balancer's waves start past every probe a dead one sent;
+	// on any other, no status echoes a probe it did not send.
+	lb.probeSeq = max(lb.probeSeq, st.Probe)
 	// Data-plane journaling: peer-session events are derived from the
 	// cumulative counters each status carries, compared against the
-	// previous accepted record — so a replica replaying the status log
-	// journals the identical sequence, and a re-sent status is a no-op.
+	// previous accepted record, so a re-sent status is a no-op.
 	if st.PeerOpens > m.Last.PeerOpens {
 		lb.journal.AppendAt(now, obs.EvPeerSessionOpen, st.Worker, map[string]string{
 			"total": strconv.FormatUint(st.PeerOpens, 10),
@@ -512,11 +482,11 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 			"total": strconv.FormatUint(st.PeerFallbacks, 10),
 		})
 	}
-	// Depth mode: reconcile unit claims. A promoted standby may have
-	// missed a grant issued inside the replication gap; for a unit nobody
-	// else owns, the claimant's word is authoritative (grants are the
-	// only way a worker learns a unit id, and reclaims only happen on
-	// departure, which also voids the claim source).
+	// Depth mode: reconcile unit claims. A resumed balancer starts with
+	// no grants at all; for a unit nobody else owns, the claimant's word
+	// is authoritative (grants are the only way a worker learns a unit id,
+	// and reclaims only happen on departure, which also voids the claim
+	// source).
 	if lb.UnitOwner != nil {
 		for _, u := range st.Units {
 			if u >= 0 && u < len(lb.UnitOwner) && lb.UnitOwner[u] == -1 {
@@ -527,9 +497,6 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 	m.Last = st
 	if st.Frontier != nil {
 		m.LastFull = st
-		if lb.ResyncPending {
-			m.Resynced = true
-		}
 	}
 	if st.Obs != nil {
 		// Cumulative resync (the worker could not prove this record still
@@ -596,15 +563,15 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 			}})
 		}
 	}
-	// Custody acks clear outstanding re-seat batches — from any echoer,
-	// not just the recorded destination: before a failover only the
-	// actual importer echoes a batch's id, and after one the recorded
-	// destination may be stale (the lost primary re-homed the batch
-	// without this incarnation seeing it). Every ack is remembered with
-	// its accounting record so departures processed later can recover
-	// the true cut (see depart). Workers sort their acks, keeping the
-	// journal deterministic.
+	// Custody acks clear outstanding re-seat batches. Every ack is
+	// remembered with its accounting record; inside a resumed balancer's
+	// window it is the record of a departure the dead balancer made, and
+	// adoptAck rebuilds that departure's accounting from it. Workers sort
+	// their acks, keeping the journal deterministic.
 	for _, ack := range st.ReseatAcks {
+		if lb.ResyncPending {
+			outs = append(outs, lb.adoptAck(ack, now)...)
+		}
 		if _, seen := lb.ReseatAcked[ack.ID]; !seen {
 			lb.ReseatAcked[ack.ID] = ack
 		}
@@ -616,9 +583,7 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 		}
 	}
 	// Depth mode: an idle report is a request for the next range of
-	// units, answered now and not on the next round. Update is a logged
-	// entry and grantUnits reads replicated state only, so a replica
-	// replaying the status grants the same units.
+	// units, answered now and not on the next round.
 	if lb.UnitOwner != nil && st.Done && st.Queue == 0 {
 		outs = append(outs, lb.grantUnits(now, grantOnReport)...)
 	}
@@ -632,7 +597,6 @@ func (lb *LoadBalancer) Goodbye(id int, now time.Time) []Outbound {
 	if lb.Members[id] == nil {
 		return nil
 	}
-	lb.logRep(RepEntry{Kind: RepGoodbye, From: id, T: now.UnixNano()})
 	lb.LastNow = now
 	lb.Leaves++
 	lb.journal.AppendAt(now, obs.EvWorkerGoodbye, id, nil)
@@ -642,17 +606,19 @@ func (lb *LoadBalancer) Goodbye(id int, now time.Time) []Outbound {
 // ExpireLeases evicts every member whose lease has lapsed and returns
 // the resulting eviction notices and re-seat deliveries.
 func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
-	lb.logRep(RepEntry{Kind: RepExpire, T: now.UnixNano()})
 	lb.LastNow = now
-	if lb.ResyncPending && !lb.resyncTick(now) {
-		// Evictions are suspended until the post-promotion resync window
-		// closes: leases were restarted at promotion, and acting on
-		// replicated state before members re-report would re-seat stale
-		// cuts whose repairs (ReseatAcks) are still in flight.
-		return nil
+	var outs []Outbound
+	if lb.ResyncPending {
+		// Evictions are suspended until a resumed balancer's re-hello window
+		// closes: members are still re-dialing, and their first statuses
+		// carry the acks that say which departures are already settled.
+		if !lb.resyncDue(now) {
+			return nil
+		}
+		outs = lb.closeResync(now)
 	}
 	if lb.neverEvict {
-		return nil
+		return outs
 	}
 	var expired []int
 	for id, m := range lb.Members {
@@ -661,7 +627,6 @@ func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
 		}
 	}
 	sort.Ints(expired)
-	var outs []Outbound
 	for _, id := range expired {
 		lb.Evictions++
 		m := lb.Members[id]
@@ -682,76 +647,50 @@ func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
 // onto a survivor (or holds it as an orphan until one joins).
 func (lb *LoadBalancer) depart(id int, now time.Time) []Outbound {
 	m := lb.Members[id]
-	delete(lb.Members, id)
-	lb.Evicted[id] = m.Epoch
-	lb.resetWaves()
+	outs := lb.drop(id, now)
 	if lb.cfg.DataPlane == DataPlaneDepth {
 		// Depth mode voids the departed member entirely: its counted
-		// terminals all live inside its owned units, the units return to
+		// terminals all live inside its owned units, which drop returned to
 		// the unclaimed pool, and whoever is granted them next re-derives
-		// and recounts the whole unit from its own copy of the shared
-		// tree. Folding the departed counters in as well would double
-		// count; dropping them keeps the total exact.
-		reclaimed := 0
-		for u, owner := range lb.UnitOwner {
-			if owner == id {
-				lb.UnitOwner[u] = -1
-				reclaimed++
-			}
-		}
-		if reclaimed > 0 {
-			lb.UnitReclaims += reclaimed
-			lb.journal.AppendAt(now, obs.EvUnitReclaim, id, map[string]string{
-				"units": strconv.Itoa(reclaimed),
-			})
-		}
-		delete(lb.UnitSentAt, id)
-		outs := []Outbound{{To: Broadcast, Msg: Message{
-			Kind: MsgEvict, From: id, Epoch: m.Epoch, Members: lb.memberView(),
-		}}}
+		// and recounts the whole unit from its own copy of the shared tree.
+		// Folding the departed counters in as well would double count;
+		// dropping them keeps the total exact.
 		return append(outs, lb.rebalanceStrategies()...)
 	}
 	if acked, acknowledged := lb.ReseatAcked[m.Epoch]; acknowledged {
-		// A previous LB incarnation already departed this member — at an
-		// accounting cut this (promoted) balancer never saw — and a
-		// survivor imported its re-seated frontier: the record echoed
-		// with the ack is the member's true cut. Substitute it and skip
-		// re-seating; acting on the stale replicated record instead would
-		// re-explore work the survivor already did (double count), and
-		// skipping without the substitution would drop the progress
-		// between the replicated cut and the true one (undercount).
-		rec := acked.Rec
-		lb.Gone = append(lb.Gone, rec)
-		if rec.Obs != nil {
-			lb.GoneObs.Merge(*rec.Obs)
-		} else {
-			lb.GoneObs.Merge(m.Obs)
-		}
-		lb.GoneSent += rec.JobsSent
-		lb.GoneRecv += rec.JobsRecv
+		// The dead balancer this one resumed from already departed this
+		// member — a straggler readmitted before the ack arrived — and a
+		// survivor imported its re-seated frontier: the record echoed with
+		// the ack is the member's true cut. Substitute it and skip
+		// re-seating; re-seating the member's own record would re-explore
+		// work the survivor already did.
+		lb.foldGone(acked.Rec, acked.Rec.Obs)
 		lb.ReseatSent += uint64(acked.Jobs)
-	} else if m.Reported {
+	} else {
 		// The accounting record's counters match the latest status
 		// (workers send a full status on every transfer), and everything
 		// explored after it is re-explored by whoever inherits the
-		// frontier — counted exactly once either way.
-		rec := m.Record()
-		lb.Gone = append(lb.Gone, rec)
-		lb.GoneObs.Merge(m.Obs)
-		lb.GoneSent += rec.JobsSent
-		lb.GoneRecv += rec.JobsRecv
-		if n := rec.Frontier.Count(); n > 0 {
-			lb.Orphans = append(lb.Orphans, &custodyBatch{
-				Jobs: rec.Frontier, N: n, ID: m.Epoch, Rec: custodyRecord(m),
-			})
+		// frontier — counted exactly once either way. Every departure
+		// ships its record in custody, with no jobs if it left no
+		// frontier: the survivor's ReseatAck is where a restarted balancer
+		// finds the record.
+		var jobs *JobTree
+		if m.Reported {
+			rec := m.Record()
+			lb.foldGone(rec, &m.Obs)
+			jobs = rec.Frontier
+		} else if sent, recv := lb.jobSums(); id == 0 && sent+recv == 0 {
+			// The seed died before its first status and nothing was shipped
+			// yet: it took the whole tree along. Re-seat the root job, the
+			// empty path, which a worker that dropped its root imports as its
+			// root candidate.
+			jobs = BuildJobTree([][]uint8{{}})
 		}
-	} else if sent, recv := lb.jobSums(); id == 0 && sent+recv == 0 {
-		// The seed died before its first status and nothing was shipped
-		// yet: it took the whole tree along. Re-seat the root job, the
-		// empty path, which a worker that dropped its root imports as its
-		// root candidate.
+		if jobs == nil {
+			jobs = &JobTree{}
+		}
 		lb.Orphans = append(lb.Orphans, &custodyBatch{
-			Jobs: BuildJobTree([][]uint8{{}}), N: 1, ID: m.Epoch, Rec: custodyRecord(m),
+			Jobs: jobs, N: jobs.Count(), ID: m.Epoch, Rec: custodyRecord(m),
 		})
 	}
 	var rehome []uint64
@@ -765,24 +704,64 @@ func (lb *LoadBalancer) depart(id int, now time.Time) []Outbound {
 		lb.Orphans = append(lb.Orphans, lb.Reseats[bid])
 		delete(lb.Reseats, bid)
 	}
-	outs := []Outbound{{To: Broadcast, Msg: Message{
-		Kind: MsgEvict, From: id, Epoch: m.Epoch, Members: lb.memberView(),
-	}}}
 	outs = append(outs, lb.placeOrphans(now)...)
 	// Membership shrank: restore the portfolio's desired allocation (a
 	// departed member may have been a spec's only runner).
 	return append(outs, lb.rebalanceStrategies()...)
 }
 
+// drop takes id out of the membership — fenced by its epoch, its depth
+// units returned to the pool — and returns the eviction broadcast. What
+// becomes of its accounting is the caller's business.
+func (lb *LoadBalancer) drop(id int, now time.Time) []Outbound {
+	m := lb.Members[id]
+	delete(lb.Members, id)
+	lb.Evicted[id] = m.Epoch
+	lb.resetWaves()
+	reclaimed := 0
+	for u, owner := range lb.UnitOwner {
+		if owner == id {
+			lb.UnitOwner[u] = -1
+			reclaimed++
+		}
+	}
+	if reclaimed > 0 {
+		lb.UnitReclaims += reclaimed
+		lb.journal.AppendAt(now, obs.EvUnitReclaim, id, map[string]string{
+			"units": strconv.Itoa(reclaimed),
+		})
+	}
+	delete(lb.UnitSentAt, id)
+	return []Outbound{{To: Broadcast, Msg: Message{
+		Kind: MsgEvict, From: id, Epoch: m.Epoch, Members: lb.memberView(),
+	}}}
+}
+
+// foldGone adds a departed member's accounting record, and o, its
+// accounted metrics, to the departed side of the reconciliation. A member
+// that departed before its first status has an empty record (epoch 0) and
+// no line of its own.
+func (lb *LoadBalancer) foldGone(rec Status, o *obs.Snapshot) {
+	if rec.Epoch != 0 {
+		lb.Gone = append(lb.Gone, rec)
+	}
+	if o != nil {
+		lb.GoneObs.Merge(*o)
+	}
+	lb.GoneSent += rec.JobsSent
+	lb.GoneRecv += rec.JobsRecv
+}
+
 // custodyRecord builds the accounting record shipped with a departed
-// member's custody batch: its counters at the accounting cut plus its
-// accounted metrics as a cumulative snapshot, bulk fields stripped.
+// member's custody batch: its counters at the accounting cut, its
+// accounted metrics as a cumulative snapshot and the ReseatAcks it echoed
+// — the records of the departures it had inherited, so a chain of
+// departures stays on a live worker — bulk fields stripped.
 func custodyRecord(m *Member) *Status {
 	rec := m.Record()
 	rec.Frontier = nil
 	rec.CovWords = nil
 	rec.Acks = nil
-	rec.ReseatAcks = nil
 	o := m.Obs.Clone()
 	rec.Obs = &o
 	rec.ObsBase = true
@@ -794,9 +773,9 @@ func custodyRecord(m *Member) *Status {
 // side exactly once, no matter how often the batch is re-delivered.
 func (lb *LoadBalancer) placeOrphans(now time.Time) []Outbound {
 	if len(lb.Orphans) == 0 || lb.ResyncPending {
-		// During a post-promotion resync window placement waits: members
-		// are still re-reporting, and their ReseatAcks may prove a
-		// pending orphan was already imported under the lost primary —
+		// Inside a resumed balancer's re-hello window placement waits:
+		// members are still re-reporting, and their ReseatAcks may prove a
+		// pending orphan was already imported under the dead balancer —
 		// placing it first could deliver the same work to a second
 		// destination.
 		return nil
@@ -808,8 +787,8 @@ func (lb *LoadBalancer) placeOrphans(now time.Time) []Outbound {
 	var outs []Outbound
 	for _, b := range lb.Orphans {
 		if acked, acknowledged := lb.ReseatAcked[b.ID]; acknowledged {
-			// The lost primary placed this batch after the replication
-			// cut and a survivor imported it: drop the duplicate, counting
+			// The dead balancer placed this batch too and a survivor
+			// imported it: drop the duplicate, counting
 			// the delivery once on the quiescence send side (the
 			// survivor's JobsRecv already counts the receive side).
 			if !b.Counted {
@@ -860,12 +839,10 @@ func (lb *LoadBalancer) leastLoaded() (int, bool) {
 // custody batches whose acknowledgment is overdue (receivers suppress
 // duplicates via the sequence high-water mark).
 func (lb *LoadBalancer) Tick(now time.Time) []Outbound {
-	lb.logRep(RepEntry{Kind: RepTick, T: now.UnixNano()})
 	lb.LastNow = now
 	outs := lb.placeOrphans(now)
 	// Sorted so re-delivery order (and thus the downstream message
-	// sequence) is identical across identically-seeded runs and between
-	// a primary and its replica.
+	// sequence) is identical across identically-seeded runs.
 	for _, bid := range slices.Sorted(maps.Keys(lb.Reseats)) {
 		b := lb.Reseats[bid]
 		if lb.Members[b.Dst] == nil {
@@ -891,10 +868,10 @@ func (lb *LoadBalancer) Tick(now time.Time) []Outbound {
 // is unavailable. The payload re-emerges
 // as an ordinary MsgJobs with the original (From, Epoch, Seq), so the
 // receiver's gap rule, its ack high-water marks, and the sender's
-// custody records are oblivious to which channel carried the batch.
-// Relay traffic is deliberately not replicated: a batch in flight
-// through a lost primary is re-sent by its custodial owner after the
-// resend timeout, exactly like a batch lost on a dead peer link.
+// custody records are oblivious to which channel carried the batch. A
+// batch in flight through a dead balancer is re-sent by its custodial
+// owner after the resend timeout, exactly like a batch lost on a dead
+// peer link.
 func (lb *LoadBalancer) Ship(m Message) []Outbound {
 	lb.relayedBatches++
 	lb.relayedBytes += uint64(payloadBytes(m.Jobs))
@@ -993,13 +970,12 @@ func (lb *LoadBalancer) Round(now time.Time) []Outbound {
 // each half its fair share of what is left (rounded up), so the ranges
 // shrink as the pool drains — 16 units and 2 members go out as 4, 3, 3,
 // 2, 1, 1, 1, 1 — and the member that finishes early comes back for
-// more instead of waiting out a one-shot split. Runs inside a logged
-// entry (Update for cause grantOnReport, Tick for grantOnTick), reads
-// only replicated state, and iterates members in sorted id order, so a
-// replica replaying the entries builds the identical unit table. Grants
-// are suspended during a post-promotion resync window: members' unit
-// claims (statuses) must reconcile first, or a unit granted by the lost
-// primary inside the replication gap could be granted twice.
+// more instead of waiting out a one-shot split. Runs from Update (cause
+// grantOnReport) and Tick (grantOnTick) and iterates members in sorted id
+// order, so identically-seeded runs grant identically. Grants are
+// suspended inside a resumed balancer's re-hello window: members' unit
+// claims (statuses) must be in first, or a unit the dead balancer granted
+// could be granted twice.
 func (lb *LoadBalancer) grantUnits(now time.Time, cause string) []Outbound {
 	unclaimed := lb.ownedUnits(-1)
 	if lb.ResyncPending || len(unclaimed) == 0 {
@@ -1041,9 +1017,8 @@ func (lb *LoadBalancer) grantUnits(now time.Time, cause string) []Outbound {
 
 // redeliverUnits re-sends possibly-lost grants: a member whose status
 // does not yet claim every unit it owns may have lost the MsgUnits (dead
-// conn, promotion gap). The full owned list is idempotent, so re-sending
-// is always safe; the lease paces it to one retry per silence period.
-// Replica-safe for the reasons grantUnits is.
+// conn). The full owned list is idempotent, so re-sending is always safe;
+// the lease paces it to one retry per silence period.
 func (lb *LoadBalancer) redeliverUnits(now time.Time) []Outbound {
 	if lb.ResyncPending {
 		return nil
@@ -1180,13 +1155,8 @@ func (lb *LoadBalancer) PutLBMetrics(s *obs.Snapshot) {
 	s.PutCounter(obs.MLBUnitReclaims, uint64(lb.UnitReclaims))
 	s.PutGauge(obs.MLBUnitsUnclaimed, int64(len(lb.ownedUnits(-1))))
 	s.PutCounter(mLBProbeWaves, uint64(lb.probeWaves))
-	s.PutCounter(obs.MLBRepSnapshots, uint64(lb.snapshotsServed))
-	s.PutGauge(obs.MLBTerm, int64(lb.Term))
-	s.PutCounter(obs.MLBPromotions, uint64(lb.Promotions))
 	s.PutCounter(obs.MLBReadmits, uint64(lb.Readmits))
-	if lb.RepSeq > 0 {
-		s.PutCounter(obs.MLBRepEntries, lb.RepSeq)
-	}
+	s.PutCounter(obs.MLBAbandoned, uint64(lb.Abandoned))
 	for i, y := range lb.SpecYield {
 		s.PutCounter(obs.MLBSlotYield(i), y)
 	}
@@ -1262,9 +1232,7 @@ func (lb *LoadBalancer) resetWaves() {
 // it closes it — clean if the job sums equal the previous clean wave's,
 // the first of a new count otherwise — and opens the next at once, so
 // two waves cost two round trips, not two rounds; a wave still short of
-// echoes is re-sent on a round and left alone on a report. Neither caller
-// is a logged entry and none of the state is replicated: a replica never
-// runs this, and a promoted one starts from a fresh wave.
+// echoes is re-sent on a round and left alone on a report.
 func (lb *LoadBalancer) probe(now time.Time, resend bool) []Outbound {
 	if lb.Terminated() {
 		return nil
@@ -1291,8 +1259,7 @@ func (lb *LoadBalancer) probe(now time.Time, resend bool) []Outbound {
 		lb.waveSum, lb.probeOpen = sent, false
 		if lb.Terminated() {
 			lb.journal.AppendAt(now, evTerminated, LBFrom, map[string]string{
-				"term":  strconv.FormatUint(lb.Term, 10),
-				"wave":  strconv.FormatUint(lb.probeSeq&(1<<32-1), 10),
+				"wave":  strconv.FormatUint(lb.probeSeq, 10),
 				"waves": strconv.Itoa(lb.probeWaves),
 				"sent":  strconv.FormatUint(sent, 10),
 				"recv":  strconv.FormatUint(recv, 10),
@@ -1300,7 +1267,7 @@ func (lb *LoadBalancer) probe(now time.Time, resend bool) []Outbound {
 			return nil
 		}
 	}
-	lb.probeSeq = max(lb.probeSeq, lb.Term<<32) + 1
+	lb.probeSeq++
 	lb.probeOpen = true
 	lb.probeWaves++
 	return []Outbound{lb.probeMsg()}
@@ -1316,11 +1283,9 @@ func (lb *LoadBalancer) probeMsg() Outbound {
 func (lb *LoadBalancer) Balance() []TransferOrder {
 	if !lb.Enabled || lb.cfg.DataPlane == DataPlaneDepth {
 		// Depth mode has no job shipping to balance: work distribution is
-		// entirely unit grants. Returning before logRep keeps primary and
-		// replica symmetric (neither logs nor replays Balance entries).
+		// entirely unit grants.
 		return nil
 	}
-	lb.logRep(RepEntry{Kind: RepBalance, T: lb.LastNow.UnixNano()})
 	type wl struct {
 		id int
 		l  int
@@ -1336,8 +1301,8 @@ func (lb *LoadBalancer) Balance() []TransferOrder {
 		return nil
 	}
 	// Sort before any arithmetic: float accumulation is not associative,
-	// so σ's partial sums must be taken in one canonical order for a
-	// replica replaying this entry to classify identically.
+	// so σ's partial sums must be taken in one canonical order for the
+	// same queues to classify identically whatever the map order.
 	sort.Slice(ws, func(i, j int) bool {
 		if ws[i].l != ws[j].l {
 			return ws[i].l < ws[j].l
@@ -1387,121 +1352,180 @@ func (lb *LoadBalancer) Balance() []TransferOrder {
 	return orders
 }
 
-// Promotion: the strides the id and epoch counters take when a standby
-// becomes primary. They must exceed anything the lost primary could
-// plausibly have handed out after the replication cut, so that (a) the
-// new primary never re-issues an id/epoch the old one gave a worker the
-// standby missed, and (b) such workers are recognizable: an unknown
-// member whose epoch falls inside the stride window can only have been
-// admitted by the lost primary.
-const (
-	promoteIDStride    = 1 << 10
-	promoteEpochStride = 1 << 20
-)
-
-// promote turns this balancer into the primary of the next term. Called
-// by Replica.Promote on a live standby; a standby attaching afterwards
-// receives the promoted state in its snapshot. The journal records the full
-// promotion sequence — primary-lost, standby-promoted, epoch-bump — and
-// a resync window opens during which evictions and orphan placement are
-// suspended (see ExpireLeases, placeOrphans) until every member has
-// re-reported a full frontier snapshot or 2×Lease has passed; its close
-// is journaled as resync.
-func (lb *LoadBalancer) promote(now time.Time) {
-	lb.LastNow = now
-	lb.journal.AppendAt(now, obs.EvPrimaryLost, LBFrom, map[string]string{
-		"term": strconv.FormatUint(lb.Term, 10),
-	})
-	lb.Term++
-	lb.Promotions++
-	lb.journal.AppendAt(now, obs.EvStandbyPromote, LBFrom, map[string]string{
-		"term":    strconv.FormatUint(lb.Term, 10),
-		"members": strconv.Itoa(len(lb.Members)),
-		"applied": strconv.FormatUint(lb.RepSeq, 10),
-	})
-	lb.ReadmitLo = lb.NextEpoch
-	lb.NextEpoch += promoteEpochStride
-	lb.ReadmitHi = lb.NextEpoch
-	lb.NextID += promoteIDStride
-	lb.journal.AppendAt(now, obs.EvEpochBump, LBFrom, map[string]string{
-		"next_epoch": strconv.FormatUint(lb.NextEpoch, 10),
-		"next_id":    strconv.Itoa(lb.NextID),
-	})
-	// Restart every lease and custody-redelivery clock: the replicated
-	// LastSeen/sentAt values are cuts of the old primary's timeline, and
-	// nobody could renew while there was no primary to hear them.
-	for _, m := range lb.Members {
-		m.LastSeen = now
-		m.Resynced = false
-	}
-	for _, b := range lb.Reseats {
-		if !b.SentAt.IsZero() {
-			b.SentAt = now
-		}
-	}
-	for id := range lb.UnitSentAt {
-		lb.UnitSentAt[id] = now
-	}
-	lb.ResyncPending = len(lb.Members) > 0
-	lb.ResyncUntil = now.Add(2 * lb.cfg.Lease)
-	// Workers may have merged coverage the replication cut missed; force
-	// a broadcast of the (replicated) overlay so re-handshaking members
-	// reconverge on it.
-	lb.covDirty = true
+// resume makes a fresh balancer the restart of a dead one: it seeds
+// nothing and opens the re-hello window, inside which it readmits (Admit)
+// and evicts, grants, re-seats and probes nothing until the workers'
+// first full statuses are in (resyncDue).
+func (lb *LoadBalancer) resume() {
+	lb.ResyncPending = true
+	lb.Named = map[int]uint64{}
+	lb.Departed = map[int]uint64{}
 }
 
-// resyncTick decides whether the post-promotion resync window may
-// close: every member has re-reported a full snapshot, or the deadline
-// (2×Lease after promotion) has passed. Returns true once closed,
-// journaling the resync event with how many members were still stale.
-func (lb *LoadBalancer) resyncTick(now time.Time) bool {
-	stale := 0
-	for _, m := range lb.Members {
-		if !m.Resynced {
-			stale++
+// maxHelloEntries bounds a re-hello's view and its departed set: they
+// come off the network, and every entry costs the balancer work.
+const maxHelloEntries = 4096
+
+// checkHello rejects a Hello whose view or departed set no worker could
+// have sent: a negative id, a zero epoch, one (id, epoch) both live and
+// departed, or more than maxHelloEntries entries in either.
+func checkHello(h Hello) error {
+	if len(h.View) > maxHelloEntries || len(h.Departed) > maxHelloEntries {
+		return fmt.Errorf("cluster: hello lists %d members and %d departures", len(h.View), len(h.Departed))
+	}
+	for _, set := range []map[int]uint64{h.View, h.Departed} {
+		for id, e := range set {
+			if id < 0 || e == 0 || (h.View[id] == e && h.Departed[id] == e) {
+				return fmt.Errorf("cluster: hello lists member %d at epoch %d wrongly", id, e)
+			}
 		}
 	}
-	if stale > 0 && now.Before(lb.ResyncUntil) {
+	return nil
+}
+
+// readmit seats a re-dialing worker a resumed balancer has no record of,
+// with the id and epoch it already runs under, after taking in its view
+// and departed set — while the window is open, and unless some re-hello
+// lists it as departed or a survivor acknowledged its custody. Returns nil
+// when the worker may not return.
+func (lb *LoadBalancer) readmit(h Hello, now time.Time) (*Member, []Outbound) {
+	_, acked := lb.ReseatAcked[h.Epoch]
+	if e, gone := lb.Evicted[h.ID]; !lb.ResyncPending || lb.Members[h.ID] != nil || acked || (gone && e >= h.Epoch) {
+		return nil, nil
+	}
+	outs := lb.noteRehello(h, now)
+	lb.Readmits++
+	m, seated := lb.seat(h.ID, h.Epoch, h.Addr, now, map[string]string{"readmit": "1"})
+	return m, append(outs, seated...)
+}
+
+// noteRehello takes in what a re-dialing worker knows: the members its
+// view names (the window waits for them) and the ones it knows departed
+// (never readmitted; in p2p each must be vouched for by a survivor's
+// ReseatAck before the window closes). A member already readmitted that
+// the worker knows departed is a straggler the dead balancer evicted: it
+// is dropped, and its accounting is what the survivors' acks say. Every
+// id and epoch seen moves NextID and NextEpoch past it.
+func (lb *LoadBalancer) noteRehello(h Hello, now time.Time) []Outbound {
+	if lb.ResyncUntil.IsZero() {
+		lb.ResyncUntil = now.Add(2 * lb.cfg.Lease)
+	}
+	named := map[int]uint64{h.ID: h.Epoch}
+	maps.Copy(named, h.View)
+	for id, e := range named {
+		lb.saw(id, e)
+		lb.Named[id] = max(lb.Named[id], e)
+	}
+	var outs []Outbound
+	for _, id := range slices.Sorted(maps.Keys(h.Departed)) {
+		e := h.Departed[id]
+		lb.saw(id, e)
+		lb.Departed[id] = max(lb.Departed[id], e)
+		if m := lb.Members[id]; m != nil && m.Epoch <= e {
+			outs = append(append(outs, lb.drop(id, now)...), lb.rebalanceStrategies()...)
+		}
+		lb.Evicted[id] = max(lb.Evicted[id], e)
+	}
+	return outs
+}
+
+func (lb *LoadBalancer) saw(id int, epoch uint64) {
+	lb.NextID = max(lb.NextID, id+1)
+	lb.NextEpoch = max(lb.NextEpoch, epoch)
+}
+
+// adoptAck rebuilds, inside a resumed balancer's window, the accounting of
+// a departure the dead balancer made from the ReseatAck a survivor echoes
+// for it — or departs a straggler readmitted under the acked epoch through
+// depart's substitution — and then the departures nested in the record.
+func (lb *LoadBalancer) adoptAck(ack ReseatAck, now time.Time) []Outbound {
+	if _, seen := lb.ReseatAcked[ack.ID]; seen {
+		return nil
+	}
+	for _, b := range lb.Orphans {
+		if b.ID == ack.ID {
+			return nil // departed here; placeOrphans settles the duplicate
+		}
+	}
+	lb.ReseatAcked[ack.ID] = ack
+	lb.saw(ack.Rec.Worker, ack.ID)
+	var outs []Outbound
+	for id, m := range lb.Members {
+		if m.Epoch == ack.ID {
+			outs = lb.depart(id, now)
+		}
+	}
+	if outs == nil {
+		lb.foldGone(ack.Rec, ack.Rec.Obs)
+		lb.ReseatSent += uint64(ack.Jobs)
+	}
+	for _, inner := range ack.Rec.ReseatAcks {
+		outs = append(outs, lb.adoptAck(inner, now)...)
+	}
+	return outs
+}
+
+// resyncDue reports whether a resumed balancer's window may close: every
+// member a view named is back with a full status or known departed. From
+// 2×Lease after the first re-hello it stops waiting for the ones not back,
+// but not for one back and alive (a keepalive in one long solver step):
+// only its full status holds its unit claims and custody acks.
+func (lb *LoadBalancer) resyncDue(now time.Time) bool {
+	if lb.ResyncUntil.IsZero() {
 		return false
 	}
-	lb.ResyncPending = false
-	lb.journal.AppendAt(now, obs.EvResync, LBFrom, map[string]string{
-		"members": strconv.Itoa(len(lb.Members)),
-		"stale":   strconv.Itoa(stale),
-	})
+	for id, e := range lb.Named {
+		m := lb.Members[id]
+		back := m != nil && m.Epoch == e
+		switch {
+		case lb.Evicted[id] >= e || back && m.LastFull.Frontier != nil:
+		case back && now.Sub(m.LastSeen) <= lb.cfg.Lease, now.Before(lb.ResyncUntil):
+			return false
+		}
+	}
 	return true
 }
 
-// canReadmit reports whether an unknown (id, epoch) pair is a member the
-// lost primary admitted during the replication gap: the epoch falls in
-// the stride window only that primary could have issued from, and this
-// incarnation neither knows nor evicted the worker.
-func (lb *LoadBalancer) canReadmit(id int, epoch uint64) bool {
-	if lb.Members[id] != nil {
-		return false
+// closeResync ends the re-hello window and abandons what no worker can
+// vouch for: a member a view named that never came back with a full status
+// (one back but silent for a lease is also evicted by the same round), and
+// in p2p a departure no survivor acknowledged — its frontier and record
+// died with the old balancer. Depth mode loses no paths this way: units
+// nobody claims are granted again.
+func (lb *LoadBalancer) closeResync(now time.Time) []Outbound {
+	lb.ResyncPending = false
+	var outs []Outbound
+	stale := 0
+	for _, id := range slices.Sorted(maps.Keys(lb.Named)) {
+		e := lb.Named[id]
+		if m := lb.Members[id]; lb.Evicted[id] >= e || m != nil && m.Epoch == e && m.LastFull.Frontier != nil {
+			continue
+		}
+		stale++
+		outs = append(outs, lb.abandon(id, e, "never-returned", now))
 	}
-	if e, gone := lb.Evicted[id]; gone && e >= epoch {
-		return false
+	for _, id := range slices.Sorted(maps.Keys(lb.Departed)) {
+		if _, acked := lb.ReseatAcked[lb.Departed[id]]; !acked && lb.cfg.DataPlane != DataPlaneDepth {
+			outs = append(outs, lb.abandon(id, lb.Departed[id], "departure-unacked", now))
+		}
 	}
-	return epoch > lb.ReadmitLo && epoch <= lb.ReadmitHi
+	lb.journal.AppendAt(now, obs.EvResync, LBFrom, map[string]string{
+		"members":    strconv.Itoa(len(lb.Members)),
+		"stale":      strconv.Itoa(stale),
+		"next_id":    strconv.Itoa(lb.NextID),
+		"next_epoch": strconv.FormatUint(lb.NextEpoch, 10),
+	})
+	return outs
 }
 
-// Readmit re-admits a worker the lost primary joined after the
-// replication cut, keeping the id and epoch that worker already runs
-// under. Returns nil when (id, epoch) is not readmittable.
-func (lb *LoadBalancer) Readmit(id int, epoch uint64, addr string, now time.Time) (*Member, []Outbound) {
-	if !lb.canReadmit(id, epoch) {
-		return nil, nil
-	}
-	lb.logRep(RepEntry{Kind: RepReadmit, From: id, Epoch: epoch, Addr: addr, T: now.UnixNano()})
-	lb.Readmits++
-	lb.NextID = max(lb.NextID, id+1)
-	return lb.seat(id, epoch, addr, now, map[string]string{"readmit": "1"})
-}
-
-// ShutdownMarker appends the terminal replication entry: the primary is
-// exiting cleanly, so attached standbys must not treat the stream's end
-// as a crash and promote.
-func (lb *LoadBalancer) ShutdownMarker(now time.Time) {
-	lb.logRep(RepEntry{Kind: RepShutdown, T: now.UnixNano()})
+// abandon records that member (id, epoch)'s work was lost with the dead
+// balancer, and returns the notice to the survivors.
+func (lb *LoadBalancer) abandon(id int, epoch uint64, cause string, now time.Time) Outbound {
+	lb.Abandoned++
+	lb.Evicted[id] = max(lb.Evicted[id], epoch)
+	lb.resetWaves()
+	lb.journal.AppendAt(now, obs.EvWorkAbandoned, id, map[string]string{
+		"epoch": strconv.FormatUint(epoch, 10), "cause": cause,
+	})
+	return Outbound{To: Broadcast, Msg: Message{Kind: MsgAbandon, From: id, Epoch: epoch}}
 }

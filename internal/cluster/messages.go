@@ -102,13 +102,21 @@
 // (LoadBalancer.Terminated) and on nothing else; the sim, which sees the
 // workers too, fails a run whose verdict a live worker contradicts.
 //
-// # Replication
+// # Balancer restart
 //
-// Everything the balancer must agree on with a standby is one struct,
-// lbState (lb.go); the statuses and job trees defined in this file are
-// part of it, held inside Member and custodyBatch records. A standby
-// attaches by installing a snapshot of that struct and then replays the
-// primary's inputs (replica.go, snapshot.go).
+// The balancer holds only summaries of what the workers hold, so it is
+// not replicated: a restarted one (c9-lb -resume, at the dead one's
+// address) starts empty and rebuilds the run from the workers that re-dial
+// it. A re-dialing worker's Hello carries what only the workers know — its
+// last membership view and the members it knows departed — and its first
+// full status carries its frontier, its unit claims and, in every
+// ReseatAck, the accounting record of each departed member whose custody
+// it imported (records nest, so a chain of departures stays echoed). The
+// resumed balancer readmits every (id, epoch) no re-hello lists as
+// departed, turns fresh joins away until the re-hello window closes, and
+// then journals as work-abandoned whatever no worker could vouch for: a
+// member named in a view that never came back, or a departure no survivor
+// acknowledged (LoadBalancer.closeResync).
 package cluster
 
 import (
@@ -139,6 +147,7 @@ const (
 	MsgShip                       // worker → LB: relay a job batch to Dst (peer link unavailable)
 	MsgUnits                      // LB → worker: depth-partition unit grant (Units is the full owned set)
 	MsgProbe                      // LB → workers: termination probe wave Seq; answer with a status at once
+	MsgAbandon                    // LB → workers: member From (epoch Epoch) was lost with a dead balancer
 )
 
 // LBFrom is the From id used for job batches the load balancer re-seats
@@ -167,8 +176,8 @@ type Message struct {
 	// MsgStatus: the worker's report. For LB-origin MsgJobs (custody
 	// re-seats) this instead carries the departed member's accounting
 	// record — counters plus accounted metrics, no frontier — which the
-	// importer stores and echoes back in its ReseatAcks, so a promoted
-	// standby that missed the departure can recover the true cut.
+	// importer stores and echoes back in its ReseatAcks, so a restarted
+	// balancer can rebuild the departed member's accounting.
 	Status *Status
 	// MsgEvict / MsgMembers: current membership view (id → epoch).
 	Members map[int]uint64
@@ -189,10 +198,12 @@ type Hello struct {
 	Addr  string
 	ID    int
 	Epoch uint64
-	// Standby subscribes to the primary's replication stream instead of
-	// joining as a worker: the answer is a state snapshot followed by
-	// every entry logged after it, on first attach and re-attach alike.
-	Standby bool
+	// View and Departed ride a re-dial only: the last membership view the
+	// worker was sent (id → epoch) and every member it knows departed —
+	// what a restarted balancer rebuilds the run from. Statuses never
+	// carry them, so a run without a restart pays nothing for them.
+	View     map[int]uint64
+	Departed map[int]uint64
 }
 
 // HelloAck assigns the worker its cluster id, epoch, seed role, and —
@@ -215,17 +226,12 @@ type HelloAck struct {
 	// alive in the meantime (TCPWorkerTransport.keepalive), which a
 	// killed or stopped process cannot.
 	Lease time.Duration
-	// Standby handshake only: the primary's effective balancer config
-	// and coverage vector length, so the subscriber constructs a replica
-	// that replays to byte-identical state.
-	Cfg    *BalancerConfig
-	CovLen int
 }
 
 // HelloAck.ID sentinels for refused handshakes.
 const (
-	helloRefused    = -1 // membership evicted (or a stale peer epoch); do not retry
-	helloNotPrimary = -2 // standby, not primary; retry elsewhere/later
+	helloRefused = -1 // membership evicted, a malformed hello, or a stale peer epoch; do not retry
+	helloRetry   = -2 // a resumed balancer still rebuilding the run; retry later
 )
 
 // JobAck acknowledges, per source worker, every job batch with sequence
@@ -240,9 +246,10 @@ type JobAck struct {
 
 // ReseatAck acknowledges one LB custody batch (a re-seated frontier).
 // ID is the batch's stable custody id — the departed member's epoch, so
-// it survives load-balancer failover — Jobs the number of jobs imported,
-// and Rec the departed member's accounting record as shipped with the
-// batch (counters and accounted metrics at the re-seat cut).
+// it survives a balancer restart — Jobs the number of jobs imported, and
+// Rec the departed member's accounting record as shipped with the batch
+// (counters and accounted metrics at the re-seat cut, and the member's
+// own ReseatAcks).
 type ReseatAck struct {
 	ID   uint64
 	Jobs int
@@ -292,10 +299,9 @@ type Status struct {
 	// imported (a set, not a high-water mark: batch ids are global across
 	// destinations, so gaps are normal and must not be skipped). Each ack
 	// repeats in every status forever and carries the departed member's
-	// accounting record, so an LB incarnation that missed the original
-	// departure — a standby promoted across a replication gap — learns
-	// both that the batch is already imported and the exact accounting
-	// cut it was re-seated at.
+	// accounting record, so a restarted balancer, which never saw the
+	// departure, learns both that the batch is already imported and the
+	// exact accounting cut it was re-seated at.
 	ReseatAcks []ReseatAck
 	// Spec is the strategy spec the worker is currently running (its
 	// assigned portfolio slot, or "" for the engine default); the LB
@@ -307,15 +313,15 @@ type Status struct {
 	SpecPinned bool
 	// Peer-session counters (cumulative, data-plane observability): the
 	// LB journals peer-session-open/close/fallback events by comparing
-	// them against its previous accepted record, which keeps the journal
-	// identical under replication replay.
+	// them against its previous accepted record, so a re-sent status
+	// journals nothing twice.
 	PeerOpens     uint64
 	PeerCloses    uint64
 	PeerFallbacks uint64
 	// Units is the sorted set of depth-partition units this worker owns
-	// (depth data-plane mode only). A promoted standby reconciles its
-	// replicated unit table against these claims, closing the window
-	// where a grant was issued inside the replication gap.
+	// (depth data-plane mode only). A restarted balancer rebuilds its
+	// unit table from these claims; a unit nobody claims is granted
+	// again.
 	Units []int
 	// Obs carries the worker's metrics, delta-encoded against the last
 	// full status the LB accepted (nil on light statuses — metrics ride

@@ -28,17 +28,15 @@ type SimSwap struct {
 	Spec   string
 }
 
-// SimCrashLB schedules a load-balancer kill -9 at a virtual tick. A
-// standby replica tails the primary's replication stream with a one-tick
-// delivery lag (entries logged during tick T reach the standby at the
-// start of tick T+2), so the crash loses the most recent window of
-// inputs — exactly the gap the promotion protocol must repair. The
-// standby promotes itself PromoteTicks after the crash (default 2);
-// until then every worker→LB send fails and workers mark their next
-// status full, the same resync the TCP stream-generation bump forces.
+// SimCrashLB schedules a load-balancer kill -9 at a virtual tick. The
+// balancer and everything it held die with it; RestartTicks later
+// (default 2) a fresh one is started as a restart (c9-lb -resume) and
+// every live worker re-dials it with its view and departed set. Until
+// then every worker→LB send fails and workers mark their next status
+// full, the same resync the TCP stream-generation bump forces.
 type SimCrashLB struct {
 	Tick         int
-	PromoteTicks int
+	RestartTicks int
 }
 
 // SimConfig drives a deterministic lock-step cluster simulation.
@@ -85,9 +83,9 @@ type SimConfig struct {
 	// member records, so a portfolio's rebalancer would fight them (and
 	// attribute yield to slots the workers no longer run).
 	Swaps []SimSwap
-	// CrashLB kills the load balancer mid-run; a lag-one standby replica
-	// promotes itself and the run must still finish with the undisturbed
-	// path count.
+	// CrashLB kills the load balancer mid-run and restarts it empty; the
+	// run must still finish with the undisturbed path count unless the
+	// restart reports abandoned work.
 	CrashLB *SimCrashLB
 	// LeaseTicks is the membership lease in virtual ticks (default: 3
 	// balance periods).
@@ -134,7 +132,7 @@ func (e simEndpoint) SendToLB(m Message) bool {
 	return true
 }
 
-// LBGen / SendToLBAt: the promotion bumps the generation exactly as a
+// LBGen / SendToLBAt: a restart bumps the generation exactly as a
 // TCP stream reconnect does, forcing every worker's next status to be a
 // full frontier snapshot with a cumulative metrics baseline.
 func (e simEndpoint) LBGen() uint64 { return e.sim.gen }
@@ -166,16 +164,10 @@ func (e simEndpoint) Recv() (Message, bool) {
 	}
 	m := q[0]
 	e.sim.inbox[e.id] = q[1:]
+	if n := e.sim.notes[e.id]; n != nil {
+		n.note(m)
+	}
 	return m, true
-}
-
-// repInFlight is a replication entry in transit to the standby, stamped
-// with the tick it was logged so the sim can model delivery lag: an
-// entry logged during tick T is applied at the start of tick T+2. A
-// CrashLB kill discards the queue — those entries die with the primary.
-type repInFlight struct {
-	tick int
-	e    RepEntry
 }
 
 type sim struct {
@@ -185,11 +177,10 @@ type sim struct {
 	inbox   map[int][]Message
 	pending map[int][]Message // delivered at the next tick boundary
 
-	// LB failover state (SimCrashLB).
-	gen     uint64 // LB stream generation; promotion bumps it
-	down    bool   // primary dead, standby not yet promoted
-	standby *Replica
-	repQ    []repInFlight
+	// LB restart state (SimCrashLB).
+	gen   uint64 // LB stream generation; a restart bumps it
+	down  bool   // balancer dead, not yet restarted
+	notes map[int]*memberNotes
 
 	// Peer-link outage window (SimConfig.PeerDownFrom/To).
 	peerFrom, peerTo int
@@ -260,6 +251,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	s := &sim{
 		now:      simTick(0),
 		gen:      1,
+		notes:    map[int]*memberNotes{},
 		inbox:    map[int][]Message{},
 		pending:  map[int][]Message{},
 		peerFrom: cfg.PeerDownFrom,
@@ -270,6 +262,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 
 	spawn := func() error {
 		ack, outs := s.lb.Admit(Hello{ID: -1}, s.now)
+		s.notes[ack.ID] = newMemberNotes()
 		s.inbox[ack.ID] = nil
 		s.pending[ack.ID] = nil
 		s.dispatch(outs)
@@ -294,23 +287,15 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		return nil, fmt.Errorf("cluster: sim: %w", err)
 	}
 	s.lb = NewLoadBalancer(cfg.Balancer, probeIn.Prog.MaxLine)
-	promoteAt := -1
+	restartAt := -1
 	if cl := cfg.CrashLB; cl != nil {
 		if cl.Tick <= 0 {
 			return nil, fmt.Errorf("cluster: sim: CrashLB.Tick must be positive")
 		}
-		pt := cl.PromoteTicks
-		if pt <= 0 {
-			pt = 2
+		restartAt = cl.Tick + 2
+		if cl.RestartTicks > 0 {
+			restartAt = cl.Tick + cl.RestartTicks
 		}
-		promoteAt = cl.Tick + pt
-		// The standby is built from the primary's effective config and
-		// tails its input log. Entries are queued here and
-		// applied with a one-tick delivery lag at each tick boundary.
-		s.standby = NewReplica(s.lb.Config(), probeIn.Prog.MaxLine)
-		s.lb.StartReplication(func(e RepEntry) {
-			s.repQ = append(s.repQ, repInFlight{tick: s.tick, e: e})
-		})
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		if err := spawn(); err != nil {
@@ -367,28 +352,25 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		tick++
 		s.tick = tick
 		s.now = simTick(tick)
-		// Standby replication: entries logged during tick T arrive at the
-		// start of tick T+2 (one-tick delivery lag, same as worker mail).
-		if s.standby != nil && !s.down {
-			for len(s.repQ) > 0 && s.repQ[0].tick < tick-1 {
-				if err := s.standby.Apply(s.repQ[0].e); err != nil {
-					return nil, fmt.Errorf("cluster: sim standby: %w", err)
-				}
-				s.repQ = s.repQ[1:]
-			}
-		}
-		// LB failover events. The kill discards the in-flight replication
-		// queue — the standby must recover across that gap.
+		// LB restart events: the kill loses everything the balancer held;
+		// the restart is an empty balancer every live worker re-dials.
 		if cl := cfg.CrashLB; cl != nil && tick == cl.Tick {
-			s.repQ = nil
 			s.down = true
 		}
-		if s.down && tick == promoteAt {
-			s.lb = s.standby.Promote(s.now)
-			s.standby = nil
+		if s.down && tick == restartAt {
+			s.lb = NewLoadBalancer(cfg.Balancer, probeIn.Prog.MaxLine)
+			s.lb.resume()
 			s.down = false
-			s.gen++ // every worker re-handshakes with a full status
+			s.gen++ // every worker's next status is a full one
 			res.LB = s.lb
+			for _, id := range slices.Sorted(maps.Keys(alive)) {
+				w := alive[id]
+				ack, outs := s.lb.Admit(s.notes[id].hello("", w.ID, w.Epoch), s.now)
+				if ack.ID < 0 {
+					s.pending[id] = append(s.pending[id], Message{Kind: MsgStop})
+				}
+				s.dispatch(outs)
+			}
 		}
 		// Membership events first, each kind in the order the schedule
 		// lists it: a crash at tick T means the worker does nothing at T or
@@ -409,8 +391,8 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			if at != tick {
 				continue
 			}
-			if s.down {
-				return nil, fmt.Errorf("cluster: sim: join scheduled at tick %d while the LB is down", tick)
+			if s.down || s.lb.ResyncPending {
+				return nil, fmt.Errorf("cluster: sim: join scheduled at tick %d while the LB is down or rebuilding", tick)
 			}
 			if err := spawn(); err != nil {
 				return nil, err
@@ -448,15 +430,10 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		}
 		// Balancing round. While the LB is down the workers still try to
 		// report — the failed sends mark their next status full, exactly
-		// the resync the promoted standby needs — but no LB machinery runs.
+		// the resync the restarted balancer needs — but no LB machinery runs.
 		if tick%cfg.BalanceTicks == 0 {
 			if cfg.DisableLBAtTick > 0 && tick >= cfg.DisableLBAtTick {
 				s.lb.Enabled = false
-				if s.standby != nil {
-					// Balance is input-logged only while enabled, so the flag
-					// itself is not replicated; mirror it by hand.
-					s.standby.LB().Enabled = false
-				}
 			}
 			for _, id := range aliveIDs {
 				if w := alive[id]; w != nil {
@@ -485,9 +462,9 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			res.Samples = append(res.Samples, snapshot())
 		}
 		// Termination is the balancer's call, as on TCP: two clean probe
-		// waves (LoadBalancer.Terminated). A dead primary decides nothing,
-		// and a promotion still to come holds the run open.
-		if !s.down && tick >= promoteAt && s.lb.Terminated() {
+		// waves (LoadBalancer.Terminated). A dead balancer decides nothing,
+		// and a restart still to come holds the run open.
+		if !s.down && tick >= restartAt && s.lb.Terminated() {
 			if err := verdictHolds(alive); err != nil {
 				return nil, fmt.Errorf("cluster: sim: tick %d: %w", tick, err)
 			}

@@ -15,10 +15,11 @@ import (
 // worker's membership was evicted and its work re-seated elsewhere.
 var ErrJoinRefused = errors.New("cluster: join refused (evicted)")
 
-// ErrNotPrimary is returned when the dialed address is a standby that
-// has not (yet) been promoted. Retryable: the worker rotates to the
-// next address and backs off.
-var ErrNotPrimary = errors.New("cluster: not primary (standby)")
+// ErrResuming is returned when the dialed balancer is a restart still
+// rebuilding the run from the workers that re-dial it, and turns fresh
+// joins away until it is done. Retryable: the worker backs off and dials
+// again.
+var ErrResuming = errors.New("cluster: balancer resuming a run")
 
 // The TCP fabric runs the same worker/LB protocol across real processes:
 // workers register with the load balancer at any time (no fixed cluster
@@ -27,8 +28,8 @@ var ErrNotPrimary = errors.New("cluster: not primary (standby)")
 // LB connection drops re-dials and resumes its membership; a worker that
 // goes silent past its lease is evicted and its last-reported frontier
 // re-seated onto survivors. cmd/c9-lb and cmd/c9-worker wrap this.
-// Every connection — worker→LB, worker→worker, standby→primary — is a
-// session: a Hello, the HelloAck that answers it, then WireMsg frames.
+// Every connection — worker→LB, worker→worker — is a session: a Hello,
+// the HelloAck that answers it, then WireMsg frames.
 
 // WireMsg is the union envelope exchanged over TCP.
 type WireMsg struct {
@@ -38,19 +39,14 @@ type WireMsg struct {
 	// PeerAddrs maps worker ids to their job-transfer addresses
 	// (piggybacked on LB messages so sources can dial destinations).
 	PeerAddrs map[int]string
-	// Rep is one replication entry (primary → standby stream).
-	Rep *RepEntry
-	// Snap opens every standby stream: install the snapshot, then apply
-	// the Rep entries that follow.
-	Snap *RepSnapshot
 }
 
 // handshakeTimeout bounds every connection handshake, on both sides.
 // Dialing, a destination that never answers must cost this long and no
 // more: a worker shipping to a blackholed peer falls back to LB relay
-// instead of stalling its loop, and one looking for the primary (a
-// standby too) moves on to the next address instead of sitting in a read
-// reconnectDeadline never interrupts. Accepting, a connection that never
+// instead of stalling its loop, and one re-dialing the balancer tries
+// again instead of sitting in a read reconnectDeadline never interrupts.
+// Accepting, a connection that never
 // sends its Hello must not pin a goroutine and a socket forever.
 const handshakeTimeout = time.Second
 
@@ -123,13 +119,12 @@ func (s *session) hangUp() {
 
 // dialSession opens a session to addr: connect, present h, and wait for
 // the acceptor's verdict, all under handshakeTimeout. It is the one place
-// a refusal becomes an error: helloNotPrimary is ErrNotPrimary (a standby
-// answered; retry elsewhere or later), any other negative id
-// ErrJoinRefused (the LB evicted this membership, a primary serves no
-// replication stream, a peer has accepted a newer epoch of this id: do
-// not retry). An ack that does not answer the hello sent — another id
-// than the one resumed, no balancer config for a standby — is a failed
-// handshake like a late or malformed one.
+// a refusal becomes an error: helloRetry is ErrResuming (a restarted
+// balancer still rebuilding the run; retry later), any other negative id
+// ErrJoinRefused (the LB evicted this membership or found the hello
+// malformed, a peer has accepted a newer epoch of this id: do not retry).
+// An ack that does not answer the hello sent — another id than the one
+// resumed — is a failed handshake like a late or malformed one.
 func dialSession(addr string, h Hello) (*session, *HelloAck, error) {
 	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
@@ -146,11 +141,11 @@ func dialSession(addr string, h Hello) (*session, *HelloAck, error) {
 	switch {
 	case err != nil || ack == nil:
 		err = fmt.Errorf("cluster: bad hello ack from %s: %v", addr, err)
-	case ack.ID == helloNotPrimary:
-		err = ErrNotPrimary
+	case ack.ID == helloRetry:
+		err = ErrResuming
 	case ack.ID < 0:
 		err = ErrJoinRefused
-	case (h.ID >= 0 && ack.ID != h.ID) || (h.Standby && ack.Cfg == nil):
+	case h.ID >= 0 && ack.ID != h.ID:
 		err = fmt.Errorf("cluster: hello ack from %s does not answer the hello", addr)
 	}
 	if err != nil {
@@ -183,9 +178,9 @@ func (s *session) refuse(sentinel int) {
 }
 
 // acceptLoop serves every connection ln accepts, each on its own
-// goroutine, until ln is closed. All three listeners — the LB's, a
-// standby's, a worker's for its peers — run it, and every serve begins
-// with acceptSession, so none waits on a silent dialer.
+// goroutine, until ln is closed. Both listeners — the LB's and a
+// worker's for its peers — run it, and every serve begins with
+// acceptSession, so none waits on a silent dialer.
 func acceptLoop(ln net.Listener, serve func(net.Conn)) {
 	for {
 		conn, err := ln.Accept()
@@ -199,8 +194,9 @@ func acceptLoop(ln net.Listener, serve func(net.Conn)) {
 // Redial tuning: capped exponential backoff starting at reconnectBase,
 // doubling to reconnectCap, with deterministic splitmix64 jitter (seeded
 // per dialer) so a fleet of workers orphaned by the same LB crash doesn't
-// re-dial in lockstep. The deadline is sized to ride out a full failover:
-// standby promotion grace plus the promoted LB's resync window.
+// re-dial in lockstep. The deadline is sized to ride out a balancer
+// restart: an operator (or a supervisor) starting c9-lb -resume at the
+// dead balancer's address, plus its re-hello window.
 const (
 	reconnectBase     = 25 * time.Millisecond
 	reconnectCap      = 800 * time.Millisecond
@@ -218,36 +214,44 @@ func backoffSleep(jitter *uint64, backoff *time.Duration) time.Duration {
 	return d
 }
 
-// redial opens a session to whichever of addrs accepts h, rotating
-// through them (primary first, then standbys): during a failover the
-// primary refuses connections and the standby answers ErrNotPrimary until
-// its promotion lands, so the dialer keeps cycling — jittered, capped
-// backoff — until someone accepts, the answer is ErrJoinRefused (final),
-// stop says the dialer itself was closed, or an attempt fails past the
-// deadline. The port of ln, the dialer's own listener, seeds the jitter.
-func redial(addrs []string, h Hello, ln net.Listener, deadline time.Time, stop func() bool) (*session, *HelloAck, error) {
+// splitmix64 is the standard 64-bit finalizer-based PRNG step (public
+// domain, Vigna), behind the reconnect jitter: tiny state, solid
+// diffusion, fully deterministic.
+func splitmix64(state *uint64) uint64 {
+	*state += 0x9e3779b97f4a7c15
+	z := *state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// redial opens a session to addr that accepts h: while the balancer is
+// down its address refuses connections, and a restarted one answers
+// fresh joins with ErrResuming until it has rebuilt the run, so the
+// dialer keeps trying — jittered, capped backoff — until it is accepted,
+// the answer is ErrJoinRefused (final), stop says the dialer itself was
+// closed, or an attempt fails past the deadline. The port of ln, the
+// dialer's own listener, seeds the jitter.
+func redial(addr string, h Hello, ln net.Listener, deadline time.Time, stop func() bool) (*session, *HelloAck, error) {
 	var jitter uint64
 	if p, ok := ln.Addr().(*net.TCPAddr); ok {
 		jitter = uint64(p.Port)
 	}
 	backoff := reconnectBase
-	for attempt := 0; ; attempt++ {
+	for {
 		if stop() {
 			return nil, nil, errors.New("cluster: closed while dialing")
 		}
-		s, ack, err := dialSession(addrs[attempt%len(addrs)], h)
+		s, ack, err := dialSession(addr, h)
 		if err == nil {
 			return s, ack, nil
 		}
 		if errors.Is(err, ErrJoinRefused) || time.Now().After(deadline) {
 			return nil, nil, err
 		}
-		if errors.Is(err, ErrNotPrimary) {
-			// A standby answered: the control plane is alive and promotion
-			// is at most one grace window away. Poll tightly instead of
-			// continuing to double, or a worker can sleep straight through
-			// the promoted LB's resync window and be evicted for silence it
-			// didn't choose.
+		if errors.Is(err, ErrResuming) {
+			// The balancer is up and its re-hello window at most 2×Lease
+			// from closing: poll tightly instead of continuing to double.
 			backoff = reconnectBase
 		}
 		time.Sleep(backoffSleep(&jitter, &backoff))
@@ -259,7 +263,7 @@ type TCPWorkerTransport struct {
 	ID    int
 	Epoch uint64
 
-	lbAddrs    []string // control-plane addresses, tried in rotation
+	lbAddr     string // the balancer's address
 	encMu      sync.Mutex
 	lb         *session  // the current LB stream
 	lbGen      uint64    // bumped each time the LB stream is (re)established
@@ -272,6 +276,7 @@ type TCPWorkerTransport struct {
 	inbox     []Message
 	mailCond  *sync.Cond
 	peerAddrs map[int]string
+	notes     *memberNotes        // the membership, for a re-dial's Hello
 	peers     map[string]*session // outbound peer sessions, by address
 	// peerEpochs fences inbound peer sessions: the newest epoch accepted
 	// per dialer id. A dialer presenting an older epoch is a stale
@@ -283,21 +288,20 @@ type TCPWorkerTransport struct {
 }
 
 // DialLB connects to the load balancer, registers, and starts the
-// worker's peer listener and reconnect-aware LB pump. Extra addresses
-// are standby LBs: the worker rotates through all of them, so a join
-// that lands on an unpromoted standby (ErrNotPrimary) retries against
-// the next address with backoff until the deadline (an LB failover may
-// be in progress when the worker starts).
-func DialLB(lbAddr string, standbyAddrs ...string) (*TCPWorkerTransport, *HelloAck, error) {
+// worker's peer listener and reconnect-aware LB pump. A join that lands on
+// a restarted balancer still rebuilding its run (ErrResuming) retries with
+// backoff until the deadline.
+func DialLB(lbAddr string) (*TCPWorkerTransport, *HelloAck, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, nil, err
 	}
 	t := &TCPWorkerTransport{
 		ID:         -1, // no membership yet: connectLB joins
-		lbAddrs:    append([]string{lbAddr}, standbyAddrs...),
+		lbAddr:     lbAddr,
 		listener:   ln,
 		peerAddrs:  map[int]string{},
+		notes:      newMemberNotes(),
 		peers:      map[string]*session{},
 		peerEpochs: map[int]uint64{},
 		done:       make(chan struct{}),
@@ -346,11 +350,13 @@ func (t *TCPWorkerTransport) keepalive(every time.Duration) {
 }
 
 // connectLB joins the cluster (no id yet) or resumes this worker's
-// membership at whichever LB address accepts, and makes the new session
-// the LB stream.
+// membership — at the balancer it lost, or at a restart of it — and makes
+// the new session the LB stream.
 func (t *TCPWorkerTransport) connectLB() (*session, *HelloAck, error) {
-	h := Hello{Addr: t.listener.Addr().String(), ID: t.ID, Epoch: t.Epoch}
-	s, ack, err := redial(t.lbAddrs, h, t.listener, time.Now().Add(reconnectDeadline), t.isClosed)
+	t.mu.Lock()
+	h := t.notes.hello(t.listener.Addr().String(), t.ID, t.Epoch)
+	t.mu.Unlock()
+	s, ack, err := redial(t.lbAddr, h, t.listener, time.Now().Add(reconnectDeadline), t.isClosed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -401,6 +407,9 @@ func (t *TCPWorkerTransport) pump(s *session) {
 		t.mu.Lock()
 		for id, addr := range wm.PeerAddrs {
 			t.peerAddrs[id] = addr
+		}
+		if wm.Msg != nil {
+			t.notes.note(*wm.Msg)
 		}
 		t.mu.Unlock()
 		if wm.Msg != nil {
@@ -573,12 +582,10 @@ func (t *TCPWorkerTransport) Close() {
 // barrier.
 type LBServer struct {
 	listener net.Listener
-	noAccept bool // listener is driven externally (promoted standby)
 
 	mu       sync.Mutex
 	lb       *LoadBalancer
 	conns    map[int]*session // registered workers' sessions, by member id
-	standbys []*lbStandbyConn
 	stopped  bool
 	shutdown bool // graceful termination requested (SIGTERM / Shutdown)
 	// MinWorkers, when > 0, delays termination detection until that many
@@ -602,87 +609,6 @@ func (s *LBServer) wakeServe() {
 	}
 }
 
-// lbStandbyConn streams replication entries to one attached standby.
-// The onRep hook fires under the server mutex, so entries are queued
-// here and a dedicated flusher goroutine does the blocking encodes;
-// whatever sits in the queue when the primary dies is exactly the
-// in-flight window the standby must recover without.
-type lbStandbyConn struct {
-	sess *session
-	mu   sync.Mutex
-	cond *sync.Cond
-	q    []RepEntry
-	// sending: the flusher holds entries it took off q and has not
-	// finished encoding — an empty q alone does not mean they were sent.
-	sending bool
-	dead    bool
-}
-
-func newLBStandbyConn(sess *session) *lbStandbyConn {
-	sc := &lbStandbyConn{sess: sess}
-	sc.cond = sync.NewCond(&sc.mu)
-	return sc
-}
-
-func (sc *lbStandbyConn) enqueue(e RepEntry) {
-	sc.mu.Lock()
-	if !sc.dead {
-		sc.q = append(sc.q, e)
-		sc.cond.Signal()
-	}
-	sc.mu.Unlock()
-}
-
-// flush drains the queue onto the wire until the connection dies.
-func (sc *lbStandbyConn) flush() {
-	for {
-		sc.mu.Lock()
-		sc.sending = false
-		for len(sc.q) == 0 && !sc.dead {
-			sc.cond.Wait()
-		}
-		if sc.dead && len(sc.q) == 0 {
-			sc.mu.Unlock()
-			return
-		}
-		batch := sc.q
-		sc.q = nil
-		sc.sending = true
-		sc.mu.Unlock()
-		for i := range batch {
-			if sc.sess.send(WireMsg{Rep: &batch[i]}) != nil {
-				sc.close()
-				return
-			}
-		}
-	}
-}
-
-func (sc *lbStandbyConn) close() {
-	sc.mu.Lock()
-	sc.dead = true
-	sc.cond.Broadcast()
-	sc.mu.Unlock()
-	sc.sess.close()
-}
-
-// settle waits briefly for the flusher to drain the queue — used on
-// graceful shutdown so the RepShutdown marker reaches the standby
-// before the connection closes.
-func (sc *lbStandbyConn) settle(timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for {
-		sc.mu.Lock()
-		sent := len(sc.q) == 0 && !sc.sending
-		dead := sc.dead
-		sc.mu.Unlock()
-		if sent || dead || time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // NewLBServer listens on addr. minWorkers gates quiescence-based
 // shutdown only (see LBServer.MinWorkers); pass 0 for a fully elastic
 // cluster.
@@ -694,12 +620,7 @@ func NewLBServer(addr string, cfg BalancerConfig, covLen int, minWorkers int) (*
 	if err != nil {
 		return nil, err
 	}
-	return newLBServer(ln, NewLoadBalancer(cfg, covLen), minWorkers), nil
-}
-
-// newLBServer seats a balancer — a fresh one, or a promoted standby's,
-// already running — behind a listener.
-func newLBServer(ln net.Listener, lb *LoadBalancer, minWorkers int) *LBServer {
+	lb := NewLoadBalancer(cfg, covLen)
 	lb.holdOpen = minWorkers > 0 // until Serve has counted that many
 	return &LBServer{
 		listener:   ln,
@@ -707,46 +628,38 @@ func newLBServer(ln net.Listener, lb *LoadBalancer, minWorkers int) *LBServer {
 		conns:      map[int]*session{},
 		MinWorkers: minWorkers,
 		wake:       make(chan struct{}, 1),
+	}, nil
+}
+
+// ResumeLBServer listens on addr as the restart of a balancer that died:
+// it seeds nothing and adopts the run of the workers that re-dial it (see
+// LoadBalancer.resume). Start it at the dead balancer's address within
+// the workers' redial deadline. It has no MinWorkers gate: the run it
+// resumes was already underway.
+func ResumeLBServer(addr string, cfg BalancerConfig, covLen int) (*LBServer, error) {
+	s, err := NewLBServer(addr, cfg, covLen, 0)
+	if err != nil {
+		return nil, err
 	}
+	s.lb.resume()
+	return s, nil
 }
 
-// EnableReplication turns on input logging and standby streaming: a
-// standby that attaches (Hello{Standby:true}) is sent a state snapshot
-// and from then on every logged entry. Call before Serve.
-func (s *LBServer) EnableReplication() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// The hook fires with s.mu held (every LB mutation is under it), so
-	// it must only queue — the per-standby flushers do the encoding.
-	s.lb.StartReplication(func(e RepEntry) {
-		for _, sc := range s.standbys {
-			sc.enqueue(e)
-		}
-	})
-}
-
-// Shutdown requests a graceful exit: the replication stream gets a
-// RepShutdown marker (telling standbys this is a clean end, not a
-// crash), workers receive MsgStop, and Serve returns. Safe from a
-// signal handler goroutine.
+// Shutdown requests a graceful exit: workers receive MsgStop, and Serve
+// returns. Safe from a signal handler goroutine.
 func (s *LBServer) Shutdown() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stopped || s.shutdown {
-		return
-	}
-	s.lb.ShutdownMarker(time.Now())
 	s.shutdown = true
 }
 
-// Abort is kill -9 in-process (test hook for failover): every
-// connection — worker and standby — is severed immediately, queued
-// replication entries are dropped, no shutdown marker and no MsgStop
-// are sent. Standbys see exactly what a crashed primary leaves behind.
+// Abort is kill -9 in-process (test hook for a balancer restart): the
+// listener and every worker connection are severed immediately, and no
+// MsgStop is sent. The workers see exactly what a crashed balancer
+// leaves behind, and its address is free for a ResumeLBServer.
 func (s *LBServer) Abort() {
-	// The listener goes first: a standby re-dials the instant its stream
-	// is cut, and one that still got through would be refused by a live
-	// handler — which reads as "primary alive, exiting on purpose".
+	// The listener goes first: a worker re-dials the instant its stream
+	// is cut, and one that still got through would resume here.
 	s.listener.Close()
 	s.mu.Lock()
 	s.stopped = true
@@ -755,13 +668,6 @@ func (s *LBServer) Abort() {
 		ss.close()
 	}
 	s.conns = map[int]*session{}
-	for _, sc := range s.standbys {
-		sc.mu.Lock()
-		sc.q = nil // in-flight entries die with the process
-		sc.mu.Unlock()
-		sc.close()
-	}
-	s.standbys = nil
 	s.mu.Unlock()
 }
 
@@ -828,9 +734,7 @@ func (s *LBServer) dispatchLocked(outs []Outbound) {
 // handlers dispatch as it arrives, and the one that closes the last wave
 // wakes this loop, so the end of a run does not wait for a tick either.
 func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
-	if !s.noAccept {
-		go acceptLoop(s.listener, s.handle)
-	}
+	go acceptLoop(s.listener, s.handle)
 	start := time.Now()
 	const period = 20 * time.Millisecond
 	tick := time.NewTicker(period)
@@ -857,9 +761,8 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 			s.lb.holdOpen = s.peakMembers < s.MinWorkers
 			s.dispatchLocked(s.lb.Round(time.Now()))
 		}
-		// A freshly promoted server cannot get here on replicated
-		// quiescence: wave state is not replicated, and no wave opens
-		// before the resync window has closed.
+		// A resumed server opens no wave before its re-hello window has
+		// closed.
 		done = s.lb.Terminated()
 		s.mu.Unlock()
 		if maxDuration > 0 && time.Since(start) > maxDuration {
@@ -877,15 +780,7 @@ func (s *LBServer) Serve(maxDuration time.Duration) ([]Status, error) {
 	}
 	statuses := s.lb.Statuses()
 	s.conns = map[int]*session{}
-	standbys := s.standbys
-	s.standbys = nil
 	s.mu.Unlock()
-	// Clean exit: let the flushers drain (the RepShutdown marker must
-	// reach attached standbys so they exit instead of promoting).
-	for _, sc := range standbys {
-		sc.settle(200 * time.Millisecond)
-		sc.close()
-	}
 	s.listener.Close()
 	return statuses, nil
 }
@@ -908,21 +803,6 @@ func (s *LBServer) Stats() (evictions, leaves, transfersIssued, statesTransferre
 	return s.lb.Evictions, s.lb.Leaves, s.lb.TransfersIssued, s.lb.StatesTransferred()
 }
 
-// Term returns the LB's primary incarnation (1 = original primary;
-// each promotion in this run's history adds one).
-func (s *LBServer) Term() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lb.Term
-}
-
-// Promotions counts failovers folded into this server's history.
-func (s *LBServer) Promotions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lb.Promotions
-}
-
 // ObsSnapshot returns the fleet-wide metrics view (safe concurrently
 // with Serve — this is what -obs-addr scrapes mid-run).
 func (s *LBServer) ObsSnapshot() obs.Snapshot {
@@ -939,54 +819,6 @@ func (s *LBServer) Journal() *obs.Journal {
 	return s.lb.Journal()
 }
 
-// handleStandby serves one replication subscriber: handshake (config +
-// coverage length so the standby can build a matching replica), a
-// snapshot of the replicated state, then live entries via the flusher.
-// The read side only watches for disconnect.
-func (s *LBServer) handleStandby(ss *session, now time.Time) {
-	s.mu.Lock()
-	var snap *RepSnapshot
-	if !s.stopped && s.lb.repEnabled {
-		// Every LB mutation happens under s.mu, one whole entry point at a
-		// time, so this is an entry boundary. An encode error cannot come
-		// from the balancer's own types; were it to, the attach is refused
-		// like any other the primary cannot serve.
-		snap, _ = s.lb.serveSnapshot(now)
-	}
-	if snap == nil {
-		s.mu.Unlock()
-		ss.refuse(helloRefused)
-		return
-	}
-	cfg := s.lb.Config()
-	ack := HelloAck{ID: 0, Cfg: &cfg, CovLen: s.lb.Cov.Len() - 1}
-	sc := newLBStandbyConn(ss)
-	// Registering for live entries in the critical section the snapshot
-	// was cut in leaves no gap: the first entry queued is snapshot seq + 1.
-	s.standbys = append(s.standbys, sc)
-	s.mu.Unlock()
-
-	// Ack and snapshot must precede every queued entry on the wire; send
-	// them directly, before the flusher starts draining.
-	if ss.send(WireMsg{Ack: &ack}) == nil && ss.send(WireMsg{Snap: snap}) == nil {
-		go sc.flush()
-		ss.readLoop(func(WireMsg) {})
-	}
-	s.dropStandby(sc)
-}
-
-func (s *LBServer) dropStandby(sc *lbStandbyConn) {
-	s.mu.Lock()
-	for i, cur := range s.standbys {
-		if cur == sc {
-			s.standbys = append(s.standbys[:i], s.standbys[i+1:]...)
-			break
-		}
-	}
-	s.mu.Unlock()
-	sc.close()
-}
-
 // handle serves one worker connection: the handshake (LoadBalancer.Admit
 // decides, this delivers), then the status stream. A read error only
 // drops the connection — the membership survives until the lease lapses,
@@ -997,10 +829,6 @@ func (s *LBServer) handle(conn net.Conn) {
 		return
 	}
 	now := time.Now()
-	if h.Standby {
-		s.handleStandby(ss, now)
-		return
-	}
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -1042,181 +870,4 @@ func (s *LBServer) handle(conn net.Conn) {
 			}
 		}
 	})
-}
-
-// Standby is a warm standby load balancer: it listens on its own
-// address — politely refusing workers with helloNotPrimary until
-// promoted — while tailing the primary's replication stream over TCP. If
-// the primary's stream drops without a RepShutdown marker and cannot be
-// re-attached within the grace window, the standby promotes its replica
-// and serves the cluster from the exact replicated state; workers that
-// were given both addresses re-dial, resume their membership (or are
-// readmitted across the gap), and the run finishes with undisturbed
-// totals.
-type Standby struct {
-	listener   net.Listener
-	peer       string
-	grace      time.Duration
-	minWorkers int
-
-	mu     sync.Mutex
-	rep    *Replica
-	srv    *LBServer // non-nil once promoted
-	closed bool
-}
-
-// NewStandby listens on addr and starts the pre-promotion accept loop.
-// peer is the primary's control address; promoteGrace is how long the
-// primary may stay unreachable before takeover (0 = 2s). minWorkers is
-// handed to the promoted server's quiescence gate.
-func NewStandby(addr, peer string, promoteGrace time.Duration, minWorkers int) (*Standby, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if promoteGrace <= 0 {
-		promoteGrace = 2 * time.Second
-	}
-	sb := &Standby{listener: ln, peer: peer, grace: promoteGrace, minWorkers: minWorkers}
-	go acceptLoop(ln, sb.route)
-	return sb, nil
-}
-
-// Addr returns the standby's listening address (what workers get as
-// their second -lb entry).
-func (sb *Standby) Addr() string { return sb.listener.Addr().String() }
-
-// LastSeq returns the last replication entry applied or installed (0
-// before the first snapshot arrives).
-func (sb *Standby) LastSeq() uint64 {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	if sb.rep == nil {
-		return 0
-	}
-	return sb.rep.LastSeq()
-}
-
-// route serves one connection: before promotion every handshake is
-// answered with helloNotPrimary (dialers rotate and retry); after
-// promotion connections go straight to the promoted server's handler.
-func (sb *Standby) route(conn net.Conn) {
-	sb.mu.Lock()
-	srv := sb.srv
-	sb.mu.Unlock()
-	if srv != nil {
-		srv.handle(conn)
-	} else if ss, h := acceptSession(conn); h != nil {
-		ss.refuse(helloNotPrimary)
-	}
-}
-
-// attach dials the primary and subscribes to its replication stream,
-// retrying with jittered backoff until the deadline. A helloRefused
-// answer means the primary is alive but not serving the stream — not a
-// crash — and is surfaced as ErrJoinRefused.
-func (sb *Standby) attach(deadline time.Time) (*session, *HelloAck, error) {
-	return redial([]string{sb.peer}, Hello{Standby: true}, sb.listener, deadline, sb.isClosed)
-}
-
-// Run tails the primary until it ends. It returns (nil, nil) when the
-// primary shut down cleanly (RepShutdown marker, or a live primary
-// refusing the stream), or the promoted LBServer when the primary was
-// lost — the caller then drives Serve exactly as a fresh primary would.
-func (sb *Standby) Run() (*LBServer, error) {
-	// First attach gets a generous window: the standby may start before
-	// the primary does.
-	ss, ack, err := sb.attach(time.Now().Add(15 * time.Second))
-	if err != nil {
-		sb.Close()
-		return nil, fmt.Errorf("cluster: standby never attached: %w", err)
-	}
-	// end closes the stream and the standby: nothing is promoted.
-	end := func(err error) (*LBServer, error) {
-		ss.close()
-		sb.Close()
-		return nil, err
-	}
-	for {
-		wm, err := ss.recv()
-		if err != nil {
-			ss.close()
-			// Stream lost: try to re-attach inside the grace window; a
-			// primary that stays dead past it has crashed — promote.
-			if ss, ack, err = sb.attach(time.Now().Add(sb.grace)); err == nil {
-				// Same run resumes. The new stream opens with a fresh
-				// snapshot; until it arrives the replica we hold stands.
-				continue
-			}
-			if errors.Is(err, ErrJoinRefused) {
-				sb.Close()
-				return nil, nil // primary alive but done with us: clean end
-			}
-			if sb.isClosed() {
-				return nil, errors.New("cluster: standby closed")
-			}
-			return sb.promote()
-		}
-		if wm.Snap != nil {
-			rep := NewReplica(*ack.Cfg, ack.CovLen)
-			if err := rep.InstallState(wm.Snap); err != nil {
-				return end(fmt.Errorf("cluster: standby snapshot install: %w", err))
-			}
-			sb.mu.Lock()
-			sb.rep = rep
-			sb.mu.Unlock()
-			continue
-		}
-		if wm.Rep == nil {
-			continue
-		}
-		sb.mu.Lock()
-		err = errors.New("entry before snapshot")
-		if sb.rep != nil {
-			err = sb.rep.Apply(*wm.Rep)
-		}
-		sb.mu.Unlock()
-		if err != nil {
-			return end(fmt.Errorf("cluster: standby apply: %w", err))
-		}
-		if wm.Rep.Kind == RepShutdown {
-			return end(nil)
-		}
-	}
-}
-
-// promote turns the replica into the primary and hands the listener to
-// a full LBServer; the accept loop starts routing workers to it.
-func (sb *Standby) promote() (*LBServer, error) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	if sb.rep == nil {
-		return nil, errors.New("cluster: promote before attach")
-	}
-	lb := sb.rep.Promote(time.Now())
-	sb.srv = newLBServer(sb.listener, lb, sb.minWorkers)
-	// The listener's accept loop stays here, and route hands the promoted
-	// server its connections.
-	sb.srv.noAccept = true
-	sb.srv.EnableReplication()
-	sb.rep = nil
-	return sb.srv, nil
-}
-
-func (sb *Standby) isClosed() bool {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return sb.closed
-}
-
-// Close shuts the standby down without promoting (no-op after
-// promotion: the listener then belongs to the promoted server).
-func (sb *Standby) Close() {
-	sb.mu.Lock()
-	promoted := sb.srv != nil
-	sb.closed = true
-	sb.mu.Unlock()
-	if !promoted {
-		sb.listener.Close()
-	}
 }

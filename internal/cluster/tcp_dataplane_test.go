@@ -184,34 +184,16 @@ func TestTCPDepthWorkerCrashExactPaths(t *testing.T) {
 	}
 }
 
-// TestTCPStandbySnapshotBootstrap: a standby that attaches late — the
-// fleet joined and exploring, none of it ever streamed to this standby —
-// holds only what the attach snapshot carried. Kill the primary right
-// after: the promoted standby must finish the run with the undisturbed
-// totals and no false evictions, and the primary must have journaled and
-// counted the one snapshot it served.
-func TestTCPStandbySnapshotBootstrap(t *testing.T) {
-	f, primary := tcpFailover(t, true)
-	paths, errors, departed := f.serve(t)
-	if paths != 4096 || errors != 1 {
-		t.Fatalf("paths=%d errors=%d, want 4096/1 (undisturbed totals) from a snapshot-attached standby", paths, errors)
-	}
-	if evictions, _, _, _ := f.lbs.Stats(); evictions != 0 || departed != 0 {
-		t.Fatalf("evictions=%d departed=%d, want 0/0 (no worker died)", evictions, departed)
-	}
-	if f.lbs.Term() != 2 {
-		t.Fatalf("term = %d, want 2", f.lbs.Term())
-	}
-	var served []obs.Event
-	for _, ev := range primary.Journal().All() {
-		if ev.Type == obs.EvRepSnapshot {
-			served = append(served, ev)
-		}
-	}
-	if len(served) != 1 || served[0].Fields["seq"] == "0" || served[0].Fields["blob"] == "" {
-		t.Fatalf("primary journaled %d rep-snapshot events, want one with seq and blob: %+v", len(served), served)
-	}
-	if got := primary.ObsSnapshot().Counter(obs.MLBRepSnapshots); got != 1 {
-		t.Fatalf("%s = %d, want 1", obs.MLBRepSnapshots, got)
+// TestTCPDepthLBRestartExactPaths kills the balancer under depth
+// partitioning: the restart starts with no grants, rebuilds the unit
+// table from the workers' claims and grants what nobody claims — exact
+// totals, nothing abandoned, no payload through the LB.
+func TestTCPDepthLBRestartExactPaths(t *testing.T) {
+	cfg := DefaultBalancerConfig()
+	cfg.DataPlane = DataPlaneDepth
+	f := tcpRestart(t, cfg)
+	exactTCPRestart(t, f)
+	if got := f.lbs.ObsSnapshot().Counter(obs.MLBPayloadBytes); got != 0 {
+		t.Fatalf("depth: %d payload bytes crossed the LB, want 0", got)
 	}
 }

@@ -2,7 +2,7 @@ package cluster
 
 // TCP membership-fault tests that have no in-process twin any more:
 // graceful retire over real sockets, a seed lost before its first
-// status, the maxDuration cut-off, the handshake deadline on the three
+// status, the maxDuration cut-off, the handshake deadline on the two
 // accept loops, and the keepalive that holds a silent worker's lease.
 
 import (
@@ -191,18 +191,13 @@ func TestTCPTimeBoundStopsWorkers(t *testing.T) {
 	}
 }
 
-// TestTCPHandshakeDeadline dials each of the three listeners — the LB,
-// a standby, a worker's peer listener — and sends nothing: the acceptor
+// TestTCPHandshakeDeadline dials each of the two listeners — the LB and
+// a worker's peer listener — and sends nothing: the acceptor
 // must give up and close the connection within the handshake bound
 // instead of pinning a goroutine and a socket forever. The run sharing
 // those listeners still lands on the exact count.
 func TestTCPHandshakeDeadline(t *testing.T) {
 	f := newTCPFleet(t, hugeClusterTarget, DefaultBalancerConfig(), 2)
-	sb, err := NewStandby("127.0.0.1:0", f.lbs.Addr(), 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sb.Close()
 	for i := 0; i < 2; i++ {
 		f.start(t, tcpWorkerOpts{})
 	}
@@ -216,7 +211,7 @@ func TestTCPHandshakeDeadline(t *testing.T) {
 			return
 		}
 		peer := w.transport.(*TCPWorkerTransport).listener.Addr().String()
-		for name, addr := range map[string]string{"lb": f.lbs.Addr(), "standby": sb.Addr(), "peer": peer} {
+		for name, addr := range map[string]string{"lb": f.lbs.Addr(), "peer": peer} {
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				t.Errorf("%s: %v", name, err)
@@ -288,10 +283,10 @@ func acceptingLB(t *testing.T) *LBServer {
 }
 
 // TestTCPDialHandshakeDeadline is TestTCPHandshakeDeadline from the other
-// end: an address that accepts and never answers must cost each dialer —
-// a worker joining, a worker re-dialing, a standby attaching — one
-// handshakeTimeout and then the next address (or its deadline), not a
-// goroutine parked in a read forever. Only peer dials were bounded before.
+// end: an address that accepts and never answers must cost a dialer one
+// handshakeTimeout an attempt, so redial gives up at its deadline, not a
+// goroutine parked in a read forever; and a worker whose stream is cut
+// re-dials and resumes.
 func TestTCPDialHandshakeDeadline(t *testing.T) {
 	within := func(t *testing.T, what string, start time.Time, lo, hi time.Duration) {
 		t.Helper()
@@ -301,64 +296,62 @@ func TestTCPDialHandshakeDeadline(t *testing.T) {
 	}
 	t.Run("worker", func(t *testing.T) {
 		t.Parallel()
-		silent, lbs := silentListener(t), acceptingLB(t)
-		start := time.Now()
-		tr, ack, err := DialLB(silent, lbs.Addr())
+		lbs := acceptingLB(t)
+		tr, ack, err := DialLB(lbs.Addr())
 		if err != nil {
-			t.Fatalf("join past a silent first address: %v", err)
+			t.Fatal(err)
 		}
 		defer tr.Close()
-		within(t, "the join", start, handshakeTimeout, 3*handshakeTimeout)
-
-		// Cut the stream at the balancer: the pump re-dials in rotation,
-		// silent address first, and must come out the other side resumed.
-		start = time.Now()
+		// Cut the stream at the balancer: the pump re-dials and must come
+		// out the other side resumed.
+		start := time.Now()
 		lbs.mu.Lock()
 		lbs.conns[ack.ID].close()
 		lbs.mu.Unlock()
 		for tr.LBGen() < 2 {
 			if time.Since(start) > 3*handshakeTimeout {
-				t.Fatal("the pump never got past the silent address")
+				t.Fatal("the pump never resumed")
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		within(t, "the resume", start, handshakeTimeout, 3*handshakeTimeout)
 		lbs.mu.Lock()
 		defer lbs.mu.Unlock()
 		if !lbs.lb.IsMember(ack.ID, ack.Epoch) || lbs.lb.Joins != 1 {
 			t.Fatalf("resumed as someone else: joins=%d members=%v", lbs.lb.Joins, lbs.lb.memberView())
 		}
 	})
-	t.Run("standby", func(t *testing.T) {
+	t.Run("redial", func(t *testing.T) {
 		t.Parallel()
-		sb, err := NewStandby("127.0.0.1:0", silentListener(t), 0, 0)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sb.Close()
+		defer ln.Close()
 		start := time.Now()
-		if _, _, err := sb.attach(start.Add(handshakeTimeout / 2)); err == nil {
-			t.Fatal("attached to a primary that never answered")
+		never := func() bool { return false }
+		if _, _, err := redial(silentListener(t), Hello{ID: -1}, ln, start.Add(handshakeTimeout/2), never); err == nil {
+			t.Fatal("joined a balancer that never answered")
 		}
-		within(t, "the failed attach", start, handshakeTimeout, 2*handshakeTimeout)
+		within(t, "the failed redial", start, handshakeTimeout, 2*handshakeTimeout)
 	})
 }
 
 // TestTCPRefusalsMapOnce sends each refusal a Hello can get — an evicted
-// membership, an unpromoted standby, a primary that serves no replication
-// stream, a peer that has seen a newer epoch of the dialer — through
-// dialSession, the one place they become errors, and then checks what
-// each dialer built on it does with the error.
+// membership, a malformed re-hello, a fresh join to a resumed balancer
+// still rebuilding its run, a peer that has seen a newer epoch of the
+// dialer — through dialSession, the one place they become errors, and
+// then checks what each dialer built on it does with the error.
 func TestTCPRefusalsMapOnce(t *testing.T) {
-	lbs := acceptingLB(t) // replication off: a standby's hello is refused
-	sb, err := NewStandby("127.0.0.1:0", lbs.Addr(), 0, 0)
+	lbs := acceptingLB(t)
+	resumed, err := ResumeLBServer("127.0.0.1:0", DefaultBalancerConfig(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sb.Close()
-	t1, _, err := DialLB(sb.Addr(), lbs.Addr()) // ErrNotPrimary, then the next address
+	go acceptLoop(resumed.listener, resumed.handle)
+	defer resumed.listener.Close()
+	t1, _, err := DialLB(lbs.Addr())
 	if err != nil {
-		t.Fatalf("join past an unpromoted standby: %v", err)
+		t.Fatal(err)
 	}
 	defer t1.Close()
 	t2, _, err := DialLB(lbs.Addr())
@@ -375,20 +368,20 @@ func TestTCPRefusalsMapOnce(t *testing.T) {
 		h    Hello
 		want error
 	}{
-		"evicted member":      {lbs.Addr(), Hello{ID: 7, Epoch: 3}, ErrJoinRefused},
-		"unpromoted standby":  {sb.Addr(), Hello{ID: -1}, ErrNotPrimary},
-		"no replication here": {lbs.Addr(), Hello{Standby: true}, ErrJoinRefused},
-		"stale peer epoch":    {t2.listener.Addr().String(), Hello{ID: t1.ID, Epoch: t1.Epoch}, ErrJoinRefused},
+		"evicted member":    {lbs.Addr(), Hello{ID: 7, Epoch: 3}, ErrJoinRefused},
+		"malformed view":    {resumed.Addr(), Hello{ID: 7, Epoch: 3, View: map[int]uint64{-1: 3}}, ErrJoinRefused},
+		"resuming balancer": {resumed.Addr(), Hello{ID: -1}, ErrResuming},
+		"stale peer epoch":  {t2.listener.Addr().String(), Hello{ID: t1.ID, Epoch: t1.Epoch}, ErrJoinRefused},
 	} {
 		if _, _, err := dialSession(c.addr, c.h); !errors.Is(err, c.want) {
 			t.Errorf("%s: dialSession says %v, want %v", name, err, c.want)
 		}
 	}
 
-	// Standby.attach: a refusal is final, not one more failed attempt.
+	// redial: a refusal is final, not one more failed attempt.
 	start := time.Now()
-	if _, _, err := sb.attach(start.Add(reconnectDeadline)); !errors.Is(err, ErrJoinRefused) {
-		t.Errorf("attach to a primary without replication: %v, want %v", err, ErrJoinRefused)
+	if _, _, err := redial(lbs.Addr(), Hello{ID: 7, Epoch: 3}, t1.listener, start.Add(reconnectDeadline), t1.isClosed); !errors.Is(err, ErrJoinRefused) {
+		t.Errorf("redial of an evicted member: %v, want %v", err, ErrJoinRefused)
 	}
 	// SendJobs: a stale incarnation must not ship.
 	t1.mu.Lock()

@@ -14,10 +14,11 @@ import (
 // program plus the workers started against it, each a full worker on its
 // own goroutine doing what cmd/c9-worker does.
 type tcpFleet struct {
-	src   string
-	lbs   *LBServer
-	wg    sync.WaitGroup
-	errCh chan error
+	src    string
+	covLen int
+	lbs    *LBServer
+	wg     sync.WaitGroup
+	errCh  chan error
 
 	mu       sync.Mutex
 	workers  map[int]*Worker
@@ -26,9 +27,6 @@ type tcpFleet struct {
 
 // tcpWorkerOpts are the per-worker deviations a test may ask for.
 type tcpWorkerOpts struct {
-	// lbAddrs replaces the fleet LB's address (primary first, standbys
-	// after — the failover test hands workers both).
-	lbAddrs []string
 	// crashWhen, evaluated on the worker's own thread — so it may read the
 	// worker's explorer — with its current queue length, triggers an
 	// abrupt crash: no goodbye, the connection just goes silent mid-run.
@@ -50,16 +48,14 @@ func newTCPFleet(t *testing.T, src string, cfg BalancerConfig, minWorkers int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &tcpFleet{src: src, lbs: lbs, errCh: make(chan error, 8), workers: map[int]*Worker{}}
+	return &tcpFleet{src: src, covLen: in.Prog.MaxLine, lbs: lbs, errCh: make(chan error, 8), workers: map[int]*Worker{}}
 }
 
 // start adds one worker.
 func (f *tcpFleet) start(t *testing.T, o tcpWorkerOpts) {
 	t.Helper()
 	factory := mkInterp(t, f.src)
-	if o.lbAddrs == nil {
-		o.lbAddrs = []string{f.lbs.Addr()}
-	}
+	addr := f.lbs.Addr()
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
@@ -69,7 +65,7 @@ func (f *tcpFleet) start(t *testing.T, o tcpWorkerOpts) {
 			f.errCh <- err
 			return
 		}
-		tr, ack, err := DialLB(o.lbAddrs[0], o.lbAddrs[1:]...)
+		tr, ack, err := DialLB(addr)
 		if err != nil {
 			f.errCh <- err
 			return
@@ -117,7 +113,7 @@ func (f *tcpFleet) await(id int) *Worker {
 	return nil
 }
 
-// serve runs the LB (f.lbs — a failover test points it at the promoted
+// serve runs the LB (f.lbs — a restart test points it at the resumed
 // server first) to the end of the run, waits for every worker to exit,
 // and returns the summed path and error counts of the final statuses
 // plus how many workers departed (crashed, retired, evicted). After it
@@ -299,14 +295,14 @@ func TestTCPTransportJobDelivery(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	for {
 		t1.mu.Lock()
-		known := t1.peerAddrs[ack2.ID] != ""
+		known := t1.peerAddrs[ack2.ID] != "" && t1.notes.hello("", ack1.ID, ack1.Epoch).View[ack2.ID] == ack2.Epoch
 		t1.mu.Unlock()
 		if known {
 			break
 		}
 		select {
 		case <-deadline:
-			t.Fatal("membership broadcast never delivered peer address")
+			t.Fatal("membership broadcast never delivered peer address and view")
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
@@ -336,102 +332,52 @@ func TestTCPTransportJobDelivery(t *testing.T) {
 	}
 }
 
-// tcpFailover is kill -9 of the load balancer over real sockets: a
-// primary with a standby and three workers (each given both addresses)
-// runs until exploration is underway, then the primary is severed
-// abruptly — connections cut, queued replication entries dropped, no
-// shutdown marker. The standby must promote after its grace and the
-// workers rotate onto it. With lateAttach the standby only subscribes at
-// the kill point, so everything it knows comes from the attach snapshot.
-// Returns the fleet pointed at the promoted server (for the caller to
-// serve) and the dead primary.
-func tcpFailover(t *testing.T, lateAttach bool) (*tcpFleet, *LBServer) {
+// tcpRestart is kill -9 of the load balancer over real sockets, and its
+// restart: three workers run until exploration is underway, the balancer
+// is severed abruptly — listener and connections cut, no MsgStop — and a
+// ResumeLBServer takes its address. The workers re-dial it with their
+// views. Returns the fleet pointed at the resumed server, for the caller
+// to serve.
+func tcpRestart(t *testing.T, cfg BalancerConfig) *tcpFleet {
 	t.Helper()
-	cfg := DefaultBalancerConfig()
 	cfg.Lease = 500 * time.Millisecond
 	f := newTCPFleet(t, hugeClusterTarget, cfg, 3)
-	lbs := f.lbs
-	lbs.EnableReplication()
-	sb, err := NewStandby("127.0.0.1:0", lbs.Addr(), 300*time.Millisecond, 3)
+	for i := 0; i < 3; i++ {
+		f.start(t, tcpWorkerOpts{})
+	}
+	dead := f.lbs
+	go dead.Serve(120 * time.Second) //nolint:errcheck // aborted below
+	for deadline := time.Now().Add(60 * time.Second); dead.TotalPaths() < 50; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("cluster never reached the kill point: paths=%d", dead.TotalPaths())
+		}
+	}
+	addr := dead.Addr()
+	dead.Abort()
+	srv, err := ResumeLBServer(addr, cfg, f.covLen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	promoted := make(chan *LBServer, 1)
-	attach := func() {
-		srv, err := sb.Run()
-		if err != nil {
-			t.Errorf("standby: %v", err)
-		}
-		promoted <- srv
-	}
-	attached := !lateAttach
-	if attached {
-		go attach()
-	}
-	for i := 0; i < 3; i++ {
-		f.start(t, tcpWorkerOpts{lbAddrs: []string{lbs.Addr(), sb.Addr()}})
-	}
-	go lbs.Serve(120 * time.Second) //nolint:errcheck // aborted below
-
-	// Kill once exploration is underway and the standby has demonstrably
-	// caught up past the joins — the entries still queued at that instant
-	// die with the primary, exactly like a real crash.
-	deadline := time.Now().Add(60 * time.Second)
-	caughtUp := uint64(4)
-	for lbs.TotalPaths() < 50 || sb.LastSeq() < caughtUp {
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster never reached the kill point: paths=%d lastSeq=%d",
-				lbs.TotalPaths(), sb.LastSeq())
-		}
-		if !attached && lbs.TotalPaths() >= 50 {
-			// Nothing logged so far is ever streamed to this standby: it
-			// reaches the primary's current seq by snapshot or not at all.
-			lbs.mu.Lock()
-			caughtUp = lbs.lb.RepSeq
-			lbs.mu.Unlock()
-			attached = true
-			go attach()
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	lbs.Abort()
-
-	var srv *LBServer
-	select {
-	case srv = <-promoted:
-	case <-time.After(30 * time.Second):
-		t.Fatal("standby never promoted")
-	}
-	if srv == nil {
-		t.Fatal("standby treated the crash as a clean shutdown")
-	}
 	f.lbs = srv
-	return f, lbs
+	return f
 }
 
-// TestTCPLBFailoverExactPaths: across the kill the run must finish with
-// exactly the undisturbed totals and no false evictions.
-func TestTCPLBFailoverExactPaths(t *testing.T) {
-	f, _ := tcpFailover(t, false)
-	srv := f.lbs
+// exactTCPRestart fails t unless a restarted run landed on the
+// undisturbed 4096/1 with every worker readmitted, nobody evicted or
+// abandoned, and the fleet fold equal to the engines' own accounting.
+func exactTCPRestart(t *testing.T, f *tcpFleet) {
+	t.Helper()
 	paths, errors, departed := f.serve(t)
 	if paths != 4096 || errors != 1 {
-		t.Fatalf("paths=%d errors=%d, want 4096/1 (undisturbed totals) across LB failover", paths, errors)
+		t.Fatalf("paths=%d errors=%d, want 4096/1 (undisturbed totals) across the restart", paths, errors)
 	}
-	if srv.Term() != 2 || srv.Promotions() != 1 {
-		t.Fatalf("term=%d promotions=%d, want 2/1", srv.Term(), srv.Promotions())
+	if evictions, _, _, _ := f.lbs.Stats(); evictions != 0 || departed != 0 {
+		t.Fatalf("evictions=%d departed=%d, want 0/0 (no worker died)", evictions, departed)
 	}
-	if evictions, _, _, _ := srv.Stats(); evictions != 0 {
-		t.Fatalf("evictions = %d, want 0 (no worker died)", evictions)
-	}
-	// Fleet fold across the promotion: every worker re-sent a cumulative
-	// metrics baseline when the stream generation bumped, and nothing may
-	// be double-counted. Every worker survived, so the fold must equal
-	// the plain sum of the engines' own accounting.
-	fleet := srv.ObsSnapshot()
-	if departed != 0 {
-		t.Fatalf("%d workers departed across the failover", departed)
-	}
+	// Every worker re-sent a cumulative metrics baseline when its stream
+	// generation bumped, and nothing may be double-counted: with every
+	// worker alive the fold must equal the engines' own accounting.
+	fleet := f.lbs.ObsSnapshot()
 	var useful uint64
 	for _, w := range f.workers {
 		useful += w.Exp.Stats.UsefulSteps
@@ -442,77 +388,19 @@ func TestTCPLBFailoverExactPaths(t *testing.T) {
 	if got := fleet.Counter(obs.MEngineUsefulSteps); got != useful {
 		t.Fatalf("fleet useful counter = %d, stats sum = %d", got, useful)
 	}
-	if fleet.Counter(obs.MLBPromotions) != 1 || fleet.Gauge(obs.MLBTerm) != 2 {
-		t.Fatalf("promotion metrics wrong: promotions=%d term=%d",
-			fleet.Counter(obs.MLBPromotions), fleet.Gauge(obs.MLBTerm))
+	if fleet.Counter(obs.MLBReadmits) != 3 || fleet.Counter(obs.MLBAbandoned) != 0 {
+		t.Fatalf("readmits=%d abandoned=%d, want 3/0",
+			fleet.Counter(obs.MLBReadmits), fleet.Counter(obs.MLBAbandoned))
 	}
-	// The promoted journal tells the takeover story in protocol order.
-	idx := journalIdx(srv.Journal().All(),
-		obs.EvPrimaryLost, obs.EvStandbyPromote, obs.EvEpochBump, obs.EvResync)
-	for i, at := range idx {
-		if at < 0 {
-			t.Fatalf("journal missing promotion event #%d", i)
-		}
-		if i > 0 && idx[i-1] >= at {
-			t.Fatalf("promotion events out of order: %v", idx)
-		}
+	journal := f.lbs.Journal().All()
+	at := journalIdx(journal, obs.EvResync)[0]
+	if at < 0 || journal[at].Fields["stale"] != "0" {
+		t.Fatalf("no clean resync event in the restarted journal: %+v", journal)
 	}
 }
 
-// TestTCPCleanShutdownStandbyNoTakeover: a SIGTERM'd primary stamps the
-// replication log, so an attached standby must exit cleanly instead of
-// promoting itself against a deliberately stopped cluster.
-func TestTCPCleanShutdownStandbyNoTakeover(t *testing.T) {
-	lbs, err := NewLBServer("127.0.0.1:0", DefaultBalancerConfig(), 64, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lbs.EnableReplication()
-	sb, err := NewStandby("127.0.0.1:0", lbs.Addr(), 200*time.Millisecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type runResult struct {
-		srv *LBServer
-		err error
-	}
-	done := make(chan runResult, 1)
-	go func() {
-		srv, err := sb.Run()
-		done <- runResult{srv, err}
-	}()
-	served := make(chan error, 1)
-	go func() {
-		_, err := lbs.Serve(30 * time.Second)
-		served <- err
-	}()
-	// One raw join gives the log an entry; seeing it applied proves the
-	// standby is attached and caught up before the shutdown lands.
-	tr, _, err := DialLB(lbs.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for sb.LastSeq() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("standby never caught up to the join")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	lbs.Shutdown()
-	if err := <-served; err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case r := <-done:
-		if r.err != nil {
-			t.Fatalf("standby: %v", r.err)
-		}
-		if r.srv != nil {
-			t.Fatalf("standby promoted (term %d) after a clean shutdown", r.srv.Term())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("standby never observed the shutdown marker")
-	}
+// TestTCPLBFailoverExactPaths: across the kill and the restart the run
+// must finish with exactly the undisturbed totals and no false evictions.
+func TestTCPLBFailoverExactPaths(t *testing.T) {
+	exactTCPRestart(t, tcpRestart(t, DefaultBalancerConfig()))
 }

@@ -85,7 +85,7 @@ type Transport interface {
 	// the transport.
 	SendToLB(m Message) bool
 	// LBGen returns a counter incremented each time the LB stream is
-	// (re)established — a TCP reconnect, a standby's promotion. A status
+	// (re)established — a TCP reconnect, a balancer restart. A status
 	// sent under an older generation may have been lost even if the send
 	// was accepted, so the worker follows every bump with a full one.
 	LBGen() uint64
@@ -105,6 +105,42 @@ type Transport interface {
 	// WaitForMail blocks an idle worker until a message arrives or a
 	// short timeout passes.
 	WaitForMail()
+}
+
+// memberNotes is what a worker's transport remembers of the membership
+// for a re-dial: the last view the balancer sent and every departure it
+// announced. Both go into the re-dial's Hello (and nowhere else), so a
+// restarted balancer can rebuild the run.
+type memberNotes struct {
+	view, departed map[int]uint64
+}
+
+func newMemberNotes() *memberNotes {
+	return &memberNotes{departed: map[int]uint64{}}
+}
+
+// note takes in one message from the balancer. An eviction's view
+// already leaves the departed member out; an abandonment carries none.
+func (n *memberNotes) note(m Message) {
+	switch m.Kind {
+	case MsgMembers, MsgEvict:
+		n.view = maps.Clone(m.Members)
+	case MsgAbandon:
+		delete(n.view, m.From)
+	}
+	if m.Kind == MsgEvict || m.Kind == MsgAbandon {
+		n.departed[m.From] = max(n.departed[m.From], m.Epoch)
+	}
+}
+
+// hello is the Hello a worker (id, epoch) listening on addr sends: a
+// fresh join (id < 0) carries nothing else, a re-dial what n holds.
+func (n *memberNotes) hello(addr string, id int, epoch uint64) Hello {
+	h := Hello{Addr: addr, ID: id, Epoch: epoch}
+	if id >= 0 {
+		h.View, h.Departed = maps.Clone(n.view), maps.Clone(n.departed)
+	}
+	return h
 }
 
 // unackedBatch is an exported job batch awaiting the receiver's
@@ -179,7 +215,7 @@ type Worker struct {
 	// opened on the first successful peer ship, closed on link loss or
 	// the peer's eviction) and the bytes each channel moved. The session
 	// counters are cumulative and ride every status, so the LB journals
-	// open/close/fallback events replication-safely.
+	// open/close/fallback events from them.
 	peerSessions  map[int]bool
 	peerOpens     *obs.Counter
 	peerCloses    *obs.Counter
@@ -203,10 +239,16 @@ type Worker struct {
 	// only happen on membership changes). Each entry keeps the ack this
 	// worker echoes in every status: batch id, jobs imported, and the
 	// departed member's accounting record as shipped with the batch —
-	// the repair data a promoted standby needs when it missed the
-	// departure.
+	// what a restarted balancer rebuilds the departure from.
 	ackHW      map[int]uint64
 	reseatSeen map[uint64]ReseatAck
+
+	// recvFrom and ackedTo count, per peer, the jobs imported from it and
+	// the jobs it acknowledged receiving from this worker. They never
+	// travel; they settle the job sums when a restart abandons that peer
+	// (MsgAbandon), whose own counters died with the old balancer.
+	recvFrom map[int]uint64
+	ackedTo  map[int]uint64
 
 	// Known-evicted peers (id → epoch), learned from MsgEvict
 	// broadcasts; the fencing rule for stale senders and departed
@@ -293,6 +335,8 @@ func NewWorker(cfg WorkerConfig, tr Transport) (*Worker, error) {
 		unacked:      map[int]map[uint64]*unackedBatch{},
 		ackHW:        map[int]uint64{},
 		reseatSeen:   map[uint64]ReseatAck{},
+		recvFrom:     map[int]uint64{},
+		ackedTo:      map[int]uint64{},
 		evictedPeers: map[int]uint64{},
 		peerSessions: map[int]bool{},
 		spec:         cfg.StrategySpec,
@@ -473,13 +517,19 @@ func (w *Worker) drainMailbox() {
 		case MsgJobsAck:
 			// The receiver (msg.From) has processed every batch we sent it
 			// up through msg.Seq: release custody.
-			for seq := range w.unacked[msg.From] {
+			for seq, b := range w.unacked[msg.From] {
 				if seq <= msg.Seq {
+					w.ackedTo[msg.From] += uint64(b.n)
 					delete(w.unacked[msg.From], seq)
 				}
 			}
 		case MsgEvict:
 			w.handleEvict(msg)
+			if w.stopped {
+				return
+			}
+		case MsgAbandon:
+			w.handleAbandon(msg)
 			if w.stopped {
 				return
 			}
@@ -537,14 +587,16 @@ func (w *Worker) drainMailbox() {
 // same status snapshot, so the LB's view stays consistent whatever
 // happens to this worker afterwards.
 func (w *Worker) handleJobs(msg Message) {
-	if msg.Jobs == nil {
-		return
-	}
 	if msg.From == LBFrom {
+		// A custody batch; one with no jobs still carries the departed
+		// member's record, to be echoed.
 		if _, dup := w.reseatSeen[msg.Seq]; dup {
-			return // duplicate re-delivery (possibly by a promoted standby)
+			return // duplicate re-delivery
 		}
-		paths := msg.Jobs.Paths()
+		var paths [][]uint8
+		if msg.Jobs != nil {
+			paths = msg.Jobs.Paths()
+		}
 		ack := ReseatAck{ID: msg.Seq, Jobs: len(paths)}
 		if msg.Status != nil {
 			ack.Rec = *msg.Status
@@ -555,8 +607,13 @@ func (w *Worker) handleJobs(msg Message) {
 			"seq":  strconv.FormatUint(msg.Seq, 10),
 			"jobs": strconv.Itoa(len(paths)),
 		})
-		w.importPaths(paths)
+		if len(paths) > 0 {
+			w.importPaths(paths)
+		}
 		w.sendStatus()
+		return
+	}
+	if msg.Jobs == nil {
 		return
 	}
 	if ep, gone := w.evictedPeers[msg.From]; gone && msg.Epoch <= ep {
@@ -584,6 +641,7 @@ func (w *Worker) handleJobs(msg Message) {
 	}
 	w.ackHW[msg.From] = msg.Seq
 	paths := msg.Jobs.Paths()
+	w.recvFrom[msg.From] += uint64(len(paths))
 	w.transfersIn.Add(uint64(len(paths)))
 	w.importPaths(paths)
 	w.sendStatus()
@@ -645,6 +703,25 @@ func (w *Worker) handleEvict(msg Message) {
 		}
 		w.sendStatus()
 	}
+}
+
+// handleAbandon fences a peer a restart reports lost, like an evicted one,
+// and stands in for the peer's job counters, which died with the old
+// balancer: what this worker imported from it counts as sent, what it
+// acknowledged as received. Both counters only grow, as the termination
+// probes require.
+func (w *Worker) handleAbandon(msg Message) {
+	if ep, gone := w.evictedPeers[msg.From]; !gone || ep < msg.Epoch {
+		w.handleEvict(msg)
+		if w.stopped {
+			return
+		}
+	}
+	w.jobsSent.Add(w.recvFrom[msg.From])
+	w.jobsRecv.Add(w.ackedTo[msg.From])
+	delete(w.recvFrom, msg.From)
+	delete(w.ackedTo, msg.From)
+	w.sendStatus()
 }
 
 // resendOverdue re-sends exported batches whose ack is overdue — only

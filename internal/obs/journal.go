@@ -142,13 +142,9 @@ const (
 	EvBudgetKill     = "budget-kill"    // engine: solver budget exhausted, state dropped
 	EvIntervalRepin  = "interval-repin" // solver: interval tier re-decided a pinned verdict
 
-	// Control-plane replication and failover (LB high availability).
-	EvStandbyAttach  = "standby-attach"   // LB: a standby subscribed to the replication log
-	EvPrimaryLost    = "primary-lost"     // standby: primary presumed dead (grace expired)
-	EvStandbyPromote = "standby-promoted" // standby: replica took over as primary
-	EvEpochBump      = "epoch-bump"       // promoted LB: id/epoch counters strode past the lost window
-	EvResync         = "resync"           // promoted LB: members re-reported full frontiers (or went stale)
-	EvRepSnapshot    = "rep-snapshot"     // LB: state snapshot served to an attaching standby (fields: seq, blob)
+	// Balancer restart (c9-lb -resume).
+	EvResync        = "resync"         // resumed LB: the re-hello window closed (fields: members, stale, next_id, next_epoch)
+	EvWorkAbandoned = "work-abandoned" // resumed LB: a member's work was lost with the old balancer (fields: epoch, cause)
 
 	// Data plane: peer sessions and depth partitioning.
 	EvPeerSessionOpen  = "peer-session-open"  // LB: a worker opened a peer job-shipping session (fields: dst)

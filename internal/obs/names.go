@@ -82,23 +82,17 @@ const (
 
 	// Data plane, LB side. MLBPayloadBytes counts job-payload bytes that
 	// transited the LB (the per-batch peer-link fallback); a healthy P2P
-	// run keeps it at zero, which CI asserts. MLBRepSnapshots counts state
-	// snapshots served to attaching standbys, one per attach.
+	// run keeps it at zero, which CI asserts.
 	MLBPayloadBytes   = "c9_lb_payload_bytes_total"
 	MLBRelayedBatches = "c9_lb_relayed_batches_total"
 	MLBEarlyRounds    = "c9_lb_early_rounds_total" // balance rounds a report made due, run before the tick
 	MLBUnitGrants     = "c9_lb_unit_grants_total"
 	MLBUnitReclaims   = "c9_lb_unit_reclaims_total"
 	MLBUnitsUnclaimed = "c9_lb_units_unclaimed" // gauge
-	MLBRepSnapshots   = "c9_lb_rep_snapshots_total"
 
-	// Control-plane replication / failover (LB high availability).
-	MLBTerm       = "c9_lb_term"                // gauge: promotions + 1 (which primary incarnation this is)
-	MLBRepEntries = "c9_lb_rep_entries_total"   // inputs logged for (streamed to) standbys
-	MLBPromotions = "c9_lb_promotions_total"    // standby promotions folded into this LB's history
-	MLBReadmits   = "c9_lb_readmits_total"      // members re-admitted after a missed-join failover window
-	MLBStandbyLag = "c9_lb_standby_lag_entries" // gauge (standby): entries behind the primary's last seen seq
-	MLBStandbySeq = "c9_lb_standby_applied_seq" // gauge (standby): last applied replication-log seq
+	// Balancer restart (c9-lb -resume).
+	MLBReadmits  = "c9_lb_readmits_total"          // members a resumed balancer re-admitted from their re-hellos
+	MLBAbandoned = "c9_lb_abandoned_members_total" // members whose work a restart lost (never returned, or departed unacked)
 )
 
 // MLBSlotYield is the cumulative coverage yield credited to portfolio
