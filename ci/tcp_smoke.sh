@@ -40,7 +40,8 @@
 #                   the load balancer and restarts it with -resume;
 #                   none runs fault-free to completion (used by the
 #                   PR-blocking p2p cell to assert the zero-payload
-#                   invariant without recovery noise).
+#                   invariant without recovery noise, and that the
+#                   workers' finished subtrees collapsed).
 #        KILL_DELAY seconds between every worker having joined and the
 #                   kill -9 (default 0). Every miniature drains in under
 #                   a second, so "mid-run" is made true by construction:
@@ -90,7 +91,7 @@ echo "== building binaries"
 go build -o "$BIN" ./cmd/c9 ./cmd/c9-lb ./cmd/c9-worker
 
 echo "== single-node reference run ($TARGET)"
-"$BIN/c9" -target "$TARGET" -tests=false | tee "$LOGS/single.txt"
+"$BIN/c9" -target "$TARGET" -tests=false -stats | tee "$LOGS/single.txt"
 REF=$(awk '/^paths explored:/ {print $3}' "$LOGS/single.txt")
 if [[ -z "$REF" || "$REF" -eq 0 ]]; then
   echo "smoke: could not get reference path count" >&2
@@ -262,6 +263,28 @@ OBS_PATHS=$(sed -n 's/.*"c9_engine_paths_total": \([0-9]*\).*/\1/p' "$LOGS/obs.j
 if [[ "${OBS_PATHS:-}" != "$REF" ]]; then
   echo "smoke: FAIL — metrics path count ${OBS_PATHS:-?} != reference $REF" >&2
   exit 1
+fi
+# Finished subtrees collapse as their last path ends (tree.Collapse),
+# checked on the fault-free run. A single-node reference without budget
+# kills (`test`, `printf`) must end with its root alone; a killed path
+# keeps its nodes. The workers' final tree nodes, summed, are printed
+# beside the path count but not gated: what the collapse leaves there is
+# the prefixes to the jobs each worker shipped and imported, and their
+# fences, which grow with the transfers a run happens to make (0.6–2.3 ×
+# paths on `test`, against 2.5–3.2 × without the collapse).
+if [[ "$KILL_TARGET" == "none" ]]; then
+  SINGLE_NODES=$(sed -n 's/^memory:.*tree_nodes=\([0-9]*\).*/\1/p' "$LOGS/single.txt")
+  KILLS=$(awk '/^solver killed:/ {print $3}' "$LOGS/single.txt")
+  NODES=$(sed -n 's/.*"c9_engine_tree_nodes": \([0-9]*\).*/\1/p' "$LOGS/obs.json" | head -1)
+  echo "== tree nodes left: ${SINGLE_NODES:-?} single-node, ${NODES:-?} over the workers, for $TOTAL paths"
+  if [[ "${KILLS:-}" == 0 && "${SINGLE_NODES:-}" != 1 ]]; then
+    echo "smoke: FAIL — the single-node run kept ${SINGLE_NODES:-?} tree nodes, want its root alone" >&2
+    exit 1
+  fi
+  if [[ -z "${NODES:-}" ]]; then
+    echo "smoke: FAIL — the metrics dump has no c9_engine_tree_nodes" >&2
+    exit 1
+  fi
 fi
 # Payload signature of the data plane, from the same dump. p2p keeps
 # every job payload off the LB — but only a fault-free run may assert

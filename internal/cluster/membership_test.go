@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"testing"
+	"time"
 
 	"cloud9/internal/engine"
 )
@@ -88,6 +89,148 @@ func TestSimLateJoinAndRetire(t *testing.T) {
 	}
 	if res.LB.Leaves != 1 {
 		t.Fatalf("leaves = %d", res.LB.Leaves)
+	}
+}
+
+// raceFabric delivers on two channels with different delays: the
+// balancer's mail reaches a worker one round after it is sent, a peer
+// batch three rounds after. So an eviction the balancer broadcasts in
+// the round after a batch left overtakes it, as it can over TCP, where
+// the two travel on different connections.
+type raceFabric struct {
+	lb    *LoadBalancer
+	round int
+	mail  map[int][]raceMail // by destination, in send order
+	inbox map[int][]Message
+}
+
+type raceMail struct {
+	at int // the round it is delivered in
+	m  Message
+}
+
+func (f *raceFabric) send(dst, delay int, m Message) {
+	f.mail[dst] = append(f.mail[dst], raceMail{f.round + delay, m})
+}
+
+func (f *raceFabric) post(outs []Outbound) {
+	for _, out := range outs {
+		if out.To != Broadcast {
+			f.send(out.To, 1, out.Msg)
+			continue
+		}
+		for id := range f.inbox {
+			f.send(id, 1, out.Msg)
+		}
+	}
+}
+
+// deliver moves the mail due this round into the inboxes.
+func (f *raceFabric) deliver() {
+	for id, q := range f.mail {
+		var later []raceMail
+		for _, rm := range q {
+			if rm.at <= f.round {
+				f.inbox[id] = append(f.inbox[id], rm.m)
+			} else {
+				later = append(later, rm)
+			}
+		}
+		f.mail[id] = later
+	}
+}
+
+type raceEnd struct {
+	f  *raceFabric
+	id int
+}
+
+func (e raceEnd) SendToLB(m Message) bool {
+	e.f.post(e.f.lb.Control(m, time.Unix(0, 0)))
+	return true
+}
+func (e raceEnd) SendToLBAt(m Message, _ uint64) bool { return e.SendToLB(m) }
+func (e raceEnd) LBGen() uint64                       { return 1 }
+func (e raceEnd) SendJobs(dst int, m Message) bool {
+	e.f.send(dst, 3, m)
+	return true
+}
+func (e raceEnd) WaitForMail() {}
+func (e raceEnd) Recv() (Message, bool) {
+	q := e.f.inbox[e.id]
+	if len(q) == 0 {
+		return Message{}, false
+	}
+	e.f.inbox[e.id] = q[1:]
+	return q[0], true
+}
+
+// TestRetireWaitsForItsBatchesAcks: worker 0 ships a batch to worker 1
+// and is asked to retire in the next round. Its goodbye makes the
+// balancer broadcast its eviction, which reaches worker 1 before the
+// batch does, and a worker drops every batch from an evicted sender. So
+// the retiree must not say goodbye while a batch it shipped is
+// unacknowledged, or the batch's jobs are lost and the job sums never
+// balance. Run in lock step, the schedule is the same every time.
+func TestRetireWaitsForItsBatchesAcks(t *testing.T) {
+	f := &raceFabric{
+		lb:    NewLoadBalancer(DefaultBalancerConfig(), 64),
+		mail:  map[int][]raceMail{},
+		inbox: map[int][]Message{},
+	}
+	factory := mkInterp(t, clusterTarget)
+	var ws []*Worker
+	for i := 0; i < 2; i++ {
+		ack, outs := f.lb.Admit(Hello{ID: -1}, time.Unix(0, 0))
+		f.inbox[ack.ID] = nil
+		f.post(outs)
+		w, err := NewWorker(ack.WorkerConfig(WorkerConfig{
+			Batch:     4,
+			Engine:    engine.Config{MaxStateSteps: 1_000_000},
+			NewInterp: factory,
+			Entry:     "main",
+		}), raceEnd{f, ack.ID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.sendStatus()
+		ws = append(ws, w)
+	}
+	retiree, peer := ws[0], ws[1]
+	for retiree.Exp.Tree.NumCandidates() < 4 {
+		if _, err := retiree.Exp.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.inbox[retiree.ID] = append(f.inbox[retiree.ID],
+		Message{Kind: MsgTransferReq, Dst: peer.ID, NJobs: 2})
+	for f.round = 1; f.round <= 1000 && !f.lb.Terminated(); f.round++ {
+		f.deliver()
+		for _, w := range ws {
+			if w.Stopped() || w.Departed() {
+				continue
+			}
+			if err := w.turn(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f.round == 1 {
+			if retiree.jobsSent.Load() != 2 {
+				t.Fatalf("the retiree shipped %d jobs, want 2", retiree.jobsSent.Load())
+			}
+			retiree.Retire()
+		}
+	}
+	if !f.lb.Terminated() {
+		sent, recv := f.lb.jobSums()
+		t.Fatalf("no termination after %d rounds: jobs sent %d, received %d", f.round-1, sent, recv)
+	}
+	var paths uint64
+	for _, st := range f.lb.Statuses() {
+		paths += st.Paths
+	}
+	if paths != 64 || f.lb.Leaves != 1 {
+		t.Fatalf("paths = %d, leaves = %d, want 64 and 1", paths, f.lb.Leaves)
 	}
 }
 

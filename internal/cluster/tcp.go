@@ -106,10 +106,11 @@ func (s *session) close() { s.conn.Close() }
 // hangUp ends the connection without losing what was just sent: the
 // write side closes now, and the reader keeps draining the other end's
 // frames until it hangs up too (or handshakeTimeout passes) and only
-// then closes the socket. Closing outright with statuses still unread
-// makes the kernel answer with a reset, which discards whatever the
-// worker had not read yet — the MsgStop — and leaves it re-dialing a
-// server that is gone until reconnectDeadline.
+// then closes the socket. Closing outright with the other end's frames
+// still unread makes the kernel answer with a reset, which discards what
+// was just sent: a balancer's MsgStop, which leaves the worker re-dialing
+// a server that is gone until reconnectDeadline, or a worker's last
+// status and goodbye, which leaves the balancer to evict it at the lease.
 func (s *session) hangUp() {
 	if tc, ok := s.conn.(*net.TCPConn); ok {
 		_ = tc.CloseWrite()
@@ -396,6 +397,7 @@ func (t *TCPWorkerTransport) pump(s *session) {
 		wm, err := s.recv()
 		if err != nil {
 			if t.isClosed() {
+				s.close()
 				return
 			}
 			if s, _, err = t.connectLB(); err != nil {
@@ -559,7 +561,11 @@ func (t *TCPWorkerTransport) WaitForMail() {
 	timeout.Stop()
 }
 
-// Close shuts down the transport.
+// Close shuts down the transport. The LB stream is hung up rather than
+// closed (session.hangUp): a worker closes it right after its last
+// status or goodbye, and a socket closed with the balancer's frames still
+// unread is reset, which can drop those last frames on their way out. The
+// pump closes the socket once the balancer hangs up too.
 func (t *TCPWorkerTransport) Close() {
 	t.mu.Lock()
 	if !t.closed {
@@ -572,7 +578,7 @@ func (t *TCPWorkerTransport) Close() {
 	}
 	t.mu.Unlock()
 	t.encMu.Lock()
-	t.lb.close()
+	t.lb.hangUp()
 	t.encMu.Unlock()
 	t.listener.Close()
 }

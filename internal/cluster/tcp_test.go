@@ -347,6 +347,11 @@ func tcpRestart(t *testing.T, cfg BalancerConfig) *tcpFleet {
 	}
 	dead := f.lbs
 	go dead.Serve(120 * time.Second) //nolint:errcheck // aborted below
+	// All three must have joined before the balancer dies, or the last one
+	// joins the restart fresh instead of being readmitted.
+	if f.await(2) == nil {
+		t.Fatal("worker 2 never joined")
+	}
 	for deadline := time.Now().Add(60 * time.Second); dead.TotalPaths() < 50; time.Sleep(2 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("cluster never reached the kill point: paths=%d", dead.TotalPaths())

@@ -414,10 +414,26 @@ func (w *Worker) vanish() {
 	w.departed = true
 }
 
-// Retire makes the worker leave gracefully at its next loop boundary: a
-// final status (carrying its whole frontier) followed by MsgGoodbye, so
-// the LB re-seats its remaining work without waiting out a lease.
+// Retire makes the worker leave gracefully: from now on it exports
+// nothing, and at the first loop boundary where every batch it shipped
+// has been acknowledged it sends a final status (carrying its whole
+// frontier) followed by MsgGoodbye, so the LB re-seats its remaining work
+// without waiting out a lease. Leaving with a batch unacknowledged would
+// lose it: the goodbye makes the LB broadcast the worker's eviction, which
+// can reach the receiver before the batch does (they travel on different
+// connections), and a receiver drops every batch from an evicted sender.
 func (w *Worker) Retire() { w.retire.Store(true) }
+
+// holdsCustody reports whether a batch this worker shipped still awaits
+// its receiver's acknowledgment.
+func (w *Worker) holdsCustody() bool {
+	for _, byseq := range w.unacked {
+		if len(byseq) > 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // importPaths installs received job paths and keeps the send/receive
 // reconciliation balanced: every delivered batch counts once on the
@@ -652,6 +668,9 @@ func (w *Worker) handleJobs(msg Message) {
 func (w *Worker) handleTransferReq(msg Message) {
 	if _, gone := w.evictedPeers[msg.Dst]; gone {
 		return // stale order for a departed destination
+	}
+	if w.retire.Load() {
+		return // a retiring worker waits out its custody; it ships no more
 	}
 	paths := w.Exp.ExportCandidates(msg.NJobs)
 	if len(paths) == 0 {
@@ -894,42 +913,51 @@ func (w *Worker) sendGoodbye() {
 // loop boundaries so every status remains a consistent snapshot.
 func (w *Worker) RunLoop() error {
 	w.sendStatus()
-	for !w.stopped {
-		if w.cfg.CrashWhen != nil && w.cfg.CrashWhen(w.Exp.Tree.NumCandidates()) {
-			w.vanish()
-			return nil
-		}
-		if w.retire.Load() {
-			w.sendGoodbye()
-			return nil
-		}
-		w.drainMailbox()
-		if w.stopped {
-			break
-		}
-		w.resendOverdue()
-		if w.Exp.Done() {
-			// Idle: the status tells the LB we need work; then wait for
-			// the jobs (or anything else) to arrive.
-			w.sendStatus()
-			w.transport.WaitForMail()
-			continue
-		}
-		for i := 0; i < w.cfg.Batch && !w.Exp.Done(); i++ {
-			if _, err := w.Exp.Step(); err != nil {
-				return err
-			}
-			if w.now().Sub(w.lastStatus) >= heartbeat {
-				// Mid-batch heartbeat: keep the lease alive through slow
-				// solver batches.
-				w.sendStatus()
-			}
-		}
-		if w.now().Sub(w.lastStatus) >= statusEvery {
-			w.sendStatus()
+	for !w.stopped && !w.departed {
+		if err := w.turn(); err != nil {
+			return err
 		}
 	}
 	if !w.departed {
+		w.sendStatus()
+	}
+	return nil
+}
+
+// turn is one pass of RunLoop: the crash and retire checks, the mailbox,
+// then a batch of exploration, or an idle status and a wait for mail.
+func (w *Worker) turn() error {
+	if w.cfg.CrashWhen != nil && w.cfg.CrashWhen(w.Exp.Tree.NumCandidates()) {
+		w.vanish()
+		return nil
+	}
+	if w.retire.Load() && !w.holdsCustody() {
+		w.sendGoodbye()
+		return nil
+	}
+	w.drainMailbox()
+	if w.stopped {
+		return nil
+	}
+	w.resendOverdue()
+	if w.Exp.Done() {
+		// Idle: the status tells the LB we need work; then wait for
+		// the jobs (or anything else) to arrive.
+		w.sendStatus()
+		w.transport.WaitForMail()
+		return nil
+	}
+	for i := 0; i < w.cfg.Batch && !w.Exp.Done(); i++ {
+		if _, err := w.Exp.Step(); err != nil {
+			return err
+		}
+		if w.now().Sub(w.lastStatus) >= heartbeat {
+			// Mid-batch heartbeat: keep the lease alive through slow
+			// solver batches.
+			w.sendStatus()
+		}
+	}
+	if w.now().Sub(w.lastStatus) >= statusEvery {
 		w.sendStatus()
 	}
 	return nil

@@ -2,14 +2,18 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
+	"weak"
 
 	"cloud9/internal/cfg"
 	"cloud9/internal/coverage"
 	"cloud9/internal/cvm"
 	"cloud9/internal/interp"
+	"cloud9/internal/obs"
 	"cloud9/internal/posix"
+	"cloud9/internal/solver"
 	"cloud9/internal/state"
 	"cloud9/internal/tree"
 )
@@ -336,18 +340,161 @@ func TestImportReplaysFromNearestFence(t *testing.T) {
 	}
 }
 
-func TestTreePruneReclaimsDeadNodes(t *testing.T) {
+// lastPick wraps a strategy and remembers the node it picked last, with
+// the path condition that node's state held.
+type lastPick struct {
+	Strategy
+	n  *tree.Node
+	cs *solver.ConstraintSet
+}
+
+func (l *lastPick) Select() *tree.Node {
+	l.n, l.cs = l.Strategy.Select(), nil
+	if l.n != nil && l.n.State != nil {
+		l.cs = l.n.State.Constraints
+	}
+	return l.n
+}
+
+func withLastPick(t *testing.T, src string, c Config) (*Explorer, *lastPick) {
+	t.Helper()
+	pick := &lastPick{Strategy: NewDFS()}
+	c.Strategy = func(*tree.Tree, *cfg.Distance) Strategy { return pick }
+	return newExplorer(t, src, c), pick
+}
+
+// A worker's heap holds its frontier, not its history: once a path has
+// finished and its subtree collapsed, neither its tree node nor its path
+// condition (on which the solver memoized the set's solve state) is
+// reachable from the explorer. A table keyed by the sets or nodes a
+// worker has seen would keep both.
+func TestFinishedPathsAreCollected(t *testing.T) {
+	e, pick := withLastPick(t, branchy, Config{RecordAllTests: true})
+	var node weak.Pointer[tree.Node]
+	var set weak.Pointer[solver.ConstraintSet]
+	for node.Value() == nil {
+		if more, err := e.Step(); err != nil || !more {
+			t.Fatalf("no path finished: %v", err)
+		}
+		if e.Stats.PathsExplored == 1 {
+			node, set = weak.Make(pick.n), weak.Make(pick.cs)
+		}
+	}
+	pick.n, pick.cs = nil, nil
+	if _, err := e.RunToCompletion(0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if node.Value() != nil {
+		t.Error("a finished path's tree node outlived its collapse")
+	}
+	if set.Value() != nil {
+		t.Error("a finished path's constraint set outlived its states")
+	}
+	runtime.KeepAlive(e)
+}
+
+// Single-node exhaustion collapses the whole tree into its dead root.
+func TestExhaustionCollapsesTheTree(t *testing.T) {
 	e := newExplorer(t, branchy, Config{})
 	if _, err := e.RunToCompletion(0); err != nil {
 		t.Fatal(err)
 	}
-	before := e.Tree.NumNodes()
-	removed := e.Tree.Prune()
-	if removed == 0 {
-		t.Fatal("prune should reclaim the finished subtrees")
+	if n := e.Tree.NumNodes(); n != 1 {
+		t.Fatalf("exhausted tree has %d nodes, want the root alone", n)
 	}
-	if e.Tree.NumNodes() != before-removed {
-		t.Fatal("node accounting wrong after prune")
+	if g := e.Obs.Snapshot().Gauges[obs.MEngineTreeNodes]; g != 1 {
+		t.Fatalf("%s = %d, want 1", obs.MEngineTreeNodes, g)
+	}
+}
+
+// A job below a collapsed dead leaf is work this worker finished: it is
+// refused without creating a node, and nothing is explored twice. A job
+// that walks through dead interior nodes to a fence is imported.
+func TestImportRefusesFinishedSubtrees(t *testing.T) {
+	e := newExplorer(t, branchy, Config{})
+	if _, err := e.RunToCompletion(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.ImportJobs([][]uint8{{0, 1}, {1}}); got != 0 || e.Tree.NumNodes() != 1 {
+		t.Fatalf("imported %d jobs below the collapsed root, tree has %d nodes", got, e.Tree.NumNodes())
+	}
+	if _, err := e.RunToCompletion(0); err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats.PathsExplored != 16 {
+		t.Fatalf("paths = %d, want 16: a refused job was explored", e.Stats.PathsExplored)
+	}
+
+	e = newExplorer(t, branchy, Config{
+		Strategy: func(*tree.Tree, *cfg.Distance) Strategy { return NewBFS() },
+	})
+	for i := 0; i < 3; i++ {
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobs := e.ExportCandidates(1)
+	if _, err := e.RunToCompletion(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.ImportJobs(jobs); got != 1 {
+		t.Fatalf("a job through dead interior nodes to its fence: imported %d, want 1", got)
+	}
+	if _, err := e.RunToCompletion(0); err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats.PathsExplored != 16 || e.Tree.NumNodes() != 1 {
+		t.Fatalf("paths = %d, nodes = %d after the job came back; want 16 and 1",
+			e.Stats.PathsExplored, e.Tree.NumNodes())
+	}
+}
+
+// A budget-killed leaf stays in the tree, and so does every ancestor
+// above it: the kill is not a finished path.
+func TestBudgetKilledLeafKeepsItsAncestors(t *testing.T) {
+	e, pick := withLastPick(t, `
+		int main() {
+			char in[3];
+			cloud9_make_symbolic(in, 3, "in");
+			if (in[0] > 100) {
+				if (in[1] * in[2] == 77 && in[1] + in[2] == 18)
+					return 1;
+			}
+			return 0;
+		}`, Config{})
+	e.In.Solver.MaxBacktracks = 1
+	var killed *tree.Node
+	for {
+		more, err := e.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			break
+		}
+		if killed == nil && e.Stats.SolverKilled == 1 {
+			killed = pick.n
+		}
+	}
+	if killed == nil {
+		t.Fatal("no path was budget-killed")
+	}
+	if killed.Life != tree.Dead || len(killed.Children) != 0 {
+		t.Fatal("the killed node is not a dead leaf")
+	}
+	for n := killed; n != e.Tree.Root; n = n.Parent {
+		if e.Tree.ChildAt(n.Parent, n.Choice) != n {
+			t.Fatalf("the ancestor at depth %d dropped its child", n.Depth-1)
+		}
+	}
+	if e.Tree.NumNodes() <= killed.Depth {
+		t.Fatalf("tree has %d nodes, fewer than the killed path's %d", e.Tree.NumNodes(), killed.Depth+1)
+	}
+	// Nothing below the killed leaf was explored, so a job there is not
+	// refused as finished work.
+	if n := e.ImportJobs([][]uint8{append(killed.PathFromRoot(), 0)}); n != 1 {
+		t.Fatalf("a job below the killed leaf imported %d, want 1", n)
 	}
 }
 

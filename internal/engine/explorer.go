@@ -101,6 +101,7 @@ type Explorer struct {
 	Journal *obs.Journal
 
 	covLines  *obs.Gauge
+	treeNodes *obs.Gauge
 	depthHist *obs.Histogram
 	testsCtr  *obs.Counter
 
@@ -244,14 +245,15 @@ func (e *Explorer) Step() (bool, error) {
 	if n == nil {
 		return false, nil
 	}
-	if n.Status == tree.Virtual {
-		if err := e.materialize(n); err != nil {
-			atomic.AddUint64(&e.Stats.BrokenReplays, 1)
-			e.Tree.MarkDead(n)
-			return true, nil
-		}
+	var err error
+	if n.Status == tree.Virtual && e.materialize(n) != nil {
+		atomic.AddUint64(&e.Stats.BrokenReplays, 1)
+		e.Tree.MarkDead(n)
+	} else {
+		err = e.exploreNode(n)
 	}
-	return true, e.exploreNode(n)
+	e.treeNodes.Set(int64(e.Tree.NumNodes()))
+	return true, err
 }
 
 // whereIs returns the function s was executing and the source line of
@@ -318,6 +320,7 @@ func (e *Explorer) exploreNode(n *tree.Node) error {
 				})
 				s.Release()
 				e.Tree.MarkDead(n)
+				e.Tree.Collapse(n)
 				return nil
 			}
 		}
@@ -332,6 +335,7 @@ func (e *Explorer) exploreNode(n *tree.Node) error {
 		}
 		s.Release()
 		e.Tree.MarkDead(n)
+		e.Tree.Collapse(n)
 		return nil
 	}
 	// Forked: attach children as materialized candidates. At the
@@ -583,13 +587,22 @@ func (e *Explorer) FrontierPaths() [][]uint8 {
 }
 
 // ImportJobs installs path-encoded jobs received from another worker as
-// virtual candidate nodes (lazily replayed on selection).
+// virtual candidate nodes (lazily replayed on selection). A job that
+// ends at a dead node, or continues below a finished leaf (a finished
+// subtree collapsed there), is work this worker already did: it is
+// refused without creating a node. A path may pass through dead
+// interior nodes, which is how a job reaches a fence this worker
+// shipped earlier, and below a dead leaf that did not finish (a budget
+// kill, a broken replay).
 func (e *Explorer) ImportJobs(paths [][]uint8) int {
 	imported := 0
+jobs:
 	for _, path := range paths {
 		node := e.Tree.Root
-		ok := true
 		for _, choice := range path {
+			if node.Finished() {
+				continue jobs
+			}
 			next := e.Tree.ChildAt(node, choice)
 			if next == nil {
 				next = e.Tree.AddChild(node, choice, tree.Virtual, tree.Fence, nil)
@@ -603,13 +616,11 @@ func (e *Explorer) ImportJobs(paths [][]uint8) int {
 				e.Strat.Add(node)
 				imported++
 			}
-		case tree.Candidate:
-			// Already ours (duplicate transfer); nothing to do.
-		case tree.Dead:
-			ok = false
+		case tree.Candidate, tree.Dead:
+			// Already ours (a duplicate transfer), or already explored.
 		}
-		_ = ok
 	}
+	e.treeNodes.Set(int64(e.Tree.NumNodes()))
 	return imported
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime/metrics"
 	"sync/atomic"
 
 	"cloud9/internal/obs"
@@ -18,6 +19,8 @@ func (e *Explorer) initObs() {
 	e.covLines = e.Obs.Gauge(obs.MEngineCoverageLines)
 	e.depthHist = e.Obs.Histogram(obs.MEnginePathDepth, obs.ExpBuckets(4, 2, 10))
 	e.testsCtr = e.Obs.Counter(obs.MEngineTests)
+	e.treeNodes = e.Obs.Gauge(obs.MEngineTreeNodes)
+	e.treeNodes.Set(int64(e.Tree.NumNodes()))
 
 	st := &e.Stats
 	e.Obs.AddSource(func(s *obs.Snapshot) {
@@ -29,6 +32,9 @@ func (e *Explorer) initObs() {
 		s.PutCounter(obs.MEngineMaterialized, atomic.LoadUint64(&st.Materialized))
 		s.PutCounter(obs.MEngineBrokenReplays, atomic.LoadUint64(&st.BrokenReplays))
 		s.PutCounter(obs.MEngineBudgetKills, atomic.LoadUint64(&st.SolverKilled))
+		live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(live)
+		s.PutGauge(obs.MGoHeapLiveBytes, int64(live[0].Value.Uint64()))
 	})
 	if e.In != nil && e.In.Solver != nil {
 		ss := &e.In.Solver.Stats

@@ -70,6 +70,7 @@ func (d *DFS) Remove(n *tree.Node) {
 func (d *DFS) Select() *tree.Node {
 	for len(d.stack) > 0 {
 		n := d.stack[len(d.stack)-1]
+		d.stack[len(d.stack)-1] = nil // the spare capacity must not pin it
 		d.stack = d.stack[:len(d.stack)-1]
 		if n == nil {
 			continue // tombstone of a removed node

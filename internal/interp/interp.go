@@ -603,6 +603,9 @@ func (in *Interp) execCall(s *state.S, t *state.Thread, f *state.Frame, instr *c
 		}()
 		result, callErr = b.Fn(ctx, args)
 	}()
+	// The reused context must not pin the state once the call is over.
+	eff := *ctx
+	*ctx = Ctx{}
 	if children != nil {
 		return children, nil
 	}
@@ -618,23 +621,23 @@ func (in *Interp) execCall(s *state.S, t *state.Thread, f *state.Frame, instr *c
 		f.Regs[instr.A] = result
 	}
 	// Apply control effects requested by the builtin.
-	if ctx.termState != nil {
-		s.SetTerminated(ctx.termState.kind, ctx.termState.msg)
+	if eff.termState != nil {
+		s.SetTerminated(eff.termState.kind, eff.termState.msg)
 		return nil, nil
 	}
-	if ctx.termProc != nil {
-		s.ExitProcess(t.Proc, *ctx.termProc)
+	if eff.termProc != nil {
+		s.ExitProcess(t.Proc, *eff.termProc)
 		return nil, nil
 	}
-	if ctx.termThr {
+	if eff.termThr {
 		s.TerminateThread(t.ID, result)
 		return nil, nil
 	}
-	if ctx.sleepOn != nil {
-		s.Sleep(t.ID, *ctx.sleepOn)
+	if eff.sleepOn != nil {
+		s.Sleep(t.ID, *eff.sleepOn)
 		return nil, nil
 	}
-	if ctx.preempt {
+	if eff.preempt {
 		// Voluntary preemption point: a scheduling decision.
 		runnable := s.Runnable()
 		if len(runnable) > 1 {

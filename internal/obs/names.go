@@ -20,6 +20,11 @@ const (
 	MEngineTests         = "c9_engine_tests_total"
 	MEngineCoverageLines = "c9_engine_coverage_lines" // gauge
 	MEnginePathDepth     = "c9_engine_path_depth"     // histogram
+	MEngineTreeNodes     = "c9_engine_tree_nodes"     // gauge: nodes in the worker's tree
+
+	// The Go runtime's live heap after the last GC mark, process-wide
+	// (runtime/metrics /gc/heap/live:bytes).
+	MGoHeapLiveBytes = "c9_go_heap_live_bytes" // gauge
 
 	// Solver tiers and caches (internal/solver, folded from solver.Stats).
 	MSolverQueries          = "c9_solver_queries_total"

@@ -81,9 +81,19 @@ func mergeLabel(labels, key, val string) string {
 }
 
 // sections orders the human rendering; anything else sorts after these.
-var sections = []string{"engine", "solver", "search", "cluster", "lb"}
+var sections = []string{"engine", "solver", "search", "cluster", "lb", "memory"}
+
+// memoryLine names the gauges of what a run holds, rendered on one line
+// whatever their layer.
+var memoryLine = map[string]string{
+	MEngineTreeNodes: "tree_nodes",
+	MGoHeapLiveBytes: "heap_live_bytes",
+}
 
 func sectionOf(name string) string {
+	if _, ok := memoryLine[name]; ok {
+		return "memory"
+	}
 	rest, ok := strings.CutPrefix(name, "c9_")
 	if !ok {
 		return name
@@ -96,6 +106,9 @@ func sectionOf(name string) string {
 }
 
 func shortName(name, sec string) string {
+	if short, ok := memoryLine[name]; ok {
+		return short
+	}
 	short := strings.TrimPrefix(name, "c9_"+sec+"_")
 	return strings.TrimSuffix(short, "_total")
 }

@@ -6,10 +6,11 @@
 // solver is *incremental*: path conditions grow one constraint at a
 // time (ConstraintSet is a persistent parent-linked tree), and the
 // solver memoizes the preprocessed solve state — flattened form,
-// unit-propagation fixpoint, independence partition, witness model — of
-// every set node it has seen (incremental.go), deriving a child's state
+// unit-propagation fixpoint, independence partition, witness model — on
+// each set node it queries (incremental.go), deriving a child's state
 // from its parent's in time proportional to the new constraint's cone
-// instead of the whole set.
+// instead of the whole set. The memo dies with the node, so it holds the
+// live paths' states and no dead path's.
 //
 // A query runs through a three-tier pipeline, each tier strictly
 // cheaper than the next and consulted first:
@@ -36,7 +37,8 @@
 //   - a group cache: each independent group's verdict and model under
 //     an order-insensitive hash of its constraints, so a contradiction
 //     or a solution found once is found again inside any larger set,
-//   - the per-set state memo itself (incremental.go), whose witness
+//   - the per-set state memo itself (incremental.go), kept on the set
+//     node and stamped with the solver that derived it, whose witness
 //     model lets Fork decide one direction of a branch by evaluation.
 //
 // These are the paper's §6 "Constraint Caches" that have traffic on the
@@ -96,11 +98,18 @@ import (
 // ConstraintSet is an immutable, persistent set of boolean constraints
 // (the path condition). Extending a set shares structure with its parent,
 // so cloning execution states is O(1) in the constraint count.
+//
+// The constraints never change, but each node carries one mutable slot:
+// the solve state a solver derived for it (incremental.go). So a node
+// may be written — queried — only by the goroutine whose execution
+// states append to it. No node is shared between workers: jobs cross as
+// paths and are replayed, never as states.
 type ConstraintSet struct {
 	parent *ConstraintSet
 	c      *expr.Expr
 	depth  int
 	hash   uint64
+	memo   *setState
 }
 
 // EmptySet is the constraint set with no constraints.

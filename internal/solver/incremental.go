@@ -11,9 +11,9 @@ import (
 // time, and every branch site queries the solver about the current set.
 // Instead of re-flattening, re-unit-propagating and re-partitioning the
 // whole set on each query (O(N) per query, O(N²) along a path), the
-// solver memoizes the *solved form* of each set node in an
-// identity-keyed side table and derives a child's form from its
-// parent's in time proportional to the new constraint's cone:
+// solver memoizes the *solved form* of each set node on the node itself
+// and derives a child's form from its parent's in time proportional to
+// the new constraint's cone:
 //
 //   - unit propagation re-runs only over the constraints transitively
 //     reachable from the new constraint's variables (dissolved groups),
@@ -26,13 +26,15 @@ import (
 //
 // This is the paper's §6 "Constraint Caches" taken to its limit: the
 // cache key is the set itself, and the cached value is the entire
-// preprocessed solver input.
+// preprocessed solver input, reclaimed with the node.
 
 // setState is the memoized solve state of one ConstraintSet node. It is
-// derived incrementally from the parent node's state and cached in
-// Solver.states. All fields are immutable once the state is published
-// except the lazily stamped model.
+// derived incrementally from the parent node's state and kept in the
+// node's memo slot. All fields are immutable once the state is
+// published except the lazily stamped model.
 type setState struct {
+	// owner derived the state; a solver answers only from its own.
+	owner *Solver
 	// unsat marks sets proven unsatisfiable by propagation alone
 	// (constant-false residual or conflicting unit equalities).
 	unsat bool
@@ -81,25 +83,25 @@ func groupHash(cons []*expr.Expr) uint64 {
 }
 
 // state returns the memoized solve state for cs, deriving it
-// incrementally from the nearest cached ancestor (or the empty state).
-// Derivation is a pure function of the Append chain, so two solvers
-// that see the same chain — or one solver before and after an eviction
-// — compute identical states; that determinism is what custody-exact
-// replays are built on.
+// incrementally from the nearest ancestor this solver stamped (or the
+// empty state). Derivation is a pure function of the Append chain, so
+// two solvers that see the same chain — or one solver before and after
+// a node's memo was overwritten by another — compute identical states;
+// that determinism is what custody-exact replays are built on.
 func (s *Solver) state(cs *ConstraintSet) *setState {
 	if cs == nil {
 		return s.empty
 	}
-	if st, ok := s.states[cs]; ok {
+	if st := cs.memo; st != nil && st.owner == s {
 		atomic.AddUint64(&s.Stats.StateHits, 1)
 		return st
 	}
-	// Walk up to the nearest cached ancestor, then extend back down.
+	// Walk up to the nearest stamped ancestor, then extend back down.
 	chain := s.chainScratch[:0]
 	st := s.empty
 	for n := cs; n != nil; n = n.parent {
-		if c, ok := s.states[n]; ok {
-			st = c
+		if m := n.memo; m != nil && m.owner == s {
+			st = m
 			break
 		}
 		chain = append(chain, n)
@@ -109,8 +111,10 @@ func (s *Solver) state(cs *ConstraintSet) *setState {
 		parent := st
 		st = s.extend(parent, n.c)
 		s.seedModel(parent, n, st)
-		s.putState(n, st)
+		n.memo = st
 	}
+	// The scratch must not pin the nodes it walked.
+	clear(chain)
 	s.chainScratch = chain[:0]
 	return st
 }
@@ -139,14 +143,6 @@ func (s *Solver) seedModel(parent *setState, n *ConstraintSet, st *setState) {
 	}
 }
 
-func (s *Solver) putState(cs *ConstraintSet, st *setState) {
-	s.stateKeys = evictHalf(s.states, s.stateKeys, s.maxStates)
-	if _, dup := s.states[cs]; !dup {
-		s.stateKeys = append(s.stateKeys, cs)
-	}
-	s.states[cs] = st
-}
-
 // extend derives the solve state of parent ∧ c without touching parent:
 // it substitutes the known units into c, runs unit propagation to
 // fixpoint over the new constraint's cone only (groups sharing
@@ -160,6 +156,7 @@ func (s *Solver) extend(parent *setState, c *expr.Expr) *setState {
 	}
 	atomic.AddUint64(&s.Stats.StateExtends, 1)
 	st := &setState{
+		owner:    s,
 		units:    parent.units,
 		unitVars: parent.unitVars,
 		groups:   parent.groups,

@@ -3,6 +3,7 @@ package solver
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -10,9 +11,10 @@ import (
 )
 
 // Differential property test: the incremental query path (memoized
-// per-set states, group cache, Fork's model evaluation, tiny caps
-// forcing evictions) must agree with a from-scratch reference solve on every
-// query over randomized Append-tree workloads.
+// per-set states, group cache, Fork's model evaluation, a tiny result
+// cache, memos dropped mid-workload and rebuilt from an ancestor) must
+// agree with a from-scratch reference solve on every query over
+// randomized Append-tree workloads.
 //
 // Workloads maintain the execution invariant the solver's fast paths
 // rely on — a constraint is only appended when the extended set stays
@@ -21,9 +23,8 @@ import (
 func TestQuickDifferentialIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	inc := New()
-	// Tiny caps: force state/result-cache evictions and rebuild-from-
-	// ancestor paths mid-workload.
-	inc.maxStates = 8
+	// A tiny cap forces result-cache evictions; forget forces rebuild-
+	// from-ancestor paths mid-workload.
 	inc.maxCache = 16
 
 	for round := 0; round < 60; round++ {
@@ -54,6 +55,7 @@ func TestQuickDifferentialIncremental(t *testing.T) {
 		// and full-model solves, each checked against the reference.
 		for q := 0; q < 20; q++ {
 			cs := sets[rng.Intn(len(sets))]
+			forget(rng, cs)
 			cond := randomConstraint(rng, nv)
 			switch rng.Intn(3) {
 			case 0:
@@ -288,14 +290,28 @@ func TestIncrementalAppendIsO1(t *testing.T) {
 	}
 }
 
-// After a state-table eviction the solve state is rebuilt by replaying
-// the Append chain, and answers stay identical.
+// forget drops the memo of each node on cs's chain with probability
+// 1/4, as an eviction would: the next query rebuilds the state from the
+// nearest ancestor that kept one.
+func forget(rng *rand.Rand, cs *ConstraintSet) {
+	for n := cs; n != nil; n = n.parent {
+		if rng.Intn(4) == 0 {
+			n.memo = nil
+		}
+	}
+}
+
+// After a node's memo is evicted (dropped, or overwritten by another
+// solver) the solve state is rebuilt by replaying the Append chain, and
+// answers stay identical. A solver never answers from a memo another
+// solver stamped.
 func TestStateEvictionRebuild(t *testing.T) {
 	s := New()
-	s.maxStates = 4
 	cs := EmptySet
+	var chain []*ConstraintSet
 	for i := uint64(0); i < 32; i++ {
 		cs = cs.Append(expr.Ult(v(i%8), c8(uint64(100+i))))
+		chain = append(chain, cs)
 	}
 	m, sat, err := s.Solve(cs)
 	if err != nil || !sat {
@@ -304,27 +320,69 @@ func TestStateEvictionRebuild(t *testing.T) {
 	if !cs.EvalAll(m) {
 		t.Fatalf("model %v does not satisfy the chain", m)
 	}
-	// Canonicality across eviction: a fresh solver computes the same
-	// full model through its own (evicting) rebuilds.
+	same := func(who string, m2 expr.Assignment) {
+		t.Helper()
+		for id := range uint64(max(len(m), len(m2))) {
+			if at(m, id) != at(m2, id) {
+				t.Fatalf("%s: model divergence on var %d: %d vs %d", who, id, at(m, id), at(m2, id))
+			}
+		}
+	}
+	// Every node is stamped by s; a second solver derives the whole
+	// chain itself, overwriting each memo with its own.
 	s2 := New()
-	s2.maxStates = 4
 	m2, sat2, err := s2.Solve(cs)
 	if err != nil || !sat2 {
-		t.Fatal("fresh solver disagreed on satisfiability")
+		t.Fatal("second solver disagreed on satisfiability")
 	}
-	for id := range uint64(max(len(m), len(m2))) {
-		if at(m, id) != at(m2, id) {
-			t.Fatalf("model divergence after eviction rebuild on var %d: %d vs %d", id, at(m, id), at(m2, id))
+	if st := s2.Stats.Snapshot(); st.StateHits != 0 || st.StateExtends != 32 {
+		t.Fatalf("second solver: %d state hits, %d extensions; want 0 and 32", st.StateHits, st.StateExtends)
+	}
+	same("second solver", m2)
+	shape := func(st *setState) setState {
+		c := *st
+		c.owner, c.model = nil, nil
+		return c
+	}
+	want := shape(cs.memo)
+	// s rebuilds what s2 took over, and then what was dropped, into the
+	// state s2 derived; with its caches emptied it solves to the same
+	// model.
+	for round, drop := range []func(i int) bool{
+		func(int) bool { return false },
+		func(i int) bool { return i%3 != 0 },
+	} {
+		for i, n := range chain {
+			if drop(i) {
+				n.memo = nil
+			}
 		}
+		before := s.Stats.StateExtends
+		if got := shape(s.state(cs)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: rebuilt state %+v, want %+v", round, got, want)
+		}
+		if s.Stats.StateExtends == before {
+			t.Fatalf("round %d: no state was rebuilt", round)
+		}
+		clear(s.cache)
+		clear(s.groupCache)
+		m3, sat3, err := s.Solve(cs)
+		if err != nil || !sat3 {
+			t.Fatalf("round %d: rebuild disagreed on satisfiability", round)
+		}
+		same("rebuild", m3)
 	}
 }
 
-// heldAssignments returns every assignment s shares: the memoized states'
-// units and witness models, the result cache's models, and noUnits.
-func heldAssignments(s *Solver) []expr.Assignment {
+// heldAssignments returns every assignment s shares: the units and
+// witness models of the states s stamped on cs's chain, the result
+// cache's models, and noUnits.
+func heldAssignments(s *Solver, cs *ConstraintSet) []expr.Assignment {
 	held := []expr.Assignment{noUnits}
-	for _, st := range s.states {
-		held = append(held, st.units, st.model)
+	for n := cs; n != nil; n = n.parent {
+		if st := n.memo; st != nil && st.owner == s {
+			held = append(held, st.units, st.model)
+		}
 	}
 	for _, e := range s.cache {
 		held = append(held, e.model)
@@ -359,7 +417,7 @@ func TestSharedWitnessesAreNeverWritten(t *testing.T) {
 	before := s.Stats.Snapshot()
 	for _, set := range []*ConstraintSet{cs, child} {
 		s.state(set)
-		keep(heldAssignments(s)...)
+		keep(heldAssignments(s, set)...)
 		m, sat, err := s.Solve(set)
 		if err != nil || !sat {
 			t.Fatalf("Solve = %v, %v", sat, err)

@@ -53,15 +53,14 @@ func richConstraint(rng *rand.Rand, nv int) *expr.Expr {
 }
 
 // Differential property test for the interval tier: across randomized
-// feasible Append trees — with tiny caps forcing state evictions and
-// rebuilds — the incremental path (whose first tier is the interval
+// feasible Append trees — with a tiny result cache, and memos dropped
+// mid-workload and rebuilt — the incremental path (whose first tier is the interval
 // abstraction) must agree with the from-scratch reference on every
 // branch verdict, fork, and solve, and the interval tier must actually
 // fire over the workload.
 func TestQuickDifferentialInterval(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	inc := New()
-	inc.maxStates = 8
 	inc.maxCache = 16
 
 	for round := 0; round < 80; round++ {
@@ -89,6 +88,7 @@ func TestQuickDifferentialInterval(t *testing.T) {
 		}
 		for q := 0; q < 20; q++ {
 			cs := sets[rng.Intn(len(sets))]
+			forget(rng, cs)
 			cond := richConstraint(rng, nv)
 			switch rng.Intn(3) {
 			case 0:

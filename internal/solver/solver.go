@@ -101,14 +101,7 @@ type Solver struct {
 	groupCache     map[uint64]groupResult
 	groupCacheKeys []uint64
 
-	// states memoizes the per-ConstraintSet solve state (flattened,
-	// unit-propagated, partitioned — see incremental.go), keyed by node
-	// identity. Append extends the parent's state instead of redoing
-	// the whole pipeline.
-	states    map[*ConstraintSet]*setState
-	stateKeys []*ConstraintSet
-	maxStates int
-	empty     *setState // per-solver empty-set state (lazily stamped)
+	empty *setState // the empty set's; any other set's is on its node
 
 	// Reusable scratch buffers for the hot paths (extend pools,
 	// partition union-find, group var lists). The solver is
@@ -155,8 +148,6 @@ func New() *Solver {
 		cache:         make(map[uint64]cacheEntry),
 		maxCache:      1 << 16,
 		groupCache:    make(map[uint64]groupResult),
-		states:        make(map[*ConstraintSet]*setState),
-		maxStates:     1 << 15,
 		empty:         &setState{},
 	}
 }

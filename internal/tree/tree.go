@@ -3,8 +3,13 @@
 // status {materialized, virtual} with a lifecycle {candidate, fence,
 // dead} (Fig. 3). Candidate nodes form the worker's exploration
 // frontier; fence nodes demarcate subtrees explored by other workers;
-// dead nodes are fully explored interior nodes whose program state has
-// been discarded.
+// dead nodes are explored nodes whose program state has been discarded.
+//
+// A dead subtree collapses as its last path finishes (§6, "Custom Data
+// Structures": the node pin reclaims finished subtrees): Collapse turns
+// a dead node whose children all finished into a finished leaf, so the
+// tree a worker keeps is its frontier, the paths to it, and the fences
+// and unfinished leaves (budget kills, broken replays) beside them.
 package tree
 
 import (
@@ -37,6 +42,9 @@ type Node struct {
 	Parent   *Node
 	Children []*Node
 	Choice   uint8 // index of this node among the parent's children
+	// finished marks a dead leaf whose whole subtree is explored here: a
+	// terminated path, or a collapsed dead node (Collapse).
+	finished bool
 	Depth    int
 
 	Status Status
@@ -63,6 +71,10 @@ type Node struct {
 
 // IsCandidate reports whether the node is explorable.
 func (n *Node) IsCandidate() bool { return n.Life == Candidate }
+
+// Finished reports whether n's whole subtree was explored here (Collapse):
+// n is a dead leaf, and nothing below it is left to anyone.
+func (n *Node) Finished() bool { return n.finished }
 
 // NumCandidatesBelow returns the number of candidates in the subtree
 // rooted at n (including n itself).
@@ -227,37 +239,26 @@ func (t *Tree) CandidatesUnder(n *Node, limit int) []*Node {
 	return out
 }
 
-// Prune reclaims dead leaf chains — the "node pin"/rubber-band memory
-// optimization (§6 "Custom Data Structures"): interior nodes whose whole
-// subtree is dead are spliced out in one sweep, without deep recursion
-// per node removal.
-func (t *Tree) Prune() int {
-	removed := 0
-	var walk func(n *Node) bool // returns true when the subtree is all-dead
-	walk = func(n *Node) bool {
-		allDead := n.Life == Dead
-		for i, ch := range n.Children {
-			if ch == nil {
-				continue
-			}
-			if walk(ch) {
-				n.Children[i] = nil
-				removed++
-			} else {
-				allDead = false
-			}
-		}
-		if !allDead {
-			return false
-		}
-		for _, ch := range n.Children {
-			if ch != nil {
-				return false
-			}
-		}
-		return n.Parent != nil
+// Collapse records that the dead leaf n finished (its path terminated)
+// and reclaims the subtree that completes: each dead ancestor whose
+// child slots all hold finished leaves drops its children and becomes a
+// finished leaf itself. A candidate, a fence, an empty slot or a dead
+// leaf that did not finish (a budget kill, a broken replay) keeps its
+// parent, and so everything above it. Never call it on a node that
+// forked: it is dead before its children are attached.
+func (t *Tree) Collapse(n *Node) {
+	if n.Life != Dead || len(n.Children) > 0 {
+		panic("tree: Collapse of a node that is not a dead leaf")
 	}
-	walk(t.Root)
-	t.numNodes -= removed
-	return removed
+	n.finished = true
+	for p := n.Parent; p != nil && p.Life == Dead; p = p.Parent {
+		for _, ch := range p.Children {
+			if ch == nil || !ch.finished {
+				return
+			}
+		}
+		t.numNodes -= len(p.Children)
+		p.Children = nil
+		p.finished = true
+	}
 }

@@ -117,36 +117,53 @@ func TestCandidatesUnder(t *testing.T) {
 	}
 }
 
-func TestPruneReclaimsAllDeadSubtrees(t *testing.T) {
+// A dead subtree collapses into its dead root as its last leaf
+// finishes, and not before; the collapsed root is a finished leaf, so
+// the collapse carries on up once its siblings finish.
+func TestCollapseReclaimsFinishedSubtrees(t *testing.T) {
 	tr := build(t)
 	tr.MarkDead(tr.Root)
 	a := tr.AddChild(tr.Root, 0, Materialized, Dead, nil)
-	tr.AddChild(a, 0, Materialized, Dead, nil)
-	tr.AddChild(a, 1, Materialized, Dead, nil)
-	live := tr.AddChild(tr.Root, 1, Materialized, Candidate, nil)
-	nodesBefore := tr.NumNodes()
-	removed := tr.Prune()
-	if removed != 3 {
-		t.Fatalf("removed = %d, want the 3 dead descendants", removed)
+	a0 := tr.AddChild(a, 0, Materialized, Candidate, nil)
+	a1 := tr.AddChild(a, 1, Materialized, Candidate, nil)
+	b := tr.AddChild(tr.Root, 1, Materialized, Candidate, nil)
+	tr.MarkDead(a0)
+	tr.Collapse(a0)
+	if tr.NumNodes() != 5 || len(a.Children) != 2 {
+		t.Fatalf("a collapsed with a live child: %d nodes", tr.NumNodes())
 	}
-	if tr.NumNodes() != nodesBefore-3 {
-		t.Fatal("node count after prune")
+	tr.MarkDead(a1)
+	tr.Collapse(a1)
+	if tr.NumNodes() != 3 || a.Children != nil || tr.ChildAt(tr.Root, 0) != a {
+		t.Fatalf("a's finished subtree kept: %d nodes, %d children", tr.NumNodes(), len(a.Children))
 	}
-	if tr.ChildAt(tr.Root, 1) != live {
-		t.Fatal("live subtree must survive prune")
+	if tr.ChildAt(tr.Root, 1) != b || tr.NumCandidates() != 1 {
+		t.Fatal("the live sibling must survive the collapse")
 	}
-	if tr.ChildAt(tr.Root, 0) != nil {
-		t.Fatal("dead subtree should be gone")
+	tr.MarkDead(b)
+	tr.Collapse(b)
+	if tr.NumNodes() != 1 || tr.Root.Children != nil {
+		t.Fatalf("finished tree is %d nodes, want the root alone", tr.NumNodes())
 	}
 }
 
-func TestPruneKeepsFences(t *testing.T) {
+// Nothing collapses above a fence (its subtree is another worker's),
+// nor above a dead leaf that did not finish (a budget kill or a broken
+// replay).
+func TestCollapseStopsAtFences(t *testing.T) {
 	tr := build(t)
 	tr.MarkDead(tr.Root)
-	f := tr.AddChild(tr.Root, 0, Materialized, Fence, nil)
-	tr.Prune()
-	if tr.ChildAt(tr.Root, 0) != f {
-		t.Fatal("fence nodes must survive pruning (owned by other workers)")
+	a := tr.AddChild(tr.Root, 0, Materialized, Dead, nil)
+	f := tr.AddChild(a, 0, Materialized, Fence, nil)
+	tr.Collapse(tr.AddChild(a, 1, Materialized, Dead, nil))
+	if tr.NumNodes() != 4 || tr.ChildAt(a, 0) != f {
+		t.Fatal("fence nodes must survive collapsing (owned by other workers)")
+	}
+	b := tr.AddChild(tr.Root, 1, Materialized, Dead, nil)
+	killed := tr.AddChild(b, 0, Materialized, Dead, nil)
+	tr.Collapse(tr.AddChild(b, 1, Materialized, Dead, nil))
+	if tr.NumNodes() != 7 || tr.ChildAt(b, 0) != killed {
+		t.Fatal("b collapsed over an unfinished dead leaf")
 	}
 }
 
