@@ -380,7 +380,7 @@ func TestStateDist(t *testing.T) {
 			f := frames[i]
 			th.Stack = append(th.Stack, &f)
 		}
-		return &state.S{Threads: map[state.ThreadID]*state.Thread{0: th}, Cur: 0}
+		return &state.S{Threads: []*state.Thread{nil, th}, Cur: 1}
 	}
 	// Cover everything except main's b1 line. A state inside helper
 	// (dist Unreachable locally) ranks by the caller continuation: main

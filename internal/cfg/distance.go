@@ -154,7 +154,7 @@ func (d *Distance) StateDist(s *state.S) int {
 	if s == nil {
 		return Unreachable
 	}
-	th := s.Threads[s.Cur]
+	th := s.Thread(s.Cur)
 	if th == nil || len(th.Stack) == 0 {
 		return Unreachable
 	}

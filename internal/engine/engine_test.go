@@ -626,7 +626,7 @@ func distTestHarness(t *testing.T) (*cfg.Distance, func(fn string, block int) *t
 	mk := func(fn string, block int) *tree.Node {
 		th := &state.Thread{Stack: []*state.Frame{{Fn: prog.Funcs[fn], Block: block}}}
 		return &tree.Node{State: &state.S{
-			Threads: map[state.ThreadID]*state.Thread{0: th},
+			Threads: []*state.Thread{nil, th}, Cur: 1,
 		}}
 	}
 	return d, mk

@@ -120,7 +120,8 @@ func (e *Expr) subst(a Assignment, bound *VarSet, memo map[*Expr]*Expr) *Expr {
 			return r
 		}
 	}
-	kids := make([]*Expr, len(e.kids))
+	var buf [3]*Expr // no node has more kids; rebuild keeps none of them
+	kids := buf[:len(e.kids)]
 	changed := false
 	for i, k := range e.kids {
 		kids[i] = k.subst(a, bound, memo)

@@ -125,8 +125,8 @@ func registerCore(in *Interp) {
 		if err != nil {
 			return nil, err
 		}
-		t, ok := c.S.Threads[state.ThreadID(tid)]
-		if ok && t.Status != state.ThreadTerminated {
+		t := c.S.Thread(state.ThreadID(tid))
+		if t != nil && t.Status != state.ThreadTerminated {
 			return expr.Const(1, expr.W32), nil
 		}
 		return expr.Const(0, expr.W32), nil
@@ -137,8 +137,8 @@ func registerCore(in *Interp) {
 		if err != nil {
 			return nil, err
 		}
-		t, ok := c.S.Threads[state.ThreadID(tid)]
-		if !ok {
+		t := c.S.Thread(state.ThreadID(tid))
+		if t == nil {
 			return nil, fmt.Errorf("join of unknown thread %d", tid)
 		}
 		return expr.Const(t.JoinWlist, expr.W64), nil
@@ -283,8 +283,8 @@ func registerCore(in *Interp) {
 		if err != nil {
 			return nil, err
 		}
-		p, ok := c.S.Procs[state.ProcessID(pid)]
-		if ok && p.Exited {
+		p := c.S.Proc(state.ProcessID(pid))
+		if p != nil && p.Exited {
 			return expr.Const(1, expr.W32), nil
 		}
 		return expr.Const(0, expr.W32), nil
@@ -295,8 +295,8 @@ func registerCore(in *Interp) {
 		if err != nil {
 			return nil, err
 		}
-		p, ok := c.S.Procs[state.ProcessID(pid)]
-		if !ok {
+		p := c.S.Proc(state.ProcessID(pid))
+		if p == nil {
 			return nil, fmt.Errorf("wait for unknown process %d", pid)
 		}
 		return expr.Const(p.ExitWlist, expr.W64), nil
@@ -307,8 +307,8 @@ func registerCore(in *Interp) {
 		if err != nil {
 			return nil, err
 		}
-		p, ok := c.S.Procs[state.ProcessID(pid)]
-		if !ok {
+		p := c.S.Proc(state.ProcessID(pid))
+		if p == nil {
 			return nil, fmt.Errorf("wait for unknown process %d", pid)
 		}
 		return expr.Const(uint64(p.ExitCode), expr.W32), nil

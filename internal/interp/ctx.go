@@ -242,20 +242,18 @@ func (c *Ctx) Malloc(size int64) (uint64, error) {
 	if c.S.MaxHeap > 0 && c.S.HeapUsed+size > c.S.MaxHeap {
 		return 0, nil // NULL: out of (configured) memory
 	}
-	obj := c.S.Alloc.Allocate(size, "heap")
-	os := mem.NewObjectState(obj)
+	os := c.S.Alloc.AllocateState(size, "heap")
 	c.S.Procs[c.T.Proc].Space.Bind(os)
 	c.S.HeapUsed += size
-	return obj.Base, nil
+	return os.Obj.Base, nil
 }
 
 // MallocShared allocates heap memory directly in the shared CoW domain.
 func (c *Ctx) MallocShared(size int64) uint64 {
-	obj := c.S.Alloc.Allocate(size, "heap-shared")
-	obj.Shared = true
-	os := mem.NewObjectState(obj)
+	os := c.S.Alloc.AllocateState(size, "heap-shared")
+	os.Obj.Shared = true
 	c.S.Shared.Bind(os)
-	return obj.Base
+	return os.Obj.Base
 }
 
 // Free releases a heap object. Freeing an unmapped address is a memory

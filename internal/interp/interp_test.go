@@ -732,8 +732,69 @@ func TestWarmCallReturnDoesNotAllocateFrames(t *testing.T) {
 
 func BenchmarkCallReturn(b *testing.B) {
 	iter := callLoop(b)
+	iter() // the first call builds the frame every later one reuses
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		iter()
+	}
+}
+
+// The builtins that look a thread or process up by an id the guest
+// passes answer "not alive" or an unknown-id error for any id that names
+// none, huge and all-ones ones included, and never index past a table.
+func TestGuestIDsOutOfRange(t *testing.T) {
+	prog := cvm.NewProgram("t")
+	m := cvm.NewFuncBuilder("main", 0)
+	m.Ret(m.Const(0, expr.W32))
+	prog.Funcs["main"] = m.Func()
+	if err := prog.Validate(nil); err != nil {
+		t.Fatal(err)
+	}
+	in := New(prog)
+	s, err := in.InitialState("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func(name string, id uint64) (res *expr.Expr, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("%s(%#x) panicked: %v", name, id, r)
+			}
+		}()
+		c := &Ctx{In: in, S: s, T: s.CurThread()}
+		return in.Builtins[name].Fn(c, []*expr.Expr{expr.Const(id, expr.W64)})
+	}
+	lastTID, lastPID := uint64(s.NextTID-1), uint64(s.NextPID-1)
+	for _, b := range []struct {
+		name    string
+		last    uint64 // the last id of the table the builtin reads
+		unknown bool   // an id that names none is an error, not a 0
+	}{
+		{"__c9_thread_alive", lastTID, false},
+		{"__c9_join_wlist", lastTID, true},
+		{"__c9_proc_exited", lastPID, false},
+		{"__c9_proc_exit_wlist", lastPID, true},
+		{"__c9_proc_exit_code", lastPID, true},
+	} {
+		for _, id := range []uint64{0, ^uint64(0), 1 << 40, b.last + 1} {
+			res, err := call(b.name, id)
+			switch {
+			case b.unknown && (err == nil || !strings.Contains(err.Error(), "unknown")):
+				t.Errorf("%s(%#x): error %v, want an unknown-id error", b.name, id, err)
+			case !b.unknown && (err != nil || res.ConstVal() != 0):
+				t.Errorf("%s(%#x) = %v, %v; want 0", b.name, id, res, err)
+			}
+		}
+	}
+	// The ids that exist still answer.
+	if res, err := call("__c9_thread_alive", lastTID); err != nil || res.ConstVal() != 1 {
+		t.Errorf("__c9_thread_alive(%d) = %v, %v; want 1", lastTID, res, err)
+	}
+	if res, err := call("__c9_join_wlist", lastTID); err != nil || res.ConstVal() != s.CurThread().JoinWlist {
+		t.Errorf("__c9_join_wlist(%d) = %v, %v; want %d", lastTID, res, err, s.CurThread().JoinWlist)
+	}
+	if res, err := call("__c9_proc_exit_wlist", lastPID); err != nil || res.ConstVal() != s.CurProc().ExitWlist {
+		t.Errorf("__c9_proc_exit_wlist(%d) = %v, %v; want %d", lastPID, res, err, s.CurProc().ExitWlist)
 	}
 }

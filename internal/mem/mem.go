@@ -39,11 +39,6 @@ type ObjectState struct {
 	symbolic []*expr.Expr // lazily allocated
 }
 
-// NewObjectState allocates fresh zeroed contents for obj.
-func NewObjectState(obj *Object) *ObjectState {
-	return &ObjectState{Obj: obj, refs: 1, concrete: make([]byte, obj.Size)}
-}
-
 // InitConcrete copies data into the object starting at offset 0.
 func (os *ObjectState) InitConcrete(data []byte) {
 	copy(os.concrete, data)
@@ -183,8 +178,8 @@ func (os *ObjectState) ConcreteBytes(a expr.Assignment) []byte {
 }
 
 // Allocator issues deterministic virtual addresses. Each execution state
-// owns one; forked states copy it, so identical paths allocate identical
-// addresses regardless of which worker replays them.
+// holds one by value; a fork copies the two words, so identical paths
+// allocate identical addresses regardless of which worker replays them.
 type Allocator struct {
 	next   uint64
 	nextID uint64
@@ -198,29 +193,29 @@ const (
 )
 
 // NewAllocator returns an allocator starting at base.
-func NewAllocator(base uint64) *Allocator {
-	return &Allocator{next: base, nextID: 1}
+func NewAllocator(base uint64) Allocator {
+	return Allocator{next: base, nextID: 1}
 }
 
-// Clone returns an independent copy (same future address sequence).
-func (a *Allocator) Clone() *Allocator {
-	dup := *a
-	return &dup
-}
-
-// Allocate reserves an address range and returns the new object.
-func (a *Allocator) Allocate(size int64, name string) *Object {
+// AllocateState reserves an address range for a new object and returns
+// its zeroed contents. The Object and its ObjectState are one
+// allocation; the bytes are a second.
+func (a *Allocator) AllocateState(size int64, name string) *ObjectState {
 	if size <= 0 {
 		size = 1 // zero-sized allocations still get a distinct address
 	}
-	obj := &Object{ID: a.nextID, Base: a.next, Size: size, Name: name}
+	both := &struct {
+		os  ObjectState
+		obj Object
+	}{obj: Object{ID: a.nextID, Base: a.next, Size: size, Name: name}}
 	a.Skip(size)
-	return obj
+	both.os = ObjectState{Obj: &both.obj, refs: 1, concrete: make([]byte, size)}
+	return &both.os
 }
 
-// Skip advances the allocator as Allocate(size, ...) does, building no
-// object: a stack slot promoted to a register still takes its id and its
-// addresses, so every later allocation lands where it always did.
+// Skip advances the allocator as AllocateState(size, ...) does, building
+// no object: a stack slot promoted to a register still takes its id and
+// its addresses, so every later allocation lands where it always did.
 func (a *Allocator) Skip(size int64) {
 	if size <= 0 {
 		size = 1
@@ -246,12 +241,29 @@ func NewAddressSpace() *AddressSpace { return &AddressSpace{} }
 
 // Clone returns a CoW copy of the space.
 func (as *AddressSpace) Clone() *AddressSpace {
-	dup := &AddressSpace{objs: make([]*ObjectState, len(as.objs))}
-	copy(dup.objs, as.objs)
-	for _, os := range dup.objs {
+	dup := &AddressSpace{}
+	as.CloneInto(dup)
+	return dup
+}
+
+// cloneSpare is the room a clone leaves for Binds: a fork is usually
+// followed by a call, and a call binds its frame's slots.
+const cloneSpare = 4
+
+// CloneInto makes dst a CoW copy of the space, for a caller that
+// allocates dst together with what holds it. The copy's object slice is
+// a fresh array with spare capacity, never one another clone can reach,
+// so a Bind into either side's spare room is private to it. An empty
+// space (the shared domain, mostly) is cloned without an array.
+func (as *AddressSpace) CloneInto(dst *AddressSpace) {
+	dst.objs = nil
+	if len(as.objs) == 0 {
+		return
+	}
+	dst.objs = append(make([]*ObjectState, 0, len(as.objs)+cloneSpare), as.objs...)
+	for _, os := range dst.objs {
 		os.Ref()
 	}
-	return dup
 }
 
 // Release drops the space's references (called when a state dies).

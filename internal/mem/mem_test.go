@@ -11,8 +11,7 @@ import (
 func newObj(t *testing.T, size int64) (*AddressSpace, *ObjectState) {
 	t.Helper()
 	alloc := NewAllocator(0x1000)
-	obj := alloc.Allocate(size, "test")
-	os := NewObjectState(obj)
+	os := alloc.AllocateState(size, "test")
 	as := NewAddressSpace()
 	as.Bind(os)
 	return as, os
@@ -91,8 +90,8 @@ func TestConcreteBytesUnderAssignment(t *testing.T) {
 func TestResolve(t *testing.T) {
 	alloc := NewAllocator(0x1000)
 	as := NewAddressSpace()
-	o1 := NewObjectState(alloc.Allocate(16, "a"))
-	o2 := NewObjectState(alloc.Allocate(32, "b"))
+	o1 := alloc.AllocateState(16, "a")
+	o2 := alloc.AllocateState(32, "b")
 	as.Bind(o1)
 	as.Bind(o2)
 
@@ -116,7 +115,7 @@ func TestResolve(t *testing.T) {
 func TestUnbind(t *testing.T) {
 	alloc := NewAllocator(0x1000)
 	as := NewAddressSpace()
-	o := NewObjectState(alloc.Allocate(8, "x"))
+	o := alloc.AllocateState(8, "x")
 	as.Bind(o)
 	if got := as.Unbind(o.Obj.Base); got != o {
 		t.Fatal("unbind returned wrong state")
@@ -132,7 +131,7 @@ func TestUnbind(t *testing.T) {
 func TestCopyOnWriteIsolation(t *testing.T) {
 	alloc := NewAllocator(0x1000)
 	as1 := NewAddressSpace()
-	o := NewObjectState(alloc.Allocate(8, "x"))
+	o := alloc.AllocateState(8, "x")
 	o.Write(0, expr.Const(1, expr.W64))
 	as1.Bind(o)
 
@@ -155,7 +154,7 @@ func TestCopyOnWriteIsolation(t *testing.T) {
 func TestCoWNoCopyWhenExclusive(t *testing.T) {
 	alloc := NewAllocator(0x1000)
 	as := NewAddressSpace()
-	o := NewObjectState(alloc.Allocate(8, "x"))
+	o := alloc.AllocateState(8, "x")
 	as.Bind(o)
 	if w := as.Writable(o); w != o {
 		t.Fatal("exclusive owner should not copy")
@@ -165,7 +164,7 @@ func TestCoWNoCopyWhenExclusive(t *testing.T) {
 func TestCoWCopiesSymbolicBytes(t *testing.T) {
 	alloc := NewAllocator(0x1000)
 	as1 := NewAddressSpace()
-	o := NewObjectState(alloc.Allocate(8, "x"))
+	o := alloc.AllocateState(8, "x")
 	o.PutByte(3, expr.Var(5, "s"))
 	as1.Bind(o)
 	as2 := as1.Clone()
@@ -183,23 +182,23 @@ func TestAllocatorDeterminism(t *testing.T) {
 	a1 := NewAllocator(0x4000)
 	a2 := NewAllocator(0x4000)
 	for i := 0; i < 100; i++ {
-		o1 := a1.Allocate(int64(i%37+1), "x")
-		o2 := a2.Allocate(int64(i%37+1), "x")
+		o1 := a1.AllocateState(int64(i%37+1), "x").Obj
+		o2 := a2.AllocateState(int64(i%37+1), "x").Obj
 		if o1.Base != o2.Base || o1.ID != o2.ID {
 			t.Fatalf("allocation %d diverged: %#x vs %#x", i, o1.Base, o2.Base)
 		}
 	}
-	// Clone continues the same sequence.
-	c := a1.Clone()
-	if a1.Allocate(8, "x").Base != c.Allocate(8, "x").Base {
-		t.Fatal("clone diverged")
+	// A copy continues the same sequence.
+	c := a1
+	if a1.AllocateState(8, "x").Obj.Base != c.AllocateState(8, "x").Obj.Base {
+		t.Fatal("copy diverged")
 	}
 }
 
 func TestAllocatorGuardGaps(t *testing.T) {
 	a := NewAllocator(0x1000)
-	prev := a.Allocate(24, "p")
-	next := a.Allocate(8, "n")
+	prev := a.AllocateState(24, "p").Obj
+	next := a.AllocateState(8, "n").Obj
 	if next.Base < prev.End()+1 {
 		t.Fatalf("no guard gap: prev end %#x, next base %#x", prev.End(), next.Base)
 	}
@@ -210,8 +209,8 @@ func TestAllocatorGuardGaps(t *testing.T) {
 
 func TestZeroSizeAllocation(t *testing.T) {
 	a := NewAllocator(0x1000)
-	o1 := a.Allocate(0, "z1")
-	o2 := a.Allocate(0, "z2")
+	o1 := a.AllocateState(0, "z1").Obj
+	o2 := a.AllocateState(0, "z2").Obj
 	if o1.Base == o2.Base {
 		t.Fatal("zero-size allocations must get distinct addresses")
 	}
@@ -224,7 +223,7 @@ func TestQuickReadWriteRoundTrip(t *testing.T) {
 		w := widths[int(wSeed)%len(widths)]
 		off := int64(offSeed % 8)
 		alloc := NewAllocator(0x1000)
-		os := NewObjectState(alloc.Allocate(16, "t"))
+		os := alloc.AllocateState(16, "t")
 		os.Write(off, expr.Const(val, w))
 		got := os.Read(off, w)
 		return got.IsConst() && got.ConstVal() == val&w.Mask()
@@ -240,9 +239,9 @@ func TestQuickResolveConsistent(t *testing.T) {
 	as := NewAddressSpace()
 	var objs []*Object
 	for i := 0; i < 20; i++ {
-		o := alloc.Allocate(int64(i*7+1), "o")
-		objs = append(objs, o)
-		as.Bind(NewObjectState(o))
+		os := alloc.AllocateState(int64(i*7+1), "o")
+		objs = append(objs, os.Obj)
+		as.Bind(os)
 	}
 	f := func(addrSeed uint16) bool {
 		addr := 0x1000 + uint64(addrSeed)
@@ -270,10 +269,15 @@ func TestQuickResolveConsistent(t *testing.T) {
 // Resolve answers at their edges, and the byte each holds — so a write or
 // a Bind or an Unbind in one never shows in its sibling.
 func TestQuickIndexAgreesWithModel(t *testing.T) {
+	// freshState gives an object of the pool zeroed contents again, to
+	// bind after an Unbind.
+	freshState := func(o *Object) *ObjectState {
+		return &ObjectState{Obj: o, refs: 1, concrete: make([]byte, o.Size)}
+	}
 	alloc := NewAllocator(0x1000)
 	var pool []*Object
 	for i := 0; i < 24; i++ {
-		pool = append(pool, alloc.Allocate(int64(i%5+1), "o"))
+		pool = append(pool, alloc.AllocateState(int64(i%5+1), "o").Obj)
 	}
 	type model map[uint64]byte // base of each bound object -> its first byte
 	check := func(as *AddressSpace, m model) bool {
@@ -307,7 +311,7 @@ func TestQuickIndexAgreesWithModel(t *testing.T) {
 			case 0:
 				panicked := func() (p bool) {
 					defer func() { p = recover() != nil }()
-					as.Bind(NewObjectState(o))
+					as.Bind(freshState(o))
 					return
 				}()
 				if panicked != bound {
@@ -355,7 +359,7 @@ func BenchmarkCloneSpace(b *testing.B) {
 	alloc := NewAllocator(0x1000)
 	as := NewAddressSpace()
 	for i := 0; i < 100; i++ {
-		as.Bind(NewObjectState(alloc.Allocate(64, "o")))
+		as.Bind(alloc.AllocateState(64, "o"))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -366,7 +370,7 @@ func BenchmarkCloneSpace(b *testing.B) {
 
 func BenchmarkReadWrite(b *testing.B) {
 	alloc := NewAllocator(0x1000)
-	os := NewObjectState(alloc.Allocate(64, "o"))
+	os := alloc.AllocateState(64, "o")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		os.Write(int64(i%8)*8, expr.Const(uint64(i), expr.W64))
@@ -374,21 +378,21 @@ func BenchmarkReadWrite(b *testing.B) {
 	}
 }
 
-// Any interleaving of Skip and Allocate hands out the addresses and ids
-// of Allocate alone: a promoted stack slot moves nothing that follows it.
+// Any interleaving of Skip and AllocateState hands out the addresses and
+// ids of AllocateState alone: a promoted stack slot moves nothing that follows it.
 func TestSkipMatchesAllocate(t *testing.T) {
 	f := func(ops []uint16) bool {
 		mixed, alone := NewAllocator(0x10000), NewAllocator(0x10000)
 		for _, op := range ops {
 			size := int64(op>>1) % 70 // 0 included: it still takes an address
-			want := alone.Allocate(size, "x")
+			want := alone.AllocateState(size, "x").Obj
 			if op&1 == 1 {
 				mixed.Skip(size)
-			} else if got := mixed.Allocate(size, "x"); *got != *want {
+			} else if got := mixed.AllocateState(size, "x").Obj; *got != *want {
 				t.Logf("after a skip: %+v, alone: %+v", got, want)
 				return false
 			}
-			if *mixed != *alone {
+			if mixed != alone {
 				return false
 			}
 		}
@@ -474,7 +478,8 @@ func FuzzSlotRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte, wSeed uint8) {
 		widths := []expr.Width{expr.W1, expr.W8, expr.W16, expr.W32, expr.W64}
 		e := slotExpr(prog, widths[int(wSeed)%len(widths)])
-		os := NewObjectState(NewAllocator(0x1000).Allocate(8, "slot"))
+		alloc := NewAllocator(0x1000)
+		os := alloc.AllocateState(8, "slot")
 		os.Write(0, e)
 		want := os.Read(0, e.Width())
 		if got := StoredValue(e); got != want {

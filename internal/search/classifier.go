@@ -97,7 +97,7 @@ func (site) Name() string { return "site" }
 
 func (site) ClassOf(n *tree.Node) uint64 {
 	if s := n.State; s != nil {
-		if th := s.Threads[s.Cur]; th != nil && len(th.Stack) > 0 {
+		if th := s.Thread(s.Cur); th != nil && len(th.Stack) > 0 {
 			f := th.Top()
 			h := uint64(1469598103934665603)
 			for i := 0; i < len(f.Fn.Name); i++ {

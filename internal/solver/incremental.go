@@ -31,7 +31,7 @@ import (
 // setState is the memoized solve state of one ConstraintSet node. It is
 // derived incrementally from the parent node's state and kept in the
 // node's memo slot. All fields are immutable once the state is
-// published except the lazily stamped model.
+// published except the lazily stamped model and vars.
 type setState struct {
 	// owner derived the state; a solver answers only from its own.
 	owner *Solver
@@ -64,6 +64,9 @@ type setState struct {
 	// set or of the query's extension — and never written, not even in
 	// its spare capacity.
 	model expr.Assignment
+	// vars, when non-nil, is every variable the set's constraints
+	// mention, stamped by varsOf for full-model queries.
+	vars *expr.VarSet
 }
 
 // igroup is one independent group of the residual partition: residual
@@ -118,6 +121,35 @@ func (s *Solver) state(cs *ConstraintSet) *setState {
 	s.chainScratch = chain[:0]
 	return st
 }
+
+// varsOf returns every variable cs mentions. It walks up only to the
+// nearest node whose state, derived by s, already knows, and stamps the
+// answer on each state of s it passes on the way back down. Extend does
+// not maintain it: a union on every branch would cost what only
+// full-model queries need.
+func (s *Solver) varsOf(cs *ConstraintSet) *expr.VarSet {
+	chain := s.chainScratch[:0]
+	vs := noVars
+	for n := cs; n != nil; n = n.parent {
+		if m := n.memo; m != nil && m.owner == s && m.vars != nil {
+			vs = m.vars
+			break
+		}
+		chain = append(chain, n)
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		vs = vs.Union(chain[i].c.FreeVars())
+		if m := chain[i].memo; m != nil && m.owner == s {
+			m.vars = vs
+		}
+	}
+	clear(chain)
+	s.chainScratch = chain[:0]
+	return vs
+}
+
+// noVars is the summary of a set that mentions no variable.
+var noVars = expr.VarSetOf(nil)
 
 // seedModel stamps a witness model on a freshly derived state: the
 // parent's witness if it already satisfies the new constraint, else the

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -341,10 +342,20 @@ func TestStateEvictionRebuild(t *testing.T) {
 	same("second solver", m2)
 	shape := func(st *setState) setState {
 		c := *st
-		c.owner, c.model = nil, nil
+		c.owner, c.model, c.vars = nil, nil, nil
 		return c
 	}
 	want := shape(cs.memo)
+	// What a full-model query binds: the chain's variables, whoever
+	// derived the states it walks.
+	wantVars := expr.VarSetOf(cs.Vars()).AppendIDs(nil)
+	sameVars := func(who string, s *Solver) {
+		t.Helper()
+		if got := s.varsOf(cs).AppendIDs(nil); !slices.Equal(got, wantVars) {
+			t.Fatalf("%s: varsOf = %v, want %v", who, got, wantVars)
+		}
+	}
+	sameVars("second solver", s2)
 	// s rebuilds what s2 took over, and then what was dropped, into the
 	// state s2 derived; with its caches emptied it solves to the same
 	// model.
@@ -371,6 +382,7 @@ func TestStateEvictionRebuild(t *testing.T) {
 			t.Fatalf("round %d: rebuild disagreed on satisfiability", round)
 		}
 		same("rebuild", m3)
+		sameVars("rebuild", s)
 	}
 }
 
@@ -442,5 +454,40 @@ func TestSharedWitnessesAreNeverWritten(t *testing.T) {
 	// queries are group-cache hits on the same groups.
 	if after.GroupCacheHits == before.GroupCacheHits || after.SolverRuns-before.SolverRuns < 3 {
 		t.Errorf("the queries took no group-cache hit or too few searches: %+v -> %+v", before, after)
+	}
+}
+
+// A full-model Solve after one more Append allocates as often on a
+// chain 512 deep as on one 64 deep: the variables a full model binds are
+// memoized on the set states, not gathered from the whole chain again.
+// Each constraint has a variable of its own, taken in descending order,
+// so the first group the query meets sizes the model once. The fewest
+// allocations of several queries is what is compared, so the caches'
+// occasional growth stays out of it.
+func TestFullModelSolveAfterAppendIsFlat(t *testing.T) {
+	const top = 1000
+	allocs := func(depth int) float64 {
+		s, cs, id := New(), EmptySet, uint64(top)
+		grow := func() {
+			cs = cs.Append(expr.Ult(v(id), c8(200)))
+			id--
+		}
+		for range depth {
+			grow()
+		}
+		least := math.Inf(1)
+		for range 8 {
+			least = min(least, testing.AllocsPerRun(1, func() {
+				grow()
+				if m, sat, err := s.Solve(cs); err != nil || !sat || !cs.EvalAll(m) {
+					t.Fatalf("depth %d: Solve = %v, %v, %v", depth, m, sat, err)
+				}
+			}))
+		}
+		return least
+	}
+	shallow, deep := allocs(64), allocs(512)
+	if deep > shallow {
+		t.Errorf("a full-model Solve after an Append allocates %.0f times at depth 512, %.0f at depth 64", deep, shallow)
 	}
 }

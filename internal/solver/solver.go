@@ -453,21 +453,18 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 		return false, nil, nil
 	}
 	if fullModel {
-		// Bind any variable mentioned anywhere but left unconstrained.
-		for _, g := range ext.groups {
-			gids := g.vars.AppendIDs(s.idScratch[:0])
-			bindZero(&model, gids)
-			s.idScratch = gids[:0]
-		}
-		// A constraint can fold away entirely under unit substitution
-		// (e.g. a disjunction discharged by one arm), dropping its
-		// remaining variables from every group. The fold holds for any
-		// value of those variables, so bind them too — concretization
-		// needs every referenced byte.
-		bindZero(&model, cs.Vars())
+		// Bind any variable mentioned anywhere but left unconstrained:
+		// concretization needs every referenced byte. That covers every
+		// group's variables, and those of a constraint that folded away
+		// entirely under unit substitution (e.g. a disjunction
+		// discharged by one arm), a fold that holds for any value of
+		// them.
+		ids := s.varsOf(cs).AppendIDs(s.idScratch[:0])
 		if cond != nil {
-			bindZero(&model, cond.VarIDs())
+			ids = cond.FreeVars().AppendIDs(ids)
 		}
+		bindZero(&model, ids)
+		s.idScratch = ids[:0]
 	} else if st.model == nil && st != s.empty {
 		// The model witnesses cs's units and every group it solved
 		// (cond only adds constraints): stamp it on the state so Fork

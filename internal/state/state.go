@@ -4,6 +4,18 @@
 // queues, the path condition, and the branch-choice path from the root of
 // the execution tree (the job encoding used for worker-to-worker
 // transfers).
+//
+// Processes and threads live in tables indexed by id: ids are dense from
+// 1 and slot 0 is always nil. Code that holds an id the engine issued
+// indexes the table; an id that comes from the guest goes through Proc
+// or Thread, which answer nil for any id out of range.
+//
+// A fork of a state with one process and one thread allocates seven
+// times: one block for the state, its shared domain and both tables; one
+// for the process and its address space; the space's object slice; the
+// thread; its stack slice; and the top frame and its registers when no
+// popped frame is free to reuse. Everything else is shared copy-on-write
+// or persistent.
 package state
 
 import (
@@ -71,13 +83,18 @@ type Thread struct {
 	JoinWlist uint64     // wait queue notified when this thread terminates
 }
 
+// stackSpare is the room a cloned stack leaves for calls, so the call a
+// fork is usually followed by does not regrow it.
+const stackSpare = 4
+
 // clone copies the thread for a fork: the clone gets its own top frame,
 // built in one from l's free list when it has one, and the frames below
 // it are shared with t and marked so. PopFrame copies a shared frame
-// when a return exposes it.
+// when a return exposes it. The stack slice is a fresh array, so a push
+// into its spare room is the clone's alone.
 func (t *Thread) clone(l *lineage) *Thread {
 	dup := *t
-	dup.Stack = append([]*Frame(nil), t.Stack...)
+	dup.Stack = append(make([]*Frame, 0, len(t.Stack)+stackSpare), t.Stack...)
 	if n := len(t.Stack) - 1; n >= 0 {
 		top := t.Stack[n]
 		dup.Stack[n] = top.copyTo(l.newFrame(len(top.Regs)))
@@ -105,12 +122,17 @@ type Process struct {
 	Waiters    []ThreadID // threads blocked in wait() for this process
 }
 
-// Clone deep-copies process metadata and CoW-clones the address space.
+// Clone deep-copies process metadata and CoW-clones the address space,
+// allocating the process and its space together.
 func (p *Process) Clone() *Process {
-	dup := *p
-	dup.Space = p.Space.Clone()
-	dup.Waiters = append([]ThreadID(nil), p.Waiters...)
-	return &dup
+	both := &struct {
+		p  Process
+		as mem.AddressSpace
+	}{p: *p}
+	p.Space.CloneInto(&both.as)
+	both.p.Space = &both.as
+	both.p.Waiters = append([]ThreadID(nil), p.Waiters...)
+	return &both.p
 }
 
 // TerminationKind classifies why a state stopped.
@@ -128,13 +150,15 @@ const (
 // S is one symbolic execution state. It is the unit the engine forks,
 // schedules and transfers between workers.
 type S struct {
-	ID    uint64
-	Prog  *cvm.Program
-	Procs map[ProcessID]*Process
-	// Threads in creation order; index is not the ID.
-	Threads map[ThreadID]*Thread
+	ID   uint64
+	Prog *cvm.Program
+	// Procs and Threads are indexed by id; slot 0 and the slot of a
+	// thread whose creation failed are nil. Look up a guest-supplied id
+	// with Proc or Thread. A fork copies both tables.
+	Procs   []*Process
+	Threads []*Thread
 	Shared  *mem.AddressSpace // CoW domain for cloud9_make_shared objects
-	Alloc   *mem.Allocator
+	Alloc   mem.Allocator     // copied by value on fork
 	Globals map[string]uint64 // global name -> address (identical across states)
 
 	Constraints *solver.ConstraintSet
@@ -247,8 +271,8 @@ func New(prog *cvm.Program, entry string) (*S, error) {
 	s := &S{
 		ID:        1,
 		Prog:      prog,
-		Procs:     map[ProcessID]*Process{},
-		Threads:   map[ThreadID]*Thread{},
+		Procs:     []*Process{nil},
+		Threads:   []*Thread{nil},
 		Shared:    mem.NewAddressSpace(),
 		Alloc:     mem.NewAllocator(0x10000),
 		Globals:   map[string]uint64{},
@@ -261,22 +285,21 @@ func New(prog *cvm.Program, entry string) (*S, error) {
 	p := &Process{ID: s.NextPID, Space: mem.NewAddressSpace()}
 	s.NextPID++
 	p.ExitWlist = s.NewWaitList()
-	s.Procs[p.ID] = p
+	s.Procs = append(s.Procs, p)
 
 	// Globals are allocated before any fork, so every state sees them at
 	// identical addresses.
 	for _, g := range prog.Globals {
-		obj := s.Alloc.Allocate(g.Size, "global "+g.Name)
-		os := mem.NewObjectState(obj)
+		os := s.Alloc.AllocateState(g.Size, "global "+g.Name)
 		os.InitConcrete(g.Init)
 		p.Space.Bind(os)
-		s.Globals[g.Name] = obj.Base
+		s.Globals[g.Name] = os.Obj.Base
 	}
 
 	t := &Thread{ID: s.NextTID, Proc: p.ID, Status: ThreadRunnable}
 	s.NextTID++
 	t.JoinWlist = s.NewWaitList()
-	s.Threads[t.ID] = t
+	s.Threads = append(s.Threads, t)
 	p.MainThread = t.ID
 	s.Cur = t.ID
 	if _, err := s.PushFrame(t, fn, 0, -1); err != nil {
@@ -295,18 +318,30 @@ func New(prog *cvm.Program, entry string) (*S, error) {
 // the branch constraint and path choice afterwards.
 func (s *S) Fork(newID uint64) *S {
 	s.waitShared = true
-	dup := *s
+	// The state, its shared domain and (for up to tableInline ids) its
+	// tables are one allocation.
+	blk := &struct {
+		s       S
+		shared  mem.AddressSpace
+		procs   [tableInline]*Process
+		threads [tableInline]*Thread
+	}{s: *s}
+	dup := &blk.s
 	dup.ID = newID
 	dup.Term, dup.TermMsg = TermNone, ""
-	dup.Shared = s.Shared.Clone()
-	dup.Alloc = s.Alloc.Clone()
-	dup.Procs = make(map[ProcessID]*Process, len(s.Procs))
-	for id, p := range s.Procs {
-		dup.Procs[id] = p.Clone()
+	s.Shared.CloneInto(&blk.shared)
+	dup.Shared = &blk.shared
+	dup.Procs = append(blk.procs[:0], s.Procs...)
+	for id, p := range dup.Procs {
+		if p != nil {
+			dup.Procs[id] = p.Clone()
+		}
 	}
-	dup.Threads = make(map[ThreadID]*Thread, len(s.Threads))
-	for id, t := range s.Threads {
-		dup.Threads[id] = t.clone(s.lin)
+	dup.Threads = append(blk.threads[:0], s.Threads...)
+	for id, t := range dup.Threads {
+		if t != nil {
+			dup.Threads[id] = t.clone(s.lin)
+		}
 	}
 	dup.Output.Bytes = slices.Clip(s.Output.Bytes)
 	dup.Symbolics = slices.Clip(s.Symbolics)
@@ -317,8 +352,13 @@ func (s *S) Fork(newID uint64) *S {
 		}
 		dup.SetAux(k, v)
 	}
-	return &dup
+	return dup
 }
+
+// tableInline is how many slots of each id table a fork allocates with
+// the state: slot 0 and id 1, what a program with one process and one
+// thread has. A larger table is allocated apart.
+const tableInline = 2
 
 // AuxCloner lets Aux values define deep-copy behavior on fork.
 type AuxCloner interface{ CloneAux() interface{} }
@@ -335,9 +375,29 @@ func (s *S) SetAux(key string, v interface{}) {
 // becomes dead).
 func (s *S) Release() {
 	for _, p := range s.Procs {
-		p.Space.Release()
+		if p != nil {
+			p.Space.Release()
+		}
 	}
 	s.Shared.Release()
+}
+
+// Proc returns process id, or nil when there is none: ids out of
+// range, negative ones included, answer nil.
+func (s *S) Proc(id ProcessID) *Process {
+	if uint(id) < uint(len(s.Procs)) {
+		return s.Procs[id]
+	}
+	return nil
+}
+
+// Thread returns thread id, or nil when there is none: ids out of
+// range, negative ones included, answer nil.
+func (s *S) Thread(id ThreadID) *Thread {
+	if uint(id) < uint(len(s.Threads)) {
+		return s.Threads[id]
+	}
+	return nil
 }
 
 // CurThread returns the running thread.
@@ -369,9 +429,9 @@ func (s *S) PushFrame(t *Thread, fn *cvm.Func, nargs, retReg int) (*Frame, error
 			space = s.Procs[t.Proc].Space
 			name = s.lin.localName(fn)
 		}
-		obj := s.Alloc.Allocate(size, name)
-		space.Bind(mem.NewObjectState(obj))
-		f.SlotObjs[i] = obj
+		os := s.Alloc.AllocateState(size, name)
+		space.Bind(os)
+		f.SlotObjs[i] = os.Obj
 	}
 	t.Stack = append(t.Stack, f)
 	return f, nil
@@ -539,9 +599,9 @@ func (s *S) Notify(wl uint64, all bool) []ThreadID {
 // (ascending) order.
 func (s *S) Runnable() []ThreadID {
 	var out []ThreadID
-	for id := ThreadID(1); id < s.NextTID; id++ {
-		if t, ok := s.Threads[id]; ok && t.Status == ThreadRunnable {
-			out = append(out, id)
+	for _, t := range s.Threads {
+		if t != nil && t.Status == ThreadRunnable {
+			out = append(out, t.ID)
 		}
 	}
 	return out
@@ -551,7 +611,7 @@ func (s *S) Runnable() []ThreadID {
 func (s *S) LiveThreads() int {
 	n := 0
 	for _, t := range s.Threads {
-		if t.Status != ThreadTerminated {
+		if t != nil && t.Status != ThreadTerminated {
 			n++
 		}
 	}
@@ -564,10 +624,10 @@ func (s *S) CreateThread(pid ProcessID, fn *cvm.Func, args []*expr.Expr) (Thread
 	t := &Thread{ID: s.NextTID, Proc: pid, Status: ThreadRunnable}
 	s.NextTID++
 	t.JoinWlist = s.NewWaitList()
-	s.Threads[t.ID] = t
+	s.Threads = append(s.Threads, t)
 	f, err := s.PushFrame(t, fn, len(args), -1)
 	if err != nil {
-		delete(s.Threads, t.ID)
+		s.Threads[t.ID] = nil // the id stays taken
 		return 0, err
 	}
 	copy(f.Regs, args)
@@ -600,7 +660,7 @@ func (s *S) ForkProcess(callingThread ThreadID) (ProcessID, ThreadID) {
 	}
 	s.NextPID++
 	child.ExitWlist = s.NewWaitList()
-	s.Procs[child.ID] = child
+	s.Procs = append(s.Procs, child)
 
 	ct := s.Threads[callingThread].clone(s.lin)
 	ct.ID = s.NextTID
@@ -608,7 +668,7 @@ func (s *S) ForkProcess(callingThread ThreadID) (ProcessID, ThreadID) {
 	ct.Proc = child.ID
 	ct.Joiners = nil
 	ct.JoinWlist = s.NewWaitList()
-	s.Threads[ct.ID] = ct
+	s.Threads = append(s.Threads, ct)
 	child.MainThread = ct.ID
 	return child.ID, ct.ID
 }
@@ -617,7 +677,7 @@ func (s *S) ForkProcess(callingThread ThreadID) (ProcessID, ThreadID) {
 // wakes threads blocked waiting for the process.
 func (s *S) ExitProcess(pid ProcessID, code int64) {
 	for _, t := range s.Threads {
-		if t.Proc == pid && t.Status != ThreadTerminated {
+		if t != nil && t.Proc == pid && t.Status != ThreadTerminated {
 			s.TerminateThread(t.ID, nil)
 		}
 	}

@@ -62,8 +62,8 @@ func newState(t *testing.T) *S {
 
 func TestNewStateLayout(t *testing.T) {
 	s := newState(t)
-	if len(s.Procs) != 1 || len(s.Threads) != 1 {
-		t.Fatal("initial state should have one process and one thread")
+	if len(s.Procs) != 2 || len(s.Threads) != 2 || s.Procs[0] != nil || s.Threads[0] != nil {
+		t.Fatal("initial state should have one process and one thread, ids from 1")
 	}
 	if s.Globals["g"] == 0 {
 		t.Fatal("global not allocated")
@@ -152,14 +152,17 @@ func deepFork(s *S, newID uint64) *S {
 	dup.ID = newID
 	dup.Term, dup.TermMsg = TermNone, ""
 	dup.Shared = s.Shared.Clone()
-	dup.Alloc = s.Alloc.Clone()
-	dup.Procs = map[ProcessID]*Process{}
+	dup.Procs = make([]*Process, len(s.Procs))
 	for id, p := range s.Procs {
-		dup.Procs[id] = p.Clone()
+		if p != nil {
+			dup.Procs[id] = p.Clone()
+		}
 	}
-	dup.Threads = map[ThreadID]*Thread{}
+	dup.Threads = make([]*Thread, len(s.Threads))
 	for id, t := range s.Threads {
-		dup.Threads[id] = deepCloneThread(t)
+		if t != nil {
+			dup.Threads[id] = deepCloneThread(t)
+		}
 	}
 	dup.WaitLists = map[uint64][]ThreadID{}
 	for id, q := range s.WaitLists {
@@ -354,7 +357,7 @@ func forkOps(t *testing.T, data []byte) {
 		}
 		for i := range got {
 			for _, th := range got[i].Threads {
-				if len(th.Stack) > 0 && th.Top().shared {
+				if th != nil && len(th.Stack) > 0 && th.Top().shared {
 					t.Fatalf("state %d thread %d: top frame is shared", i, th.ID)
 				}
 			}
@@ -667,7 +670,7 @@ func TestPushFramePromotedSlots(t *testing.T) {
 			t.Errorf("promoted slot %d starts as %v, want a %d-bit 0", i, r, w)
 		}
 	}
-	if got, want := s.Alloc.Allocate(1, "next"), ref.Alloc.Allocate(1, "next"); *got != *want {
+	if got, want := s.Alloc.AllocateState(1, "next").Obj, ref.Alloc.AllocateState(1, "next").Obj; *got != *want {
 		t.Errorf("the allocation after the frame: %+v, unpromoted %+v", got, want)
 	}
 	s.PopFrame(th)
@@ -701,7 +704,7 @@ func wcShaped(t testing.TB, depth int) *S {
 	}
 	space := s.CurProc().Space
 	for space.NumObjects() < 40 {
-		space.Bind(mem.NewObjectState(s.Alloc.Allocate(32, "heap")))
+		space.Bind(s.Alloc.AllocateState(32, "heap"))
 	}
 	s.Symbolics = []SymbolicRegion{{Name: "stdin", Len: 8}}
 	return s
@@ -720,7 +723,7 @@ func branch(s *S) *S {
 // the stack below the top frame. The budget is a count, not a timing:
 // raise it only with a reason.
 func TestForkAllocBudget(t *testing.T) {
-	const budget = 16
+	const budget = 9
 	var first float64
 	for _, depth := range []int{4, 8} {
 		s := wcShaped(t, depth)
@@ -736,9 +739,28 @@ func TestForkAllocBudget(t *testing.T) {
 	}
 }
 
+// A call with one array slot and its return, once the lineage has a
+// frame to reuse, allocate three times: the slot list, the object with
+// its state, and the object's bytes.
+func TestCallWithArraySlotAllocBudget(t *testing.T) {
+	const budget = 3
+	s := newState(t)
+	th, main := s.CurThread(), s.Prog.Func("main")
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := s.PushFrame(th, main, 0, -1); err != nil {
+			t.Fatal(err)
+		}
+		s.PopFrame(th)
+	})
+	if n > budget {
+		t.Errorf("a call and return allocate %.0f times, budget %d", n, budget)
+	}
+}
+
 func BenchmarkFork(b *testing.B) {
 	s := wcShaped(b, 4)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		branch(s).Release()
 	}
