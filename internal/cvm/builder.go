@@ -49,9 +49,6 @@ func (b *FuncBuilder) NewBlock() *Block {
 // SetBlock switches emission to blk.
 func (b *FuncBuilder) SetBlock(blk *Block) { b.cur = blk }
 
-// CurrentBlock returns the block instructions are being appended to.
-func (b *FuncBuilder) CurrentBlock() *Block { return b.cur }
-
 // Terminated reports whether the current block already ends in a
 // terminator.
 func (b *FuncBuilder) Terminated() bool {

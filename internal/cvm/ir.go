@@ -254,17 +254,6 @@ func (p *Program) Func(name string) *Func {
 	return p.Funcs[name]
 }
 
-// NumInstrs returns the total instruction count across all functions.
-func (p *Program) NumInstrs() int {
-	n := 0
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			n += len(b.Instrs)
-		}
-	}
-	return n
-}
-
 // CoverableLines returns the sorted-unique count of distinct source lines
 // attached to instructions — the denominator for line coverage.
 func (p *Program) CoverableLines() int {

@@ -296,6 +296,10 @@ func (e *Explorer) exploreNode(n *tree.Node) error {
 				fields["vars"] = strconv.Itoa(kill.Vars)
 				fields["cons"] = strconv.Itoa(kill.Cons)
 				fields["backtracks"] = strconv.FormatUint(kill.Backtracks, 10)
+				fields["memo"] = "0"
+				if kill.Memo {
+					fields["memo"] = "1"
+				}
 			}
 			e.Journal.Append(obs.EvBudgetKill, fields)
 			s.Release()

@@ -141,14 +141,8 @@ func (e *Expr) VarID() uint64 {
 	return e.val
 }
 
-// VarName returns the variable's symbolic name ("" unless OpVar).
-func (e *Expr) VarName() string { return e.name }
-
 // ExtractOff returns the bit offset of an OpExtract node.
 func (e *Expr) ExtractOff() uint { return uint(e.val) }
-
-// NumKids returns the number of operand children.
-func (e *Expr) NumKids() int { return len(e.kids) }
 
 // Kid returns the i-th operand child.
 func (e *Expr) Kid(i int) *Expr { return e.kids[i] }

@@ -39,10 +39,9 @@ type stateTermination struct {
 	msg  string
 }
 
-// signals thrown (via panic) to request a fork before side effects; exec
-// recovers them.
+// decideSignal is thrown (via panic) by Decide to request a fork before
+// side effects; execCall recovers it.
 type decideSignal struct{ n int }
-type branchSignal struct{ cond *expr.Expr }
 
 // ---- Fork primitives ----
 
@@ -59,35 +58,6 @@ func (c *Ctx) Decide(n int) int {
 		return c.S.Decision
 	}
 	panic(decideSignal{n})
-}
-
-// BranchOn returns the truth value of cond, forking the state when both
-// outcomes are feasible. Like Decide it must precede side effects.
-func (c *Ctx) BranchOn(cond *expr.Expr) (bool, error) {
-	if cond.IsTrue() {
-		return true, nil
-	}
-	if cond.IsFalse() {
-		return false, nil
-	}
-	if c.S.HasDecision {
-		c.S.HasDecision = false
-		return c.S.Decision == 1, nil
-	}
-	mayT, mayF, err := c.In.Solver.Fork(c.S.Constraints, cond)
-	if err != nil {
-		return false, err
-	}
-	switch {
-	case mayT && mayF:
-		panic(branchSignal{cond})
-	case mayT:
-		return true, nil
-	case mayF:
-		return false, nil
-	default:
-		return false, fmt.Errorf("interp: infeasible state at BranchOn")
-	}
 }
 
 // ---- Table 1 symbolic system calls ----
@@ -248,14 +218,6 @@ func (c *Ctx) Malloc(size int64) (uint64, error) {
 	return os.Obj.Base, nil
 }
 
-// MallocShared allocates heap memory directly in the shared CoW domain.
-func (c *Ctx) MallocShared(size int64) uint64 {
-	os := c.S.Alloc.AllocateState(size, "heap-shared")
-	os.Obj.Shared = true
-	c.S.Shared.Bind(os)
-	return os.Obj.Base
-}
-
 // Free releases a heap object. Freeing an unmapped address is a memory
 // error the caller should surface.
 func (c *Ctx) Free(addr uint64) error {
@@ -296,12 +258,6 @@ func (c *Ctx) Assume(cond *expr.Expr) error {
 	}
 	c.S.Constraints = c.S.Constraints.Append(cond)
 	return nil
-}
-
-// ConcreteArg returns args[i] as a concrete uint64, concretizing (and
-// constraining) if the value is symbolic.
-func (c *Ctx) ConcreteArg(args []*expr.Expr, i int) (uint64, error) {
-	return c.Concretize(args[i])
 }
 
 // Concretize pins a possibly-symbolic value to one feasible concrete

@@ -64,13 +64,6 @@ func (in *Interp) Register(name string, minArgs int,
 	in.Builtins[name] = Builtin{Fn: fn, MinArgs: minArgs}
 }
 
-// HasBuiltin reports whether name resolves to a builtin (used by
-// cvm.Program.Validate).
-func (in *Interp) HasBuiltin(name string) bool {
-	_, ok := in.Builtins[name]
-	return ok
-}
-
 // NewStateID issues a worker-local state identifier.
 func (in *Interp) NewStateID() uint64 {
 	return atomic.AddUint64(&in.nextStateID, 1)
@@ -91,7 +84,7 @@ func (in *Interp) Advance(s *state.S) ([]*state.S, error) {
 	var t *state.Thread
 	for !s.Terminated() {
 		if t == nil || t.ID != s.Cur {
-			t = s.CurThread() // a map lookup: once per switch, not per instruction
+			t = s.CurThread() // once per switch, not per instruction
 		}
 		if t == nil || t.Status != state.ThreadRunnable {
 			children, err := in.reschedule(s)
@@ -566,40 +559,25 @@ func (in *Interp) execCall(s *state.S, t *state.Thread, f *state.Frame, instr *c
 	var callErr error
 	func() {
 		defer func() {
-			if r := recover(); r != nil {
-				switch sig := r.(type) {
-				case decideSignal:
-					in.Stats.DecideForks++
-					// Re-execute the call in each child with a
-					// predetermined decision.
-					f.PC--
-					pcB, pcPC := f.Block, f.PC
-					children = in.forkN(s, sig.n, func(child *state.S, i int) {
-						cf := child.CurThread().Top()
-						cf.Block, cf.PC = pcB, pcPC
-						child.Decision = i
-						child.HasDecision = true
-					})
-				case branchSignal:
-					in.Stats.BranchForks++
-					f.PC--
-					pcB, pcPC := f.Block, f.PC
-					cond := sig.cond
-					children = in.forkN(s, 2, func(child *state.S, i int) {
-						cf := child.CurThread().Top()
-						cf.Block, cf.PC = pcB, pcPC
-						if i == 0 {
-							child.Constraints = child.Constraints.Append(expr.Not(cond))
-						} else {
-							child.Constraints = child.Constraints.Append(cond)
-						}
-						child.Decision = i
-						child.HasDecision = true
-					})
-				default:
-					panic(r)
-				}
+			r := recover()
+			if r == nil {
+				return
 			}
+			sig, ok := r.(decideSignal)
+			if !ok {
+				panic(r)
+			}
+			in.Stats.DecideForks++
+			// Re-execute the call in each child with a predetermined
+			// decision.
+			f.PC--
+			pcB, pcPC := f.Block, f.PC
+			children = in.forkN(s, sig.n, func(child *state.S, i int) {
+				cf := child.CurThread().Top()
+				cf.Block, cf.PC = pcB, pcPC
+				child.Decision = i
+				child.HasDecision = true
+			})
 		}()
 		result, callErr = b.Fn(ctx, args)
 	}()

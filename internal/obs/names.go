@@ -43,6 +43,7 @@ const (
 	MSolverBacktracks       = "c9_solver_backtracks_total"
 	MSolverUnsat            = "c9_solver_unsat_total"
 	MSolverUnitPropFolds    = "c9_solver_unit_prop_folds_total"
+	MSolverKillMemoHits     = "c9_solver_kill_memo_hits_total"
 	MSolverPruneMemoHits    = "c9_solver_prune_memo_hits_total"
 	MSolverPruneMemoMisses  = "c9_solver_prune_memo_misses_total"
 	MSolverPruneEvals       = "c9_solver_prune_evals_total"

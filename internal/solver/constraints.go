@@ -83,7 +83,8 @@
 //
 // A search that exhausts MaxBacktracks returns a *BudgetError —
 // errors.Is(err, ErrBudget) — naming the group (its group-cache key),
-// its size and the backtracks spent; the engine journals it.
+// its size and the backtracks spent; the engine journals it. The kill
+// memo answers a later search with the same input with it (see killed).
 //
 // The pre-incremental from-scratch pipeline survives as the reference
 // implementation (ReferenceMayBeTrue/ReferenceSolve); differential
@@ -161,17 +162,6 @@ func (cs *ConstraintSet) Slice() []*expr.Expr {
 	return out
 }
 
-// HasFalse reports whether the set contains the constant-false constraint
-// (a trivially unsatisfiable path).
-func (cs *ConstraintSet) HasFalse() bool {
-	for n := cs; n != nil; n = n.parent {
-		if n.c.IsFalse() {
-			return true
-		}
-	}
-	return false
-}
-
 // Vars returns the distinct variable ids referenced by the set. Each
 // constraint contributes its cached free-variable summary; no expression
 // DAG is traversed.
@@ -206,8 +196,8 @@ func flatten(c *expr.Expr, out []*expr.Expr) []*expr.Expr {
 	return append(out, c)
 }
 
-// Flattened returns the constraints with top-level conjunctions split.
-func (cs *ConstraintSet) Flattened() []*expr.Expr {
+// flattened returns cs's constraints with top-level conjunctions split.
+func flattened(cs *ConstraintSet) []*expr.Expr {
 	var out []*expr.Expr
 	for _, c := range cs.Slice() {
 		out = flatten(c, out)

@@ -29,6 +29,7 @@ type Stats struct {
 	Backtracks     uint64 // value choices undone
 	Unsat          uint64 // queries found unsatisfiable
 	UnitPropFolds  uint64 // constraints discharged by unit propagation
+	KillMemoHits   uint64 // group searches answered from the kill memo, not run
 
 	// Tier-3 forward checking (solveGroup's prune memo).
 	PruneMemoHits   uint64 // prunes answered from the memo alone
@@ -57,6 +58,7 @@ func (s *Stats) Snapshot() Stats {
 		Backtracks:     atomic.LoadUint64(&s.Backtracks),
 		Unsat:          atomic.LoadUint64(&s.Unsat),
 		UnitPropFolds:  atomic.LoadUint64(&s.UnitPropFolds),
+		KillMemoHits:   atomic.LoadUint64(&s.KillMemoHits),
 
 		PruneMemoHits:   atomic.LoadUint64(&s.PruneMemoHits),
 		PruneMemoMisses: atomic.LoadUint64(&s.PruneMemoMisses),
@@ -101,6 +103,11 @@ type Solver struct {
 	groupCache     map[uint64]groupResult
 	groupCacheKeys []uint64
 
+	// kills holds budget-killed group searches by group-cache key; it
+	// holds only kills, so it is usually empty.
+	kills    map[uint64]killEntry
+	killKeys []uint64
+
 	empty *setState // the empty set's; any other set's is on its node
 
 	// Reusable scratch buffers for the hot paths (extend pools,
@@ -137,6 +144,22 @@ type groupBinding struct {
 	v  uint8
 }
 
+// killEntry is a budget-killed group search with the input it was a
+// function of besides the budget: the constraints in search order (the
+// key is order-insensitive, and order steers the search) and each
+// variable's id and seed bounds. A group with a variable bound outside
+// it is never recorded, so the outer model is no input.
+type killEntry struct {
+	cons  []*expr.Expr // the group's own slice; groups are immutable
+	seeds []seedBound
+	kill  *BudgetError
+}
+
+type seedBound struct {
+	id uint64
+	b  ival8
+}
+
 // noUnits is the witness model of a set with no units whose may-query
 // searched nothing: shared by every solver, written by none.
 var noUnits = expr.Assignment{}
@@ -148,6 +171,7 @@ func New() *Solver {
 		cache:         make(map[uint64]cacheEntry),
 		maxCache:      1 << 16,
 		groupCache:    make(map[uint64]groupResult),
+		kills:         make(map[uint64]killEntry),
 		empty:         &setState{},
 	}
 }
@@ -156,12 +180,6 @@ func New() *Solver {
 func (s *Solver) MayBeTrue(cs *ConstraintSet, cond *expr.Expr) (bool, error) {
 	sat, _, err := s.check(cs, cond, false)
 	return sat, err
-}
-
-// MustBeTrue reports whether cond holds on every solution of cs.
-func (s *Solver) MustBeTrue(cs *ConstraintSet, cond *expr.Expr) (bool, error) {
-	sat, _, err := s.check(cs, expr.Not(cond), false)
-	return !sat, err
 }
 
 // CheckSat reports whether cs itself is satisfiable.
@@ -174,12 +192,6 @@ func (s *Solver) CheckSat(cs *ConstraintSet) (bool, error) {
 // ok=false means unsatisfiable.
 func (s *Solver) Solve(cs *ConstraintSet) (expr.Assignment, bool, error) {
 	sat, model, err := s.check(cs, nil, true)
-	return model, sat, err
-}
-
-// SolveWith returns a model of cs ∧ cond.
-func (s *Solver) SolveWith(cs *ConstraintSet, cond *expr.Expr) (expr.Assignment, bool, error) {
-	sat, model, err := s.check(cs, cond, true)
 	return model, sat, err
 }
 
@@ -408,6 +420,7 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 			// construction): fall through to a fresh search.
 		}
 		gids := g.vars.AppendIDs(s.idScratch[:0])
+		s.idScratch = gids[:0] // nothing else takes the scratch until the loop ends
 		allFree := true
 		for _, id := range gids {
 			if _, bound := model.Get(id); bound {
@@ -415,12 +428,21 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 				break
 			}
 		}
+		// A search killed before on the same input is not run again.
+		if allFree {
+			if kill := s.killed(g, gids, seedB); kill != nil {
+				s.put(key, cacheEntry{kill: kill})
+				return false, nil, kill
+			}
+		}
 		own()
 		ok, narrowed, err := s.solveGroup(g.cons, gids, &model, seedB)
-		s.idScratch = gids[:0]
 		if err != nil {
 			var kill *BudgetError
 			if errors.As(err, &kill) {
+				if allFree {
+					s.putKill(g, gids, seedB, kill)
+				}
 				s.put(key, cacheEntry{kill: kill})
 			}
 			return false, nil, err
@@ -484,35 +506,65 @@ func bindZero(model *expr.Assignment, ids []uint64) {
 	}
 }
 
-// evictHalf implements the bounded-map FIFO policy shared by every
-// solver cache: once the map reaches max entries, the oldest half of
-// the insertion order is evicted. Returns the compacted key order.
-// Simple and allocation-friendly.
-func evictHalf[K comparable, V any](m map[K]V, keys []K, max int) []K {
-	if len(m) < max {
-		return keys
+// putBounded stores v under key in m, with the bounded-map FIFO policy
+// shared by every solver cache: once m reaches max entries, the oldest
+// half of the insertion order (keys) is evicted first. Returns the
+// updated key order. Simple and allocation-friendly.
+func putBounded[V any](m map[uint64]V, keys []uint64, max int, key uint64, v V) []uint64 {
+	if len(m) >= max {
+		half := len(keys) / 2
+		for _, k := range keys[:half] {
+			delete(m, k)
+		}
+		keys = append(keys[:0], keys[half:]...)
 	}
-	half := len(keys) / 2
-	for _, k := range keys[:half] {
-		delete(m, k)
+	if _, dup := m[key]; !dup {
+		keys = append(keys, key)
 	}
-	return append(keys[:0], keys[half:]...)
+	m[key] = v
+	return keys
 }
 
 func (s *Solver) put(key uint64, e cacheEntry) {
-	s.cacheKeys = evictHalf(s.cache, s.cacheKeys, s.maxCache)
-	if _, dup := s.cache[key]; !dup {
-		s.cacheKeys = append(s.cacheKeys, key)
-	}
-	s.cache[key] = e
+	s.cacheKeys = putBounded(s.cache, s.cacheKeys, s.maxCache, key, e)
 }
 
 func (s *Solver) putGroup(key uint64, res groupResult) {
-	s.groupCacheKeys = evictHalf(s.groupCache, s.groupCacheKeys, s.maxCache)
-	if _, dup := s.groupCache[key]; !dup {
-		s.groupCacheKeys = append(s.groupCacheKeys, key)
+	s.groupCacheKeys = putBounded(s.groupCache, s.groupCacheKeys, s.maxCache, key, res)
+}
+
+// putKill records that searching g over ids from seedB's bounds was
+// killed, replacing any kill recorded under g's key.
+func (s *Solver) putKill(g *igroup, ids []uint64, seedB boundsMap, kill *BudgetError) {
+	seeds := make([]seedBound, len(ids))
+	for i, id := range ids {
+		seeds[i] = seedBound{id, seedB.get(id)}
 	}
-	s.groupCache[key] = res
+	s.killKeys = putBounded(s.kills, s.killKeys, s.maxCache, g.key, killEntry{g.cons, seeds, kill})
+}
+
+// killed returns the kill that searching g over ids from seedB's bounds
+// ends in under the current budget, or nil if the search must run. A
+// search killed at budget B runs the same steps at any b <= B until its
+// (b+1)-th backtrack kills it; a raised budget searches again.
+func (s *Solver) killed(g *igroup, ids []uint64, seedB boundsMap) *BudgetError {
+	e, ok := s.kills[g.key]
+	if !ok || s.MaxBacktracks > e.kill.Budget || !slices.Equal(e.cons, g.cons) || len(e.seeds) != len(ids) {
+		return nil
+	}
+	for i, id := range ids {
+		if e.seeds[i] != (seedBound{id, seedB.get(id)}) {
+			return nil
+		}
+	}
+	atomic.AddUint64(&s.Stats.KillMemoHits, 1)
+	kill := *e.kill
+	kill.Memo = true
+	if kill.Budget > s.MaxBacktracks {
+		kill.Budget = s.MaxBacktracks
+		kill.Backtracks = min(kill.Backtracks, s.MaxBacktracks+1)
+	}
+	return &kill
 }
 
 // ---- From-scratch reference pipeline ----
@@ -530,7 +582,7 @@ func (s *Solver) ReferenceMayBeTrue(cs *ConstraintSet, cond *expr.Expr) (bool, e
 	if cond != nil && cond.IsFalse() {
 		return false, nil
 	}
-	cons := cs.Flattened()
+	cons := flattened(cs)
 	if cond != nil {
 		cons = flatten(cond, cons)
 	}
@@ -540,7 +592,7 @@ func (s *Solver) ReferenceMayBeTrue(cs *ConstraintSet, cond *expr.Expr) (bool, e
 
 // ReferenceSolve is Solve through the from-scratch pipeline.
 func (s *Solver) ReferenceSolve(cs *ConstraintSet) (expr.Assignment, bool, error) {
-	sat, model, err := s.referenceSolve(cs.Flattened(), nil, true)
+	sat, model, err := s.referenceSolve(flattened(cs), nil, true)
 	if sat && err == nil {
 		// Bind variables whose constraints folded away under unit
 		// substitution (see the full-model completion in check).

@@ -75,15 +75,16 @@ func TestSimpleSatUnsat(t *testing.T) {
 	}
 }
 
-func TestMustBeTrue(t *testing.T) {
+// "cond holds on every solution" is asked as "¬cond is unsat".
+func TestMayBeTrueDecidesImplication(t *testing.T) {
 	s := New()
 	cs := EmptySet.Append(expr.Ult(v(0), c8(1))) // x < 1 => x == 0
-	must, err := s.MustBeTrue(cs, expr.Eq(v(0), c8(0)))
-	if err != nil || !must {
-		t.Fatalf("x<1 must imply x==0: %v %v", must, err)
+	sat, err := s.MayBeTrue(cs, expr.Not(expr.Eq(v(0), c8(0))))
+	if err != nil || sat {
+		t.Fatalf("x<1 must imply x==0: %v %v", sat, err)
 	}
-	must, err = s.MustBeTrue(cs, expr.Eq(v(0), c8(1)))
-	if err != nil || must {
+	sat, err = s.MayBeTrue(cs, expr.Not(expr.Eq(v(0), c8(1))))
+	if err != nil || !sat {
 		t.Fatal("x<1 must not imply x==1")
 	}
 }
@@ -218,11 +219,8 @@ func TestModelReuse(t *testing.T) {
 	mayBeTrueAgrees(t, s, cs, expr.Ult(v(0), c8(8)), true)
 }
 
-func TestHasFalse(t *testing.T) {
+func TestFalseConstraintIsUnsat(t *testing.T) {
 	cs := EmptySet.Append(expr.False())
-	if !cs.HasFalse() {
-		t.Fatal("HasFalse should detect constant false")
-	}
 	s := New()
 	sat, err := s.CheckSat(cs)
 	if err != nil || sat {
@@ -284,12 +282,12 @@ func TestUnsatRange(t *testing.T) {
 	}
 }
 
-func TestSolveWithExtra(t *testing.T) {
+func TestSolveBindsAddedEquality(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Ult(v(0), c8(10)))
-	m, sat, err := s.SolveWith(cs, expr.Eq(v(0), c8(7)))
+	cs := EmptySet.Append(expr.Ult(v(0), c8(10))).Append(expr.Eq(v(0), c8(7)))
+	m, sat, err := s.Solve(cs)
 	if err != nil || !sat || at(m, 0) != 7 {
-		t.Fatalf("SolveWith model %v sat=%v err=%v", m, sat, err)
+		t.Fatalf("Solve model %v sat=%v err=%v", m, sat, err)
 	}
 }
 

@@ -184,6 +184,7 @@ type BudgetError struct {
 	Cons       int    // constraints in the group
 	Backtracks uint64 // value choices undone before giving up
 	Budget     uint64 // the MaxBacktracks it exceeded
+	Memo       bool   // answered from the kill memo: an identical search was killed before
 }
 
 func (e *BudgetError) Error() string { return ErrBudget.Error() }

@@ -75,6 +75,7 @@ var answerPaths = []struct {
 	{"IntervalEmpty", func(s solver.Stats) uint64 { return s.IntervalEmpty }},
 	{"StateHits", func(s solver.Stats) uint64 { return s.StateHits }},
 	{"PruneMemoHits", func(s solver.Stats) uint64 { return s.PruneMemoHits }},
+	{"KillMemoHits", func(s solver.Stats) uint64 { return s.KillMemoHits }},
 }
 
 // catalogueTraffic sums, over the targets TestCatalogueGolden explored,
@@ -100,8 +101,12 @@ func (c *catalogueTraffic) add(t *testing.T, name string, ss solver.Stats) {
 
 // TestCatalogueGolden pins the search tree of every CLI target: a change
 // to the solver or the engine that claims "same tree, only faster" is
-// checked by this file staying byte-identical. Regenerate (after a
-// deliberate re-pin only) with
+// checked by this file staying byte-identical. Two fields are effort
+// counters, not the tree: runs= and backtracks= may fall in a change that
+// skips work provably identical to work already done (the kill memo
+// skips a search whose exact input was killed before), and that change
+// regenerates the file. paths, errors, hangs, lines, kills and unsat may
+// not move. Regenerate (after a deliberate re-pin, or such a change) with
 //
 //	go test ./internal/targets -run TestCatalogueGolden -update
 func TestCatalogueGolden(t *testing.T) {
@@ -166,7 +171,8 @@ func TestCatalogueGolden(t *testing.T) {
 
 // The journal alone says what a run abandoned: memcached's ten budget
 // kills are two groups of four variables, five times each, every one
-// named with the place in the program that asked.
+// named with the place in the program that asked. Each group is searched
+// once; the solver's kill memo answers its four replays (memo=1).
 func TestBudgetKillsAreJournaled(t *testing.T) {
 	e := exploreAsC9(t, "memcached")
 	kills := map[string]int{}
@@ -178,10 +184,13 @@ func TestBudgetKillsAreJournaled(t *testing.T) {
 		if f["vars"] != "4" || f["backtracks"] != "65537" || !strings.HasPrefix(f["func"], "mc_") || f["line"] == "" || f["line"] == "0" {
 			t.Errorf("budget-kill event lacks its search or its location: %v", f)
 		}
-		kills[f["group"]+"/"+f["cons"]]++
+		kills[f["group"]+"/"+f["cons"]+"/memo="+f["memo"]]++
 	}
-	want := map[string]int{"c1fafc383e11a8a0/7": 5, "5fab7a5327cbe6c0/8": 5}
+	want := map[string]int{
+		"c1fafc383e11a8a0/7/memo=0": 1, "c1fafc383e11a8a0/7/memo=1": 4,
+		"5fab7a5327cbe6c0/8/memo=0": 1, "5fab7a5327cbe6c0/8/memo=1": 4,
+	}
 	if !maps.Equal(kills, want) {
-		t.Errorf("kills by group/constraints: %v, want %v", kills, want)
+		t.Errorf("kills by group/constraints/memo: %v, want %v", kills, want)
 	}
 }
