@@ -32,7 +32,7 @@ func main() {
 	var (
 		targetName = flag.String("target", "", "built-in target name (see -list)")
 		file       = flag.String("file", "", "C-subset source file to test")
-		strategy   = flag.String("strategy", "", "search strategy spec: dfs|bfs|random|random-path|cov-opt|dist-opt|fewest-faults|interleaved, or composite like cupa(dist,dfs) / interleave(dfs,random) (default: the engine's random-path ⊕ cov-opt)")
+		strategy   = flag.String("strategy", "", "search strategy spec: "+strings.Join(search.StrategyNames(), "|")+", composed like cupa(dist,dfs) / interleave(dfs,random) (default: the engine's random-path ⊕ cov-opt)")
 		stratSeed  = flag.Int64("strategy-seed", 1, "seed for the randomized strategies of an explicit -strategy")
 		maxPaths   = flag.Int("max-paths", 0, "stop after this many explored paths (0 = exhaustive)")
 		maxSteps   = flag.Uint64("steps", 2_000_000, "per-path instruction budget (hang detection)")

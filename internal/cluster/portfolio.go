@@ -17,8 +17,7 @@ import (
 // worker is handed the lowest slot still below its share, and when a
 // member leaves, is evicted or pins its own strategy the others are
 // moved to restore the shares. Which slot earns coverage is reported
-// (SpecYield, c9_lb_slot_yield) and steers nothing: a second weight
-// vector is a second entry, dist-opt(w=a:b:c:d). Every step is
+// (SpecYield, c9_lb_slot_yield) and steers nothing. Every step is
 // deterministic (sorted iteration, index tie-breaks) so the lock-step
 // simulation reproduces assignments bit-for-bit.
 

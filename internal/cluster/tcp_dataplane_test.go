@@ -8,6 +8,8 @@ package cluster
 // partitioning.
 
 import (
+	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -155,12 +157,35 @@ func TestTCPDepthWorkerCrashExactPaths(t *testing.T) {
 	cfg.DataPlane = DataPlaneDepth
 	cfg.Lease = 400 * time.Millisecond
 	f := newTCPFleet(t, hugeClusterTarget, cfg, 3)
-	f.start(t, tcpWorkerOpts{})
-	f.start(t, tcpWorkerOpts{})
+	// The other two workers wait at their first turn boundary until the
+	// victim has crashed, so the units it is granted are not drained by
+	// the time it has work outstanding, however late it starts.
+	crashed := make(chan struct{})
+	var once sync.Once
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	hold := func(*Worker, int) bool {
+		select {
+		case <-crashed:
+		case <-ctx.Done():
+		}
+		return false
+	}
+	f.start(t, tcpWorkerOpts{crashWhen: hold})
+	f.start(t, tcpWorkerOpts{crashWhen: hold})
 	f.start(t, tcpWorkerOpts{crashWhen: func(w *Worker, queue int) bool {
-		return queue > 0 && len(w.Exp.OwnedUnits()) > 0 && f.lbs.TotalPaths() >= 50
+		if queue > 0 && len(w.Exp.OwnedUnits()) > 0 && f.lbs.TotalPaths() >= 50 {
+			once.Do(func() { close(crashed) })
+			return true
+		}
+		return false
 	}})
 	paths, errors, departed := f.serve(t)
+	select {
+	case <-crashed:
+	default:
+		t.Fatal("the victim never held units with work outstanding after 50 paths, so it never crashed")
+	}
 	if paths != 4096 || errors != 1 {
 		t.Fatalf("paths=%d errors=%d, want 4096/1 after a worker crash under depth partitioning", paths, errors)
 	}

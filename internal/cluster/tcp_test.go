@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -242,16 +244,41 @@ func TestTCPWorkerCrashRecovery(t *testing.T) {
 // must stay exact.
 func TestTCPLateJoin(t *testing.T) {
 	f := newTCPFleet(t, hugeClusterTarget, DefaultBalancerConfig(), 2)
-	f.start(t, tcpWorkerOpts{})
-	f.start(t, tcpWorkerOpts{})
+	// Once exploration is underway the first two workers wait at a turn
+	// boundary until the joiner has run its first turn, so work is left
+	// to ship it however long it takes to start.
+	var joiner atomic.Pointer[Worker]
+	joined := make(chan struct{})
+	var once sync.Once
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	hold := func(*Worker, int) bool {
+		if f.lbs.TotalPaths() >= 20 {
+			select {
+			case <-joined:
+			case <-ctx.Done():
+			}
+		}
+		return false
+	}
+	f.start(t, tcpWorkerOpts{crashWhen: hold})
+	f.start(t, tcpWorkerOpts{crashWhen: hold})
 	go func() {
 		for f.lbs.TotalPaths() < 20 {
 			time.Sleep(2 * time.Millisecond)
 		}
-		f.start(t, tcpWorkerOpts{})
+		f.start(t, tcpWorkerOpts{crashWhen: func(w *Worker, _ int) bool {
+			joiner.Store(w)
+			once.Do(func() { close(joined) })
+			return false
+		}})
 	}()
 
 	paths, _, _ := f.serve(t)
+	w := joiner.Load()
+	if w == nil {
+		t.Fatal("the late joiner never ran a turn")
+	}
 	if paths != 4096 {
 		t.Fatalf("paths = %d, want exactly 4096 with a late joiner", paths)
 	}
@@ -261,7 +288,7 @@ func TestTCPLateJoin(t *testing.T) {
 	// The joiner must have been shipped jobs (it may still be mid-replay
 	// when the cluster quiesces, so received jobs — not useful steps — is
 	// the right signal).
-	if w := f.workers[2]; w == nil || w.jobsRecv.Load() == 0 {
+	if w.jobsRecv.Load() == 0 {
 		t.Fatal("late joiner never received work")
 	}
 }

@@ -96,7 +96,7 @@ func TestStrategiesAllComplete(t *testing.T) {
 		"random":  func(*tree.Tree, *cfg.Distance) Strategy { return NewRandom(7) },
 		"rp":      func(tr *tree.Tree, _ *cfg.Distance) Strategy { return NewRandomPath(tr, 7) },
 		"cov":     func(*tree.Tree, *cfg.Distance) Strategy { return NewCoverageOptimized(7) },
-		"dist":    func(_ *tree.Tree, d *cfg.Distance) Strategy { return NewDistanceOptimized(d, 7, DefaultDistWeights()) },
+		"dist":    func(_ *tree.Tree, d *cfg.Distance) Strategy { return NewDistanceOptimized(d, 7) },
 		"ff":      func(*tree.Tree, *cfg.Distance) Strategy { return NewFewestFaults() },
 		"default": nil,
 	}
@@ -642,7 +642,7 @@ func TestDistOptPrefersNearUncovered(t *testing.T) {
 	race := func(rival *tree.Node) int {
 		near := 0
 		for seed := int64(0); seed < 50; seed++ {
-			s := NewDistanceOptimized(d, seed, DefaultDistWeights())
+			s := NewDistanceOptimized(d, seed)
 			nearNode := mk("hot", 1) // md2u 0
 			s.Add(nearNode)
 			s.Add(rival)
@@ -665,64 +665,13 @@ func TestDistOptPrefersNearUncovered(t *testing.T) {
 	}
 }
 
-func TestDistWeightsParseRoundTrip(t *testing.T) {
-	for src, want := range map[string]DistWeights{
-		"1:0:0:0":      {MD2U: 1},
-		"0.5:1:0:0.25": {MD2U: 0.5, Depth: 1, Yield: 0.25},
-		"0:0:0:0":      {},
-		"2:0.001:1:8":  {MD2U: 2, Depth: 0.001, Faults: 1, Yield: 8},
-	} {
-		if w, err := ParseDistWeights(src); err != nil || w != want {
-			t.Fatalf("%q parsed as %+v (%v), want %+v", src, w, err, want)
-		}
-	}
-	for _, bad := range []string{"", "1:2:3", "1:2:3:4:5", "1:x:0:0", "-1:0:0:0", "+Inf:0:0:0", "NaN:0:0:0"} {
-		if _, err := ParseDistWeights(bad); err == nil {
-			t.Errorf("ParseDistWeights(%q) should fail", bad)
-		}
-	}
-	if DefaultDistWeights() != (DistWeights{MD2U: 1}) {
-		t.Fatalf("default vector = %+v", DefaultDistWeights())
-	}
-}
-
-// TestDistOptWeightedFeatures: each non-md2u feature steers selection
-// the way its weight says — depth weight prefers shallow candidates,
-// fault weight prefers unfaulted ones. No oracle: the md2u feature is
-// flat, isolating the feature under test.
-func TestDistOptWeightedFeatures(t *testing.T) {
-	race := func(w DistWeights, favored, rival *tree.Node) int {
-		wins := 0
-		for seed := int64(0); seed < 50; seed++ {
-			s := NewDistanceOptimized(nil, seed, w)
-			s.Add(favored)
-			s.Add(rival)
-			if s.Select() == favored {
-				wins++
-			}
-			s.Remove(favored)
-			s.Remove(rival)
-		}
-		return wins
-	}
-	shallow, deep := &tree.Node{Depth: 1}, &tree.Node{Depth: 64}
-	if got := race(DistWeights{Depth: 1}, shallow, deep); got < 40 {
-		t.Errorf("depth feature: shallow picked %d/50, want ≥40", got)
-	}
-	clean := &tree.Node{}
-	faulty := &tree.Node{Faults: 7}
-	if got := race(DistWeights{Faults: 1}, clean, faulty); got < 40 {
-		t.Errorf("faults feature: clean picked %d/50, want ≥40", got)
-	}
-}
-
 // TestDistOptDrainsSaturatedFrontier: once the overlay covers
 // everything (every candidate Unreachable), residual weights must
 // still drain the frontier to completion.
 func TestDistOptDrainsSaturatedFrontier(t *testing.T) {
 	e := newExplorer(t, branchy, Config{
 		Strategy: func(_ *tree.Tree, d *cfg.Distance) Strategy {
-			return NewDistanceOptimized(d, 3, DefaultDistWeights())
+			return NewDistanceOptimized(d, 3)
 		},
 	})
 	// Explore a few steps to get real forked states on the frontier.
@@ -765,7 +714,7 @@ func TestCandidatesAddIdempotent(t *testing.T) {
 	for name, s := range map[string]Strategy{
 		"random":   NewRandom(1),
 		"cov-opt":  NewCoverageOptimized(1),
-		"dist-opt": NewDistanceOptimized(nil, 1, DefaultDistWeights()),
+		"dist-opt": NewDistanceOptimized(nil, 1),
 	} {
 		n := &tree.Node{}
 		s.Add(n)
@@ -783,12 +732,12 @@ func TestCandidatesAddIdempotent(t *testing.T) {
 func TestWeightedSelectDoesNotAllocate(t *testing.T) {
 	for name, s := range map[string]Strategy{
 		"cov-opt":  NewCoverageOptimized(1),
-		"dist-opt": NewDistanceOptimized(nil, 1, DistWeights{MD2U: 1, Depth: 0.5, Yield: 0.25}),
+		"dist-opt": NewDistanceOptimized(nil, 1),
 	} {
 		for i := 0; i < 1024; i++ {
 			s.Add(&tree.Node{Depth: i % 40, CovYield: float64(i % 7)})
 		}
-		s.Add(s.Select()) // the first pick weighs dist-opt's frontier
+		s.Add(s.Select()) // warm
 		if allocs := testing.AllocsPerRun(100, func() { s.Add(s.Select()) }); allocs != 0 {
 			t.Errorf("%s: Select allocates %v times per pick", name, allocs)
 		}

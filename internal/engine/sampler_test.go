@@ -180,27 +180,33 @@ func TestWeightedSelectWeighsOnce(t *testing.T) {
 	count("second Select after decay", func() { c.Select() }, 0)
 }
 
-// weightAudit wraps a dist-opt and, before each of its picks, brings its
-// weights up to date as Select does and checks every cached weight
-// against the features evaluated now.
+// weightAudit wraps a dist-opt and checks every cached weight against
+// the md2u weight evaluated now: before each pick unless the oracle moved
+// since the last one (Select must re-weigh first), and after each pick.
 type weightAudit struct {
 	*DistanceOptimized
-	t      *testing.T
-	audits int
+	t             *testing.T
+	audits, moves int
 }
 
 func (a *weightAudit) Select() *tree.Node {
-	a.takeWeights()
-	if a.stale {
-		a.reweigh()
+	if a.d.Epoch() != a.epoch {
+		a.moves++
+	} else {
+		a.check("before")
 	}
+	n := a.DistanceOptimized.Select()
+	a.check("after")
+	a.audits++
+	return n
+}
+
+func (a *weightAudit) check(when string) {
 	for i, n := range a.nodes {
-		if x := a.featWeight(n); a.ws[i] != x {
-			a.t.Fatalf("pick %d: slot %d caches %v, features give %v", a.audits, i, a.ws[i], x)
+		if x := a.md2uWeight(n); a.ws[i] != x {
+			a.t.Fatalf("%s pick %d: slot %d caches %v, md2u gives %v", when, a.audits, i, a.ws[i], x)
 		}
 	}
-	a.audits++
-	return a.DistanceOptimized.Select()
 }
 
 const manyFuncs = `
@@ -220,14 +226,13 @@ int main() {
 }`
 
 // TestDistOptCachedWeightsAreCurrent: inside an interleave with cov-opt,
-// a dist-opt that reads yield caches, at every pick, the weights the
-// features give at that pick — though cov-opt's Add sets a node's
-// inherited yield after dist-opt's Add, lines covered mid-run move md2u,
-// and global overlay merges halve yields.
+// a dist-opt caches, at every pick, the md2u weights the oracle gives
+// at that pick — though lines covered mid-run and global overlay merges
+// move distances after its nodes were weighed.
 func TestDistOptCachedWeightsAreCurrent(t *testing.T) {
 	var audit *weightAudit
 	e := newExplorer(t, manyFuncs, Config{Strategy: func(_ *tree.Tree, d *cfg.Distance) Strategy {
-		audit = &weightAudit{DistanceOptimized: NewDistanceOptimized(d, 3, DistWeights{MD2U: 1, Depth: 0.5, Yield: 1}), t: t}
+		audit = &weightAudit{DistanceOptimized: NewDistanceOptimized(d, 3), t: t}
 		return NewInterleaved(audit, NewCoverageOptimized(4))
 	}})
 	var lines []int
@@ -256,8 +261,9 @@ func TestDistOptCachedWeightsAreCurrent(t *testing.T) {
 			break
 		}
 	}
-	if audit.audits < 100 || e.Stats.PathsExplored == 0 {
-		t.Fatalf("%d audited picks over %d paths: the run is too small to say anything", audit.audits, e.Stats.PathsExplored)
+	if audit.audits < 100 || audit.moves == 0 || e.Stats.PathsExplored == 0 {
+		t.Fatalf("%d audited picks, %d oracle moves over %d paths: the run is too small to say anything",
+			audit.audits, audit.moves, e.Stats.PathsExplored)
 	}
 }
 

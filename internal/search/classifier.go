@@ -2,10 +2,10 @@ package search
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
-	"sort"
-	"sync"
+	"slices"
 
 	"cloud9/internal/cfg"
 	"cloud9/internal/tree"
@@ -19,56 +19,47 @@ type Classifier interface {
 	ClassOf(n *tree.Node) uint64
 }
 
-// ClassifierCtor builds a classifier from the enclosing Builder (which
-// carries the worker context some classifiers need, e.g. the distance
-// oracle) and its optional integer parameter ("depth:4" → param=4,
-// hasParam=true).
-type ClassifierCtor func(b *Builder, param int, hasParam bool) (Classifier, error)
-
-var (
-	classifierMu  sync.RWMutex
-	classifierReg = map[string]ClassifierCtor{}
-)
-
-// RegisterClassifier adds a classifier constructor under a spec name.
-// Registering an existing name replaces it (tests override built-ins).
-func RegisterClassifier(name string, ctor ClassifierCtor) {
-	classifierMu.Lock()
-	defer classifierMu.Unlock()
-	classifierReg[name] = ctor
+// plainClassifiers builds the classifiers that take no parameter, by
+// spec name; depth, which takes one, is built by builder.classifier.
+var plainClassifiers = map[string]func(b *builder) Classifier{
+	"site":   func(*builder) Classifier { return site{} },
+	"faults": func(*builder) Classifier { return faults{} },
+	"yield":  func(*builder) Classifier { return yield{} },
+	"dist":   func(b *builder) Classifier { return distBand{d: b.dist} },
 }
 
-// classifierByName resolves a registered classifier.
-func classifierByName(b *Builder, name string, param int, hasParam bool) (Classifier, error) {
-	classifierMu.RLock()
-	ctor := classifierReg[name]
-	classifierMu.RUnlock()
-	if ctor == nil {
-		return nil, fmt.Errorf("search: unknown classifier %q (have %v)", name, ClassifierNames())
-	}
-	return ctor(b, param, hasParam)
-}
-
-// isClassifier reports whether name is registered as a classifier.
-func isClassifier(name string) bool {
-	classifierMu.RLock()
-	defer classifierMu.RUnlock()
-	_, ok := classifierReg[name]
-	return ok
-}
-
-// ClassifierNames lists the registered classifier names, sorted (the
-// strategy-invariant tests sweep them so new classifiers are covered
-// the moment they register).
+// ClassifierNames lists the classifier names, sorted (the
+// strategy-invariant tests sweep them).
 func ClassifierNames() []string {
-	classifierMu.RLock()
-	defer classifierMu.RUnlock()
-	names := make([]string, 0, len(classifierReg))
-	for n := range classifierReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := append(slices.Collect(maps.Keys(plainClassifiers)), "depth")
+	slices.Sort(names)
 	return names
+}
+
+// classifier builds the classifier a cupa argument names. Only depth
+// takes a ":N" parameter, its band width (8 without one).
+func (b *builder) classifier(s *Spec) (Classifier, error) {
+	if len(s.Args) > 0 {
+		return nil, fmt.Errorf("search: classifier %q cannot take spec arguments", s.Name)
+	}
+	if s.Name == "depth" {
+		width := 8
+		if s.HasParam {
+			width = s.Param
+		}
+		if width <= 0 {
+			return nil, fmt.Errorf("search: depth band width must be positive, got %d", width)
+		}
+		return depthBand{width: width}, nil
+	}
+	ctor := plainClassifiers[s.Name]
+	if ctor == nil {
+		return nil, fmt.Errorf("search: unknown classifier %q (have %v)", s.Name, ClassifierNames())
+	}
+	if s.HasParam {
+		return nil, fmt.Errorf("search: %s takes no parameter", s.Name)
+	}
+	return ctor(b), nil
 }
 
 // ---- Built-in classifiers ----
@@ -163,40 +154,4 @@ func (c distBand) ClassOf(n *tree.Node) uint64 {
 		return 1 << 62
 	}
 	return uint64(bits.Len(uint(dd))) // 0; 1; 2-3; 4-7; ...
-}
-
-func init() {
-	RegisterClassifier("depth", func(_ *Builder, param int, hasParam bool) (Classifier, error) {
-		if !hasParam {
-			param = 8
-		}
-		if param <= 0 {
-			return nil, fmt.Errorf("search: depth band width must be positive, got %d", param)
-		}
-		return depthBand{width: param}, nil
-	})
-	RegisterClassifier("site", func(_ *Builder, param int, hasParam bool) (Classifier, error) {
-		if hasParam {
-			return nil, fmt.Errorf("search: site takes no parameter")
-		}
-		return site{}, nil
-	})
-	RegisterClassifier("faults", func(_ *Builder, param int, hasParam bool) (Classifier, error) {
-		if hasParam {
-			return nil, fmt.Errorf("search: faults takes no parameter")
-		}
-		return faults{}, nil
-	})
-	RegisterClassifier("yield", func(_ *Builder, param int, hasParam bool) (Classifier, error) {
-		if hasParam {
-			return nil, fmt.Errorf("search: yield takes no parameter")
-		}
-		return yield{}, nil
-	})
-	RegisterClassifier("dist", func(b *Builder, param int, hasParam bool) (Classifier, error) {
-		if hasParam {
-			return nil, fmt.Errorf("search: dist takes no parameter")
-		}
-		return distBand{d: b.Dist}, nil
-	})
 }

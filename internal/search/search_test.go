@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -44,18 +45,16 @@ func buildTestTree(nLeaves int, seed int64) (*tree.Tree, []*tree.Node) {
 	return t, leaves
 }
 
-// invariantSpecs assembles the spec sweep from the live registries —
-// every registered base strategy and a cupa(<classifier>,dfs) per
-// registered classifier, so a new registration (e.g. dist / dist-opt)
-// is property-tested the moment it exists — plus hand-picked layered
-// composites the generated list would miss.
+// invariantSpecs assembles the spec sweep from the vocabulary — every
+// base strategy and a cupa(<classifier>,dfs) per classifier, so a new
+// name is property-tested the moment it exists — plus hand-picked
+// layered composites the generated list would miss.
 func invariantSpecs() []string {
 	specs := []string{
 		"interleave(dfs,bfs)", "interleaved",
 		"cupa(depth:4,dfs)", "cupa(site,random)", "cupa(yield,cov-opt)",
 		"cupa(site,depth:2,dfs)", "cupa(depth,cupa(faults,random))",
-		"cupa(depth:4,dist-opt)",
-		"dist-opt(w=1:0.5:0:0.25)", "cupa(site,dist-opt(w=0:1:1:0))",
+		"cupa(depth:4,dist-opt)", "cupa(site,dist-opt)",
 	}
 	for _, name := range StrategyNames() {
 		switch name {
@@ -270,8 +269,7 @@ func TestSpecParseRoundTrip(t *testing.T) {
 		"cupa(site,cupa(depth:2,random))",
 		"interleave(dfs,bfs,cov-opt)",
 		"cupa(site,depth:2,dfs)",
-		"dist-opt(w=1:0:0:0.5)",
-		"cupa(site,dist-opt(w=0.5:1:0:0))",
+		"cupa(site,dist-opt)",
 	}
 	for _, src := range cases {
 		ast, err := Parse(src)
@@ -301,12 +299,11 @@ func TestSpecErrors(t *testing.T) {
 		// just as illegal as a cupa inner as naming random-path outright.
 		"cupa(site,interleave)", "cupa(site,interleaved)",
 		"cupa(site,cupa(depth,interleaved))",
-		// Key-value arguments: only declared keys, only valid vectors,
-		// never on strategies that take none.
-		"dist-opt(w=)", "dist-opt(w=1:2)", "dist-opt(w=1:2:3:4:5)",
-		"dist-opt(w=a:b:c:d)", "dist-opt(w=-1:0:0:0)", "dist-opt(q=1:1:1:1)",
-		"dist-opt(dfs)", "dfs(w=1:1:1:1)", "cupa(site,dfs,w=1)",
-		"interleave(dfs,bfs,w=1)",
+		"dist-opt(dfs)",
+		// The grammar has no key=value arguments.
+		"dist-opt(w=1:0:0:0)", "dfs(k=1)",
+		// Only classifiers take a ":N" parameter.
+		"dfs:5", "cov-opt:1", "dist-opt:9", "interleave:3(dfs,bfs)", "cupa:2(site,dfs)",
 	}
 	for _, spec := range bad {
 		if err := Validate(spec); err == nil {
@@ -464,9 +461,9 @@ func (r *recorder) Select() *tree.Node {
 	return n
 }
 
-// pinnedSpecs is every registered strategy that builds without
-// arguments plus the composites that reach yield inheritance, the fault
-// lookup, the weighted dist-opt family and interleave's bookkeeping.
+// pinnedSpecs is every strategy that builds without arguments plus the
+// composites that reach yield inheritance, the fault lookup and
+// interleave's bookkeeping.
 func pinnedSpecs() []string {
 	var specs []string
 	for _, name := range StrategyNames() {
@@ -474,7 +471,7 @@ func pinnedSpecs() []string {
 			specs = append(specs, name)
 		}
 	}
-	return append(specs, "dist-opt(w=1:0.5:0:0.25)", "cupa(yield,cov-opt)",
+	return append(specs, "cupa(yield,cov-opt)",
 		"cupa(faults,dist-opt)", "interleave(random,cov-opt)")
 }
 
@@ -531,7 +528,7 @@ func TestFactory(t *testing.T) {
 	if f, err := Factory("", 7); f != nil || err != nil {
 		t.Fatalf(`Factory("") = %p, %v; want nil, nil`, f, err)
 	}
-	for _, bad := range []string{"dsf", "cupa(site,dfs", "dist-opt(w=1:2)"} {
+	for _, bad := range []string{"dsf", "cupa(site,dfs", "dist-opt(w=1:0:0:0)"} {
 		if _, err := Factory(bad, 1); err == nil {
 			t.Errorf("Factory(%q) should fail", bad)
 		}
@@ -549,5 +546,32 @@ func TestFactory(t *testing.T) {
 	}
 	if order("interleaved", 7) == order("interleaved", 8) {
 		t.Error("interleaved ignores its seed")
+	}
+}
+
+// docSpec matches a spec given to -strategy or -portfolio: quoted, or a
+// bare run of spec characters.
+var docSpec = regexp.MustCompile(`-(?:strategy|portfolio)[ =]+('[^']*'|"[^"]*"|[A-Za-z0-9_:(),-]+)`)
+
+// TestDocSpecsParse: every spec the docs pass to -strategy or -portfolio
+// is one ParsePortfolio accepts, so an example cannot outlive the
+// grammar.
+func TestDocSpecsParse(t *testing.T) {
+	for _, doc := range []string{"../../docs/operations.md", "../../ARCHITECTURE.md", "doc.go"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := 0
+		for _, m := range docSpec.FindAllStringSubmatch(string(src), -1) {
+			spec := strings.Trim(m[1], `'"`)
+			if specs, err := ParsePortfolio(spec); err != nil || len(specs) == 0 {
+				t.Errorf("%s: %s: %v", doc, m[0], err)
+			}
+			found++
+		}
+		if found == 0 {
+			t.Errorf("%s: no -strategy or -portfolio example found", doc)
+		}
 	}
 }
