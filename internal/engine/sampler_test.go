@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cloud9/internal/cfg"
@@ -209,47 +211,71 @@ func (a *weightAudit) check(when string) {
 	}
 }
 
-const manyFuncs = `
-int low(char c) { if (c > 10) return 1; return 0; }
-int three(char c) { if (c == 3) return 2; return 0; }
+// manyCases switches twice on a symbolic byte, twelve cases each, so
+// 24 one-line blocks wait to be covered, each a few branches down a
+// chain of case compares.
+const manyCases = `
 int main() {
-	char b[8];
-	cloud9_make_symbolic(b, 8, "in");
+	char b[2];
+	cloud9_make_symbolic(b, 2, "in");
 	int n = 0;
-	int i;
-	for (i = 0; i < 8; i++) {
-		if (i % 2) n += low(b[i]);
-		else n += three(b[i]);
+	switch (b[0]) {
+	case 1: n += 1; break;
+	case 2: n += 2; break;
+	case 3: n += 3; break;
+	case 4: n += 4; break;
+	case 5: n += 5; break;
+	case 6: n += 6; break;
+	case 7: n += 7; break;
+	case 8: n += 8; break;
+	case 9: n += 9; break;
+	case 10: n += 10; break;
+	case 11: n += 11; break;
+	case 12: n += 12; break;
 	}
-	if (n == 12) abort();
+	switch (b[1]) {
+	case 1: n += 13; break;
+	case 2: n += 14; break;
+	case 3: n += 15; break;
+	case 4: n += 16; break;
+	case 5: n += 17; break;
+	case 6: n += 18; break;
+	case 7: n += 19; break;
+	case 8: n += 20; break;
+	case 9: n += 21; break;
+	case 10: n += 22; break;
+	case 11: n += 23; break;
+	case 12: n += 24; break;
+	}
 	return n;
 }`
 
 // TestDistOptCachedWeightsAreCurrent: inside an interleave with cov-opt,
 // a dist-opt caches, at every pick, the md2u weights the oracle gives
 // at that pick — though lines covered mid-run and global overlay merges
-// move distances after its nodes were weighed.
+// move distances after its nodes were weighed. Every second step a peer
+// covers the first line this worker has not, ahead of the local run.
 func TestDistOptCachedWeightsAreCurrent(t *testing.T) {
 	var audit *weightAudit
-	e := newExplorer(t, manyFuncs, Config{Strategy: func(_ *tree.Tree, d *cfg.Distance) Strategy {
+	e := newExplorer(t, manyCases, Config{Strategy: func(_ *tree.Tree, d *cfg.Distance) Strategy {
 		audit = &weightAudit{DistanceOptimized: NewDistanceOptimized(d, 3), t: t}
 		return NewInterleaved(audit, NewCoverageOptimized(4))
 	}})
-	var lines []int
-	for ln := range e.In.Prog.CoverableLineSet() {
-		lines = append(lines, ln)
-	}
-	merged := 0
+	lines := slices.Sorted(maps.Keys(e.In.Prog.CoverableLineSet()))
 	for steps := 0; ; steps++ {
 		switch {
-		case steps%16 == 15 && merged < len(lines):
-			// A peer covered some line: the overlay merge reaches the
+		case steps%2 == 1:
+			// A peer covered a line: the overlay merge reaches the
 			// oracle and decays cov-opt's yields.
-			g := coverage.New(e.In.Prog.MaxLine)
-			g.Set(lines[merged])
-			merged++
-			e.MergeGlobalCoverage(g)
-		case steps%16 == 7:
+			for _, ln := range lines {
+				if !e.Cov.Get(ln) {
+					g := coverage.New(e.In.Prog.MaxLine)
+					g.Set(ln)
+					e.MergeGlobalCoverage(g)
+					break
+				}
+			}
+		case steps%16 == 5:
 			// A peer's delta that moves no distance still decays yields.
 			e.NotifyGlobalCoverage(1)
 		}
@@ -261,7 +287,7 @@ func TestDistOptCachedWeightsAreCurrent(t *testing.T) {
 			break
 		}
 	}
-	if audit.audits < 100 || audit.moves == 0 || e.Stats.PathsExplored == 0 {
+	if audit.audits < 100 || audit.moves < 10 || e.Stats.PathsExplored == 0 {
 		t.Fatalf("%d audited picks, %d oracle moves over %d paths: the run is too small to say anything",
 			audit.audits, audit.moves, e.Stats.PathsExplored)
 	}

@@ -890,30 +890,6 @@ func (e *Expr) Eval(a Assignment) (uint64, bool) {
 	}
 }
 
-// Vars appends the distinct variable ids referenced by e to dst, using
-// seen to dedupe across calls, and returns dst. It reads the cached
-// free-variable summary — no DAG traversal — and appends in ascending id
-// order.
-func (e *Expr) Vars(seen map[uint64]bool, dst []uint64) []uint64 {
-	s := e.vars
-	w := s.lo
-	for w != 0 {
-		id := uint64(trailingZeros64(w))
-		w &= w - 1
-		if !seen[id] {
-			seen[id] = true
-			dst = append(dst, id)
-		}
-	}
-	for _, id := range s.hi {
-		if !seen[id] {
-			seen[id] = true
-			dst = append(dst, id)
-		}
-	}
-	return dst
-}
-
 // VarIDs returns the distinct variable ids referenced by e in ascending
 // order. It decodes the cached summary; no DAG traversal.
 func (e *Expr) VarIDs() []uint64 {

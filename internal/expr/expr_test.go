@@ -366,7 +366,7 @@ func TestEvalShortCircuit(t *testing.T) {
 func TestVarsCollection(t *testing.T) {
 	x, y, z := Var(0, "x"), Var(1, "y"), Var(2, "z")
 	e := LAnd(Ult(x, y), Eq(z, Add(x, Const(1, W8))))
-	vars := e.Vars(map[uint64]bool{}, nil)
+	vars := e.VarIDs()
 	if len(vars) != 3 {
 		t.Errorf("vars = %v, want 3 distinct", vars)
 	}

@@ -29,8 +29,6 @@ import (
 
 func popcount64(w uint64) int { return bits.OnesCount64(w) }
 
-func trailingZeros64(w uint64) int { return bits.TrailingZeros64(w) }
-
 func sortIDs(ids []uint64) { slices.Sort(ids) }
 
 // VarSet is an immutable summary of the distinct free variables of an
@@ -222,7 +220,7 @@ const internShardCount = 64 // power of two; indexed by low hash bits
 // nodes total). The solver's substitution loops create transient residual
 // expressions per partial assignment; without a bound, every residual
 // ever formed would be retained for the process lifetime. Past the cap,
-// intern degrades gracefully: nodes are still stamped (Hash/Vars stay
+// intern degrades gracefully: nodes are still stamped (Hash/FreeVars stay
 // O(1)) but no longer published, so they remain garbage-collectible,
 // identical constructions may return distinct pointers, and Equal falls
 // back to its hash-guarded structural slow path. A var, not a const, so

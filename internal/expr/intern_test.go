@@ -93,7 +93,7 @@ func TestVarsMatchDeepVars(t *testing.T) {
 		if i%2 == 1 {
 			e = mixedRandomExpr(rng, 3)
 		}
-		cached := e.Vars(map[uint64]bool{}, nil)
+		cached := e.VarIDs()
 		deep := e.DeepVars(map[uint64]bool{}, nil)
 		sort.Slice(deep, func(a, b int) bool { return deep[a] < deep[b] })
 		if len(cached) != len(deep) {
@@ -212,7 +212,7 @@ func TestConcurrentInterning(t *testing.T) {
 }
 
 // TestInternCapOverflow lowers the per-shard cap to zero: constructions
-// must still produce fully stamped nodes (O(1) Hash/Vars, structural
+// must still produce fully stamped nodes (O(1) Hash/FreeVars, structural
 // Equal) even though nothing new can be published as canonical.
 func TestInternCapOverflow(t *testing.T) {
 	saved := internShardCap

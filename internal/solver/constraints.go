@@ -5,7 +5,7 @@
 // reduces to a constraint-satisfaction search over byte domains. The
 // solver is *incremental*: path conditions grow one constraint at a
 // time (ConstraintSet is a persistent parent-linked tree), and the
-// solver memoizes the preprocessed solve state — flattened form,
+// solver memoizes the preprocessed solve state — flat constraint list,
 // unit-propagation fixpoint, independence partition, witness model — on
 // each set node it queries (incremental.go), deriving a child's state
 // from its parent's in time proportional to the new constraint's cone
@@ -86,10 +86,10 @@
 // its size and the backtracks spent; the engine journals it. The kill
 // memo answers a later search with the same input with it (see killed).
 //
-// The pre-incremental from-scratch pipeline survives as the reference
-// implementation (ReferenceMayBeTrue/ReferenceSolve); differential
-// tests check the incremental path agrees with it query-for-query, and
-// the package benchmarks measure the incremental speedup against it.
+// The solver's reference is a test-only enumeration of byte
+// assignments (enumSat, enum_test.go) that shares no code with the
+// pipeline above: the differential tests and FuzzSolverVerdict hold
+// every tier's verdicts to it, and every model to EvalAll.
 package solver
 
 import (
@@ -162,18 +162,6 @@ func (cs *ConstraintSet) Slice() []*expr.Expr {
 	return out
 }
 
-// Vars returns the distinct variable ids referenced by the set. Each
-// constraint contributes its cached free-variable summary; no expression
-// DAG is traversed.
-func (cs *ConstraintSet) Vars() []uint64 {
-	seen := map[uint64]bool{}
-	var out []uint64
-	for n := cs; n != nil; n = n.parent {
-		out = n.c.Vars(seen, out)
-	}
-	return out
-}
-
 // EvalAll reports whether every constraint is satisfied by a.
 // Missing variables make it return false.
 func (cs *ConstraintSet) EvalAll(a expr.Assignment) bool {
@@ -194,13 +182,4 @@ func flatten(c *expr.Expr, out []*expr.Expr) []*expr.Expr {
 		return flatten(c.Kid(1), out)
 	}
 	return append(out, c)
-}
-
-// flattened returns cs's constraints with top-level conjunctions split.
-func flattened(cs *ConstraintSet) []*expr.Expr {
-	var out []*expr.Expr
-	for _, c := range cs.Slice() {
-		out = flatten(c, out)
-	}
-	return out
 }

@@ -180,92 +180,51 @@ func BenchmarkSolverCacheKey(b *testing.B) {
 	})
 }
 
-// BenchmarkBranchQuery: one branch site, both directions, on a 256-deep
-// set: the fused incremental Fork against the two from-scratch queries a
-// branch used to issue.
+// BenchmarkBranchQuery: one branch site, both directions, on a warmed
+// 256-deep set: the fused incremental Fork.
 func BenchmarkBranchQuery(b *testing.B) {
 	cs := branchChain(EmptySet, 256, 128, 0)
 	cond := func(i int) *expr.Expr { return expr.Eq(v(uint64(i%128)), c8(uint64(i%90))) }
-	b.Run("incremental", func(b *testing.B) {
-		s := New()
-		if ok, err := s.CheckSat(cs); err != nil || !ok {
-			b.Fatal("chain must be sat")
+	s := New()
+	if ok, err := s.CheckSat(cs); err != nil || !ok {
+		b.Fatal("chain must be sat")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.Fork(cs, cond(i)); err != nil {
+			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := s.Fork(cs, cond(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("from-scratch", func(b *testing.B) {
-		s := New()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.ReferenceMayBeTrue(cs, cond(i)); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.ReferenceMayBeTrue(cs, expr.Not(cond(i))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
-// BenchmarkIntervalBranch: a branch site the bounds decide, Fork against
-// the two from-scratch queries.
+// BenchmarkIntervalBranch: a branch site the bounds decide, on a warmed
+// 256-deep set.
 func BenchmarkIntervalBranch(b *testing.B) {
 	cs := boundsChain()
-	b.Run("interval", func(b *testing.B) {
-		s := New()
-		if ok, err := s.CheckSat(cs); err != nil || !ok {
-			b.Fatal("chain must be sat")
+	s := New()
+	if ok, err := s.CheckSat(cs); err != nil || !ok {
+		b.Fatal("chain must be sat")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.Fork(cs, boundsCond(i)); err != nil {
+			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := s.Fork(cs, boundsCond(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full-search", func(b *testing.B) {
-		s := New()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.ReferenceMayBeTrue(cs, boundsCond(i)); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.ReferenceMayBeTrue(cs, expr.Not(boundsCond(i))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkIncrementalAppendSolve: a path condition grown to depth 256
-// with a feasibility check after every append, incrementally and through
-// the from-scratch pipeline.
+// with a feasibility check after every append.
 func BenchmarkIncrementalAppendSolve(b *testing.B) {
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, cs := New(), EmptySet
-			for d := 0; d < 256; d++ {
-				cs = appendStep(cs, d)
-				if ok, err := s.CheckSat(cs); err != nil || !ok {
-					b.Fatal("chain must stay sat")
-				}
+	for i := 0; i < b.N; i++ {
+		s, cs := New(), EmptySet
+		for d := 0; d < 256; d++ {
+			cs = appendStep(cs, d)
+			if ok, err := s.CheckSat(cs); err != nil || !ok {
+				b.Fatal("chain must stay sat")
 			}
 		}
-	})
-	b.Run("from-scratch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, cs := New(), EmptySet
-			for d := 0; d < 256; d++ {
-				cs = appendStep(cs, d)
-				if ok, err := s.ReferenceMayBeTrue(cs, nil); err != nil || !ok {
-					b.Fatal("chain must stay sat")
-				}
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkSolverCaches: branch queries on one solver, its caches warm

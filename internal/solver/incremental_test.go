@@ -14,103 +14,18 @@ import (
 // Differential property test: the incremental query path (memoized
 // per-set states, group cache, Fork's model evaluation, a tiny result
 // cache, memos dropped mid-workload and rebuilt from an ancestor) must
-// agree with a from-scratch reference solve on every query over
-// randomized Append-tree workloads.
-//
-// Workloads maintain the execution invariant the solver's fast paths
-// rely on — a constraint is only appended when the extended set stays
-// satisfiable, exactly as the interpreter guards every Append with a
-// feasibility check — so the sets mirror real path conditions.
+// agree with enumeration on every query over randomized Append-tree
+// workloads. Each constraint's variables come from one block (a pair,
+// or the triple {5,6,7} with v5 bounded to 8 values), so every
+// component stays enumerable.
 func TestQuickDifferentialIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
 	inc := New()
 	// A tiny cap forces result-cache evictions; forget forces rebuild-
 	// from-ancestor paths mid-workload.
 	inc.maxCache = 16
-
-	for round := 0; round < 60; round++ {
-		ref := New() // fresh reference per round: no cross-query state
-		nv := 2 + rng.Intn(4)
-		sets := []*ConstraintSet{EmptySet}
-		// Grow a tree of feasible sets by appending onto random members.
-		for grow := 0; grow < 12; grow++ {
-			base := sets[rng.Intn(len(sets))]
-			c := randomConstraint(rng, nv)
-			ok, err := inc.MayBeTrue(base, c)
-			if err != nil {
-				continue
-			}
-			refOK, err := ref.ReferenceMayBeTrue(base, c)
-			if err != nil {
-				t.Fatalf("reference error: %v", err)
-			}
-			if ok != refOK {
-				t.Fatalf("MayBeTrue divergence: incremental=%v reference=%v for %v ++ %v",
-					ok, refOK, base.Slice(), c)
-			}
-			if ok {
-				sets = append(sets, base.Append(c))
-			}
-		}
-		// Interleaved queries across the tree: branch queries, forks,
-		// and full-model solves, each checked against the reference.
-		for q := 0; q < 20; q++ {
-			cs := sets[rng.Intn(len(sets))]
-			forget(rng, cs)
-			cond := randomConstraint(rng, nv)
-			switch rng.Intn(3) {
-			case 0:
-				got, err := inc.MayBeTrue(cs, cond)
-				if err != nil {
-					continue
-				}
-				want, err := ref.ReferenceMayBeTrue(cs, cond)
-				if err != nil {
-					t.Fatalf("reference error: %v", err)
-				}
-				if got != want {
-					t.Fatalf("MayBeTrue divergence: incremental=%v reference=%v for %v | %v",
-						got, want, cs.Slice(), cond)
-				}
-			case 1:
-				mayT, mayF, err := inc.Fork(cs, cond)
-				if err != nil {
-					continue
-				}
-				wantT, err := ref.ReferenceMayBeTrue(cs, cond)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantF, err := ref.ReferenceMayBeTrue(cs, expr.Not(cond))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mayT != wantT || mayF != wantF {
-					t.Fatalf("Fork divergence: incremental=(%v,%v) reference=(%v,%v) for %v | %v",
-						mayT, mayF, wantT, wantF, cs.Slice(), cond)
-				}
-			case 2:
-				m, sat, err := inc.Solve(cs)
-				if err != nil {
-					continue
-				}
-				rm, refSat, err := ref.ReferenceSolve(cs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sat != refSat {
-					t.Fatalf("Solve divergence: incremental=%v reference=%v for %v",
-						sat, refSat, cs.Slice())
-				}
-				if sat && !cs.EvalAll(m) {
-					t.Fatalf("incremental model %v does not satisfy %v", m, cs.Slice())
-				}
-				if refSat && !cs.EvalAll(rm) {
-					t.Fatalf("reference model %v does not satisfy %v", rm, cs.Slice())
-				}
-			}
-		}
-	}
+	differential(t, inc, rand.New(rand.NewSource(41)), 60, 12, func(rng *rand.Rand, nv int) *expr.Expr {
+		return randomConstraint(rng, blockTerm(rng, nv))
+	})
 	// The workload must actually have exercised the caches under test.
 	st := inc.Stats.Snapshot()
 	if st.StateExtends == 0 || st.StateHits == 0 {
@@ -121,12 +36,48 @@ func TestQuickDifferentialIncremental(t *testing.T) {
 	}
 }
 
+// differential runs rounds of randomized workloads over 2 to 5
+// variables and the triple blockTerm adds. Each grows a tree of sets by grows appends onto random
+// members, each made only if enumeration finds the extended set
+// satisfiable, as the interpreter guards every Append with a feasibility
+// check. So the sets mirror real path conditions and keep the invariant
+// the solver's fast paths rely on. Then it asks 20 branch queries, forks
+// and full-model solves across the tree. s must agree with enumeration
+// on every answer it gives.
+func differential(t *testing.T, s *Solver, rng *rand.Rand, rounds, grows int, gen func(*rand.Rand, int) *expr.Expr) {
+	t.Helper()
+	for round := 0; round < rounds; round++ {
+		nv := 2 + rng.Intn(4)
+		sets := []*ConstraintSet{boundedRoot()}
+		for grow := 0; grow < grows; grow++ {
+			base := sets[rng.Intn(len(sets))]
+			c := gen(rng, nv)
+			if sat, _ := checkMayBeTrue(t, s, base, c); sat {
+				sets = append(sets, base.Append(c))
+			}
+		}
+		for q := 0; q < 20; q++ {
+			cs := sets[rng.Intn(len(sets))]
+			forget(rng, cs)
+			cond := gen(rng, nv)
+			switch rng.Intn(3) {
+			case 0:
+				checkMayBeTrue(t, s, cs, cond)
+			case 1:
+				checkFork(t, s, cs, cond)
+			case 2:
+				checkSolve(t, s, cs, true)
+			}
+		}
+	}
+}
+
 // Regression (review finding): when the condition's own unit binding
 // severs a group from the condition's variables, the rewritten group
 // must still be solved. cs = {x ≤ y, y ≤ 3} is sat; cond = (x == 5)
 // substitutes x away leaving the residual {5 ≤ y, y ≤ 3} over {y} only
 // — a naive cond-variable intersection skips it and wrongly reports
-// sat. Both the incremental and the reference pipeline must say unsat.
+// sat. The solver must say unsat, as enumeration does.
 func TestCondUnitSeveredGroupStillSolved(t *testing.T) {
 	build := func() *ConstraintSet {
 		return EmptySet.
@@ -134,34 +85,15 @@ func TestCondUnitSeveredGroupStillSolved(t *testing.T) {
 			Append(expr.Ule(v(1), c8(3)))
 	}
 	cond := expr.Eq(v(0), c8(5))
-	s := New()
-	sat, err := s.MayBeTrue(build(), cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sat {
-		t.Error("incremental: x≤y ∧ y≤3 ∧ x==5 must be unsat")
-	}
-	ref := New()
-	sat, err = ref.ReferenceMayBeTrue(build(), cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sat {
-		t.Error("reference: x≤y ∧ y≤3 ∧ x==5 must be unsat")
-	}
+	mayBeTrueAgrees(t, New(), build(), cond, false)
 	// And the Fork at such a branch site only keeps the false side.
-	s2 := New()
+	s := New()
 	cs := build()
-	if ok, err := s2.CheckSat(cs); err != nil || !ok {
+	if ok, err := s.CheckSat(cs); err != nil || !ok {
 		t.Fatalf("base set should be sat: %v %v", ok, err)
 	}
-	mayT, mayF, err := s2.Fork(cs, cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mayT || !mayF {
-		t.Errorf("Fork should report (false,true), got (%v,%v)", mayT, mayF)
+	if mayT, mayF, known := checkFork(t, s, cs, cond); !known || mayT || !mayF {
+		t.Errorf("Fork should report (false,true), enumeration says (%v,%v) (solver answered: %v)", mayT, mayF, known)
 	}
 }
 
@@ -190,20 +122,12 @@ func TestBudgetRaiseRetriesQuery(t *testing.T) {
 	}
 }
 
-// mayBeTrueAgrees asks the incremental path and a fresh solver's
-// from-scratch pipeline the same may-query and requires one verdict.
+// mayBeTrueAgrees asks s a may-query that enumeration must answer the
+// same and requires the verdict want.
 func mayBeTrueAgrees(t *testing.T, s *Solver, cs *ConstraintSet, cond *expr.Expr, want bool) {
 	t.Helper()
-	got, err := s.MayBeTrue(cs, cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New().ReferenceMayBeTrue(cs, cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != ref || got != want {
-		t.Errorf("MayBeTrue(%v | %v) = %v, reference %v, want %v", cs.Slice(), cond, got, ref, want)
+	if sat, known := checkMayBeTrue(t, s, cs, cond); !known || sat != want {
+		t.Errorf("MayBeTrue(%v | %v): enumeration says %v (solver answered: %v), want %v", cs.Slice(), cond, sat, known, want)
 	}
 }
 
@@ -348,7 +272,7 @@ func TestStateEvictionRebuild(t *testing.T) {
 	want := shape(cs.memo)
 	// What a full-model query binds: the chain's variables, whoever
 	// derived the states it walks.
-	wantVars := expr.VarSetOf(cs.Vars()).AppendIDs(nil)
+	wantVars := groupIDs(cs.Slice())
 	sameVars := func(who string, s *Solver) {
 		t.Helper()
 		if got := s.varsOf(cs).AppendIDs(nil); !slices.Equal(got, wantVars) {

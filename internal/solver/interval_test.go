@@ -10,20 +10,14 @@ import (
 // richConstraint draws from a wider operator mix than randomConstraint —
 // signed compares, sums, differences, widening, boolean connectives — to
 // stress both the forward interval evaluation and the backward
-// narrowing paths.
-func richConstraint(rng *rand.Rand, nv int) *expr.Expr {
-	mkTerm := func() *expr.Expr {
-		if rng.Intn(2) == 0 {
-			return v(uint64(rng.Intn(nv)))
-		}
-		return c8(uint64(rng.Intn(256)))
-	}
-	l, r := mkTerm(), mkTerm()
+// narrowing paths. Its terms come from term.
+func richConstraint(rng *rand.Rand, term func() *expr.Expr) *expr.Expr {
+	l, r := term(), term()
 	switch rng.Intn(4) {
 	case 0:
-		l = expr.Add(l, mkTerm())
+		l = expr.Add(l, term())
 	case 1:
-		l = expr.Sub(l, mkTerm())
+		l = expr.Sub(l, term())
 	case 2:
 		// Widened compare: zext both sides to W32.
 		l, r = w32(l), w32(r)
@@ -45,104 +39,25 @@ func richConstraint(rng *rand.Rand, nv int) *expr.Expr {
 	}
 	switch rng.Intn(5) {
 	case 0:
-		c = expr.LAnd(c, expr.Ule(mkTerm(), mkTerm()))
+		c = expr.LAnd(c, expr.Ule(term(), term()))
 	case 1:
-		c = expr.LOr(c, expr.Ult(mkTerm(), mkTerm()))
+		c = expr.LOr(c, expr.Ult(term(), term()))
 	}
 	return c
 }
 
 // Differential property test for the interval tier: across randomized
 // feasible Append trees — with a tiny result cache, and memos dropped
-// mid-workload and rebuilt — the incremental path (whose first tier is the interval
-// abstraction) must agree with the from-scratch reference on every
-// branch verdict, fork, and solve, and the interval tier must actually
-// fire over the workload.
+// mid-workload and rebuilt — the incremental path (whose first tier is
+// the interval abstraction) must agree with enumeration on every branch
+// verdict, fork, and solve, and the interval tier must actually fire
+// over the workload.
 func TestQuickDifferentialInterval(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
 	inc := New()
 	inc.maxCache = 16
-
-	for round := 0; round < 80; round++ {
-		ref := New()
-		nv := 2 + rng.Intn(4)
-		sets := []*ConstraintSet{EmptySet}
-		for grow := 0; grow < 10; grow++ {
-			base := sets[rng.Intn(len(sets))]
-			c := richConstraint(rng, nv)
-			ok, err := inc.MayBeTrue(base, c)
-			if err != nil {
-				continue
-			}
-			refOK, err := ref.ReferenceMayBeTrue(base, c)
-			if err != nil {
-				t.Fatalf("reference error: %v", err)
-			}
-			if ok != refOK {
-				t.Fatalf("MayBeTrue divergence: incremental=%v reference=%v for %v ++ %v",
-					ok, refOK, base.Slice(), c)
-			}
-			if ok {
-				sets = append(sets, base.Append(c))
-			}
-		}
-		for q := 0; q < 20; q++ {
-			cs := sets[rng.Intn(len(sets))]
-			forget(rng, cs)
-			cond := richConstraint(rng, nv)
-			switch rng.Intn(3) {
-			case 0:
-				got, err := inc.MayBeTrue(cs, cond)
-				if err != nil {
-					continue
-				}
-				want, err := ref.ReferenceMayBeTrue(cs, cond)
-				if err != nil {
-					t.Fatalf("reference error: %v", err)
-				}
-				if got != want {
-					t.Fatalf("MayBeTrue divergence: incremental=%v reference=%v for %v | %v",
-						got, want, cs.Slice(), cond)
-				}
-			case 1:
-				mayT, mayF, err := inc.Fork(cs, cond)
-				if err != nil {
-					continue
-				}
-				wantT, err := ref.ReferenceMayBeTrue(cs, cond)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantF, err := ref.ReferenceMayBeTrue(cs, expr.Not(cond))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mayT != wantT || mayF != wantF {
-					t.Fatalf("Fork divergence: incremental=(%v,%v) reference=(%v,%v) for %v | %v",
-						mayT, mayF, wantT, wantF, cs.Slice(), cond)
-				}
-			case 2:
-				m, sat, err := inc.Solve(cs)
-				if err != nil {
-					continue
-				}
-				rm, refSat, err := ref.ReferenceSolve(cs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sat != refSat {
-					t.Fatalf("Solve divergence: incremental=%v reference=%v for %v",
-						sat, refSat, cs.Slice())
-				}
-				if sat && !cs.EvalAll(m) {
-					t.Fatalf("incremental model %v does not satisfy %v", m, cs.Slice())
-				}
-				if refSat && !cs.EvalAll(rm) {
-					t.Fatalf("reference model %v does not satisfy %v", rm, cs.Slice())
-				}
-			}
-		}
-	}
+	differential(t, inc, rand.New(rand.NewSource(43)), 80, 10, func(rng *rand.Rand, nv int) *expr.Expr {
+		return richConstraint(rng, blockTerm(rng, nv))
+	})
 	st := inc.Stats.Snapshot()
 	if st.IntervalSat+st.IntervalUnsat+st.ForkIntervalHits == 0 {
 		t.Errorf("interval tier never decided a query over the whole workload: %+v", st)
@@ -258,10 +173,8 @@ func TestIntervalEmptyProvesUnsat(t *testing.T) {
 	if after.SolverRuns != before.SolverRuns {
 		t.Errorf("empty-interval unsat must not run a search: %+v -> %+v", before, after)
 	}
-	ref := New()
-	refSat, err := ref.ReferenceMayBeTrue(cs, cond)
-	if err != nil || refSat {
-		t.Fatalf("reference disagrees: %v %v", refSat, err)
+	if enumSat(t, cs, cond) {
+		t.Fatal("enumeration finds a solution")
 	}
 }
 
@@ -371,7 +284,7 @@ func FuzzIntervalSound(f *testing.F) {
 				for y := 0; y < 256; y++ {
 					vals.Set(ids[0], uint8(x))
 					vals.Set(ids[1], uint8(y))
-					if satisfies(cs, vals) {
+					if cs.EvalAll(vals) {
 						sols = append(sols, [2]uint8{at(vals, ids[0]), at(vals, ids[1])})
 					}
 				}
@@ -454,16 +367,6 @@ func soundCond(ids [2]uint64, b []byte) *expr.Expr {
 		c = expr.Not(c)
 	}
 	return c
-}
-
-// satisfies reports whether vals satisfies every constraint of cs.
-func satisfies(cs *ConstraintSet, vals expr.Assignment) bool {
-	for n := cs; n != nil; n = n.parent {
-		if v, ok := n.c.Eval(vals); !ok || v == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Seeding must never leak into canonical answers: a solver that ran

@@ -3,7 +3,6 @@ package solver
 import (
 	"errors"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"cloud9/internal/expr"
@@ -110,16 +109,15 @@ type Solver struct {
 
 	empty *setState // the empty set's; any other set's is on its node
 
-	// Reusable scratch buffers for the hot paths (extend pools,
-	// partition union-find, group var lists). The solver is
-	// single-owner, so sharing is safe.
+	// Reusable scratch buffers for the hot paths (extend pools, fresh
+	// groups, group var lists). The solver is single-owner, so sharing
+	// is safe.
 	poolScratch  []*expr.Expr
 	poolScratch2 []*expr.Expr
 	chainScratch []*ConstraintSet
 	groupScratch []*igroup
 	idScratch    []uint64
 	unitScratch  []groupBinding // extend's units gathered in one round
-	part         partitioner
 
 	// tier3 is solveGroup's working state (tier3.go): the search's
 	// per-variable and per-constraint tables, the domain restore stack
@@ -565,285 +563,4 @@ func (s *Solver) killed(g *igroup, ids []uint64, seedB boundsMap) *BudgetError {
 		kill.Backtracks = min(kill.Backtracks, s.MaxBacktracks+1)
 	}
 	return &kill
-}
-
-// ---- From-scratch reference pipeline ----
-//
-// The pre-incremental query path — flatten the whole set, unit-
-// propagate to fixpoint, union-find partition, then search — kept as
-// the reference implementation. The differential tests check that the
-// incremental path above agrees with it on every query, and the
-// package benchmarks measure the incremental speedup against it.
-
-// ReferenceMayBeTrue answers MayBeTrue through the from-scratch
-// pipeline, bypassing the incremental state and the result cache (the
-// group cache is still consulted, as the pre-incremental solver did).
-func (s *Solver) ReferenceMayBeTrue(cs *ConstraintSet, cond *expr.Expr) (bool, error) {
-	if cond != nil && cond.IsFalse() {
-		return false, nil
-	}
-	cons := flattened(cs)
-	if cond != nil {
-		cons = flatten(cond, cons)
-	}
-	sat, _, err := s.referenceSolve(cons, cond, false)
-	return sat, err
-}
-
-// ReferenceSolve is Solve through the from-scratch pipeline.
-func (s *Solver) ReferenceSolve(cs *ConstraintSet) (expr.Assignment, bool, error) {
-	sat, model, err := s.referenceSolve(flattened(cs), nil, true)
-	if sat && err == nil {
-		// Bind variables whose constraints folded away under unit
-		// substitution (see the full-model completion in check).
-		bindZero(&model, cs.Vars())
-	}
-	return model, sat, err
-}
-
-// referenceSolve decides a flattened conjunction from scratch.
-func (s *Solver) referenceSolve(cons []*expr.Expr, cond *expr.Expr, fullModel bool) (bool, expr.Assignment, error) {
-	model := expr.Assignment{}
-
-	// For may-queries, compute the variables transitively connected to
-	// cond over the pre-substitution constraint graph. Unit propagation
-	// can sever a group from cond's variables by substituting them away
-	// — but a group rewritten by cond-derived units is not part of the
-	// (feasible, hence satisfiable) base set, so relevance must be
-	// judged on the original graph, not the residual one.
-	var relevant map[uint64]bool
-	if cond != nil && !fullModel {
-		relevant = relevantVars(cons, cond)
-	}
-
-	// Unit propagation to fixpoint: bind Eq(const, var) facts and
-	// substitute them everywhere. The model holds every unit so far; a
-	// round substitutes only its own, since earlier ones are already gone
-	// from cons.
-	for {
-		progress := false
-		var units []uint64
-		next := cons[:0]
-		for _, c := range cons {
-			if c.IsTrue() {
-				continue
-			}
-			if c.IsFalse() {
-				return false, nil, nil
-			}
-			if c.Op() == expr.OpLAnd {
-				// Substitution may rebuild conjunctions; re-flatten.
-				next = flatten(c, next)
-				progress = true
-				continue
-			}
-			if c.Op() == expr.OpEq && c.Kid(0).IsConst() && c.Kid(1).IsVar() {
-				id := c.Kid(1).VarID()
-				v := uint8(c.Kid(0).ConstVal())
-				prev, ok := model.Get(id)
-				if ok && prev != v {
-					return false, nil, nil
-				}
-				if !ok {
-					units = append(units, id)
-					model.Set(id, v)
-				}
-				progress = true
-				continue
-			}
-			next = append(next, c)
-		}
-		cons = next
-		if !progress {
-			break
-		}
-		bound := expr.VarSetOf(units) // one summary for the whole round
-		for i, c := range cons {
-			cons[i] = c.Subst(model, bound)
-		}
-	}
-
-	// Partition remaining constraints into independent groups.
-	groups := s.part.partition(cons)
-
-	for _, g := range groups {
-		if relevant != nil && !g.touches(relevant) {
-			continue // independent of the query; satisfiable on its own
-		}
-		key := groupHash(g.cons)
-		gids := make([]uint64, 0, len(g.vars))
-		for id := range g.vars {
-			gids = append(gids, id)
-		}
-		sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-		if res, hit := s.groupCache[key]; hit {
-			if !res.sat {
-				return false, nil, nil
-			}
-			ok := true
-			for _, b := range res.model {
-				if prev, bound := model.Get(b.id); bound && prev != b.v {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				for _, b := range res.model {
-					model.Set(b.id, b.v)
-				}
-				continue
-			}
-		}
-		allFree := true
-		for _, id := range gids {
-			if _, bound := model.Get(id); bound {
-				allFree = false
-				break
-			}
-		}
-		ok, _, err := s.solveGroup(g.cons, gids, &model, nil)
-		if err != nil {
-			return false, nil, err
-		}
-		if allFree {
-			res := groupResult{sat: ok}
-			if ok {
-				for _, id := range gids {
-					v, _ := model.Get(id)
-					res.model = append(res.model, groupBinding{id, v})
-				}
-			}
-			s.putGroup(key, res)
-		}
-		if !ok {
-			return false, nil, nil
-		}
-	}
-	if fullModel {
-		// Bind any variable mentioned anywhere but left unconstrained.
-		for _, g := range groups {
-			for id := range g.vars {
-				if _, ok := model.Get(id); !ok {
-					model.Set(id, 0)
-				}
-			}
-		}
-	}
-	return true, model, nil
-}
-
-// relevantVars returns the set of variables in the same pre-
-// substitution connected component as cond's variables: every variable
-// reachable from cond through shared-variable links in the original
-// conjuncts.
-func relevantVars(cons []*expr.Expr, cond *expr.Expr) map[uint64]bool {
-	parent := map[uint64]uint64{}
-	var find func(x uint64) uint64
-	find = func(x uint64) uint64 {
-		p, ok := parent[x]
-		if !ok {
-			parent[x] = x
-			return x
-		}
-		if p != x {
-			p = find(p)
-			parent[x] = p
-		}
-		return p
-	}
-	for _, c := range cons {
-		vl := c.VarIDs()
-		for j := 1; j < len(vl); j++ {
-			parent[find(vl[0])] = find(vl[j])
-		}
-	}
-	roots := map[uint64]bool{}
-	for _, id := range cond.VarIDs() {
-		roots[find(id)] = true
-	}
-	relevant := map[uint64]bool{}
-	for id := range parent {
-		if roots[find(id)] {
-			relevant[id] = true
-		}
-	}
-	return relevant
-}
-
-// refGroup is a set of constraints over a connected set of variables
-// (reference partition).
-type refGroup struct {
-	cons []*expr.Expr
-	vars map[uint64]bool
-}
-
-func (g *refGroup) touches(vars map[uint64]bool) bool {
-	for id := range vars {
-		if g.vars[id] {
-			return true
-		}
-	}
-	return false
-}
-
-// partitioner groups constraints by transitive variable sharing
-// (union-find), reusing its maps and buffers across calls instead of
-// allocating fresh ones per query.
-type partitioner struct {
-	parent   map[uint64]uint64
-	byRoot   map[uint64]*refGroup
-	varLists [][]uint64
-}
-
-func (p *partitioner) partition(cons []*expr.Expr) []*refGroup {
-	if p.parent == nil {
-		p.parent = make(map[uint64]uint64)
-		p.byRoot = make(map[uint64]*refGroup)
-	}
-	clear(p.parent)
-	clear(p.byRoot)
-	var find func(x uint64) uint64
-	find = func(x uint64) uint64 {
-		pr, ok := p.parent[x]
-		if !ok {
-			p.parent[x] = x
-			return x
-		}
-		if pr != x {
-			pr = find(pr)
-			p.parent[x] = pr
-		}
-		return pr
-	}
-	union := func(a, b uint64) { p.parent[find(a)] = find(b) }
-
-	if cap(p.varLists) < len(cons) {
-		p.varLists = make([][]uint64, len(cons))
-	}
-	varLists := p.varLists[:len(cons)]
-	for i, c := range cons {
-		vl := c.VarIDs() // cached per-node summary; no DAG walk
-		varLists[i] = vl
-		for j := 1; j < len(vl); j++ {
-			union(vl[0], vl[j])
-		}
-	}
-	var order []*refGroup
-	for i, c := range cons {
-		if len(varLists[i]) == 0 {
-			continue // constant constraints handled by unit pass
-		}
-		root := find(varLists[i][0])
-		g := p.byRoot[root]
-		if g == nil {
-			g = &refGroup{vars: map[uint64]bool{}}
-			p.byRoot[root] = g
-			order = append(order, g)
-		}
-		g.cons = append(g.cons, c)
-		for _, v := range varLists[i] {
-			g.vars[v] = true
-		}
-	}
-	return order
 }

@@ -211,7 +211,7 @@ func TestCacheHit(t *testing.T) {
 }
 
 // A second, weaker query the set's witness model already satisfies: sat,
-// as the reference says, by whichever path answers it.
+// as enumeration says, by whichever path answers it.
 func TestModelReuse(t *testing.T) {
 	s := New()
 	cs := EmptySet.Append(expr.Ult(v(0), c8(10)))
@@ -305,35 +305,18 @@ func TestWideArithmetic(t *testing.T) {
 	}
 }
 
-// Property: any model the solver returns satisfies the constraint set.
+// Property: Solve's verdict is enumeration's, and any model it returns
+// satisfies the constraint set, on sets that need not be satisfiable.
 func TestQuickModelsSatisfy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := New()
 	for i := 0; i < 300; i++ {
 		nv := 1 + rng.Intn(4)
-		cs := EmptySet
+		cs := boundedRoot()
 		for j := 0; j < 1+rng.Intn(4); j++ {
-			cs = cs.Append(randomConstraint(rng, nv))
+			cs = cs.Append(randomConstraint(rng, blockTerm(rng, nv)))
 		}
-		m, sat, err := s.Solve(cs)
-		if err != nil {
-			continue
-		}
-		if sat && !cs.EvalAll(m) {
-			t.Fatalf("model %v does not satisfy %v", m, cs.Slice())
-		}
-		if !sat {
-			// Cross-check: random sampling should not find a model.
-			for k := 0; k < 200; k++ {
-				var a expr.Assignment
-				for id := 0; id < nv; id++ {
-					a.Set(uint64(id), uint8(rng.Intn(256)))
-				}
-				if cs.EvalAll(a) {
-					t.Fatalf("solver said unsat but %v satisfies %v", a, cs.Slice())
-				}
-			}
-		}
+		checkSolve(t, s, cs, enumSat(t, cs))
 	}
 }
 
@@ -352,16 +335,12 @@ func TestQuickBranchCompleteness(t *testing.T) {
 	}
 }
 
-func randomConstraint(rng *rand.Rand, nv int) *expr.Expr {
-	mkTerm := func() *expr.Expr {
-		if rng.Intn(2) == 0 {
-			return v(uint64(rng.Intn(nv)))
-		}
-		return c8(uint64(rng.Intn(256)))
-	}
-	l, r := mkTerm(), mkTerm()
+// randomConstraint draws a byte comparison, its sides (one possibly a
+// sum) from term.
+func randomConstraint(rng *rand.Rand, term func() *expr.Expr) *expr.Expr {
+	l, r := term(), term()
 	if rng.Intn(3) == 0 {
-		l = expr.Add(l, mkTerm())
+		l = expr.Add(l, term())
 	}
 	switch rng.Intn(4) {
 	case 0:
@@ -373,6 +352,40 @@ func randomConstraint(rng *rand.Rand, nv int) *expr.Expr {
 	default:
 		return expr.Not(expr.Eq(l, r))
 	}
+}
+
+// anyTerm draws terms for randomConstraint: a variable below nv or a
+// byte constant, evenly.
+func anyTerm(rng *rand.Rand, nv int) func() *expr.Expr {
+	return func() *expr.Expr {
+		if rng.Intn(2) == 0 {
+			return v(uint64(rng.Intn(nv)))
+		}
+		return c8(uint64(rng.Intn(256)))
+	}
+}
+
+// blockTerm is anyTerm over one block of variables, drawn once: a pair
+// of the nv variables ({0,1}, {2,3} or {4}), or the triple {5,6,7}.
+// Constraints from it join no component past three variables, and sets
+// of them grown from boundedRoot, which bounds v5 to 8 values, enumerate
+// in at most 2^19 assignments.
+func blockTerm(rng *rand.Rand, nv int) func() *expr.Expr {
+	lo, n := 5, 3
+	if k := rng.Intn((nv + 3) / 2); 2*k < nv {
+		lo, n = 2*k, min(2, nv-2*k)
+	}
+	return func() *expr.Expr {
+		if rng.Intn(2) == 0 {
+			return v(uint64(lo + rng.Intn(n)))
+		}
+		return c8(uint64(rng.Intn(256)))
+	}
+}
+
+// boundedRoot returns the set blockTerm workloads grow from: v5 < 8.
+func boundedRoot() *ConstraintSet {
+	return EmptySet.Append(expr.Ult(v(5), c8(8)))
 }
 
 func BenchmarkSolverBranchQuery(b *testing.B) {

@@ -152,7 +152,7 @@ func TestPruneMemoMatchesScan(t *testing.T) {
 		nv := 2 + rng.Intn(4)
 		var cons []*expr.Expr
 		for n := 2 + rng.Intn(5); n > 0; n-- {
-			cons = append(cons, randomConstraint(rng, nv))
+			cons = append(cons, randomConstraint(rng, anyTerm(rng, nv)))
 		}
 		var model expr.Assignment
 		sat, _, err := s.solveGroup(cons, groupIDs(cons), &model, nil)
@@ -198,7 +198,7 @@ func FuzzPruneMask(f *testing.F) {
 		rng := rand.New(&byteSource{data})
 		nv := 2 + rng.Intn(4)
 		for n := min(len(data)/32, 6); n > 0; n-- {
-			cons = append(cons, randomConstraint(rng, nv))
+			cons = append(cons, randomConstraint(rng, anyTerm(rng, nv)))
 		}
 		s := New()
 		s.MaxBacktracks = 1 << 9
