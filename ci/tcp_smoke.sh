@@ -104,11 +104,11 @@ if [[ "$KILL_TARGET" == "none" ]]; then
 else
   echo "== starting LB + 3 workers (mixed portfolio: $PORTFOLIO; data plane: $DATA_PLANE; will kill -9 one $KILL_TARGET mid-run)"
 fi
-# Lease must exceed the worst single solver query (a worker cannot
-# heartbeat mid-step — microseconds now that the interval tier answers
-# most branch queries), but stay well under the post-kill run time so
-# the eviction + re-seat actually happens before quiescence. The
-# interval tier shrank these runs to a second or two, hence 500ms.
+# The lease must stay well under the post-kill run time so the eviction
+# + re-seat actually happens before quiescence; a live worker inside a
+# long solver step keeps its membership through its transport's
+# keepalive (every quarter lease). The interval tier shrank these runs
+# to a second or two, hence 500ms.
 OBS_PORT=$((PORT + 1))
 LB_DUMP="$LOGS/obs.json"
 if [[ "$KILL_TARGET" == "lb" ]]; then
@@ -252,9 +252,12 @@ if [[ "$DISTINCT" -lt 2 ]]; then
   exit 1
 fi
 
-# The final obs dump must agree with the stdout accounting to the path:
-# the fleet metric fold and the member-record sum are the same cut
-# (metrics-at-LastFull), so c9_engine_paths_total == cluster total == REF.
+# The stdout `cluster total:` line is read off the LB's fleet metric
+# fold (live members' metrics as of their last full status, departed
+# members' at their departure), and the obs dump holds the same fold:
+# both must equal the single-node count, c9_engine_paths_total == cluster
+# total == REF, so neither the printed report nor the dump can drift
+# from the run.
 if [[ ! -s "$LOGS/obs.json" ]]; then
   echo "smoke: FAIL — LB never wrote the obs dump" >&2
   exit 1

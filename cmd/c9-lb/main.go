@@ -6,9 +6,10 @@
 // its lease lapses and its last-reported jobs are re-seated onto
 // survivors. The LB exits when the run has terminated — every worker
 // idle and nothing in flight, confirmed by two probe waves — or when
-// -max-duration cuts it off, and prints the aggregate results, including
-// departed workers' final contributions; exhausted=true|false on the
-// cluster total line says which of the two ended the run.
+// -max-duration cuts it off, and prints a line per live worker and the
+// cluster total, which includes departed workers' accounted work;
+// exhausted=true|false on the cluster total line says which of the two
+// ended the run.
 //
 // The LB holds only summaries of what the workers hold, so it is not
 // replicated. If it dies, start c9-lb -resume at the same address (and
@@ -130,15 +131,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	var paths, errors, hangs, useful, replay uint64
+	// Every count below is a metric: a live worker's as of its last full
+	// status, a departed one's folded into the fleet at its departure.
 	for _, st := range statuses {
-		paths += st.Paths
-		errors += st.Errors
-		hangs += st.Hangs
-		useful += st.UsefulSteps
-		replay += st.ReplaySteps
+		o := st.Obs
 		fmt.Printf("  worker %d (epoch %d): paths=%d errors=%d useful=%d replay=%d cov=%d\n",
-			st.Worker, st.Epoch, st.Paths, st.Errors, st.UsefulSteps, st.ReplaySteps, st.CovCount)
+			st.Worker, st.Epoch, o.Counter(obs.MEnginePaths), o.Counter(obs.MEngineErrors),
+			o.Counter(obs.MEngineUsefulSteps), o.Counter(obs.MEngineReplaySteps), o.Gauge(obs.MEngineCoverageLines))
 	}
 	evictions, leaves, transfers, transferred := srv.Stats()
 	fmt.Printf("membership: evictions=%d leaves=%d transfers=%d states-transferred=%d\n",
@@ -146,7 +145,8 @@ func main() {
 	fleet := srv.ObsSnapshot()
 	fmt.Printf("restart: abandoned=%d\n", fleet.Counter(obs.MLBAbandoned))
 	fmt.Printf("cluster total: paths=%d errors=%d hangs=%d useful=%d replay=%d exhausted=%v\n",
-		paths, errors, hangs, useful, replay, srv.Exhausted())
+		fleet.Counter(obs.MEnginePaths), fleet.Counter(obs.MEngineErrors), fleet.Counter(obs.MEngineHangs),
+		fleet.Counter(obs.MEngineUsefulSteps), fleet.Counter(obs.MEngineReplaySteps), srv.Exhausted())
 	fmt.Print(obs.Render(fleet))
 	if *obsDump != "" {
 		if err := obs.WriteDump(*obsDump, fleet, srv.Journal().All()); err != nil {

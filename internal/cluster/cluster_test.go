@@ -10,6 +10,7 @@ import (
 	"cloud9/internal/cfg"
 	"cloud9/internal/engine"
 	"cloud9/internal/interp"
+	"cloud9/internal/obs"
 	"cloud9/internal/posix"
 	"cloud9/internal/tree"
 )
@@ -429,9 +430,10 @@ func TestStatesTransferredCountsActualReceipts(t *testing.T) {
 	if got := lb.StatesTransferred(); got != 0 {
 		t.Fatalf("StatesTransferred counted requested jobs at order time: %d", got)
 	}
-	// The source only had 3 exportable jobs; the receiver reports what
-	// actually arrived.
-	report(t, lb, ms[1], Status{Queue: 3, JobsRecv: 3, TransferredIn: 3})
+	// The source only had 3 exportable jobs; the receiver's full status
+	// reports what actually arrived.
+	report(t, lb, ms[1], Status{Queue: 3, JobsRecv: 3, Frontier: &JobTree{},
+		Obs: &obs.Snapshot{Counters: map[string]uint64{obs.MClusterTransfersIn: 3}}})
 	if got := lb.StatesTransferred(); got != 3 {
 		t.Fatalf("StatesTransferred = %d, want 3 (actual receipts)", got)
 	}

@@ -231,8 +231,13 @@ func TestSimRestartAfterChainedDepartures(t *testing.T) {
 	if !ok || len(outer.Rec.ReseatAcks) != 1 || outer.Rec.ReseatAcks[0].ID != e1 {
 		t.Fatalf("worker 0's custody record %+v does not carry worker 1's ack (epoch %d)", outer, e1)
 	}
-	if len(res.LB.Gone) != 2 {
-		t.Fatalf("restart rebuilt %d departed records, want 2", len(res.LB.Gone))
+	inner := outer.Rec.ReseatAcks[0]
+	if _, ok := res.LB.ReseatAcked[e1]; !ok {
+		t.Fatalf("restart did not adopt worker 1's nested ack (epoch %d)", e1)
+	}
+	want := outer.Rec.Obs.Counter(obs.MEnginePaths) + inner.Rec.Obs.Counter(obs.MEnginePaths)
+	if got := res.LB.GoneObs.Counter(obs.MEnginePaths); got != want || want == 0 {
+		t.Fatalf("restart folded %d departed paths, want both records' %d", got, want)
 	}
 }
 

@@ -21,8 +21,9 @@ type BalancerConfig struct {
 	Delta float64
 	// MinTransfer suppresses transfers smaller than this many jobs.
 	MinTransfer int
-	// Lease is how long a member may stay silent (no accepted status)
-	// before it is presumed crashed and evicted. 0 means DefaultLease.
+	// Lease is how long a member may stay silent (no accepted status,
+	// no keepalive) before it is presumed crashed and evicted. 0 means
+	// DefaultLease.
 	Lease time.Duration
 	// Portfolio lists the internal/search strategy specs the LB hands
 	// out to workers — one slot per joining member, in equal shares,
@@ -119,11 +120,9 @@ type Member struct {
 	// discardable exploration progress can sit between LastFull and Last.
 	Last     Status
 	LastFull Status
-	// Obs is the member's metrics as of LastFull, reassembled from the
-	// obs deltas full statuses carry (cumulative resyncs replace it, see
-	// Status.ObsBase). Deliberately parallels LastFull: if the member
-	// departs, these are its accounted metrics — same cut as its
-	// frontier and counters.
+	// Obs is the member's cumulative metrics as of LastFull, replaced by
+	// each full status. If the member departs, these are its accounted
+	// metrics — the same cut as its frontier.
 	Obs obs.Snapshot
 	// LastSeen is the lease renewal time.
 	LastSeen time.Time
@@ -196,11 +195,6 @@ type LoadBalancer struct {
 	// Enabled gates balancing (Fig. 13 disables it mid-run).
 	Enabled bool
 
-	// neverEvict suspends lease eviction — and nothing else the lease
-	// times: re-seat and unit-grant re-delivery keep their pace. Set by
-	// cluster.Run, where a silent member is never a dead one.
-	neverEvict bool
-
 	// Termination detector (probe): probeSeq is the last wave opened,
 	// probeOpen whether it still waits for echoes, cleanWaves how many
 	// complete waves in a row found the cluster quiescent on the same job
@@ -261,10 +255,10 @@ type lbState struct {
 	Orphans     []*custodyBatch
 	ReseatAcked map[uint64]ReseatAck
 
-	// Quiescence reconciliation state for departed members: their final
-	// counters, plus jobs the LB itself delivered while re-seating.
-	// GoneObs is the Merge-fold of departed members' accounted metrics.
-	Gone       []Status
+	// Departed members: GoneObs is the Merge-fold of their accounted
+	// metrics, the only record of their work; GoneSent and GoneRecv their
+	// final job counters for the quiescence reconciliation, and
+	// ReseatSent the jobs the LB itself delivered while re-seating.
 	GoneObs    obs.Snapshot
 	GoneSent   uint64
 	GoneRecv   uint64
@@ -497,15 +491,8 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 	m.Last = st
 	if st.Frontier != nil {
 		m.LastFull = st
-	}
-	if st.Obs != nil {
-		// Cumulative resync (the worker could not prove this record still
-		// holds its baseline) replaces; an ordinary delta applies. Both
-		// keep the invariant Obs ≡ metrics-at-LastFull.
-		if st.ObsBase {
-			m.Obs = st.Obs.Clone()
-		} else {
-			m.Obs.Apply(*st.Obs)
+		if st.Obs != nil {
+			m.Obs = *st.Obs
 		}
 	}
 	m.Reported = true
@@ -617,9 +604,6 @@ func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
 		}
 		outs = lb.closeResync(now)
 	}
-	if lb.neverEvict {
-		return outs
-	}
 	var expired []int
 	for id, m := range lb.Members {
 		if now.Sub(m.LastSeen) > lb.cfg.Lease {
@@ -641,10 +625,11 @@ func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
 	return outs
 }
 
-// depart removes a member, folds its final counters into the quiescence
-// reconciliation, reclaims custody of its last-reported frontier plus
-// any unacknowledged LB batches addressed to it, and re-seats everything
-// onto a survivor (or holds it as an orphan until one joins).
+// depart removes a member, folds its accounted metrics and final job
+// counters into the departed side, reclaims custody of its last-reported
+// frontier plus any unacknowledged LB batches addressed to it, and
+// re-seats everything onto a survivor (or holds it as an orphan until one
+// joins).
 func (lb *LoadBalancer) depart(id int, now time.Time) []Outbound {
 	m := lb.Members[id]
 	outs := lb.drop(id, now)
@@ -667,7 +652,7 @@ func (lb *LoadBalancer) depart(id int, now time.Time) []Outbound {
 		lb.foldGone(acked.Rec, acked.Rec.Obs)
 		lb.ReseatSent += uint64(acked.Jobs)
 	} else {
-		// The accounting record's counters match the latest status
+		// The accounting record's job counters match the latest status
 		// (workers send a full status on every transfer), and everything
 		// explored after it is re-explored by whoever inherits the
 		// frontier — counted exactly once either way. Every departure
@@ -737,14 +722,9 @@ func (lb *LoadBalancer) drop(id int, now time.Time) []Outbound {
 	}}}
 }
 
-// foldGone adds a departed member's accounting record, and o, its
-// accounted metrics, to the departed side of the reconciliation. A member
-// that departed before its first status has an empty record (epoch 0) and
-// no line of its own.
+// foldGone adds a departed member's accounted metrics, o, and the job
+// counters of its accounting record to the departed side.
 func (lb *LoadBalancer) foldGone(rec Status, o *obs.Snapshot) {
-	if rec.Epoch != 0 {
-		lb.Gone = append(lb.Gone, rec)
-	}
 	if o != nil {
 		lb.GoneObs.Merge(*o)
 	}
@@ -753,18 +733,17 @@ func (lb *LoadBalancer) foldGone(rec Status, o *obs.Snapshot) {
 }
 
 // custodyRecord builds the accounting record shipped with a departed
-// member's custody batch: its counters at the accounting cut, its
-// accounted metrics as a cumulative snapshot and the ReseatAcks it echoed
-// — the records of the departures it had inherited, so a chain of
-// departures stays on a live worker — bulk fields stripped.
+// member's custody batch: its job counters at the accounting cut, its
+// accounted metrics and the ReseatAcks it echoed — the records of the
+// departures it had inherited, so a chain of departures stays on a live
+// worker — bulk fields stripped.
 func custodyRecord(m *Member) *Status {
 	rec := m.Record()
 	rec.Frontier = nil
 	rec.CovWords = nil
 	rec.Acks = nil
-	o := m.Obs.Clone()
+	o := m.Obs
 	rec.Obs = &o
-	rec.ObsBase = true
 	return &rec
 }
 
@@ -1070,46 +1049,40 @@ func (lb *LoadBalancer) GlobalCoverage() (*coverage.BitVec, bool) {
 	return lb.Cov, dirty
 }
 
-// Statuses returns the latest statuses of current members plus the
-// final statuses of departed members (read-only copies, ordered by
-// worker id; departed entries keep their original ids).
+// Statuses returns the latest statuses of reported current members,
+// ordered by worker id, each carrying the member's accounted metrics
+// (Member.Obs) as its Obs. Departed members' work is in GoneObs only.
 func (lb *LoadBalancer) Statuses() []Status {
-	out := make([]Status, 0, len(lb.Members)+len(lb.Gone))
-	for _, m := range lb.Members {
-		if m.Reported {
-			out = append(out, m.Last)
+	out := make([]Status, 0, len(lb.Members))
+	for _, id := range lb.memberIDs() {
+		if m := lb.Members[id]; m.Reported {
+			st, o := m.Last, m.Obs
+			st.Obs = &o
+			out = append(out, st)
 		}
 	}
-	out = append(out, lb.Gone...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
 	return out
 }
 
-// TotalPaths sums explored paths across current and departed members.
-func (lb *LoadBalancer) TotalPaths() uint64 {
-	var n uint64
+// fleetCounter sums one counter over the accounted metrics of current and
+// departed members.
+func (lb *LoadBalancer) fleetCounter(name string) uint64 {
+	n := lb.GoneObs.Counter(name)
 	for _, m := range lb.Members {
-		n += m.Last.Paths
-	}
-	for _, st := range lb.Gone {
-		n += st.Paths
+		n += m.Obs.Counter(name)
 	}
 	return n
 }
+
+// TotalPaths sums explored paths across current and departed members.
+func (lb *LoadBalancer) TotalPaths() uint64 { return lb.fleetCounter(obs.MEnginePaths) }
 
 // StatesTransferred sums jobs actually received from peer workers
 // (JobTree.Count on receipt, Fig. 12's numerator) across current and
 // departed members — not the requested order sizes, which overcount
 // when a source has fewer jobs than reported.
 func (lb *LoadBalancer) StatesTransferred() int {
-	n := 0
-	for _, m := range lb.Members {
-		n += int(m.Last.TransferredIn)
-	}
-	for _, st := range lb.Gone {
-		n += int(st.TransferredIn)
-	}
-	return n
+	return int(lb.fleetCounter(obs.MClusterTransfersIn))
 }
 
 // Journal returns the LB's run-event journal (membership, custody and

@@ -225,11 +225,7 @@ func TestRetireWaitsForItsBatchesAcks(t *testing.T) {
 		sent, recv := f.lb.jobSums()
 		t.Fatalf("no termination after %d rounds: jobs sent %d, received %d", f.round-1, sent, recv)
 	}
-	var paths uint64
-	for _, st := range f.lb.Statuses() {
-		paths += st.Paths
-	}
-	if paths != 64 || f.lb.Leaves != 1 {
+	if paths := f.lb.TotalPaths(); paths != 64 || f.lb.Leaves != 1 {
 		t.Fatalf("paths = %d, leaves = %d, want 64 and 1", paths, f.lb.Leaves)
 	}
 }

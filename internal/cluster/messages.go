@@ -27,14 +27,14 @@
 //
 // # Job custody and crash recovery
 //
-// Every status carries the worker's frontier — its candidate nodes
-// encoded as a JobTree of path prefixes. When a member departs, the load
-// balancer re-seats that last-reported frontier onto the least-loaded
-// survivor via the ordinary MsgJobs replay path (From = LBFrom). All
-// work a member did after its last accepted status is discarded — its
-// final counters come from that same status — so the re-explored subtree
-// is counted exactly once and the cluster-wide path count matches an
-// undisturbed run.
+// Every full status carries the worker's frontier — its candidate nodes
+// encoded as a JobTree of path prefixes — and its cumulative metrics.
+// When a member departs, the load balancer re-seats that last-reported
+// frontier onto the least-loaded survivor via the ordinary MsgJobs
+// replay path (From = LBFrom). All work a member did after its last
+// accepted full status is discarded — its final metrics come from that
+// same status — so the re-explored subtree is counted exactly once and
+// the cluster-wide path count matches an undisturbed run.
 //
 // Worker-to-worker transfers use sender-side custody: the source keeps
 // each exported batch, stamped with a per-sender sequence number, until
@@ -175,7 +175,7 @@ type Message struct {
 	CovWords []uint64
 	// MsgStatus: the worker's report. For LB-origin MsgJobs (custody
 	// re-seats) this instead carries the departed member's accounting
-	// record — counters plus accounted metrics, no frontier — which the
+	// record — job counters plus accounted metrics, no frontier — which the
 	// importer stores and echoes back in its ReseatAcks, so a restarted
 	// balancer can rebuild the departed member's accounting.
 	Status *Status
@@ -248,8 +248,8 @@ type JobAck struct {
 // ID is the batch's stable custody id — the departed member's epoch, so
 // it survives a balancer restart — Jobs the number of jobs imported, and
 // Rec the departed member's accounting record as shipped with the batch
-// (counters and accounted metrics at the re-seat cut, and the member's
-// own ReseatAcks).
+// (job counters and accounted metrics at the re-seat cut, and the
+// member's own ReseatAcks).
 type ReseatAck struct {
 	ID   uint64
 	Jobs int
@@ -257,27 +257,20 @@ type ReseatAck struct {
 }
 
 // Status is a worker's periodic report to the load balancer (§3.3):
-// queue length (exploration jobs), cumulative work counters, the
-// worker's coverage bit vector, and — for crash recovery — a consistent
-// snapshot of its frontier as path prefixes. It also renews the worker's
-// membership lease.
+// queue length (exploration jobs), the job counters quiescence reads, the
+// worker's coverage bit vector and, on a full status, a consistent
+// snapshot of its frontier as path prefixes and of its cumulative
+// metrics. It also renews the worker's membership lease.
 type Status struct {
 	Worker int
 	// Epoch is the membership incarnation this status belongs to; the LB
 	// discards statuses from stale epochs.
-	Epoch       uint64
-	Queue       int    // candidate nodes (exploration jobs)
-	JobsSent    uint64 // cumulative, for quiescence detection
-	JobsRecv    uint64
-	UsefulSteps uint64
-	ReplaySteps uint64
-	Paths       uint64
-	Errors      uint64
-	Hangs       uint64
-	Tests       int
-	CovWords    []uint64
-	CovCount    int
-	Done        bool // frontier empty and no pending imports
+	Epoch    uint64
+	Queue    int    // candidate nodes (exploration jobs)
+	JobsSent uint64 // cumulative, for quiescence detection
+	JobsRecv uint64
+	CovWords []uint64
+	Done     bool // frontier empty and no pending imports
 	// Probe echoes the highest MsgProbe sequence the worker had seen when
 	// it took this snapshot: a status with Probe ≥ n was taken after wave
 	// n began, which is what lets the balancer treat a wave's reports as
@@ -288,10 +281,6 @@ type Status struct {
 	// onto a survivor; everything the worker did after this snapshot is
 	// discarded, keeping cluster totals exact.
 	Frontier *JobTree
-	// TransferredIn counts jobs actually received from peer workers
-	// (JobTree.Count on receipt) — the Fig. 12 numerator. Excludes LB
-	// re-seats and local re-imports.
-	TransferredIn uint64
 	// Acks acknowledge received peer job batches (relayed by the LB to
 	// each source as MsgJobsAck).
 	Acks []JobAck
@@ -323,16 +312,13 @@ type Status struct {
 	// unit table from these claims; a unit nobody claims is granted
 	// again.
 	Units []int
-	// Obs carries the worker's metrics, delta-encoded against the last
-	// full status the LB accepted (nil on light statuses — metrics ride
-	// the frontierEvery cadence, same as the frontier). When ObsBase is
-	// set the snapshot is cumulative instead: the worker could not prove
-	// the LB still holds its previous baseline (failed send or stream
-	// reconnect), so the LB replaces its record rather than applying a
-	// delta. Replacing a cumulative snapshot is idempotent, which makes
-	// the resync safe under arbitrary loss.
-	Obs     *obs.Snapshot
-	ObsBase bool
+	// Obs is the worker's cumulative metrics snapshot, taken in the same
+	// instant as Frontier and carried by full statuses only (nil on light
+	// ones). It is the one record of the worker's work: paths, errors,
+	// steps and transfers are its counters. The balancer replaces its
+	// copy with each one, so a lost full status costs nothing the next
+	// one does not restore.
+	Obs *obs.Snapshot
 }
 
 // JobTree aggregates path-encoded jobs into a trie so that shared path

@@ -169,8 +169,9 @@ func TestProbeWaveResetByJoin(t *testing.T) {
 // number, and a held-open balancer (LBServer.MinWorkers not yet met) does
 // not probe at all.
 func TestProbeReissuedEachRound(t *testing.T) {
-	lb := NewLoadBalancer(DefaultBalancerConfig(), 64)
-	lb.neverEvict = true
+	cfg := DefaultBalancerConfig()
+	cfg.Lease = time.Hour // the rounds below run for seconds with no report
+	lb := NewLoadBalancer(cfg, 64)
 	ms := joinN(t, lb, 2)
 	lb.holdOpen = true
 	control(t, lb, ms[0], Status{})

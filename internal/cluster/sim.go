@@ -134,7 +134,7 @@ func (e simEndpoint) SendToLB(m Message) bool {
 
 // LBGen / SendToLBAt: a restart bumps the generation exactly as a
 // TCP stream reconnect does, forcing every worker's next status to be a
-// full frontier snapshot with a cumulative metrics baseline.
+// full one (frontier and metrics).
 func (e simEndpoint) LBGen() uint64 { return e.sim.gen }
 
 func (e simEndpoint) SendToLBAt(m Message, gen uint64) bool {
@@ -313,24 +313,26 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			snap.Errors += errors
 			snap.Hangs += hangs
 		}
+		addObs := func(o obs.Snapshot) {
+			add(o.Counter(obs.MEngineUsefulSteps), o.Counter(obs.MEngineReplaySteps),
+				o.Counter(obs.MEnginePaths), o.Counter(obs.MEngineErrors), o.Counter(obs.MEngineHangs))
+		}
 		for _, w := range workers {
 			if w.Departed() {
 				// Gone, but maybe still a member (a crash whose lease has not
-				// lapsed): count the record that becomes its accounting at
-				// eviction — everything past it is re-explored by survivors.
+				// lapsed): count the metrics that become its accounting at
+				// eviction — everything past them is re-explored by survivors.
 				if m := s.lb.Members[w.ID]; m != nil {
-					rec := m.Record()
-					add(rec.UsefulSteps, rec.ReplaySteps, rec.Paths, rec.Errors, rec.Hangs)
+					addObs(m.Obs)
 				}
 				continue
 			}
+			// A live worker's own counters: no registry snapshot per tick.
 			st := &w.Exp.Stats
 			add(st.UsefulSteps, st.ReplaySteps, st.PathsExplored, st.Errors, st.Hangs)
 			snap.Queues = append(snap.Queues, w.Exp.Tree.NumCandidates())
 		}
-		for _, st := range s.lb.Gone {
-			add(st.UsefulSteps, st.ReplaySteps, st.Paths, st.Errors, st.Hangs)
-		}
+		addObs(s.lb.GoneObs)
 		cov, _ := s.lb.GlobalCoverage()
 		snap.Coverage = cov.Count()
 		snap.StatesTransferred = s.lb.StatesTransferred()

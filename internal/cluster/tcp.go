@@ -681,8 +681,8 @@ func (s *LBServer) Abort() {
 func (s *LBServer) Addr() string { return s.listener.Addr().String() }
 
 // TotalPaths reports the cluster-wide explored-path count (live members'
-// last reports plus departed members' final ones). Safe concurrently
-// with Serve.
+// metrics as of their last full status plus departed members' accounted
+// ones). Safe concurrently with Serve.
 func (s *LBServer) TotalPaths() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -732,9 +732,9 @@ func (s *LBServer) dispatchLocked(outs []Outbound) {
 }
 
 // Serve accepts workers and balances until the run terminates (or
-// maxDuration passes), then broadcasts stop and returns the final
-// statuses — live members' last reports plus the final records of
-// departed members. The balance round runs on a 20 ms tick, and at once
+// maxDuration passes), then broadcasts stop and returns the live
+// members' last statuses, each carrying the member's accounted metrics
+// (departed members' work is in ObsSnapshot). The balance round runs on a 20 ms tick, and at once
 // when a handler's report made one due (roundDue), restarting the tick.
 // What the balancer does on a report (unit grants, probe waves) the
 // handlers dispatch as it arrives, and the one that closes the last wave

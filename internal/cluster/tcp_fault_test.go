@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cloud9/internal/obs"
 )
 
 // TestTCPGracefulRetire retires one of three TCP workers mid-run: its
@@ -169,7 +171,7 @@ func TestTCPTimeBoundStopsWorkers(t *testing.T) {
 	}
 	var steps uint64
 	for _, st := range statuses {
-		steps += st.UsefulSteps
+		steps += st.Obs.Counter(obs.MEngineUsefulSteps)
 	}
 	if steps == 0 {
 		t.Fatal("no work reported inside 200ms: the workers were not busy when the cut came")

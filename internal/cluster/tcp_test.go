@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,8 +118,8 @@ func (f *tcpFleet) await(id int) *Worker {
 
 // serve runs the LB (f.lbs — a restart test points it at the resumed
 // server first) to the end of the run, waits for every worker to exit,
-// and returns the summed path and error counts of the final statuses
-// plus how many workers departed (crashed, retired, evicted). After it
+// and returns the fleet's path and error counts — live members' and
+// departed ones' accounted metrics — plus how many workers departed (crashed, retired, evicted). After it
 // returns, f.workers and f.statuses are the test's to read.
 func (f *tcpFleet) serve(t *testing.T) (paths, errors uint64, departed int) {
 	t.Helper()
@@ -142,13 +143,11 @@ func (f *tcpFleet) serve(t *testing.T) (paths, errors uint64, departed int) {
 		}
 		for _, st := range statuses {
 			t.Logf("final status: worker=%d queue=%d done=%v paths=%d sent=%d recv=%d probe=%d",
-				st.Worker, st.Queue, st.Done, st.Paths, st.JobsSent, st.JobsRecv, st.Probe)
+				st.Worker, st.Queue, st.Done, st.Obs.Counter(obs.MEnginePaths), st.JobsSent, st.JobsRecv, st.Probe)
 		}
 	}
-	for _, st := range statuses {
-		paths += st.Paths
-		errors += st.Errors
-	}
+	fleet := f.lbs.ObsSnapshot()
+	paths, errors = fleet.Counter(obs.MEnginePaths), fleet.Counter(obs.MEngineErrors)
 	for _, w := range f.workers {
 		if w.Departed() {
 			departed++
@@ -185,6 +184,56 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	}
 	if len(f.statuses) != numWorkers {
 		t.Fatalf("statuses = %d", len(f.statuses))
+	}
+}
+
+// lossyFullStatuses loses every third full status on the way to the
+// balancer yet reports it sent, as a stream that accepted the write and
+// died before delivering it does.
+type lossyFullStatuses struct {
+	*TCPWorkerTransport
+	full int
+}
+
+func (l *lossyFullStatuses) SendToLBAt(m Message, gen uint64) bool {
+	if m.Kind == MsgStatus && m.Status.Frontier != nil {
+		if l.full++; l.full%3 == 0 {
+			return true
+		}
+	}
+	return l.TCPWorkerTransport.SendToLBAt(m, gen)
+}
+
+// TestTCPLostFullStatusesLoseNoMetrics loses full statuses silently: each
+// full status carries its worker's cumulative metrics, so the next one
+// that arrives restores whatever a lost one held, and at termination the
+// balancer's engine counters equal the workers' own registries, summed.
+func TestTCPLostFullStatusesLoseNoMetrics(t *testing.T) {
+	f := newTCPFleet(t, bigClusterTarget, DefaultBalancerConfig(), 2)
+	for i := 0; i < 2; i++ {
+		f.start(t, tcpWorkerOpts{wrap: func(tr *TCPWorkerTransport) Transport { return &lossyFullStatuses{TCPWorkerTransport: tr} }})
+	}
+	f.serve(t)
+	if !f.lbs.Exhausted() {
+		t.Fatal("the run did not terminate")
+	}
+	var want obs.Snapshot
+	for _, w := range f.workers {
+		want.Merge(w.Exp.Obs.Snapshot())
+	}
+	got := f.lbs.ObsSnapshot()
+	checked := 0
+	for name, v := range want.Counters {
+		if !strings.HasPrefix(name, "c9_engine_") {
+			continue
+		}
+		checked++
+		if got.Counter(name) != v {
+			t.Errorf("%s = %d at the balancer, %d in the workers' registries", name, got.Counter(name), v)
+		}
+	}
+	if checked == 0 || want.Counter(obs.MEnginePaths) != 1024 {
+		t.Fatalf("checked %d engine counters over %d paths, want 1024", checked, want.Counter(obs.MEnginePaths))
 	}
 }
 

@@ -176,9 +176,6 @@ const (
 	// custody snapshot never misses a transfer, and a crash discards at
 	// most frontierEvery × statusEvery of exploration, explored again.
 	frontierEvery = 16
-	// heartbeat is the maximum silence between statuses even mid-batch,
-	// so slow batches never expire the membership lease.
-	heartbeat = 250 * time.Millisecond
 	// resendAfter re-sends unacknowledged exported job batches (lossy
 	// transports only; receivers suppress duplicates).
 	resendAfter = 2 * time.Second
@@ -261,7 +258,8 @@ type Worker struct {
 
 	// now is the clock lastStatus is read on (time.Now outside tests);
 	// lastStatus, the time of the last status sent, paces the per-batch
-	// statuses (statusEvery) and the mid-batch heartbeat.
+	// statuses (statusEvery). A batch that outlasts the lease is covered
+	// by the transport's keepalive, not by a status.
 	// statusesSinceFull and lastFullSent/Recv drive the full-vs-light
 	// status cadence. fullPending forces the next status to carry the
 	// frontier after a full snapshot may have been lost (LB send failure
@@ -276,14 +274,6 @@ type Worker struct {
 	lastFullRecv      uint64
 	fullPending       bool
 	lastLBGen         uint64
-
-	// lastObs is the metrics snapshot shipped with the last accepted
-	// full status — the baseline the LB holds, against which the next
-	// full status's obs delta is computed. While fullPending is set the
-	// baseline is unprovable (the snapshot may have died with the old
-	// stream), so the next full status carries the cumulative snapshot
-	// (Status.ObsBase) and the LB replaces instead of applies.
-	lastObs obs.Snapshot
 
 	// spec is the strategy spec currently running ("" = engine
 	// default); swaps counts hot-swaps, salting each rebuild's seed.
@@ -795,12 +785,13 @@ func (w *Worker) resendOverdue() {
 	}
 }
 
-// sendStatus reports a consistent snapshot to the LB: load, counters,
+// sendStatus reports a consistent snapshot to the LB: load, job counters,
 // coverage, and acknowledgments, plus — on full statuses — the frontier
-// as path prefixes. Building the frontier tree is O(frontier · depth),
-// so it is shipped when the transfer counters moved (keeping the LB's
-// custody snapshot exact) and every frontierEvery-th status otherwise;
-// the cadence is count-based so the lock-step sim stays deterministic.
+// as path prefixes and the cumulative metrics. Building the frontier tree
+// is O(frontier · depth), so it is shipped when the transfer counters
+// moved (keeping the LB's custody snapshot exact) and every
+// frontierEvery-th status otherwise; the cadence is count-based so the
+// lock-step sim stays deterministic.
 func (w *Worker) sendStatus() {
 	full := w.jobsSent.Load() != w.lastFullSent || w.jobsRecv.Load() != w.lastFullRecv ||
 		w.statusesSinceFull >= frontierEvery || w.Exp.Done()
@@ -835,15 +826,7 @@ func (w *Worker) sendStatusOpt(full bool) {
 		Queue:         w.Exp.Tree.NumCandidates(),
 		JobsSent:      w.jobsSent.Load(),
 		JobsRecv:      w.jobsRecv.Load(),
-		TransferredIn: w.transfersIn.Load(),
-		UsefulSteps:   w.Exp.Stats.UsefulSteps,
-		ReplaySteps:   w.Exp.Stats.ReplaySteps,
-		Paths:         w.Exp.Stats.PathsExplored,
-		Errors:        w.Exp.Stats.Errors,
-		Hangs:         w.Exp.Stats.Hangs,
-		Tests:         len(w.Exp.Tests),
 		CovWords:      w.Exp.Cov.Words(),
-		CovCount:      w.Exp.Cov.Count(),
 		Done:          w.Exp.Done(),
 		Probe:         w.probeSeen,
 		Acks:          acks,
@@ -855,23 +838,13 @@ func (w *Worker) sendStatusOpt(full bool) {
 		PeerFallbacks: w.peerFallbacks.Load(),
 		Units:         w.Exp.OwnedUnits(),
 	}
-	var obsSnap obs.Snapshot
 	if full {
+		// The frontier and the cumulative metrics are one cut: the LB
+		// replaces its record of both, so a lost full status is made good
+		// by the next one.
 		st.Frontier = BuildJobTree(w.Exp.FrontierPaths())
-		// Metrics ride the full-status cadence, delta-encoded against the
-		// baseline of the last accepted full status. Under fullPending the
-		// LB's baseline is unprovable, so ship the cumulative snapshot
-		// instead and let the LB replace its record (idempotent under
-		// arbitrary loss — the same discipline the frontier follows).
-		obsSnap = w.Exp.Obs.Snapshot()
-		if w.fullPending {
-			base := obsSnap.Clone()
-			st.Obs = &base
-			st.ObsBase = true
-		} else {
-			d := obsSnap.Diff(w.lastObs)
-			st.Obs = &d
-		}
+		o := w.Exp.Obs.Snapshot()
+		st.Obs = &o
 	}
 	msg := Message{Kind: MsgStatus, From: w.ID, Epoch: w.Epoch, Status: &st}
 	// Gate the send on the generation the full/light decision was made
@@ -886,7 +859,6 @@ func (w *Worker) sendStatusOpt(full bool) {
 		w.statusesSinceFull = 0
 		w.lastFullSent = w.jobsSent.Load()
 		w.lastFullRecv = w.jobsRecv.Load()
-		w.lastObs = obsSnap
 	case full:
 		// The snapshot never left this worker: the LB's custody view is
 		// still stale, so the next status must be full again.
@@ -950,11 +922,6 @@ func (w *Worker) turn() error {
 	for i := 0; i < w.cfg.Batch && !w.Exp.Done(); i++ {
 		if _, err := w.Exp.Step(); err != nil {
 			return err
-		}
-		if w.now().Sub(w.lastStatus) >= heartbeat {
-			// Mid-batch heartbeat: keep the lease alive through slow
-			// solver batches.
-			w.sendStatus()
 		}
 	}
 	if w.now().Sub(w.lastStatus) >= statusEvery {

@@ -1,8 +1,8 @@
 // Package obs is the observability plane: a dependency-free metrics
 // registry (atomic counters, gauges, fixed-bucket histograms), plain-data
-// snapshots with diff/apply/merge algebra, a structured run-event journal,
-// and live exposition (Prometheus text, JSON, journal tail, pprof) over an
-// opt-in HTTP endpoint.
+// snapshots with one combination operator, a structured run-event
+// journal, and live exposition (Prometheus text, JSON, journal tail,
+// pprof) over an opt-in HTTP endpoint.
 //
 // Design constraints, in order:
 //
@@ -10,11 +10,11 @@
 //     *Counter / *Gauge / *Histogram pointers obtained once at
 //     construction; Inc/Add/Set/Observe are single atomic ops.
 //   - Snapshots are plain data (maps of name → value), safe to ship in
-//     cluster Status messages, delta-encode, and re-aggregate. Three
-//     combination operators cover every aggregation site:
-//     Diff (cur − prev, for wire deltas), Apply (prev + delta, cumulative
-//     re-assembly of one source's stream), and Merge (cross-source sum,
-//     associative and commutative — the fleet view).
+//     cluster Status messages. A snapshot on the wire is always
+//     cumulative — a worker's whole registry, which the receiver keeps in
+//     place of the last one — so a lost message loses nothing the next
+//     one does not carry. One operator, Merge (a cross-source sum,
+//     associative and commutative), folds snapshots into the fleet view.
 //   - Determinism: nothing in this package reads a clock or RNG on its
 //     own. The Journal's clock is injectable so the lock-step sim can
 //     stamp events with virtual tick time, making journals and metrics
@@ -214,7 +214,7 @@ func (h Hist) Count() uint64 {
 }
 
 // Snapshot is a plain-data point-in-time view of a metric set. The zero
-// value (nil maps) is a valid empty snapshot for Diff/Apply/Merge.
+// value (nil maps) is a valid empty snapshot, and merging into one copies.
 type Snapshot struct {
 	Counters map[string]uint64 `json:"counters,omitempty"`
 	Gauges   map[string]int64  `json:"gauges,omitempty"`
@@ -243,84 +243,10 @@ func (s *Snapshot) PutGauge(name string, v int64) {
 	s.Gauges[name] = v
 }
 
-// Clone returns a deep copy.
-func (s Snapshot) Clone() Snapshot {
-	out := Snapshot{
-		Counters: make(map[string]uint64, len(s.Counters)),
-		Gauges:   make(map[string]int64, len(s.Gauges)),
-		Hists:    make(map[string]Hist, len(s.Hists)),
-	}
-	for k, v := range s.Counters {
-		out.Counters[k] = v
-	}
-	for k, v := range s.Gauges {
-		out.Gauges[k] = v
-	}
-	for k, v := range s.Hists {
-		out.Hists[k] = v.clone()
-	}
-	return out
-}
-
-// Diff returns the delta cur − prev, suitable for wire transfer: counters
-// and histogram buckets subtract (zero entries omitted to keep deltas
-// small); gauges are carried absolute (latest value wins downstream).
-// prev must be an earlier snapshot of the same source.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	d := Snapshot{}
-	for k, v := range s.Counters {
-		if dv := v - prev.Counters[k]; dv != 0 {
-			d.PutCounter(k, dv)
-		}
-	}
-	for k, v := range s.Gauges {
-		d.PutGauge(k, v)
-	}
-	for k, v := range s.Hists {
-		p, ok := prev.Hists[k]
-		dh := v.clone()
-		changed := false
-		if ok {
-			dh.Sum -= p.Sum
-			for i := range dh.Counts {
-				if i < len(p.Counts) {
-					dh.Counts[i] -= p.Counts[i]
-				}
-				if dh.Counts[i] != 0 {
-					changed = true
-				}
-			}
-		} else {
-			changed = dh.Count() != 0
-		}
-		if changed {
-			if d.Hists == nil {
-				d.Hists = make(map[string]Hist)
-			}
-			d.Hists[k] = dh
-		}
-	}
-	return d
-}
-
-// Apply folds a Diff-produced delta into the receiver, reconstructing the
-// source's cumulative state: counters and histograms add, gauges are
-// replaced by the delta's (absolute) values. Satisfies the round-trip
-// property prev.Apply(cur.Diff(prev)) == cur for any two snapshots of one
-// source whose metric sets only grow.
-func (s *Snapshot) Apply(delta Snapshot) {
-	for k, v := range delta.Counters {
-		s.PutCounter(k, s.Counters[k]+v)
-	}
-	for k, v := range delta.Gauges {
-		s.PutGauge(k, v)
-	}
-	s.addHists(delta)
-}
-
 // Merge sums another source's snapshot into the receiver: counters,
 // gauges, and histograms all add. Merge is associative and commutative,
-// so a fleet view can be folded in any order.
+// so a fleet view can be folded in any order, and it never aliases o's
+// histograms.
 func (s *Snapshot) Merge(o Snapshot) {
 	for k, v := range o.Counters {
 		s.PutCounter(k, s.Counters[k]+v)
@@ -328,10 +254,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 	for k, v := range o.Gauges {
 		s.PutGauge(k, s.Gauges[k]+v)
 	}
-	s.addHists(o)
-}
-
-func (s *Snapshot) addHists(o Snapshot) {
 	for k, v := range o.Hists {
 		cur, ok := s.Hists[k]
 		if !ok {

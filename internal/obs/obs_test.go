@@ -152,12 +152,19 @@ func snapshotsEqual(a, b Snapshot) bool {
 // normalize drops zero-valued counter entries so "absent" and "present
 // as 0" compare equal.
 func normalize(s Snapshot) Snapshot {
-	out := s.Clone()
+	out := clone(s)
 	for k, v := range out.Counters {
 		if v == 0 {
 			delete(out.Counters, k)
 		}
 	}
+	return out
+}
+
+// clone copies s by merging it into an empty snapshot.
+func clone(s Snapshot) Snapshot {
+	var out Snapshot
+	out.Merge(s)
 	return out
 }
 
@@ -167,59 +174,25 @@ func TestMergeAssociativeCommutative(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		a, b, c := randomSnapshot(seed), randomSnapshot(seed*31), randomSnapshot(seed*101)
 
-		ab := a.Clone()
+		ab := clone(a)
 		ab.Merge(b)
-		abc1 := ab.Clone()
+		abc1 := clone(ab)
 		abc1.Merge(c)
 
-		bc := b.Clone()
+		bc := clone(b)
 		bc.Merge(c)
-		abc2 := a.Clone()
+		abc2 := clone(a)
 		abc2.Merge(bc)
 
 		if !snapshotsEqual(abc1, abc2) {
 			t.Fatalf("seed %d: (a∪b)∪c != a∪(b∪c)\n%+v\n%+v", seed, abc1, abc2)
 		}
 
-		ba := b.Clone()
+		ba := clone(b)
 		ba.Merge(a)
 		if !snapshotsEqual(ab, ba) {
 			t.Fatalf("seed %d: a∪b != b∪a", seed)
 		}
-	}
-}
-
-// TestDiffApplyRoundTrip checks prev.Apply(cur.Diff(prev)) == cur — the
-// invariant the delta-encoded Status path and the LB's per-member
-// cumulative reassembly rely on.
-func TestDiffApplyRoundTrip(t *testing.T) {
-	for seed := uint64(1); seed <= 200; seed++ {
-		prev := randomSnapshot(seed)
-		// cur = prev advanced by a random growth (counters/hists only grow).
-		cur := prev.Clone()
-		growth := randomSnapshot(seed * 7)
-		cur.Merge(growth)
-
-		delta := cur.Diff(prev)
-		got := prev.Clone()
-		got.Apply(delta)
-		if !snapshotsEqual(got, cur) {
-			t.Fatalf("seed %d: round-trip mismatch\n got %+v\nwant %+v", seed, got, cur)
-		}
-	}
-}
-
-func TestDiffOmitsZeroEntries(t *testing.T) {
-	prev := Snapshot{}
-	prev.PutCounter("c9_test_a_total", 5)
-	cur := prev.Clone()
-	cur.PutCounter("c9_test_b_total", 1)
-	d := cur.Diff(prev)
-	if _, ok := d.Counters["c9_test_a_total"]; ok {
-		t.Fatal("unchanged counter present in diff")
-	}
-	if d.Counter("c9_test_b_total") != 1 {
-		t.Fatal("changed counter missing from diff")
 	}
 }
 

@@ -86,6 +86,20 @@
 // its size and the backtracks spent; the engine journals it. The kill
 // memo answers a later search with the same input with it (see killed).
 //
+// # Undefined conditions
+//
+// A caller asks only about conditions defined on every solution of the
+// set it asks against. A condition undefined at some solution (a
+// division or remainder whose divisor can be zero there) has no verdict
+// the tiers agree on: tier 1 answers Fork(∅, 0 == shl(urem(0,0), 48)) as
+// (true, false), since the interval of shl x 48 is [0,0] whatever x is,
+// while Eval, and with it tier 3 and enumeration, finds it undefined,
+// hence unsatisfiable. The interpreter keeps to this by construction:
+// interp's execDiv forks on a symbolic divisor being zero before it
+// divides, and the path that goes on carries the divisor's nonzero
+// constraint. FuzzSolverVerdict holds the tiers to enumeration under
+// the same guard.
+//
 // The solver's reference is a test-only enumeration of byte
 // assignments (enumSat, enum_test.go) that shares no code with the
 // pipeline above: the differential tests and FuzzSolverVerdict hold
@@ -149,29 +163,6 @@ func (cs *ConstraintSet) Hash() uint64 {
 		return 0
 	}
 	return cs.hash
-}
-
-// Slice materializes the constraints oldest-first.
-func (cs *ConstraintSet) Slice() []*expr.Expr {
-	out := make([]*expr.Expr, cs.Len())
-	i := cs.Len() - 1
-	for n := cs; n != nil; n = n.parent {
-		out[i] = n.c
-		i--
-	}
-	return out
-}
-
-// EvalAll reports whether every constraint is satisfied by a.
-// Missing variables make it return false.
-func (cs *ConstraintSet) EvalAll(a expr.Assignment) bool {
-	for n := cs; n != nil; n = n.parent {
-		v, ok := n.c.Eval(a)
-		if !ok || v == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // flatten splits nested conjunctions into their conjuncts, which exposes

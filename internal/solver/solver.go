@@ -174,7 +174,8 @@ func New() *Solver {
 	}
 }
 
-// MayBeTrue reports whether cs ∧ cond is satisfiable.
+// MayBeTrue reports whether cs ∧ cond is satisfiable. cond must be
+// defined on every solution of cs ("Undefined conditions", package doc).
 func (s *Solver) MayBeTrue(cs *ConstraintSet, cond *expr.Expr) (bool, error) {
 	sat, _, err := s.check(cs, cond, false)
 	return sat, err
@@ -187,7 +188,8 @@ func (s *Solver) CheckSat(cs *ConstraintSet) (bool, error) {
 }
 
 // Solve returns a full model of cs (every referenced variable bound).
-// ok=false means unsatisfiable.
+// ok=false means unsatisfiable. Each constraint must be defined on every
+// solution of those before it ("Undefined conditions", package doc).
 func (s *Solver) Solve(cs *ConstraintSet) (expr.Assignment, bool, error) {
 	sat, model, err := s.check(cs, nil, true)
 	return model, sat, err
@@ -202,7 +204,9 @@ func (s *Solver) Solve(cs *ConstraintSet) (expr.Assignment, bool, error) {
 // (cond, ¬cond) now issue at most one.
 //
 // mayTrue/mayFalse report whether cs ∧ cond / cs ∧ ¬cond are
-// satisfiable; both false means the state itself is infeasible.
+// satisfiable; both false means the state itself is infeasible. cond
+// must be defined on every solution of cs ("Undefined conditions",
+// package doc).
 func (s *Solver) Fork(cs *ConstraintSet, cond *expr.Expr) (mayTrue, mayFalse bool, err error) {
 	if cond.IsTrue() {
 		return true, false, nil

@@ -15,6 +15,30 @@ func c8(x uint64) *expr.Expr      { return expr.Const(x, expr.W8) }
 func c32(x uint64) *expr.Expr     { return expr.Const(x, expr.W32) }
 func w32(e *expr.Expr) *expr.Expr { return expr.ZExt(e, expr.W32) }
 
+// Slice materializes the constraints oldest-first (tests only: the
+// solver walks the parent links itself).
+func (cs *ConstraintSet) Slice() []*expr.Expr {
+	out := make([]*expr.Expr, cs.Len())
+	i := cs.Len() - 1
+	for n := cs; n != nil; n = n.parent {
+		out[i] = n.c
+		i--
+	}
+	return out
+}
+
+// EvalAll reports whether every constraint is satisfied by a. Missing
+// variables make it return false.
+func (cs *ConstraintSet) EvalAll(a expr.Assignment) bool {
+	for n := cs; n != nil; n = n.parent {
+		v, ok := n.c.Eval(a)
+		if !ok || v == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // at returns the value m binds to id, 0 when unbound (as a generated
 // input reads it).
 func at(m expr.Assignment, id uint64) uint8 {

@@ -3,6 +3,7 @@ package solver
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -264,15 +265,25 @@ func TestWarmMissesDoNotAllocate(t *testing.T) {
 	}
 	// Programs are compiled into the slab afresh by each search, not
 	// appended to the last one's: the slab would grow by amortized
-	// doubling, which the count above rounds away.
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	for range 50 {
-		search()
+	// doubling, which the count above rounds away. TotalAlloc is
+	// process-wide, so each window of 50 searches runs on one P after a
+	// collection, and only a bound every one of three windows exceeds
+	// fails: an allocation elsewhere in the process lands in one window, a
+	// per-search one in all of them.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	per := uint64(math.MaxUint64)
+	for w := 0; w < 3 && per > 64; w++ {
+		runtime.GC()
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		for range 50 {
+			search()
+		}
+		runtime.ReadMemStats(&ms1)
+		per = min(per, (ms1.TotalAlloc-ms0.TotalAlloc)/50)
 	}
-	runtime.ReadMemStats(&ms1)
-	if per := (ms1.TotalAlloc - ms0.TotalAlloc) / 50; per > 64 {
-		t.Errorf("%d bytes allocated per warmed search that misses, want at most its BudgetError's", per)
+	if per > 64 {
+		t.Errorf("%d bytes allocated per warmed search that misses in each of 3 windows, want at most its BudgetError's", per)
 	}
 	if after := s.Stats.Snapshot(); after.PruneMemoMisses == before.PruneMemoMisses {
 		t.Fatal("the searches never missed the memo")
