@@ -1,11 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 
@@ -610,7 +610,7 @@ func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
 			expired = append(expired, id)
 		}
 	}
-	sort.Ints(expired)
+	slices.Sort(expired)
 	for _, id := range expired {
 		lb.Evictions++
 		m := lb.Members[id]
@@ -678,16 +678,11 @@ func (lb *LoadBalancer) depart(id int, now time.Time) []Outbound {
 			Jobs: jobs, N: jobs.Count(), ID: m.Epoch, Rec: custodyRecord(m),
 		})
 	}
-	var rehome []uint64
-	for bid, b := range lb.Reseats {
-		if b.Dst == id {
-			rehome = append(rehome, bid)
+	for _, bid := range slices.Sorted(maps.Keys(lb.Reseats)) {
+		if b := lb.Reseats[bid]; b.Dst == id {
+			lb.Orphans = append(lb.Orphans, b)
+			delete(lb.Reseats, bid)
 		}
-	}
-	sort.Slice(rehome, func(i, j int) bool { return rehome[i] < rehome[j] })
-	for _, bid := range rehome {
-		lb.Orphans = append(lb.Orphans, lb.Reseats[bid])
-		delete(lb.Reseats, bid)
 	}
 	outs = append(outs, lb.placeOrphans(now)...)
 	// Membership shrank: restore the portfolio's desired allocation (a
@@ -1276,12 +1271,7 @@ func (lb *LoadBalancer) Balance() []TransferOrder {
 	// Sort before any arithmetic: float accumulation is not associative,
 	// so σ's partial sums must be taken in one canonical order for the
 	// same queues to classify identically whatever the map order.
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].l != ws[j].l {
-			return ws[i].l < ws[j].l
-		}
-		return ws[i].id < ws[j].id
-	})
+	slices.SortFunc(ws, func(a, b wl) int { return cmp.Or(cmp.Compare(a.l, b.l), cmp.Compare(a.id, b.id)) })
 	var sum float64
 	for _, w := range ws {
 		sum += float64(w.l)

@@ -394,3 +394,39 @@ func TestRunLoopStatusesOnAClock(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleWorkerStatusesOnlyWithNews: a worker with no work and a clock
+// that stands still sends the opening status and then nothing for twenty
+// passes but the answer to a probe; once frontierEvery status periods
+// pass it sends one refresh, and then the closing status.
+func TestIdleWorkerStatusesOnlyWithNews(t *testing.T) {
+	tr := &scriptedTransport{mail: map[int][]Message{
+		10: {{Kind: MsgProbe, Seq: 3}},
+		30: {{Kind: MsgStop}},
+	}}
+	w, err := NewWorker(WorkerConfig{
+		ID: 1, Epoch: 1, Batch: 4,
+		NewInterp: mkInterp(t, clusterTarget), Entry: "main",
+	}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := time.Unix(100, 0)
+	w.now = func() time.Time { return clock }
+	tr.onDrain = func(k int) {
+		if k == 20 {
+			clock = clock.Add(frontierEvery * statusEvery)
+		}
+	}
+	if err := w.RunLoop(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 10, 21, 30}; !reflect.DeepEqual(tr.sentIn, want) {
+		t.Fatalf("statuses sent in drains %v, want %v", tr.sentIn, want)
+	}
+	for i, st := range tr.statuses {
+		if !st.Done || st.Frontier == nil || st.Obs == nil || (i >= 1) != (st.Probe == 3) {
+			t.Fatalf("status %d: done=%v full=%v probe=%d", i, st.Done, st.Frontier != nil, st.Probe)
+		}
+	}
+}

@@ -3,8 +3,8 @@ package cluster
 import (
 	"fmt"
 	"maps"
+	"reflect"
 	"slices"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -274,6 +274,7 @@ type Worker struct {
 	lastFullRecv      uint64
 	fullPending       bool
 	lastLBGen         uint64
+	lastSent          Status // the last status sent, less coverage, frontier and metrics
 
 	// spec is the strategy spec currently running ("" = engine
 	// default); swaps counts hot-swaps, salting each rebuild's seed.
@@ -795,10 +796,12 @@ func (w *Worker) resendOverdue() {
 func (w *Worker) sendStatus() {
 	full := w.jobsSent.Load() != w.lastFullSent || w.jobsRecv.Load() != w.lastFullRecv ||
 		w.statusesSinceFull >= frontierEvery || w.Exp.Done()
-	w.sendStatusOpt(full)
+	w.sendStatusOpt(full, false)
 }
 
-func (w *Worker) sendStatusOpt(full bool) {
+// sendStatusOpt sends a status, full or light; if onlyNews, only when it
+// says more than coverage the last one sent did not.
+func (w *Worker) sendStatusOpt(full, onlyNews bool) {
 	gen := w.transport.LBGen()
 	if gen != w.lastLBGen {
 		// The LB stream was (re)established since the last status went
@@ -809,16 +812,14 @@ func (w *Worker) sendStatusOpt(full bool) {
 		w.lastLBGen = gen
 	}
 	full = full || w.fullPending
-	acks := make([]JobAck, 0, len(w.ackHW))
-	for src, seq := range w.ackHW {
-		acks = append(acks, JobAck{Src: src, Seq: seq})
+	var acks []JobAck
+	for _, src := range slices.Sorted(maps.Keys(w.ackHW)) {
+		acks = append(acks, JobAck{Src: src, Seq: w.ackHW[src]})
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i].Src < acks[j].Src })
-	reseatAcks := make([]ReseatAck, 0, len(w.reseatSeen))
-	for _, ack := range w.reseatSeen {
-		reseatAcks = append(reseatAcks, ack)
+	var reseatAcks []ReseatAck
+	for _, id := range slices.Sorted(maps.Keys(w.reseatSeen)) {
+		reseatAcks = append(reseatAcks, w.reseatSeen[id])
 	}
-	sort.Slice(reseatAcks, func(i, j int) bool { return reseatAcks[i].ID < reseatAcks[j].ID })
 	w.queueGauge.Set(int64(w.Exp.Tree.NumCandidates()))
 	st := Status{
 		Worker:        w.ID,
@@ -826,7 +827,6 @@ func (w *Worker) sendStatusOpt(full bool) {
 		Queue:         w.Exp.Tree.NumCandidates(),
 		JobsSent:      w.jobsSent.Load(),
 		JobsRecv:      w.jobsRecv.Load(),
-		CovWords:      w.Exp.Cov.Words(),
 		Done:          w.Exp.Done(),
 		Probe:         w.probeSeen,
 		Acks:          acks,
@@ -838,6 +838,11 @@ func (w *Worker) sendStatusOpt(full bool) {
 		PeerFallbacks: w.peerFallbacks.Load(),
 		Units:         w.Exp.OwnedUnits(),
 	}
+	if onlyNews && !w.fullPending && reflect.DeepEqual(st, w.lastSent) {
+		return
+	}
+	w.lastSent = st
+	st.CovWords = w.Exp.Cov.Words()
 	if full {
 		// The frontier and the cumulative metrics are one cut: the LB
 		// replaces its record of both, so a lost full status is made good
@@ -873,7 +878,7 @@ func (w *Worker) sendStatusOpt(full bool) {
 // the whole frontier, so the LB re-seats it immediately.
 func (w *Worker) sendGoodbye() {
 	w.journal.Append(obs.EvRetire, nil)
-	w.sendStatusOpt(true)
+	w.sendStatusOpt(true, false)
 	w.transport.SendToLB(Message{Kind: MsgGoodbye, From: w.ID, Epoch: w.Epoch})
 	w.departed = true
 	w.stopped = true
@@ -913,9 +918,10 @@ func (w *Worker) turn() error {
 	}
 	w.resendOverdue()
 	if w.Exp.Done() {
-		// Idle: the status tells the LB we need work; then wait for
-		// the jobs (or anything else) to arrive.
-		w.sendStatus()
+		// Idle: the status tells the LB we need work. It goes out again
+		// with news, or as the refresh that makes good a lost full one;
+		// the keepalive renews the lease, and roundDue ignores a repeat.
+		w.sendStatusOpt(true, w.now().Sub(w.lastStatus) < frontierEvery*statusEvery)
 		w.transport.WaitForMail()
 		return nil
 	}

@@ -48,7 +48,6 @@ func (e *Explorer) initObs() {
 // under the exported c9_solver_* names.
 func PutSolverStats(s *obs.Snapshot, st solver.Stats) {
 	s.PutCounter(obs.MSolverQueries, st.Queries)
-	s.PutCounter(obs.MSolverCacheHits, st.CacheHits)
 	s.PutCounter(obs.MSolverGroupCacheHits, st.GroupCacheHits)
 	s.PutCounter(obs.MSolverForkQueries, st.ForkQueries)
 	s.PutCounter(obs.MSolverForkFastHits, st.ForkFastHits)

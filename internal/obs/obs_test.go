@@ -263,7 +263,7 @@ func TestRenderSectionsAndRatios(t *testing.T) {
 	s := Snapshot{}
 	s.PutCounter("c9_engine_paths_total", 2136)
 	s.PutCounter("c9_solver_queries_total", 100)
-	s.PutCounter("c9_solver_cache_hits_total", 25)
+	s.PutCounter(MSolverStateExtends, 25)
 	s.PutCounter(MSolverPruneMemoHits, 30)
 	s.PutCounter(MSolverPruneMemoMisses, 10)
 	s.PutGauge("c9_engine_coverage_lines", 88)
@@ -271,7 +271,7 @@ func TestRenderSectionsAndRatios(t *testing.T) {
 	for _, want := range []string{
 		"engine:", "paths=2136", "coverage_lines=88",
 		"solver:", "queries=100",
-		"solver-cache-hit=25/100 (25.0%)",
+		"state-extend=25/100 (25.0%)",
 		"prune-memo-hit=30/40 (75.0%)",
 	} {
 		if !strings.Contains(out, want) {

@@ -175,7 +175,6 @@ func derivedRatios(s Snapshot) []string {
 		out = append(out, fmt.Sprintf("%s=%d/%d (%.1f%%)", label, n, d, 100*float64(n)/float64(d)))
 	}
 	queries, forks := s.Counter(MSolverQueries), s.Counter(MSolverForkQueries)
-	rate("solver-cache-hit", s.Counter(MSolverCacheHits), queries)
 	rate("fork-fast-path", s.Counter(MSolverForkFastHits), forks)
 	rate("fork-interval-decided", s.Counter(MSolverForkIntervalHits), forks)
 	rate("state-extend", s.Counter(MSolverStateExtends), queries)

@@ -30,16 +30,16 @@
 //
 // Tier 2 — exact caches over query structure:
 //
-//   - a result cache keyed on structural hashes (O(1) to compute:
-//     expressions are hash-consed, see package expr), with budget
-//     failures stamped by the budget they failed under; its models
-//     also seed the witness of the set a branch goes on to create,
 //   - a group cache: each independent group's verdict and model under
 //     an order-insensitive hash of its constraints, so a contradiction
 //     or a solution found once is found again inside any larger set,
 //   - the per-set state memo itself (incremental.go), kept on the set
 //     node and stamped with the solver that derived it, whose witness
 //     model lets Fork decide one direction of a branch by evaluation.
+//     A branch query keeps the extension it built, with the query's
+//     model as its witness, on the set's state, and the child node
+//     that appends the condition adopts it instead of deriving it
+//     again.
 //
 // These are the paper's §6 "Constraint Caches" that have traffic on the
 // target catalogue (TestCatalogueGolden fails if one of them, or one of
@@ -123,7 +123,6 @@ type ConstraintSet struct {
 	parent *ConstraintSet
 	c      *expr.Expr
 	depth  int
-	hash   uint64
 	memo   *setState
 }
 
@@ -131,9 +130,7 @@ type ConstraintSet struct {
 var EmptySet = (*ConstraintSet)(nil)
 
 // Append returns a new set containing all of cs plus c. Constant-true
-// constraints are dropped. The set hash is extended from c's cached
-// structural hash (expressions are hash-consed), so appending is O(1)
-// regardless of c's size.
+// constraints are dropped.
 func (cs *ConstraintSet) Append(c *expr.Expr) *ConstraintSet {
 	if c.Width() != expr.W1 {
 		panic("solver: non-boolean constraint")
@@ -141,11 +138,7 @@ func (cs *ConstraintSet) Append(c *expr.Expr) *ConstraintSet {
 	if c.IsTrue() {
 		return cs
 	}
-	h, d := uint64(0), 0
-	if cs != nil {
-		h, d = cs.hash, cs.depth
-	}
-	return &ConstraintSet{parent: cs, c: c, depth: d + 1, hash: h*1099511628211 ^ c.Hash()}
+	return &ConstraintSet{parent: cs, c: c, depth: cs.Len() + 1}
 }
 
 // Len returns the number of constraints in the set.
@@ -154,15 +147,6 @@ func (cs *ConstraintSet) Len() int {
 		return 0
 	}
 	return cs.depth
-}
-
-// Hash returns an order-sensitive structural hash of the set. O(1): the
-// hash is maintained incrementally by Append from cached node hashes.
-func (cs *ConstraintSet) Hash() uint64 {
-	if cs == nil {
-		return 0
-	}
-	return cs.hash
 }
 
 // flatten splits nested conjunctions into their conjuncts, which exposes

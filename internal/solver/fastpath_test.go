@@ -5,27 +5,10 @@ package solver
 // built to skip, and measured by a benchmark that gates on nothing.
 
 import (
-	"math"
 	"testing"
-	"time"
 
 	"cloud9/internal/expr"
 )
-
-// sizeRatio runs small and big reps times, interleaved, and returns the
-// ratio of their fastest runs: the runs no preemption or collection
-// landed in, so the ratio holds on a loaded machine.
-func sizeRatio(reps int, small, big func()) float64 {
-	bs, bb := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	for range reps {
-		t0 := time.Now()
-		small()
-		t1 := time.Now()
-		big()
-		bs, bb = min(bs, t1.Sub(t0)), min(bb, time.Since(t1))
-	}
-	return float64(bb) / float64(max(bs, 1))
-}
 
 // branchChain appends depth constraints over nvars byte variables from
 // id base up: range bounds plus inequalities that link the variables into
@@ -71,34 +54,6 @@ func appendStep(cs *ConstraintSet, i int) *ConstraintSet {
 	return cs.Append(expr.Not(expr.Eq(v(id), v(id^1))))
 }
 
-var sinkU64 uint64
-
-// TestConstraintSetHashIsConstantTime: the result cache's key costs the
-// same on a 65,536-deep set as on a 4-deep one. The set's hash is
-// folded in at Append; one recomputed over the chain makes the ratio
-// ~10^4, and the bound is 100.
-func TestConstraintSetHashIsConstantTime(t *testing.T) {
-	cons := boundsChain().Slice()[:64]
-	deep := func(n int) *ConstraintSet {
-		cs := EmptySet
-		for i := 0; i < n; i++ {
-			cs = cs.Append(cons[i%64])
-		}
-		return cs
-	}
-	small, big := deep(4), deep(1<<16)
-	keys := func(cs *ConstraintSet) func() {
-		return func() {
-			for range 256 {
-				sinkU64 ^= cs.Hash()
-			}
-		}
-	}
-	if r := sizeRatio(16, keys(small), keys(big)); r > 100 {
-		t.Fatalf("Hash of a %d-deep set costs %.0fx Hash of a 4-deep one", big.Len(), r)
-	}
-}
-
 // TestForkDecidedByBounds: on a warmed 256-deep set whose bounds decide
 // the branch, Fork answers both directions from the interval tier alone:
 // no query, no extension, no search.
@@ -119,6 +74,43 @@ func TestForkDecidedByBounds(t *testing.T) {
 	if after.ForkIntervalHits-before.ForkIntervalHits != 64 || after.Queries != before.Queries ||
 		after.StateExtends != before.StateExtends || after.SolverRuns != before.SolverRuns {
 		t.Fatalf("64 bounds-decided Forks: %+v -> %+v", before, after)
+	}
+}
+
+// TestForkHandsExtensionToChild: the query Fork issues for the direction
+// the set's witness does not decide extends the set's state by that
+// direction, and the child appending it adopts the extension: its first
+// query derives no state. The other child derives its own.
+func TestForkHandsExtensionToChild(t *testing.T) {
+	s := New()
+	cs := EmptySet.Append(expr.Ult(v(0), c8(200))).Append(expr.Ult(v(1), v(0)))
+	if ok, err := s.CheckSat(cs); err != nil || !ok {
+		t.Fatalf("CheckSat = %v, %v", ok, err)
+	}
+	cond := expr.Eq(v(0), c8(7))
+	held, ok := cond.Eval(s.state(cs).model)
+	if !ok {
+		t.Fatal("the witness does not decide the branch")
+	}
+	queried, decided := cond, expr.Not(cond)
+	if held != 0 {
+		queried, decided = decided, queried
+	}
+	if tr, fl, err := s.Fork(cs, cond); err != nil || !tr || !fl {
+		t.Fatalf("Fork = %v, %v, %v; both directions are feasible", tr, fl, err)
+	}
+	extends := func(child *ConstraintSet) uint64 {
+		before := s.Stats.Snapshot().StateExtends
+		if ok, err := s.CheckSat(child); err != nil || !ok {
+			t.Fatalf("CheckSat(%v) = %v, %v", child.Slice(), ok, err)
+		}
+		return s.Stats.Snapshot().StateExtends - before
+	}
+	if n := extends(cs.Append(queried)); n != 0 {
+		t.Errorf("the queried child derived %d states; it should adopt the query's", n)
+	}
+	if n := extends(cs.Append(decided)); n != 1 {
+		t.Errorf("the decided child derived %d states, want 1", n)
 	}
 }
 
@@ -147,37 +139,6 @@ func TestForkCostIsDepthIndependent(t *testing.T) {
 	if e64 != e256 || r64 != r256 || e64 > 2*64 {
 		t.Fatalf("64 Forks: %d extensions, %d searches at depth 64; %d, %d at depth 256", e64, r64, e256, r256)
 	}
-}
-
-// BenchmarkSolverCacheKey: the result-cache key of a 96-deep set and a
-// branch condition, as check computes it, against recomputing every
-// constraint's hash recursively.
-func BenchmarkSolverCacheKey(b *testing.B) {
-	cs := EmptySet
-	for i := uint64(0); i < 48; i++ {
-		cs = cs.Append(expr.Ult(v(i), c8(200)))
-		cs = cs.Append(expr.Not(expr.Eq(v(i), v((i+1)%48))))
-	}
-	e := w32(v(0))
-	for i := uint64(1); i < 64; i++ {
-		e = expr.Xor(expr.Add(e, w32(v(i%8))), c32(i|1))
-	}
-	cond := expr.Eq(e, c32(99))
-	b.Run("interned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sinkU64 = cs.Hash()*0x9e3779b97f4a7c15 ^ cond.Hash()
-		}
-	})
-	cons := cs.Slice()
-	b.Run("recursive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var h uint64
-			for _, c := range cons {
-				h = h*1099511628211 ^ c.DeepHash()
-			}
-			sinkU64 = h ^ cond.DeepHash()
-		}
-	})
 }
 
 // BenchmarkBranchQuery: one branch site, both directions, on a warmed

@@ -24,6 +24,11 @@ import (
 //     that created the constraint) so Fork can often decide a direction
 //     by evaluation alone.
 //
+// A branch query of cond against a set builds exactly the state the
+// child node appending cond needs, so the query keeps its extension on
+// the parent's state and the child adopts it instead of deriving it
+// again.
+//
 // This is the paper's §6 "Constraint Caches" taken to its limit: the
 // cache key is the set itself, and the cached value is the entire
 // preprocessed solver input, reclaimed with the node.
@@ -59,14 +64,30 @@ type setState struct {
 	// exploration invariant — states only exist on feasible paths).
 	// Fork evaluates branch conditions against it and CheckSat returns
 	// it; never used for full-model (concretization) queries, which
-	// must stay canonical. A model is shared — with child states, the
-	// result cache and, when no search bound anything, the units of the
-	// set or of the query's extension — and never written, not even in
-	// its spare capacity.
+	// must stay canonical. A kept extension's model is its query's
+	// until the child that adopts it finds the parent's satisfies the
+	// new constraint too. A model is shared — with child states and,
+	// when no search bound anything, the units of the set or of the
+	// query's extension — and never written, not even in its spare
+	// capacity.
 	model expr.Assignment
 	// vars, when non-nil, is every variable the set's constraints
 	// mention, stamped by varsOf for full-model queries.
 	vars *expr.VarSet
+	// kids lists the extensions this state's satisfiable may-queries
+	// built that no child node has adopted yet (see check and child). A
+	// list, not a slot or two: a multiway decision queries several
+	// conditions of one set.
+	kids *handoff
+}
+
+// handoff is a satisfiable may-query's extension of a state by cond,
+// with the query's model as its witness, kept until the child node that
+// appends cond adopts it.
+type handoff struct {
+	cond *expr.Expr
+	st   *setState
+	next *handoff
 }
 
 // igroup is one independent group of the residual partition: residual
@@ -110,11 +131,8 @@ func (s *Solver) state(cs *ConstraintSet) *setState {
 		chain = append(chain, n)
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
-		n := chain[i]
-		parent := st
-		st = s.extend(parent, n.c)
-		s.seedModel(parent, n, st)
-		n.memo = st
+		st = s.child(st, chain[i].c)
+		chain[i].memo = st
 	}
 	// The scratch must not pin the nodes it walked.
 	clear(chain)
@@ -151,28 +169,42 @@ func (s *Solver) varsOf(cs *ConstraintSet) *expr.VarSet {
 // noVars is the summary of a set that mentions no variable.
 var noVars = expr.VarSetOf(nil)
 
-// seedModel stamps a witness model on a freshly derived state: the
-// parent's witness if it already satisfies the new constraint, else the
-// model cached by the branch query that introduced the constraint
-// (MayBeTrue(parent, c) stores its model under exactly this key).
-func (s *Solver) seedModel(parent *setState, n *ConstraintSet, st *setState) {
-	if st.unsat || st.model != nil {
-		return
-	}
-	if m := parent.model; m != nil {
-		if v, ok := n.c.Eval(m); ok && v != 0 {
-			st.model = m
-			return
+// extendBy returns st extended by cond: the extension st keeps for a
+// child, if an earlier query of cond found it satisfiable, else a fresh
+// one.
+func (s *Solver) extendBy(st *setState, cond *expr.Expr) *setState {
+	for h := st.kids; h != nil; h = h.next {
+		if h.cond == cond {
+			return h.st
 		}
 	}
-	var parentHash uint64
-	if n.parent != nil {
-		parentHash = n.parent.hash
+	return s.extend(st, cond)
+}
+
+// child derives the state of the node appending c to a set whose state
+// is parent: the extension a query of c kept on parent, which the node
+// now owns alone, else a fresh one. Its witness is parent's model if
+// that satisfies c, else the query's.
+func (s *Solver) child(parent *setState, c *expr.Expr) *setState {
+	var st *setState
+	for p := &parent.kids; *p != nil; p = &(*p).next {
+		if (*p).cond == c {
+			st, *p = (*p).st, (*p).next
+			break
+		}
 	}
-	key := parentHash*0x9e3779b97f4a7c15 ^ n.c.Hash()
-	if e, ok := s.cache[key]; ok && e.sat && e.model != nil {
-		st.model = e.model
+	if st == nil {
+		st = s.extend(parent, c)
 	}
+	if st.unsat {
+		return st
+	}
+	if m := parent.model; m != nil {
+		if v, ok := c.Eval(m); ok && v != 0 {
+			st.model = m
+		}
+	}
+	return st
 }
 
 // extend derives the solve state of parent ∧ c without touching parent:

@@ -12,16 +12,16 @@ import (
 )
 
 // Differential property test: the incremental query path (memoized
-// per-set states, group cache, Fork's model evaluation, a tiny result
-// cache, memos dropped mid-workload and rebuilt from an ancestor) must
-// agree with enumeration on every query over randomized Append-tree
-// workloads. Each constraint's variables come from one block (a pair,
-// or the triple {5,6,7} with v5 bounded to 8 values), so every
-// component stays enumerable.
+// per-set states, extensions handed from a query to the child, Fork's
+// model evaluation, a tiny group cache, memos dropped mid-workload and
+// rebuilt from an ancestor) must agree with enumeration on every query
+// over randomized Append-tree workloads. Each constraint's variables
+// come from one block (a pair, or the triple {5,6,7} with v5 bounded to
+// 8 values), so every component stays enumerable.
 func TestQuickDifferentialIncremental(t *testing.T) {
 	inc := New()
-	// A tiny cap forces result-cache evictions; forget forces rebuild-
-	// from-ancestor paths mid-workload.
+	// A tiny cap forces group-cache and kill-memo evictions; forget
+	// forces rebuild-from-ancestor paths mid-workload.
 	inc.maxCache = 16
 	differential(t, inc, rand.New(rand.NewSource(41)), 60, 12, func(rng *rand.Rand, nv int) *expr.Expr {
 		return randomConstraint(rng, blockTerm(rng, nv))
@@ -41,11 +41,14 @@ func TestQuickDifferentialIncremental(t *testing.T) {
 // members, each made only if enumeration finds the extended set
 // satisfiable, as the interpreter guards every Append with a feasibility
 // check. So the sets mirror real path conditions and keep the invariant
-// the solver's fast paths rely on. Then it asks 20 branch queries, forks
-// and full-model solves across the tree. s must agree with enumeration
-// on every answer it gives.
+// the solver's fast paths rely on. Each new set's state is derived at
+// once, from the extension its feasibility check kept where it kept one,
+// and held to a fresh solver's derivation of the same chain. Then it
+// asks 20 branch queries, forks and full-model solves across the tree.
+// s must agree with enumeration on every answer it gives.
 func differential(t *testing.T, s *Solver, rng *rand.Rand, rounds, grows int, gen func(*rand.Rand, int) *expr.Expr) {
 	t.Helper()
+	adopted := 0
 	for round := 0; round < rounds; round++ {
 		nv := 2 + rng.Intn(4)
 		sets := []*ConstraintSet{boundedRoot()}
@@ -53,7 +56,11 @@ func differential(t *testing.T, s *Solver, rng *rand.Rand, rounds, grows int, ge
 			base := sets[rng.Intn(len(sets))]
 			c := gen(rng, nv)
 			if sat, _ := checkMayBeTrue(t, s, base, c); sat {
-				sets = append(sets, base.Append(c))
+				child := base.Append(c)
+				if checkChildState(t, s, child) {
+					adopted++
+				}
+				sets = append(sets, child)
 			}
 		}
 		for q := 0; q < 20; q++ {
@@ -70,6 +77,51 @@ func differential(t *testing.T, s *Solver, rng *rand.Rand, rounds, grows int, ge
 			}
 		}
 	}
+	if adopted == 0 {
+		t.Errorf("no set adopted the extension its query kept")
+	}
+}
+
+// checkChildState derives the state of child, a node s has not derived,
+// and holds it to a fresh solver's derivation of the same constraints:
+// unsat, units, groups and bounds must be equal. It reports whether the
+// state was the extension a query of child's constraint kept on its
+// parent's state, which that state then no longer keeps.
+func checkChildState(t *testing.T, s *Solver, child *ConstraintSet) bool {
+	t.Helper()
+	parent := s.state(child.parent)
+	var kept *setState
+	for h := parent.kids; h != nil; h = h.next {
+		if h.cond == child.c {
+			kept = h.st
+		}
+	}
+	got := s.state(child)
+	if kept != nil && got != kept {
+		t.Fatalf("%v: derived a new state for a child whose query kept one", child.Slice())
+	}
+	for h := parent.kids; h != nil; h = h.next {
+		if h.cond == child.c {
+			t.Fatalf("%v: the parent still keeps the extension its child adopted", child.Slice())
+		}
+	}
+	fresh := EmptySet
+	for _, c := range child.Slice() {
+		fresh = fresh.Append(c)
+	}
+	if g, w := stateShape(got), stateShape(New().state(fresh)); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%v: derived state %+v, a fresh solver derives %+v", child.Slice(), g, w)
+	}
+	return kept != nil
+}
+
+// stateShape is st without what depends on who derived it or on the
+// queries asked since: the owner, the witness model, the stamped
+// variables and the kept extensions.
+func stateShape(st *setState) setState {
+	c := *st
+	c.owner, c.model, c.vars, c.kids = nil, nil, nil, nil
+	return c
 }
 
 // Regression (review finding): when the condition's own unit binding
@@ -98,7 +150,7 @@ func TestCondUnitSeveredGroupStillSolved(t *testing.T) {
 }
 
 // Regression: a query that exceeded the backtrack budget must be
-// retried — not answered ErrBudget from the cache forever — once the
+// retried — not answered ErrBudget from the kill memo forever — once the
 // budget is raised.
 func TestBudgetRaiseRetriesQuery(t *testing.T) {
 	s := New()
@@ -111,7 +163,7 @@ func TestBudgetRaiseRetriesQuery(t *testing.T) {
 	if _, _, err := s.Solve(cs); !errors.Is(err, ErrBudget) {
 		t.Fatalf("want a budget kill, got %v", err)
 	}
-	// Same budget: still answered (from cache) with ErrBudget.
+	// Same budget: still answered (from the kill memo) with ErrBudget.
 	if _, _, err := s.Solve(cs); !errors.Is(err, ErrBudget) {
 		t.Fatalf("same-budget retry should still report budget exhaustion, got %v", err)
 	}
@@ -264,12 +316,7 @@ func TestStateEvictionRebuild(t *testing.T) {
 		t.Fatalf("second solver: %d state hits, %d extensions; want 0 and 32", st.StateHits, st.StateExtends)
 	}
 	same("second solver", m2)
-	shape := func(st *setState) setState {
-		c := *st
-		c.owner, c.model, c.vars = nil, nil, nil
-		return c
-	}
-	want := shape(cs.memo)
+	want := stateShape(cs.memo)
 	// What a full-model query binds: the chain's variables, whoever
 	// derived the states it walks.
 	wantVars := groupIDs(cs.Slice())
@@ -293,13 +340,12 @@ func TestStateEvictionRebuild(t *testing.T) {
 			}
 		}
 		before := s.Stats.StateExtends
-		if got := shape(s.state(cs)); !reflect.DeepEqual(got, want) {
+		if got := stateShape(s.state(cs)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: rebuilt state %+v, want %+v", round, got, want)
 		}
 		if s.Stats.StateExtends == before {
 			t.Fatalf("round %d: no state was rebuilt", round)
 		}
-		clear(s.cache)
 		clear(s.groupCache)
 		m3, sat3, err := s.Solve(cs)
 		if err != nil || !sat3 {
@@ -311,23 +357,23 @@ func TestStateEvictionRebuild(t *testing.T) {
 }
 
 // heldAssignments returns every assignment s shares: the units and
-// witness models of the states s stamped on cs's chain, the result
-// cache's models, and noUnits.
+// witness models of the states s stamped on cs's chain and of the
+// extensions their queries keep for a child, and noUnits.
 func heldAssignments(s *Solver, cs *ConstraintSet) []expr.Assignment {
 	held := []expr.Assignment{noUnits}
 	for n := cs; n != nil; n = n.parent {
 		if st := n.memo; st != nil && st.owner == s {
 			held = append(held, st.units, st.model)
+			for h := st.kids; h != nil; h = h.next {
+				held = append(held, h.st.units, h.st.model)
+			}
 		}
-	}
-	for _, e := range s.cache {
-		held = append(held, e.model)
 	}
 	return held
 }
 
 // Shared witnesses are never written: not the model a may-query stamps
-// on a set's state, not a result-cache entry's, not a set's units, and
+// on a set's state or on the extension it keeps, not a set's units, and
 // not their spare capacity. A query starts from the set's units and must
 // clone them before it binds anything, whether it takes a group-cache
 // hit, searches inside the units' length or grows the model past it.

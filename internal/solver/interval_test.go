@@ -47,7 +47,7 @@ func richConstraint(rng *rand.Rand, term func() *expr.Expr) *expr.Expr {
 }
 
 // Differential property test for the interval tier: across randomized
-// feasible Append trees — with a tiny result cache, and memos dropped
+// feasible Append trees — with a tiny group cache, and memos dropped
 // mid-workload and rebuilt — the incremental path (whose first tier is
 // the interval abstraction) must agree with enumeration on every branch
 // verdict, fork, and solve, and the interval tier must actually fire

@@ -18,7 +18,6 @@ var ErrBudget = errors.New("solver: backtrack budget exceeded")
 // with Snapshot for a consistent view.
 type Stats struct {
 	Queries        uint64 // top-level satisfiability queries
-	CacheHits      uint64 // answered from the result cache
 	GroupCacheHits uint64 // independent groups answered from the group cache
 	ForkQueries    uint64 // fused branch queries (Fork)
 	ForkFastHits   uint64 // Fork directions decided by parent-model evaluation
@@ -47,7 +46,6 @@ type Stats struct {
 func (s *Stats) Snapshot() Stats {
 	return Stats{
 		Queries:        atomic.LoadUint64(&s.Queries),
-		CacheHits:      atomic.LoadUint64(&s.CacheHits),
 		GroupCacheHits: atomic.LoadUint64(&s.GroupCacheHits),
 		ForkQueries:    atomic.LoadUint64(&s.ForkQueries),
 		ForkFastHits:   atomic.LoadUint64(&s.ForkFastHits),
@@ -71,17 +69,6 @@ func (s *Stats) Snapshot() Stats {
 	}
 }
 
-type cacheEntry struct {
-	sat bool
-	// kill marks an ErrBudget outcome: the killed search, with the
-	// MaxBacktracks value it exceeded. The entry only answers ErrBudget
-	// while the current budget is no larger; raising the budget
-	// invalidates it, so a once-too-hard query is retried instead of
-	// failing forever.
-	kill  *BudgetError
-	model expr.Assignment
-}
-
 // Solver answers satisfiability queries over constraint sets. It is not
 // safe for concurrent use; each worker owns one Solver (matching the
 // shared-nothing cluster design — caches are per worker and are *not*
@@ -92,15 +79,12 @@ type Solver struct {
 	// Stats accumulates counters across queries.
 	Stats Stats
 
-	cache     map[uint64]cacheEntry
-	cacheKeys []uint64 // FIFO eviction order
-	maxCache  int
-
 	// groupCache memoizes solveGroup outcomes keyed by an
 	// order-insensitive hash of the group's constraints. Path conditions
 	// grow incrementally, so most groups recur verbatim across queries.
 	groupCache     map[uint64]groupResult
 	groupCacheKeys []uint64
+	maxCache       int // the entries groupCache and kills each hold at most
 
 	// kills holds budget-killed group searches by group-cache key; it
 	// holds only kills, so it is usually empty.
@@ -166,9 +150,8 @@ var noUnits = expr.Assignment{}
 func New() *Solver {
 	return &Solver{
 		MaxBacktracks: 1 << 16,
-		cache:         make(map[uint64]cacheEntry),
-		maxCache:      1 << 16,
 		groupCache:    make(map[uint64]groupResult),
+		maxCache:      1 << 16,
 		kills:         make(map[uint64]killEntry),
 		empty:         &setState{},
 	}
@@ -223,8 +206,8 @@ func (s *Solver) Fork(cs *ConstraintSet, cond *expr.Expr) (mayTrue, mayFalse boo
 	// directions in one evaluation. cond true on the whole interval box
 	// (which over-approximates cs's solutions) means cs ∧ ¬cond is unsat,
 	// and cs ∧ cond is sat by the exploration invariant (cs is
-	// satisfiable on feasible paths); symmetrically for false. No cache,
-	// no extension, no search — not even the residual-direction query the
+	// satisfiable on feasible paths); symmetrically for false. No
+	// extension, no search — not even the residual-direction query the
 	// model fast path below still issues.
 	if decided, truth := condDecided(cond, st.bounds); decided {
 		atomic.AddUint64(&s.Stats.ForkIntervalHits, 1)
@@ -256,17 +239,18 @@ func (s *Solver) Fork(cs *ConstraintSet, cond *expr.Expr) (mayTrue, mayFalse boo
 	return mayTrue, mayFalse, nil
 }
 
-// check is the core query path: answer from the result cache, else
-// derive (incrementally) the memoized solve state of cs, decide cond
-// from the state's interval bounds if they can, else extend the state
-// with cond and solve each group the extension created or rewrote, from
-// the group cache where it has been solved before. The evaluation of
-// the set's witness model is Fork's, not check's: a query Fork issues
-// has already failed it. When fullModel is false and cond is non-nil,
-// only groups sharing variables with cond are searched (KLEE's
-// independent-constraint optimization — sound because execution states
-// only exist on feasible paths, so the untouched groups are satisfiable
-// on their own).
+// check is the core query path: derive (incrementally) the memoized
+// solve state of cs, decide cond from the state's interval bounds if
+// they can, else extend the state with cond and solve each group the
+// extension created or rewrote, from the group cache where it has been
+// solved before. A satisfiable extension is kept on cs's state, with
+// the query's model as its witness, for the child node that appends
+// cond (see child). The evaluation of the set's witness model is
+// Fork's, not check's: a query Fork issues has already failed it. When
+// fullModel is false and cond is non-nil, only groups sharing variables
+// with cond are searched (KLEE's independent-constraint optimization —
+// sound because execution states only exist on feasible paths, so the
+// untouched groups are satisfiable on their own).
 func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool, expr.Assignment, error) {
 	atomic.AddUint64(&s.Stats.Queries, 1)
 
@@ -274,30 +258,6 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 		atomic.AddUint64(&s.Stats.Unsat, 1)
 		return false, nil, nil
 	}
-	key := cs.Hash()
-	if cond != nil {
-		key = key*0x9e3779b97f4a7c15 ^ cond.Hash()
-	}
-	if fullModel {
-		key ^= 0xf00d
-	}
-	if e, ok := s.cache[key]; ok {
-		if e.kill != nil {
-			if s.MaxBacktracks <= e.kill.Budget {
-				atomic.AddUint64(&s.Stats.CacheHits, 1)
-				return false, nil, e.kill
-			}
-			// The budget was raised since this entry was recorded:
-			// fall through and retry the query.
-		} else {
-			atomic.AddUint64(&s.Stats.CacheHits, 1)
-			if !e.sat {
-				atomic.AddUint64(&s.Stats.Unsat, 1)
-			}
-			return e.sat, e.model, nil
-		}
-	}
-
 	st := s.state(cs)
 
 	// Tier 1 — interval abstraction: a condition decided by the set's
@@ -311,19 +271,17 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 		if decided, truth := condDecided(cond, st.bounds); decided {
 			if truth {
 				atomic.AddUint64(&s.Stats.IntervalSat, 1)
-				s.put(key, cacheEntry{sat: true})
 				return true, nil, nil
 			}
 			atomic.AddUint64(&s.Stats.IntervalUnsat, 1)
 			atomic.AddUint64(&s.Stats.Unsat, 1)
-			s.put(key, cacheEntry{sat: false})
 			return false, nil, nil
 		}
 	}
 
 	ext := st
 	if cond != nil {
-		ext = s.extend(st, cond)
+		ext = s.extendBy(st, cond)
 	} else if !fullModel && st.model != nil {
 		// CheckSat on a set whose state already carries a witness: no
 		// group needs visiting. Nothing in the engine asks this;
@@ -334,7 +292,6 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 
 	if ext.unsat {
 		atomic.AddUint64(&s.Stats.Unsat, 1)
-		s.put(key, cacheEntry{sat: false})
 		return false, nil, nil
 	}
 
@@ -433,7 +390,6 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 		// A search killed before on the same input is not run again.
 		if allFree {
 			if kill := s.killed(g, gids, seedB); kill != nil {
-				s.put(key, cacheEntry{kill: kill})
 				return false, nil, kill
 			}
 		}
@@ -445,7 +401,6 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 				if allFree {
 					s.putKill(g, gids, seedB, kill)
 				}
-				s.put(key, cacheEntry{kill: kill})
 			}
 			return false, nil, err
 		}
@@ -473,7 +428,6 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 	}
 	if !sat {
 		atomic.AddUint64(&s.Stats.Unsat, 1)
-		s.put(key, cacheEntry{sat: false})
 		return false, nil, nil
 	}
 	if fullModel {
@@ -495,7 +449,12 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 		// can evaluate against it instead of searching.
 		st.model = model
 	}
-	s.put(key, cacheEntry{sat: true, model: model})
+	if cond != nil && ext.model == nil {
+		// The model witnesses ext the same way. An extension with a
+		// model is one kept already: a repeated query keeps the first.
+		ext.model = model
+		st.kids = &handoff{cond, ext, st.kids}
+	}
 	return true, model, nil
 }
 
@@ -525,10 +484,6 @@ func putBounded[V any](m map[uint64]V, keys []uint64, max int, key uint64, v V) 
 	}
 	m[key] = v
 	return keys
-}
-
-func (s *Solver) put(key uint64, e cacheEntry) {
-	s.cacheKeys = putBounded(s.cache, s.cacheKeys, s.maxCache, key, e)
 }
 
 func (s *Solver) putGroup(key uint64, res groupResult) {

@@ -77,9 +77,6 @@ func TestConstraintSetPersistence(t *testing.T) {
 	if len(a.Slice()) != 1 {
 		t.Fatal("parent set mutated")
 	}
-	if a.Hash() == b.Hash() {
-		t.Fatal("hash should change when appending")
-	}
 	// Appending true is a no-op.
 	if a.Append(expr.True()) != a {
 		t.Fatal("appending true should return same set")
@@ -214,23 +211,6 @@ func TestIndependencePartitioning(t *testing.T) {
 	// costs no run at all).
 	if runs > 1 {
 		t.Errorf("expected at most 1 group search, got %d", runs)
-	}
-}
-
-func TestCacheHit(t *testing.T) {
-	s := New()
-	cs := EmptySet.Append(expr.Ult(v(0), c8(10)))
-	q := expr.Eq(v(0), c8(3))
-	if _, err := s.MayBeTrue(cs, q); err != nil {
-		t.Fatal(err)
-	}
-	before := s.Stats.Snapshot()
-	if _, err := s.MayBeTrue(cs, q); err != nil {
-		t.Fatal(err)
-	}
-	after := s.Stats.Snapshot()
-	if after.CacheHits != before.CacheHits+1 {
-		t.Errorf("expected a cache hit, got %+v -> %+v", before, after)
 	}
 }
 
@@ -492,11 +472,11 @@ func TestBudgetResultIsCached(t *testing.T) {
 	before := s.Stats.Snapshot()
 	_, _, err2 := s.Solve(cs)
 	var again *BudgetError
-	if !errors.As(err2, &again) || again != kill {
-		t.Fatalf("second query should report the same kill, got %v", err2)
+	if !errors.As(err2, &again) || !again.Memo || again.Group != kill.Group || again.Backtracks != kill.Backtracks {
+		t.Fatalf("second query should report the same kill from the memo, got %v", err2)
 	}
 	after := s.Stats.Snapshot()
-	if after.CacheHits != before.CacheHits+1 || after.SolverRuns != before.SolverRuns {
-		t.Fatal("budget failures should be answered from the cache")
+	if after.KillMemoHits != before.KillMemoHits+1 || after.SolverRuns != before.SolverRuns {
+		t.Fatal("budget failures should be answered from the kill memo")
 	}
 }

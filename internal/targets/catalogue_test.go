@@ -67,7 +67,6 @@ var answerPaths = []struct {
 	name string
 	hits func(solver.Stats) uint64
 }{
-	{"CacheHits", func(s solver.Stats) uint64 { return s.CacheHits }},
 	{"GroupCacheHits", func(s solver.Stats) uint64 { return s.GroupCacheHits }},
 	{"ForkFastHits", func(s solver.Stats) uint64 { return s.ForkFastHits }},
 	{"ForkIntervalHits", func(s solver.Stats) uint64 { return s.ForkIntervalHits }},
