@@ -52,10 +52,7 @@ func PutSolverStats(s *obs.Snapshot, st solver.Stats) {
 	s.PutCounter(obs.MSolverForkQueries, st.ForkQueries)
 	s.PutCounter(obs.MSolverForkFastHits, st.ForkFastHits)
 	s.PutCounter(obs.MSolverForkIntervalHits, st.ForkIntervalHits)
-	s.PutCounter(obs.MSolverIntervalSat, st.IntervalSat)
-	s.PutCounter(obs.MSolverIntervalUnsat, st.IntervalUnsat)
 	s.PutCounter(obs.MSolverIntervalEmpty, st.IntervalEmpty)
-	s.PutCounter(obs.MSolverIntervalSeeds, st.IntervalSeeds)
 	s.PutCounter(obs.MSolverStateHits, st.StateHits)
 	s.PutCounter(obs.MSolverStateExtends, st.StateExtends)
 	s.PutCounter(obs.MSolverRuns, st.SolverRuns)

@@ -301,46 +301,34 @@ func evalUnder(e *expr.Expr, model expr.Assignment) uint64 {
 	return v
 }
 
-// resolveAddr turns an address expression into a concrete address,
-// concretizing symbolic pointers with a path constraint.
-func (in *Interp) resolveAddr(s *state.S, e *expr.Expr) (uint64, error) {
-	if e.IsConst() {
-		return e.ConstVal(), nil
-	}
-	model, sat, err := in.Solver.Solve(s.Constraints)
-	if err != nil {
-		return 0, err
-	}
-	if !sat {
-		return 0, fmt.Errorf("interp: symbolic address on infeasible path")
-	}
-	v := evalUnder(e, model)
-	s.Constraints = s.Constraints.Append(expr.Eq(e, expr.Const(v, e.Width())))
-	return v, nil
-}
-
-// checkSymbolicBounds handles a symbolic address before the access
-// proceeds: it locates the object a feasible address value falls in and,
-// when an out-of-bounds value is also feasible, forks an error path
-// carrying the violating inputs (KLEE's bounds-checked pointer
-// resolution). Returns non-nil children on fork; the in-bounds child
-// re-executes the access.
+// checkSymbolicBounds turns an address expression into the concrete
+// address the access proceeds at. A constant is returned as is. For a
+// symbolic address it locates the object a feasible address value a0
+// (the one the set's model gives) falls in and, when an out-of-bounds
+// value is also feasible, forks an error path carrying the violating
+// inputs (KLEE's bounds-checked pointer resolution). Returns non-nil
+// children on fork; the in-bounds child re-executes the access. When
+// every feasible value is in bounds, it pins addrE == a0 with a path
+// constraint and returns a0.
 func (in *Interp) checkSymbolicBounds(s *state.S, t *state.Thread, f *state.Frame,
-	addrE *expr.Expr, size int64, kind string) ([]*state.S, error) {
+	addrE *expr.Expr, size int64, kind string) (uint64, []*state.S, error) {
+	if addrE.IsConst() {
+		return addrE.ConstVal(), nil, nil
+	}
 	model, sat, err := in.Solver.Solve(s.Constraints)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if !sat {
 		s.SetTerminated(state.TermUnsatPath, "symbolic address on infeasible path")
-		return nil, nil
+		return 0, nil, nil
 	}
 	a0 := evalUnder(addrE, model)
 	_, os, _, found := s.Resolve(t.Proc, a0)
 	if !found {
 		s.SetTerminated(state.TermError,
 			fmt.Sprintf("memory error: out-of-bounds %s at %#x in %s", kind, a0, f.Fn.Name))
-		return nil, nil
+		return 0, nil, nil
 	}
 	obj := os.Obj
 	inBounds := expr.LAnd(
@@ -348,21 +336,23 @@ func (in *Interp) checkSymbolicBounds(s *state.S, t *state.Thread, f *state.Fram
 		expr.Ule(addrE, expr.Const(obj.End()-uint64(size), expr.W64)))
 	mayIn, mayOOB, err := in.Solver.Fork(s.Constraints, inBounds)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if !mayOOB {
-		return nil, nil // fully in bounds; the access proceeds
+		// Fully in bounds; the access proceeds at a0.
+		s.Constraints = s.Constraints.Append(expr.Eq(addrE, expr.Const(a0, addrE.Width())))
+		return a0, nil, nil
 	}
 	if !mayIn {
 		s.SetTerminated(state.TermError,
 			fmt.Sprintf("memory error: symbolic %s outside %s in %s", kind, obj.Name, f.Fn.Name))
-		return nil, nil
+		return 0, nil, nil
 	}
 	// Both feasible: fork an error path; the ok path re-executes the
 	// access under the in-bounds constraint.
 	in.Stats.BranchForks++
 	fname := f.Fn.Name
-	return in.forkN(s, 2, func(child *state.S, i int) {
+	return 0, in.forkN(s, 2, func(child *state.S, i int) {
 		cf := child.CurThread().Top()
 		if i == 0 {
 			child.Constraints = child.Constraints.Append(expr.Not(inBounds))
@@ -378,14 +368,9 @@ func (in *Interp) checkSymbolicBounds(s *state.S, t *state.Thread, f *state.Fram
 func (in *Interp) execLoad(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.Instr) ([]*state.S, error) {
 	addrE := f.Regs[instr.B]
 	size := int64(instr.W.Bytes())
-	if !addrE.IsConst() {
-		if kids, err := in.checkSymbolicBounds(s, t, f, addrE, size, "read"); kids != nil || err != nil || s.Terminated() {
-			return kids, err
-		}
-	}
-	addr, err := in.resolveAddr(s, addrE)
-	if err != nil {
-		return nil, err
+	addr, kids, err := in.checkSymbolicBounds(s, t, f, addrE, size, "read")
+	if kids != nil || err != nil || s.Terminated() {
+		return kids, err
 	}
 	_, os, off, ok := s.Resolve(t.Proc, addr)
 	if !ok || off+size > os.Obj.Size {
@@ -402,14 +387,9 @@ func (in *Interp) execStore(s *state.S, t *state.Thread, f *state.Frame, instr *
 	addrE := f.Regs[instr.A]
 	val := f.Regs[instr.B]
 	size := int64(val.Width().Bytes())
-	if !addrE.IsConst() {
-		if kids, err := in.checkSymbolicBounds(s, t, f, addrE, size, "write"); kids != nil || err != nil || s.Terminated() {
-			return kids, err
-		}
-	}
-	addr, err := in.resolveAddr(s, addrE)
-	if err != nil {
-		return nil, err
+	addr, kids, err := in.checkSymbolicBounds(s, t, f, addrE, size, "write")
+	if kids != nil || err != nil || s.Terminated() {
+		return kids, err
 	}
 	space, os, off, ok := s.Resolve(t.Proc, addr)
 	if !ok || off+size > os.Obj.Size {

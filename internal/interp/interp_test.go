@@ -601,6 +601,33 @@ func TestSymbolicIndexAlwaysInBounds(t *testing.T) {
 	}
 }
 
+// A symbolic access that is in bounds on every path costs one solver
+// query: the model that locates its object also gives the address it is
+// pinned to and proceeds at.
+func TestSymbolicInBoundsLoadIsOneQuery(t *testing.T) {
+	queries := func(load string) uint64 {
+		in, done := exploreAll(t, `
+			int main() {
+				char buf[8];
+				char idx;
+				cloud9_make_symbolic(&idx, 1, "idx");
+				cloud9_assume(idx < 8);
+				char v = 0;
+				`+load+`
+				__c9_out_byte('K' + v);
+				return 0;
+			}`)
+		if len(done) != 1 || done[0].Term != state.TermExit {
+			t.Fatalf("%q: want one exiting path, got %d", load, len(done))
+		}
+		return in.Solver.Stats.Snapshot().Queries
+	}
+	without, with := queries(""), queries("v = buf[idx];")
+	if with != without+1 {
+		t.Fatalf("a symbolic in-bounds load cost %d solver queries, want 1", with-without)
+	}
+}
+
 func TestSymbolicWriteOOBDetected(t *testing.T) {
 	_, done := exploreAll(t, `
 		int main() {

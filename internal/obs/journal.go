@@ -140,7 +140,6 @@ const (
 	EvCrash          = "worker-crash"   // worker: simulated kill -9
 	EvRetire         = "worker-retire"  // worker: graceful shutdown
 	EvBudgetKill     = "budget-kill"    // engine: solver budget exhausted, state dropped
-	EvIntervalRepin  = "interval-repin" // solver: interval tier re-decided a pinned verdict
 
 	// Balancer restart (c9-lb -resume).
 	EvResync        = "resync"         // resumed LB: the re-hello window closed (fields: members, stale, next_id, next_epoch)

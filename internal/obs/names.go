@@ -32,10 +32,7 @@ const (
 	MSolverForkQueries      = "c9_solver_fork_queries_total"
 	MSolverForkFastHits     = "c9_solver_fork_fast_hits_total"
 	MSolverForkIntervalHits = "c9_solver_fork_interval_hits_total"
-	MSolverIntervalSat      = "c9_solver_interval_sat_total"
-	MSolverIntervalUnsat    = "c9_solver_interval_unsat_total"
 	MSolverIntervalEmpty    = "c9_solver_interval_empty_total"
-	MSolverIntervalSeeds    = "c9_solver_interval_seeds_total"
 	MSolverStateHits        = "c9_solver_state_hits_total"
 	MSolverStateExtends     = "c9_solver_state_extends_total"
 	MSolverRuns             = "c9_solver_runs_total"
@@ -48,10 +45,12 @@ const (
 	MSolverPruneEvals       = "c9_solver_prune_evals_total"
 
 	// Retired, exported by nothing: bench/layers.go reads them until the next benchmark PR drops them.
-	MSolverCacheHits    = "c9_solver_cache_hits_total"
-	MSolverModelReuse   = "c9_solver_model_reuse_total"
-	MSolverSubsumeSat   = "c9_solver_subsume_sat_total"
-	MSolverSubsumeUnsat = "c9_solver_subsume_unsat_total"
+	MSolverCacheHits     = "c9_solver_cache_hits_total"
+	MSolverModelReuse    = "c9_solver_model_reuse_total"
+	MSolverSubsumeSat    = "c9_solver_subsume_sat_total"
+	MSolverSubsumeUnsat  = "c9_solver_subsume_unsat_total"
+	MSolverIntervalSat   = "c9_solver_interval_sat_total"
+	MSolverIntervalUnsat = "c9_solver_interval_unsat_total"
 
 	// Cluster protocol, worker side (internal/cluster).
 	MClusterJobsSent        = "c9_cluster_jobs_sent_total"

@@ -19,14 +19,13 @@
 // carries per-variable [lo,hi] bounds, a sound over-approximation of
 // the set's solutions refined incrementally on Append (unit adoption
 // plus a capped backward-narrowing fixpoint over the fresh groups, COW-
-// shared with the parent when nothing narrowed). Branch conditions
-// whose abstract value collapses to [1,1] or [0,0] are answered with
-// zero search — a Fork settles BOTH directions from one evaluation —
-// and a set whose bounds go empty is proved unsat before any group
-// assembly. Interval-true implies sat only because the engine queries
-// conditions against feasible path conditions (the same invariant the
-// fused Fork fast path relies on), so the tier is bypassed for
-// model-producing queries.
+// shared with the parent when no bound changed). A Fork whose condition's
+// abstract value collapses to [1,1] or [0,0] settles BOTH directions
+// from one evaluation with zero search, and a set whose bounds go empty
+// is proved unsat before any group assembly. Interval-true implies sat
+// only because the engine forks on conditions against feasible path
+// conditions (the same invariant the fused Fork fast path relies on).
+// Fork is the one place bounds decide a condition; they seed no search.
 //
 // Tier 2 — exact caches over query structure:
 //
@@ -51,10 +50,10 @@
 // optimization; only groups sharing variables with the query are
 // solved, solved groups memoized order-insensitively in a group cache),
 // and backtracking search with forward checking over 256-value word-
-// mask domains (tier3.go). Searches that do run start from interval-
-// narrowed domains — except model-producing ones, which stay unseeded
-// so the group cache holds only canonical models (§6: cached inputs
-// must replay identically everywhere).
+// mask domains (tier3.go). Every search starts from full domains, so a
+// group's model is a function of the group alone and the group cache
+// holds only canonical models, which may-queries and model-producing
+// queries share (§6: cached inputs must replay identically everywhere).
 //
 // A forward check prunes the domain of a constraint's last unbound
 // variable to the values that satisfy the constraint. That set is a

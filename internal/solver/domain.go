@@ -16,29 +16,6 @@ func (d *domain) add(v uint8) {
 	d.bits[v>>6] |= 1 << (v & 63)
 }
 
-// rangeMask returns the 256-bit set {lo..hi} built from word masks:
-// full words between the endpoints, partial edge words shaped by a
-// shift. Constant-time, no per-value loop.
-func rangeMask(lo, hi uint8) domain {
-	var d domain
-	lw, hw := int(lo>>6), int(hi>>6)
-	for w := lw; w <= hw; w++ {
-		d.bits[w] = ^uint64(0)
-	}
-	d.bits[lw] &= ^uint64(0) << (lo & 63)
-	d.bits[hw] &= ^uint64(0) >> (63 - (hi & 63))
-	return d
-}
-
-// removeOutside intersects the domain with {lo..hi}.
-func (d *domain) removeOutside(lo, hi uint8) {
-	m := rangeMask(lo, hi)
-	d.bits[0] &= m.bits[0]
-	d.bits[1] &= m.bits[1]
-	d.bits[2] &= m.bits[2]
-	d.bits[3] &= m.bits[3]
-}
-
 // intersect keeps only the values present in both domains.
 func (d *domain) intersect(o *domain) {
 	d.bits[0] &= o.bits[0]

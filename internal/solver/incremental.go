@@ -55,8 +55,9 @@ type setState struct {
 	// bounds is the per-variable interval abstraction of this set: a
 	// sound over-approximation of its solutions, derived incrementally
 	// alongside units/groups and shared with the parent state when the
-	// extension narrowed nothing (see interval.go). Queries consult it
-	// as their first tier, before any cache or search.
+	// extension tightened no bound (see interval.go). Fork consults it
+	// first, before any cache or search, and extend proves empty
+	// extensions unsat with it.
 	bounds boundsMap
 	// model, when non-nil, is an assignment known to witness the
 	// satisfiability of this set: it satisfies units and every solved

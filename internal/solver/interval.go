@@ -7,17 +7,17 @@ package solver
 // fixpoint from the conjuncts the extension introduced or rewrote. The
 // bounds are a sound over-approximation of the set's solutions (every
 // solution assigns each variable a value inside its interval), which
-// buys three things:
+// buys two things:
 //
-//   - a branch condition whose interval evaluates to a constant is
+//   - a Fork whose condition's interval evaluates to a constant is
 //     decided with zero search: definitely-false conditions are unsat
 //     outright, and definitely-true conditions are sat by the
 //     exploration invariant (states only exist on feasible paths, the
-//     same invariant the independent-group skip relies on);
+//     same invariant the independent-group skip relies on); and
 //   - an empty interval proves the extended set unsatisfiable before
-//     groups are even assembled; and
-//   - queries that survive to backtracking search start from
-//     interval-narrowed domains instead of full 256-value domains.
+//     groups are even assembled.
+//
+// Bounds seed no search: tier 3 starts every group from full domains.
 //
 // Forward evaluation (evalIval) abstracts each operator over unsigned
 // intervals with explicit wrap handling; backward refinement
@@ -39,7 +39,7 @@ type ival8 struct{ lo, hi uint8 }
 // the end is [0,255]. Variable ids count up from 0 along a lineage and a
 // target has a few dozen symbolic bytes, so a dense slice is short, and
 // copying it for a narrowing is one allocation however many variables
-// are narrowed. Ids at or above boundsCap are never narrowed: an interval
+// it tightens. Ids at or above boundsCap stay [0,255]: an interval
 // wider than the tightest one is still sound (tier 3's 1<<22 id rule is
 // the precedent), and it caps what one copy costs.
 type boundsMap []ival8

@@ -58,78 +58,57 @@ func TestQuickDifferentialInterval(t *testing.T) {
 	differential(t, inc, rand.New(rand.NewSource(43)), 80, 10, func(rng *rand.Rand, nv int) *expr.Expr {
 		return richConstraint(rng, blockTerm(rng, nv))
 	})
-	st := inc.Stats.Snapshot()
-	if st.IntervalSat+st.IntervalUnsat+st.ForkIntervalHits == 0 {
-		t.Errorf("interval tier never decided a query over the whole workload: %+v", st)
+	if st := inc.Stats.Snapshot(); st.ForkIntervalHits == 0 {
+		t.Errorf("interval tier never decided a fork over the whole workload: %+v", st)
 	}
-	if st.IntervalSeeds == 0 {
-		t.Errorf("no group search started from interval-narrowed domains: %+v", st)
+}
+
+// forkByBounds forks cs on cond and fails the test unless the set's
+// bounds decided it, as want, with no search.
+func forkByBounds(t *testing.T, s *Solver, cs *ConstraintSet, cond *expr.Expr, want bool) {
+	t.Helper()
+	before := s.Stats.Snapshot()
+	mayT, mayF, err := s.Fork(cs, cond)
+	if err != nil || mayT != want || mayF != !want {
+		t.Fatalf("Fork(%v) = %v, %v, %v; want %v, %v", cond, mayT, mayF, err, want, !want)
+	}
+	after := s.Stats.Snapshot()
+	if after.ForkIntervalHits != before.ForkIntervalHits+1 || after.SolverRuns != before.SolverRuns {
+		t.Errorf("Fork(%v): want a search-free interval verdict: %+v -> %+v", cond, before, after)
 	}
 }
 
 // A comparison chain propagates bounds transitively across extensions:
 // x < 10, y ≤ x, z < y pin z ∈ [0,8] (and y ∈ [1,9]) without any
-// search, and conditions over z are decided by the interval tier alone.
+// search, and Forks on conditions over z are decided by the interval
+// tier alone.
 func TestIntervalComparisonChainFixpoint(t *testing.T) {
 	s := New()
 	cs := EmptySet.
 		Append(expr.Ult(v(0), c8(10))).
 		Append(expr.Ule(v(1), v(0))).
 		Append(expr.Ult(v(2), v(1)))
-
-	before := s.Stats.Snapshot()
-	sat, err := s.MayBeTrue(cs, expr.Ule(c8(9), v(2))) // z ≥ 9: outside [0,8]
-	if err != nil || sat {
-		t.Fatalf("z ≥ 9 should be unsat: %v %v", sat, err)
-	}
-	sat, err = s.MayBeTrue(cs, expr.Ult(v(2), c8(9))) // z < 9: whole box
-	if err != nil || !sat {
-		t.Fatalf("z < 9 should be sat: %v %v", sat, err)
-	}
-	after := s.Stats.Snapshot()
-	if after.IntervalUnsat != before.IntervalUnsat+1 {
-		t.Errorf("expected one interval-unsat verdict: %+v -> %+v", before, after)
-	}
-	if after.IntervalSat != before.IntervalSat+1 {
-		t.Errorf("expected one interval-sat verdict: %+v -> %+v", before, after)
-	}
-	if after.SolverRuns != before.SolverRuns {
-		t.Errorf("interval verdicts must not run a search: %+v -> %+v", before, after)
-	}
+	forkByBounds(t, s, cs, expr.Ule(c8(9), v(2)), false) // z ≥ 9: outside [0,8]
+	forkByBounds(t, s, cs, expr.Ult(v(2), c8(9)), true)  // z < 9: whole box
 }
 
 // A unit equality pins the variable's interval to a point, and the
-// interval tier decides conditions against it.
+// interval tier decides Forks against it.
 func TestIntervalUnitPinsBounds(t *testing.T) {
 	s := New()
 	cs := EmptySet.Append(expr.Eq(v(0), c8(7)))
-	before := s.Stats.Snapshot()
-	sat, err := s.MayBeTrue(cs, expr.Ult(v(0), c8(5)))
-	if err != nil || sat {
-		t.Fatalf("v0==7 ∧ v0<5 should be unsat: %v %v", sat, err)
-	}
-	after := s.Stats.Snapshot()
-	if after.IntervalUnsat != before.IntervalUnsat+1 || after.SolverRuns != before.SolverRuns {
-		t.Errorf("expected a search-free interval verdict: %+v -> %+v", before, after)
-	}
+	forkByBounds(t, s, cs, expr.Ult(v(0), c8(5)), false) // v0==7 ∧ v0<5 is unsat
 }
 
 // Forward evaluation through arithmetic: bounded bytes sum to a bounded
-// interval, so a comparison on the sum is decided with zero search.
+// interval, so a Fork on a comparison of the sum is decided with zero
+// search.
 func TestIntervalForwardAdd(t *testing.T) {
 	s := New()
 	cs := EmptySet.
 		Append(expr.Ult(v(0), c8(10))).
 		Append(expr.Ult(v(1), c8(10)))
-	before := s.Stats.Snapshot()
-	sat, err := s.MayBeTrue(cs, expr.Ult(expr.Add(v(0), v(1)), c8(50)))
-	if err != nil || !sat {
-		t.Fatalf("sum of two <10 bytes is < 50: %v %v", sat, err)
-	}
-	after := s.Stats.Snapshot()
-	if after.IntervalSat != before.IntervalSat+1 || after.SolverRuns != before.SolverRuns {
-		t.Errorf("expected a search-free interval-sat verdict: %+v -> %+v", before, after)
-	}
+	forkByBounds(t, s, cs, expr.Ult(expr.Add(v(0), v(1)), c8(50)), true) // sum of two <10 bytes is < 50
 }
 
 // Bounds narrow through widening: a W32 comparison over a zero-extended
@@ -137,19 +116,8 @@ func TestIntervalForwardAdd(t *testing.T) {
 func TestIntervalNarrowThroughZExt(t *testing.T) {
 	s := New()
 	cs := EmptySet.Append(expr.Ult(w32(v(0)), c32(100)))
-	before := s.Stats.Snapshot()
-	sat, err := s.MayBeTrue(cs, expr.Ult(v(0), c8(200)))
-	if err != nil || !sat {
-		t.Fatalf("v0 < 100 implies v0 < 200: %v %v", sat, err)
-	}
-	sat, err = s.MayBeTrue(cs, expr.Ule(c8(100), v(0)))
-	if err != nil || sat {
-		t.Fatalf("v0 < 100 contradicts v0 ≥ 100: %v %v", sat, err)
-	}
-	after := s.Stats.Snapshot()
-	if after.IntervalSat+after.IntervalUnsat != before.IntervalSat+before.IntervalUnsat+2 {
-		t.Errorf("expected both verdicts from the interval tier: %+v -> %+v", before, after)
-	}
+	forkByBounds(t, s, cs, expr.Ult(v(0), c8(200)), true)  // v0 < 100 implies v0 < 200
+	forkByBounds(t, s, cs, expr.Ule(c8(100), v(0)), false) // v0 < 100 contradicts v0 ≥ 100
 }
 
 // An extension whose conjuncts are individually undecidable can still
@@ -369,11 +337,10 @@ func soundCond(ids [2]uint64, b []byte) *expr.Expr {
 	return c
 }
 
-// Seeding must never leak into canonical answers: a solver that ran
-// bounds-narrowed may-query searches first computes the same full model
-// as a fresh solver that never did (narrowed group results stay out of
-// the group cache; full-model searches run unseeded).
-func TestIntervalSeedingKeepsModelsCanonical(t *testing.T) {
+// A warmed solver's models are canonical: a solver that answered
+// may-queries over a set first, and so holds their group results,
+// computes the same full model of it as a fresh solver that never did.
+func TestWarmSolveKeepsModelsCanonical(t *testing.T) {
 	cs := EmptySet.
 		Append(expr.Ult(v(0), c8(100))).
 		Append(expr.Ule(v(1), v(0))).
@@ -386,19 +353,24 @@ func TestIntervalSeedingKeepsModelsCanonical(t *testing.T) {
 	}
 
 	b := New()
-	// Warm b with may-queries whose searches start from narrowed domains.
+	// Warm b with may-queries over the same set, whose bounds are tight.
 	if ok, err := b.CheckSat(cs); err != nil || !ok {
 		t.Fatalf("CheckSat should be sat: %v %v", ok, err)
 	}
 	if ok, err := b.MayBeTrue(cs, expr.Ult(v(1), v(0))); err != nil || !ok {
 		t.Fatalf("warm query should be sat: %v %v", ok, err)
 	}
-	if b.Stats.Snapshot().IntervalSeeds == 0 {
-		t.Fatal("warm queries should have used interval-seeded searches")
+	before := b.Stats.Snapshot()
+	if before.SolverRuns == 0 {
+		t.Fatal("warm queries should have searched")
 	}
 	mb, sat, err := b.Solve(cs)
 	if err != nil || !sat {
 		t.Fatalf("set should be sat: %v %v", sat, err)
+	}
+	// The full-model query takes the may-queries' group results.
+	if after := b.Stats.Snapshot(); after.SolverRuns != before.SolverRuns || after.GroupCacheHits == before.GroupCacheHits {
+		t.Errorf("Solve after warm queries: want group-cache answers and no search: %+v -> %+v", before, after)
 	}
 	for id := range uint64(max(len(ma), len(mb))) {
 		if at(ma, id) != at(mb, id) {

@@ -74,11 +74,12 @@ func TestKillMemoReplaysTheKill(t *testing.T) {
 }
 
 // Everything a search is a function of is in the memo's key: change any
-// of it and the search runs again. Only a lower budget is answered.
+// of it and the search runs again. The same input at the same or a
+// lower budget is answered, whichever kind of query asks.
 func TestKillMemoKey(t *testing.T) {
 	mc := hardGroups()[0]
-	// mc with pkt1#4 < 250: its may-queries search from seed bounds that
-	// its full-model queries do not use.
+	// mc with pkt1#4 < 250: a group whose bounds are tightened, which
+	// may-queries and full-model queries search alike.
 	capped := append(slices.Clone(mc.cons), expr.Ult(expr.Var(4, "pkt1"), c8(250)))
 	cases := []struct {
 		name   string
@@ -99,13 +100,16 @@ func TestKillMemoKey(t *testing.T) {
 			_, err := s.CheckSat(behindUnit(2, rev))
 			return err
 		}, false},
-		{"other seed bounds", capped, func(s *Solver, rec *ConstraintSet) error {
+		{"Solve on tightened bounds", capped, func(s *Solver, rec *ConstraintSet) error {
 			if iv := s.state(rec).bounds.get(4); iv == (ival8{0, 255}) {
-				t.Fatal("pkt1#4 < 250 did not narrow its seed bounds")
+				t.Fatal("pkt1#4 < 250 did not narrow its bounds")
 			}
-			_, _, err := s.Solve(rec) // full-model: searched from [0,255]
+			_, _, err := s.Solve(rec) // the recording CheckSat was a may-query
+			if kill := mustKill(t, err); !kill.Memo {
+				t.Error("the full-model query searched again")
+			}
 			return err
-		}, false},
+		}, true},
 		{"outer binding", mc.cons, func(s *Solver, rec *ConstraintSet) error {
 			// Groups are variable-disjoint from units by construction, so
 			// the state that binds a group variable is built by hand.

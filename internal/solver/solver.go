@@ -35,11 +35,8 @@ type Stats struct {
 	PruneEvals      uint64 // residual evaluations those misses cost
 
 	// Interval-abstraction tier (interval.go).
-	IntervalSat      uint64 // queries answered sat: cond true on the whole interval box
-	IntervalUnsat    uint64 // queries answered unsat: cond false on the whole interval box
 	IntervalEmpty    uint64 // extensions proven unsat by an empty interval
 	ForkIntervalHits uint64 // Forks with both directions decided by intervals
-	IntervalSeeds    uint64 // group searches started from interval-narrowed domains
 }
 
 // Snapshot returns a consistent copy of the counters.
@@ -61,11 +58,8 @@ func (s *Stats) Snapshot() Stats {
 		PruneMemoMisses: atomic.LoadUint64(&s.PruneMemoMisses),
 		PruneEvals:      atomic.LoadUint64(&s.PruneEvals),
 
-		IntervalSat:      atomic.LoadUint64(&s.IntervalSat),
-		IntervalUnsat:    atomic.LoadUint64(&s.IntervalUnsat),
 		IntervalEmpty:    atomic.LoadUint64(&s.IntervalEmpty),
 		ForkIntervalHits: atomic.LoadUint64(&s.ForkIntervalHits),
-		IntervalSeeds:    atomic.LoadUint64(&s.IntervalSeeds),
 	}
 }
 
@@ -109,16 +103,12 @@ type Solver struct {
 	tier3 groupSearch
 }
 
+// groupResult is a group's verdict and, if sat, its canonical model:
+// every search starts from full domains, so the model is a function of
+// the group alone and full-model queries adopt it like may-queries do.
 type groupResult struct {
-	sat bool
-	// narrowed marks a result found by an interval-seeded search. The
-	// verdict is exact either way (the seed bounds are implied by the
-	// group's own constraints, so no group solution is excluded), but
-	// the model may differ from the canonical unseeded one — full-model
-	// queries must not adopt it (§6 broken replays). An unseeded search
-	// later overwrites the entry with the canonical result.
-	narrowed bool
-	model    []groupBinding
+	sat   bool
+	model []groupBinding
 }
 
 type groupBinding struct {
@@ -128,18 +118,13 @@ type groupBinding struct {
 
 // killEntry is a budget-killed group search with the input it was a
 // function of besides the budget: the constraints in search order (the
-// key is order-insensitive, and order steers the search) and each
-// variable's id and seed bounds. A group with a variable bound outside
-// it is never recorded, so the outer model is no input.
+// key is order-insensitive, and order steers the search). The variables
+// follow from the constraints, and every search starts from full
+// domains. A group with a variable bound outside it is never recorded,
+// so the outer model is no input.
 type killEntry struct {
-	cons  []*expr.Expr // the group's own slice; groups are immutable
-	seeds []seedBound
-	kill  *BudgetError
-}
-
-type seedBound struct {
-	id uint64
-	b  ival8
+	cons []*expr.Expr // the group's own slice; groups are immutable
+	kill *BudgetError
 }
 
 // noUnits is the witness model of a set with no units whose may-query
@@ -240,17 +225,17 @@ func (s *Solver) Fork(cs *ConstraintSet, cond *expr.Expr) (mayTrue, mayFalse boo
 }
 
 // check is the core query path: derive (incrementally) the memoized
-// solve state of cs, decide cond from the state's interval bounds if
-// they can, else extend the state with cond and solve each group the
+// solve state of cs, extend it with cond and solve each group the
 // extension created or rewrote, from the group cache where it has been
 // solved before. A satisfiable extension is kept on cs's state, with
 // the query's model as its witness, for the child node that appends
-// cond (see child). The evaluation of the set's witness model is
-// Fork's, not check's: a query Fork issues has already failed it. When
-// fullModel is false and cond is non-nil, only groups sharing variables
-// with cond are searched (KLEE's independent-constraint optimization —
-// sound because execution states only exist on feasible paths, so the
-// untouched groups are satisfiable on their own).
+// cond (see child). Deciding cond from the set's bounds or by
+// evaluating its witness model is Fork's, not check's: a query Fork
+// issues has already failed both. When fullModel is false and cond is
+// non-nil, only groups sharing variables with cond are searched (KLEE's
+// independent-constraint optimization — sound because execution states
+// only exist on feasible paths, so the untouched groups are satisfiable
+// on their own).
 func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool, expr.Assignment, error) {
 	atomic.AddUint64(&s.Stats.Queries, 1)
 
@@ -259,26 +244,6 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 		return false, nil, nil
 	}
 	st := s.state(cs)
-
-	// Tier 1 — interval abstraction: a condition decided by the set's
-	// per-variable bounds is answered with zero search, before the
-	// condition is even folded into an extension. Unsat is unconditional
-	// (the bounds over-approximate cs's solutions); sat additionally
-	// relies on the exploration invariant (cs itself is satisfiable on
-	// feasible paths), so like the other fast paths it is reserved for
-	// may-queries — full-model answers must stay canonical.
-	if cond != nil && !fullModel && !st.unsat {
-		if decided, truth := condDecided(cond, st.bounds); decided {
-			if truth {
-				atomic.AddUint64(&s.Stats.IntervalSat, 1)
-				return true, nil, nil
-			}
-			atomic.AddUint64(&s.Stats.IntervalUnsat, 1)
-			atomic.AddUint64(&s.Stats.Unsat, 1)
-			return false, nil, nil
-		}
-	}
-
 	ext := st
 	if cond != nil {
 		ext = s.extendBy(st, cond)
@@ -322,14 +287,6 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 	if fullModel {
 		own()
 	}
-	// Tier 3 seeding: may-query searches start from interval-narrowed
-	// domains instead of full 256-value ones. Full-model queries search
-	// unseeded — their models feed concretization and must stay a
-	// deterministic function of the constraint set alone.
-	var seedB boundsMap
-	if !fullModel {
-		seedB = ext.bounds
-	}
 	skipInherited := cond != nil && !fullModel
 	inherited := 0 // two-pointer subsequence match against st.groups
 	sat := true
@@ -348,11 +305,7 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 				continue // a group of cs itself; satisfiable on its own
 			}
 		}
-		// Narrowed entries carry exact verdicts but non-canonical
-		// models: full-model queries may take their unsat answer, never
-		// their model (they fall through to an unseeded search, which
-		// overwrites the entry with the canonical result).
-		if res, hit := s.groupCache[g.key]; hit && !(fullModel && res.narrowed && res.sat) {
+		if res, hit := s.groupCache[g.key]; hit {
 			atomic.AddUint64(&s.Stats.GroupCacheHits, 1)
 			if !res.sat {
 				sat = false
@@ -389,30 +342,25 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 		}
 		// A search killed before on the same input is not run again.
 		if allFree {
-			if kill := s.killed(g, gids, seedB); kill != nil {
+			if kill := s.killed(g); kill != nil {
 				return false, nil, kill
 			}
 		}
 		own()
-		ok, narrowed, err := s.solveGroup(g.cons, gids, &model, seedB)
+		ok, err := s.solveGroup(g.cons, gids, &model)
 		if err != nil {
 			var kill *BudgetError
 			if errors.As(err, &kill) {
 				if allFree {
-					s.putKill(g, gids, seedB, kill)
+					s.putKill(g, kill)
 				}
 			}
 			return false, nil, err
 		}
-		if narrowed {
-			atomic.AddUint64(&s.Stats.IntervalSeeds, 1)
-		}
 		// Cache only groups whose variables were entirely free, so the
-		// result does not depend on outside bindings. Seeded results are
-		// stored flagged (see groupResult.narrowed); canonical unseeded
-		// results overwrite them.
+		// result does not depend on outside bindings.
 		if allFree {
-			res := groupResult{sat: ok, narrowed: narrowed}
+			res := groupResult{sat: ok}
 			if ok {
 				for _, id := range gids {
 					v, _ := model.Get(id)
@@ -490,29 +438,20 @@ func (s *Solver) putGroup(key uint64, res groupResult) {
 	s.groupCacheKeys = putBounded(s.groupCache, s.groupCacheKeys, s.maxCache, key, res)
 }
 
-// putKill records that searching g over ids from seedB's bounds was
-// killed, replacing any kill recorded under g's key.
-func (s *Solver) putKill(g *igroup, ids []uint64, seedB boundsMap, kill *BudgetError) {
-	seeds := make([]seedBound, len(ids))
-	for i, id := range ids {
-		seeds[i] = seedBound{id, seedB.get(id)}
-	}
-	s.killKeys = putBounded(s.kills, s.killKeys, s.maxCache, g.key, killEntry{g.cons, seeds, kill})
+// putKill records that searching g was killed, replacing any kill
+// recorded under g's key.
+func (s *Solver) putKill(g *igroup, kill *BudgetError) {
+	s.killKeys = putBounded(s.kills, s.killKeys, s.maxCache, g.key, killEntry{g.cons, kill})
 }
 
-// killed returns the kill that searching g over ids from seedB's bounds
-// ends in under the current budget, or nil if the search must run. A
-// search killed at budget B runs the same steps at any b <= B until its
-// (b+1)-th backtrack kills it; a raised budget searches again.
-func (s *Solver) killed(g *igroup, ids []uint64, seedB boundsMap) *BudgetError {
+// killed returns the kill that searching g ends in under the current
+// budget, or nil if the search must run. A search killed at budget B
+// runs the same steps at any b <= B until its (b+1)-th backtrack kills
+// it; a raised budget searches again.
+func (s *Solver) killed(g *igroup) *BudgetError {
 	e, ok := s.kills[g.key]
-	if !ok || s.MaxBacktracks > e.kill.Budget || !slices.Equal(e.cons, g.cons) || len(e.seeds) != len(ids) {
+	if !ok || s.MaxBacktracks > e.kill.Budget || !slices.Equal(e.cons, g.cons) {
 		return nil
-	}
-	for i, id := range ids {
-		if e.seeds[i] != (seedBound{id, seedB.get(id)}) {
-			return nil
-		}
 	}
 	atomic.AddUint64(&s.Stats.KillMemoHits, 1)
 	kill := *e.kill

@@ -200,22 +200,16 @@ func (e *BudgetError) Unwrap() error { return ErrBudget }
 // then. Per-constraint unbound-variable counts are maintained
 // incrementally on bind/unbind, so variable selection and forward
 // checking read O(1) counts instead of rescanning every constraint's
-// variable list.
-//
-// bnds, when non-nil, seeds the unbound variables' domains from the
-// interval abstraction (values outside a variable's bounds cannot be
-// part of any solution, so dropping them preserves satisfiability and
-// every surviving model). narrowed reports whether seeding actually
-// removed values — callers must not publish narrowed results to the
-// canonical group cache.
-func (s *Solver) solveGroup(cons []*expr.Expr, ids []uint64, model *expr.Assignment, bnds boundsMap) (sat, narrowed bool, err error) {
+// variable list. Every search starts from full 256-value domains, so its
+// outcome is a function of cons in order and the outer model alone.
+func (s *Solver) solveGroup(cons []*expr.Expr, ids []uint64, model *expr.Assignment) (sat bool, err error) {
 	atomic.AddUint64(&s.Stats.SolverRuns, 1)
 
 	if n := len(ids); n > 0 {
 		maxID := ids[n-1]
 		if maxID >= 1<<22 {
 			// Pathological id space; treat as unknown.
-			return false, false, &BudgetError{Group: groupHash(cons), Vars: n, Cons: len(cons), Budget: s.MaxBacktracks}
+			return false, &BudgetError{Group: groupHash(cons), Vars: n, Cons: len(cons), Budget: s.MaxBacktracks}
 		}
 		if have := uint64(len(*model)); have <= maxID {
 			*model = append(*model, make(expr.Assignment, maxID+1-have)...)
@@ -226,7 +220,7 @@ func (s *Solver) solveGroup(cons []*expr.Expr, ids []uint64, model *expr.Assignm
 	g.budget = s.MaxBacktracks
 	g.backtracks, g.memoHits, g.memoMisses, g.evals = 0, 0, 0, 0
 
-	sat, narrowed, err = g.search(cons, ids, bnds)
+	sat, err = g.search(cons, ids)
 
 	g.vals = nil
 	atomic.AddUint64(&s.Stats.Backtracks, g.backtracks)
@@ -236,12 +230,12 @@ func (s *Solver) solveGroup(cons []*expr.Expr, ids []uint64, model *expr.Assignm
 	if err != nil { // the search fails only by running out of budget
 		err = &BudgetError{Group: groupHash(cons), Vars: len(g.vars), Cons: len(cons), Backtracks: g.backtracks, Budget: g.budget}
 	}
-	return sat, narrowed, err
+	return sat, err
 }
 
 // search decides cons over the unbound variables among ids, with g.vals
 // holding the outer model. On sat, g.vals holds the witness.
-func (g *groupSearch) search(cons []*expr.Expr, ids []uint64, bnds boundsMap) (sat, narrowed bool, err error) {
+func (g *groupSearch) search(cons []*expr.Expr, ids []uint64) (bool, error) {
 	vals := g.vals
 	g.vars = g.vars[:0]
 	for _, id := range ids {
@@ -255,24 +249,15 @@ func (g *groupSearch) search(cons []*expr.Expr, ids []uint64, bnds boundsMap) (s
 		for _, c := range cons {
 			v, ok := c.Eval(vals)
 			if !ok || v == 0 {
-				return false, false, nil
+				return false, nil
 			}
 		}
-		return true, false, nil
+		return true, nil
 	}
 
 	g.domains = resize(g.domains, n)
 	for i := range g.domains {
 		g.domains[i] = fullDomain()
-	}
-	// Interval seeding: restrict each domain to the variable's bounds.
-	// The bounds are non-empty by construction (an empty interval marks
-	// the state unsat before any search), so no domain empties here.
-	for i, id := range g.vars {
-		if iv := bnds.get(id); iv.lo > 0 || iv.hi < 255 {
-			g.domains[i].removeOutside(iv.lo, iv.hi)
-			narrowed = true
-		}
 	}
 
 	// Per-constraint bookkeeping: which unbound vars it mentions, and how
@@ -335,17 +320,16 @@ func (g *groupSearch) search(cons []*expr.Expr, ids []uint64, bnds boundsMap) (s
 		case 0:
 			v, ok := g.infos[i].c.Eval(vals)
 			if !ok || v == 0 {
-				return false, narrowed, nil
+				return false, nil
 			}
 		case 1:
 			if !g.pruneUnary(i) {
-				return false, narrowed, nil
+				return false, nil
 			}
 		}
 	}
 
-	sat, err = g.solve()
-	return sat, narrowed, err
+	return g.solve()
 }
 
 // resize returns s with length n, reallocating only to grow. The

@@ -92,7 +92,7 @@ func TestHardGroupsAreTheKilledOnes(t *testing.T) {
 		}
 		s := New()
 		s.MaxBacktracks = 1 << 10
-		_, _, err := s.solveGroup(g.cons, groupIDs(g.cons), new(expr.Assignment), nil)
+		_, err := s.solveGroup(g.cons, groupIDs(g.cons), new(expr.Assignment))
 		var kill *BudgetError
 		if !errors.As(err, &kill) || !errors.Is(err, ErrBudget) {
 			t.Fatalf("%s: want a budget kill, got %v", g.name, err)
@@ -156,7 +156,7 @@ func TestPruneMemoMatchesScan(t *testing.T) {
 			cons = append(cons, randomConstraint(rng, anyTerm(rng, nv)))
 		}
 		var model expr.Assignment
-		sat, _, err := s.solveGroup(cons, groupIDs(cons), &model, nil)
+		sat, err := s.solveGroup(cons, groupIDs(cons), &model)
 		if err == nil && sat {
 			for _, c := range cons {
 				if v, ok := c.Eval(model); !ok || v == 0 {
@@ -203,7 +203,7 @@ func FuzzPruneMask(f *testing.F) {
 		}
 		s := New()
 		s.MaxBacktracks = 1 << 9
-		if _, _, err := s.solveGroup(cons, groupIDs(cons), new(expr.Assignment), nil); err != nil && !errors.Is(err, ErrBudget) {
+		if _, err := s.solveGroup(cons, groupIDs(cons), new(expr.Assignment)); err != nil && !errors.Is(err, ErrBudget) {
 			t.Fatal(err)
 		}
 		checkPruneMemo(t, s, 1, 0)
@@ -225,7 +225,7 @@ func TestWarmSearchDoesNotAllocate(t *testing.T) {
 	var model expr.Assignment
 	search := func() {
 		clear(model)
-		if sat, _, err := s.solveGroup(cons, ids, &model, nil); err != nil || !sat {
+		if sat, err := s.solveGroup(cons, ids, &model); err != nil || !sat {
 			t.Fatalf("sat=%v err=%v", sat, err)
 		}
 	}
@@ -254,7 +254,7 @@ func TestWarmMissesDoNotAllocate(t *testing.T) {
 		clear(s.tier3.memo.slots)
 		s.tier3.memo.masks = s.tier3.memo.masks[:0]
 		clear(model)
-		if _, _, err := s.solveGroup(g.cons, ids, &model, nil); !errors.Is(err, ErrBudget) {
+		if _, err := s.solveGroup(g.cons, ids, &model); !errors.Is(err, ErrBudget) {
 			t.Fatalf("want a budget kill, got %v", err)
 		}
 	}
@@ -310,7 +310,7 @@ func TestForwardCheckIsLocalToTheBinding(t *testing.T) {
 			expr.Ult(x, c8(200)),
 			expr.Eq(c8(1), expr.Mul(c8(2), expr.Add(x, y)))) // 2(x+y) is even
 		s := New()
-		if sat, _, err := s.solveGroup(cons, groupIDs(cons), new(expr.Assignment), nil); sat || err != nil {
+		if sat, err := s.solveGroup(cons, groupIDs(cons), new(expr.Assignment)); sat || err != nil {
 			t.Fatalf("k=%d: sat=%v err=%v, want unsat", k, sat, err)
 		}
 		st := s.Stats.Snapshot()
@@ -334,7 +334,7 @@ func TestSearchInternsNothing(t *testing.T) {
 		s := New()
 		s.MaxBacktracks = 1 << 10
 		nodes, hits := expr.InternStats()
-		if _, _, err := s.solveGroup(g.cons, ids, new(expr.Assignment), nil); !errors.Is(err, ErrBudget) {
+		if _, err := s.solveGroup(g.cons, ids, new(expr.Assignment)); !errors.Is(err, ErrBudget) {
 			t.Fatalf("%s: want a budget kill, got %v", g.name, err)
 		}
 		if n, h := expr.InternStats(); n != nodes || h != hits {
@@ -428,9 +428,7 @@ func TestPruneMemoGrowsOnDemand(t *testing.T) {
 	s := New()
 	x, y := v(0), v(1)
 	cs := EmptySet.Append(expr.Ult(x, c8(10))).Append(expr.Ult(y, c8(20)))
-	if sat, err := s.MayBeTrue(cs, expr.Ult(x, c8(50))); err != nil || !sat { // decided by the bounds
-		t.Fatalf("sat=%v err=%v", sat, err)
-	}
+	forkByBounds(t, s, cs, expr.Ult(x, c8(50)), true)
 	if st := s.Stats.Snapshot(); st.PruneMemoHits+st.PruneMemoMisses != 0 {
 		t.Fatalf("the query pruned: %+v", st)
 	}
@@ -438,7 +436,7 @@ func TestPruneMemoGrowsOnDemand(t *testing.T) {
 		t.Fatalf("a solver that never pruned holds a memo table of %d slots", len(s.tier3.memo.slots))
 	}
 	cons := []*expr.Expr{expr.Eq(c8(90), expr.Add(x, y)), expr.Ult(x, y)}
-	if sat, _, err := s.solveGroup(cons, groupIDs(cons), new(expr.Assignment), nil); err != nil || !sat {
+	if sat, err := s.solveGroup(cons, groupIDs(cons), new(expr.Assignment)); err != nil || !sat {
 		t.Fatalf("sat=%v err=%v", sat, err)
 	}
 	if n := len(s.tier3.memo.slots); n == 0 || n > 64 {
@@ -456,7 +454,7 @@ func BenchmarkTier3Hard(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := New()
 				s.MaxBacktracks = 1 << 13
-				if _, _, err := s.solveGroup(g.cons, ids, new(expr.Assignment), nil); !errors.Is(err, ErrBudget) {
+				if _, err := s.solveGroup(g.cons, ids, new(expr.Assignment)); !errors.Is(err, ErrBudget) {
 					b.Fatalf("want a budget kill, got %v", err)
 				}
 			}
