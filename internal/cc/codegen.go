@@ -99,6 +99,7 @@ func compileUnit(name, src string, opts Options, promote bool) (prog *cvm.Progra
 	if promote {
 		g.prog.PromoteSlots()
 	}
+	g.prog.Link()
 	if verr := g.prog.Validate(func(s string) bool {
 		_, ok := g.externs[s]
 		return ok

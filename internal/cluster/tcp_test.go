@@ -102,10 +102,17 @@ func (f *tcpFleet) start(t *testing.T, o tcpWorkerOpts) {
 	}()
 }
 
+// serveBound is how long serve lets a run go before failing the test. The
+// slowest healthy serve, in five runs of go test -race ./internal/cluster
+// on a 2-core box, took 3.7 s (TestTCPHandshakeDeadline; every other
+// under 1.5 s): a run still going at 30 s can no longer end.
+const serveBound = 30 * time.Second
+
 // await polls until worker id has been built; nil if it never is. Safe
-// from helper goroutines (it does not fail the test itself).
+// from helper goroutines (it does not fail the test itself). Workers
+// compile before they dial, so a join takes milliseconds.
 func (f *tcpFleet) await(id int) *Worker {
-	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		f.mu.Lock()
 		w := f.workers[id]
 		f.mu.Unlock()
@@ -120,10 +127,11 @@ func (f *tcpFleet) await(id int) *Worker {
 // server first) to the end of the run, waits for every worker to exit,
 // and returns the fleet's path and error counts — live members' and
 // departed ones' accounted metrics — plus how many workers departed (crashed, retired, evicted). After it
-// returns, f.workers and f.statuses are the test's to read.
+// returns, f.workers and f.statuses are the test's to read. A run that
+// has not terminated within serveBound fails the test.
 func (f *tcpFleet) serve(t *testing.T) (paths, errors uint64, departed int) {
 	t.Helper()
-	statuses, err := f.lbs.Serve(120 * time.Second)
+	statuses, err := f.lbs.Serve(serveBound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +143,8 @@ func (f *tcpFleet) serve(t *testing.T) (paths, errors uint64, departed int) {
 	}
 	f.statuses = statuses
 	if !f.lbs.Exhausted() {
-		// The run hit Serve's bound instead of terminating: whatever the
-		// test goes on to report, the balancer's journal says where it
-		// stuck.
+		// The run hit Serve's bound instead of terminating: the balancer's
+		// journal says where it stuck.
 		for _, ev := range f.lbs.Journal().All() {
 			t.Logf("lb journal: %s %s worker=%d %v", time.Unix(0, ev.T).Format("05.000"), ev.Type, ev.Worker, ev.Fields)
 		}
@@ -145,6 +152,7 @@ func (f *tcpFleet) serve(t *testing.T) (paths, errors uint64, departed int) {
 			t.Logf("final status: worker=%d queue=%d done=%v paths=%d sent=%d recv=%d probe=%d",
 				st.Worker, st.Queue, st.Done, st.Obs.Counter(obs.MEnginePaths), st.JobsSent, st.JobsRecv, st.Probe)
 		}
+		t.Fatalf("the run did not terminate within %v", serveBound)
 	}
 	fleet := f.lbs.ObsSnapshot()
 	paths, errors = fleet.Counter(obs.MEnginePaths), fleet.Counter(obs.MEngineErrors)
@@ -214,9 +222,6 @@ func TestTCPLostFullStatusesLoseNoMetrics(t *testing.T) {
 		f.start(t, tcpWorkerOpts{wrap: func(tr *TCPWorkerTransport) Transport { return &lossyFullStatuses{TCPWorkerTransport: tr} }})
 	}
 	f.serve(t)
-	if !f.lbs.Exhausted() {
-		t.Fatal("the run did not terminate")
-	}
 	var want obs.Snapshot
 	for _, w := range f.workers {
 		want.Merge(w.Exp.Obs.Snapshot())
@@ -422,7 +427,7 @@ func tcpRestart(t *testing.T, cfg BalancerConfig) *tcpFleet {
 		f.start(t, tcpWorkerOpts{})
 	}
 	dead := f.lbs
-	go dead.Serve(120 * time.Second) //nolint:errcheck // aborted below
+	go dead.Serve(serveBound) //nolint:errcheck // aborted below
 	// All three must have joined before the balancer dies, or the last one
 	// joins the restart fresh instead of being readmitted.
 	if f.await(2) == nil {

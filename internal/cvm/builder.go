@@ -76,18 +76,6 @@ func (b *FuncBuilder) Const(imm int64, w expr.Width) int {
 	return dst
 }
 
-// Mov emits dst <- src into a fresh register.
-func (b *FuncBuilder) Mov(src int) int {
-	dst := b.NewReg()
-	b.emit(Instr{Op: OpMov, A: dst, B: src})
-	return dst
-}
-
-// MovTo emits dst <- src into an existing register.
-func (b *FuncBuilder) MovTo(dst, src int) {
-	b.emit(Instr{Op: OpMov, A: dst, B: src})
-}
-
 // Bin emits dst <- l op r (width w); returns dst.
 func (b *FuncBuilder) Bin(op Opcode, l, r int, w expr.Width) int {
 	if !op.IsBinary() {
@@ -163,11 +151,6 @@ func (b *FuncBuilder) Select(cond, a, bb int) int {
 	dst := b.NewReg()
 	b.emit(Instr{Op: OpSelect, A: dst, B: cond, C: a, D: bb})
 	return dst
-}
-
-// Assert emits a checked assertion with message msg.
-func (b *FuncBuilder) Assert(cond int, msg string) {
-	b.emit(Instr{Op: OpAssert, A: cond, Sym: msg})
 }
 
 // Error emits an unconditional path-terminating error.

@@ -155,10 +155,6 @@ func TestCoverableLines(t *testing.T) {
 	if got := p.CoverableLines(); got != 2 {
 		t.Errorf("coverable lines = %d, want 2", got)
 	}
-	set := p.CoverableLineSet()
-	if !set[10] || !set[11] {
-		t.Errorf("line set = %v", set)
-	}
 }
 
 func TestExprOpMapping(t *testing.T) {

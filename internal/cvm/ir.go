@@ -159,6 +159,9 @@ type Instr struct {
 	Sym  string // callee, global name, or error message
 	Args []int  // call argument registers
 	Line int    // source line (coverage unit); 0 = none
+	// Callee is the function an OpCall runs when Sym names one of the
+	// program's, set by Program.Link; nil for a builtin.
+	Callee *Func
 }
 
 // def returns the register the instruction writes, or -1.
@@ -254,6 +257,22 @@ func (p *Program) Func(name string) *Func {
 	return p.Funcs[name]
 }
 
+// Link binds every call to a function the program defines to that
+// function (Instr.Callee), so executing a call looks up no name. Call it
+// once the program is complete, before any interpreter runs it: workers
+// share one program and never write to it.
+func (p *Program) Link() {
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			for i := range b.Instrs {
+				if in := &b.Instrs[i]; in.Op == OpCall {
+					in.Callee = p.Funcs[in.Sym]
+				}
+			}
+		}
+	}
+}
+
 // CoverableLines returns the sorted-unique count of distinct source lines
 // attached to instructions — the denominator for line coverage.
 func (p *Program) CoverableLines() int {
@@ -268,19 +287,4 @@ func (p *Program) CoverableLines() int {
 		}
 	}
 	return len(seen)
-}
-
-// CoverableLineSet returns the set of coverable source lines.
-func (p *Program) CoverableLineSet() map[int]bool {
-	seen := make(map[int]bool)
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				if ln := b.Instrs[i].Line; ln > 0 {
-					seen[ln] = true
-				}
-			}
-		}
-	}
-	return seen
 }

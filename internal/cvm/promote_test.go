@@ -112,11 +112,11 @@ func TestPromoteSlotsEscapes(t *testing.T) {
 		{"wide store", 4, func(b *FuncBuilder, a int) { b.Store(a, b.Const(0, expr.W64), expr.W64) }, "M"},
 		{"stored as a value", 8, func(b *FuncBuilder, a int) { b.Store(b.GlobalAddr("g"), a, expr.W64) }, "M"},
 		{"call argument", 4, func(b *FuncBuilder, a int) { b.CallVoid("sink", a) }, "M"},
-		{"mov", 4, func(b *FuncBuilder, a int) { b.Mov(a) }, "M"},
+		{"mov", 4, func(b *FuncBuilder, a int) { b.emit(Instr{Op: OpMov, A: b.NewReg(), B: a}) }, "M"},
 		{"arithmetic", 4, func(b *FuncBuilder, a int) { b.Bin(OpAdd, a, a, expr.W64) }, "M"},
 		{"conversion", 4, func(b *FuncBuilder, a int) { b.Conv(OpTrunc, a, expr.W32) }, "M"},
 		{"select", 4, func(b *FuncBuilder, a int) { b.Select(b.Const(1, expr.W1), a, a) }, "M"},
-		{"assert", 4, func(b *FuncBuilder, a int) { b.Assert(a, "x") }, "M"},
+		{"assert", 4, func(b *FuncBuilder, a int) { b.emit(Instr{Op: OpAssert, A: a, Sym: "x"}) }, "M"},
 		{"ret", 4, func(b *FuncBuilder, a int) { b.Ret(a); b.SetBlock(b.NewBlock()) }, "M"},
 		{"condbr", 4, func(b *FuncBuilder, a int) {
 			next := b.NewBlock()
@@ -124,7 +124,7 @@ func TestPromoteSlotsEscapes(t *testing.T) {
 			b.SetBlock(next)
 		}, "M"},
 		{"address register written twice", 4, func(b *FuncBuilder, a int) {
-			b.MovTo(a, b.GlobalAddr("g"))
+			b.emit(Instr{Op: OpMov, A: a, B: b.GlobalAddr("g")})
 			b.Load(a, expr.W32)
 		}, "M"},
 		{"address register reused for another slot", 4, func(b *FuncBuilder, a int) {

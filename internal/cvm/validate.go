@@ -8,8 +8,8 @@ import (
 
 // Validate checks structural well-formedness of the program: register
 // bounds, branch targets, terminator placement, operand widths and
-// resolvable call targets (functions may also call builtins, whose names
-// are supplied by the interpreter via known).
+// resolvable, linked call targets (functions may also call builtins,
+// whose names are supplied by the interpreter via known).
 func (p *Program) Validate(known func(string) bool) error {
 	globals := map[string]bool{}
 	for _, g := range p.Globals {
@@ -209,6 +209,9 @@ func (p *Program) validateInstr(f *Func, in *Instr, promoted int, checkReg func(
 		}
 		if callee := p.Funcs[in.Sym]; callee != nil && len(in.Args) != callee.NumParams {
 			return fmt.Errorf("call to %q with %d args, want %d", in.Sym, len(in.Args), callee.NumParams)
+		}
+		if in.Callee != p.Funcs[in.Sym] {
+			return fmt.Errorf("call to %q is not linked (Program.Link)", in.Sym)
 		}
 		if in.A != -1 {
 			if err := regs(in.A); err != nil {

@@ -3,7 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 	"weak"
 
@@ -30,6 +30,23 @@ int main() {
 	if (n == 4) abort();
 	return 0;
 }`
+
+// coverableLines returns the source lines prog's instructions carry,
+// ascending.
+func coverableLines(prog *cvm.Program) []int {
+	var lines []int
+	for _, f := range prog.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Line > 0 {
+					lines = append(lines, in.Line)
+				}
+			}
+		}
+	}
+	slices.Sort(lines)
+	return slices.Compact(lines)
+}
 
 func newExplorer(t *testing.T, src string, cfg Config) *Explorer {
 	t.Helper()
@@ -570,11 +587,7 @@ func TestSetStrategyReplaysGlobalCoverage(t *testing.T) {
 	e := newExplorer(t, branchy, Config{})
 	// A synthetic peer overlay covering two lines this worker has not
 	// executed yet.
-	var lines []int
-	for ln := range e.In.Prog.CoverableLineSet() {
-		lines = append(lines, ln)
-	}
-	sort.Ints(lines)
+	lines := coverableLines(e.In.Prog)
 	if len(lines) < 2 {
 		t.Fatal("target too small")
 	}
@@ -685,7 +698,7 @@ func TestDistOptDrainsSaturatedFrontier(t *testing.T) {
 	}
 	// Cover everything: every candidate becomes Unreachable.
 	g := coverage.New(e.In.Prog.MaxLine)
-	for ln := range e.In.Prog.CoverableLineSet() {
+	for _, ln := range coverableLines(e.In.Prog) {
 		g.Set(ln)
 	}
 	e.MergeGlobalCoverage(g)

@@ -2,9 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"cloud9/internal/cfg"
@@ -261,7 +259,7 @@ func TestDistOptCachedWeightsAreCurrent(t *testing.T) {
 		audit = &weightAudit{DistanceOptimized: NewDistanceOptimized(d, 3), t: t}
 		return NewInterleaved(audit, NewCoverageOptimized(4))
 	}})
-	lines := slices.Sorted(maps.Keys(e.In.Prog.CoverableLineSet()))
+	lines := coverableLines(e.In.Prog)
 	for steps := 0; ; steps++ {
 		switch {
 		case steps%2 == 1:

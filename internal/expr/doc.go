@@ -11,7 +11,8 @@
 // # Hash consing
 //
 // Every node is hash-consed: the constructors intern each node in a
-// global sharded table (64 lock-striped shards keyed by structural hash),
+// global sharded table (64 shards keyed by structural hash, read without
+// a lock; see intern.go),
 // so structurally equal expressions are always the same pointer. At
 // construction each node is stamped with three cached summaries, computed
 // in O(1) from its already-stamped children:
@@ -48,6 +49,7 @@
 // are still stamped — Hash, Size and FreeVars stay O(1) — but are no
 // longer published, so they remain garbage-collectible and Equal falls
 // back to its hash-guarded structural slow path for them. Workers are
-// single-threaded constructors in steady state; the lock striping exists
-// because targets and tests build expressions concurrently.
+// single-threaded constructors, but several share the table in one
+// process (cluster.Run, the tests): a lookup that finds its node takes
+// no lock, and only a shard's inserts take its mutex.
 package expr

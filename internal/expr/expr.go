@@ -574,17 +574,8 @@ func Add(l, r *Expr) *Expr { return Binary(OpAdd, l, r) }
 // Sub returns l - r.
 func Sub(l, r *Expr) *Expr { return Binary(OpSub, l, r) }
 
-// Mul returns l * r.
-func Mul(l, r *Expr) *Expr { return Binary(OpMul, l, r) }
-
-// And returns the bitwise AND of l and r.
-func And(l, r *Expr) *Expr { return Binary(OpAnd, l, r) }
-
 // Or returns the bitwise OR of l and r.
 func Or(l, r *Expr) *Expr { return Binary(OpOr, l, r) }
-
-// Xor returns the bitwise XOR of l and r.
-func Xor(l, r *Expr) *Expr { return Binary(OpXor, l, r) }
 
 // Eq returns the W1 comparison l == r.
 func Eq(l, r *Expr) *Expr { return Binary(OpEq, l, r) }
@@ -592,17 +583,8 @@ func Eq(l, r *Expr) *Expr { return Binary(OpEq, l, r) }
 // Ne returns the W1 comparison l != r.
 func Ne(l, r *Expr) *Expr { return Not(Eq(l, r)) }
 
-// Ult returns the W1 unsigned comparison l < r.
-func Ult(l, r *Expr) *Expr { return Binary(OpUlt, l, r) }
-
 // Ule returns the W1 unsigned comparison l <= r.
 func Ule(l, r *Expr) *Expr { return Binary(OpUle, l, r) }
-
-// Slt returns the W1 signed comparison l < r.
-func Slt(l, r *Expr) *Expr { return Binary(OpSlt, l, r) }
-
-// Sle returns the W1 signed comparison l <= r.
-func Sle(l, r *Expr) *Expr { return Binary(OpSle, l, r) }
 
 // Not returns the boolean negation of e (width W1).
 func Not(e *Expr) *Expr {
@@ -905,9 +887,6 @@ func (e *Expr) FreeVars() *VarSet { return e.vars }
 
 // NumVars returns the number of distinct variables in e. O(1).
 func (e *Expr) NumVars() int { return e.vars.n }
-
-// HasVars reports whether e references any symbolic variable. O(1).
-func (e *Expr) HasVars() bool { return e.vars.n > 0 }
 
 // DeepVars is the recursive reference implementation of Vars, retained
 // for verification and benchmarking: it re-walks the DAG per occurrence

@@ -27,7 +27,7 @@ func sizeRatio(reps int, small, big func()) float64 {
 func doublingExpr(levels int) *Expr {
 	e := ZExt(Var(0, "x"), W32)
 	for i := range levels {
-		e = Add(e, Xor(e, Const(uint64(i)|1, W32)))
+		e = Add(e, Binary(OpXor, e, Const(uint64(i)|1, W32)))
 	}
 	return e
 }
@@ -60,7 +60,7 @@ func TestHashIsConstantTime(t *testing.T) {
 func BenchmarkExprHash(b *testing.B) {
 	e := ZExt(Var(0, "x"), W32)
 	for i := 1; i < 512; i++ {
-		e = Xor(Add(e, ZExt(Var(uint64(i%8), "x"), W32)), Const(uint64(i)|1, W32))
+		e = Binary(OpXor, Add(e, ZExt(Var(uint64(i%8), "x"), W32)), Const(uint64(i)|1, W32))
 	}
 	b.Run("interned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -81,7 +81,7 @@ func BenchmarkPartitionVars(b *testing.B) {
 	var cons []*Expr
 	for i := uint64(0); i < 64; i++ {
 		lhs := Add(ZExt(Var(i, "v"), W32), ZExt(Var(i+1, "v"), W32))
-		cons = append(cons, Ult(Xor(lhs, doublingExpr(4)), Const(500+i, W32)))
+		cons = append(cons, ult(Binary(OpXor, lhs, doublingExpr(4)), Const(500+i, W32)))
 	}
 	b.Run("interned", func(b *testing.B) {
 		var buf []uint64

@@ -13,18 +13,27 @@ package expr
 // Equal() is a pointer comparison, and independence partitioning reads
 // per-node variable summaries instead of re-walking the DAG.
 //
-// Workers are shared-nothing, but targets and tests construct expressions
-// concurrently, so the table is lock-striped across 64 shards keyed by the
-// node hash. The table is append-only and lives for the process lifetime;
-// that matches Cloud9's per-worker-process model, where the expression
-// population is bounded by the constraint population of the explored
-// subtree.
+// Workers in one process (cluster.Run, the tests) construct expressions
+// concurrently, and nearly every construction is a hit, so a hit takes no
+// lock. The table is 64 shards keyed by the low hash bits; each is an
+// insert-only, open-addressed array of atomic node pointers, probed
+// linearly from the bits above. A hit is atomic loads of the shard's
+// array and its slots, a hash compare and matches, and one atomic add to
+// the shard's hit counter. A miss takes the shard's mutex, probes again
+// and publishes the new node; at load one half it first builds an array
+// twice the size and publishes that. A slot is never cleared, so a probe
+// on an older array can only miss, and the locked probe then finds the
+// node. Past internShardCap nodes a shard stops publishing. The table
+// lives for the process lifetime; that matches Cloud9's
+// per-worker-process model, where the expression population is bounded
+// by the constraint population of the explored subtree.
 
 import (
 	"math"
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 func popcount64(w uint64) int { return bits.OnesCount64(w) }
@@ -214,7 +223,12 @@ func (e *Expr) matches(op Op, w Width, val uint64, name string, kids []*Expr) bo
 	return true
 }
 
-const internShardCount = 64 // power of two; indexed by low hash bits
+const (
+	internShardCount = 64 // power of two; indexed by low hash bits
+	internShardBits  = 6  // log2(internShardCount): slot probes use the bits above
+	internMinSlots   = 64 // a shard's first table
+	cacheLine        = 64
+)
 
 // internShardCap bounds the published node population per shard (~4M
 // nodes total). The solver's substitution loops create transient residual
@@ -227,11 +241,52 @@ const internShardCount = 64 // power of two; indexed by low hash bits
 // tests can exercise the overflow path.
 var internShardCap uint64 = (4 << 20) / internShardCount
 
+// internTable is one shard's open-addressed, linear-probed slot array.
+// A slot is written once, nil to a node, and never cleared, so a probe
+// that meets nil has seen every node stored at its hash so far.
+type internTable struct {
+	slots []atomic.Pointer[Expr] // len a power of two
+	mask  uint64
+}
+
+func newInternTable(n int) *internTable {
+	return &internTable{slots: make([]atomic.Pointer[Expr], n), mask: uint64(n - 1)}
+}
+
+// find returns the node matching the parts, or nil.
+func (t *internTable) find(h uint64, op Op, w Width, val uint64, name string, kids []*Expr) *Expr {
+	for i := h >> internShardBits; ; i++ {
+		e := t.slots[i&t.mask].Load()
+		if e == nil {
+			return nil
+		}
+		if e.hash == h && e.matches(op, w, val, name, kids) {
+			return e
+		}
+	}
+}
+
+// put stores e in the first free slot of its probe sequence. The caller
+// holds the shard's mutex and keeps the load at most one half.
+func (t *internTable) put(e *Expr) {
+	i := e.hash >> internShardBits
+	for t.slots[i&t.mask].Load() != nil {
+		i++
+	}
+	t.slots[i&t.mask].Store(e)
+}
+
+// internShard is one stripe of the table. A hit reads tab and its slots
+// with atomic loads only; a miss takes mu, probes again and inserts.
+// hits sits on its own cache line so that counting a hit does not evict
+// the line every other probe of the shard reads tab from.
 type internShard struct {
-	mu      sync.Mutex
-	buckets map[uint64][]*Expr
-	nodes   uint64
-	hits    uint64
+	tab   atomic.Pointer[internTable]
+	mu    sync.Mutex
+	nodes uint64 // published nodes; written under mu
+	_     [cacheLine - 24]byte
+	hits  atomic.Uint64
+	_     [cacheLine - 8]byte
 }
 
 // internTab is initialized as a package-level variable (not in init) so it
@@ -240,37 +295,70 @@ type internShard struct {
 var internTab = func() *[internShardCount]internShard {
 	t := new([internShardCount]internShard)
 	for i := range t {
-		t[i].buckets = make(map[uint64][]*Expr, 256)
+		t[i].init()
 	}
 	return t
 }()
 
+func (sh *internShard) init() { sh.tab.Store(newInternTable(internMinSlots)) }
+
 // intern returns the canonical node for the structure described by the
 // parts: an existing table entry when one matches (the steady-state case
-// — no allocation at all), or a freshly stamped node, published unless
-// the shard is at capacity. kids is only copied on a miss, so call sites
-// can pass stack-backed variadic slices.
+// — atomic loads only, no lock, no allocation), or a freshly stamped
+// node, published unless the shard is at capacity. kids is only copied on
+// a miss, so call sites can pass stack-backed variadic slices.
 func intern(op Op, w Width, val uint64, name string, kids ...*Expr) *Expr {
 	h := hashParts(op, w, val, name, kids)
-	sh := &internTab[h&(internShardCount-1)]
-	sh.mu.Lock()
-	bucket := sh.buckets[h]
-	for _, c := range bucket {
-		if c.matches(op, w, val, name, kids) {
-			sh.hits++
-			sh.mu.Unlock()
-			return c
-		}
+	return internTab[h&(internShardCount-1)].intern(h, op, w, val, name, kids)
+}
+
+func (sh *internShard) intern(h uint64, op Op, w Width, val uint64, name string, kids []*Expr) *Expr {
+	if e := sh.tab.Load().find(h, op, w, val, name, kids); e != nil {
+		sh.hits.Add(1)
+		return e
 	}
-	if sh.nodes >= internShardCap {
-		sh.mu.Unlock()
-		return buildNode(op, w, val, name, kids, h) // stamped, unpublished
+	return sh.miss(h, op, w, val, name, kids)
+}
+
+// miss is intern's locked path. Another goroutine may have published the
+// node since the lock-free probe, so it probes the current table again.
+// A table's load stays at or below one half: before an insert would pass
+// it, the shard builds a table twice the size, moves every node over and
+// publishes it. Probes still walking the old table may miss a node it
+// lacks and come here, where they find it.
+func (sh *internShard) miss(h uint64, op Op, w Width, val uint64, name string, kids []*Expr) *Expr {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	t := sh.tab.Load()
+	if e := t.find(h, op, w, val, name, kids); e != nil {
+		sh.hits.Add(1)
+		return e
 	}
 	e := buildNode(op, w, val, name, kids, h)
-	sh.buckets[h] = append(bucket, e)
+	if sh.nodes >= internShardCap {
+		return e // stamped, unpublished
+	}
+	if 2*(sh.nodes+1) > uint64(len(t.slots)) {
+		grown := newInternTable(2 * len(t.slots))
+		for i := range t.slots {
+			if c := t.slots[i].Load(); c != nil {
+				grown.put(c)
+			}
+		}
+		sh.tab.Store(grown)
+		t = grown
+	}
+	t.put(e)
 	sh.nodes++
-	sh.mu.Unlock()
 	return e
+}
+
+// stats returns the shard's published nodes and hits.
+func (sh *internShard) stats() (nodes, hits uint64) {
+	sh.mu.Lock()
+	nodes = sh.nodes
+	sh.mu.Unlock()
+	return nodes, sh.hits.Load()
 }
 
 // buildNode allocates and stamps a node from its parts and precomputed
@@ -305,11 +393,8 @@ func buildNode(op Op, w Width, val uint64, name string, kids []*Expr, h uint64) 
 // number of constructions answered with an existing node.
 func InternStats() (nodes, hits uint64) {
 	for i := range internTab {
-		sh := &internTab[i]
-		sh.mu.Lock()
-		nodes += sh.nodes
-		hits += sh.hits
-		sh.mu.Unlock()
+		n, h := internTab[i].stats()
+		nodes, hits = nodes+n, hits+h
 	}
 	return nodes, hits
 }

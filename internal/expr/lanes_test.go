@@ -64,8 +64,8 @@ func TestBinaryLaneLoopsMatchFoldBin(t *testing.T) {
 func TestCompileListsEachNodeOnce(t *testing.T) {
 	x, y := Var(0, "x"), Var(1, "y")
 	k32 := func(v uint64) *Expr { return Const(v, W32) }
-	shared := Mul(k32(33), ZExt(x, W32))                // x, 33, mul
-	e := Ult(shared, Add(shared, ZExt(Add(y, y), W32))) // y + y is one ground operand
+	shared := Binary(OpMul, k32(33), ZExt(x, W32))      // x, 33, mul
+	e := ult(shared, Add(shared, ZExt(Add(y, y), W32))) // y + y is one ground operand
 	var l Lanes
 	p := l.Compile(e, 0)
 	if p.hi-p.lo != 6 || p.rows != 6 {

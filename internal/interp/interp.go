@@ -34,8 +34,11 @@ type Interp struct {
 	Builtins map[string]Builtin
 	Stats    Stats
 
-	// OnCover, when set, is invoked for every executed instruction with a
-	// source line attached (the coverage feed).
+	// OnCover, when set, is the coverage feed: Advance calls it with an
+	// executed instruction's source line when that line differs from the
+	// last one it reported, so once per run of instructions on one line,
+	// and again when the line is re-entered later. Recording a line twice
+	// must therefore change nothing.
 	OnCover func(line int)
 
 	nextStateID uint64
@@ -80,12 +83,15 @@ func (in *Interp) InitialState(entry string) (*state.S, error) {
 // extended by one choice) replace s, which lives on as the last of them.
 // Returns (nil, nil) when s terminated; inspect s.Term.
 // An error means the engine itself failed (solver budget, bad IR).
+//
+// The thread, frame and block's instructions are fetched once per block
+// entry: only a terminator or a call (which may push a frame, end or
+// switch the thread) moves them, and a fork or termination ends the run.
 func (in *Interp) Advance(s *state.S) ([]*state.S, error) {
-	var t *state.Thread
+	cover := in.OnCover
+	line := 0 // the line cover last heard of
 	for !s.Terminated() {
-		if t == nil || t.ID != s.Cur {
-			t = s.CurThread() // once per switch, not per instruction
-		}
+		t := s.CurThread()
 		if t == nil || t.Status != state.ThreadRunnable {
 			children, err := in.reschedule(s)
 			if children != nil || err != nil {
@@ -94,24 +100,30 @@ func (in *Interp) Advance(s *state.S) ([]*state.S, error) {
 			continue
 		}
 		f := t.Top()
-		blk := f.Fn.Blocks[f.Block]
-		if f.PC >= len(blk.Instrs) {
-			return nil, fmt.Errorf("interp: fell off block %d of %s", f.Block, f.Fn.Name)
-		}
-		instr := &blk.Instrs[f.PC]
-		f.PC++
-		s.Steps++
-		in.Stats.Instructions++
-		if instr.Line > 0 && in.OnCover != nil {
-			in.OnCover(instr.Line)
-		}
-		if s.MaxSteps > 0 && s.Steps > s.MaxSteps {
-			s.SetTerminated(state.TermHang, "instruction limit exceeded (possible infinite loop)")
-			return nil, nil
-		}
-		children, err := in.exec(s, t, f, instr)
-		if children != nil || err != nil {
-			return children, err
+		instrs := f.Fn.Blocks[f.Block].Instrs
+		for {
+			if f.PC >= len(instrs) {
+				return nil, fmt.Errorf("interp: fell off block %d of %s", f.Block, f.Fn.Name)
+			}
+			instr := &instrs[f.PC]
+			f.PC++
+			s.Steps++
+			in.Stats.Instructions++
+			if ln := instr.Line; ln != line && ln > 0 && cover != nil {
+				line = ln
+				cover(ln)
+			}
+			if s.MaxSteps > 0 && s.Steps > s.MaxSteps {
+				s.SetTerminated(state.TermHang, "instruction limit exceeded (possible infinite loop)")
+				return nil, nil
+			}
+			children, err := in.exec(s, t, f, instr)
+			if children != nil || err != nil {
+				return children, err
+			}
+			if instr.Op.IsTerminator() || instr.Op == cvm.OpCall || s.Terminated() {
+				break
+			}
 		}
 	}
 	return nil, nil
@@ -509,7 +521,7 @@ func (in *Interp) execAssert(s *state.S, t *state.Thread, f *state.Frame, instr 
 }
 
 func (in *Interp) execCall(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.Instr) (children []*state.S, err error) {
-	if callee := in.Prog.Func(instr.Sym); callee != nil {
+	if callee := instr.Callee; callee != nil {
 		cf, err := s.PushFrame(t, callee, len(instr.Args), instr.A)
 		if err != nil {
 			return nil, err

@@ -716,6 +716,7 @@ func callLoop(t testing.TB) func() {
 	m.Br(loop)
 	prog.Funcs["main"] = m.Func()
 	prog.PromoteSlots()
+	prog.Link()
 	if err := prog.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -823,5 +824,139 @@ func TestGuestIDsOutOfRange(t *testing.T) {
 	}
 	if res, err := call("__c9_proc_exit_wlist", lastPID); err != nil || res.ConstVal() != s.CurProc().ExitWlist {
 		t.Errorf("__c9_proc_exit_wlist(%d) = %v, %v; want %d", lastPID, res, err, s.CurProc().ExitWlist)
+	}
+}
+
+// runToEnd advances a state that must not fork until it terminates.
+func runToEnd(t *testing.T, in *Interp, s *state.S) {
+	t.Helper()
+	kids, err := in.Advance(s)
+	if err != nil || kids != nil {
+		t.Fatalf("Advance: kids=%d err=%v, want a run to the end", len(kids), err)
+	}
+}
+
+// Coverage is reported once per run of instructions on one line: three
+// instructions on line 1, then a return on line 2, are two reports.
+func TestCoverReportedOncePerLineRun(t *testing.T) {
+	prog := cvm.NewProgram("t")
+	m := cvm.NewFuncBuilder("main", 0)
+	m.SetLine(1)
+	x := m.Const(1, expr.W32)
+	y := m.Const(2, expr.W32)
+	z := m.Bin(cvm.OpAdd, x, y, expr.W32)
+	m.SetLine(2)
+	m.Ret(z)
+	prog.Funcs["main"] = m.Func()
+	if err := prog.Validate(nil); err != nil {
+		t.Fatal(err)
+	}
+	in := New(prog)
+	var lines []int
+	in.OnCover = func(line int) { lines = append(lines, line) }
+	s, err := in.InitialState("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runToEnd(t, in, s)
+	if len(lines) != 2 || lines[0] != 1 || lines[1] != 2 {
+		t.Fatalf("OnCover heard %v, want [1 2]", lines)
+	}
+	if in.Stats.Instructions != 4 {
+		t.Fatalf("%d instructions, want 4", in.Stats.Instructions)
+	}
+}
+
+// A call names its callee; linking binds it once the program is
+// complete, so a caller built before its callee exists runs it.
+func TestCallToLaterDefinedFunction(t *testing.T) {
+	prog := cvm.NewProgram("t")
+	m := cvm.NewFuncBuilder("main", 0)
+	m.Ret(m.Call("late"))
+	prog.Funcs["main"] = m.Func()
+	late := cvm.NewFuncBuilder("late", 0)
+	late.Ret(late.Const(42, expr.W32))
+	prog.Funcs["late"] = late.Func()
+	if err := prog.Validate(nil); err == nil || !strings.Contains(err.Error(), "not linked") {
+		t.Fatalf("Validate before Link: %v, want the unlinked call", err)
+	}
+	prog.Link()
+	if err := prog.Validate(nil); err != nil {
+		t.Fatal(err)
+	}
+	in := New(prog)
+	s, err := in.InitialState("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runToEnd(t, in, s)
+	if p := s.Procs[1]; !p.Exited || p.ExitCode != 42 {
+		t.Fatalf("exited=%v code=%d (%s), want late's 42", p.Exited, p.ExitCode, s.TermMsg)
+	}
+}
+
+// A name neither the program nor a builtin defines is the engine's error.
+func TestCallToUnknownFunction(t *testing.T) {
+	prog := cvm.NewProgram("t")
+	m := cvm.NewFuncBuilder("main", 0)
+	m.Ret(m.Call("nosuch"))
+	prog.Funcs["main"] = m.Func()
+	prog.Link()
+	in := New(prog)
+	s, err := in.InitialState("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.Advance(s); err == nil || !strings.Contains(err.Error(), `call to unknown function "nosuch"`) {
+		t.Fatalf("Advance: err = %v, want the unknown function", err)
+	}
+}
+
+// A load through a symbolic index forks in the middle of its block: the
+// error child ends there, and the in-bounds child stands at the load
+// itself and, advanced, runs only the block's last three instructions.
+func TestSymbolicLoadForksMidBlock(t *testing.T) {
+	prog := cvm.NewProgram("t")
+	prog.AddGlobal("sym", 1, nil)
+	prog.AddGlobal("name", 2, []byte("x"))
+	prog.AddGlobal("tab", 4, []byte{10, 20, 30, 40})
+	m := cvm.NewFuncBuilder("main", 0)
+	sym := m.GlobalAddr("sym")
+	m.CallVoid("cloud9_make_symbolic", sym, m.Const(1, expr.W64), m.GlobalAddr("name"))
+	idx := m.Conv(cvm.OpZExt, m.Load(sym, expr.W8), expr.W64)
+	addr := m.Bin(cvm.OpAdd, m.GlobalAddr("tab"), idx, expr.W64)
+	m.Ret(m.Conv(cvm.OpZExt, m.Load(addr, expr.W8), expr.W32))
+	prog.Funcs["main"] = m.Func()
+	prog.Link()
+	if err := prog.Validate(func(name string) bool { return name == "cloud9_make_symbolic" }); err != nil {
+		t.Fatal(err)
+	}
+	const load = 8 // the second load's index in the block
+	if op := m.Func().Blocks[0].Instrs[load].Op; op != cvm.OpLoad {
+		t.Fatalf("instruction %d is %v, want the load", load, op)
+	}
+	in := New(prog)
+	s, err := in.InitialState("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kids, err := in.Advance(s)
+	if err != nil || len(kids) != 2 {
+		t.Fatalf("Advance: %d children, err %v; want the bounds fork", len(kids), err)
+	}
+	oob, ok := kids[0], kids[1]
+	if oob.Term != state.TermError || !strings.Contains(oob.TermMsg, "out-of-bounds") {
+		t.Fatalf("error child: %v %q", oob.Term, oob.TermMsg)
+	}
+	if f := ok.CurThread().Top(); f.Block != 0 || f.PC != load {
+		t.Fatalf("the in-bounds child stands at block %d pc %d, want block 0 pc %d", f.Block, f.PC, load)
+	}
+	before := ok.Steps
+	runToEnd(t, in, ok)
+	if ran := ok.Steps - before; ran != 3 {
+		t.Fatalf("the in-bounds child ran %d instructions after the fork, want 3 (load, zext, ret)", ran)
+	}
+	if p := ok.Procs[1]; !p.Exited || p.ExitCode%10 != 0 || p.ExitCode < 10 || p.ExitCode > 40 {
+		t.Fatalf("exited=%v code=%d (%s), want a table entry", p.Exited, p.ExitCode, ok.TermMsg)
 	}
 }

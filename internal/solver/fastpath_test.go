@@ -24,7 +24,7 @@ func branchChain(cs *ConstraintSet, depth, nvars int, base uint64) *ConstraintSe
 		case 3:
 			cs = cs.Append(expr.Ule(c8(uint64(i%3)), v(id)))
 		default:
-			cs = cs.Append(expr.Ult(v(id), c8(uint64(100+i%100))))
+			cs = cs.Append(expr.Binary(expr.OpUlt, v(id), c8(uint64(100+i%100))))
 		}
 	}
 	return cs
@@ -35,13 +35,13 @@ func branchChain(cs *ConstraintSet, depth, nvars int, base uint64) *ConstraintSe
 func boundsChain() *ConstraintSet {
 	cs := EmptySet
 	for i := 0; i < 256; i++ {
-		cs = cs.Append(expr.Ult(v(uint64(i%64)), c8(50)))
+		cs = cs.Append(expr.Binary(expr.OpUlt, v(uint64(i%64)), c8(50)))
 	}
 	return cs
 }
 
 func boundsCond(i int) *expr.Expr {
-	return expr.Ult(v(uint64(i%64)), c8(uint64(200+i%50)))
+	return expr.Binary(expr.OpUlt, v(uint64(i%64)), c8(uint64(200+i%50)))
 }
 
 // appendStep is the i-th constraint of the chain the interpreter's
@@ -49,7 +49,7 @@ func boundsCond(i int) *expr.Expr {
 func appendStep(cs *ConstraintSet, i int) *ConstraintSet {
 	id := uint64(i % 64)
 	if i%2 == 0 {
-		return cs.Append(expr.Ult(v(id), c8(uint64(100+i%100))))
+		return cs.Append(expr.Binary(expr.OpUlt, v(id), c8(uint64(100+i%100))))
 	}
 	return cs.Append(expr.Not(expr.Eq(v(id), v(id^1))))
 }
@@ -83,7 +83,7 @@ func TestForkDecidedByBounds(t *testing.T) {
 // query derives no state. The other child derives its own.
 func TestForkHandsExtensionToChild(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Ult(v(0), c8(200))).Append(expr.Ult(v(1), v(0)))
+	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(200))).Append(expr.Binary(expr.OpUlt, v(1), v(0)))
 	if ok, err := s.CheckSat(cs); err != nil || !ok {
 		t.Fatalf("CheckSat = %v, %v", ok, err)
 	}
@@ -193,7 +193,7 @@ func BenchmarkIncrementalAppendSolve(b *testing.B) {
 func BenchmarkSolverCaches(b *testing.B) {
 	cs := EmptySet
 	for i := uint64(0); i < 12; i++ {
-		cs = cs.Append(expr.Ult(v(i), c8(200)))
+		cs = cs.Append(expr.Binary(expr.OpUlt, v(i), c8(200)))
 		cs = cs.Append(expr.Not(expr.Eq(v(i), v((i+1)%12))))
 	}
 	cond := func(i int) *expr.Expr { return expr.Eq(v(uint64(i%12)), c8(uint64(i%200))) }

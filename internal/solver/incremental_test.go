@@ -195,7 +195,7 @@ func TestSupersetOfUnsatSetIsUnsat(t *testing.T) {
 	cond := expr.Eq(c8(20), expr.Add(v(0), v(1))) // sum ≡ 10 ∧ sum ≡ 20: unsat via search
 	mayBeTrueAgrees(t, s, cs, cond, false)
 	// A different, larger set containing the same contradiction.
-	cs2 := cs.Append(expr.Ult(c8(200), v(9)))
+	cs2 := cs.Append(expr.Binary(expr.OpUlt, c8(200), v(9)))
 	before := s.Stats.Snapshot()
 	mayBeTrueAgrees(t, s, cs2, cond, false)
 	after := s.Stats.Snapshot()
@@ -208,11 +208,11 @@ func TestSupersetOfUnsatSetIsUnsat(t *testing.T) {
 func TestSubsetOfSatSetIsSat(t *testing.T) {
 	s := New()
 	big := EmptySet.
-		Append(expr.Ult(v(0), c8(10))).
-		Append(expr.Ult(v(1), c8(10)))
-	cond := expr.Ult(c8(3), v(0))
+		Append(expr.Binary(expr.OpUlt, v(0), c8(10))).
+		Append(expr.Binary(expr.OpUlt, v(1), c8(10)))
+	cond := expr.Binary(expr.OpUlt, c8(3), v(0))
 	mayBeTrueAgrees(t, s, big, cond, true)
-	small := EmptySet.Append(expr.Ult(v(1), c8(10)))
+	small := EmptySet.Append(expr.Binary(expr.OpUlt, v(1), c8(10)))
 	mayBeTrueAgrees(t, s, small, cond, true)
 }
 
@@ -220,12 +220,12 @@ func TestSubsetOfSatSetIsSat(t *testing.T) {
 // cached witness model — at most one full query per branch site.
 func TestForkFastPath(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Ult(v(0), c8(10)))
+	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10)))
 	if ok, err := s.CheckSat(cs); err != nil || !ok {
 		t.Fatalf("set should be sat: %v %v", ok, err)
 	}
 	before := s.Stats.Snapshot()
-	mayT, mayF, err := s.Fork(cs, expr.Ult(v(0), c8(5)))
+	mayT, mayF, err := s.Fork(cs, expr.Binary(expr.OpUlt, v(0), c8(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestIncrementalAppendIsO1(t *testing.T) {
 	s := New()
 	cs := EmptySet
 	for d := 0; d < 256; d++ {
-		cs = cs.Append(expr.Ult(v(uint64(d%16)), c8(200)))
+		cs = cs.Append(expr.Binary(expr.OpUlt, v(uint64(d%16)), c8(200)))
 		before := s.Stats.StateExtends
 		if ok, err := s.CheckSat(cs); err != nil || !ok {
 			t.Fatalf("chain should stay sat at depth %d: %v %v", d+1, ok, err)
@@ -287,7 +287,7 @@ func TestStateEvictionRebuild(t *testing.T) {
 	cs := EmptySet
 	var chain []*ConstraintSet
 	for i := uint64(0); i < 32; i++ {
-		cs = cs.Append(expr.Ult(v(i%8), c8(uint64(100+i))))
+		cs = cs.Append(expr.Binary(expr.OpUlt, v(i%8), c8(uint64(100+i))))
 		chain = append(chain, cs)
 	}
 	m, sat, err := s.Solve(cs)
@@ -381,9 +381,9 @@ func TestSharedWitnessesAreNeverWritten(t *testing.T) {
 	s := New()
 	// The unit on v5 makes the set's units six long: ids 1 to 4 fall
 	// inside them, 7 and up past them.
-	cs := EmptySet.Append(expr.Eq(c8(3), v(5))).Append(expr.Ult(v(1), v(2)))
+	cs := EmptySet.Append(expr.Eq(c8(3), v(5))).Append(expr.Binary(expr.OpUlt, v(1), v(2)))
 	child := cs.Append(expr.Eq(c8(4), v(6)))
-	if ok, err := s.MayBeTrue(cs, expr.Ult(v(1), v(3))); err != nil || !ok {
+	if ok, err := s.MayBeTrue(cs, expr.Binary(expr.OpUlt, v(1), v(3))); err != nil || !ok {
 		t.Fatalf("MayBeTrue = %v, %v", ok, err)
 	}
 	if s.state(cs).model == nil {
@@ -408,7 +408,7 @@ func TestSharedWitnessesAreNeverWritten(t *testing.T) {
 		if ok, err := s.CheckSat(set); err != nil || !ok {
 			t.Fatalf("CheckSat = %v, %v", ok, err)
 		}
-		for _, cond := range []*expr.Expr{expr.Ult(v(1), v(4)), expr.Ult(v(1), v(9))} {
+		for _, cond := range []*expr.Expr{expr.Binary(expr.OpUlt, v(1), v(4)), expr.Binary(expr.OpUlt, v(1), v(9))} {
 			if ok, err := s.MayBeTrue(set, cond); err != nil || !ok {
 				t.Fatalf("MayBeTrue(%v) = %v, %v", cond, ok, err)
 			}
@@ -439,7 +439,7 @@ func TestFullModelSolveAfterAppendIsFlat(t *testing.T) {
 	allocs := func(depth int) float64 {
 		s, cs, id := New(), EmptySet, uint64(top)
 		grow := func() {
-			cs = cs.Append(expr.Ult(v(id), c8(200)))
+			cs = cs.Append(expr.Binary(expr.OpUlt, v(id), c8(200)))
 			id--
 		}
 		for range depth {

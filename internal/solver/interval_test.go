@@ -27,13 +27,13 @@ func richConstraint(rng *rand.Rand, term func() *expr.Expr) *expr.Expr {
 	case 0:
 		c = expr.Eq(l, r)
 	case 1:
-		c = expr.Ult(l, r)
+		c = expr.Binary(expr.OpUlt, l, r)
 	case 2:
 		c = expr.Ule(l, r)
 	case 3:
-		c = expr.Slt(l, r)
+		c = expr.Binary(expr.OpSlt, l, r)
 	case 4:
-		c = expr.Sle(l, r)
+		c = expr.Binary(expr.OpSle, l, r)
 	default:
 		c = expr.Not(expr.Eq(l, r))
 	}
@@ -41,7 +41,7 @@ func richConstraint(rng *rand.Rand, term func() *expr.Expr) *expr.Expr {
 	case 0:
 		c = expr.LAnd(c, expr.Ule(term(), term()))
 	case 1:
-		c = expr.LOr(c, expr.Ult(term(), term()))
+		c = expr.LOr(c, expr.Binary(expr.OpUlt, term(), term()))
 	}
 	return c
 }
@@ -85,11 +85,11 @@ func forkByBounds(t *testing.T, s *Solver, cs *ConstraintSet, cond *expr.Expr, w
 func TestIntervalComparisonChainFixpoint(t *testing.T) {
 	s := New()
 	cs := EmptySet.
-		Append(expr.Ult(v(0), c8(10))).
+		Append(expr.Binary(expr.OpUlt, v(0), c8(10))).
 		Append(expr.Ule(v(1), v(0))).
-		Append(expr.Ult(v(2), v(1)))
-	forkByBounds(t, s, cs, expr.Ule(c8(9), v(2)), false) // z ≥ 9: outside [0,8]
-	forkByBounds(t, s, cs, expr.Ult(v(2), c8(9)), true)  // z < 9: whole box
+		Append(expr.Binary(expr.OpUlt, v(2), v(1)))
+	forkByBounds(t, s, cs, expr.Ule(c8(9), v(2)), false)               // z ≥ 9: outside [0,8]
+	forkByBounds(t, s, cs, expr.Binary(expr.OpUlt, v(2), c8(9)), true) // z < 9: whole box
 }
 
 // A unit equality pins the variable's interval to a point, and the
@@ -97,7 +97,7 @@ func TestIntervalComparisonChainFixpoint(t *testing.T) {
 func TestIntervalUnitPinsBounds(t *testing.T) {
 	s := New()
 	cs := EmptySet.Append(expr.Eq(v(0), c8(7)))
-	forkByBounds(t, s, cs, expr.Ult(v(0), c8(5)), false) // v0==7 ∧ v0<5 is unsat
+	forkByBounds(t, s, cs, expr.Binary(expr.OpUlt, v(0), c8(5)), false) // v0==7 ∧ v0<5 is unsat
 }
 
 // Forward evaluation through arithmetic: bounded bytes sum to a bounded
@@ -106,18 +106,18 @@ func TestIntervalUnitPinsBounds(t *testing.T) {
 func TestIntervalForwardAdd(t *testing.T) {
 	s := New()
 	cs := EmptySet.
-		Append(expr.Ult(v(0), c8(10))).
-		Append(expr.Ult(v(1), c8(10)))
-	forkByBounds(t, s, cs, expr.Ult(expr.Add(v(0), v(1)), c8(50)), true) // sum of two <10 bytes is < 50
+		Append(expr.Binary(expr.OpUlt, v(0), c8(10))).
+		Append(expr.Binary(expr.OpUlt, v(1), c8(10)))
+	forkByBounds(t, s, cs, expr.Binary(expr.OpUlt, expr.Add(v(0), v(1)), c8(50)), true) // sum of two <10 bytes is < 50
 }
 
 // Bounds narrow through widening: a W32 comparison over a zero-extended
 // byte constrains the byte itself.
 func TestIntervalNarrowThroughZExt(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Ult(w32(v(0)), c32(100)))
-	forkByBounds(t, s, cs, expr.Ult(v(0), c8(200)), true)  // v0 < 100 implies v0 < 200
-	forkByBounds(t, s, cs, expr.Ule(c8(100), v(0)), false) // v0 < 100 contradicts v0 ≥ 100
+	cs := EmptySet.Append(expr.Binary(expr.OpUlt, w32(v(0)), c32(100)))
+	forkByBounds(t, s, cs, expr.Binary(expr.OpUlt, v(0), c8(200)), true) // v0 < 100 implies v0 < 200
+	forkByBounds(t, s, cs, expr.Ule(c8(100), v(0)), false)               // v0 < 100 contradicts v0 ≥ 100
 }
 
 // An extension whose conjuncts are individually undecidable can still
@@ -125,7 +125,7 @@ func TestIntervalNarrowThroughZExt(t *testing.T) {
 // are even searched.
 func TestIntervalEmptyProvesUnsat(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Ult(v(0), c8(5)))
+	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(5)))
 	// v9 ≤ v0 (≤ 4) ∧ 10 ≤ v9: forward evaluation of each conjunct is
 	// indeterminate, but the joint narrowing empties v9's interval.
 	cond := expr.LAnd(expr.Ule(v(9), v(0)), expr.Ule(c8(10), v(9)))
@@ -150,7 +150,7 @@ func TestIntervalEmptyProvesUnsat(t *testing.T) {
 // refiner pass sequence (LAnd splits, bounds intersect).
 func TestIntervalNarrowCondLAnd(t *testing.T) {
 	r := boundsRefiner{}
-	r.narrowCond(expr.LAnd(expr.Ult(v(0), c8(10)), expr.Ule(c8(3), v(0))), true)
+	r.narrowCond(expr.LAnd(expr.Binary(expr.OpUlt, v(0), c8(10)), expr.Ule(c8(3), v(0))), true)
 	if r.conflict {
 		t.Fatal("unexpected conflict")
 	}
@@ -159,7 +159,7 @@ func TestIntervalNarrowCondLAnd(t *testing.T) {
 	}
 	// Asserting the negation of a disjunction narrows both arms.
 	r2 := boundsRefiner{}
-	r2.narrowCond(expr.LOr(expr.Ult(v(1), c8(5)), expr.Ult(c8(250), v(1))), false)
+	r2.narrowCond(expr.LOr(expr.Binary(expr.OpUlt, v(1), c8(5)), expr.Binary(expr.OpUlt, c8(250), v(1))), false)
 	if r2.conflict {
 		t.Fatal("unexpected conflict")
 	}
@@ -182,8 +182,8 @@ func TestExtendAllocBudget(t *testing.T) {
 		depths []int
 	}{
 		{"narrow", 6,
-			func(x *expr.Expr) *expr.Expr { return expr.Ult(x, c8(100)) },
-			func(x *expr.Expr) *expr.Expr { return expr.Ult(x, c8(50)) },
+			func(x *expr.Expr) *expr.Expr { return expr.Binary(expr.OpUlt, x, c8(100)) },
+			func(x *expr.Expr) *expr.Expr { return expr.Binary(expr.OpUlt, x, c8(50)) },
 			[]int{2, 12}},
 		{"unit", 7,
 			func(x *expr.Expr) *expr.Expr { return expr.Eq(c8(x.VarID()+1), x) },
@@ -204,7 +204,7 @@ func TestExtendAllocBudget(t *testing.T) {
 			n := testing.AllocsPerRun(100, func() {
 				// The branch's own set state is new every time; its verdict
 				// is the interval tier's, so no query reaches check.
-				mayT, mayF, err := s.Fork(cs.Append(tc.branch(fresh)), expr.Ult(fresh, c8(60)))
+				mayT, mayF, err := s.Fork(cs.Append(tc.branch(fresh)), expr.Binary(expr.OpUlt, fresh, c8(60)))
 				if err != nil || !mayT || mayF {
 					t.Fatalf("Fork = %v, %v, %v; want true, false, nil", mayT, mayF, err)
 				}
@@ -307,7 +307,7 @@ func soundCond(ids [2]uint64, b []byte) *expr.Expr {
 		case 2:
 			return c8(uint64(k))
 		case 3:
-			return expr.And(x, c8(uint64(k)))
+			return expr.Binary(expr.OpAnd, x, c8(uint64(k)))
 		case 4:
 			return expr.Add(y, c8(uint64(k)))
 		default:
@@ -323,13 +323,13 @@ func soundCond(ids [2]uint64, b []byte) *expr.Expr {
 	case 0:
 		c = expr.Eq(l, r)
 	case 1:
-		c = expr.Ult(l, r)
+		c = expr.Binary(expr.OpUlt, l, r)
 	case 2:
 		c = expr.Ule(l, r)
 	case 3:
-		c = expr.Slt(l, r)
+		c = expr.Binary(expr.OpSlt, l, r)
 	default:
-		c = expr.Sle(l, r)
+		c = expr.Binary(expr.OpSle, l, r)
 	}
 	if b[0]&0x08 != 0 {
 		c = expr.Not(c)
@@ -342,7 +342,7 @@ func soundCond(ids [2]uint64, b []byte) *expr.Expr {
 // computes the same full model of it as a fresh solver that never did.
 func TestWarmSolveKeepsModelsCanonical(t *testing.T) {
 	cs := EmptySet.
-		Append(expr.Ult(v(0), c8(100))).
+		Append(expr.Binary(expr.OpUlt, v(0), c8(100))).
 		Append(expr.Ule(v(1), v(0))).
 		Append(expr.Not(expr.Eq(v(1), c8(0))))
 
@@ -357,7 +357,7 @@ func TestWarmSolveKeepsModelsCanonical(t *testing.T) {
 	if ok, err := b.CheckSat(cs); err != nil || !ok {
 		t.Fatalf("CheckSat should be sat: %v %v", ok, err)
 	}
-	if ok, err := b.MayBeTrue(cs, expr.Ult(v(1), v(0))); err != nil || !ok {
+	if ok, err := b.MayBeTrue(cs, expr.Binary(expr.OpUlt, v(1), v(0))); err != nil || !ok {
 		t.Fatalf("warm query should be sat: %v %v", ok, err)
 	}
 	before := b.Stats.Snapshot()

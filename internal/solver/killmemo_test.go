@@ -80,7 +80,7 @@ func TestKillMemoKey(t *testing.T) {
 	mc := hardGroups()[0]
 	// mc with pkt1#4 < 250: a group whose bounds are tightened, which
 	// may-queries and full-model queries search alike.
-	capped := append(slices.Clone(mc.cons), expr.Ult(expr.Var(4, "pkt1"), c8(250)))
+	capped := append(slices.Clone(mc.cons), expr.Binary(expr.OpUlt, expr.Var(4, "pkt1"), c8(250)))
 	cases := []struct {
 		name   string
 		cons   []*expr.Expr
@@ -170,7 +170,7 @@ func TestKillMemoIsBounded(t *testing.T) {
 	s.maxCache = 4
 	mc := hardGroups()[0]
 	for i := range 10 {
-		cons := append(slices.Clone(mc.cons), expr.Ult(expr.Var(4, "pkt1"), c8(uint64(250-i))))
+		cons := append(slices.Clone(mc.cons), expr.Binary(expr.OpUlt, expr.Var(4, "pkt1"), c8(uint64(250-i))))
 		if _, err := s.CheckSat(behindUnit(1, cons)); !errors.Is(err, ErrBudget) {
 			t.Fatalf("group %d: want a budget kill, got %v", i, err)
 		}

@@ -68,8 +68,8 @@ func TestEmptySetSat(t *testing.T) {
 }
 
 func TestConstraintSetPersistence(t *testing.T) {
-	a := EmptySet.Append(expr.Ult(v(0), c8(10)))
-	b := a.Append(expr.Ult(v(1), c8(20)))
+	a := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10)))
+	b := a.Append(expr.Binary(expr.OpUlt, v(1), c8(20)))
 	if a.Len() != 1 || b.Len() != 2 {
 		t.Fatalf("lens %d %d", a.Len(), b.Len())
 	}
@@ -85,7 +85,7 @@ func TestConstraintSetPersistence(t *testing.T) {
 
 func TestSimpleSatUnsat(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Ult(v(0), c8(10)))
+	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10)))
 	sat, err := s.MayBeTrue(cs, expr.Eq(v(0), c8(5)))
 	if err != nil || !sat {
 		t.Fatalf("x<10 && x==5 should be sat: %v %v", sat, err)
@@ -99,7 +99,7 @@ func TestSimpleSatUnsat(t *testing.T) {
 // "cond holds on every solution" is asked as "¬cond is unsat".
 func TestMayBeTrueDecidesImplication(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Ult(v(0), c8(1))) // x < 1 => x == 0
+	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(1))) // x < 1 => x == 0
 	sat, err := s.MayBeTrue(cs, expr.Not(expr.Eq(v(0), c8(0))))
 	if err != nil || sat {
 		t.Fatalf("x<1 must imply x==0: %v %v", sat, err)
@@ -113,9 +113,9 @@ func TestMayBeTrueDecidesImplication(t *testing.T) {
 func TestSolveProducesModel(t *testing.T) {
 	s := New()
 	cs := EmptySet.
-		Append(expr.Ult(c8(10), v(0))).              // x > 10
-		Append(expr.Ult(v(0), c8(20))).              // x < 20
-		Append(expr.Eq(v(1), expr.Add(v(0), c8(1)))) // y == x+1
+		Append(expr.Binary(expr.OpUlt, c8(10), v(0))). // x > 10
+		Append(expr.Binary(expr.OpUlt, v(0), c8(20))). // x < 20
+		Append(expr.Eq(v(1), expr.Add(v(0), c8(1))))   // y == x+1
 	m, sat, err := s.Solve(cs)
 	if err != nil || !sat {
 		t.Fatalf("should be sat: %v", err)
@@ -183,8 +183,8 @@ func TestMultiByteComparisonSplit(t *testing.T) {
 	s := New()
 	word := expr.Concat(v(1), v(0))
 	cs := EmptySet.
-		Append(expr.Ult(expr.Const(0x0101, expr.W16), word)).
-		Append(expr.Ult(word, expr.Const(0x0104, expr.W16)))
+		Append(expr.Binary(expr.OpUlt, expr.Const(0x0101, expr.W16), word)).
+		Append(expr.Binary(expr.OpUlt, word, expr.Const(0x0104, expr.W16)))
 	m, sat, err := s.Solve(cs)
 	if err != nil || !sat {
 		t.Fatalf("range should be sat: %v", err)
@@ -199,10 +199,10 @@ func TestIndependencePartitioning(t *testing.T) {
 	s := New()
 	// Two independent groups: {v0,v1} and {v2}.
 	cs := EmptySet.
-		Append(expr.Ult(v(0), v(1))).
+		Append(expr.Binary(expr.OpUlt, v(0), v(1))).
 		Append(expr.Eq(v(2), c8(7)))
 	runsBefore := s.Stats.Snapshot().SolverRuns
-	sat, err := s.MayBeTrue(cs, expr.Ult(c8(100), v(1)))
+	sat, err := s.MayBeTrue(cs, expr.Binary(expr.OpUlt, c8(100), v(1)))
 	if err != nil || !sat {
 		t.Fatalf("query should be sat: %v", err)
 	}
@@ -218,9 +218,9 @@ func TestIndependencePartitioning(t *testing.T) {
 // as enumeration says, by whichever path answers it.
 func TestModelReuse(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Ult(v(0), c8(10)))
-	mayBeTrueAgrees(t, s, cs, expr.Ult(v(0), c8(9)), true)
-	mayBeTrueAgrees(t, s, cs, expr.Ult(v(0), c8(8)), true)
+	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10)))
+	mayBeTrueAgrees(t, s, cs, expr.Binary(expr.OpUlt, v(0), c8(9)), true)
+	mayBeTrueAgrees(t, s, cs, expr.Binary(expr.OpUlt, v(0), c8(8)), true)
 }
 
 func TestFalseConstraintIsUnsat(t *testing.T) {
@@ -238,8 +238,8 @@ func TestArithmeticRelation(t *testing.T) {
 	s := New()
 	cs := EmptySet.
 		Append(expr.Eq(c8(5), expr.Add(v(0), v(1)))).
-		Append(expr.Ult(v(0), c8(10))).
-		Append(expr.Ult(c8(200), v(1)))
+		Append(expr.Binary(expr.OpUlt, v(0), c8(10))).
+		Append(expr.Binary(expr.OpUlt, c8(200), v(1)))
 	m, sat, err := s.Solve(cs)
 	if err != nil || !sat {
 		t.Fatalf("should be sat: %v", err)
@@ -251,8 +251,8 @@ func TestArithmeticRelation(t *testing.T) {
 	// wrap, so y = 100 - x <= 100 contradicts y > 200.
 	cs2 := EmptySet.
 		Append(expr.Eq(c8(100), expr.Add(v(0), v(1)))).
-		Append(expr.Ult(v(0), c8(10))).
-		Append(expr.Ult(c8(200), v(1)))
+		Append(expr.Binary(expr.OpUlt, v(0), c8(10))).
+		Append(expr.Binary(expr.OpUlt, c8(200), v(1)))
 	sat, err = s.CheckSat(cs2)
 	if err != nil || sat {
 		t.Fatal("non-wrapping variant should be unsat")
@@ -263,8 +263,8 @@ func TestSignedConstraints(t *testing.T) {
 	s := New()
 	// Signed: x > -5 and x < 3 (as int8).
 	cs := EmptySet.
-		Append(expr.Slt(c8(0xfb), v(0))). // -5 < x
-		Append(expr.Slt(v(0), c8(3)))
+		Append(expr.Binary(expr.OpSlt, c8(0xfb), v(0))). // -5 < x
+		Append(expr.Binary(expr.OpSlt, v(0), c8(3)))
 	m, sat, err := s.Solve(cs)
 	if err != nil || !sat {
 		t.Fatalf("signed range should be sat: %v", err)
@@ -278,8 +278,8 @@ func TestSignedConstraints(t *testing.T) {
 func TestUnsatRange(t *testing.T) {
 	s := New()
 	cs := EmptySet.
-		Append(expr.Ult(v(0), c8(5))).
-		Append(expr.Ult(c8(9), v(0)))
+		Append(expr.Binary(expr.OpUlt, v(0), c8(5))).
+		Append(expr.Binary(expr.OpUlt, c8(9), v(0)))
 	sat, err := s.CheckSat(cs)
 	if err != nil || sat {
 		t.Fatal("x<5 && x>9 should be unsat")
@@ -288,7 +288,7 @@ func TestUnsatRange(t *testing.T) {
 
 func TestSolveBindsAddedEquality(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Ult(v(0), c8(10))).Append(expr.Eq(v(0), c8(7)))
+	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10))).Append(expr.Eq(v(0), c8(7)))
 	m, sat, err := s.Solve(cs)
 	if err != nil || !sat || at(m, 0) != 7 {
 		t.Fatalf("Solve model %v sat=%v err=%v", m, sat, err)
@@ -298,7 +298,7 @@ func TestSolveBindsAddedEquality(t *testing.T) {
 func TestWideArithmetic(t *testing.T) {
 	// zext(x)*2 + zext(y) == 515 over 32 bits.
 	s := New()
-	sum := expr.Add(expr.Mul(w32(v(0)), c32(2)), w32(v(1)))
+	sum := expr.Add(expr.Binary(expr.OpMul, w32(v(0)), c32(2)), w32(v(1)))
 	cs := EmptySet.Append(expr.Eq(c32(515), sum))
 	m, sat, err := s.Solve(cs)
 	if err != nil || !sat {
@@ -329,7 +329,7 @@ func TestQuickBranchCompleteness(t *testing.T) {
 	f := func(bound uint8) bool {
 		s := New()
 		cs := EmptySet.Append(expr.Ule(v(0), c8(uint64(bound))))
-		cond := expr.Ult(v(0), c8(uint64(bound)/2+1))
+		cond := expr.Binary(expr.OpUlt, v(0), c8(uint64(bound)/2+1))
 		a, err1 := s.MayBeTrue(cs, cond)
 		b, err2 := s.MayBeTrue(cs, expr.Not(cond))
 		return err1 == nil && err2 == nil && (a || b)
@@ -350,7 +350,7 @@ func randomConstraint(rng *rand.Rand, term func() *expr.Expr) *expr.Expr {
 	case 0:
 		return expr.Eq(l, r)
 	case 1:
-		return expr.Ult(l, r)
+		return expr.Binary(expr.OpUlt, l, r)
 	case 2:
 		return expr.Ule(l, r)
 	default:
@@ -389,14 +389,14 @@ func blockTerm(rng *rand.Rand, nv int) func() *expr.Expr {
 
 // boundedRoot returns the set blockTerm workloads grow from: v5 < 8.
 func boundedRoot() *ConstraintSet {
-	return EmptySet.Append(expr.Ult(v(5), c8(8)))
+	return EmptySet.Append(expr.Binary(expr.OpUlt, v(5), c8(8)))
 }
 
 func BenchmarkSolverBranchQuery(b *testing.B) {
 	s := New()
 	cs := EmptySet
 	for i := uint64(0); i < 16; i++ {
-		cs = cs.Append(expr.Ult(v(i), c8(200)))
+		cs = cs.Append(expr.Binary(expr.OpUlt, v(i), c8(200)))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -424,15 +424,15 @@ func BenchmarkSolverMagicWord(b *testing.B) {
 func TestSolveModelIsCanonical(t *testing.T) {
 	build := func() *ConstraintSet {
 		return EmptySet.
-			Append(expr.Ult(c8(10), v(0))).
-			Append(expr.Ult(v(1), v(0))).
+			Append(expr.Binary(expr.OpUlt, c8(10), v(0))).
+			Append(expr.Binary(expr.OpUlt, v(1), v(0))).
 			Append(expr.Not(expr.Eq(v(2), c8(0))))
 	}
 	// Solver A answers unrelated queries first (polluting its recent-model
 	// cache); solver B solves directly. Models must match exactly.
 	a := New()
 	for i := uint64(0); i < 20; i++ {
-		cs := EmptySet.Append(expr.Ult(v(i+10), c8(uint64(50+i))))
+		cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(i+10), c8(uint64(50+i))))
 		if _, err := a.MayBeTrue(cs, expr.Eq(v(i+10), c8(uint64(i)))); err != nil {
 			t.Fatal(err)
 		}

@@ -34,13 +34,15 @@ func hardGroups() []hardGroup {
 	// of the next bucket must fall outside the table — which bucket 5
 	// never does, so the group is unsat on pkt2#10, pkt2#11 alone.
 	sum := func(a, b *expr.Expr) *expr.Expr {
-		return expr.Add(expr.Mul(k32(33), expr.Add(k32(177573), z32(a))), z32(b))
+		return expr.Add(expr.Binary(expr.OpMul, k32(33), expr.Add(k32(177573), z32(a))), z32(b))
 	}
 	bucket := func(a, b *expr.Expr) *expr.Expr { return srem(srem(sum(a, b), k32(64)), k32(64)) }
 	p4, p5 := expr.Var(4, "pkt1"), expr.Var(5, "pkt1")
 	p10, p11 := expr.Var(10, "pkt2"), expr.Var(11, "pkt2")
 	is5 := func(a, b *expr.Expr) *expr.Expr { return expr.Eq(k64(5), s64(bucket(a, b))) }
-	off40 := func(a, b *expr.Expr) *expr.Expr { return expr.Eq(k64(40), expr.Mul(k64(8), s64(bucket(a, b)))) }
+	off40 := func(a, b *expr.Expr) *expr.Expr {
+		return expr.Eq(k64(40), expr.Binary(expr.OpMul, k64(8), s64(bucket(a, b))))
+	}
 	next := expr.Add(k64(66960), s64(srem(expr.Add(k32(1), srem(sum(p10, p11), k32(64))), k32(64))))
 	tail := []*expr.Expr{
 		is5(p10, p11), off40(p10, p11),
@@ -58,12 +60,12 @@ func hardGroups() []hardGroup {
 		argv[i] = expr.Var(uint64(i), "argv")
 		sumCons = append(sumCons, expr.Not(expr.Eq(expr.Const(0, expr.W8), argv[i])))
 	}
-	acc := srem(expr.And(k32(255), z32(argv[0])), k32(255))
+	acc := srem(expr.Binary(expr.OpAnd, k32(255), z32(argv[0])), k32(255))
 	for _, b := range argv[1:] {
-		acc = srem(expr.Add(acc, expr.And(k32(255), z32(b))), k32(255))
+		acc = srem(expr.Add(acc, expr.Binary(expr.OpAnd, k32(255), z32(b))), k32(255))
 	}
 	wide := expr.Concat(expr.Extract(s64(acc), 32, expr.W32), acc)
-	sumCons = append(sumCons, expr.Slt(wide, k64(0)))
+	sumCons = append(sumCons, expr.Binary(expr.OpSlt, wide, k64(0)))
 
 	return []hardGroup{
 		{"memcached-7", 0xc1fafc383e11a8a0,
@@ -216,8 +218,8 @@ func FuzzPruneMask(f *testing.F) {
 func TestWarmSearchDoesNotAllocate(t *testing.T) {
 	cons := []*expr.Expr{
 		expr.Eq(c8(90), expr.Add(v(0), expr.Add(v(1), v(2)))),
-		expr.Ult(v(0), v(1)),
-		expr.Ult(v(1), v(2)),
+		expr.Binary(expr.OpUlt, v(0), v(1)),
+		expr.Binary(expr.OpUlt, v(1), v(2)),
 		expr.Not(expr.Eq(v(0), c8(0))),
 	}
 	ids := groupIDs(cons)
@@ -304,11 +306,11 @@ func TestForwardCheckIsLocalToTheBinding(t *testing.T) {
 		x, y, z := v(0), v(1), v(2)
 		var cons []*expr.Expr
 		for i := 1; i <= k; i++ {
-			cons = append(cons, expr.Ule(expr.And(c8(uint64(i)), z), z))
+			cons = append(cons, expr.Ule(expr.Binary(expr.OpAnd, c8(uint64(i)), z), z))
 		}
 		cons = append(cons,
-			expr.Ult(x, c8(200)),
-			expr.Eq(c8(1), expr.Mul(c8(2), expr.Add(x, y)))) // 2(x+y) is even
+			expr.Binary(expr.OpUlt, x, c8(200)),
+			expr.Eq(c8(1), expr.Binary(expr.OpMul, c8(2), expr.Add(x, y)))) // 2(x+y) is even
 		s := New()
 		if sat, err := s.solveGroup(cons, groupIDs(cons), new(expr.Assignment)); sat || err != nil {
 			t.Fatalf("k=%d: sat=%v err=%v, want unsat", k, sat, err)
@@ -427,15 +429,15 @@ func TestPruneMemoFullLoad(t *testing.T) {
 func TestPruneMemoGrowsOnDemand(t *testing.T) {
 	s := New()
 	x, y := v(0), v(1)
-	cs := EmptySet.Append(expr.Ult(x, c8(10))).Append(expr.Ult(y, c8(20)))
-	forkByBounds(t, s, cs, expr.Ult(x, c8(50)), true)
+	cs := EmptySet.Append(expr.Binary(expr.OpUlt, x, c8(10))).Append(expr.Binary(expr.OpUlt, y, c8(20)))
+	forkByBounds(t, s, cs, expr.Binary(expr.OpUlt, x, c8(50)), true)
 	if st := s.Stats.Snapshot(); st.PruneMemoHits+st.PruneMemoMisses != 0 {
 		t.Fatalf("the query pruned: %+v", st)
 	}
 	if s.tier3.memo.slots != nil || s.tier3.memo.masks != nil {
 		t.Fatalf("a solver that never pruned holds a memo table of %d slots", len(s.tier3.memo.slots))
 	}
-	cons := []*expr.Expr{expr.Eq(c8(90), expr.Add(x, y)), expr.Ult(x, y)}
+	cons := []*expr.Expr{expr.Eq(c8(90), expr.Add(x, y)), expr.Binary(expr.OpUlt, x, y)}
 	if sat, err := s.solveGroup(cons, groupIDs(cons), new(expr.Assignment)); err != nil || !sat {
 		t.Fatalf("sat=%v err=%v", sat, err)
 	}

@@ -94,7 +94,7 @@ func FuzzSolverVerdict(f *testing.F) {
 		cs := EmptySet
 		if data[0]&1 != 0 {
 			d.vars = ids[:]
-			cs = cs.Append(expr.Ult(d.vars[0], c8(16)))
+			cs = cs.Append(expr.Binary(expr.OpUlt, d.vars[0], c8(16)))
 		}
 		var conds []*expr.Expr
 		var zeros [][]*expr.Expr
