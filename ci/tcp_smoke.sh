@@ -4,9 +4,9 @@
 # the same path count as a single-node run — the load balancer evicts the
 # silent worker when its lease lapses and re-seats its last-reported
 # frontier onto the survivors. The cluster runs a *mixed* strategy
-# portfolio (each worker is handed a different searcher at Hello, and
-# the eviction triggers a rebalance), proving heterogeneous policies
-# and mid-run reassignment preserve the custody protocol's exactness.
+# portfolio (each worker is handed a different searcher at Hello and
+# keeps it until it leaves), proving heterogeneous policies preserve the
+# custody protocol's exactness through an eviction.
 # The default portfolio includes the static distance-to-uncovered
 # strategies (dist-opt, cupa(dist,dfs)) so the smoke also proves md2u
 # re-ranking never perturbs the explored path set.

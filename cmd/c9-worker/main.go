@@ -61,11 +61,9 @@ func main() {
 		Engine:    engine.Config{MaxStateSteps: *steps},
 		NewInterp: targets.Factory(tgt),
 		Entry:     "main",
-		// Explicit local override beats the LB's portfolio slot; the pin
-		// travels in every status so the LB excludes this worker from
-		// allocation instead of reassigning it.
-		StrategySpec:   *strategy,
-		StrategyPinned: *strategy != "",
+		// An explicit local spec beats the LB's portfolio slot; statuses
+		// report it, and the LB records the slot it names, if any.
+		StrategySpec: *strategy,
 	})
 	label := wc.StrategySpec
 	if label == "" {

@@ -53,12 +53,11 @@
 // a registry maps serializable spec strings to strategy constructors.
 // Specs being plain data is what enables cluster-coordinated
 // *portfolios*: the load balancer hands each joining worker a spec
-// from a configured portfolio (c9-lb -portfolio) in equal shares,
-// rebalances assignments on membership changes, and workers hot-swap
-// strategies mid-run by re-seeding the new searcher from their local
-// tree — without disturbing frontier custody, so crash-recovery
-// exactness holds under reassignment (the CI smoke runs a mixed
-// portfolio and still expects the exact single-node path count).
+// from a configured portfolio (c9-lb -portfolio) in equal shares, and
+// the worker runs it until it leaves. A strategy changes only selection
+// order, never frontier custody, so crash-recovery exactness holds
+// under any portfolio (the CI smoke runs a mixed portfolio and still
+// expects the exact single-node path count).
 //
 // Static analysis lives in internal/cfg: per-function control-flow
 // graphs and an interprocedural call graph built once at target load,

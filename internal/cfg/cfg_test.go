@@ -123,7 +123,7 @@ func TestDistanceHandComputed(t *testing.T) {
 	if got := d.BlockDist("main", 0); got != 2 {
 		t.Errorf("main b0 dist = %d, want 2", got)
 	}
-	if got := d.FuncDist("leaf"); got != 0 {
+	if got := d.funcDist("leaf"); got != 0 {
 		t.Errorf("leaf entry dist = %d, want 0", got)
 	}
 	// Cover the leaf: nothing uncovered remains anywhere.
@@ -179,11 +179,91 @@ func randProg(rng *rand.Rand, nFuncs int) *cvm.Program {
 	return buildProg(funcs)
 }
 
+// funcDist returns md2u from fn's entry block.
+func (d *Distance) funcDist(fn string) int { return d.BlockDist(fn, 0) }
+
+// sync covers every coverable line set in v.
+func (d *Distance) sync(v *coverage.BitVec) {
+	for ln := range d.G.LineOwners {
+		if v.Get(ln) {
+			d.CoverLine(ln)
+		}
+	}
+}
+
+// scratchDist computes every block's md2u from scratch: one flat
+// multi-source BFS over the whole interprocedural block graph (all
+// edges have weight 1 in the flat view — the call-portal seeds of the
+// memoized solver are exactly paths through b → entry(callee) edges).
+// It is the reference the differential tests pit the incremental oracle
+// against, and the from-scratch side of BenchmarkDistRecompute.
+func scratchDist(g *Graph, covered func(line int) bool) map[string][]int32 {
+	// Flat node numbering.
+	offset := make(map[string]int, len(g.Funcs))
+	names := make([]string, 0, len(g.Funcs))
+	for name := range g.Funcs {
+		names = append(names, name)
+	}
+	// Offsets need no particular order; BFS is order-insensitive.
+	total := 0
+	for _, name := range names {
+		offset[name] = total
+		total += g.Funcs[name].NumBlocks()
+	}
+	// Reverse adjacency: rev[v] lists u with an edge u→v.
+	rev := make([][]int32, total)
+	addRev := func(u, v int) { rev[v] = append(rev[v], int32(u)) }
+	dist := make([]int32, total)
+	queue := make([]int32, 0, total)
+	for _, name := range names {
+		fg := g.Funcs[name]
+		base := offset[name]
+		for bi := range fg.Succs {
+			u := base + bi
+			for _, s := range fg.Succs[bi] {
+				addRev(u, offset[name]+s)
+			}
+			for _, callee := range fg.Calls[bi] {
+				addRev(u, offset[callee]) // entry block is index 0
+			}
+			uncovered := false
+			for _, ln := range fg.Lines[bi] {
+				if !covered(ln) {
+					uncovered = true
+					break
+				}
+			}
+			if uncovered {
+				dist[u] = 0
+				queue = append(queue, int32(u))
+			} else {
+				dist[u] = Unreachable
+			}
+		}
+	}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, u := range rev[v] {
+			if dist[v]+1 < dist[u] {
+				dist[u] = dist[v] + 1
+				queue = append(queue, u)
+			}
+		}
+	}
+	out := make(map[string][]int32, len(g.Funcs))
+	for _, name := range names {
+		base := offset[name]
+		out[name] = append([]int32(nil), dist[base:base+g.Funcs[name].NumBlocks()]...)
+	}
+	return out
+}
+
 // compare checks the incremental oracle against the from-scratch BFS
 // reference for every block of every function.
 func compare(t *testing.T, tag string, d *Distance) {
 	t.Helper()
-	ref := ScratchDist(d.G, d.Covered)
+	ref := scratchDist(d.G, d.covered.Get)
 	for fn, fg := range d.G.Funcs {
 		for b := 0; b < fg.NumBlocks(); b++ {
 			if got, want := d.BlockDist(fn, b), int(ref[fn][b]); got != want {
@@ -195,7 +275,7 @@ func compare(t *testing.T, tag string, d *Distance) {
 
 // TestDistanceMatchesScratch is the differential property test: over
 // randomized CFGs and randomized coverage deltas (line-by-line and bulk
-// Sync), the incremental md2u must equal a from-scratch BFS after every
+// sync), the incremental md2u must equal a from-scratch BFS after every
 // delta, and a delta that leaves Epoch where it was moves no distance.
 func TestDistanceMatchesScratch(t *testing.T) {
 	stays := 0
@@ -232,14 +312,14 @@ func TestDistanceMatchesScratch(t *testing.T) {
 			rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
 			for len(lines) > 0 {
 				if rng.Intn(4) == 0 {
-					// Bulk delta through Sync (the global-overlay path).
+					// A bulk delta, as a global-overlay merge delivers one.
 					k := 1 + rng.Intn(len(lines))
 					v := coverage.New(g.Prog.MaxLine)
 					for _, ln := range lines[:k] {
 						v.Set(ln)
 					}
 					lines = lines[k:]
-					d.Sync(v)
+					d.sync(v)
 					check("sync")
 					continue
 				}
@@ -342,11 +422,11 @@ func BenchmarkDistRecompute(b *testing.B) {
 			if i%len(lines) == 0 {
 				b.StopTimer()
 				d = NewDistance(g)
-				d.FuncDist("main")
+				d.funcDist("main")
 				b.StartTimer()
 			}
 			d.CoverLine(lines[i%len(lines)])
-			d.FuncDist("main")
+			d.funcDist("main")
 		}
 	})
 	b.Run("from-scratch", func(b *testing.B) {
@@ -356,7 +436,7 @@ func BenchmarkDistRecompute(b *testing.B) {
 				covered = map[int]bool{}
 			}
 			covered[lines[i%len(lines)]] = true
-			ScratchDist(g, func(ln int) bool { return covered[ln] })
+			scratchDist(g, func(ln int) bool { return covered[ln] })
 		}
 	})
 }

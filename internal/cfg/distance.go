@@ -21,9 +21,9 @@ type DistStats struct {
 
 // Distance is the incremental minimum-distance-to-uncovered oracle for
 // one worker. It owns a private copy of the coverage overlay; feed it
-// newly covered lines with CoverLine (the local execution feed) or
-// Sync (bulk merge of the cluster's global overlay), then query
-// BlockDist/FuncDist/StateDist.
+// newly covered lines with CoverLine (from local execution and from
+// merges of the cluster's global overlay), then query
+// BlockDist/StateDist.
 //
 // Distances are memoized per function and recomputed lazily at query
 // time. A coverage delta dirties only the functions in which a block
@@ -40,8 +40,6 @@ type Distance struct {
 	G *Graph
 
 	covered *coverage.BitVec
-	// uncov tracks the still-uncovered coverable lines (Sync's scan set).
-	uncov map[int]bool
 	// blockUncov[f][b] counts uncovered lines in block b of f; the block
 	// is a distance-0 source while the count is positive.
 	blockUncov map[string][]int
@@ -61,13 +59,9 @@ func NewDistance(g *Graph) *Distance {
 	d := &Distance{
 		G:          g,
 		covered:    coverage.New(g.Prog.MaxLine),
-		uncov:      make(map[int]bool, len(g.LineOwners)),
 		blockUncov: make(map[string][]int, len(g.Funcs)),
 		dist:       make(map[string][]int32, len(g.Funcs)),
 		dirty:      make(map[string]bool, len(g.Funcs)),
-	}
-	for ln := range g.LineOwners {
-		d.uncov[ln] = true
 	}
 	for name, fg := range g.Funcs {
 		counts := make([]int, fg.NumBlocks())
@@ -94,9 +88,6 @@ func (d *Distance) Stats() DistStats { return d.stats }
 // one epoch holds current values until it moves.
 func (d *Distance) Epoch() uint64 { return d.epoch }
 
-// Covered reports whether the oracle has seen line as covered.
-func (d *Distance) Covered(line int) bool { return d.covered.Get(line) }
-
 // CoverLine marks one source line covered. O(owning blocks); any
 // distance recomputation is deferred to the next query, so a burst of
 // newly covered lines is paid for once.
@@ -105,7 +96,6 @@ func (d *Distance) CoverLine(line int) {
 	if len(owners) == 0 || !d.covered.Set(line) {
 		return
 	}
-	delete(d.uncov, line)
 	for _, ref := range owners {
 		counts := d.blockUncov[ref.Fn]
 		if counts[ref.Block] > 0 {
@@ -120,17 +110,6 @@ func (d *Distance) CoverLine(line int) {
 	}
 }
 
-// Sync folds a coverage vector (e.g. the worker's line vector after a
-// global-overlay merge) into the oracle: every coverable line set in v
-// but not yet seen here is covered. O(still-uncovered lines).
-func (d *Distance) Sync(v *coverage.BitVec) {
-	for ln := range d.uncov {
-		if v.Get(ln) {
-			d.CoverLine(ln)
-		}
-	}
-}
-
 // BlockDist returns md2u for block b of function fn (Unreachable when
 // unknown, or when no uncovered code is reachable).
 func (d *Distance) BlockDist(fn string, b int) int {
@@ -141,9 +120,6 @@ func (d *Distance) BlockDist(fn string, b int) int {
 	}
 	return int(table[b])
 }
-
-// FuncDist returns md2u from fn's entry block.
-func (d *Distance) FuncDist(fn string) int { return d.BlockDist(fn, 0) }
 
 // StateDist estimates a state's distance to uncovered code: the minimum
 // over the current thread's activation records of the frame's block
@@ -322,72 +298,4 @@ func (d *Distance) solveLocal(f string) {
 			}
 		}
 	}
-}
-
-// ScratchDist computes every block's md2u from scratch: one flat
-// multi-source BFS over the whole interprocedural block graph (all
-// edges have weight 1 in the flat view — the call-portal seeds of the
-// memoized solver are exactly paths through b → entry(callee) edges).
-// It is the reference the differential tests pit the incremental oracle
-// against, and the from-scratch side of BenchmarkDistRecompute.
-func ScratchDist(g *Graph, covered func(line int) bool) map[string][]int32 {
-	// Flat node numbering.
-	offset := make(map[string]int, len(g.Funcs))
-	names := make([]string, 0, len(g.Funcs))
-	for name := range g.Funcs {
-		names = append(names, name)
-	}
-	// Offsets need no particular order; BFS is order-insensitive.
-	total := 0
-	for _, name := range names {
-		offset[name] = total
-		total += g.Funcs[name].NumBlocks()
-	}
-	// Reverse adjacency: rev[v] lists u with an edge u→v.
-	rev := make([][]int32, total)
-	addRev := func(u, v int) { rev[v] = append(rev[v], int32(u)) }
-	dist := make([]int32, total)
-	queue := make([]int32, 0, total)
-	for _, name := range names {
-		fg := g.Funcs[name]
-		base := offset[name]
-		for bi := range fg.Succs {
-			u := base + bi
-			for _, s := range fg.Succs[bi] {
-				addRev(u, offset[name]+s)
-			}
-			for _, callee := range fg.Calls[bi] {
-				addRev(u, offset[callee]) // entry block is index 0
-			}
-			uncovered := false
-			for _, ln := range fg.Lines[bi] {
-				if !covered(ln) {
-					uncovered = true
-					break
-				}
-			}
-			if uncovered {
-				dist[u] = 0
-				queue = append(queue, int32(u))
-			} else {
-				dist[u] = Unreachable
-			}
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range rev[v] {
-			if dist[v]+1 < dist[u] {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	out := make(map[string][]int32, len(g.Funcs))
-	for _, name := range names {
-		base := offset[name]
-		out[name] = append([]int32(nil), dist[base:base+g.Funcs[name].NumBlocks()]...)
-	}
-	return out
 }

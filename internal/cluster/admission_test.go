@@ -163,8 +163,8 @@ func TestAdmitDecisions(t *testing.T) {
 }
 
 // TestHelloAckWorkerConfig: the ack supplies identity, seed, slot, plane
-// and partition; the base keeps what is the caller's, a pinned strategy
-// included.
+// and partition; the base keeps what is the caller's, a strategy of its
+// own included.
 func TestHelloAckWorkerConfig(t *testing.T) {
 	ack := HelloAck{ID: 3, Epoch: 9, Seed: true, Spec: "dfs",
 		DataPlane: DataPlaneDepth, PartitionDepth: 4, PartitionUnits: 16}
@@ -180,10 +180,10 @@ func TestHelloAckWorkerConfig(t *testing.T) {
 		t.Fatal("the caller's base was written through")
 	}
 
-	base.StrategySpec, base.StrategyPinned = "random-path", true
+	base.StrategySpec = "random-path"
 	ack.DataPlane = ""
 	wc = ack.WorkerConfig(base)
-	if wc.StrategySpec != "random-path" || !wc.StrategyPinned || wc.Engine.Partition != nil {
-		t.Fatalf("pinned p2p worker configured as %+v", wc)
+	if wc.StrategySpec != "random-path" || wc.Engine.Partition != nil {
+		t.Fatalf("p2p worker with its own strategy configured as %+v", wc)
 	}
 }

@@ -48,12 +48,11 @@ func TestMemcachedClusterPathDeterminism(t *testing.T) {
 }
 
 // TestSimSelectionPinned runs printf on a 3-worker lock-step sim — the
-// engine default (random-path ⊕ cov-opt) on every worker, worker 1
-// hot-swapped to bare cov-opt mid-run — and compares the final tick
-// count and per-worker path counts with testdata/sim_swap.golden.
-// Which worker explores which path depends on every selection, so the
-// file pins what exactness totals cannot: cov-opt's global-coverage
-// decay and the SetStrategy re-seed, draw for draw.
+// engine default (random-path ⊕ cov-opt) on every worker — and compares
+// the final tick count and per-worker path counts with
+// testdata/sim_selection.golden. Which worker explores which path
+// depends on every selection, so the file pins what exactness totals
+// cannot: cov-opt's global-coverage decay, draw for draw.
 func TestSimSelectionPinned(t *testing.T) {
 	tgt, ok := targets.ByName("printf")
 	if !ok {
@@ -65,7 +64,6 @@ func TestSimSelectionPinned(t *testing.T) {
 		NewInterp: targets.Factory(tgt),
 		Engine:    engine.Config{MaxStateSteps: 1_000_000},
 		Quantum:   1000,
-		Swaps:     []SimSwap{{Tick: 40, Worker: 1, Spec: "cov-opt"}},
 		MaxTicks:  100_000,
 	})
 	if err != nil {
@@ -79,7 +77,7 @@ func TestSimSelectionPinned(t *testing.T) {
 	for _, w := range res.Workers {
 		fmt.Fprintf(&got, "worker=%d\tspec=%s\tpaths=%d\n", w.ID, w.Spec(), w.Exp.Stats.PathsExplored)
 	}
-	want, err := os.ReadFile("testdata/sim_swap.golden")
+	want, err := os.ReadFile("testdata/sim_selection.golden")
 	if err != nil {
 		t.Fatal(err)
 	}

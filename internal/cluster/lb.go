@@ -27,7 +27,7 @@ type BalancerConfig struct {
 	Lease time.Duration
 	// Portfolio lists the internal/search strategy specs the LB hands
 	// out to workers — one slot per joining member, in equal shares,
-	// rebalanced on membership changes (see portfolio.go). Empty: workers
+	// kept until the member leaves (see portfolio.go). Empty: workers
 	// run the engine default. Validate entries with search.ParsePortfolio
 	// before starting.
 	Portfolio []string
@@ -101,12 +101,12 @@ type Member struct {
 	ID    int
 	Epoch uint64
 	Addr  string // transport hint (TCP peer job-transfer address)
-	// Spec is the strategy spec assigned from the portfolio (SpecIdx its
-	// slot), "" / -1 when no portfolio is configured. Pinned members
-	// chose their strategy locally and are excluded from allocation.
+	// Spec is the strategy spec the member runs (SpecIdx its portfolio
+	// slot): the one assigned at join until a status reports the spec, and
+	// the reported one from then on. SpecIdx is -1 for a spec that is no
+	// slot's, and always without a portfolio.
 	Spec    string
 	SpecIdx int
-	Pinned  bool
 	// Reported is set once the first status arrives; unreported members
 	// neither balance nor count toward quiescence.
 	Reported bool
@@ -231,11 +231,6 @@ const (
 // restarted balancer (resume) starts with an empty lbState and rebuilds
 // it from the workers' re-hellos and first full statuses.
 type lbState struct {
-	// LastNow caches the most recent clock value threaded into an entry
-	// point, for sites without a time parameter (the portfolio
-	// rebalance's journal stamp).
-	LastNow time.Time
-
 	Members   map[int]*Member
 	Evicted   map[int]uint64 // departed id → epoch, for stale-message rejection
 	NextID    int
@@ -282,8 +277,7 @@ type lbState struct {
 
 	// Fleet-view counters surfaced in FleetObs. TransfersIssued counts
 	// ⟨src,dst,n⟩ orders, Evictions lease-expiry departures, Leaves
-	// graceful goodbyes, Rebalances portfolio rebalances that moved a
-	// member.
+	// graceful goodbyes.
 	Joins           int
 	Evictions       int
 	Leaves          int
@@ -291,7 +285,6 @@ type lbState struct {
 	Abandoned       int
 	TransfersIssued int
 	ReseatsIssued   int
-	Rebalances      int
 	UnitGrants      int
 	UnitReclaims    int
 }
@@ -356,7 +349,6 @@ func (lb *LoadBalancer) Join(addr string, now time.Time) (*Member, []Outbound) {
 // slot it is due, journals the join (plus what the caller has to say
 // about it) and returns the member and the broadcast of the new view.
 func (lb *LoadBalancer) seat(id int, epoch uint64, addr string, now time.Time, note map[string]string) (*Member, []Outbound) {
-	lb.LastNow = now
 	specIdx, spec := lb.assignSpec()
 	m := &Member{ID: id, Epoch: epoch, Addr: addr, LastSeen: now,
 		Spec: spec, SpecIdx: specIdx}
@@ -454,7 +446,6 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 	if m == nil || m.Epoch != st.Epoch {
 		return nil, false
 	}
-	lb.LastNow = now
 	// A resumed balancer's waves start past every probe a dead one sent;
 	// on any other, no status echoes a probe it did not send.
 	lb.probeSeq = max(lb.probeSeq, st.Probe)
@@ -497,39 +488,19 @@ func (lb *LoadBalancer) Update(st Status, now time.Time) (outs []Outbound, ok bo
 	}
 	m.Reported = true
 	m.LastSeen = now
+	// A worker runs one spec from join to departure; the member holds the
+	// slot its status reports (a readmitted member was dealt one afresh,
+	// and c9-worker -strategy may run a spec of its own).
+	m.Spec, m.SpecIdx = st.Spec, lb.slotOf(st.Spec)
 	if len(st.CovWords) > 0 {
 		g := coverage.FromWords(st.CovWords, lb.Cov.Len()-1)
 		if added := lb.Cov.Or(g); added > 0 {
 			lb.covDirty = true
 			// The lines this status was first to land in the global
-			// overlay are its slot's yield; the slot credited is the spec
-			// the status reports running.
-			if idx := lb.yieldSlot(st.Spec, m); idx >= 0 && idx < len(lb.SpecYield) {
-				lb.SpecYield[idx] += uint64(added)
+			// overlay are its slot's yield.
+			if m.SpecIdx >= 0 {
+				lb.SpecYield[m.SpecIdx] += uint64(added)
 			}
-		}
-	}
-	// Assignment reconciliation: the member record is the intent, the
-	// status the reality. A pinned worker (explicit -strategy) drops out
-	// of allocation permanently; an unpinned worker reporting a spec
-	// other than its assignment missed a MsgStrategy (lost on a dead
-	// conn, or a reconnect raced the rebalance) — re-send it, which is
-	// idempotent worker-side and converges within one status round-trip.
-	if len(lb.cfg.Portfolio) > 0 {
-		switch {
-		case st.SpecPinned:
-			if !m.Pinned {
-				// The pin vacated a slot: re-man it if that left the
-				// others uneven.
-				m.Pinned = true
-				m.SpecIdx = -1
-				outs = append(outs, lb.rebalanceStrategies()...)
-			}
-			m.Spec = st.Spec
-		case st.Spec != m.Spec:
-			outs = append(outs, Outbound{To: st.Worker, Msg: Message{
-				Kind: MsgStrategy, Spec: m.Spec,
-			}})
 		}
 	}
 	// Relay peer-batch acks to their sources — only when the mark
@@ -584,7 +555,6 @@ func (lb *LoadBalancer) Goodbye(id int, now time.Time) []Outbound {
 	if lb.Members[id] == nil {
 		return nil
 	}
-	lb.LastNow = now
 	lb.Leaves++
 	lb.journal.AppendAt(now, obs.EvWorkerGoodbye, id, nil)
 	return lb.depart(id, now)
@@ -593,7 +563,6 @@ func (lb *LoadBalancer) Goodbye(id int, now time.Time) []Outbound {
 // ExpireLeases evicts every member whose lease has lapsed and returns
 // the resulting eviction notices and re-seat deliveries.
 func (lb *LoadBalancer) ExpireLeases(now time.Time) []Outbound {
-	lb.LastNow = now
 	var outs []Outbound
 	if lb.ResyncPending {
 		// Evictions are suspended until a resumed balancer's re-hello window
@@ -640,7 +609,7 @@ func (lb *LoadBalancer) depart(id int, now time.Time) []Outbound {
 		// and recounts the whole unit from its own copy of the shared tree.
 		// Folding the departed counters in as well would double count;
 		// dropping them keeps the total exact.
-		return append(outs, lb.rebalanceStrategies()...)
+		return outs
 	}
 	if acked, acknowledged := lb.ReseatAcked[m.Epoch]; acknowledged {
 		// The dead balancer this one resumed from already departed this
@@ -684,10 +653,7 @@ func (lb *LoadBalancer) depart(id int, now time.Time) []Outbound {
 			delete(lb.Reseats, bid)
 		}
 	}
-	outs = append(outs, lb.placeOrphans(now)...)
-	// Membership shrank: restore the portfolio's desired allocation (a
-	// departed member may have been a spec's only runner).
-	return append(outs, lb.rebalanceStrategies()...)
+	return append(outs, lb.placeOrphans(now)...)
 }
 
 // drop takes id out of the membership — fenced by its epoch, its depth
@@ -813,7 +779,6 @@ func (lb *LoadBalancer) leastLoaded() (int, bool) {
 // custody batches whose acknowledgment is overdue (receivers suppress
 // duplicates via the sequence high-water mark).
 func (lb *LoadBalancer) Tick(now time.Time) []Outbound {
-	lb.LastNow = now
 	outs := lb.placeOrphans(now)
 	// Sorted so re-delivery order (and thus the downstream message
 	// sequence) is identical across identically-seeded runs.
@@ -1111,7 +1076,6 @@ func (lb *LoadBalancer) PutLBMetrics(s *obs.Snapshot) {
 	s.PutCounter(obs.MLBStatesTransferred, uint64(lb.StatesTransferred()))
 	s.PutCounter(obs.MLBReseats, uint64(lb.ReseatsIssued))
 	s.PutCounter(obs.MLBReseatJobs, lb.ReseatSent)
-	s.PutCounter(obs.MLBRebalances, uint64(lb.Rebalances))
 	s.PutGauge(obs.MLBCoverageLines, int64(lb.Cov.Count()))
 	// Data-plane metrics go in unconditionally: a zero
 	// c9_lb_payload_bytes_total is the P2P mode's proof obligation (CI
@@ -1128,10 +1092,9 @@ func (lb *LoadBalancer) PutLBMetrics(s *obs.Snapshot) {
 	for i, y := range lb.SpecYield {
 		s.PutCounter(obs.MLBSlotYield(i), y)
 	}
-	if len(lb.cfg.Portfolio) > 0 {
-		for i, c := range lb.specCounts() {
-			s.PutGauge(obs.MLBSlotWorkers(i), int64(c))
-		}
+	counts, _ := lb.specCounts()
+	for i, c := range counts {
+		s.PutGauge(obs.MLBSlotWorkers(i), int64(c))
 	}
 }
 
@@ -1385,7 +1348,7 @@ func (lb *LoadBalancer) noteRehello(h Hello, now time.Time) []Outbound {
 		lb.saw(id, e)
 		lb.Departed[id] = max(lb.Departed[id], e)
 		if m := lb.Members[id]; m != nil && m.Epoch <= e {
-			outs = append(append(outs, lb.drop(id, now)...), lb.rebalanceStrategies()...)
+			outs = append(outs, lb.drop(id, now)...)
 		}
 		lb.Evicted[id] = max(lb.Evicted[id], e)
 	}

@@ -63,12 +63,12 @@
 // # Strategy portfolios
 //
 // When the balancer is configured with a portfolio (internal/search
-// spec strings), each joining worker is handed a spec (in the HelloAck),
-// statuses report the spec a worker currently runs, and the LB keeps the
-// slots in equal shares, moving members when one leaves, is evicted or
-// pins its own strategy (MsgStrategy → worker hot-swap). Swaps change
-// only selection order — never the frontier or custody state — so
-// path-count exactness is preserved.
+// spec strings), each joining worker is handed the spec of the lowest
+// slot below its equal share (in the HelloAck) and runs it until it
+// leaves; statuses report the spec a worker runs, and that is the slot
+// the LB records it in. A strategy changes only selection order — never
+// the frontier or custody state — so path-count exactness holds under
+// any portfolio.
 //
 // # Epochs
 //
@@ -138,12 +138,10 @@ const (
 	MsgCoverage                   // LB broadcasts the global coverage vector
 	MsgStop                       // shut down
 	MsgStatus                     // worker → LB: periodic status snapshot (lease renewal)
-	MsgHello                      // worker → LB: join or reconnect announcement
 	MsgGoodbye                    // worker → LB: graceful leave (after a final status)
 	MsgEvict                      // LB → workers: member departed; Members is the new view
 	MsgJobsAck                    // LB → worker: Dst acknowledged job batches up to Seq
 	MsgMembers                    // LB → workers: membership snapshot (id → epoch)
-	MsgStrategy                   // LB → worker: run the strategy spec in Spec from now on
 	MsgShip                       // worker → LB: relay a job batch to Dst (peer link unavailable)
 	MsgUnits                      // LB → worker: depth-partition unit grant (Units is the full owned set)
 	MsgProbe                      // LB → workers: termination probe wave Seq; answer with a status at once
@@ -181,9 +179,6 @@ type Message struct {
 	Status *Status
 	// MsgEvict / MsgMembers: current membership view (id → epoch).
 	Members map[int]uint64
-	// MsgStrategy: the internal/search strategy spec the worker should
-	// hot-swap to (portfolio rebalancing on membership changes).
-	Spec string
 	// MsgUnits: the complete set of depth-partition units the receiver
 	// owns (idempotent full list, so a lost or duplicated grant is
 	// harmless).
@@ -292,14 +287,10 @@ type Status struct {
 	// departure, learns both that the batch is already imported and the
 	// exact accounting cut it was re-seated at.
 	ReseatAcks []ReseatAck
-	// Spec is the strategy spec the worker is currently running (its
-	// assigned portfolio slot, or "" for the engine default); the LB
-	// compares it against its assignment record and re-sends a lost
-	// MsgStrategy when they disagree. SpecPinned marks an explicit
-	// local override the LB must leave alone (and exclude from
-	// portfolio allocation).
-	Spec       string
-	SpecPinned bool
+	// Spec is the strategy spec the worker runs (its portfolio slot's,
+	// its own -strategy, or "" for the engine default); the LB records
+	// the member in the slot it names.
+	Spec string
 	// Peer-session counters (cumulative, data-plane observability): the
 	// LB journals peer-session-open/close/fallback events by comparing
 	// them against its previous accepted record, so a re-sent status

@@ -1,11 +1,12 @@
 package cluster
 
-// Portfolio-coordination tests: deterministic spec assignment at join,
-// equal shares held through membership changes and pins, and — the
-// custody acceptance bar — that strategy hot-swaps and portfolio
+// Portfolio tests: deterministic spec assignment at join in equal
+// shares, records that follow the specs workers report (also across a
+// balancer restart), and — the custody acceptance bar — that portfolio
 // runs preserve the exact undisturbed path count through crashes.
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -40,8 +41,9 @@ func TestPortfolioAssignmentAtJoin(t *testing.T) {
 
 // TestPortfolioAllocationIsEqualShares: n workers over k slots get one
 // per slot before any slot gets a second, shares differ by at most one,
-// and the surplus goes to the lower indices; joins, a goodbye and a pin
-// keep the members' slots on that table.
+// and the surplus goes to the lower indices. Joins keep the members'
+// slots on that table; a departure's slot goes to the next joiner, and
+// so does the slot of a member that runs a spec of its own.
 func TestPortfolioAllocationIsEqualShares(t *testing.T) {
 	specs := []string{"dfs", "bfs", "random", "cov-opt"}
 	for k := 1; k <= len(specs); k++ {
@@ -67,71 +69,67 @@ func TestPortfolioAllocationIsEqualShares(t *testing.T) {
 	lb := NewLoadBalancer(cfg, 100)
 	onTable := func(when string) {
 		t.Helper()
-		got, want := lb.specCounts(), lb.desiredAllocation(lb.unpinned())
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: slots hold %v, want %v", when, got, want)
-			}
+		got, n := lb.specCounts()
+		if want := lb.desiredAllocation(n); !slices.Equal(got, want) {
+			t.Fatalf("%s: slots hold %v, want %v", when, got, want)
 		}
 	}
 	ms := joinN(t, lb, 6)
 	onTable("six joins")
-	lb.Goodbye(ms[5].ID, time.Unix(2, 0))
-	onTable("goodbye")
-	// Member 4 is slot 0's second runner; pinned, it holds no slot.
-	report(t, lb, ms[4], Status{Queue: 1, Spec: "dist-opt", SpecPinned: true, Frontier: BuildJobTree(nil)})
-	if lb.unpinned() != 4 {
-		t.Fatalf("unpinned = %d after a pin, want 4", lb.unpinned())
+	// Member 1 is slot 1's first runner; when it leaves, the next joiner
+	// takes its slot.
+	lb.Goodbye(ms[1].ID, time.Unix(2, 0))
+	if m, _ := lb.Join("", time.Unix(2, 0)); m.SpecIdx != 1 || m.Spec != specs[1] {
+		t.Fatalf("joiner after a departure from slot 1 got slot %d (%q)", m.SpecIdx, m.Spec)
 	}
-	onTable("pin")
-	// Member 1 is slot 1's only runner: its pin leaves three members for
-	// slots 0-2, so the newest (member 3, in slot 3) is moved there.
-	st := Status{Worker: ms[1].ID, Epoch: ms[1].Epoch, Queue: 1, Spec: "dist-opt", SpecPinned: true}
-	outs, _ := lb.Update(st, time.Unix(3, 0))
-	if len(outs) != 1 || outs[0].To != ms[3].ID || outs[0].Msg.Kind != MsgStrategy || outs[0].Msg.Spec != specs[1] {
-		t.Fatalf("pin of a slot's only runner sent %+v, want one MsgStrategy %q to member %d", outs, specs[1], ms[3].ID)
+	onTable("a departure and a join")
+	// Member 4 is slot 0's second runner. Reporting a spec of its own, it
+	// holds no slot, and nobody is moved to fill slot 0: the next joiner is.
+	report(t, lb, ms[4], Status{Queue: 1, Spec: "dist-opt", Frontier: BuildJobTree(nil)})
+	if ms[4].SpecIdx != -1 || ms[4].Spec != "dist-opt" {
+		t.Fatalf("member running its own spec recorded as slot %d (%q)", ms[4].SpecIdx, ms[4].Spec)
 	}
-	onTable("pin of an only runner")
+	if got, n := lb.specCounts(); n != 5 || !slices.Equal(got, []int{1, 2, 1, 1}) {
+		t.Fatalf("after an own spec: %d members in slots %v, want 5 in [1 2 1 1]", n, got)
+	}
+	if m, _ := lb.Join("", time.Unix(3, 0)); m.SpecIdx != 0 {
+		t.Fatalf("joiner after slot 0 lost a runner got slot %d", m.SpecIdx)
+	}
+	onTable("a join after an own spec")
 }
 
-func TestPortfolioRebalanceOnDepart(t *testing.T) {
+// TestResumedBalancerKeepsRunningSpecs: a resumed balancer readmits the
+// members in the order they re-dial, and seating deals each a slot
+// afresh. What a member runs stands: its first status is what its record
+// reads, and nobody is sent anything in answer.
+func TestResumedBalancerKeepsRunningSpecs(t *testing.T) {
+	portfolio := []string{"dfs", "bfs", "random"}
 	cfg := DefaultBalancerConfig()
-	cfg.Portfolio = []string{"dfs", "bfs", "random"}
+	cfg.Portfolio = portfolio
+	dead := NewLoadBalancer(cfg, 100)
+	ms := joinN(t, dead, 3)
+	view := dead.memberView()
 	lb := NewLoadBalancer(cfg, 100)
-	ms := joinN(t, lb, 3)
-	for _, m := range ms {
-		report(t, lb, m, Status{Queue: 1, Frontier: BuildJobTree(nil)})
-	}
-	if ms[0].Spec != "dfs" {
-		t.Fatalf("member 0 runs %q", ms[0].Spec)
-	}
-	// The only dfs runner leaves; with 2 members the desired allocation
-	// is {dfs, bfs}, so the surviving random runner must be moved to dfs.
-	outs := lb.Goodbye(ms[0].ID, time.Unix(2, 0))
-	var swap *Message
-	for i := range outs {
-		if outs[i].Msg.Kind == MsgStrategy {
-			if swap != nil {
-				t.Fatal("more than one reassignment for a single departure")
-			}
-			swap = &outs[i].Msg
-			if outs[i].To != ms[2].ID {
-				t.Fatalf("reassignment sent to %d, want %d", outs[i].To, ms[2].ID)
-			}
+	lb.resume()
+	now := time.Unix(1, 0)
+	for _, id := range []int{2, 0, 1} {
+		if ack, _ := lb.Admit(Hello{ID: id, Epoch: ms[id].Epoch, View: view}, now); ack.ID != id {
+			t.Fatalf("member %d's re-hello answered %+v", id, ack)
 		}
 	}
-	if swap == nil {
-		t.Fatal("departure of a spec's only runner must trigger a reassignment")
-	}
-	if swap.Spec != "dfs" {
-		t.Fatalf("reassigned to %q, want dfs", swap.Spec)
-	}
-	if ms[2].Spec != "dfs" {
-		t.Fatalf("member record not updated: %q", ms[2].Spec)
+	for _, m := range ms {
+		outs, ok := lb.Update(Status{Worker: m.ID, Epoch: m.Epoch, Spec: m.Spec, Frontier: &JobTree{}}, now)
+		if !ok || len(outs) != 0 {
+			t.Fatalf("member %d's status (running %q): ok=%v, answered %+v", m.ID, m.Spec, ok, outs)
+		}
+		rec := lb.Members[m.ID]
+		if rec.Spec != m.Spec || rec.SpecIdx != slices.Index(portfolio, m.Spec) {
+			t.Fatalf("member %d runs %q, recorded as %q in slot %d", m.ID, m.Spec, rec.Spec, rec.SpecIdx)
+		}
 	}
 }
 
-func TestWorkerAppliesAssignedSpecAndHotSwaps(t *testing.T) {
+func TestWorkerRunsAssignedSpec(t *testing.T) {
 	_, ep := testMailbox(0)
 	w, err := NewWorker(WorkerConfig{
 		ID: 0, Seed: true, StrategySpec: "cupa(depth:4,dfs)",
@@ -146,161 +144,17 @@ func TestWorkerAppliesAssignedSpecAndHotSwaps(t *testing.T) {
 	if got := w.Exp.Strat.Name(); got != "cupa(depth:4)" {
 		t.Fatalf("strategy = %q", got)
 	}
-	// Explore a little, then hot-swap: the frontier must be preserved.
-	for i := 0; i < 10; i++ {
-		if _, err := w.Exp.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := w.Exp.Tree.NumCandidates()
-	if before == 0 {
-		t.Fatal("expected a non-empty frontier mid-run")
-	}
-	if err := w.ApplyStrategy("bfs"); err != nil {
-		t.Fatal(err)
-	}
-	if w.Exp.Tree.NumCandidates() != before {
-		t.Fatal("hot-swap disturbed the frontier")
-	}
-	// Run to completion: the full tree must still be explored exactly.
 	if _, err := w.Exp.RunToCompletion(0); err != nil {
 		t.Fatal(err)
 	}
 	if w.Exp.Stats.PathsExplored != 64 {
-		t.Fatalf("paths = %d, want 64 after hot-swap", w.Exp.Stats.PathsExplored)
-	}
-	// Unknown spec: rejected, current strategy untouched.
-	if err := w.ApplyStrategy("wat"); err == nil {
-		t.Fatal("bad spec should be rejected")
-	}
-	if w.Spec() != "bfs" {
-		t.Fatalf("spec after failed swap = %q", w.Spec())
-	}
-}
-
-// TestPortfolioReconcilesLostAssignment: a MsgStrategy lost in transit
-// (dead conn, reconnect race) must be re-sent when the worker's status
-// reports a spec other than its assignment — the member record is
-// intent, the status is reality.
-func TestPortfolioReconcilesLostAssignment(t *testing.T) {
-	cfg := DefaultBalancerConfig()
-	cfg.Portfolio = []string{"dfs", "bfs"}
-	lb := NewLoadBalancer(cfg, 100)
-	ms := joinN(t, lb, 2)
-	// Worker 1 (assigned bfs) reports it is still running dfs — the
-	// assignment never arrived. The LB must re-send it.
-	st := Status{Worker: ms[1].ID, Epoch: ms[1].Epoch, Spec: "dfs"}
-	outs, ok := lb.Update(st, time.Unix(1, 0))
-	if !ok {
-		t.Fatal("status rejected")
-	}
-	found := false
-	for _, o := range outs {
-		if o.Msg.Kind == MsgStrategy && o.To == ms[1].ID && o.Msg.Spec == "bfs" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no MsgStrategy re-send in %+v", outs)
-	}
-	// Once the worker reports the assigned spec, no further re-sends.
-	st.Spec = "bfs"
-	outs, _ = lb.Update(st, time.Unix(2, 0))
-	for _, o := range outs {
-		if o.Msg.Kind == MsgStrategy {
-			t.Fatal("re-send after convergence")
-		}
-	}
-}
-
-// TestPortfolioRespectsPinnedWorkers: a worker with an explicit local
-// -strategy reports SpecPinned; the LB must drop it from allocation and
-// never send it MsgStrategy, instead of fighting the override.
-func TestPortfolioRespectsPinnedWorkers(t *testing.T) {
-	cfg := DefaultBalancerConfig()
-	cfg.Portfolio = []string{"dfs", "bfs"}
-	lb := NewLoadBalancer(cfg, 100)
-	ms := joinN(t, lb, 3)
-	for i, m := range ms {
-		st := Status{Queue: 1, Spec: m.Spec, Frontier: BuildJobTree(nil)}
-		if i == 2 {
-			st.Spec, st.SpecPinned = "cov-opt", true
-		}
-		report(t, lb, m, st)
-	}
-	if !ms[2].Pinned || ms[2].SpecIdx != -1 || ms[2].Spec != "cov-opt" {
-		t.Fatalf("pinned member not recorded: %+v", ms[2])
-	}
-	// Allocation sees 2 unpinned members → {dfs, bfs}, already satisfied:
-	// neither the tick nor a departure may touch the pin.
-	for _, o := range lb.Tick(time.Unix(3, 0)) {
-		if o.Msg.Kind == MsgStrategy {
-			t.Fatalf("reassignment emitted despite satisfied allocation: %+v", o)
-		}
-	}
-	outs := lb.Goodbye(ms[0].ID, time.Unix(4, 0)) // the dfs runner leaves
-	for _, o := range outs {
-		if o.Msg.Kind == MsgStrategy && o.To == ms[2].ID {
-			t.Fatal("pinned worker was reassigned")
-		}
-	}
-	// The bfs runner is the only unpinned survivor; it inherits dfs.
-	if ms[1].Spec != "dfs" {
-		t.Fatalf("unpinned survivor runs %q, want dfs", ms[1].Spec)
-	}
-}
-
-// TestSimHotSwapPreservesExactPaths: a mid-run strategy hot-swap (the
-// MsgStrategy path a portfolio rebalance uses) must not change the
-// explored path count, and the swapped run must itself be
-// deterministic.
-func TestSimHotSwapPreservesExactPaths(t *testing.T) {
-	factory := mkInterp(t, clusterTarget)
-	run := func(swaps []SimSwap) *SimResult {
-		res, err := RunSim(SimConfig{
-			Workers:   2,
-			Entry:     "main",
-			NewInterp: factory,
-			Engine:    engine.Config{MaxStateSteps: 1_000_000},
-			Quantum:   200,
-			Swaps:     swaps,
-			MaxTicks:  10_000,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Exhausted {
-			t.Fatal("run did not exhaust")
-		}
-		return res
-	}
-	undisturbed := run(nil)
-	if undisturbed.Final.Paths != 64 {
-		t.Fatalf("undisturbed paths = %d", undisturbed.Final.Paths)
-	}
-	swaps := []SimSwap{
-		{Tick: 3, Worker: 0, Spec: "cupa(site,dfs)"},
-		{Tick: 5, Worker: 1, Spec: "bfs"},
-		{Tick: 7, Worker: 0, Spec: "cupa(depth:4,random)"},
-	}
-	a := run(swaps)
-	if a.Final.Paths != undisturbed.Final.Paths {
-		t.Fatalf("paths with hot-swaps = %d, undisturbed = %d", a.Final.Paths, undisturbed.Final.Paths)
-	}
-	if a.Final.Errors != 1 {
-		t.Fatalf("errors = %d", a.Final.Errors)
-	}
-	b := run(swaps)
-	if a.Ticks != b.Ticks || a.Final.UsefulSteps != b.Final.UsefulSteps {
-		t.Fatalf("hot-swapped sim not deterministic: a=%d ticks/%d steps b=%d ticks/%d steps",
-			a.Ticks, a.Final.UsefulSteps, b.Ticks, b.Final.UsefulSteps)
+		t.Fatalf("paths = %d, want 64", w.Exp.Stats.PathsExplored)
 	}
 }
 
 // TestSimPortfolioCrashRecoveryExactPaths: a mixed portfolio with a
-// kill -9 mid-run (and the resulting strategy rebalance) still
-// reproduces the undisturbed path count — portfolio coordination must
-// not break the custody protocol's exactness.
+// kill -9 mid-run still reproduces the undisturbed path count — a
+// portfolio must not break the custody protocol's exactness.
 func TestSimPortfolioCrashRecoveryExactPaths(t *testing.T) {
 	factory := mkInterp(t, clusterTarget)
 	portfolio := []string{"cupa(site,dfs)", "cov-opt", "random", "dfs"}
@@ -343,8 +197,8 @@ func TestSimPortfolioCrashRecoveryExactPaths(t *testing.T) {
 	if crashed.Evictions != 1 {
 		t.Fatalf("evictions = %d", crashed.Evictions)
 	}
-	// The departure freed the cov-opt slot; the rebalance hands it to a
-	// survivor (deterministically), so the portfolio stays diverse.
+	// The departure freed the cov-opt slot, and the survivors keep the
+	// three other specs they joined with.
 	specs := map[string]int{}
 	for _, m := range crashed.LB.Members {
 		specs[m.Spec]++

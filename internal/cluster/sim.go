@@ -9,23 +9,12 @@ import (
 	"cloud9/internal/engine"
 	"cloud9/internal/interp"
 	"cloud9/internal/obs"
-	"cloud9/internal/search"
 )
 
 // SimEvent schedules a membership event at a virtual-time tick.
 type SimEvent struct {
 	Tick   int
 	Worker int // target worker id (ignored for joins)
-}
-
-// SimSwap schedules a strategy hot-swap: at Tick, the worker receives
-// MsgStrategy with the given spec (the same path an LB portfolio
-// rebalance uses), rebuilds its searcher, and re-seeds it from its
-// local tree.
-type SimSwap struct {
-	Tick   int
-	Worker int
-	Spec   string
 }
 
 // SimCrashLB schedules a load-balancer kill -9 at a virtual tick. The
@@ -78,11 +67,6 @@ type SimConfig struct {
 	Retires []SimEvent
 	// Joins adds one worker at each listed tick.
 	Joins []int
-	// Swaps injects strategy hot-swaps at the given ticks. Mutually
-	// exclusive with Balancer.Portfolio: injected swaps bypass the LB's
-	// member records, so a portfolio's rebalancer would fight them (and
-	// attribute yield to slots the workers no longer run).
-	Swaps []SimSwap
 	// CrashLB kills the load balancer mid-run and restarts it empty; the
 	// run must still finish with the undisturbed path count unless the
 	// restart reports abandoned work.
@@ -340,15 +324,6 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		return snap
 	}
 
-	if len(cfg.Swaps) > 0 && len(cfg.Balancer.Portfolio) > 0 {
-		return nil, fmt.Errorf("cluster: sim: Swaps and Balancer.Portfolio are mutually exclusive (injected swaps bypass the LB's assignment records)")
-	}
-	for _, sw := range cfg.Swaps {
-		if err := search.Validate(sw.Spec); err != nil {
-			return nil, fmt.Errorf("cluster: sim swap: %w", err)
-		}
-	}
-
 	tick := 0
 	for {
 		tick++
@@ -398,12 +373,6 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			}
 			if err := spawn(); err != nil {
 				return nil, err
-			}
-		}
-		for _, sw := range cfg.Swaps {
-			if _, ok := alive[sw.Worker]; ok && sw.Tick == tick {
-				s.inbox[sw.Worker] = append(s.inbox[sw.Worker],
-					Message{Kind: MsgStrategy, Spec: sw.Spec})
 			}
 		}
 		// Deliver messages produced last tick.

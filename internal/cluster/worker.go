@@ -29,16 +29,11 @@ type WorkerConfig struct {
 	// no further statuses).
 	CrashWhen func(queue int) bool
 
-	// StrategySpec is the internal/search strategy spec assigned by the
-	// load balancer (the worker's portfolio slot). Empty: the engine
-	// default (or whatever Engine.Strategy says). The worker hot-swaps
-	// to a new spec when the LB sends MsgStrategy.
+	// StrategySpec is the internal/search strategy spec the worker runs
+	// from join until it leaves: the load balancer's portfolio slot, or a
+	// local choice (c9-worker -strategy). Empty: the engine default (or
+	// whatever Engine.Strategy says).
 	StrategySpec string
-	// StrategyPinned marks StrategySpec as an explicit local choice
-	// (c9-worker -strategy): MsgStrategy reassignments are ignored, and
-	// statuses carry the pin so the LB drops the worker from portfolio
-	// allocation instead of fighting it.
-	StrategyPinned bool
 
 	// DataPlane selects how exported job batches travel (inherited from
 	// the balancer config / HelloAck): DataPlaneP2P (default, also "")
@@ -56,12 +51,12 @@ type WorkerConfig struct {
 }
 
 // WorkerConfig fills base in with what the handshake decided: identity,
-// seed role, the LB's strategy assignment (unless base pins its own), the
+// seed role, the LB's strategy assignment (unless base names its own), the
 // data plane and — in depth mode — the partition every worker of the run
 // derives the same units from. Everything else in base is the caller's.
 func (a *HelloAck) WorkerConfig(base WorkerConfig) WorkerConfig {
 	base.ID, base.Epoch, base.Seed = a.ID, a.Epoch, a.Seed
-	if !base.StrategyPinned {
+	if base.StrategySpec == "" {
 		base.StrategySpec = a.Spec
 	}
 	base.DataPlane = a.DataPlane
@@ -203,7 +198,6 @@ type Worker struct {
 	resendsCtr       *obs.Counter
 	reimportsCtr     *obs.Counter
 	reseatImportsCtr *obs.Counter
-	swapsCtr         *obs.Counter
 	queueGauge       *obs.Gauge
 	batchHist        *obs.Histogram
 	journal          *obs.Journal
@@ -275,23 +269,13 @@ type Worker struct {
 	fullPending       bool
 	lastLBGen         uint64
 	lastSent          Status // the last status sent, less coverage, frontier and metrics
-
-	// spec is the strategy spec currently running ("" = engine
-	// default); swaps counts hot-swaps, salting each rebuild's seed.
-	// specPinned starts as cfg.StrategyPinned (explicit -strategy) and
-	// is also set when an assigned spec fails to build — the pin travels
-	// in statuses, telling the LB to stop re-sending and drop this
-	// worker from allocation instead of looping on a doomed assignment.
-	spec       string
-	swaps      int
-	specPinned bool
 }
 
 // strategySeed derives the deterministic seed for a worker's strategy:
-// distinct per worker (so portfolio peers running the same randomized
-// spec explore differently) and per hot-swap.
-func strategySeed(id, swaps int) int64 {
-	return int64(id+1)*2654435761 + int64(swaps)*7919
+// distinct per worker, so portfolio peers running the same randomized
+// spec explore differently.
+func strategySeed(id int) int64 {
+	return int64(id+1) * 2654435761
 }
 
 // NewWorker builds a worker (its engine fully initialized).
@@ -301,7 +285,7 @@ func NewWorker(cfg WorkerConfig, tr Transport) (*Worker, error) {
 		return nil, err
 	}
 	if cfg.StrategySpec != "" {
-		cfg.Engine.Strategy, err = search.Factory(cfg.StrategySpec, strategySeed(cfg.ID, 0))
+		cfg.Engine.Strategy, err = search.Factory(cfg.StrategySpec, strategySeed(cfg.ID))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: worker %d strategy: %w", cfg.ID, err)
 		}
@@ -330,8 +314,6 @@ func NewWorker(cfg WorkerConfig, tr Transport) (*Worker, error) {
 		ackedTo:      map[int]uint64{},
 		evictedPeers: map[int]uint64{},
 		peerSessions: map[int]bool{},
-		spec:         cfg.StrategySpec,
-		specPinned:   cfg.StrategyPinned,
 		now:          time.Now,
 		// The first status is always a full snapshot.
 		statusesSinceFull: frontierEvery,
@@ -348,7 +330,6 @@ func NewWorker(cfg WorkerConfig, tr Transport) (*Worker, error) {
 	w.resendsCtr = exp.Obs.Counter(obs.MClusterBatchResends)
 	w.reimportsCtr = exp.Obs.Counter(obs.MClusterReimports)
 	w.reseatImportsCtr = exp.Obs.Counter(obs.MClusterReseatImports)
-	w.swapsCtr = exp.Obs.Counter(obs.MClusterStrategySwaps)
 	w.queueGauge = exp.Obs.Gauge(obs.MClusterQueueJobs)
 	w.batchHist = exp.Obs.Histogram(obs.MClusterBatchImportJobs, obs.ExpBuckets(1, 2, 12))
 	w.peerOpens = exp.Obs.Counter(obs.MClusterPeerOpens)
@@ -360,32 +341,8 @@ func NewWorker(cfg WorkerConfig, tr Transport) (*Worker, error) {
 	return w, nil
 }
 
-// Spec returns the strategy spec the worker is currently running.
-func (w *Worker) Spec() string { return w.spec }
-
-// ApplyStrategy hot-swaps the worker's search strategy to the given
-// spec: the new strategy is built with a fresh deterministic seed and
-// re-seeded from the local tree's candidate set. The swap changes only
-// selection order — the frontier, custody state, and all counters are
-// untouched, so exploration totals (and crash-recovery exactness) are
-// preserved. A no-op when the spec is already running.
-func (w *Worker) ApplyStrategy(spec string) error {
-	if spec == "" || spec == w.spec {
-		return nil
-	}
-	s, err := search.Build(spec, w.Exp.Tree, w.Exp.Dist, strategySeed(w.ID, w.swaps+1))
-	if err != nil {
-		return fmt.Errorf("cluster: worker %d strategy swap: %w", w.ID, err)
-	}
-	w.swaps++
-	w.spec = spec
-	w.Exp.SetStrategy(s)
-	w.swapsCtr.Inc()
-	w.journal.Append(obs.EvStrategySwap, map[string]string{
-		"spec": spec, "swap": strconv.Itoa(w.swaps),
-	})
-	return nil
-}
+// Spec returns the strategy spec the worker runs.
+func (w *Worker) Spec() string { return w.cfg.StrategySpec }
 
 // Stopped reports whether the worker received MsgStop (or halted on its
 // own eviction).
@@ -569,22 +526,6 @@ func (w *Worker) drainMailbox() {
 			// re-ranking for dist-opt / cupa(dist,...)).
 			g := coverage.FromWords(msg.CovWords, w.Exp.Cov.Len()-1)
 			w.Exp.MergeGlobalCoverage(g)
-		case MsgStrategy:
-			// Portfolio rebalancing: swap searchers in place. Pinned
-			// workers (explicit -strategy) refuse reassignment; a bad
-			// spec is dropped (the LB validates portfolios up front;
-			// dying mid-run over a search policy would lose real work)
-			// and pins the current strategy, so the LB's reconciliation
-			// stops re-sending an assignment this binary cannot build
-			// (possible across versions — the registry is extensible).
-			if !w.specPinned {
-				if err := w.ApplyStrategy(msg.Spec); err != nil {
-					w.specPinned = true
-					w.journal.Append(obs.EvSpecPin, map[string]string{
-						"spec": msg.Spec, "kept": w.spec,
-					})
-				}
-			}
 		}
 	}
 }
@@ -831,8 +772,7 @@ func (w *Worker) sendStatusOpt(full, onlyNews bool) {
 		Probe:         w.probeSeen,
 		Acks:          acks,
 		ReseatAcks:    reseatAcks,
-		Spec:          w.spec,
-		SpecPinned:    w.specPinned,
+		Spec:          w.cfg.StrategySpec,
 		PeerOpens:     w.peerOpens.Load(),
 		PeerCloses:    w.peerCloses.Load(),
 		PeerFallbacks: w.peerFallbacks.Load(),

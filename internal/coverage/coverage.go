@@ -152,15 +152,3 @@ func (v *BitVec) UnmarshalJSON(data []byte) error {
 	v.n, v.words = j.N, j.Words
 	return nil
 }
-
-// CoveredOf counts covered lines restricted to the given line set
-// (used to report coverage as a percentage of a target's own lines).
-func (v *BitVec) CoveredOf(lines map[int]bool) int {
-	c := 0
-	for ln := range lines {
-		if v.Get(ln) {
-			c++
-		}
-	}
-	return c
-}

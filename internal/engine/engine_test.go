@@ -579,12 +579,14 @@ type globalProbe struct {
 
 func (p *globalProbe) NotifyGlobalCoverage(n int) { p.got += n }
 
-// TestSetStrategyReplaysGlobalCoverage: a strategy hot-swapped in after
-// global overlay deltas arrived must learn about them at the swap — a
-// fresh cov-opt/dist-opt must not run blind until the next MsgCoverage
-// delta happens to arrive.
-func TestSetStrategyReplaysGlobalCoverage(t *testing.T) {
-	e := newExplorer(t, branchy, Config{})
+// TestMergeGlobalCoverageNotifiesOnce: an overlay merge tells a
+// coverage-aware strategy how many lines it added, and merging the same
+// overlay again adds and tells nothing.
+func TestMergeGlobalCoverageNotifiesOnce(t *testing.T) {
+	probe := &globalProbe{Strategy: NewDFS()}
+	e := newExplorer(t, branchy, Config{
+		Strategy: func(*tree.Tree, *cfg.Distance) Strategy { return probe },
+	})
 	// A synthetic peer overlay covering two lines this worker has not
 	// executed yet.
 	lines := coverableLines(e.In.Prog)
@@ -595,25 +597,11 @@ func TestSetStrategyReplaysGlobalCoverage(t *testing.T) {
 	g.Set(lines[0])
 	g.Set(lines[1])
 	added := e.MergeGlobalCoverage(g)
-	if added != 2 {
-		t.Fatalf("merged %d lines, want 2", added)
+	if added != 2 || probe.got != added {
+		t.Fatalf("merged %d lines and notified %d, want 2 and 2", added, probe.got)
 	}
-	// The merge must also reach the distance oracle.
-	if !e.Dist.Covered(lines[0]) || !e.Dist.Covered(lines[1]) {
-		t.Fatal("MergeGlobalCoverage did not sync the distance oracle")
-	}
-	// A strategy swapped in later still hears about the overlay.
-	probe := &globalProbe{Strategy: NewDFS()}
-	e.SetStrategy(probe)
-	if probe.got != added {
-		t.Fatalf("hot-swapped strategy saw %d global lines, want %d", probe.got, added)
-	}
-	// Merging the same overlay again is a no-op (no double notify).
-	if again := e.MergeGlobalCoverage(g); again != 0 {
-		t.Fatalf("re-merge added %d lines, want 0", again)
-	}
-	if probe.got != added {
-		t.Fatalf("re-merge notified the strategy (%d)", probe.got)
+	if again := e.MergeGlobalCoverage(g); again != 0 || probe.got != added {
+		t.Fatalf("re-merge added %d lines and notified %d in all, want 0 and %d", again, probe.got, added)
 	}
 }
 

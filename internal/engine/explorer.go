@@ -118,11 +118,6 @@ type Explorer struct {
 
 	// coverage scratch for the current Advance call.
 	newLines int
-	// globalNew accumulates lines first learned from the cluster's
-	// global overlay; SetStrategy replays it into GlobalCoverageAware
-	// strategies so a hot-swapped searcher doesn't start blind to
-	// coverage the rest of the cluster already banked.
-	globalNew int
 }
 
 // Config bundles explorer construction options.
@@ -189,25 +184,6 @@ func New(in *interp.Interp, entry string, c Config) (*Explorer, error) {
 // Done reports whether the frontier is exhausted.
 func (e *Explorer) Done() bool { return e.Tree.NumCandidates() == 0 }
 
-// SetStrategy hot-swaps the search strategy mid-run: the new strategy's
-// candidate set is re-seeded from the local tree (every current
-// candidate, in deterministic tree order), then it replaces the old one.
-// Used by the cluster layer when the load balancer reassigns a worker's
-// portfolio slot; the swap changes only future selection order, never
-// the candidate set itself, so exploration totals are unaffected.
-//
-// The current global coverage overlay is replayed into the new
-// strategy: coverage-aware searchers discount yield the cluster already
-// banked, and without the replay a hot-swapped one would run blind
-// until the next MsgCoverage delta happened to arrive.
-func (e *Explorer) SetStrategy(s Strategy) {
-	for _, c := range e.Tree.CandidatesUnder(e.Tree.Root, e.Tree.NumCandidates()) {
-		s.Add(c)
-	}
-	e.Strat = s
-	e.NotifyGlobalCoverage(e.globalNew)
-}
-
 // NotifyGlobalCoverage forwards cluster-wide coverage growth (lines
 // newly ORed into the local vector from the global overlay) to the
 // strategy, if it cares.
@@ -227,7 +203,6 @@ func (e *Explorer) NotifyGlobalCoverage(newLines int) {
 func (e *Explorer) MergeGlobalCoverage(g *coverage.BitVec) int {
 	added := e.Cov.OrEach(g, e.Dist.CoverLine)
 	if added > 0 {
-		e.globalNew += added
 		e.covLines.Add(int64(added))
 		e.NotifyGlobalCoverage(added)
 	}

@@ -449,9 +449,10 @@ func (c *CoverageOptimized) Name() string { return "cov-opt" }
 
 // InheritYield starts a newly filed candidate at half its parent's
 // coverage yield, decaying stale signal — but only when the node has
-// none yet: re-Adds (a SetStrategy re-seed) must not overwrite yield
-// that global decay has already discounted. The yield itself is
-// credited once, by the explorer (exploreNode), not per strategy.
+// none yet, so a node filed more than once (cupa files it, then its
+// inner strategy does) keeps the yield it was given first. The yield
+// itself is credited once, by the explorer (exploreNode), not per
+// strategy.
 func InheritYield(n *tree.Node) {
 	if n.CovYield == 0 && n.Parent != nil {
 		n.CovYield = n.Parent.CovYield / 2

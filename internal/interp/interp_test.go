@@ -822,8 +822,8 @@ func TestGuestIDsOutOfRange(t *testing.T) {
 	if res, err := call("__c9_join_wlist", lastTID); err != nil || res.ConstVal() != s.CurThread().JoinWlist {
 		t.Errorf("__c9_join_wlist(%d) = %v, %v; want %d", lastTID, res, err, s.CurThread().JoinWlist)
 	}
-	if res, err := call("__c9_proc_exit_wlist", lastPID); err != nil || res.ConstVal() != s.CurProc().ExitWlist {
-		t.Errorf("__c9_proc_exit_wlist(%d) = %v, %v; want %d", lastPID, res, err, s.CurProc().ExitWlist)
+	if res, err := call("__c9_proc_exit_wlist", lastPID); err != nil || res.ConstVal() != s.Procs[s.CurThread().Proc].ExitWlist {
+		t.Errorf("__c9_proc_exit_wlist(%d) = %v, %v; want %d", lastPID, res, err, s.Procs[s.CurThread().Proc].ExitWlist)
 	}
 }
 

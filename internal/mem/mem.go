@@ -153,30 +153,6 @@ func storedTree(e *expr.Expr, off, n int) *expr.Expr {
 	return expr.Concat(hi, lo)
 }
 
-// IsFullyConcrete reports whether no byte of the object is symbolic.
-func (os *ObjectState) IsFullyConcrete() bool {
-	for _, s := range os.symbolic {
-		if s != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// ConcreteBytes returns the concrete contents under a, using the
-// assignment to concretize symbolic bytes (missing vars read as 0).
-func (os *ObjectState) ConcreteBytes(a expr.Assignment) []byte {
-	out := make([]byte, len(os.concrete))
-	copy(out, os.concrete)
-	for i, s := range os.symbolic {
-		if s != nil {
-			v, _ := s.Eval(a)
-			out[i] = byte(v)
-		}
-	}
-	return out
-}
-
 // Allocator issues deterministic virtual addresses. Each execution state
 // holds one by value; a fork copies the two words, so identical paths
 // allocate identical addresses regardless of which worker replays them.
@@ -331,9 +307,6 @@ func (as *AddressSpace) Writable(os *ObjectState) *ObjectState {
 	}
 	return w
 }
-
-// NumObjects returns the number of bound objects.
-func (as *AddressSpace) NumObjects() int { return len(as.objs) }
 
 // Objects calls fn for each bound object state, in address order.
 func (as *AddressSpace) Objects(fn func(*ObjectState)) {

@@ -39,7 +39,7 @@ func TestSymbolicReadWrite(t *testing.T) {
 	_, os := newObj(t, 16)
 	v := expr.Var(1, "in")
 	os.PutByte(4, v)
-	if os.IsFullyConcrete() {
+	if isFullyConcrete(os) {
 		t.Fatal("object should have a symbolic byte")
 	}
 	got := os.Byte(4)
@@ -56,7 +56,7 @@ func TestSymbolicReadWrite(t *testing.T) {
 	}
 	// Overwriting with a constant restores concreteness.
 	os.PutByte(4, expr.Const(9, expr.W8))
-	if !os.IsFullyConcrete() {
+	if !isFullyConcrete(os) {
 		t.Fatal("constant write should clear symbolic byte")
 	}
 }
@@ -75,13 +75,37 @@ func TestWideSymbolicRoundTrip(t *testing.T) {
 	}
 }
 
+// isFullyConcrete reports whether no byte of the object is symbolic.
+func isFullyConcrete(os *ObjectState) bool {
+	for _, s := range os.symbolic {
+		if s != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// concreteBytes returns the concrete contents under a, using the
+// assignment to concretize symbolic bytes (missing vars read as 0).
+func concreteBytes(os *ObjectState, a expr.Assignment) []byte {
+	out := make([]byte, len(os.concrete))
+	copy(out, os.concrete)
+	for i, s := range os.symbolic {
+		if s != nil {
+			v, _ := s.Eval(a)
+			out[i] = byte(v)
+		}
+	}
+	return out
+}
+
 func TestConcreteBytesUnderAssignment(t *testing.T) {
 	_, os := newObj(t, 4)
 	os.PutByte(0, expr.Const('G', expr.W8))
 	os.PutByte(1, expr.Var(7, "x"))
 	var asg expr.Assignment
 	asg.Set(7, 'E')
-	bytes := os.ConcreteBytes(asg)
+	bytes := concreteBytes(os, asg)
 	if bytes[0] != 'G' || bytes[1] != 'E' {
 		t.Fatalf("concretized = %q", bytes)
 	}
@@ -283,7 +307,7 @@ func TestQuickIndexAgreesWithModel(t *testing.T) {
 	check := func(as *AddressSpace, m model) bool {
 		var bases []uint64
 		as.Objects(func(os *ObjectState) { bases = append(bases, os.Obj.Base) })
-		if as.NumObjects() != len(m) || len(bases) != len(m) || !sort.SliceIsSorted(bases, func(i, j int) bool { return bases[i] < bases[j] }) {
+		if len(as.objs) != len(m) || len(bases) != len(m) || !sort.SliceIsSorted(bases, func(i, j int) bool { return bases[i] < bases[j] }) {
 			return false
 		}
 		for _, o := range pool {

@@ -130,16 +130,13 @@ const (
 	EvWorkerEvict    = "worker-evict"    // LB: lease lapsed, member evicted
 	EvCustodyReseat  = "custody-reseat"  // LB: orphaned frontier re-seated onto a survivor
 	EvReseatReplayed = "reseat-replayed" // LB: survivor acked the re-seat batch
-	EvRebalance      = "portfolio-rebalance"
-	EvSpecPin        = "spec-pin"
-	EvBatchGap       = "batch-gap"      // worker: out-of-order batch dropped
-	EvBatchResend    = "batch-resend"   // worker: unacked batch re-sent
-	EvBatchReimport  = "batch-reimport" // worker: unacked jobs reimported after peer eviction
-	EvReseatImport   = "reseat-import"  // worker: re-seated jobs imported from LB
-	EvStrategySwap   = "strategy-swap"  // worker: hot-swapped search strategy
-	EvCrash          = "worker-crash"   // worker: simulated kill -9
-	EvRetire         = "worker-retire"  // worker: graceful shutdown
-	EvBudgetKill     = "budget-kill"    // engine: solver budget exhausted, state dropped
+	EvBatchGap       = "batch-gap"       // worker: out-of-order batch dropped
+	EvBatchResend    = "batch-resend"    // worker: unacked batch re-sent
+	EvBatchReimport  = "batch-reimport"  // worker: unacked jobs reimported after peer eviction
+	EvReseatImport   = "reseat-import"   // worker: re-seated jobs imported from LB
+	EvCrash          = "worker-crash"    // worker: simulated kill -9
+	EvRetire         = "worker-retire"   // worker: graceful shutdown
+	EvBudgetKill     = "budget-kill"     // engine: solver budget exhausted, state dropped
 
 	// Balancer restart (c9-lb -resume).
 	EvResync        = "resync"         // resumed LB: the re-hello window closed (fields: members, stale, next_id, next_epoch)

@@ -60,7 +60,6 @@ const (
 	MClusterBatchResends    = "c9_cluster_batch_resends_total"
 	MClusterReimports       = "c9_cluster_reimports_total"
 	MClusterReseatImports   = "c9_cluster_reseat_imports_total"
-	MClusterStrategySwaps   = "c9_cluster_strategy_swaps_total"
 	MClusterQueueJobs       = "c9_cluster_queue_jobs"        // gauge
 	MClusterBatchImportJobs = "c9_cluster_batch_import_jobs" // histogram
 
@@ -82,7 +81,6 @@ const (
 	MLBStatesTransferred = "c9_lb_states_transferred_total"
 	MLBReseats           = "c9_lb_reseats_total"
 	MLBReseatJobs        = "c9_lb_reseat_jobs_total"
-	MLBRebalances        = "c9_lb_rebalances_total"
 	MLBCoverageLines     = "c9_lb_coverage_lines" // gauge
 
 	// Data plane, LB side. MLBPayloadBytes counts job-payload bytes that

@@ -104,9 +104,6 @@ func NewCUPA(cls Classifier, newInner func() engine.Strategy, seed int64) *CUPA 
 // Name implements engine.Strategy.
 func (c *CUPA) Name() string { return c.name }
 
-// NumClasses returns the number of currently non-empty classes.
-func (c *CUPA) NumClasses() int { return len(c.keys.items) }
-
 // Add implements engine.Strategy.
 func (c *CUPA) Add(n *tree.Node) {
 	if _, dup := c.where[n]; dup {

@@ -45,12 +45,12 @@
 //	c9 -target test   -strategy 'cupa(site,dist-opt)'
 //	c9-lb -portfolio 'dist-opt,cupa(dist,dfs),dfs'
 //
-// Specs are plain strings, so the load balancer can assign them at
-// Hello, carry them in membership messages, and hand a worker a new one
-// mid-run (the worker rebuilds the strategy and re-seeds it from its
-// local tree via engine.Explorer.SetStrategy). Randomized strategies
-// derive their seeds deterministically from the seed passed to Build,
-// which is how the lock-step simulation stays bit-for-bit reproducible.
+// Specs are plain strings, so the load balancer hands one to each
+// worker in its HelloAck and the worker reports it in every status; a
+// worker runs the spec it joined with until it leaves. Randomized
+// strategies derive their seeds deterministically from the seed passed
+// to Build, which is how the lock-step simulation stays bit-for-bit
+// reproducible.
 //
 // # Distance-to-uncovered strategies
 //

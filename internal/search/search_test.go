@@ -378,6 +378,9 @@ func (f fakeBander) ClassOf(n *tree.Node) uint64 {
 	return uint64(n.Depth % 2) // then split by depth parity
 }
 
+// numClasses returns the number of currently non-empty classes.
+func (c *CUPA) numClasses() int { return len(c.keys.items) }
+
 // TestCUPARebandsCoverageSensitive: when a coverage-sensitive
 // classifier's bands move (as dist's do whenever the overlay grows),
 // a coverage notification must re-file the frontier under the new
@@ -391,8 +394,8 @@ func TestCUPARebandsCoverageSensitive(t *testing.T) {
 	for _, n := range leaves {
 		s.Add(n)
 	}
-	if s.NumClasses() != 1 {
-		t.Fatalf("pre-reband classes = %d, want 1", s.NumClasses())
+	if s.numClasses() != 1 {
+		t.Fatalf("pre-reband classes = %d, want 1", s.numClasses())
 	}
 	// Bands move; a zero delta must NOT trigger re-banding, a positive
 	// one must — observed after the next Select (re-banding is deferred
@@ -400,14 +403,14 @@ func TestCUPARebandsCoverageSensitive(t *testing.T) {
 	gen = 1
 	s.NotifyGlobalCoverage(0)
 	tr.MarkDead(s.Select())
-	if s.NumClasses() != 1 {
-		t.Fatalf("zero delta re-banded (%d classes)", s.NumClasses())
+	if s.numClasses() != 1 {
+		t.Fatalf("zero delta re-banded (%d classes)", s.numClasses())
 	}
 	s.NotifyGlobalCoverage(3)
 	s.NotifyGlobalCoverage(2) // coalesces with the previous delta
 	tr.MarkDead(s.Select())
-	if s.NumClasses() != 2 {
-		t.Fatalf("post-reband classes = %d, want 2", s.NumClasses())
+	if s.numClasses() != 2 {
+		t.Fatalf("post-reband classes = %d, want 2", s.numClasses())
 	}
 	// The re-filed frontier still drains exactly once each.
 	seen := 2 // the two nodes consumed above
@@ -438,8 +441,8 @@ func TestCUPARebandsCoverageSensitive(t *testing.T) {
 	gen = 1
 	s2.NotifyCoverage(leaves2[0], 2)
 	tr2.MarkDead(s2.Select())
-	if s2.NumClasses() != 2 {
-		t.Fatalf("local-coverage reband classes = %d, want 2", s2.NumClasses())
+	if s2.numClasses() != 2 {
+		t.Fatalf("local-coverage reband classes = %d, want 2", s2.numClasses())
 	}
 }
 

@@ -125,9 +125,6 @@ type ConstraintSet struct {
 	memo   *setState
 }
 
-// EmptySet is the constraint set with no constraints.
-var EmptySet = (*ConstraintSet)(nil)
-
 // Append returns a new set containing all of cs plus c. Constant-true
 // constraints are dropped.
 func (cs *ConstraintSet) Append(c *expr.Expr) *ConstraintSet {

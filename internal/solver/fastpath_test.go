@@ -33,7 +33,7 @@ func branchChain(cs *ConstraintSet, depth, nvars int, base uint64) *ConstraintSe
 // boundsChain is 256 range constraints pinning 64 bytes below 50, and
 // boundsCond(i) a branch that holds on every value those bounds allow.
 func boundsChain() *ConstraintSet {
-	cs := EmptySet
+	cs := emptySet
 	for i := 0; i < 256; i++ {
 		cs = cs.Append(expr.Binary(expr.OpUlt, v(uint64(i%64)), c8(50)))
 	}
@@ -60,8 +60,8 @@ func appendStep(cs *ConstraintSet, i int) *ConstraintSet {
 func TestForkDecidedByBounds(t *testing.T) {
 	s := New()
 	cs := boundsChain()
-	if ok, err := s.CheckSat(cs); err != nil || !ok {
-		t.Fatalf("CheckSat = %v, %v", ok, err)
+	if ok, err := s.checkSat(cs); err != nil || !ok {
+		t.Fatalf("checkSat = %v, %v", ok, err)
 	}
 	before := s.Stats.Snapshot()
 	for i := 0; i < 64; i++ {
@@ -83,9 +83,9 @@ func TestForkDecidedByBounds(t *testing.T) {
 // query derives no state. The other child derives its own.
 func TestForkHandsExtensionToChild(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(200))).Append(expr.Binary(expr.OpUlt, v(1), v(0)))
-	if ok, err := s.CheckSat(cs); err != nil || !ok {
-		t.Fatalf("CheckSat = %v, %v", ok, err)
+	cs := emptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(200))).Append(expr.Binary(expr.OpUlt, v(1), v(0)))
+	if ok, err := s.checkSat(cs); err != nil || !ok {
+		t.Fatalf("checkSat = %v, %v", ok, err)
 	}
 	cond := expr.Eq(v(0), c8(7))
 	held, ok := cond.Eval(s.state(cs).model)
@@ -101,8 +101,8 @@ func TestForkHandsExtensionToChild(t *testing.T) {
 	}
 	extends := func(child *ConstraintSet) uint64 {
 		before := s.Stats.Snapshot().StateExtends
-		if ok, err := s.CheckSat(child); err != nil || !ok {
-			t.Fatalf("CheckSat(%v) = %v, %v", child.Slice(), ok, err)
+		if ok, err := s.checkSat(child); err != nil || !ok {
+			t.Fatalf("checkSat(%v) = %v, %v", child.Slice(), ok, err)
 		}
 		return s.Stats.Snapshot().StateExtends - before
 	}
@@ -121,9 +121,9 @@ func TestForkHandsExtensionToChild(t *testing.T) {
 func TestForkCostIsDepthIndependent(t *testing.T) {
 	cost := func(filler int) (extends, runs uint64) {
 		s := New()
-		cs := branchChain(branchChain(EmptySet, filler, 64, 1000), 64, 32, 0)
-		if ok, err := s.CheckSat(cs); err != nil || !ok {
-			t.Fatalf("CheckSat = %v, %v", ok, err)
+		cs := branchChain(branchChain(emptySet, filler, 64, 1000), 64, 32, 0)
+		if ok, err := s.checkSat(cs); err != nil || !ok {
+			t.Fatalf("checkSat = %v, %v", ok, err)
 		}
 		before := s.Stats.Snapshot()
 		for i := 0; i < 64; i++ {
@@ -144,10 +144,10 @@ func TestForkCostIsDepthIndependent(t *testing.T) {
 // BenchmarkBranchQuery: one branch site, both directions, on a warmed
 // 256-deep set: the fused incremental Fork.
 func BenchmarkBranchQuery(b *testing.B) {
-	cs := branchChain(EmptySet, 256, 128, 0)
+	cs := branchChain(emptySet, 256, 128, 0)
 	cond := func(i int) *expr.Expr { return expr.Eq(v(uint64(i%128)), c8(uint64(i%90))) }
 	s := New()
-	if ok, err := s.CheckSat(cs); err != nil || !ok {
+	if ok, err := s.checkSat(cs); err != nil || !ok {
 		b.Fatal("chain must be sat")
 	}
 	b.ResetTimer()
@@ -163,7 +163,7 @@ func BenchmarkBranchQuery(b *testing.B) {
 func BenchmarkIntervalBranch(b *testing.B) {
 	cs := boundsChain()
 	s := New()
-	if ok, err := s.CheckSat(cs); err != nil || !ok {
+	if ok, err := s.checkSat(cs); err != nil || !ok {
 		b.Fatal("chain must be sat")
 	}
 	b.ResetTimer()
@@ -178,10 +178,10 @@ func BenchmarkIntervalBranch(b *testing.B) {
 // with a feasibility check after every append.
 func BenchmarkIncrementalAppendSolve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, cs := New(), EmptySet
+		s, cs := New(), emptySet
 		for d := 0; d < 256; d++ {
 			cs = appendStep(cs, d)
-			if ok, err := s.CheckSat(cs); err != nil || !ok {
+			if ok, err := s.checkSat(cs); err != nil || !ok {
 				b.Fatal("chain must stay sat")
 			}
 		}
@@ -191,7 +191,7 @@ func BenchmarkIncrementalAppendSolve(b *testing.B) {
 // BenchmarkSolverCaches: branch queries on one solver, its caches warm
 // across queries, against a fresh solver per query.
 func BenchmarkSolverCaches(b *testing.B) {
-	cs := EmptySet
+	cs := emptySet
 	for i := uint64(0); i < 12; i++ {
 		cs = cs.Append(expr.Binary(expr.OpUlt, v(i), c8(200)))
 		cs = cs.Append(expr.Not(expr.Eq(v(i), v((i+1)%12))))

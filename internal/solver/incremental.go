@@ -63,9 +63,9 @@ type setState struct {
 	// satisfiability of this set: it satisfies units and every solved
 	// group (unsolved groups are independently satisfiable by the
 	// exploration invariant — states only exist on feasible paths).
-	// Fork evaluates branch conditions against it and CheckSat returns
-	// it; never used for full-model (concretization) queries, which
-	// must stay canonical. A kept extension's model is its query's
+	// Fork evaluates branch conditions against it and a check of the
+	// set itself returns it; never used for full-model (concretization)
+	// queries, which must stay canonical. A kept extension's model is its query's
 	// until the child that adopts it finds the parent's satisfies the
 	// new constraint too. A model is shared — with child states and,
 	// when no search bound anything, the units of the set or of the

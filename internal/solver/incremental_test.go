@@ -105,7 +105,7 @@ func checkChildState(t *testing.T, s *Solver, child *ConstraintSet) bool {
 			t.Fatalf("%v: the parent still keeps the extension its child adopted", child.Slice())
 		}
 	}
-	fresh := EmptySet
+	fresh := emptySet
 	for _, c := range child.Slice() {
 		fresh = fresh.Append(c)
 	}
@@ -132,7 +132,7 @@ func stateShape(st *setState) setState {
 // sat. The solver must say unsat, as enumeration does.
 func TestCondUnitSeveredGroupStillSolved(t *testing.T) {
 	build := func() *ConstraintSet {
-		return EmptySet.
+		return emptySet.
 			Append(expr.Ule(v(0), v(1))).
 			Append(expr.Ule(v(1), c8(3)))
 	}
@@ -141,7 +141,7 @@ func TestCondUnitSeveredGroupStillSolved(t *testing.T) {
 	// And the Fork at such a branch site only keeps the false side.
 	s := New()
 	cs := build()
-	if ok, err := s.CheckSat(cs); err != nil || !ok {
+	if ok, err := s.checkSat(cs); err != nil || !ok {
 		t.Fatalf("base set should be sat: %v %v", ok, err)
 	}
 	if mayT, mayF, known := checkFork(t, s, cs, cond); !known || mayT || !mayF {
@@ -156,7 +156,7 @@ func TestBudgetRaiseRetriesQuery(t *testing.T) {
 	s := New()
 	s.MaxBacktracks = 1 << 10
 	// Unsat, but only after 262,400 backtracks.
-	cs := EmptySet
+	cs := emptySet
 	for _, c := range hardGroups()[0].cons {
 		cs = cs.Append(c)
 	}
@@ -191,7 +191,7 @@ func mayBeTrueAgrees(t *testing.T, s *Solver, cs *ConstraintSet, cond *expr.Expr
 // first query genuinely reaches tier 3.
 func TestSupersetOfUnsatSetIsUnsat(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Eq(c8(10), expr.Add(v(0), v(1))))
+	cs := emptySet.Append(expr.Eq(c8(10), expr.Add(v(0), v(1))))
 	cond := expr.Eq(c8(20), expr.Add(v(0), v(1))) // sum ≡ 10 ∧ sum ≡ 20: unsat via search
 	mayBeTrueAgrees(t, s, cs, cond, false)
 	// A different, larger set containing the same contradiction.
@@ -207,12 +207,12 @@ func TestSupersetOfUnsatSetIsUnsat(t *testing.T) {
 // A subset of a known-sat constraint set, on a fresh chain, is sat.
 func TestSubsetOfSatSetIsSat(t *testing.T) {
 	s := New()
-	big := EmptySet.
+	big := emptySet.
 		Append(expr.Binary(expr.OpUlt, v(0), c8(10))).
 		Append(expr.Binary(expr.OpUlt, v(1), c8(10)))
 	cond := expr.Binary(expr.OpUlt, c8(3), v(0))
 	mayBeTrueAgrees(t, s, big, cond, true)
-	small := EmptySet.Append(expr.Binary(expr.OpUlt, v(1), c8(10)))
+	small := emptySet.Append(expr.Binary(expr.OpUlt, v(1), c8(10)))
 	mayBeTrueAgrees(t, s, small, cond, true)
 }
 
@@ -220,8 +220,8 @@ func TestSubsetOfSatSetIsSat(t *testing.T) {
 // cached witness model — at most one full query per branch site.
 func TestForkFastPath(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10)))
-	if ok, err := s.CheckSat(cs); err != nil || !ok {
+	cs := emptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10)))
+	if ok, err := s.checkSat(cs); err != nil || !ok {
 		t.Fatalf("set should be sat: %v %v", ok, err)
 	}
 	before := s.Stats.Snapshot()
@@ -244,19 +244,19 @@ func TestForkFastPath(t *testing.T) {
 
 // Appending onto a solved set extends its memoized state instead of
 // reprocessing the whole chain: down a 256-deep chain every Append +
-// CheckSat is exactly one state extension (from the root it is the
+// checkSat is exactly one state extension (from the root it is the
 // depth), and a check revisits no group the chain already solved.
 func TestIncrementalAppendIsO1(t *testing.T) {
 	s := New()
-	cs := EmptySet
+	cs := emptySet
 	for d := 0; d < 256; d++ {
 		cs = cs.Append(expr.Binary(expr.OpUlt, v(uint64(d%16)), c8(200)))
 		before := s.Stats.StateExtends
-		if ok, err := s.CheckSat(cs); err != nil || !ok {
+		if ok, err := s.checkSat(cs); err != nil || !ok {
 			t.Fatalf("chain should stay sat at depth %d: %v %v", d+1, ok, err)
 		}
 		if n := s.Stats.StateExtends - before; n != 1 {
-			t.Fatalf("Append + CheckSat at depth %d extended %d states, want 1", d+1, n)
+			t.Fatalf("Append + checkSat at depth %d extended %d states, want 1", d+1, n)
 		}
 	}
 	// A set whose state carries a witness is sat as it stands: 136 visits
@@ -284,7 +284,7 @@ func forget(rng *rand.Rand, cs *ConstraintSet) {
 // solver stamped.
 func TestStateEvictionRebuild(t *testing.T) {
 	s := New()
-	cs := EmptySet
+	cs := emptySet
 	var chain []*ConstraintSet
 	for i := uint64(0); i < 32; i++ {
 		cs = cs.Append(expr.Binary(expr.OpUlt, v(i%8), c8(uint64(100+i))))
@@ -381,7 +381,7 @@ func TestSharedWitnessesAreNeverWritten(t *testing.T) {
 	s := New()
 	// The unit on v5 makes the set's units six long: ids 1 to 4 fall
 	// inside them, 7 and up past them.
-	cs := EmptySet.Append(expr.Eq(c8(3), v(5))).Append(expr.Binary(expr.OpUlt, v(1), v(2)))
+	cs := emptySet.Append(expr.Eq(c8(3), v(5))).Append(expr.Binary(expr.OpUlt, v(1), v(2)))
 	child := cs.Append(expr.Eq(c8(4), v(6)))
 	if ok, err := s.MayBeTrue(cs, expr.Binary(expr.OpUlt, v(1), v(3))); err != nil || !ok {
 		t.Fatalf("MayBeTrue = %v, %v", ok, err)
@@ -405,8 +405,8 @@ func TestSharedWitnessesAreNeverWritten(t *testing.T) {
 			t.Fatalf("Solve = %v, %v", sat, err)
 		}
 		keep(m)
-		if ok, err := s.CheckSat(set); err != nil || !ok {
-			t.Fatalf("CheckSat = %v, %v", ok, err)
+		if ok, err := s.checkSat(set); err != nil || !ok {
+			t.Fatalf("checkSat = %v, %v", ok, err)
 		}
 		for _, cond := range []*expr.Expr{expr.Binary(expr.OpUlt, v(1), v(4)), expr.Binary(expr.OpUlt, v(1), v(9))} {
 			if ok, err := s.MayBeTrue(set, cond); err != nil || !ok {
@@ -437,7 +437,7 @@ func TestSharedWitnessesAreNeverWritten(t *testing.T) {
 func TestFullModelSolveAfterAppendIsFlat(t *testing.T) {
 	const top = 1000
 	allocs := func(depth int) float64 {
-		s, cs, id := New(), EmptySet, uint64(top)
+		s, cs, id := New(), emptySet, uint64(top)
 		grow := func() {
 			cs = cs.Append(expr.Binary(expr.OpUlt, v(id), c8(200)))
 			id--

@@ -84,7 +84,7 @@ func forkByBounds(t *testing.T, s *Solver, cs *ConstraintSet, cond *expr.Expr, w
 // tier alone.
 func TestIntervalComparisonChainFixpoint(t *testing.T) {
 	s := New()
-	cs := EmptySet.
+	cs := emptySet.
 		Append(expr.Binary(expr.OpUlt, v(0), c8(10))).
 		Append(expr.Ule(v(1), v(0))).
 		Append(expr.Binary(expr.OpUlt, v(2), v(1)))
@@ -96,7 +96,7 @@ func TestIntervalComparisonChainFixpoint(t *testing.T) {
 // interval tier decides Forks against it.
 func TestIntervalUnitPinsBounds(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Eq(v(0), c8(7)))
+	cs := emptySet.Append(expr.Eq(v(0), c8(7)))
 	forkByBounds(t, s, cs, expr.Binary(expr.OpUlt, v(0), c8(5)), false) // v0==7 ∧ v0<5 is unsat
 }
 
@@ -105,7 +105,7 @@ func TestIntervalUnitPinsBounds(t *testing.T) {
 // search.
 func TestIntervalForwardAdd(t *testing.T) {
 	s := New()
-	cs := EmptySet.
+	cs := emptySet.
 		Append(expr.Binary(expr.OpUlt, v(0), c8(10))).
 		Append(expr.Binary(expr.OpUlt, v(1), c8(10)))
 	forkByBounds(t, s, cs, expr.Binary(expr.OpUlt, expr.Add(v(0), v(1)), c8(50)), true) // sum of two <10 bytes is < 50
@@ -115,7 +115,7 @@ func TestIntervalForwardAdd(t *testing.T) {
 // byte constrains the byte itself.
 func TestIntervalNarrowThroughZExt(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Binary(expr.OpUlt, w32(v(0)), c32(100)))
+	cs := emptySet.Append(expr.Binary(expr.OpUlt, w32(v(0)), c32(100)))
 	forkByBounds(t, s, cs, expr.Binary(expr.OpUlt, v(0), c8(200)), true) // v0 < 100 implies v0 < 200
 	forkByBounds(t, s, cs, expr.Ule(c8(100), v(0)), false)               // v0 < 100 contradicts v0 ≥ 100
 }
@@ -125,7 +125,7 @@ func TestIntervalNarrowThroughZExt(t *testing.T) {
 // are even searched.
 func TestIntervalEmptyProvesUnsat(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(5)))
+	cs := emptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(5)))
 	// v9 ≤ v0 (≤ 4) ∧ 10 ≤ v9: forward evaluation of each conjunct is
 	// indeterminate, but the joint narrowing empties v9's interval.
 	cond := expr.LAnd(expr.Ule(v(9), v(0)), expr.Ule(c8(10), v(9)))
@@ -193,12 +193,12 @@ func TestExtendAllocBudget(t *testing.T) {
 		var first float64
 		for _, depth := range tc.depths {
 			s := New()
-			cs := EmptySet
+			cs := emptySet
 			for i := 0; i < depth; i++ {
 				cs = cs.Append(tc.path(v(uint64(i))))
 			}
-			if ok, err := s.CheckSat(cs); err != nil || !ok {
-				t.Fatalf("CheckSat = %v, %v", ok, err)
+			if ok, err := s.checkSat(cs); err != nil || !ok {
+				t.Fatalf("checkSat = %v, %v", ok, err)
 			}
 			fresh := v(uint64(depth))
 			n := testing.AllocsPerRun(100, func() {
@@ -243,7 +243,7 @@ func FuzzIntervalSound(f *testing.F) {
 		}
 		var vals expr.Assignment
 		s := New()
-		cs := EmptySet
+		cs := emptySet
 		for i, c := range conds {
 			st := s.state(cs)
 			// Every solution of cs, by enumeration.
@@ -341,7 +341,7 @@ func soundCond(ids [2]uint64, b []byte) *expr.Expr {
 // may-queries over a set first, and so holds their group results,
 // computes the same full model of it as a fresh solver that never did.
 func TestWarmSolveKeepsModelsCanonical(t *testing.T) {
-	cs := EmptySet.
+	cs := emptySet.
 		Append(expr.Binary(expr.OpUlt, v(0), c8(100))).
 		Append(expr.Ule(v(1), v(0))).
 		Append(expr.Not(expr.Eq(v(1), c8(0))))
@@ -354,8 +354,8 @@ func TestWarmSolveKeepsModelsCanonical(t *testing.T) {
 
 	b := New()
 	// Warm b with may-queries over the same set, whose bounds are tight.
-	if ok, err := b.CheckSat(cs); err != nil || !ok {
-		t.Fatalf("CheckSat should be sat: %v %v", ok, err)
+	if ok, err := b.checkSat(cs); err != nil || !ok {
+		t.Fatalf("checkSat should be sat: %v %v", ok, err)
 	}
 	if ok, err := b.MayBeTrue(cs, expr.Binary(expr.OpUlt, v(1), v(0))); err != nil || !ok {
 		t.Fatalf("warm query should be sat: %v %v", ok, err)

@@ -16,7 +16,7 @@ const killBudget = 64
 // for every k, so the query cache misses, holding the same group, since
 // the unit binds no group variable and leaves no constraint behind.
 func behindUnit(k uint64, cons []*expr.Expr) *ConstraintSet {
-	cs := EmptySet.Append(expr.Eq(c8(k), v(100)))
+	cs := emptySet.Append(expr.Eq(c8(k), v(100)))
 	for _, c := range cons {
 		cs = cs.Append(c)
 	}
@@ -39,7 +39,7 @@ func freshKill(t *testing.T, cs *ConstraintSet, budget uint64) BudgetError {
 	t.Helper()
 	s := New()
 	s.MaxBacktracks = budget
-	_, err := s.CheckSat(cs)
+	_, err := s.checkSat(cs)
 	return *mustKill(t, err)
 }
 
@@ -49,13 +49,13 @@ func TestKillMemoReplaysTheKill(t *testing.T) {
 	for _, g := range hardGroups() {
 		s := New()
 		s.MaxBacktracks = killBudget
-		_, err := s.CheckSat(behindUnit(1, g.cons))
+		_, err := s.checkSat(behindUnit(1, g.cons))
 		if first := mustKill(t, err); first.Memo {
 			t.Fatalf("%s: the first kill came from the memo", g.name)
 		}
 		before := s.Stats.Snapshot()
 		cs := behindUnit(2, g.cons)
-		_, err = s.CheckSat(cs)
+		_, err = s.checkSat(cs)
 		kill := mustKill(t, err)
 		after := s.Stats.Snapshot()
 		if after.SolverRuns != before.SolverRuns || after.Backtracks != before.Backtracks {
@@ -88,7 +88,7 @@ func TestKillMemoKey(t *testing.T) {
 		answer bool // answered from the memo
 	}{
 		{"same input", mc.cons, func(s *Solver, _ *ConstraintSet) error {
-			_, err := s.CheckSat(behindUnit(2, mc.cons))
+			_, err := s.checkSat(behindUnit(2, mc.cons))
 			return err
 		}, true},
 		{"another order", mc.cons, func(s *Solver, _ *ConstraintSet) error {
@@ -97,14 +97,14 @@ func TestKillMemoKey(t *testing.T) {
 			if groupHash(rev) != mc.key {
 				t.Fatal("reordering changed the group key")
 			}
-			_, err := s.CheckSat(behindUnit(2, rev))
+			_, err := s.checkSat(behindUnit(2, rev))
 			return err
 		}, false},
 		{"Solve on tightened bounds", capped, func(s *Solver, rec *ConstraintSet) error {
 			if iv := s.state(rec).bounds.get(4); iv == (ival8{0, 255}) {
 				t.Fatal("pkt1#4 < 250 did not narrow its bounds")
 			}
-			_, _, err := s.Solve(rec) // the recording CheckSat was a may-query
+			_, _, err := s.Solve(rec) // the recording checkSat was a may-query
 			if kill := mustKill(t, err); !kill.Memo {
 				t.Error("the full-model query searched again")
 			}
@@ -116,21 +116,21 @@ func TestKillMemoKey(t *testing.T) {
 			ids := groupIDs(mc.cons)
 			var units expr.Assignment
 			units.Set(ids[0], 7)
-			cs := EmptySet.Append(expr.Eq(c8(3), v(100)))
+			cs := emptySet.Append(expr.Eq(c8(3), v(100)))
 			cs.memo = &setState{owner: s, units: units, bounds: s.state(rec).bounds,
 				groups: []*igroup{{cons: mc.cons, vars: expr.VarSetOf(ids), key: mc.key}}}
-			_, err := s.CheckSat(cs)
+			_, err := s.checkSat(cs)
 			return err
 		}, false},
 		{"raised budget", mc.cons, func(s *Solver, _ *ConstraintSet) error {
 			s.MaxBacktracks = 2 * killBudget
-			_, err := s.CheckSat(behindUnit(2, mc.cons))
+			_, err := s.checkSat(behindUnit(2, mc.cons))
 			return err
 		}, false},
 		{"lowered budget", mc.cons, func(s *Solver, _ *ConstraintSet) error {
 			s.MaxBacktracks = killBudget / 2
 			cs := behindUnit(2, mc.cons)
-			_, err := s.CheckSat(cs)
+			_, err := s.checkSat(cs)
 			if kill := mustKill(t, err); kill.Memo {
 				got := *kill
 				got.Memo = false
@@ -146,7 +146,7 @@ func TestKillMemoKey(t *testing.T) {
 			s := New()
 			s.MaxBacktracks = killBudget
 			rec := behindUnit(1, c.cons)
-			if _, err := s.CheckSat(rec); !errors.Is(err, ErrBudget) {
+			if _, err := s.checkSat(rec); !errors.Is(err, ErrBudget) {
 				t.Fatalf("recording query: want a budget kill, got %v", err)
 			}
 			before := s.Stats.Snapshot()
@@ -171,7 +171,7 @@ func TestKillMemoIsBounded(t *testing.T) {
 	mc := hardGroups()[0]
 	for i := range 10 {
 		cons := append(slices.Clone(mc.cons), expr.Binary(expr.OpUlt, expr.Var(4, "pkt1"), c8(uint64(250-i))))
-		if _, err := s.CheckSat(behindUnit(1, cons)); !errors.Is(err, ErrBudget) {
+		if _, err := s.checkSat(behindUnit(1, cons)); !errors.Is(err, ErrBudget) {
 			t.Fatalf("group %d: want a budget kill, got %v", i, err)
 		}
 		if len(s.kills) > s.maxCache || len(s.killKeys) != len(s.kills) {

@@ -149,12 +149,6 @@ func (s *Solver) MayBeTrue(cs *ConstraintSet, cond *expr.Expr) (bool, error) {
 	return sat, err
 }
 
-// CheckSat reports whether cs itself is satisfiable.
-func (s *Solver) CheckSat(cs *ConstraintSet) (bool, error) {
-	sat, _, err := s.check(cs, nil, false)
-	return sat, err
-}
-
 // Solve returns a full model of cs (every referenced variable bound).
 // ok=false means unsatisfiable. Each constraint must be defined on every
 // solution of those before it ("Undefined conditions", package doc).
@@ -248,10 +242,10 @@ func (s *Solver) check(cs *ConstraintSet, cond *expr.Expr, fullModel bool) (bool
 	if cond != nil {
 		ext = s.extendBy(st, cond)
 	} else if !fullModel && st.model != nil {
-		// CheckSat on a set whose state already carries a witness: no
-		// group needs visiting. Nothing in the engine asks this;
-		// TestIncrementalAppendIsO1 (append, then CheckSat, 256 deep)
-		// visits 136 groups with it and 3,976 without.
+		// A satisfiability check of cs itself, whose state already
+		// carries a witness: no group needs visiting. Nothing in the
+		// engine asks this; TestIncrementalAppendIsO1 (append, then
+		// check, 256 deep) visits 136 groups with it and 3,976 without.
 		return true, st.model, nil
 	}
 

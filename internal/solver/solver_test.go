@@ -27,6 +27,15 @@ func (cs *ConstraintSet) Slice() []*expr.Expr {
 	return out
 }
 
+// emptySet is the constraint set with no constraints.
+var emptySet = (*ConstraintSet)(nil)
+
+// checkSat reports whether cs itself is satisfiable.
+func (s *Solver) checkSat(cs *ConstraintSet) (bool, error) {
+	sat, _, err := s.check(cs, nil, false)
+	return sat, err
+}
+
 // EvalAll reports whether every constraint is satisfied by a. Missing
 // variables make it return false.
 func (cs *ConstraintSet) EvalAll(a expr.Assignment) bool {
@@ -61,14 +70,14 @@ func TestStatsSnapshotCopiesEveryField(t *testing.T) {
 
 func TestEmptySetSat(t *testing.T) {
 	s := New()
-	sat, err := s.CheckSat(EmptySet)
+	sat, err := s.checkSat(emptySet)
 	if err != nil || !sat {
 		t.Fatalf("empty set should be sat: %v %v", sat, err)
 	}
 }
 
 func TestConstraintSetPersistence(t *testing.T) {
-	a := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10)))
+	a := emptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10)))
 	b := a.Append(expr.Binary(expr.OpUlt, v(1), c8(20)))
 	if a.Len() != 1 || b.Len() != 2 {
 		t.Fatalf("lens %d %d", a.Len(), b.Len())
@@ -85,7 +94,7 @@ func TestConstraintSetPersistence(t *testing.T) {
 
 func TestSimpleSatUnsat(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10)))
+	cs := emptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10)))
 	sat, err := s.MayBeTrue(cs, expr.Eq(v(0), c8(5)))
 	if err != nil || !sat {
 		t.Fatalf("x<10 && x==5 should be sat: %v %v", sat, err)
@@ -99,7 +108,7 @@ func TestSimpleSatUnsat(t *testing.T) {
 // "cond holds on every solution" is asked as "¬cond is unsat".
 func TestMayBeTrueDecidesImplication(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(1))) // x < 1 => x == 0
+	cs := emptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(1))) // x < 1 => x == 0
 	sat, err := s.MayBeTrue(cs, expr.Not(expr.Eq(v(0), c8(0))))
 	if err != nil || sat {
 		t.Fatalf("x<1 must imply x==0: %v %v", sat, err)
@@ -112,7 +121,7 @@ func TestMayBeTrueDecidesImplication(t *testing.T) {
 
 func TestSolveProducesModel(t *testing.T) {
 	s := New()
-	cs := EmptySet.
+	cs := emptySet.
 		Append(expr.Binary(expr.OpUlt, c8(10), v(0))). // x > 10
 		Append(expr.Binary(expr.OpUlt, v(0), c8(20))). // x < 20
 		Append(expr.Eq(v(1), expr.Add(v(0), c8(1))))   // y == x+1
@@ -134,7 +143,7 @@ func TestSolveProducesModel(t *testing.T) {
 func TestTransitiveChain(t *testing.T) {
 	// x0 == x1, x1 == x2, ..., x9 == 42  => all equal 42.
 	s := New()
-	cs := EmptySet
+	cs := emptySet
 	for i := uint64(0); i < 9; i++ {
 		cs = cs.Append(expr.Eq(v(i), v(i+1)))
 	}
@@ -152,11 +161,11 @@ func TestTransitiveChain(t *testing.T) {
 
 func TestUnsatChain(t *testing.T) {
 	s := New()
-	cs := EmptySet.
+	cs := emptySet.
 		Append(expr.Eq(v(0), v(1))).
 		Append(expr.Eq(v(1), c8(1))).
 		Append(expr.Eq(v(0), c8(2)))
-	sat, err := s.CheckSat(cs)
+	sat, err := s.checkSat(cs)
 	if err != nil || sat {
 		t.Fatal("contradictory chain should be unsat")
 	}
@@ -166,7 +175,7 @@ func TestMultiByteEquality(t *testing.T) {
 	// 32-bit value from 4 symbolic bytes == magic constant.
 	s := New()
 	word := expr.Concat(expr.Concat(v(3), v(2)), expr.Concat(v(1), v(0)))
-	cs := EmptySet.Append(expr.Eq(c32(0xdeadbeef), word))
+	cs := emptySet.Append(expr.Eq(c32(0xdeadbeef), word))
 	m, sat, err := s.Solve(cs)
 	if err != nil || !sat {
 		t.Fatalf("magic equality should be sat: %v", err)
@@ -182,7 +191,7 @@ func TestMultiByteComparisonSplit(t *testing.T) {
 	// comparison byte-splits at construction.
 	s := New()
 	word := expr.Concat(v(1), v(0))
-	cs := EmptySet.
+	cs := emptySet.
 		Append(expr.Binary(expr.OpUlt, expr.Const(0x0101, expr.W16), word)).
 		Append(expr.Binary(expr.OpUlt, word, expr.Const(0x0104, expr.W16)))
 	m, sat, err := s.Solve(cs)
@@ -198,7 +207,7 @@ func TestMultiByteComparisonSplit(t *testing.T) {
 func TestIndependencePartitioning(t *testing.T) {
 	s := New()
 	// Two independent groups: {v0,v1} and {v2}.
-	cs := EmptySet.
+	cs := emptySet.
 		Append(expr.Binary(expr.OpUlt, v(0), v(1))).
 		Append(expr.Eq(v(2), c8(7)))
 	runsBefore := s.Stats.Snapshot().SolverRuns
@@ -218,15 +227,15 @@ func TestIndependencePartitioning(t *testing.T) {
 // as enumeration says, by whichever path answers it.
 func TestModelReuse(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10)))
+	cs := emptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10)))
 	mayBeTrueAgrees(t, s, cs, expr.Binary(expr.OpUlt, v(0), c8(9)), true)
 	mayBeTrueAgrees(t, s, cs, expr.Binary(expr.OpUlt, v(0), c8(8)), true)
 }
 
 func TestFalseConstraintIsUnsat(t *testing.T) {
-	cs := EmptySet.Append(expr.False())
+	cs := emptySet.Append(expr.False())
 	s := New()
-	sat, err := s.CheckSat(cs)
+	sat, err := s.checkSat(cs)
 	if err != nil || sat {
 		t.Fatal("false constraint should be unsat")
 	}
@@ -236,7 +245,7 @@ func TestArithmeticRelation(t *testing.T) {
 	// x + y == 5 (mod 256) with x < 10 and y > 200 forces wraparound
 	// (x + y = 261): needs real search over both variables.
 	s := New()
-	cs := EmptySet.
+	cs := emptySet.
 		Append(expr.Eq(c8(5), expr.Add(v(0), v(1)))).
 		Append(expr.Binary(expr.OpUlt, v(0), c8(10))).
 		Append(expr.Binary(expr.OpUlt, c8(200), v(1)))
@@ -249,11 +258,11 @@ func TestArithmeticRelation(t *testing.T) {
 	}
 	// And the over-constrained variant is unsat: x + y == 100 cannot
 	// wrap, so y = 100 - x <= 100 contradicts y > 200.
-	cs2 := EmptySet.
+	cs2 := emptySet.
 		Append(expr.Eq(c8(100), expr.Add(v(0), v(1)))).
 		Append(expr.Binary(expr.OpUlt, v(0), c8(10))).
 		Append(expr.Binary(expr.OpUlt, c8(200), v(1)))
-	sat, err = s.CheckSat(cs2)
+	sat, err = s.checkSat(cs2)
 	if err != nil || sat {
 		t.Fatal("non-wrapping variant should be unsat")
 	}
@@ -262,7 +271,7 @@ func TestArithmeticRelation(t *testing.T) {
 func TestSignedConstraints(t *testing.T) {
 	s := New()
 	// Signed: x > -5 and x < 3 (as int8).
-	cs := EmptySet.
+	cs := emptySet.
 		Append(expr.Binary(expr.OpSlt, c8(0xfb), v(0))). // -5 < x
 		Append(expr.Binary(expr.OpSlt, v(0), c8(3)))
 	m, sat, err := s.Solve(cs)
@@ -277,10 +286,10 @@ func TestSignedConstraints(t *testing.T) {
 
 func TestUnsatRange(t *testing.T) {
 	s := New()
-	cs := EmptySet.
+	cs := emptySet.
 		Append(expr.Binary(expr.OpUlt, v(0), c8(5))).
 		Append(expr.Binary(expr.OpUlt, c8(9), v(0)))
-	sat, err := s.CheckSat(cs)
+	sat, err := s.checkSat(cs)
 	if err != nil || sat {
 		t.Fatal("x<5 && x>9 should be unsat")
 	}
@@ -288,7 +297,7 @@ func TestUnsatRange(t *testing.T) {
 
 func TestSolveBindsAddedEquality(t *testing.T) {
 	s := New()
-	cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10))).Append(expr.Eq(v(0), c8(7)))
+	cs := emptySet.Append(expr.Binary(expr.OpUlt, v(0), c8(10))).Append(expr.Eq(v(0), c8(7)))
 	m, sat, err := s.Solve(cs)
 	if err != nil || !sat || at(m, 0) != 7 {
 		t.Fatalf("Solve model %v sat=%v err=%v", m, sat, err)
@@ -299,7 +308,7 @@ func TestWideArithmetic(t *testing.T) {
 	// zext(x)*2 + zext(y) == 515 over 32 bits.
 	s := New()
 	sum := expr.Add(expr.Binary(expr.OpMul, w32(v(0)), c32(2)), w32(v(1)))
-	cs := EmptySet.Append(expr.Eq(c32(515), sum))
+	cs := emptySet.Append(expr.Eq(c32(515), sum))
 	m, sat, err := s.Solve(cs)
 	if err != nil || !sat {
 		t.Fatalf("wide arithmetic should be sat: %v", err)
@@ -328,7 +337,7 @@ func TestQuickModelsSatisfy(t *testing.T) {
 func TestQuickBranchCompleteness(t *testing.T) {
 	f := func(bound uint8) bool {
 		s := New()
-		cs := EmptySet.Append(expr.Ule(v(0), c8(uint64(bound))))
+		cs := emptySet.Append(expr.Ule(v(0), c8(uint64(bound))))
 		cond := expr.Binary(expr.OpUlt, v(0), c8(uint64(bound)/2+1))
 		a, err1 := s.MayBeTrue(cs, cond)
 		b, err2 := s.MayBeTrue(cs, expr.Not(cond))
@@ -389,12 +398,12 @@ func blockTerm(rng *rand.Rand, nv int) func() *expr.Expr {
 
 // boundedRoot returns the set blockTerm workloads grow from: v5 < 8.
 func boundedRoot() *ConstraintSet {
-	return EmptySet.Append(expr.Binary(expr.OpUlt, v(5), c8(8)))
+	return emptySet.Append(expr.Binary(expr.OpUlt, v(5), c8(8)))
 }
 
 func BenchmarkSolverBranchQuery(b *testing.B) {
 	s := New()
-	cs := EmptySet
+	cs := emptySet
 	for i := uint64(0); i < 16; i++ {
 		cs = cs.Append(expr.Binary(expr.OpUlt, v(i), c8(200)))
 	}
@@ -411,7 +420,7 @@ func BenchmarkSolverMagicWord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New()
 		word := expr.Concat(expr.Concat(v(3), v(2)), expr.Concat(v(1), v(0)))
-		cs := EmptySet.Append(expr.Eq(c32(uint64(0xcafe0000)|uint64(i&0xffff)), word))
+		cs := emptySet.Append(expr.Eq(c32(uint64(0xcafe0000)|uint64(i&0xffff)), word))
 		if _, sat, err := s.Solve(cs); err != nil || !sat {
 			b.Fatal("unexpected unsat")
 		}
@@ -423,7 +432,7 @@ func BenchmarkSolverMagicWord(b *testing.B) {
 // or path replays diverge across workers (§6 "Broken Replays").
 func TestSolveModelIsCanonical(t *testing.T) {
 	build := func() *ConstraintSet {
-		return EmptySet.
+		return emptySet.
 			Append(expr.Binary(expr.OpUlt, c8(10), v(0))).
 			Append(expr.Binary(expr.OpUlt, v(1), v(0))).
 			Append(expr.Not(expr.Eq(v(2), c8(0))))
@@ -432,7 +441,7 @@ func TestSolveModelIsCanonical(t *testing.T) {
 	// cache); solver B solves directly. Models must match exactly.
 	a := New()
 	for i := uint64(0); i < 20; i++ {
-		cs := EmptySet.Append(expr.Binary(expr.OpUlt, v(i+10), c8(uint64(50+i))))
+		cs := emptySet.Append(expr.Binary(expr.OpUlt, v(i+10), c8(uint64(50+i))))
 		if _, err := a.MayBeTrue(cs, expr.Eq(v(i+10), c8(uint64(i)))); err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +466,7 @@ func TestBudgetResultIsCached(t *testing.T) {
 	s := New()
 	s.MaxBacktracks = 1 << 10
 	hard := hardGroups()[0]
-	cs := EmptySet
+	cs := emptySet
 	for _, c := range hard.cons {
 		cs = cs.Append(c)
 	}

@@ -429,7 +429,7 @@ func TestPruneMemoFullLoad(t *testing.T) {
 func TestPruneMemoGrowsOnDemand(t *testing.T) {
 	s := New()
 	x, y := v(0), v(1)
-	cs := EmptySet.Append(expr.Binary(expr.OpUlt, x, c8(10))).Append(expr.Binary(expr.OpUlt, y, c8(20)))
+	cs := emptySet.Append(expr.Binary(expr.OpUlt, x, c8(10))).Append(expr.Binary(expr.OpUlt, y, c8(20)))
 	forkByBounds(t, s, cs, expr.Binary(expr.OpUlt, x, c8(50)), true)
 	if st := s.Stats.Snapshot(); st.PruneMemoHits+st.PruneMemoMisses != 0 {
 		t.Fatalf("the query pruned: %+v", st)

@@ -91,7 +91,7 @@ func FuzzSolverVerdict(f *testing.F) {
 		}
 		ids := verdictIDs[int(data[0]>>1)%len(verdictIDs)]
 		d := verdictDecoder{data: data[1:], vars: ids[:2]}
-		cs := EmptySet
+		cs := emptySet
 		if data[0]&1 != 0 {
 			d.vars = ids[:]
 			cs = cs.Append(expr.Binary(expr.OpUlt, d.vars[0], c8(16)))

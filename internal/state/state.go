@@ -403,9 +403,6 @@ func (s *S) Thread(id ThreadID) *Thread {
 // CurThread returns the running thread.
 func (s *S) CurThread() *Thread { return s.Threads[s.Cur] }
 
-// CurProc returns the running thread's process.
-func (s *S) CurProc() *Process { return s.Procs[s.CurThread().Proc] }
-
 // PushFrame activates fn on thread t and returns the new frame; the
 // caller writes the nargs argument values into its first registers.
 func (s *S) PushFrame(t *Thread, fn *cvm.Func, nargs, retReg int) (*Frame, error) {

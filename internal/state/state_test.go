@@ -240,7 +240,11 @@ func dump(s *S) string {
 	space := func(name string, as *mem.AddressSpace) {
 		fmt.Fprintf(&b, "space %s\n", name)
 		as.Objects(func(os *mem.ObjectState) {
-			fmt.Fprintf(&b, "  %#x+%d %x\n", os.Obj.Base, os.Obj.Size, os.ConcreteBytes(nil))
+			fmt.Fprintf(&b, "  %#x+%d", os.Obj.Base, os.Obj.Size)
+			for off := range os.Obj.Size {
+				fmt.Fprintf(&b, " %v", os.Byte(off))
+			}
+			b.WriteByte('\n')
 		})
 	}
 	for pid := ProcessID(1); pid < s.NextPID; pid++ {
@@ -650,7 +654,7 @@ func TestPushFramePromotedSlots(t *testing.T) {
 	}
 	th, rth := s.CurThread(), ref.CurThread()
 	leaf := s.Prog.Func("leaf")
-	bound := s.CurProc().Space.NumObjects()
+	bound := numObjects(curSpace(s))
 	f, err := s.PushFrame(th, leaf, 0, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -662,7 +666,7 @@ func TestPushFramePromotedSlots(t *testing.T) {
 	if f.SlotObjs[0] != nil || f.SlotObjs[2] != nil || *f.SlotObjs[1] != *rf.SlotObjs[1] {
 		t.Fatalf("slot objects %v, want only the array, as %+v", f.SlotObjs, rf.SlotObjs[1])
 	}
-	if got := s.CurProc().Space.NumObjects(); got != bound+1 || ref.CurProc().Space.NumObjects() != bound+3 {
+	if got := numObjects(curSpace(s)); got != bound+1 || numObjects(curSpace(ref)) != bound+3 {
 		t.Fatalf("%d objects bound for leaf's frame, want 1 of its 3 slots", got-bound)
 	}
 	for i, w := range map[int]expr.Width{0: expr.W32, 2: expr.W64} {
@@ -674,7 +678,7 @@ func TestPushFramePromotedSlots(t *testing.T) {
 		t.Errorf("the allocation after the frame: %+v, unpromoted %+v", got, want)
 	}
 	s.PopFrame(th)
-	if got := s.CurProc().Space.NumObjects(); got != bound {
+	if got := numObjects(curSpace(s)); got != bound {
 		t.Errorf("%d objects bound after the return, %d before the call", got, bound)
 	}
 
@@ -687,6 +691,16 @@ func TestPushFramePromotedSlots(t *testing.T) {
 	if f, err = s.PushFrame(th, b.Func(), 0, -1); err != nil || f.SlotObjs != nil {
 		t.Errorf("frame of an all-promoted callee: slot list %v, err %v", f.SlotObjs, err)
 	}
+}
+
+// curSpace is the address space of s's running process.
+func curSpace(s *S) *mem.AddressSpace { return s.Procs[s.CurThread().Proc].Space }
+
+// numObjects counts the objects bound in as.
+func numObjects(as *mem.AddressSpace) int {
+	n := 0
+	as.Objects(func(*mem.ObjectState) { n++ })
+	return n
 }
 
 // wcShaped builds the state a coreutil-wc branch forks: one process, one
@@ -702,8 +716,8 @@ func wcShaped(t testing.TB, depth int) *S {
 			t.Fatal(err)
 		}
 	}
-	space := s.CurProc().Space
-	for space.NumObjects() < 40 {
+	space := curSpace(s)
+	for numObjects(space) < 40 {
 		space.Bind(s.Alloc.AllocateState(32, "heap"))
 	}
 	s.Symbolics = []SymbolicRegion{{Name: "stdin", Len: 8}}
